@@ -60,7 +60,10 @@ def _planner_arms() -> dict[str, float]:
     - ``zipf_b4096``: Zipf(1.2) batch-4096 lookup — dedup collapses the
       hot rows, the paper's Fig. 11 reuse gap;
     - ``zipf_p100_step``: Zipf(1.2) pooling-100 forward+backward training
-      step — dedup shared between forward and Algorithm 2.
+      step — dedup shared between forward and Algorithm 2;
+    - ``uniform_b4096_step``: uniform batch-4096 forward+backward step —
+      nothing to dedup, so Algorithm 2's segmented GEMMs carry it (the
+      shape ROADMAP item 2 named); auto must match fixed.
     """
     scale = float(os.environ.get("REPRO_BENCH_SCALE", "1") or 1)
     iters = max(3, int(round(10 * scale)))
@@ -88,16 +91,22 @@ def _planner_arms() -> dict[str, float]:
     idx_p, off_p = pooling_workload(ROWS, 32, 100, zipf_s=1.2, rng=0)
     grad = np.ones((32, DIM))
 
-    def step(emb):
+    def step(emb, idx, off, grad):
         emb.zero_grad()
-        out = emb.forward(idx_p, off_p)
-        emb.backward(grad[: out.shape[0]])
+        emb.forward(idx, off)
+        emb.backward(grad)
 
-    fixed, auto = make("fixed", False), make("auto", True)
-    arms["zipf_p100_step_fixed"] = _time_min(lambda: step(fixed),
-                                             iters=iters, repeats=repeats)
-    arms["zipf_p100_step_auto"] = _time_min(lambda: step(auto),
-                                            iters=iters, repeats=repeats)
+    for name, emb in (("fixed", make("fixed", False)),
+                      ("auto", make("auto", True))):
+        arms[f"zipf_p100_step_{name}"] = _time_min(
+            lambda: step(emb, idx_p, off_p, grad), iters=iters, repeats=repeats)
+
+    idx_s, off_s = uniform_workload(ROWS, 4096, rng=1)
+    grad_s = np.ones((4096, DIM))
+    for name in ("fixed", "auto"):
+        emb = make(name, False)
+        arms[f"uniform_b4096_step_{name}"] = _time_min(
+            lambda: step(emb, idx_s, off_s, grad_s), iters=iters, repeats=repeats)
     return arms
 
 
@@ -147,7 +156,8 @@ def test_batching_speedup_report(benchmark):
     arms = _planner_arms()
     ref = arms[REFERENCE_ARM]
     banner("Batch execution planner: auto policy vs fixed l2r")
-    pairs = ["uniform_b256", "zipf_b4096", "zipf_p100_step"]
+    pairs = ["uniform_b256", "zipf_b4096", "zipf_p100_step",
+             "uniform_b4096_step"]
     rows = []
     speedups = {}
     for pair in pairs:

@@ -159,6 +159,13 @@ class MicroBatchQueue:
         A request is infeasible when its deadline precedes ``now`` plus the
         service-time EWMA — serving it would burn a batch slot to produce
         an answer the client has already abandoned.
+
+        When a call sheds requests and serves none there is no batch for
+        the server to time, so :meth:`observe_service` would never run
+        again and one long stall could leave the estimate above every
+        deadline for good. That path decays the estimate as if a zero-cost
+        batch had been observed, so the queue recovers after a bounded
+        number of calls; a call that forms a batch pays nothing for this.
         """
         now = self.clock()
         horizon = now + self.expected_service_ms
@@ -171,6 +178,8 @@ class MicroBatchQueue:
                 feasible.append(req)
         feasible.sort(key=lambda r: r.deadline_ms)
         batch = feasible[: self.max_batch]
+        if not batch and self._queue:
+            self.expected_service_ms *= 1 - self._ewma_alpha
         self._queue = deque(feasible[self.max_batch:])
         self._depth_gauge.set(len(self._queue))
         return batch

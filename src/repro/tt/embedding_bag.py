@@ -12,8 +12,9 @@ Backward (Algorithm 2): the chain rule of Eq. 4-5. For every core ``k`` the
 per-sample gradient is ``L_{k-1}^T dO R_k^T`` where ``L`` are the left
 partial products (``tr_i`` in the paper — either stored from forward or
 recomputed, §4.2's trade-off) and ``R`` right partial products built by a
-backward sweep. Per-sample gradients are scattered into the shared cores
-with a duplicate-combining scatter-add.
+backward sweep. Samples are grouped by core index and each touched slice
+receives one GEMM over its group (:func:`accumulate_core_grads`), so the
+per-sample gradient block is never materialised.
 
 Storage layout: cores are kept mode-first, ``(m_k, R_{k-1}, n_k, R_k)``,
 so a lookup is one contiguous row gather; see :class:`repro.tt.shapes.TTShape`.
@@ -28,13 +29,87 @@ from repro.ops.module import Module, Parameter
 from repro.telemetry import trace
 from repro.tt.decomposition import tt_reconstruct
 from repro.tt.initialization import tt_core_initializer
-from repro.tt.kernels import scatter_add_rows
+from repro.tt.kernels import (scatter_add_rows, segmented_matmul,
+                              segmented_outer_add)
 from repro.tt.planner import ExecutionPlanner
 from repro.tt.shapes import TTShape
 from repro.utils.seeding import as_rng
 from repro.utils.validation import check_csr
 
-__all__ = ["TTEmbeddingBag"]
+__all__ = ["TTEmbeddingBag", "accumulate_core_grads", "unpool_grads"]
+
+
+def accumulate_core_grads(shape: TTShape,
+                          members: list[tuple[list[Parameter], np.ndarray]],
+                          grad_rows: np.ndarray,
+                          lefts: list[np.ndarray]) -> None:
+    """Algorithm 2's right-to-left sweep, shared by every TT operator.
+
+    ``members`` lists ``(cores, decoded)`` per table; their samples are
+    concatenated in that order along axis 0 of ``grad_rows`` ``(n, dim)``
+    and of the left partials ``lefts``. For core ``k`` the sweep forms the
+    two per-sample factors of ``L_{k-1}^T dO R_k^T`` — never their product
+    — and the segmented kernels of :mod:`repro.tt.kernels` contract them
+    per touched slice straight into each member's ``cores[k].grad``.
+    """
+    n = grad_rows.shape[0]
+    if n == 0:
+        return
+    ends = np.cumsum([decoded.shape[1] for _, decoded in members]).tolist()
+    parts = [(cores, decoded, slice(hi - decoded.shape[1], hi))
+             for (cores, decoded), hi in zip(members, ends) if decoded.shape[1]]
+    # Both factors are kept K-major, (sample, Q_k, ...), so a slice's
+    # samples stack along the GEMM's K axis without a transpose.
+    right_t = np.ones((n, 1, 1), dtype=grad_rows.dtype)  # Right_k^T: (n, Q_k, R_k)
+    q = 1
+    for k in range(shape.d - 1, -1, -1):
+        r_prev = shape.ranks[k]
+        nk = shape.col_factors[k]
+        with trace("tt.backward.gemm", core=k):
+            # dO as (n, Q, P, n_k): a dim-element-per-sample permute
+            d_out = np.ascontiguousarray(
+                grad_rows.reshape(n, -1, nk, q).transpose(0, 3, 1, 2))
+            if k > 0:
+                # (n, 1, R_{k-1}, P) @ (n, Q, P, n_k) -> (L^T dO)^T
+                d_out = np.matmul(lefts[k - 1].transpose(0, 2, 1)[:, None],
+                                  d_out)
+            left_do_t = d_out.reshape(n, q, r_prev * nk)
+        with trace("tt.backward.segment_gemm", core=k):
+            for cores, decoded, seg in parts:
+                segmented_outer_add(cores[k].grad, decoded[k],
+                                    left_do_t[seg], right_t[seg])
+                cores[k].record_touched(decoded[k])
+        if k > 0:
+            with trace("tt.backward.gemm_right", core=k):
+                # Right_{k-1}^T = Right_k^T · G_k(i_k)^T per column of n_k:
+                # (n, Q, R_k) x (m_k, n_k, R_k, R_{k-1}) -> (n, n_k, Q, R_{k-1})
+                right_t = np.concatenate([
+                    segmented_matmul(right_t[seg], decoded[k],
+                                     cores[k].data.transpose(0, 2, 3, 1))
+                    for cores, decoded, seg in parts])
+                q *= nk
+                right_t = right_t.reshape(n, q, r_prev)
+
+
+def unpool_grads(grad_out: np.ndarray, counts: np.ndarray,
+                 alpha: np.ndarray | None, mode: str,
+                 inverse: np.ndarray | None = None, n_rows: int = 0) -> np.ndarray:
+    """Bag gradients ``(bags, dim)`` -> one gradient per looked-up row.
+
+    Undoes pooling (mean scale, per-sample weights) and, for a deduplicated
+    batch, combines duplicates through ``inverse`` into ``(n_rows, dim)``.
+    """
+    if mode == "mean":
+        scale = np.asarray(np.where(counts > 0, counts, 1), dtype=grad_out.dtype)
+        grad_out = grad_out / scale[:, None]
+    grad_rows = grad_out[np.repeat(np.arange(len(counts)), counts)]
+    if alpha is not None:
+        grad_rows = grad_rows * alpha[:, None]
+    if inverse is not None:
+        combined = np.zeros((n_rows, grad_rows.shape[1]), dtype=grad_rows.dtype)
+        scatter_add_rows(combined, inverse, grad_rows)
+        grad_rows = combined
+    return grad_rows
 
 
 class TTEmbeddingBag(Module):
@@ -238,24 +313,10 @@ class TTEmbeddingBag(Module):
                 )
             raise RuntimeError("backward called before forward")
         c = self._cache
-        grad_out = np.asarray(grad_out, dtype=self.dtype)
-        counts = c["counts"]
-        if self.mode == "mean":
-            scale = np.asarray(np.where(counts > 0, counts, 1),
-                               dtype=grad_out.dtype)
-            grad_out = grad_out / scale[:, None]
-        bag_ids = np.repeat(np.arange(len(counts)), counts)
-        grad_rows = grad_out[bag_ids]  # (n_indices, dim)
-        if c["alpha"] is not None:
-            grad_rows = grad_rows * c["alpha"][:, None]
-        if c["inverse"] is not None:
-            # Combine gradient contributions of duplicate indices.
-            n_uniq = c["decoded"].shape[1]
-            combined = np.zeros((n_uniq, self.dim), dtype=grad_rows.dtype)
-            scatter_add_rows(combined, c["inverse"], grad_rows)
-            grad_rows = combined
-
         decoded = c["decoded"]
+        grad_rows = unpool_grads(np.asarray(grad_out, dtype=self.dtype),
+                                 c["counts"], c["alpha"], self.mode,
+                                 c["inverse"], decoded.shape[1])
         lefts = c["lefts"]
         if lefts is None:
             # Recompute-intermediates arm (paper §4.2, Algorithm 2 line 3).
@@ -267,38 +328,8 @@ class TTEmbeddingBag(Module):
 
     def _accumulate_core_grads(self, decoded: np.ndarray, grad_rows: np.ndarray,
                                lefts: list[np.ndarray]) -> None:
-        n = decoded.shape[1]
-        if n == 0:
-            return
-        d = self.shape.d
-        right = np.ones((n, 1, 1), dtype=grad_rows.dtype)  # R_d == 1, Q_{d-1} == 1
-        q = 1
-        for k in range(d - 1, -1, -1):
-            r_prev = self.shape.ranks[k]
-            r_next = self.shape.ranks[k + 1]
-            nk = self.shape.col_factors[k]
-            left = (lefts[k - 1] if k > 0
-                    else np.ones((n, 1, 1), dtype=grad_rows.dtype))
-            p = left.shape[1]
-            with trace("tt.backward.gemm", core=k):
-                # dO as (n, P_{k-1}, n_k * Q_k)
-                d_out = grad_rows.reshape(n, p, nk * q)
-                # (n, R_{k-1}, P) @ (n, P, n_k*Q) -> (n, R_{k-1}, n_k*Q)
-                tmp = np.matmul(left.transpose(0, 2, 1), d_out)
-                tmp = tmp.reshape(n, r_prev * nk, q)
-                # (n, R_{k-1}*n_k, Q) @ (n, Q, R_k) -> per-sample core gradient
-                g = np.matmul(tmp, right.transpose(0, 2, 1))
-                g = g.reshape(n, r_prev, nk, r_next)
-            with trace("tt.backward.scatter", core=k):
-                scatter_add_rows(self.cores[k].grad, decoded[k], g)
-            self.cores[k].record_touched(decoded[k])
-            if k > 0:
-                with trace("tt.backward.gemm_right", core=k):
-                    core = self.cores[k].data[decoded[k]]  # (n, R_{k-1}, n_k, R_k)
-                    # Right_{k-1} = G_k(i_k) · Right_k, reshaped to (n, R_{k-1}, n_k*Q)
-                    right = np.matmul(core.reshape(n, r_prev * nk, r_next), right.reshape(n, r_next, q))
-                    right = right.reshape(n, r_prev, nk * q)
-                q *= nk
+        accumulate_core_grads(self.shape, [(self.cores, decoded)], grad_rows,
+                              lefts)
 
     # ------------------------------------------------------------------ #
     # Interop

@@ -27,8 +27,8 @@ import numpy as np
 
 from repro.ops.embedding import segment_sum
 from repro.ops.module import Module
-from repro.tt.embedding_bag import TTEmbeddingBag
-from repro.tt.kernels import scatter_add_rows
+from repro.tt.embedding_bag import (TTEmbeddingBag, accumulate_core_grads,
+                                    unpool_grads)
 from repro.tt.planner import ExecutionPlanner
 from repro.utils.validation import check_csr
 
@@ -90,14 +90,6 @@ class GroupedTTEmbeddingBag(Module):
         return len(self.tables)
 
     # ------------------------------------------------------------------ #
-
-    def _gather_core(self, k: int, decoded_list: list[np.ndarray]) -> np.ndarray:
-        """Concatenate core-``k`` slices across tables: ``(sum_n, R, n_k, R')``."""
-        parts = [
-            t.cores[k].data[dec[k]]
-            for t, dec in zip(self.tables, decoded_list)
-        ]
-        return np.concatenate(parts, axis=0)
 
     def _make_gather(self, decoded_list: list[np.ndarray], total: int):
         """Pooled fused gather: per-table ``np.take`` into one scratch view."""
@@ -174,7 +166,7 @@ class GroupedTTEmbeddingBag(Module):
         self._cache = {
             "checked": checked, "decoded_list": decoded_list,
             "inverses": inverses, "alphas": alphas,
-            "splits": splits, "total": total, "lefts": lefts,
+            "lefts": lefts,
         }
         self._did_backward = False
         return outputs
@@ -196,64 +188,16 @@ class GroupedTTEmbeddingBag(Module):
         c = self._cache
         if len(grads) != self.num_tables:
             raise ValueError(f"expected {self.num_tables} gradients")
-        total = c["total"]
-        if total == 0:
-            self._cache = None
-            self._did_backward = True
-            return
-
-        grad_rows_parts = []
-        for t, ((indices, offsets), alpha, inverse, grad) in enumerate(
-                zip(c["checked"], c["alphas"], c["inverses"], grads)):
-            grad = np.asarray(grad, dtype=self.dtype)
-            counts = np.diff(offsets)
-            if self.mode == "mean":
-                scale = np.asarray(np.where(counts > 0, counts, 1),
-                                   dtype=grad.dtype)
-                grad = grad / scale[:, None]
-            bag_ids = np.repeat(np.arange(len(counts)), counts)
-            g = grad[bag_ids]
-            if alpha is not None:
-                g = g * alpha[:, None]
-            if inverse is not None:
-                # Combine gradient contributions of deduplicated indices.
-                combined = np.zeros((c["decoded_list"][t].shape[1], self.dim),
-                                    dtype=g.dtype)
-                scatter_add_rows(combined, inverse, g)
-                g = combined
-            grad_rows_parts.append(g)
-        grad_rows = np.concatenate(grad_rows_parts, axis=0)
-
-        decoded_list = c["decoded_list"]
-        splits = c["splits"]
-        lefts = c["lefts"]
-        n = total
-        d = self.shape.d
-        right = np.ones((n, 1, 1), dtype=grad_rows.dtype)
-        q = 1
-        for k in range(d - 1, -1, -1):
-            r_prev = self.shape.ranks[k]
-            r_next = self.shape.ranks[k + 1]
-            nk = self.shape.col_factors[k]
-            left = (lefts[k - 1] if k > 0
-                    else np.ones((n, 1, 1), dtype=grad_rows.dtype))
-            p = left.shape[1]
-            d_out = grad_rows.reshape(n, p, nk * q)
-            tmp = np.matmul(left.transpose(0, 2, 1), d_out)
-            tmp = tmp.reshape(n, r_prev * nk, q)
-            g = np.matmul(tmp, right.transpose(0, 2, 1))
-            g = g.reshape(n, r_prev, nk, r_next)
-            # split per table and scatter into each table's core grad
-            for t, (g_part, dec) in enumerate(
-                    zip(np.split(g, splits, axis=0), decoded_list)):
-                if dec.shape[1]:
-                    scatter_add_rows(self.tables[t].cores[k].grad, dec[k], g_part)
-                    self.tables[t].cores[k].record_touched(dec[k])
-            if k > 0:
-                core = self._gather_core(k, decoded_list)
-                right = np.matmul(core.reshape(n, r_prev * nk, r_next),
-                                  right.reshape(n, r_next, q))
-                right = right.reshape(n, r_prev, nk * q)
-                q *= nk
+        grad_rows = np.concatenate([
+            unpool_grads(np.asarray(grad, dtype=self.dtype), np.diff(offsets),
+                         alpha, self.mode, inverse, decoded.shape[1])
+            for (_, offsets), alpha, inverse, decoded, grad in zip(
+                c["checked"], c["alphas"], c["inverses"], c["decoded_list"],
+                grads)])
+        accumulate_core_grads(
+            self.shape,
+            [(t.cores, dec) for t, dec in zip(self.tables, c["decoded_list"])],
+            grad_rows, c["lefts"],
+        )
         self._cache = None
         self._did_backward = True

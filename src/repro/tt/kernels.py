@@ -5,9 +5,15 @@ The production forward/backward paths in
 GEMMs (``np.matmul`` over stacked 3-D operands — the NumPy analogue of the
 cuBLAS ``GemmBatchedEx`` calls in paper Algorithms 1-2). This module holds:
 
-- :func:`scatter_add_rows` — duplicate-combining scatter-add used to
-  accumulate per-sample core gradients (much faster than raw ``np.add.at``
-  when indices repeat, which Zipf-distributed lookups guarantee);
+- :func:`segmented_outer_add` — Algorithm 2's core-gradient accumulation
+  as a segmented GEMM: samples are grouped by core index and each touched
+  slice gets one ``A_groupᵀ @ B_group`` product, so duplicates are reduced
+  inside the contraction and no per-sample gradient block exists;
+- :func:`segmented_matmul` — the sweep's ``Right_{k-1} = G_k(i_k) Right_k``
+  against one view of each touched slice instead of a per-sample gather;
+- :func:`scatter_add_rows` — duplicate-combining scatter-add for row-shaped
+  values (dedup combine, cache-row grads, the baselines; much faster than
+  raw ``np.add.at`` when indices repeat, which Zipf lookups guarantee);
 - :func:`tt_lookup_reference` — a deliberately naive per-row implementation
   of paper Eq. 3 used as the correctness oracle in tests and as the
   "no batching" arm of the kernel ablation benchmark.
@@ -21,7 +27,18 @@ from repro.telemetry import trace
 from repro.tt.shapes import TTShape
 from repro.utils.dtypes import result_dtype
 
-__all__ = ["scatter_add_rows", "tt_lookup_reference"]
+__all__ = ["scatter_add_rows", "segmented_matmul", "segmented_outer_add",
+           "tt_lookup_reference"]
+
+
+def _sorted_runs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """``(order, uniq, bounds)``: ``order`` stably sorts ``rows`` and run
+    ``rows[order][bounds[i]:bounds[i + 1]]`` holds only ``uniq[i]``."""
+    order = np.argsort(rows, kind="stable")
+    sorted_rows = rows[order]
+    starts = np.flatnonzero(
+        np.concatenate(([True], sorted_rows[1:] != sorted_rows[:-1])))
+    return order, sorted_rows[starts], [*starts.tolist(), rows.shape[0]]
 
 
 def scatter_add_rows(buf: np.ndarray, rows: np.ndarray, vals: np.ndarray) -> None:
@@ -38,16 +55,77 @@ def scatter_add_rows(buf: np.ndarray, rows: np.ndarray, vals: np.ndarray) -> Non
     if rows.shape[0] != vals.shape[0]:
         raise ValueError(f"rows ({rows.shape[0]}) and vals ({vals.shape[0]}) disagree")
     with trace("kernels.scatter_add"):
-        flat = vals.reshape(rows.shape[0], -1)
-        order = np.argsort(rows, kind="stable")
-        sorted_rows = rows[order]
-        sorted_vals = flat[order]
-        uniq, starts = np.unique(sorted_rows, return_index=True)
-        summed = np.add.reduceat(sorted_vals, starts, axis=0)
+        order, uniq, bounds = _sorted_runs(rows)
+        sorted_vals = vals.reshape(rows.shape[0], -1)[order]
+        summed = np.add.reduceat(sorted_vals, bounds[:-1], axis=0)
         # In-place accumulation into the caller's gradient buffer is this
         # function's documented contract ("buf[rows] += vals").
-        buf_flat = buf.reshape(buf.shape[0], -1)  # repro: noqa[MUT001]
+        buf_flat = buf.reshape(buf.shape[0], -1)
         buf_flat[uniq] += summed  # repro: noqa[MUT001]
+
+
+def segmented_outer_add(buf: np.ndarray, rows: np.ndarray, a: np.ndarray,
+                        b: np.ndarray) -> None:
+    """``buf[j] += sum(a[s].T @ b[s] for s where rows[s] == j)``.
+
+    ``buf`` is ``(m, ...)`` with ``A * B`` elements per slice, ``rows`` is
+    ``(n,)`` int, ``a`` is ``(n, Q, A)`` and ``b`` is ``(n, Q, B)``. Both
+    factors are gathered once in sorted ``rows`` order and flattened
+    K-major to ``(n*Q, A)`` / ``(n*Q, B)``, so the samples of one slice are
+    a contiguous run and their summed outer product is a single GEMM with
+    ``K = group * Q`` — duplicates are reduced inside the contraction and
+    the per-sample ``(n, A, B)`` block never exists.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    n = rows.shape[0]
+    if n == 0:
+        return
+    if a.shape[:2] != b.shape[:2] or a.shape[0] != n:
+        raise ValueError(
+            f"rows ({n}), a {a.shape} and b {b.shape} disagree on (n, Q)")
+    with trace("kernels.segmented_outer_add"):
+        q, width_a, width_b = a.shape[1], a.shape[2], b.shape[2]
+        order, uniq, bounds = _sorted_runs(rows)
+        a = np.take(a, order, axis=0).reshape(n * q, width_a)
+        b = np.take(b, order, axis=0).reshape(n * q, width_b)
+        block = np.empty((uniq.size, width_a, width_b), dtype=result_dtype(a, b))
+        for i in range(uniq.size):
+            run = slice(bounds[i] * q, bounds[i + 1] * q)
+            np.matmul(a[run].T, b[run], out=block[i])
+        # In-place accumulation into the caller's gradient buffer is this
+        # function's documented contract, as for scatter_add_rows.
+        buf_flat = buf.reshape(buf.shape[0], width_a, width_b)
+        buf_flat[uniq] += block  # repro: noqa[MUT001]
+
+
+def segmented_matmul(x: np.ndarray, rows: np.ndarray,
+                     mats: np.ndarray) -> np.ndarray:
+    """``out[s] = x[s] @ mats[rows[s]]`` without gathering ``mats`` per sample.
+
+    ``x`` is ``(n, Q, K)``, ``mats`` is ``(m, J, K, N)`` (any strides) and
+    the result ``(n, J, Q, N)``. Samples are grouped by ``rows`` and each
+    group multiplies one *view* of its slice, so the ``(n, J, K, N)``
+    gather — for a middle TT core the largest transient of a step — is
+    never made. Every sample is its own GEMM, so its result does not
+    depend on which other samples share the batch.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    n = rows.shape[0]
+    if x.shape[0] != n:
+        raise ValueError(f"rows ({n}) and x ({x.shape[0]}) disagree")
+    out = np.empty((n, mats.shape[1], x.shape[1], mats.shape[3]),
+                   dtype=result_dtype(x, mats))
+    if n == 0:
+        return out
+    with trace("kernels.segmented_matmul"):
+        order, uniq, bounds = _sorted_runs(rows)
+        x = np.take(x, order, axis=0)[:, None]
+        sorted_out = np.empty_like(out)
+        for i, j in enumerate(uniq.tolist()):
+            run = slice(bounds[i], bounds[i + 1])
+            np.matmul(x[run], mats[j], out=sorted_out[run])
+        out[order] = sorted_out
+    return out
 
 
 def tt_lookup_reference(cores: list[np.ndarray], shape: TTShape,

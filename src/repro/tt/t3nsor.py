@@ -19,7 +19,9 @@ import numpy as np
 from repro.ops.embedding import segment_sum
 from repro.ops.module import Module, Parameter
 from repro.tt.decomposition import tt_full_tensor
+from repro.tt.embedding_bag import accumulate_core_grads, unpool_grads
 from repro.tt.initialization import tt_core_initializer
+from repro.tt.planner import ExecutionPlanner
 from repro.tt.shapes import TTShape
 from repro.utils.seeding import as_rng
 from repro.utils.validation import check_csr
@@ -101,16 +103,8 @@ class T3nsorEmbeddingBag(Module):
         if self._cache is None:
             raise RuntimeError("backward called before forward")
         c = self._cache
-        grad_out = np.asarray(grad_out, dtype=self.dtype)
-        counts = c["counts"]
-        if self.mode == "mean":
-            scale = np.asarray(np.where(counts > 0, counts, 1),
-                               dtype=grad_out.dtype)
-            grad_out = grad_out / scale[:, None]
-        bag_ids = np.repeat(np.arange(len(counts)), counts)
-        grad_rows = grad_out[bag_ids]
-        if c["alpha"] is not None:
-            grad_rows = grad_rows * c["alpha"][:, None]
+        grad_rows = unpool_grads(np.asarray(grad_out, dtype=self.dtype),
+                                 c["counts"], c["alpha"], self.mode)
         d_full = np.zeros((self.shape.padded_rows, self.dim),
                           dtype=grad_rows.dtype)
         np.add.at(d_full, c["indices"], grad_rows)
@@ -123,17 +117,12 @@ class T3nsorEmbeddingBag(Module):
         ``d_full[i]``" and reuses the TT chain-rule sweep; this is
         mathematically the adjoint of :func:`tt_full_tensor`.
         """
-        from repro.tt.embedding_bag import TTEmbeddingBag
-        from repro.tt.planner import ExecutionPlanner
-
-        helper = TTEmbeddingBag.__new__(TTEmbeddingBag)
-        helper.num_rows = self.shape.padded_rows
-        helper.dim = self.dim
-        helper.shape = self.shape
-        helper.cores = self.cores
-        helper.planner = ExecutionPlanner(self.shape, "l2r",
-                                          itemsize=self.dtype.itemsize)
+        planner = ExecutionPlanner(self.shape, "l2r",
+                                   itemsize=self.dtype.itemsize)
         all_rows = np.arange(self.shape.padded_rows, dtype=np.int64)
         decoded = self.shape.decode_indices(all_rows)
-        _, lefts = helper._row_chain(decoded)
-        helper._accumulate_core_grads(decoded, d_full, lefts)
+        _, lefts = planner.execute(
+            planner.schedule_for(all_rows.size, need_lefts=True), decoded,
+            [p.data for p in self.cores], keep_lefts=True)
+        accumulate_core_grads(self.shape, [(self.cores, decoded)], d_full,
+                              lefts)

@@ -174,3 +174,174 @@ class TestCompressionMonotonicity:
             r = shape.ranks[split]
             bound_sq += float((s[r:] ** 2).sum())
         assert err <= np.sqrt(bound_sq) + 1e-9
+
+
+# --------------------------------------------------------------------- #
+# Algorithm 2 through every TT operator vs. a per-sample reference
+# --------------------------------------------------------------------- #
+
+GRAD_SHAPES = {
+    2: TTShape.with_uniform_rank(20, 6, (4, 5), (2, 3), rank=3),
+    3: SHAPE,
+    4: TTShape.with_uniform_rank(120, 16, (2, 3, 4, 5), (2, 2, 2, 2), rank=3),
+}
+
+
+def naive_core_grads(cores, shape, indices, grad_rows):
+    """Per-sample ``L^T dO R^T`` accumulated with ``np.add.at`` (float64).
+
+    Deliberately the formulation the production sweep no longer uses:
+    one explicit ``(R_{k-1}, n_k, R_k)`` block per sample and core.
+    """
+    cores = [np.asarray(c, dtype=np.float64) for c in cores]
+    grad_rows = np.asarray(grad_rows, dtype=np.float64)
+    decoded = shape.decode_indices(np.asarray(indices, dtype=np.int64))
+    grads = [np.zeros_like(c) for c in cores]
+    for s in range(decoded.shape[1]):
+        slices = [cores[k][decoded[k, s]] for k in range(shape.d)]
+        for k in range(shape.d):
+            left = np.ones((1, 1))  # (P_{k-1}, R_{k-1})
+            for sl in slices[:k]:
+                left = (left @ sl.reshape(sl.shape[0], -1)).reshape(-1, sl.shape[2])
+            right = np.ones((1, 1))  # (R_k, Q_k)
+            for sl in reversed(slices[k + 1:]):
+                right = (sl.reshape(-1, sl.shape[2]) @ right).reshape(sl.shape[0], -1)
+            d_out = grad_rows[s].reshape(left.shape[0], shape.col_factors[k],
+                                         right.shape[1])
+            block = np.einsum("pr,pjq,tq->rjt", left, d_out, right)
+            np.add.at(grads[k], decoded[k, s:s + 1], block[None])
+    return grads
+
+
+def _pooled_batch(shape, seed, *, integer):
+    """Duplicate-heavy weighted bags plus the per-index upstream gradient."""
+    from tests.helpers import random_csr
+
+    rng = np.random.default_rng(seed)
+    indices, offsets = random_csr(rng, shape.num_rows, 12, max_bag=5)
+    indices[: indices.size // 3] = indices[0]
+    if integer:
+        weights = rng.integers(-2, 3, size=indices.size).astype(np.float64)
+        grad_out = rng.integers(-3, 4, size=(offsets.size - 1, shape.dim)).astype(np.float64)
+    else:
+        weights = rng.normal(size=indices.size)
+        grad_out = rng.normal(size=(offsets.size - 1, shape.dim))
+    bag_ids = np.repeat(np.arange(offsets.size - 1), np.diff(offsets))
+    return indices, offsets, weights, grad_out, grad_out[bag_ids] * weights[:, None]
+
+
+def _integer_cores(shape, rng):
+    return [rng.integers(-2, 3, size=shape.core_shape(k)).astype(np.float64)
+            for k in range(shape.d)]
+
+
+class TestCoreGradsAgainstNaive:
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("dedup", [False, True], ids=["nodedup", "dedup"])
+    @pytest.mark.parametrize("store", [True, False], ids=["store", "recompute"])
+    @pytest.mark.parametrize("dtype,rtol", [(np.float64, 1e-10), (np.float32, 2e-4)])
+    def test_tt_embedding_bag(self, d, dedup, store, dtype, rtol):
+        from repro.utils.dtypes import dtype_policy
+
+        shape = GRAD_SHAPES[d]
+        indices, offsets, weights, grad_out, grad_rows = _pooled_batch(
+            shape, seed=d, integer=False)
+        with dtype_policy(dtype):
+            emb = TTEmbeddingBag(shape.num_rows, shape.dim, shape=shape, rng=d,
+                                 dedup=dedup, store_intermediates=store)
+            emb.forward(indices, offsets, weights)
+            emb.backward(grad_out)
+        want = naive_core_grads([p.data for p in emb.cores], shape, indices,
+                                grad_rows)
+        for p, w in zip(emb.cores, want):
+            assert p.grad.dtype == dtype
+            np.testing.assert_allclose(p.grad, w, rtol=rtol,
+                                       atol=rtol * np.abs(w).max())
+            touched = np.flatnonzero(np.abs(w).reshape(w.shape[0], -1).sum(axis=1))
+            assert np.isin(touched, p.touched_rows).all()
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("dedup", [False, True], ids=["nodedup", "dedup"])
+    @pytest.mark.parametrize("store", [True, False], ids=["store", "recompute"])
+    def test_integer_lattice_is_bit_exact(self, d, dedup, store):
+        shape = GRAD_SHAPES[d]
+        indices, offsets, weights, grad_out, grad_rows = _pooled_batch(
+            shape, seed=10 + d, integer=True)
+        emb = TTEmbeddingBag(shape.num_rows, shape.dim, shape=shape, rng=0,
+                             dedup=dedup, store_intermediates=store)
+        emb.load_cores(_integer_cores(shape, np.random.default_rng(d)))
+        emb.forward(indices, offsets, weights)
+        emb.backward(grad_out)
+        want = naive_core_grads([p.data for p in emb.cores], shape, indices,
+                                grad_rows)
+        for p, w in zip(emb.cores, want):
+            assert p.grad.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("dedup", [False, True], ids=["nodedup", "dedup"])
+    @pytest.mark.parametrize("store", [True, False], ids=["store", "recompute"])
+    def test_cached_miss_path(self, d, dedup, store):
+        from repro.cache import CachedTTEmbeddingBag
+
+        shape = GRAD_SHAPES[d]
+        indices, offsets, weights, grad_out, grad_rows = _pooled_batch(
+            shape, seed=20 + d, integer=False)
+        # warmup_steps=1: the first forward populates 4 hot rows from its
+        # own batch, so the same call has hits (cache rows) and misses (TT).
+        emb = CachedTTEmbeddingBag(shape.num_rows, shape.dim, shape=shape,
+                                   rng=d, cache_size=4, warmup_steps=1,
+                                   refresh_interval=None, dedup=dedup)
+        emb.tt.store_intermediates = store
+        emb.forward(indices, offsets, weights)
+        miss = ~np.isin(indices, emb._cached_ids)
+        assert miss.any() and not miss.all()
+        emb.backward(grad_out)
+        want = naive_core_grads([p.data for p in emb.tt.cores], shape,
+                                indices[miss], grad_rows[miss])
+        for p, w in zip(emb.tt.cores, want):
+            np.testing.assert_allclose(p.grad, w, rtol=1e-10,
+                                       atol=1e-10 * np.abs(w).max())
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("dedup", [False, True], ids=["nodedup", "dedup"])
+    @pytest.mark.parametrize("dtype,rtol", [(np.float64, 1e-10), (np.float32, 2e-4)])
+    def test_grouped(self, d, dedup, dtype, rtol):
+        from repro.tt.grouped import GroupedTTEmbeddingBag
+        from repro.utils.dtypes import dtype_policy
+
+        shape = GRAD_SHAPES[d]
+        batches = [_pooled_batch(shape, seed=30 + 3 * d + t, integer=False)
+                   for t in range(3)]
+        # An empty member in the middle: its slice of the fused batch is empty.
+        batches[1] = (np.empty(0, dtype=np.int64), np.zeros(3, dtype=np.int64),
+                      np.empty(0), np.zeros((2, shape.dim)),
+                      np.empty((0, shape.dim)))
+        with dtype_policy(dtype):
+            tables = [TTEmbeddingBag(shape.num_rows, shape.dim, shape=shape, rng=t)
+                      for t in range(3)]
+            group = GroupedTTEmbeddingBag(tables, dedup=dedup)
+            group.forward_all([(b[0], b[1]) for b in batches],
+                              [b[2] for b in batches])
+            group.backward_all([b[3] for b in batches])
+        for table, b in zip(tables, batches):
+            want = naive_core_grads([p.data for p in table.cores], shape,
+                                    b[0], b[4])
+            for p, w in zip(table.cores, want):
+                np.testing.assert_allclose(p.grad, w, rtol=rtol,
+                                           atol=rtol * max(np.abs(w).max(), 1.0))
+        assert all(p.touched_rows is None for p in tables[1].cores)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_same_seed_same_bytes(self, d):
+        shape = GRAD_SHAPES[d]
+
+        def run():
+            indices, offsets, weights, grad_out, _ = _pooled_batch(
+                shape, seed=40 + d, integer=False)
+            emb = TTEmbeddingBag(shape.num_rows, shape.dim, shape=shape, rng=d,
+                                 dedup=True)
+            emb.forward(indices, offsets, weights)
+            emb.backward(grad_out)
+            return b"".join(p.grad.tobytes() for p in emb.cores)
+
+        assert run() == run()

@@ -267,6 +267,40 @@ class TestMicroBatchQueue:
         assert q.next_batch() == []
         assert q.shed_counts()["deadline"] == 1
 
+    def test_one_stall_does_not_wedge_the_queue(self):
+        """Regression: a single 10x-deadline observation used to push the
+        EWMA above every default deadline; each next_batch then shed the
+        whole queue, returned nothing, observe_service never ran again and
+        the server shed forever."""
+        from repro.telemetry import get_registry
+
+        clock = ManualClock()
+        q = MicroBatchQueue(max_depth=16, max_batch=8,
+                            default_deadline_ms=50.0, clock=clock)
+        q.observe_service(500.0)  # one stall, ten deadlines long
+        submitted = served = calls = 0
+        while not served:
+            calls += 1
+            assert calls <= 12, "queue stayed wedged"  # 0.8**11 < 1/10
+            for _ in range(3):
+                assert q.submit(queued(submitted)) == "queued"
+                submitted += 1
+            batch = q.next_batch()
+            served += len(batch)
+            if batch:
+                q.observe_service(4.0)
+            clock.advance(10.0)
+        assert calls > 1  # the stall did shed: recovery is gradual, not a reset
+        assert q.expected_service_ms < 50.0
+        # Healthy again: the next arrivals are served at once ...
+        q.submit(queued(submitted))
+        submitted += 1
+        served += len(q.next_batch())
+        # ... and the ledger closes: every arrival was served or shed.
+        assert q.depth == 0
+        assert submitted == served + q.shed_counts()["deadline"]
+        assert get_registry().counter("serving.enqueued").value == submitted
+
     def test_backpressure_watermark(self):
         q = MicroBatchQueue(max_depth=10, high_watermark=0.5,
                             clock=ManualClock())

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.tt import T3nsorEmbeddingBag, TTEmbeddingBag, TTShape
-from repro.tt.kernels import scatter_add_rows, tt_lookup_reference
+from repro.tt.kernels import (scatter_add_rows, segmented_matmul,
+                              segmented_outer_add, tt_lookup_reference)
 from tests.helpers import numeric_grad_check, random_csr
 
 
@@ -52,6 +53,144 @@ class TestScatterAddRows:
         scatter_add_rows(a, rows, vals)
         np.add.at(b, rows, vals)
         np.testing.assert_allclose(a, b, atol=1e-12)
+
+
+def _segment_case(case: str, rng, n: int = 40, m: int = 7) -> np.ndarray:
+    """Row-index patterns the segmented kernels must handle."""
+    if case == "single":
+        return np.array([3], dtype=np.int64)
+    if case == "all_equal":
+        return np.full(n, 2, dtype=np.int64)
+    if case == "all_distinct":
+        return rng.permutation(n).astype(np.int64)
+    if case == "zipf":
+        return np.minimum(rng.zipf(1.3, size=n) - 1, m - 1).astype(np.int64)
+    if case == "first_last":
+        return rng.choice(np.array([0, m - 1]), size=n).astype(np.int64)
+    raise AssertionError(case)
+
+
+SEGMENT_CASES = ["single", "all_equal", "all_distinct", "zipf", "first_last"]
+
+
+def _draw(rng, shape, *, integer, dtype):
+    vals = rng.integers(-4, 5, size=shape) if integer else rng.normal(size=shape)
+    return vals.astype(dtype)
+
+
+def _factors(rng, n, q, width_a, width_b, *, integer, dtype):
+    return (_draw(rng, (n, q, width_a), integer=integer, dtype=dtype),
+            _draw(rng, (n, q, width_b), integer=integer, dtype=dtype))
+
+
+class TestSegmentedOuterAdd:
+    """``buf[j] += sum_s a[s].T @ b[s]`` vs. the per-sample loop."""
+
+    @staticmethod
+    def naive(buf, rows, a, b):
+        for s, j in enumerate(rows):
+            buf[j] += (a[s].T @ b[s]).reshape(buf.shape[1:])
+
+    @pytest.mark.parametrize("case", SEGMENT_CASES)
+    @pytest.mark.parametrize("q", [1, 3])
+    def test_integer_inputs_bit_exact(self, case, q):
+        rng = np.random.default_rng(0)
+        rows = _segment_case(case, rng)
+        m = max(7, int(rows.max()) + 1)
+        a, b = _factors(rng, rows.size, q, 4, 5, integer=True, dtype=np.float64)
+        got = rng.integers(-3, 4, size=(m, 2, 2, 5)).astype(np.float64)
+        want = got.copy()
+        segmented_outer_add(got, rows, a, b)
+        self.naive(want, rows, a, b)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("case", SEGMENT_CASES)
+    @pytest.mark.parametrize("dtype,rtol", [(np.float64, 1e-12), (np.float32, 1e-4)])
+    def test_gaussian_inputs_close(self, case, dtype, rtol):
+        rng = np.random.default_rng(1)
+        rows = _segment_case(case, rng)
+        m = max(7, int(rows.max()) + 1)
+        a, b = _factors(rng, rows.size, 2, 6, 3, integer=False, dtype=dtype)
+        got = np.zeros((m, 6, 3), dtype=dtype)
+        want = np.zeros((m, 6, 3), dtype=np.float64)
+        segmented_outer_add(got, rows, a, b)
+        self.naive(want, rows, a.astype(np.float64), b.astype(np.float64))
+        assert got.dtype == dtype
+        np.testing.assert_allclose(got, want, rtol=rtol, atol=rtol)
+
+    def test_strided_factors(self):
+        # Callers may pass transposed views; the kernel must not care.
+        rng = np.random.default_rng(2)
+        rows = _segment_case("zipf", rng)
+        a, b = _factors(rng, rows.size, 3, 4, 5, integer=True, dtype=np.float64)
+        got, want = np.zeros((7, 4, 5)), np.zeros((7, 4, 5))
+        segmented_outer_add(got, rows, np.asfortranarray(a),
+                            b.transpose(0, 2, 1).copy().transpose(0, 2, 1))
+        self.naive(want, rows, a, b)
+        assert got.tobytes() == want.tobytes()
+
+    def test_untouched_slices_stay_untouched(self):
+        buf = np.zeros((5, 2, 2))
+        segmented_outer_add(buf, np.array([1, 1, 3]), np.ones((3, 1, 2)),
+                            np.ones((3, 1, 2)))
+        assert not buf[[0, 2, 4]].any()
+        np.testing.assert_array_equal(buf[1], 2 * np.ones((2, 2)))
+
+    def test_empty(self):
+        buf = np.zeros((3, 2, 2))
+        segmented_outer_add(buf, np.array([], dtype=np.int64),
+                            np.zeros((0, 1, 2)), np.zeros((0, 1, 2)))
+        assert not buf.any()
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ValueError):
+            segmented_outer_add(np.zeros((3, 2, 2)), np.array([0, 1]),
+                                np.zeros((2, 1, 2)), np.zeros((2, 3, 2)))
+        with pytest.raises(ValueError):
+            segmented_outer_add(np.zeros((3, 2, 2)), np.array([0]),
+                                np.zeros((2, 1, 2)), np.zeros((2, 1, 2)))
+
+
+class TestSegmentedMatmul:
+    """``out[s] = x[s] @ mats[rows[s]]`` vs. the gathered batched matmul."""
+
+    @pytest.mark.parametrize("case", SEGMENT_CASES)
+    @pytest.mark.parametrize("dtype,rtol", [(np.float64, 1e-12), (np.float32, 1e-4)])
+    @pytest.mark.parametrize("integer", [True, False], ids=["lattice", "gauss"])
+    def test_matches_gather(self, case, dtype, rtol, integer):
+        rng = np.random.default_rng(3)
+        rows = _segment_case(case, rng)
+        m = max(7, int(rows.max()) + 1)
+        x = _draw(rng, (rows.size, 3, 4), integer=integer, dtype=dtype)
+        # A transposed view, as the sweep passes core slices.
+        mats = _draw(rng, (m, 5, 2, 4), integer=integer,
+                     dtype=dtype).transpose(0, 2, 3, 1)
+        got = segmented_matmul(x, rows, mats)
+        want = np.matmul(x[:, None], mats[rows])
+        assert got.dtype == dtype and got.shape == (rows.size, 2, 3, 5)
+        if integer:
+            assert got.tobytes() == want.tobytes()
+        else:
+            np.testing.assert_allclose(got, want, rtol=rtol, atol=rtol)
+
+    def test_result_independent_of_batch_mates(self):
+        # Every sample is its own GEMM: dedup / batch composition cannot
+        # change a bit of a sample's right partial.
+        rng = np.random.default_rng(4)
+        rows = _segment_case("zipf", rng)
+        x = rng.normal(size=(rows.size, 3, 4))
+        mats = rng.normal(size=(7, 2, 4, 5))
+        full = segmented_matmul(x, rows, mats)
+        for s in (0, 7, rows.size - 1):
+            solo = segmented_matmul(x[s:s + 1], rows[s:s + 1], mats)
+            assert solo.tobytes() == full[s:s + 1].tobytes()
+
+    def test_empty_and_mismatch(self):
+        mats = np.zeros((3, 2, 4, 5))
+        out = segmented_matmul(np.zeros((0, 3, 4)), np.array([], dtype=np.int64), mats)
+        assert out.shape == (0, 2, 3, 5)
+        with pytest.raises(ValueError):
+            segmented_matmul(np.zeros((2, 3, 4)), np.array([0]), mats)
 
 
 class TestReferenceKernel:
