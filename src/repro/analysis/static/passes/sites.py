@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+from itertools import product
 
 from repro.analysis.static.contracts import ContractPass, register_pass
 from repro.analysis.static.core import Finding, dotted_name
@@ -49,7 +50,10 @@ class FaultSiteDriftPass(ContractPass):
     ``repro/reliability/fault_injection.py``) against every literal
     site string passed to an injector's fire-capable methods
     (``fires``/``draw``/``corrupt``/``register``) anywhere in the
-    project graph.
+    project graph. A site spelled as an f-string over a per-tier class
+    attribute (``f"{self.site_prefix}.crash"`` in a shared base class)
+    is resolved against every class-level ``site_prefix = "<literal>"``
+    in the graph, so each payload class's sites reconcile exactly.
 
     Bad::
 
@@ -84,8 +88,9 @@ class FaultSiteDriftPass(ContractPass):
 
         out: list[Finding] = []
         used: set[str] = set()
+        class_literals = self._class_literals(graph)
         for info in graph.iter_modules():
-            for site, node in self._fire_sites(info):
+            for site, node in self._fire_sites(info, class_literals):
                 used.add(site)
                 if site not in registry:
                     out.append(self.finding(
@@ -121,7 +126,45 @@ class FaultSiteDriftPass(ContractPass):
                         yield elt.value, elt
 
     @staticmethod
-    def _fire_sites(info: ModuleInfo):
+    def _class_literals(graph: ProjectGraph) -> dict[str, list[str]]:
+        """Class-body ``NAME = "literal"`` assignments, pooled by name."""
+        out: dict[str, list[str]] = {}
+        for info in graph.iter_modules():
+            for cls in ast.walk(info.ctx.tree):
+                if not isinstance(cls, ast.ClassDef):
+                    continue
+                for stmt in cls.body:
+                    if (isinstance(stmt, ast.Assign)
+                            and isinstance(stmt.value, ast.Constant)
+                            and isinstance(stmt.value.value, str)):
+                        for target in stmt.targets:
+                            if isinstance(target, ast.Name):
+                                out.setdefault(target.id, []).append(
+                                    stmt.value.value)
+        return out
+
+    @staticmethod
+    def _site_names(arg: ast.AST,
+                    class_literals: dict[str, list[str]]) -> list[str]:
+        """Every site a first argument can denote; ``[]`` if not literal."""
+        if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
+            return [arg.value]
+        if not isinstance(arg, ast.JoinedStr):
+            return []
+        pieces: list[list[str]] = []
+        for piece in arg.values:
+            if isinstance(piece, ast.Constant):
+                pieces.append([str(piece.value)])
+            elif (isinstance(piece, ast.FormattedValue)
+                    and isinstance(piece.value, ast.Attribute)
+                    and piece.value.attr in class_literals):
+                pieces.append(class_literals[piece.value.attr])
+            else:
+                return []
+        return ["".join(combo) for combo in product(*pieces)]
+
+    def _fire_sites(self, info: ModuleInfo,
+                    class_literals: dict[str, list[str]]):
         for node in ast.walk(info.ctx.tree):
             if not isinstance(node, ast.Call):
                 continue
@@ -129,12 +172,7 @@ class FaultSiteDriftPass(ContractPass):
             if not (isinstance(func, ast.Attribute)
                     and func.attr in _FIRE_METHODS):
                 continue
-            if not node.args:
+            if not node.args or not _receiver_is_injector(func.value):
                 continue
-            arg = node.args[0]
-            if not (isinstance(arg, ast.Constant)
-                    and isinstance(arg.value, str)):
-                continue
-            if not _receiver_is_injector(func.value):
-                continue
-            yield arg.value, arg
+            for site in self._site_names(node.args[0], class_literals):
+                yield site, node.args[0]

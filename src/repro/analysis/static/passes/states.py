@@ -8,9 +8,7 @@ from repro.analysis.static.contracts import ContractPass, register_pass
 from repro.analysis.static.core import Finding
 from repro.analysis.static.graph import ModuleInfo, ProjectGraph
 from repro.analysis.static.rules import path_matches
-
-_DEFAULT_SCOPE = ["repro/sharding", "repro/distributed"]
-_DEFAULT_ATTRS = ["state", "verdict"]
+from repro.analysis.static.runner import _DEFAULT_CONFIG
 
 
 def _literal_values(node: ast.AST) -> set[str]:
@@ -45,8 +43,8 @@ class StateMachineDriftPass(ContractPass):
     every existing dispatcher. The pass pools, **graph-wide**, every
     string a tracked attribute (``state-attrs`` config, default
     ``state``/``verdict``) is assigned, keyed by attribute family —
-    then, only inside ``state-scope`` modules (default ``sharding/`` and
-    ``distributed/``), it reports: a comparison against a value never
+    then, only inside ``state-scope`` modules (default ``runtime/``,
+    ``sharding/`` and ``distributed/``), it reports: a comparison against a value never
     assigned anywhere is an **error**; an assigned value no comparison
     ever dispatches on is an **error**; and a pure ``if/elif`` equality
     chain over a tracked attribute with no ``else`` that misses some
@@ -71,8 +69,9 @@ class StateMachineDriftPass(ContractPass):
     summary = "state-machine literal drift between producers and dispatchers"
 
     def check_project(self, graph: ProjectGraph) -> list[Finding]:
-        scope = self.config.get("state_scope", _DEFAULT_SCOPE)
-        attrs = set(self.config.get("state_attrs", _DEFAULT_ATTRS))
+        scope = self.config.get("state_scope", _DEFAULT_CONFIG["state_scope"])
+        attrs = set(self.config.get("state_attrs",
+                                    _DEFAULT_CONFIG["state_attrs"]))
 
         produced: dict[str, set[str]] = {}
         productions: list[tuple[str, str, str, ast.AST]] = []

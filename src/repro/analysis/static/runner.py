@@ -14,10 +14,10 @@ Two layers run per invocation:
 - the **cross-module contract passes** (XMOD*, under
   :mod:`repro.analysis.static.passes`), which consume a
   :class:`~repro.analysis.static.graph.ProjectGraph` built over the
-  linted files *plus* the configured ``graph-roots`` (default ``src``),
-  so linting a subtree still sees the registries and readers that live
-  elsewhere. Pass findings are only reported for files actually being
-  linted.
+  linted files *plus* the configured ``graph-roots`` (default ``src``
+  and ``benchmarks``), so linting a subtree still sees the registries
+  and readers that live elsewhere. Pass findings are only reported for
+  files actually being linted.
 
 Findings carry a severity: errors fail the run, warnings are reported
 but leave the exit code at 0. ``--diff-base REF`` further restricts the
@@ -54,13 +54,13 @@ _DEFAULT_CONFIG = {
     "rng_allowed": ["repro/utils/seeding.py"],
     "clock_exempt": ["repro/bench"],
     "mutation_scope": ["repro/tt/kernels.py", "repro/cache"],
-    "process_scope": ["repro/sharding"],
-    "trace_scope": ["repro/serving", "repro/sharding"],
+    "process_scope": ["repro/runtime", "repro/sharding", "repro/distributed"],
+    "trace_scope": ["repro/runtime", "repro/serving", "repro/sharding"],
     "exclude": ["__pycache__", ".git", "build", "dist", ".eggs"],
     "fault_registry": ["repro/reliability/fault_injection.py"],
-    "state_scope": ["repro/sharding", "repro/distributed"],
+    "state_scope": ["repro/runtime", "repro/sharding", "repro/distributed"],
     "state_attrs": ["state", "verdict"],
-    "graph_roots": ["src"],
+    "graph_roots": ["src", "benchmarks"],
 }
 
 

@@ -339,7 +339,7 @@ def _cmd_train_elastic(args) -> int:
 
             uninstall_flight_recorder()
 
-    kills = ", ".join(f"w{k.worker}@{k.at_step}" for k in kill_specs) or "none"
+    kills = ", ".join(f"w{k.unit}@{k.at}" for k in kill_specs) or "none"
     print(f"train --elastic: {args.iters} batches of {args.batch_size} over "
           f"{args.workers} workers, kills: {kills}")
     print(f"ledger    : fed {report['batches_fed']}  applied "
@@ -776,8 +776,11 @@ def _cmd_serve_bench(args) -> int:
     print(f"health    : {report['health']['status']}  "
           f"non-finite outputs {report['non_finite_outputs']}")
 
-    ok = report["non_finite_outputs"] == 0
     recon = report["reconciliation"]
+    # Accepted work is conserved with or without an injector, and however
+    # malformed the traffic (a rejected request is never queued).
+    kept = recon["checks"]["no_lost_requests"]
+    ok = report["non_finite_outputs"] == 0 and kept["passed"]
     reconciled = recon["checked"] and args.malformed == 0
     if reconciled:
         ok = ok and recon["passed"]
@@ -786,9 +789,13 @@ def _cmd_serve_bench(args) -> int:
             print(f"  {name:28s} fired={check['fired']:<4d} "
                   f"counted={check['counted']:<4d} "
                   f"{'ok' if check['passed'] else 'MISMATCH'}")
-    elif recon["checked"]:
-        print("reconcile : skipped (malformed traffic mixes with injected "
-              "faults)")
+    else:
+        if recon["checked"]:
+            print("reconcile : skipped (malformed traffic mixes with "
+                  "injected faults)")
+        if not kept["passed"]:
+            print(f"reconcile : no_lost_requests fired={kept['fired']} "
+                  f"counted={kept['counted']} MISMATCH")
     ok = _print_observability(args, report, recorder) and ok
     print(f"{'PASS' if ok else 'FAIL'}: "
           + ("zero non-finite outputs"
@@ -855,7 +862,7 @@ def _run_sharded_bench(args, model, injector) -> int:
 
     lat = report["latency_ms"]
     out = report["outcomes"]
-    kills = ", ".join(f"s{k.shard}@{k.at_ms:g}ms" for k in kill_specs) \
+    kills = ", ".join(f"s{k.unit}@{k.at:g}ms" for k in kill_specs) \
         or "none"
     print(f"serve-bench: {args.requests} requests across {args.shards} "
           f"shards, deadline {args.deadline_ms:g} ms, kills: {kills}")

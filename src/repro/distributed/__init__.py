@@ -18,9 +18,10 @@ and the byte counters are verified against the analytic model of
 :mod:`repro.analysis.parallelism`.
 
 :mod:`repro.distributed.elastic` adds the fault-tolerant runtime on top:
-``ElasticTrainer`` supervises ``TrainerWorker`` state machines through
-heartbeat detection, breaker-gated eviction, degraded collectives over
-survivors, and live shard-delta recovery of lost replicas.
+``ElasticTrainer`` supervises ``TrainerWorker`` s through the worker
+state machine and recovery walk of :mod:`repro.runtime`, adding
+breaker-gated eviction, degraded collectives over survivors, and live
+shard-delta recovery of lost replicas.
 """
 
 from repro.distributed.collectives import CollectiveError, Communicator

@@ -2,23 +2,22 @@
 
 TT-Rec's compression makes full replication the natural training layout
 (every worker holds the whole compressed model), but the *run* still has
-to survive a worker disappearing mid-training. This module adds the
-supervisor the serving tier already has (PR 6) to the training side:
+to survive a worker disappearing mid-training. This module is the
+training side of the supervisor both tiers share (:mod:`repro.runtime`):
 
-- :class:`TrainerWorker` — one data-parallel worker as a deterministic
-  state machine (``up | hung | down | rewarming``) on the shared
-  :class:`~repro.serving.queue.ManualClock`, mirroring
-  :class:`~repro.sharding.worker.ShardWorker`. Faults arrive through the
-  seeded injector sites ``dist.{crash,hang,slow,net_drop}`` or a
-  scheduled ``--kill-worker`` spec.
+- :class:`TrainerWorker` — one data-parallel worker: the shared
+  :class:`~repro.runtime.worker.SupervisedWorker` state machine (state
+  table in :mod:`repro.runtime.worker`) with a local forward/backward
+  as its dispatch payload. Faults arrive through the seeded injector
+  sites ``dist.{crash,hang,slow,net_drop}`` or a ``--kill-worker`` spec.
 - :class:`ElasticTrainer` — the supervisor. Every step it dispatches the
   global batch across the *live* membership (re-sharding over survivors
   when a worker is lost, so no batch is ever dropped), reduces gradients
   through the degraded :class:`~repro.distributed.collectives.Communicator`,
-  detects silent deaths with a PR-6 :class:`~repro.sharding.health.HealthPlane`
+  detects silent deaths with a :class:`~repro.runtime.supervisor.HealthPlane`
   heartbeat (prefix ``dist.worker``), applies per-dispatch
-  timeout/retry/backoff with breaker-gated eviction, and drives the
-  recovery ladder for lost workers.
+  timeout/retry/backoff with breaker-gated eviction, and supplies the
+  recovery payload of :func:`repro.runtime.supervisor.supervise`.
 
 The recovery ladder (all in simulated time)::
 
@@ -50,7 +49,6 @@ to injector crashes) and the ``dist.recover.time_ms`` histogram
 
 from __future__ import annotations
 
-import re
 import zlib
 from dataclasses import dataclass
 
@@ -63,9 +61,16 @@ from repro.distributed.model_parallel import partition_parameters
 from repro.models.serialization import load_state_dict, state_dict
 from repro.ops.loss import bce_with_logits
 from repro.ops.optim import RowWiseAdagrad, SparseSGD
+from repro.runtime import supervisor
+from repro.runtime.supervisor import KillSpec as WorkerKillSpec
+from repro.runtime.worker import (
+    SupervisedWorker,
+    WorkerDown,
+    WorkerNetDrop,
+    WorkerTimeout,
+)
 from repro.serving.breaker import CircuitBreaker
 from repro.serving.queue import ManualClock
-from repro.sharding.health import HealthPlane
 from repro.telemetry import get_registry, traced_event, traced_span
 
 __all__ = ["ElasticTrainer", "TrainerWorker", "ElasticConfig", "ElasticError",
@@ -77,47 +82,9 @@ class ElasticError(RuntimeError):
     """The elastic run cannot make progress (no live workers, lost batch)."""
 
 
-class WorkerDown(RuntimeError):
-    """Dispatch refused: the worker is dead (or not yet readmitted)."""
-
-
-class WorkerTimeout(RuntimeError):
-    """A gradient dispatch produced no reply within its deadline."""
-
-
-class WorkerNetDrop(RuntimeError):
-    """The supervisor<->worker message was lost in transit."""
-
-
-_KILL_RE = re.compile(r"^(\d+)@(\d+)$")
-
-
-class WorkerKillSpec:
-    """One scheduled worker kill: ``<worker>@<step>`` (training steps)."""
-
-    __slots__ = ("worker", "at_step", "done")
-
-    def __init__(self, worker: int, at_step: int):
-        if worker < 0:
-            raise ValueError(f"worker must be >= 0, got {worker}")
-        if at_step < 1:
-            raise ValueError(f"kill step must be >= 1, got {at_step}")
-        self.worker = worker
-        self.at_step = at_step
-        self.done = False
-
-    def __repr__(self):  # pragma: no cover - debugging aid
-        return f"WorkerKillSpec(worker={self.worker}, at_step={self.at_step})"
-
-
 def parse_worker_kill_spec(spec: str) -> WorkerKillSpec:
     """Parse ``"1@60"`` (kill worker 1 when batch 60 is fed)."""
-    m = _KILL_RE.match(spec.strip())
-    if m is None:
-        raise ValueError(
-            f"bad --kill-worker spec {spec!r}: expected <worker>@<step>"
-        )
-    return WorkerKillSpec(int(m.group(1)), int(m.group(2)))
+    return supervisor.parse_kill_spec(spec, steps=True)
 
 
 @dataclass(frozen=True)
@@ -164,159 +131,44 @@ class ElasticConfig:
             )
 
 
-class TrainerWorker:
-    """One data-parallel training worker as a failure-model state machine.
-
-    The process boundary is modelled, not spawned (the
-    :class:`~repro.sharding.worker.ShardWorker` convention): the
-    supervisor talks to the worker only through ``heartbeat`` and
-    ``compute_grads`` messages on the shared deterministic clock, so
-    every failure mode replays exactly under a seeded injector.
-
-    ========= ==========================================================
-    state     behaviour
-    ========= ==========================================================
-    up        dispatches and heartbeats answered
-    hung      no replies until ``hang_ms`` of simulated time passes
-    down      dead until supervised ``restart()``; dispatches refuse
-    rewarming restarted but not readmitted: heartbeats answer (reporting
-              the state), dispatches refuse while recovery runs
-    ========= ==========================================================
-
-    ``dist.slow`` is transient: the next dispatch carries a simulated
-    latency penalty, and a dispatch whose penalty exceeds the deadline is
-    treated exactly like a timeout.
+class TrainerWorker(SupervisedWorker):
+    """One data-parallel training worker: the supervised-worker machine
+    with a local forward/backward (``compute_grads``) as its dispatch
+    payload, on the run's :class:`~repro.serving.queue.ManualClock`.
     """
+
+    site_prefix = "dist"
+    event_prefix = "dist.worker"
+    label = "worker"
 
     def __init__(self, worker_id: int, replica, *, make_optimizer,
                  config: ElasticConfig, injector=None):
+        super().__init__(worker_id, injector=injector,
+                         service_ms=config.step_ms,
+                         slow_penalty_ms=config.slow_penalty_ms,
+                         hang_ms=config.hang_ms, rewarm_ms=config.rewarm_ms)
         self.worker_id = worker_id
         self.replica = replica
         self.config = config
-        self.injector = injector
         self._make_optimizer = make_optimizer
         self.optimizer = make_optimizer(replica)
-        self.state = "up"
-        self.hang_until = -1.0
-        self.rewarm_until = -1.0
-        self.impaired_since = None  # when the current outage began (sim ms)
-        self._pending_penalty_ms = 0.0
         self.ewma_ms: float | None = None
-        wid = str(worker_id)
-        reg = get_registry()
-        self._heartbeats = reg.counter("dist.heartbeats", worker=wid)
-        self._dispatches = reg.counter("dist.dispatches", worker=wid)
-        self._crashes = reg.counter("dist.crashes", worker=wid)
-        self._hangs = reg.counter("dist.hangs", worker=wid)
-        self._slows = reg.counter("dist.slows", worker=wid)
-        self._net_drops = reg.counter("dist.net_drops", worker=wid)
 
-    # ------------------------------------------------------------------ #
-    # Failure model
-    # ------------------------------------------------------------------ #
-
-    def probe_faults(self, now: float) -> None:
-        """One fault-probe round (control-plane tick): crash and hang."""
-        if self.injector is None or self.state in ("down", "rewarming"):
-            return
-        if self.injector.fires("dist.crash"):
-            self.kill(now, cause="fault")
-            return
-        if self.injector.fires("dist.hang"):
-            self._hangs.inc()
-            self.hang_until = now + self.config.hang_ms
-            self.state = "hung"
-            if self.impaired_since is None:
-                self.impaired_since = now
-            traced_event("dist.hang", worker=self.worker_id,
-                         until_ms=self.hang_until)
-
-    def kill(self, now: float, *, cause: str = "scheduled") -> None:
-        """Crash the worker (fault-injected or ``--kill-worker`` scheduled)."""
-        if self.state == "down":
-            return
-        if cause == "fault":
-            self._crashes.inc()
-        else:
-            get_registry().counter("dist.kills_scheduled",
-                                   worker=str(self.worker_id)).inc()
-        self.state = "down"
-        if self.impaired_since is None:
-            self.impaired_since = now
-        traced_event("dist.crash", worker=self.worker_id, cause=cause,
-                     at_ms=now)
-
-    def restart(self, now: float) -> None:
-        """Supervised restart: a fresh process enters the re-warm phase.
-
-        The old process's memory is gone, so the replica is poisoned
+    def _on_restart(self) -> None:
+        """The old process's memory is gone: the replica is poisoned
         (NaN-filled) and the optimizer rebuilt with empty slots — nothing
         short of a full shard restore + hot-row replay can pass the
         recovery audit afterwards.
         """
-        if self.state != "down":
-            return
         for p in self.replica.parameters():
             p.data.fill(np.nan)
             p.zero_grad()
         self.optimizer = self._make_optimizer(self.replica)
-        self.state = "rewarming"
-        self.rewarm_until = now + self.config.rewarm_ms
-        traced_event("dist.worker.restart", worker=self.worker_id, at_ms=now,
-                     ready_ms=self.rewarm_until)
-
-    def begin_rewarm(self, now: float) -> None:
-        """Force the re-warm phase from whatever state the worker is in.
-
-        Mirrors the serving supervisor: a crashed worker restarts, a
-        worker still hung past the restart deadline is watchdog-killed
-        first, and a self-healed worker keeps its process (parameters
-        intact) but still rejoins only through re-warm -> audit ->
-        readmission.
-        """
-        self._tick_state(now)
-        if self.state == "rewarming":
-            return
-        if self.state == "hung":
-            self.kill(now, cause="watchdog")
-        if self.state == "down":
-            self.restart(now)
-            return
-        self.state = "rewarming"
-        self.rewarm_until = now + self.config.rewarm_ms
-        traced_event("dist.worker.rewarm_forced", worker=self.worker_id,
-                     at_ms=now, ready_ms=self.rewarm_until)
 
     def readmit(self, now: float) -> None:
         """Recovery complete: the worker takes training traffic again."""
-        self.state = "up"
-        self.rewarm_until = -1.0
-        self.impaired_since = None
         self.ewma_ms = None
-        traced_event("dist.worker.rewarmed", worker=self.worker_id, at_ms=now)
-
-    def _tick_state(self, now: float) -> None:
-        if self.state == "hung" and now >= self.hang_until:
-            self.state = "up"
-            self.hang_until = -1.0
-            self.impaired_since = None
-
-    # ------------------------------------------------------------------ #
-    # Messages
-    # ------------------------------------------------------------------ #
-
-    def heartbeat(self, now: float) -> dict | None:
-        """Answer a health-plane probe; ``None`` models a lost reply."""
-        self._tick_state(now)
-        if self.state == "down":
-            return None
-        if self.state == "hung":
-            return None
-        if self.injector is not None and self.injector.fires("dist.net_drop"):
-            self._net_drops.inc()
-            return None
-        self._heartbeats.inc()
-        return {"worker": self.worker_id, "state": self.state, "at_ms": now}
+        self._readmit(at_ms=now)
 
     def compute_grads(self, shard: Batch, scale: float, now: float,
                       deadline_ms: float) -> tuple[float, float]:
@@ -330,30 +182,7 @@ class TrainerWorker:
         Raises :class:`WorkerDown`, :class:`WorkerTimeout` or
         :class:`WorkerNetDrop` per the failure model.
         """
-        self._tick_state(now)
-        if self.state in ("down", "rewarming"):
-            raise WorkerDown(f"worker {self.worker_id} is {self.state}")
-        if self.state == "hung":
-            raise WorkerTimeout(
-                f"worker {self.worker_id} hung until {self.hang_until:.0f} ms"
-            )
-        if self.injector is not None and self.injector.fires("dist.net_drop"):
-            self._net_drops.inc()
-            raise WorkerNetDrop(f"message to worker {self.worker_id} lost")
-        sim_ms = self.config.step_ms
-        if self.injector is not None and self.injector.fires("dist.slow"):
-            self._slows.inc()
-            self._pending_penalty_ms = self.config.slow_penalty_ms
-            traced_event("dist.slow", worker=self.worker_id,
-                         penalty_ms=self.config.slow_penalty_ms)
-        if self._pending_penalty_ms:
-            sim_ms += self._pending_penalty_ms
-            self._pending_penalty_ms = 0.0
-        if sim_ms > deadline_ms:
-            raise WorkerTimeout(
-                f"worker {self.worker_id} needed {sim_ms:.1f} ms > "
-                f"deadline {deadline_ms:.1f} ms"
-            )
+        sim_ms = self.begin_dispatch(now, deadline_ms)
         self.optimizer.zero_grad()
         logits = self.replica.forward(shard.dense, shard.sparse,
                                       shard.per_sample_weights)
@@ -362,20 +191,8 @@ class TrainerWorker:
         self._dispatches.inc()
         return loss, sim_ms
 
-    # ------------------------------------------------------------------ #
-
     def stats(self) -> dict:
-        return {
-            "worker": self.worker_id,
-            "state": self.state,
-            "heartbeats": self._heartbeats.value,
-            "dispatches": self._dispatches.value,
-            "crashes": self._crashes.value,
-            "hangs": self._hangs.value,
-            "slows": self._slows.value,
-            "net_drops": self._net_drops.value,
-            "ewma_ms": self.ewma_ms,
-        }
+        return {**super().stats(), "ewma_ms": self.ewma_ms}
 
 
 def _state_checksum(replica, optimizer) -> int:
@@ -447,12 +264,7 @@ class ElasticTrainer:
         self.checkpoint_every = checkpoint_every if checkpoint is not None else 0
         self.kill_specs = list(kill_specs or [])
         world = len(replicas)
-        for ks in self.kill_specs:
-            if ks.worker >= world:
-                raise ValueError(
-                    f"--kill-worker targets worker {ks.worker} but the run "
-                    f"has {world} workers"
-                )
+        supervisor.check_kill_targets(self.kill_specs, world, "worker")
         reference = state_dict(replicas[0])
         for replica in replicas[1:]:
             load_state_dict(replica, reference)
@@ -468,7 +280,7 @@ class ElasticTrainer:
             for w, replica in enumerate(replicas)
         ]
         self.comm = Communicator(world, injector=injector)
-        self.health = HealthPlane(
+        self.health = supervisor.HealthPlane(
             world, heartbeat_interval_ms=self.config.heartbeat_interval_ms,
             miss_threshold=self.config.miss_threshold, prefix="dist.worker")
         self.breakers = [
@@ -481,7 +293,6 @@ class ElasticTrainer:
         self.owner = partition_parameters(replicas[0], world)
         self.owned = {w: [i for i, o in enumerate(self.owner) if o == w]
                       for w in range(world)}
-        self._restart_at: list[float | None] = [None] * world
         # Rows to replay per parameter since the last checkpoint round:
         # ndarray of touched rows for sparse parameters, None = the whole
         # parameter must be copied (dense, or a sparse full update).
@@ -552,34 +363,11 @@ class ElasticTrainer:
     # ------------------------------------------------------------------ #
 
     def _control_plane(self, *, probe_faults: bool = True) -> None:
-        now = self.clock.now()
-        if probe_faults:
-            for worker in self.workers:
-                worker.probe_faults(now)
-        self.health.tick(now, self.workers)
-        cfg = self.config
-        for w, worker in enumerate(self.workers):
-            verdict = self.health.verdict[w]
-            if verdict == "down":
-                if self._restart_at[w] is None:
-                    self._restart_at[w] = \
-                        (self.health.marked_down_at[w] or now) \
-                        + cfg.restart_after_ms
-                if now >= self._restart_at[w]:
-                    worker.begin_rewarm(now)
-                    if worker.state == "rewarming":
-                        self.health.mark_rewarming(w)
-                        self._restart_at[w] = None
-            elif verdict == "rewarming" and worker.state == "rewarming" \
-                    and now >= worker.rewarm_until:
-                self._recover(w)
-
-    def _fire_kills(self) -> None:
-        now = self.clock.now()
-        for ks in self.kill_specs:
-            if not ks.done and self._step_index >= ks.at_step:
-                self.workers[ks.worker].kill(now, cause="scheduled")
-                ks.done = True
+        """One supervisor round: probes, heartbeats, the recovery walk."""
+        supervisor.supervise(
+            self.workers, self.health, self.clock.now(),
+            restart_after_ms=self.config.restart_after_ms,
+            recover=self._recover, probe_faults=probe_faults)
 
     # ------------------------------------------------------------------ #
     # Recovery ladder
@@ -637,7 +425,7 @@ class ElasticTrainer:
         return rows_replayed, arrays_replayed
 
     def _recover(self, w: int) -> None:
-        """Restore + replay + audit + readmit one rewarmed worker."""
+        """The recovery payload: restore + replay + audit, then readmit."""
         live = self.live_workers()
         if not live:
             # No donor to replay/audit against; try again next round.
@@ -682,8 +470,7 @@ class ElasticTrainer:
             now = self.clock.now()
             down_at = self.health.marked_down_at[w]
             worker.readmit(now)
-            self.breakers[w].reset()
-            self.health.mark_up(w, now)
+            supervisor.readmit(self.health, self.breakers[w], w, now)
             self._c_readmissions.inc()
             if down_at is not None:
                 recovery_ms = now - down_at
@@ -847,7 +634,8 @@ class ElasticTrainer:
         self._step_index += 1
         self.ledger["batches_fed"] += 1
         self.ledger["samples_fed"] += batch.size
-        self._fire_kills()
+        supervisor.fire_kills(self.kill_specs, self.workers,
+                              self._step_index, self.clock.now())
         record = {"batch": self._step_index, "attempts": 0}
         for _ in range(cfg.step_attempts):
             record["attempts"] += 1
@@ -912,19 +700,13 @@ class ElasticTrainer:
     # ------------------------------------------------------------------ #
 
     def quiesce(self) -> None:
-        """Advance simulated time (no new faults) until the fleet is whole.
-
-        Bounded by a budget derived from the recovery ladder, like the
-        serving tier's post-traffic settle phase.
-        """
+        """Advance simulated time (no new faults) until the fleet is whole."""
         cfg = self.config
-        budget = 2.0 * (self.health.detection_window_ms + cfg.restart_after_ms
-                        + cfg.rewarm_ms + cfg.hang_ms) + 500.0
-        deadline = self.clock.now() + budget
-        while self.health.up_count < self.world_size \
-                and self.clock.now() < deadline:
-            self.clock.advance(cfg.heartbeat_interval_ms)
-            self._control_plane(probe_faults=False)
+        supervisor.quiesce(
+            self.clock, self.health,
+            lambda: self._control_plane(probe_faults=False),
+            restart_after_ms=cfg.restart_after_ms,
+            rewarm_ms=cfg.rewarm_ms, hang_ms=cfg.hang_ms)
 
     def train(self, batches) -> dict:
         """Run the elastic loop over an iterable of batches; quiesce;
@@ -976,51 +758,22 @@ class ElasticTrainer:
 def reconcile_elastic(trainer: ElasticTrainer) -> dict:
     """Balance the elastic run's ledgers against its fault injector.
 
-    Exact-ledger semantics, mirroring the serving tier's
-    :func:`repro.sharding.loadgen.reconcile_sharded`: every ``dist.*``
-    injector firing must surface in the matching defensive counter, no
-    batch (or sample) may be lost, the fleet must end readmitted, and the
-    live replicas must be bit-identical.
+    Exact-ledger semantics (:func:`repro.runtime.supervisor.reconcile_ledger`):
+    every ``dist.*`` injector firing must surface in the matching
+    defensive counter, no batch (or sample) may be lost, the fleet must
+    end readmitted, and the live replicas must be bit-identical.
     """
-    injector = trainer.injector
-    checks: dict[str, dict] = {}
-    stats = [w.stats() for w in trainer.workers]
-
-    def counter_sum(name: str) -> int:
-        return sum(s[name] for s in stats)
-
-    if injector is not None:
-        site_to_counter = {
-            "dist.crash": "crashes",
-            "dist.hang": "hangs",
-            "dist.slow": "slows",
-            "dist.net_drop": "net_drops",
-        }
-        for site, counter in site_to_counter.items():
-            checks[site] = {
-                "fired": injector.fired.get(site, 0),
-                "counted": counter_sum(counter),
-            }
-    checks["no_lost_batches"] = {
-        "fired": trainer.ledger["batches_fed"],
-        "counted": trainer.ledger["steps_applied"],
-    }
-    checks["no_lost_samples"] = {
-        "fired": trainer.ledger["samples_fed"],
-        "counted": trainer.ledger["samples_applied"],
-    }
-    checks["fleet_readmitted"] = {
-        "fired": trainer.world_size,
-        "counted": trainer.health.up_count,
-    }
-    checks["replicas_in_sync"] = {
-        "fired": 1,
-        "counted": int(trainer.parameters_in_sync()),
-    }
-    for check in checks.values():
-        check["passed"] = check["fired"] == check["counted"]
-    return {
-        "checked": injector is not None,
-        "passed": all(c["passed"] for c in checks.values()),
-        "checks": checks,
-    }
+    ledger = trainer.ledger
+    return supervisor.reconcile_ledger(
+        trainer.injector,
+        supervisor.worker_fault_rows(
+            "dist", [w.stats() for w in trainer.workers]),
+        {
+            "no_lost_batches": (ledger["batches_fed"],
+                                ledger["steps_applied"]),
+            "no_lost_samples": (ledger["samples_fed"],
+                                ledger["samples_applied"]),
+            "fleet_readmitted": (trainer.world_size, trainer.health.up_count),
+            "replicas_in_sync": (1, int(trainer.parameters_in_sync())),
+        },
+    )

@@ -1,11 +1,13 @@
-"""Closed-loop load generator for the serving runtime (``serve-bench``).
+"""Closed-loop load generator for the serving tiers (``serve-bench``).
 
-Drives an :class:`~repro.serving.server.InferenceServer` on a
-:class:`~repro.serving.queue.ManualClock`: arrivals advance simulated
-time (exponential inter-arrival), while service time is *measured* from
-the real forward pass and fed back into both the clock and the queue's
-deadline-feasibility EWMA. Latency numbers therefore combine real compute
-cost with deterministic, reproducible queueing behaviour.
+Drives an :class:`~repro.serving.server.InferenceServer` — or, through
+the control-plane callbacks, a :class:`~repro.sharding.router.ShardRouter`
+fleet — on a :class:`~repro.serving.queue.ManualClock`: arrivals advance
+simulated time (exponential inter-arrival), while the single node's
+service time is *measured* from the real forward pass and fed back into
+both the clock and the queue's deadline-feasibility EWMA. Its latency
+numbers therefore combine real compute cost with deterministic,
+reproducible queueing behaviour.
 
 The generator can emit deliberately malformed traffic (NaN dense
 features, out-of-vocabulary ids, garbage offsets-style scalar abuse) at a
@@ -19,17 +21,18 @@ against the injector's per-site firing counts:
 - ``serving.backend`` firings must all surface as recorded backend
   failures (each one either served by a lower rung or scrubbed+retried).
 
-A run passes only if those ledgers balance *and* every served probability
-is finite — the ISSUE-3 chaos proof.
+A run passes only if those ledgers balance, no accepted request is lost
+(``no_lost_requests``, checked with or without an injector) *and* every
+served probability is finite — the ISSUE-3 chaos proof.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.runtime.supervisor import reconcile_ledger
 from repro.serving.admission import Request
 from repro.serving.queue import ManualClock
-from repro.serving.server import InferenceServer
 from repro.telemetry import get_registry
 from repro.utils.seeding import as_rng
 
@@ -59,67 +62,70 @@ def _make_request(rng: np.random.Generator, cfg, rid: int,
                    request_id=rid)
 
 
-def reconcile(server: InferenceServer) -> dict:
+def reconcile(server, outcomes: dict, served: int) -> dict:
     """Balance the server's defensive ledgers against its fault injector.
 
-    Only meaningful when the load was otherwise clean (``malformed=0``):
-    user-supplied garbage and injected faults are indistinguishable to
-    the admission counters.
+    The ``serving.*`` fault rows are only meaningful when the load was
+    otherwise clean (``malformed=0``): user-supplied garbage and injected
+    faults are indistinguishable to the admission counters.
+    ``no_lost_requests`` holds regardless, injector or not: everything
+    queued is either served or counted as a deadline shed.
     """
-    injector = server.injector
     stats = server.stats()
-    if injector is None:
-        return {"checked": False, "passed": True, "checks": {}}
-    fired = {site: injector.fired.get(site, 0)
-             for site in ("serving.request", "serving.queue",
-                          "serving.backend")}
-    checks = {
-        "request_faults_rejected": {
-            "fired": fired["serving.request"],
-            "counted": stats["admission"]["rejected"]["dense_non_finite"],
+    return reconcile_ledger(
+        server.injector,
+        {
+            "request_faults_rejected": (
+                "serving.request",
+                stats["admission"]["rejected"]["dense_non_finite"]),
+            "queue_faults_shed": ("serving.queue", stats["shed"]["fault"]),
+            "backend_faults_failed_over": ("serving.backend",
+                                           stats["backend_failures"]),
         },
-        "queue_faults_shed": {
-            "fired": fired["serving.queue"],
-            "counted": stats["shed"]["fault"],
-        },
-        "backend_faults_failed_over": {
-            "fired": fired["serving.backend"],
-            "counted": stats["backend_failures"],
-        },
-    }
-    for check in checks.values():
-        check["passed"] = check["fired"] == check["counted"]
+        {"no_lost_requests": (outcomes["queued"],
+                              served + stats["shed"]["deadline"])},
+    )
+
+
+def _node_report(server, stats: dict, outcomes: dict, served: int) -> dict:
     return {
-        "checked": True,
-        "passed": all(c["passed"] for c in checks.values()),
-        "checks": checks,
+        "breaker_transitions": stats["breaker_transitions"],
+        "health": server.healthz(),
+        "stats": stats,
+        "reconciliation": reconcile(server, outcomes, served),
     }
 
 
-def run_load(server: InferenceServer, *, num_requests: int = 1000,
+def run_load(server, *, num_requests: int = 1000,
              mean_interarrival_ms: float = 1.0,
              deadline_ms: float | None = None,
              malformed: float = 0.0, seed: int = 0,
-             clock: ManualClock | None = None, slo=None) -> dict:
-    """Drive the server with a closed-loop synthetic workload.
+             clock: ManualClock | None = None, slo=None,
+             control_plane=None, settle=None,
+             tier_report=_node_report) -> dict:
+    """Drive a serving tier with a closed-loop synthetic workload.
 
     The loop alternates arrival bursts and serving steps: simulated time
     advances by the exponential inter-arrival gaps and by each batch's
-    *measured* service time, so overload (arrivals faster than the real
-    forward pass) genuinely backs the queue up and exercises shedding.
-    When the queue signals backpressure the generator halves its offered
-    rate until the backlog clears — the closed loop.
+    service time as the queue's EWMA reports it (*measured* for an
+    :class:`InferenceServer`), so overload genuinely backs the queue up
+    and exercises shedding. When the queue signals backpressure the
+    generator halves its offered rate until the backlog clears — the
+    closed loop.
+
+    A supervised tier (:func:`repro.sharding.loadgen.run_sharded_load`)
+    plugs in three callbacks: ``control_plane(clock)`` runs after every
+    time advance and keeps the drain moving in simulated time, so
+    in-flight recovery completes against the tail; ``settle(clock)`` runs
+    between the drain and the report; ``tier_report(server, stats,
+    outcomes, served)`` supplies the report from its first tier-specific
+    key through ``reconciliation``.
 
     Latency bookkeeping lives in the shared ``serving.latency_ms``
-    telemetry histogram (reset at run start so the report is run-local)
-    — the same instrument ``repro profile`` snapshots and the SLO engine
-    consumes, not a private list. Pass an
-    :class:`~repro.telemetry.slo.SLOEngine` as ``slo`` to stream every
-    outcome into objective evaluation; its report lands under
-    ``report["slo"]``.
-
-    Returns a JSON-ready report: latency percentiles, outcome counts,
-    breaker transitions, health, and (with an injector) reconciliation.
+    histogram (reset at run start so the report is run-local) — the
+    instrument ``repro profile`` snapshots and the SLO engine consumes.
+    Pass an :class:`~repro.telemetry.slo.SLOEngine` as ``slo`` to stream
+    every outcome into objective evaluation (``report["slo"]``).
     """
     if clock is None:
         clock = server.clock if isinstance(server.clock, ManualClock) \
@@ -128,8 +134,9 @@ def run_load(server: InferenceServer, *, num_requests: int = 1000,
         raise ValueError(f"malformed must be in [0, 1], got {malformed}")
     rng = as_rng(seed)
     cfg = server.predictor.config
-    latency_hist = get_registry().histogram("serving.latency_ms")
-    latency_hist.reset()
+    reg = get_registry()
+    latency_hist = reg.histogram("serving.latency_ms")
+    reg.reset("serving.latency_ms")
     outcomes = {"queued": 0, "rejected": 0, "shed": 0}
     served = 0
     degraded_responses = 0
@@ -137,26 +144,29 @@ def run_load(server: InferenceServer, *, num_requests: int = 1000,
     last_deadline_shed = server.queue.shed_counts()["deadline"]
     sent = 0
 
-    def on_response(resp: dict) -> None:
-        nonlocal served, degraded_responses
-        served += 1
-        degraded_responses += resp["degraded"]
-        if slo is not None:
-            slo.observe("served", now=clock.now(),
-                        latency_ms=resp["latency_ms"],
-                        degraded=bool(resp["degraded"]),
-                        trace_id=resp.get("trace_id"),
-                        request_id=resp["request_id"])
-
-    def flush_deadline_sheds() -> None:
+    def serve_step() -> None:
+        nonlocal served, degraded_responses, last_deadline_shed
+        for resp in server.step():
+            served += 1
+            degraded_responses += resp["degraded"]
+            if slo is not None:
+                slo.observe("served", now=clock.now(),
+                            latency_ms=resp["latency_ms"],
+                            degraded=bool(resp["degraded"]),
+                            trace_id=resp.get("trace_id"),
+                            request_id=resp["request_id"])
         # Deadline sheds happen inside batch forming; surface the delta
         # to the SLO engine (count-only — the requests are gone).
-        nonlocal last_deadline_shed
         cur = server.queue.shed_counts()["deadline"]
         if slo is not None and cur > last_deadline_shed:
             slo.observe("shed", now=clock.now(),
                         count=cur - last_deadline_shed)
         last_deadline_shed = cur
+
+    def advance(ms: float) -> None:
+        clock.advance(ms)
+        if control_plane is not None:
+            control_plane(clock)
 
     while sent < num_requests:
         # Burst of arrivals between two serving steps.
@@ -166,7 +176,7 @@ def run_load(server: InferenceServer, *, num_requests: int = 1000,
             if server.queue.should_backpressure():
                 backpressured += 1
                 gap *= 2.0  # the closed-loop client slows down
-            clock.advance(gap)
+            advance(gap)
             absolute = (clock.now() + deadline_ms
                         if deadline_ms is not None else None)
             req = _make_request(rng, cfg, sent, absolute,
@@ -178,17 +188,17 @@ def run_load(server: InferenceServer, *, num_requests: int = 1000,
                             trace_id=status.get("trace_id"),
                             request_id=status["request_id"])
             sent += 1
-        for resp in server.step():
-            on_response(resp)
-        flush_deadline_sheds()
-        # Catch up on simulated time: the batch's real service time.
-        clock.advance(server.queue.expected_service_ms)
-    for resp in server.drain():
-        on_response(resp)
-    flush_deadline_sheds()
+        serve_step()
+        # Catch up on simulated time: the batch's service time.
+        advance(server.queue.expected_service_ms)
+    while server.queue.depth:
+        serve_step()
+        if control_plane is not None:
+            advance(max(server.queue.expected_service_ms, 1.0))
+    if settle is not None:
+        settle(clock)
 
     stats = server.stats()
-    non_finite = stats["final_guard"]
     report = {
         "requests": num_requests,
         "served": served,
@@ -203,11 +213,8 @@ def run_load(server: InferenceServer, *, num_requests: int = 1000,
         / num_requests,
         "degraded_responses": degraded_responses,
         "backpressure_signals": backpressured,
-        "non_finite_outputs": non_finite,
-        "breaker_transitions": stats["breaker_transitions"],
-        "health": server.healthz(),
-        "stats": stats,
-        "reconciliation": reconcile(server),
+        "non_finite_outputs": stats["final_guard"],
+        **tier_report(server, stats, outcomes, served),
     }
     if slo is not None:
         report["slo"] = slo.report(clock.now())

@@ -49,8 +49,8 @@ from repro.telemetry import (
     traced_span,
 )
 
-__all__ = ["ServerConfig", "InferenceServer", "Rung", "TableLadder",
-           "frequency_prior_row"]
+__all__ = ["ServerConfig", "ServingFrontEnd", "InferenceServer", "Rung",
+           "TableLadder", "frequency_prior_row"]
 
 # A pooled embedding magnitude beyond this is treated as corruption even
 # though it is finite (catches "scale"-kind faults before the towers
@@ -76,6 +76,14 @@ class ServerConfig:
     breaker_window: int = 20
     cooldown: int = 25
     half_open_successes: int = 2
+
+    def breaker(self, name: str) -> CircuitBreaker:
+        """A circuit breaker with this config's thresholds."""
+        return CircuitBreaker(
+            name, failure_threshold=self.failure_threshold,
+            window=self.breaker_window, cooldown=self.cooldown,
+            half_open_successes=self.half_open_successes,
+        )
 
 
 class Rung:
@@ -222,26 +230,18 @@ def frequency_prior_row(emb, dim: int) -> np.ndarray:
     return row
 
 
-class InferenceServer:
-    """Robust serving runtime in front of a :class:`Predictor`.
+class ServingFrontEnd:
+    """The request path both serving tiers share: admission → queue →
+    pooling step → towers → responses.
 
-    Parameters
-    ----------
-    predictor:
-        The frozen model to serve.
-    config:
-        :class:`ServerConfig` tuning knobs.
-    injector:
-        Optional fault injector; register any of ``serving.request``,
-        ``serving.queue``, ``serving.backend`` to chaos-test the ladder.
-    clock:
-        Monotonic-millisecond callable (defaults to wall time; tests and
-        ``serve-bench`` pass a :class:`~repro.serving.queue.ManualClock`).
+    A tier supplies :meth:`_pool` — local ladders, or fan-out across
+    shards; the ``serving.request`` chaos probe, the trace scope and
+    ``queue.wait`` spans, the final non-finite guard, latency observation
+    and response assembly are written once here.
     """
 
-    def __init__(self, predictor: Predictor, *,
-                 config: ServerConfig = ServerConfig(),
-                 injector=None, clock=None):
+    def __init__(self, predictor: Predictor, *, config: ServerConfig,
+                 injector, clock):
         self.predictor = predictor
         self.config = config
         self.injector = injector
@@ -254,10 +254,6 @@ class InferenceServer:
             high_watermark=config.high_watermark,
             clock=self.clock, injector=injector,
         )
-        self.ladders = [
-            self._build_ladder(t, emb)
-            for t, emb in enumerate(predictor.embeddings)
-        ]
         reg = get_registry()
         self._requests = reg.counter("serving.requests")
         self._served = reg.counter("serving.served")
@@ -268,39 +264,6 @@ class InferenceServer:
             bounds=(0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0,
                     500.0, 1000.0),
         )
-        self._ready = all(np.isfinite(lad.default_row).all()
-                          for lad in self.ladders)
-
-    # ------------------------------------------------------------------ #
-    # Ladder construction
-    # ------------------------------------------------------------------ #
-
-    def _breaker(self, table: int, rung: str) -> CircuitBreaker:
-        cfg = self.config
-        return CircuitBreaker(
-            f"t{table}.{rung}",
-            failure_threshold=cfg.failure_threshold,
-            window=cfg.breaker_window, cooldown=cfg.cooldown,
-            half_open_successes=cfg.half_open_successes,
-        )
-
-    def _build_ladder(self, table: int, emb) -> TableLadder:
-        rungs = [Rung("primary", emb.forward, self._breaker(table, "primary"))]
-        tt = getattr(emb, "tt", None)
-        if tt is not None:
-            # The cached operator's escape hatch: contract the TT cores
-            # directly, bypassing a poisoned uncompressed cache.
-            rungs.append(Rung("tt_direct", tt.forward,
-                              self._breaker(table, "tt_direct")))
-        mode = getattr(emb, "mode", "sum")
-        default_row = frequency_prior_row(emb, self.predictor.config.emb_dim)
-        return TableLadder(table, rungs, default_row, mode,
-                           scrub=getattr(emb, "scrub", None),
-                           injector=self.injector)
-
-    # ------------------------------------------------------------------ #
-    # Request path
-    # ------------------------------------------------------------------ #
 
     def submit(self, request: Request) -> dict:
         """Admit one request; returns a status document.
@@ -344,6 +307,17 @@ class InferenceServer:
                 "repairs": list(admitted.repairs),
                 "backpressure": self.queue.should_backpressure()}
 
+    def _pool(self, batch: list, tables: list, now: float) -> tuple:
+        """Pool one micro-batch's embeddings (the tier's step).
+
+        ``tables[t]`` is ``(indices, counts)``: table ``t``'s ids in
+        request order and the per-request bag sizes. Returns a ``(bags,
+        dim)`` array per table, the ``{what: rung}`` map of everything
+        not served by its primary path, and the batch's *simulated*
+        service time — ``None`` when it is whatever the step really took.
+        """
+        raise NotImplementedError
+
     def step(self) -> list[dict]:
         """Serve one micro-batch from the queue; returns the responses."""
         batch = self.queue.next_batch()
@@ -362,18 +336,16 @@ class InferenceServer:
             with traced_span("serving.batch"):
                 annotate_span(batch_size=len(batch))
                 dense = np.stack([r.dense for r in batch])
-                pooled = []
-                served_by: dict[int, str] = {}
-                for t, ladder in enumerate(self.ladders):
+                tables = []
+                for t in range(self.predictor.config.num_tables):
                     counts = np.array([r.values[t].size for r in batch],
                                       dtype=np.int64)
                     indices = (np.concatenate([r.values[t] for r in batch])
                                if counts.sum()
                                else np.empty(0, dtype=np.int64))
-                    vecs, rung = ladder.serve(indices, make_offsets(counts))
-                    pooled.append(vecs)
-                    if rung != "primary":
-                        served_by[t] = rung
+                    tables.append((indices, counts))
+                pooled, served_by, sim_ms = self._pool(batch, tables,
+                                                       formed_at)
                 with traced_span("serving.towers"):
                     probs = _sigmoid(
                         self.predictor.logits_from_pooled(dense, pooled)
@@ -383,8 +355,16 @@ class InferenceServer:
                 self._final_guard.inc(int(bad.sum()))
                 traced_event("serving.final_guard", count=int(bad.sum()))
                 probs = np.where(bad, 0.5, probs)
-        service_ms = (perf_counter_ns() - start_ns) / 1e6
-        self.queue.observe_service(service_ms)
+        if sim_ms is None:
+            service_ms = (perf_counter_ns() - start_ns) / 1e6
+            self.queue.observe_service(service_ms)
+        else:
+            # A simulated tier feeds the queue's pacing EWMA *simulated*
+            # service time, matching its per-request latency model: wall
+            # clock here would leak real time into the ManualClock advances
+            # and break byte-identical same-seed trace files.
+            service_ms = sim_ms
+            self.queue.observe_service(max(sim_ms, 1.0))
         self._batches.inc()
         self._served.inc(len(batch))
         responses = []
@@ -402,8 +382,10 @@ class InferenceServer:
             ctx = getattr(req, "trace_ctx", None)
             if ctx is not None:
                 resp["trace_id"] = ctx.trace_id
-            finish_request(req, "served", now=self.clock(),
-                           latency_ms=latency, degraded=bool(served_by))
+            finish_request(
+                req, "served",
+                now=self.clock() if sim_ms is None else formed_at + sim_ms,
+                latency_ms=latency, degraded=bool(served_by))
             responses.append(resp)
         return responses
 
@@ -413,6 +395,66 @@ class InferenceServer:
         while self.queue.depth:
             responses.extend(self.step())
         return responses
+
+
+class InferenceServer(ServingFrontEnd):
+    """Robust serving runtime in front of a :class:`Predictor`.
+
+    Parameters
+    ----------
+    predictor:
+        The frozen model to serve.
+    config:
+        :class:`ServerConfig` tuning knobs.
+    injector:
+        Optional fault injector; register any of ``serving.request``,
+        ``serving.queue``, ``serving.backend`` to chaos-test the ladder.
+    clock:
+        Monotonic-millisecond callable (defaults to wall time; tests and
+        ``serve-bench`` pass a :class:`~repro.serving.queue.ManualClock`).
+    """
+
+    def __init__(self, predictor: Predictor, *,
+                 config: ServerConfig = ServerConfig(),
+                 injector=None, clock=None):
+        super().__init__(predictor, config=config, injector=injector,
+                         clock=clock)
+        self.ladders = [
+            self._build_ladder(t, emb)
+            for t, emb in enumerate(predictor.embeddings)
+        ]
+        self._ready = all(np.isfinite(lad.default_row).all()
+                          for lad in self.ladders)
+
+    # ------------------------------------------------------------------ #
+    # Ladder construction
+    # ------------------------------------------------------------------ #
+
+    def _build_ladder(self, table: int, emb) -> TableLadder:
+        rungs = [Rung("primary", emb.forward,
+                      self.config.breaker(f"t{table}.primary"))]
+        tt = getattr(emb, "tt", None)
+        if tt is not None:
+            # The cached operator's escape hatch: contract the TT cores
+            # directly, bypassing a poisoned uncompressed cache.
+            rungs.append(Rung("tt_direct", tt.forward,
+                              self.config.breaker(f"t{table}.tt_direct")))
+        mode = getattr(emb, "mode", "sum")
+        default_row = frequency_prior_row(emb, self.predictor.config.emb_dim)
+        return TableLadder(table, rungs, default_row, mode,
+                           scrub=getattr(emb, "scrub", None),
+                           injector=self.injector)
+
+    def _pool(self, batch: list, tables: list, now: float) -> tuple:
+        """Every table's local ladder; service time is measured."""
+        pooled = []
+        served_by: dict[int, str] = {}
+        for (indices, counts), ladder in zip(tables, self.ladders):
+            vecs, rung = ladder.serve(indices, make_offsets(counts))
+            pooled.append(vecs)
+            if rung != "primary":
+                served_by[ladder.table] = rung
+        return pooled, served_by, None
 
     # ------------------------------------------------------------------ #
     # Probes & stats

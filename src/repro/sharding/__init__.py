@@ -5,23 +5,23 @@ The ISSUE-6 layer on top of the hardened single-process runtime
 shard workers — whole tables by LPT assignment, giant tables split into
 row ranges — requests fan out with per-shard deadlines, and failures
 walk a ladder *across* shards (primary → hot-row replica → frequency
-prior) under a heartbeat health plane with supervised restart and
-hot-row re-warm. See docs/SERVING.md (sharding section).
+prior) under the heartbeat health plane and supervised restart →
+re-warm → readmit walk of :mod:`repro.runtime`, which this tier shares
+with elastic training. See docs/SERVING.md (sharding section).
 
 - :mod:`repro.sharding.topology` — :class:`TableSlice`/:class:`ShardPlan`
   construction (``build_shard_plan``);
 - :mod:`repro.sharding.replication` — hot-row mirrors with bitwise
   consistency auditing;
-- :mod:`repro.sharding.worker` — one shard's state machine and per-slice
-  degradation ladders;
-- :mod:`repro.sharding.health` — heartbeat tracking and up/down verdicts;
-- :mod:`repro.sharding.router` — fan-out/gather, failover, global
-  ``healthz``/``readyz``;
+- :mod:`repro.sharding.worker` — one shard: per-slice degradation
+  ladders and hot-row re-warm, the payload of the runtime's worker;
+- :mod:`repro.sharding.router` — fan-out/gather, failover, the recovery
+  payload, global ``healthz``/``readyz``;
 - :mod:`repro.sharding.loadgen` — the chaos drill behind
   ``repro serve-bench --shards``.
 """
 
-from repro.sharding.health import HealthPlane
+from repro.runtime.supervisor import HealthPlane
 from repro.sharding.loadgen import (
     KillSpec,
     parse_kill_spec,

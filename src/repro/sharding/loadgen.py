@@ -1,11 +1,11 @@
 """Closed-loop load + chaos driver for the sharded tier (``serve-bench``).
 
-Extends :mod:`repro.serving.loadgen` to a :class:`ShardRouter` fleet: the
-same burst-arrival/serve/advance loop on a :class:`ManualClock`, plus the
-control plane the sharded tier needs — ``router.tick()`` every iteration
-(fault probes, heartbeats, supervised recovery), scheduled shard kills
-parsed from ``--kill-shard`` specs, and periodic hot-row replica
-refresh/consistency audits.
+Runs :func:`repro.serving.loadgen.run_load` — the one burst-arrival /
+serve / advance loop on a :class:`ManualClock` — over a
+:class:`ShardRouter` fleet, supplying its control plane: ``router.tick()``
+after every time advance (fault probes, heartbeats, supervised
+recovery), scheduled ``--kill-shard`` kills, periodic hot-row replica
+refresh/consistency audits, and the settle phase that lets recovery finish.
 
 ``reconcile_sharded`` balances the chaos ledgers: every ``shard.*``
 injector firing must surface in the matching defensive counter, mirrors
@@ -17,269 +17,57 @@ ledger is out of balance or failover p99 exceeds its threshold.
 
 from __future__ import annotations
 
-import re
-
-from repro.serving.loadgen import _make_request
+from repro.runtime import supervisor
+from repro.runtime.supervisor import KillSpec, parse_kill_spec
+from repro.serving.loadgen import run_load
 from repro.serving.queue import ManualClock
 from repro.sharding.router import ShardRouter
 from repro.telemetry import get_registry
-from repro.utils.seeding import as_rng
 
 __all__ = ["KillSpec", "parse_kill_spec", "run_sharded_load",
            "reconcile_sharded"]
-
-_KILL_RE = re.compile(r"^(\d+)@(\d+(?:\.\d+)?)(ms|s)?$")
-
-
-class KillSpec:
-    """One scheduled shard kill: ``<shard>@<time>[ms|s]`` (ms default)."""
-
-    __slots__ = ("shard", "at_ms", "done")
-
-    def __init__(self, shard: int, at_ms: float):
-        if shard < 0:
-            raise ValueError(f"shard must be >= 0, got {shard}")
-        if at_ms < 0:
-            raise ValueError(f"kill time must be >= 0, got {at_ms}")
-        self.shard = shard
-        self.at_ms = at_ms
-        self.done = False
-
-    def __repr__(self):  # pragma: no cover - debugging aid
-        return f"KillSpec(shard={self.shard}, at_ms={self.at_ms})"
-
-
-def parse_kill_spec(spec: str) -> KillSpec:
-    """Parse ``"1@2s"`` / ``"1@2000ms"`` / ``"1@2000"`` into a KillSpec."""
-    m = _KILL_RE.match(spec.strip())
-    if m is None:
-        raise ValueError(
-            f"bad --kill-shard spec {spec!r}: expected <shard>@<time>[ms|s]"
-        )
-    shard = int(m.group(1))
-    at = float(m.group(2))
-    if m.group(3) == "s":
-        at *= 1000.0
-    return KillSpec(shard, at)
 
 
 def reconcile_sharded(router: ShardRouter, outcomes: dict,
                       served: int) -> dict:
     """Balance the sharded tier's ledgers against its fault injector.
 
-    Beyond the PR-3 ``serving.*`` checks (which still apply and are run
-    by the caller through :func:`repro.serving.loadgen.reconcile`-style
-    logic), the shard sites must balance exactly, and the tier must not
-    lose accepted requests: ``queued == served + deadline sheds``.
+    The shard sites and the PR-3 ``serving.*`` sites must balance
+    exactly, mirrors must audit clean, and the tier must not lose
+    accepted requests: ``queued == served + deadline sheds``.
     """
     stats = router.stats()
-    injector = router.injector
-    checks: dict[str, dict] = {}
-
-    def counter_sum(name: str) -> int:
-        return sum(w[name] for w in stats["workers"])
-
-    if injector is not None:
-        site_to_counter = {
-            "shard.crash": "crashes",
-            "shard.hang": "hangs",
-            "shard.slow": "slows",
-            "shard.net_drop": "net_drops",
-        }
-        for site, counter in site_to_counter.items():
-            checks[site] = {
-                "fired": injector.fired.get(site, 0),
-                "counted": counter_sum(counter),
-            }
-        checks["serving.backend"] = {
-            "fired": injector.fired.get("serving.backend", 0),
-            "counted": sum(w["ladders"][k]["backend_failures"]
-                           for w in stats["workers"]
-                           for k in w["ladders"]),
-        }
-        checks["serving.queue"] = {
-            "fired": injector.fired.get("serving.queue", 0),
-            "counted": stats["shed"]["fault"],
-        }
-        checks["serving.request"] = {
-            "fired": injector.fired.get("serving.request", 0),
-            "counted": stats["admission"]["rejected"].get(
-                "dense_non_finite", 0),
-        }
-    checks["no_lost_requests"] = {
-        "fired": outcomes.get("queued", 0),
-        "counted": served + stats["shed"]["deadline"],
-    }
-    checks["replica_mirrors_clean"] = {
-        "fired": 0,
-        "counted": sum(r["violations"] for r in stats["replicas"]),
+    invariants = {
+        "no_lost_requests": (outcomes.get("queued", 0),
+                             served + stats["shed"]["deadline"]),
+        "replica_mirrors_clean": (0, sum(r["violations"]
+                                         for r in stats["replicas"])),
     }
     if router.shard_config.restart_after_ms is not None:
-        # With supervised restarts enabled, every shard the chaos took
-        # out must have walked restart -> re-warm -> readmission by the
-        # end of the (quiesced) run: the fleet ends at full capacity.
-        checks["fleet_readmitted"] = {
-            "fired": router.shard_config.num_shards,
-            "counted": stats["health"]["up"],
-        }
-    for check in checks.values():
-        check["passed"] = check["fired"] == check["counted"]
-    return {
-        "checked": injector is not None,
-        "passed": all(c["passed"] for c in checks.values()),
-        "checks": checks,
-    }
+        # With supervised restarts enabled, every shard the chaos took out
+        # must have been readmitted by the end of the (quiesced) run.
+        invariants["fleet_readmitted"] = (router.shard_config.num_shards,
+                                          stats["health"]["up"])
+    return supervisor.reconcile_ledger(
+        router.injector,
+        {
+            **supervisor.worker_fault_rows("shard", stats["workers"]),
+            "serving.backend": (
+                "serving.backend",
+                sum(w["ladders"][k]["backend_failures"]
+                    for w in stats["workers"] for k in w["ladders"])),
+            "serving.queue": ("serving.queue", stats["shed"]["fault"]),
+            "serving.request": (
+                "serving.request",
+                stats["admission"]["rejected"].get("dense_non_finite", 0)),
+        },
+        invariants,
+    )
 
 
-def run_sharded_load(router: ShardRouter, *, num_requests: int = 1000,
-                     mean_interarrival_ms: float = 1.0,
-                     deadline_ms: float | None = None,
-                     malformed: float = 0.0, seed: int = 0,
-                     clock: ManualClock | None = None,
-                     kill_specs: list[KillSpec] | None = None,
-                     refresh_every_ms: float = 500.0, slo=None) -> dict:
-    """Drive the sharded tier; returns a JSON-ready per-shard report.
-
-    The loop is the PR-3 closed loop plus the control plane: after every
-    time advance the router ticks (probes shard faults, runs due
-    heartbeats, drives restart/re-warm), pending ``--kill-shard`` specs
-    fire when simulated time passes them, and replicas are re-warmed to
-    the observed hot head every ``refresh_every_ms``.
-
-    Latency/service/failover bookkeeping reads the shared telemetry
-    histograms (``serving.latency_ms``, ``shard.service_ms{shard=}``,
-    ``shard.failover_ms``), reset at run start so the report is
-    run-local; ``reconcile_sharded`` keeps its exact-ledger semantics.
-    Pass an :class:`~repro.telemetry.slo.SLOEngine` as ``slo`` to stream
-    served/shed/staleness outcomes into objective evaluation.
-    """
-    if clock is None:
-        clock = router.clock if isinstance(router.clock, ManualClock) \
-            else ManualClock()
-    if not (0.0 <= malformed <= 1.0):
-        raise ValueError(f"malformed must be in [0, 1], got {malformed}")
-    kill_specs = list(kill_specs or [])
-    for ks in kill_specs:
-        if ks.shard >= router.shard_config.num_shards:
-            raise ValueError(
-                f"--kill-shard targets shard {ks.shard} but the tier has "
-                f"{router.shard_config.num_shards} shards"
-            )
-    rng = as_rng(seed)
-    cfg = router.predictor.config
+def _shard_report(router: ShardRouter, stats: dict, outcomes: dict,
+                  served: int) -> dict:
     reg = get_registry()
-    latency_hist = reg.histogram("serving.latency_ms")
-    for prefix in ("serving.latency_ms", "shard.service_ms",
-                   "shard.failover_ms"):
-        reg.reset(prefix)
-    outcomes = {"queued": 0, "rejected": 0, "shed": 0}
-    served = 0
-    degraded_responses = 0
-    backpressured = 0
-    last_deadline_shed = router.queue.shed_counts()["deadline"]
-    next_refresh = refresh_every_ms
-    sent = 0
-
-    def on_response(resp: dict) -> None:
-        nonlocal served, degraded_responses
-        served += 1
-        degraded_responses += resp["degraded"]
-        if slo is not None:
-            slo.observe("served", now=clock.now(),
-                        latency_ms=resp["latency_ms"],
-                        degraded=bool(resp["degraded"]),
-                        trace_id=resp.get("trace_id"),
-                        request_id=resp["request_id"])
-
-    def flush_deadline_sheds() -> None:
-        nonlocal last_deadline_shed
-        cur = router.queue.shed_counts()["deadline"]
-        if slo is not None and cur > last_deadline_shed:
-            slo.observe("shed", now=clock.now(),
-                        count=cur - last_deadline_shed)
-        last_deadline_shed = cur
-
-    def control_plane() -> None:
-        nonlocal next_refresh
-        now = clock.now()
-        for ks in kill_specs:
-            if not ks.done and now >= ks.at_ms:
-                router.kill_shard(ks.shard, now)
-                ks.done = True
-        router.tick(now)
-        if now >= next_refresh:
-            router.refresh_replicas()
-            stale = router.check_replica_consistency()
-            if slo is not None:
-                slo.observe("replica_check", now=now)
-                if stale:
-                    slo.observe("staleness", now=now, count=stale)
-            next_refresh = now + refresh_every_ms
-
-    while sent < num_requests:
-        burst = int(rng.integers(1, max(2, router.config.max_batch)))
-        for _ in range(min(burst, num_requests - sent)):
-            gap = float(rng.exponential(mean_interarrival_ms))
-            if router.queue.should_backpressure():
-                backpressured += 1
-                gap *= 2.0
-            clock.advance(gap)
-            control_plane()
-            absolute = (clock.now() + deadline_ms
-                        if deadline_ms is not None else None)
-            req = _make_request(rng, cfg, sent, absolute,
-                                malformed=bool(rng.random() < malformed))
-            status = router.submit(req)
-            outcomes[status["status"]] += 1
-            if slo is not None and status["status"] in ("shed", "rejected"):
-                slo.observe(status["status"], now=clock.now(),
-                            trace_id=status.get("trace_id"),
-                            request_id=status["request_id"])
-            sent += 1
-        for resp in router.step():
-            on_response(resp)
-        flush_deadline_sheds()
-        clock.advance(router.queue.expected_service_ms)
-        control_plane()
-    # Drain with the control plane still running, so in-flight recovery
-    # (restart → re-warm → readmit) completes against the tail.
-    while router.queue.depth:
-        for resp in router.step():
-            on_response(resp)
-        flush_deadline_sheds()
-        clock.advance(max(router.queue.expected_service_ms, 1.0))
-        control_plane()
-    # A scheduled kill beyond the traffic window still fires: keep the
-    # clock moving (control plane running) until every spec has fired,
-    # then through the heartbeat detection window, so the silent death
-    # is caught by the backstop and the quiesce phase below drives
-    # readmission — all in simulated time.
-    if any(not ks.done for ks in kill_specs):
-        while any(not ks.done for ks in kill_specs):
-            clock.advance(router.shard_config.heartbeat_interval_ms)
-            control_plane()
-        horizon = clock.now() + router.health.detection_window_ms \
-            + router.shard_config.heartbeat_interval_ms
-        while clock.now() < horizon:
-            clock.advance(router.shard_config.heartbeat_interval_ms)
-            control_plane()
-    # Quiesce: stop injecting new chaos and keep heartbeats + recovery
-    # running until every shard is readmitted (bounded), so the final
-    # health in the report reflects the recovery protocol rather than
-    # whatever mid-flight state the last request happened to leave.
-    sc = router.shard_config
-    if sc.restart_after_ms is not None:
-        budget = 2.0 * (router.health.detection_window_ms
-                        + sc.restart_after_ms + sc.rewarm_ms
-                        + sc.hang_ms) + 500.0
-        settle_deadline = clock.now() + budget
-        while not router.readyz()["full_capacity"] \
-                and clock.now() < settle_deadline:
-            clock.advance(sc.heartbeat_interval_ms)
-            router.tick(clock.now(), probe_faults=False)
-
-    stats = router.stats()
-    reconciliation = reconcile_sharded(router, outcomes, served)
     per_shard = []
     for w in stats["workers"]:
         service = reg.histogram("shard.service_ms", shard=str(w["shard"]))
@@ -297,39 +85,89 @@ def run_sharded_load(router: ShardRouter, *, num_requests: int = 1000,
             "rewarmed_rows": w["rewarmed_rows"],
         })
     failover = stats["failover_ms"]
-    failover_hist = reg.histogram("shard.failover_ms")
-    report = {
-        "requests": num_requests,
-        "served": served,
-        "outcomes": outcomes,
-        "latency_ms": {
-            "p50": latency_hist.quantile(0.50),
-            "p99": latency_hist.quantile(0.99),
-            "max": latency_hist.max if latency_hist.count else 0.0,
-        },
-        "shed": stats["shed"],
-        "shed_rate": (outcomes["shed"] + stats["shed"]["deadline"])
-        / num_requests,
-        "degraded_responses": degraded_responses,
-        "backpressure_signals": backpressured,
-        "non_finite_outputs": stats["final_guard"],
+    return {
         "failovers": stats["failovers"],
         "replica_hits": stats["replica_hits"],
         "prior_fills": stats["prior_fills"],
         "failover_ms": {
             "count": failover["count"],
             "mean": failover["mean"],
-            "p99": failover_hist.quantile(0.99),
+            "p99": reg.histogram("shard.failover_ms").quantile(0.99),
             "max": failover["max"] if failover["count"] else 0.0,
         },
         "per_shard": per_shard,
         "health": router.healthz(),
         "ready": router.readyz(),
         "stats": stats,
-        "reconciliation": reconciliation,
+        "reconciliation": reconcile_sharded(router, outcomes, served),
     }
-    if slo is not None:
-        report["slo"] = slo.report(clock.now())
-    if router.injector is not None:
-        report["injector"] = router.injector.counters()
-    return report
+
+
+def run_sharded_load(router: ShardRouter, *, num_requests: int = 1000,
+                     mean_interarrival_ms: float = 1.0,
+                     deadline_ms: float | None = None,
+                     malformed: float = 0.0, seed: int = 0,
+                     clock: ManualClock | None = None,
+                     kill_specs: list[KillSpec] | None = None,
+                     refresh_every_ms: float = 500.0, slo=None) -> dict:
+    """Drive the sharded tier; returns a JSON-ready per-shard report.
+
+    The loop is :func:`repro.serving.loadgen.run_load` plus the control
+    plane: after every time advance pending ``--kill-shard`` specs fire,
+    the router ticks (fault probes, due heartbeats, restart/re-warm),
+    and replicas are re-warmed to the observed hot head every
+    ``refresh_every_ms``. Bookkeeping reads the shared histograms
+    (``serving.latency_ms``, ``shard.service_ms{shard=}``,
+    ``shard.failover_ms``), reset at run start so the report is
+    run-local. Pass an :class:`~repro.telemetry.slo.SLOEngine` as ``slo``
+    to stream served/shed/staleness outcomes into objective evaluation.
+    """
+    kill_specs = list(kill_specs or [])
+    sc = router.shard_config
+    supervisor.check_kill_targets(kill_specs, sc.num_shards, "shard")
+    for prefix in ("shard.service_ms", "shard.failover_ms"):
+        get_registry().reset(prefix)
+    next_refresh = refresh_every_ms
+
+    def control_plane(clock: ManualClock) -> None:
+        nonlocal next_refresh
+        now = clock.now()
+        supervisor.fire_kills(kill_specs, router.workers, now, now)
+        router.tick(now)
+        if now >= next_refresh:
+            router.refresh_replicas()
+            stale = router.check_replica_consistency()
+            if slo is not None:
+                slo.observe("replica_check", now=now)
+                if stale:
+                    slo.observe("staleness", now=now, count=stale)
+            next_refresh = now + refresh_every_ms
+
+    def settle(clock: ManualClock) -> None:
+        # A scheduled kill beyond the traffic window still fires: keep the
+        # clock moving until every spec has fired, then through the
+        # heartbeat detection window, so the silent death is caught by the
+        # backstop and the quiesce phase drives readmission.
+        if any(not ks.done for ks in kill_specs):
+            while any(not ks.done for ks in kill_specs):
+                clock.advance(sc.heartbeat_interval_ms)
+                control_plane(clock)
+            horizon = clock.now() + router.health.detection_window_ms \
+                + sc.heartbeat_interval_ms
+            while clock.now() < horizon:
+                clock.advance(sc.heartbeat_interval_ms)
+                control_plane(clock)
+        if sc.restart_after_ms is not None:
+            supervisor.quiesce(
+                clock, router.health,
+                lambda: router.tick(clock.now(), probe_faults=False),
+                restart_after_ms=sc.restart_after_ms,
+                rewarm_ms=sc.rewarm_ms, hang_ms=sc.hang_ms)
+
+    return run_load(
+        router, num_requests=num_requests,
+        mean_interarrival_ms=mean_interarrival_ms, deadline_ms=deadline_ms,
+        malformed=malformed, seed=seed, clock=clock, slo=slo,
+        control_plane=control_plane, settle=settle,
+        tier_report=_shard_report,
+    )

@@ -1,10 +1,11 @@
 """The shard router: fan-out, gather, failover, and the global health view.
 
 :class:`ShardRouter` is the sharded counterpart of
-:class:`~repro.serving.server.InferenceServer`: the same admission
-sanitizer and deadline-aware micro-batch queue in front, but the
-embedding pooling fanned out across :class:`ShardWorker` processes per
-the :class:`~repro.sharding.topology.ShardPlan`. Per-table indices are
+:class:`~repro.serving.server.InferenceServer`: the same request path
+(:class:`~repro.serving.server.ServingFrontEnd` — admission, micro-batch
+queue, towers, responses), but the pooling step fanned out across
+:class:`ShardWorker` processes per the
+:class:`~repro.sharding.topology.ShardPlan`. Per-table indices are
 partitioned by slice (bag association preserved — every sub-request
 carries full-length offsets, so empty bags contribute exact-zero
 partials), dispatched shard by shard under a per-shard deadline, and the
@@ -26,12 +27,11 @@ Detection is layered: a dispatch the worker itself refuses
 (:class:`~repro.sharding.worker.ShardDown`) marks the shard down
 fail-fast; transient dispatch faults (timeout, repeated net-drop) fail
 over and feed the per-shard breaker, which marks the shard down only
-when it opens; the :class:`~repro.sharding.health.HealthPlane`
-heartbeat window is the backstop for silent deaths. Recovery is keyed
-on the health *verdict*, whatever put it there: supervised restart
-(watchdog-killing a still-hung process, keeping a self-healed one) →
-hot-row re-warm → consistency check → readmission with a clean
-breaker. Every decision is counted (``shard.failovers``,
+when it opens; the :class:`~repro.runtime.supervisor.HealthPlane`
+heartbeat window is the backstop for silent deaths. Recovery is the
+:func:`repro.runtime.supervisor.supervise` walk, keyed on the health
+*verdict*: supervised restart → re-warm → this tier's payload (hot-row
+replay, mirror consistency check) → readmission with a clean breaker. Every decision is counted (``shard.failovers``,
 ``shard.replica_hits``, ``shard.failover_ms``) and surfaced through the
 ``shards`` section of ``healthz``/``readyz`` so one probe answers for
 the whole fleet.
@@ -45,12 +45,13 @@ import numpy as np
 
 from repro.cache.lfu import LFUTracker
 from repro.data.batching import make_offsets
-from repro.inference.predictor import Predictor, _sigmoid
-from repro.serving.admission import Rejection, Request, RequestSanitizer
-from repro.serving.breaker import CircuitBreaker
-from repro.serving.queue import MicroBatchQueue, monotonic_ms
-from repro.serving.server import ServerConfig, frequency_prior_row
-from repro.sharding.health import HealthPlane
+from repro.inference.predictor import Predictor
+from repro.runtime import supervisor
+from repro.serving.server import (
+    ServerConfig,
+    ServingFrontEnd,
+    frequency_prior_row,
+)
 from repro.sharding.replication import ReplicaStore
 from repro.sharding.topology import ShardPlan, build_shard_plan
 from repro.sharding.worker import (
@@ -62,14 +63,17 @@ from repro.sharding.worker import (
 )
 from repro.telemetry import (
     annotate_span,
-    finish_request,
     get_registry,
-    get_request_tracer,
     traced_event,
     traced_span,
 )
 
 __all__ = ["ShardConfig", "ShardRouter"]
+
+# The ``cause`` a ``shard.failover`` span is annotated with, by exception
+# (names that trace consumers have seen since the sharded tier landed).
+_FAILOVER_CAUSE = {ShardDown: "ShardDown", ShardTimeout: "ShardTimeout",
+                   NetDrop: "NetDrop"}
 
 
 @dataclass(frozen=True)
@@ -95,7 +99,7 @@ class ShardConfig:
             raise ValueError("shard_deadline_ms must be > 0")
 
 
-class ShardRouter:
+class ShardRouter(ServingFrontEnd):
     """Sharded serving tier: admission → queue → fan-out → gather → towers.
 
     Parameters
@@ -118,20 +122,11 @@ class ShardRouter:
                  config: ServerConfig = ServerConfig(),
                  shard_config: ShardConfig = ShardConfig(),
                  injector=None, clock=None):
-        self.predictor = predictor
-        self.config = config
+        super().__init__(predictor, config=config, injector=injector,
+                         clock=clock)
         self.shard_config = shard_config
-        self.injector = injector
-        self.clock = clock if clock is not None else monotonic_ms
         cfg = predictor.config
         sc = shard_config
-        self.sanitizer = RequestSanitizer(cfg, oov_policy=config.oov_policy)
-        self.queue = MicroBatchQueue(
-            max_depth=config.max_depth, max_batch=config.max_batch,
-            default_deadline_ms=config.default_deadline_ms,
-            high_watermark=config.high_watermark,
-            clock=self.clock, injector=injector,
-        )
         self.plan: ShardPlan = build_shard_plan(
             tuple(cfg.table_sizes), sc.num_shards,
             split_threshold=sc.split_threshold,
@@ -146,19 +141,14 @@ class ShardRouter:
             ShardWorker(
                 s, self.plan.slices_of(s), predictor.embeddings,
                 self.default_rows, emb_dim=cfg.emb_dim,
-                breaker=CircuitBreaker(
-                    f"shard{s}",
-                    failure_threshold=config.failure_threshold,
-                    window=config.breaker_window, cooldown=config.cooldown,
-                    half_open_successes=config.half_open_successes,
-                ),
+                breaker=config.breaker(f"shard{s}"),
                 injector=injector, service_ms=sc.service_ms,
                 slow_penalty_ms=sc.slow_penalty_ms, hang_ms=sc.hang_ms,
                 rewarm_ms=sc.rewarm_ms,
             )
             for s in range(sc.num_shards)
         ]
-        self.health = HealthPlane(
+        self.health = supervisor.HealthPlane(
             sc.num_shards, heartbeat_interval_ms=sc.heartbeat_interval_ms,
             miss_threshold=sc.miss_threshold,
         )
@@ -167,12 +157,8 @@ class ShardRouter:
         self.replicas = [ReplicaStore(hot_rows=sc.hot_rows)
                          for _ in range(sc.num_shards)]
         self.trackers = [LFUTracker() for _ in range(cfg.num_tables)]
-        self._warm_replicas_initial()
+        self.refresh_replicas()
         reg = get_registry()
-        self._requests = reg.counter("serving.requests")
-        self._served = reg.counter("serving.served")
-        self._batches = reg.counter("serving.batches")
-        self._final_guard = reg.counter("serving.final_guard")
         self._failovers = reg.counter("shard.failovers")
         self._replica_hits = reg.counter("shard.replica_hits")
         self._prior_fills = reg.counter("shard.prior_fills")
@@ -180,11 +166,6 @@ class ShardRouter:
         self._failover_ms = reg.histogram(
             "shard.failover_ms",
             bounds=(1.0, 5.0, 10.0, 25.0, 50.0, 100.0, 200.0, 500.0),
-        )
-        self._latency = reg.histogram(
-            "serving.latency_ms",
-            bounds=(0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0,
-                    500.0, 1000.0),
         )
         self._ready = all(np.isfinite(row).all() for row in self.default_rows)
 
@@ -215,36 +196,29 @@ class ShardRouter:
         return lambda ids: emb.forward(  # pragma: no cover - all ops have it
             ids, np.arange(ids.size + 1, dtype=np.int64))
 
-    def _warm_replicas_initial(self) -> None:
-        for sl in self.plan.slices:
-            if sl.replica == sl.shard:  # degenerate single-shard topology
-                continue
+    def refresh_replicas(self, slices=None) -> int:
+        """Re-mirror slices' hot heads (default: every slice's) from
+        observed traffic; returns rows warmed.
+
+        Called at construction, periodically by the load generator, and
+        by the recovery payload for a readmitted shard's slices.
+        """
+        return sum(
             self.replicas[sl.replica].warm(
                 sl, self._hot_ids(sl), self._lookup_fn(sl.table))
+            for sl in (self.plan.slices if slices is None else slices)
+            if sl.replica != sl.shard  # degenerate single-shard topology
+        )
 
-    def refresh_replicas(self) -> int:
-        """Re-mirror every slice's hot head from observed traffic.
-
-        Returns rows warmed. Called periodically by the load generator
-        (and by the re-warm path for a readmitted shard's slices).
-        """
-        warmed = 0
-        for sl in self.plan.slices:
-            if sl.replica == sl.shard:
-                continue
-            warmed += self.replicas[sl.replica].warm(
-                sl, self._hot_ids(sl), self._lookup_fn(sl.table))
-        return warmed
-
-    def check_replica_consistency(self) -> int:
-        """Audit every mirror against its primary; returns violations."""
-        bad = 0
-        for sl in self.plan.slices:
-            if sl.replica == sl.shard:
-                continue
-            bad += self.replicas[sl.replica].consistency_check(
+    def check_replica_consistency(self, slices=None) -> int:
+        """Audit mirrors (default: every slice's) against their
+        primaries; returns violations."""
+        return sum(
+            self.replicas[sl.replica].consistency_check(
                 sl, self._lookup_fn(sl.table))
-        return bad
+            for sl in (self.plan.slices if slices is None else slices)
+            if sl.replica != sl.shard
+        )
 
     # ------------------------------------------------------------------ #
     # Fleet lifecycle (driven by the load generator / bench loop)
@@ -259,14 +233,14 @@ class ShardRouter:
         in-flight recovery finish after traffic stops.
         """
         now = self.clock() if now is None else now
-        if probe_faults:
-            for worker in self.workers:  # shard-id order => determinism
-                worker.probe_faults(now)
-        for s in self.health.tick(now, self.workers):
+        for s in supervisor.supervise(
+                self.workers, self.health, now,
+                restart_after_ms=self.shard_config.restart_after_ms,
+                recover=lambda s: self._recover(s, now),
+                probe_faults=probe_faults):
             # Silent death caught by the heartbeat backstop: the failover
             # clock runs from when the outage actually began.
             self._observe_failover(s, now)
-        self._drive_recovery(now)
 
     def _observe_failover(self, shard: int, now: float) -> None:
         """Sample failover latency from when the outage actually began."""
@@ -274,49 +248,16 @@ class ShardRouter:
         sample = max(0.0, now - since) if since is not None else 0.0
         self._failover_ms.observe(sample)
 
-    def _drive_recovery(self, now: float) -> None:
-        """Walk every unhealthy shard toward readmission.
-
-        Keyed on the health *verdict*, never the worker's internal
-        state: a shard can be marked down for a crash (worker down), a
-        hang (worker self-heals after ``hang_ms``), or slow dispatches /
-        dropped heartbeats (worker never left "up"). Whatever the
-        cause, ``restart_after_ms`` after the mark the supervisor forces
-        it through the same re-warm pipeline, and readmission only ever
-        happens via :meth:`HealthPlane.mark_up` at the end of it.
-        """
-        sc = self.shard_config
-        if sc.restart_after_ms is None:
-            return
-        for s, worker in enumerate(self.workers):
-            verdict = self.health.verdict[s]
-            if verdict == "down":
-                down_at = self.health.marked_down_at[s]
-                if down_at is not None \
-                        and now >= down_at + sc.restart_after_ms:
-                    worker.begin_rewarm(now)
-                    self.health.mark_rewarming(s)
-            elif verdict == "rewarming" \
-                    and worker.state == "rewarming" \
-                    and now >= worker.rewarm_until:
-                hot = {
-                    (sl.table, sl.row_lo): self._hot_ids(sl)
-                    for sl in worker.slices
-                }
-                worker.complete_rewarm(hot)
-                # Refresh + audit the readmitted shard's mirrors before
-                # it takes traffic again.
-                for sl in worker.slices:
-                    if sl.replica == sl.shard:
-                        continue
-                    store = self.replicas[sl.replica]
-                    store.warm(sl, self._hot_ids(sl),
-                               self._lookup_fn(sl.table))
-                    store.consistency_check(sl, self._lookup_fn(sl.table))
-                # A readmitted shard starts with a clean breaker — the
-                # failures that opened it belong to its previous life.
-                worker.breaker.reset()
-                self.health.mark_up(s, now)
+    def _recover(self, shard: int, now: float) -> None:
+        """The recovery payload: replay hot rows, audit mirrors, readmit."""
+        worker = self.workers[shard]
+        worker.complete_rewarm({
+            (sl.table, sl.row_lo): self._hot_ids(sl) for sl in worker.slices
+        })
+        # Its mirrors are refreshed + audited before it takes traffic.
+        self.refresh_replicas(worker.slices)
+        self.check_replica_consistency(worker.slices)
+        supervisor.readmit(self.health, worker.breaker, shard, now)
 
     def kill_shard(self, shard: int, now: float | None = None) -> None:
         """Scheduled kill (``serve-bench --kill-shard``)."""
@@ -326,42 +267,6 @@ class ShardRouter:
     # ------------------------------------------------------------------ #
     # Request path
     # ------------------------------------------------------------------ #
-
-    def submit(self, request: Request) -> dict:
-        """Admit one request (same contract as ``InferenceServer.submit``)."""
-        self._requests.inc()
-        if self.injector is not None:
-            spec = self.injector.draw("serving.request")
-            if spec is not None:
-                dense = np.array(request.dense, dtype=np.float64, copy=True)
-                self.injector.apply(spec, dense)
-                request = Request(dense=dense, sparse=request.sparse,
-                                  deadline_ms=request.deadline_ms,
-                                  request_id=request.request_id)
-        rt = get_request_tracer()
-        ctx = rt.maybe_start(request.request_id, now=self.clock())
-        with rt.scope([ctx]):
-            with traced_span("serving.admission"):
-                admitted = self.sanitizer.sanitize(request)
-        if isinstance(admitted, Rejection):
-            rt.finish(ctx, "rejected", now=self.clock(),
-                      reason=admitted.reason)
-            return {"status": "rejected", "reason": admitted.reason,
-                    "detail": admitted.detail,
-                    "request_id": admitted.request_id,
-                    **({"trace_id": ctx.trace_id} if ctx else {})}
-        outcome = self.queue.submit(admitted)
-        if outcome != "queued":
-            rt.finish(ctx, "shed", now=self.clock(),
-                      reason=outcome.removeprefix("shed_"))
-            return {"status": "shed", "reason": outcome.removeprefix("shed_"),
-                    "request_id": admitted.request_id,
-                    **({"trace_id": ctx.trace_id} if ctx else {})}
-        if ctx is not None:
-            admitted.trace_ctx = ctx
-        return {"status": "queued", "request_id": admitted.request_id,
-                "repairs": list(admitted.repairs),
-                "backpressure": self.queue.should_backpressure()}
 
     def _slice_subrequest(self, sl, indices: np.ndarray,
                           bag_of: np.ndarray, num_bags: int):
@@ -435,139 +340,70 @@ class ShardRouter:
                 self._observe_failover(shard, now)
             raise
 
-    def step(self) -> list[dict]:
-        """Serve one micro-batch: fan out, gather, run the towers."""
-        batch = self.queue.next_batch()
-        if not batch:
-            return []
-        now = self.clock()
-        formed_at = now
+    def _pool(self, batch: list, tables: list, now: float) -> tuple:
+        """Fan out, gather, fail over; costs the simulated slowest leg."""
         num_bags = len(batch)
         cfg = self.predictor.config
-        rt = get_request_tracer()
-        ctxs = [c for r in batch
-                if (c := getattr(r, "trace_ctx", None)) is not None]
-        with rt.scope(ctxs):
-            for req in batch:
-                ctx = getattr(req, "trace_ctx", None)
-                if ctx is not None:
-                    ctx.record_span("queue.wait", req.arrival_ms, formed_at)
-            with traced_span("serving.batch"):
-                annotate_span(batch_size=num_bags)
-                dense = np.stack([r.dense for r in batch])
-                # Partition every table batch into per-slice sub-requests.
-                per_shard: dict[int, list] = {
-                    s: [] for s in range(self.shard_config.num_shards)
-                }
-                for t in range(cfg.num_tables):
-                    counts = np.array([r.values[t].size for r in batch],
-                                      dtype=np.int64)
-                    indices = (np.concatenate([r.values[t] for r in batch])
-                               if counts.sum()
-                               else np.empty(0, dtype=np.int64))
-                    self.trackers[t].record(indices)
-                    bag_of = np.repeat(np.arange(num_bags), counts)
-                    for sl in self.plan.slices_of_table(t):
-                        sub_idx, sub_off = self._slice_subrequest(
-                            sl, indices, bag_of, num_bags)
-                        per_shard[sl.shard].append((sl, sub_idx, sub_off))
-                # Fan out in shard-id order (deterministic injector draws).
-                gathered = {}
-                degraded_slices = {}
-                max_sim_ms = 0.0
-                for s in sorted(per_shard):
-                    reqs = per_shard[s]
-                    if not reqs:
-                        continue
-                    try:
-                        with traced_span("shard.dispatch", shard=str(s)):
-                            annotate_span(
-                                slices=[sl.describe() for sl, _, _ in reqs],
-                                breaker=self.workers[s].breaker.state,
-                            )
-                            results, sim_ms = self._dispatch_shard(
-                                s, reqs, now)
-                            annotate_span(sim_ms=sim_ms)
-                    except (ShardDown, ShardTimeout, NetDrop) as exc:
-                        self._failovers.inc()
-                        traced_event(
-                            "shard.failover", shard=s, at_ms=now,
-                            slices=[sl.describe() for sl, _, _ in reqs])
-                        with traced_span("shard.failover", shard=str(s)):
-                            annotate_span(cause=type(exc).__name__)
-                            paths = {}
-                            for sl, sub_idx, sub_off in reqs:
-                                pooled, path = self._failover_pooled(
-                                    sl, sub_idx, sub_off, now)
-                                gathered[(sl.table, sl.row_lo)] = pooled
-                                degraded_slices[sl.describe()] = path
-                                paths[sl.describe()] = path
-                            annotate_span(paths=paths)
-                        continue
-                    self.workers[s].breaker.record_success()
-                    for key, (pooled, rung) in results.items():
-                        gathered[key] = pooled
-                        if rung != "rows":
-                            t, lo = key
-                            degraded_slices[f"t{t}[{lo}:]@s{s}"] = rung
-                    max_sim_ms = max(max_sim_ms, sim_ms)
-                # Gather: sum slice partials per table, apply the mode.
-                pooled_tables = []
-                for t in range(cfg.num_tables):
-                    total = np.zeros((num_bags, cfg.emb_dim),
-                                     dtype=np.float64)
-                    for sl in self.plan.slices_of_table(t):
-                        total += gathered[(sl.table, sl.row_lo)]
-                    if self.modes[t] == "mean":
-                        counts = np.array(
-                            [r.values[t].size for r in batch],
-                            dtype=np.float64)
-                        total /= np.maximum(counts, 1.0)[:, None]
-                    pooled_tables.append(total)
-                with traced_span("serving.towers"):
-                    probs = _sigmoid(
-                        self.predictor.logits_from_pooled(
-                            dense, pooled_tables)
+        # Partition every table batch into per-slice sub-requests.
+        per_shard: dict[int, list] = {
+            s: [] for s in range(self.shard_config.num_shards)
+        }
+        for t, (indices, counts) in enumerate(tables):
+            self.trackers[t].record(indices)
+            bag_of = np.repeat(np.arange(num_bags), counts)
+            for sl in self.plan.slices_of_table(t):
+                sub_idx, sub_off = self._slice_subrequest(
+                    sl, indices, bag_of, num_bags)
+                per_shard[sl.shard].append((sl, sub_idx, sub_off))
+        # Fan out in shard-id order (deterministic injector draws).
+        gathered = {}
+        degraded_slices = {}
+        max_sim_ms = 0.0
+        for s in sorted(per_shard):
+            reqs = per_shard[s]
+            if not reqs:
+                continue
+            try:
+                with traced_span("shard.dispatch", shard=str(s)):
+                    annotate_span(
+                        slices=[sl.describe() for sl, _, _ in reqs],
+                        breaker=self.workers[s].breaker.state,
                     )
-            bad = ~np.isfinite(probs)
-            if bad.any():  # unreachable by design; belt and braces
-                self._final_guard.inc(int(bad.sum()))
-                traced_event("serving.final_guard", count=int(bad.sum()))
-                probs = np.where(bad, 0.5, probs)
-        # Feed the queue's pacing EWMA *simulated* service time (the
-        # slowest shard leg), matching the fully simulated per-request
-        # latency model. Measuring wall clock here would leak real time
-        # into the ManualClock advances and break byte-identical
-        # same-seed trace files.
-        self.queue.observe_service(max(max_sim_ms, 1.0))
-        self._batches.inc()
-        self._served.inc(len(batch))
-        responses = []
-        for req, prob in zip(batch, probs):
-            latency = (formed_at - req.arrival_ms) + max_sim_ms
-            self._latency.observe(latency)
-            resp = {
-                "request_id": req.request_id,
-                "prob": float(prob),
-                "latency_ms": latency,
-                "degraded": bool(degraded_slices),
-                "served_by": dict(degraded_slices),
-                "repairs": list(req.repairs),
-            }
-            ctx = getattr(req, "trace_ctx", None)
-            if ctx is not None:
-                resp["trace_id"] = ctx.trace_id
-            finish_request(req, "served", now=formed_at + max_sim_ms,
-                           latency_ms=latency, degraded=bool(degraded_slices))
-            responses.append(resp)
-        return responses
-
-    def drain(self) -> list[dict]:
-        """Serve micro-batches until the queue is empty."""
-        responses = []
-        while self.queue.depth:
-            responses.extend(self.step())
-        return responses
+                    results, sim_ms = self._dispatch_shard(s, reqs, now)
+                    annotate_span(sim_ms=sim_ms)
+            except (ShardDown, ShardTimeout, NetDrop) as exc:
+                self._failovers.inc()
+                traced_event(
+                    "shard.failover", shard=s, at_ms=now,
+                    slices=[sl.describe() for sl, _, _ in reqs])
+                with traced_span("shard.failover", shard=str(s)):
+                    annotate_span(cause=_FAILOVER_CAUSE[type(exc)])
+                    paths = {}
+                    for sl, sub_idx, sub_off in reqs:
+                        pooled, path = self._failover_pooled(
+                            sl, sub_idx, sub_off, now)
+                        gathered[(sl.table, sl.row_lo)] = pooled
+                        degraded_slices[sl.describe()] = path
+                        paths[sl.describe()] = path
+                    annotate_span(paths=paths)
+                continue
+            self.workers[s].breaker.record_success()
+            for key, (pooled, rung) in results.items():
+                gathered[key] = pooled
+                if rung != "rows":
+                    t, lo = key
+                    degraded_slices[f"t{t}[{lo}:]@s{s}"] = rung
+            max_sim_ms = max(max_sim_ms, sim_ms)
+        # Gather: sum slice partials per table, apply the mode.
+        pooled_tables = []
+        for t, (_, counts) in enumerate(tables):
+            total = np.zeros((num_bags, cfg.emb_dim), dtype=np.float64)
+            for sl in self.plan.slices_of_table(t):
+                total += gathered[(sl.table, sl.row_lo)]
+            if self.modes[t] == "mean":
+                total /= np.maximum(counts.astype(np.float64), 1.0)[:, None]
+            pooled_tables.append(total)
+        return pooled_tables, degraded_slices, max_sim_ms
 
     # ------------------------------------------------------------------ #
     # Probes & stats

@@ -1,32 +1,12 @@
-"""One serving shard: owned slices, per-table ladders, a failure model.
+"""One serving shard: owned slices, per-table ladders, a dispatch payload.
 
 A :class:`ShardWorker` plays the role of one process in the sharded
-tier. Like the collective simulator
-(:class:`repro.distributed.collectives.Communicator`), the process
-boundary is *modelled*, not spawned: workers communicate with the
-router only through explicit dispatch/heartbeat messages on a shared
-deterministic clock, never through shared mutable serving state, so
-every distributed failure mode is reproducible under a seeded
-:class:`~repro.reliability.fault_injection.FaultInjector` and the chaos
-ledger reconciles exactly (docs/SERVING.md, sharding).
-
-The failure model, driven through the ``shard.*`` injector sites or the
-scheduled ``kill()`` used by ``serve-bench --kill-shard``:
-
-========= ===============================================================
-state     behaviour
-========= ===============================================================
-up        dispatches and heartbeats answered
-hung      no replies (dispatch raises :class:`ShardTimeout`, heartbeats
-          miss) until ``hang_ms`` of simulated time passes
-down      dead until ``restart()``; dispatches raise :class:`ShardDown`
-rewarming restarted but not readmitted: heartbeats answer (reporting the
-          state) while the hot-row set is replayed; dispatches refuse
-========= ===============================================================
-
-``shard.slow`` is transient rather than a state: the next dispatch
-carries a simulated latency penalty, and the router treats a dispatch
-whose penalty exceeds the per-shard deadline exactly like a timeout.
+tier. Its failure model — the ``shard.{crash,hang,slow,net_drop}``
+injector sites, the ``kill()`` behind ``serve-bench --kill-shard`` — is
+the shared :class:`~repro.runtime.worker.SupervisedWorker` machine
+(state table in :mod:`repro.runtime.worker`); this module adds what a
+shard *does*: the per-slice degradation ladders a dispatch walks, and
+the hot-row replay that re-warms a restarted shard.
 
 Serving is *canonical by construction*: the primary rung materialises
 rows through the operator's ``lookup`` and pools them with
@@ -38,24 +18,18 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.runtime.worker import (
+    SupervisedWorker,
+    WorkerDown as ShardDown,
+    WorkerNetDrop as NetDrop,
+    WorkerTimeout as ShardTimeout,
+)
 from repro.serving.breaker import CircuitBreaker
 from repro.serving.server import Rung, TableLadder
-from repro.telemetry import annotate_span, get_registry, traced_event, traced_span
+from repro.telemetry import annotate_span, get_registry, traced_span
 
 __all__ = ["ShardWorker", "ShardDown", "ShardTimeout", "NetDrop",
            "pool_rows"]
-
-
-class ShardDown(RuntimeError):
-    """Dispatch refused: the shard is dead (or not yet readmitted)."""
-
-
-class ShardTimeout(RuntimeError):
-    """Dispatch produced no reply within the per-shard deadline."""
-
-
-class NetDrop(RuntimeError):
-    """The router<->shard message was lost in transit."""
 
 
 def pool_rows(rows: np.ndarray, bag_of: np.ndarray, num_bags: int,
@@ -72,8 +46,8 @@ def pool_rows(rows: np.ndarray, bag_of: np.ndarray, num_bags: int,
     return pooled
 
 
-class ShardWorker:
-    """One shard: a state machine over its slices' serving ladders.
+class ShardWorker(SupervisedWorker):
+    """One shard: the supervised-worker machine over its slices' ladders.
 
     Parameters
     ----------
@@ -91,35 +65,26 @@ class ShardWorker:
         See :class:`~repro.sharding.router.ShardConfig`.
     """
 
+    site_prefix = "shard"
+    event_prefix = "shard"
+    label = "shard"
+
     def __init__(self, shard_id: int, slices: list, embeddings: list,
                  default_rows: list[np.ndarray], *, emb_dim: int,
                  breaker: CircuitBreaker, injector=None,
                  service_ms: float = 1.0, slow_penalty_ms: float = 50.0,
                  hang_ms: float = 200.0, rewarm_ms: float = 100.0):
+        super().__init__(shard_id, injector=injector, service_ms=service_ms,
+                         slow_penalty_ms=slow_penalty_ms, hang_ms=hang_ms,
+                         rewarm_ms=rewarm_ms)
         self.shard_id = shard_id
         self.slices = list(slices)
         self.embeddings = embeddings
         self.default_rows = default_rows
         self.emb_dim = emb_dim
         self.breaker = breaker
-        self.injector = injector
-        self.service_ms = service_ms
-        self.slow_penalty_ms = slow_penalty_ms
-        self.hang_ms = hang_ms
-        self.rewarm_ms = rewarm_ms
-        self.state = "up"
-        self.hang_until = -1.0
-        self.rewarm_until = -1.0
-        self.impaired_since = None  # when the current outage began (sim ms)
-        self._pending_penalty_ms = 0.0
         sid = str(shard_id)
         reg = get_registry()
-        self._heartbeats = reg.counter("shard.heartbeats", shard=sid)
-        self._dispatches = reg.counter("shard.dispatches", shard=sid)
-        self._crashes = reg.counter("shard.crashes", shard=sid)
-        self._hangs = reg.counter("shard.hangs", shard=sid)
-        self._slows = reg.counter("shard.slows", shard=sid)
-        self._net_drops = reg.counter("shard.net_drops", shard=sid)
         self._rewarmed = reg.counter("shard.rewarmed_rows", shard=sid)
         self._service_hist = reg.histogram(
             "shard.service_ms", shard=sid,
@@ -168,77 +133,8 @@ class ShardWorker:
                            injector=self.injector)
 
     # ------------------------------------------------------------------ #
-    # Failure model
+    # Payload: re-warm and dispatch
     # ------------------------------------------------------------------ #
-
-    def probe_faults(self, now: float) -> None:
-        """One fault-probe round (router tick): crash and hang sites."""
-        if self.injector is None or self.state in ("down", "rewarming"):
-            return
-        if self.injector.fires("shard.crash"):
-            self.kill(now, cause="fault")
-            return
-        if self.injector.fires("shard.hang"):
-            self._hangs.inc()
-            self.hang_until = now + self.hang_ms
-            self.state = "hung"
-            if self.impaired_since is None:
-                self.impaired_since = now
-            traced_event("shard.hang", shard=self.shard_id,
-                         until_ms=self.hang_until)
-
-    def kill(self, now: float, *, cause: str = "scheduled") -> None:
-        """Crash the shard (fault-injected or ``--kill-shard`` scheduled).
-
-        Operator-scheduled kills are counted separately from injector
-        crashes, under ``shard.kills_scheduled{shard=}``.
-        """
-        if self.state == "down":
-            return
-        if cause == "fault":
-            self._crashes.inc()
-        else:
-            get_registry().counter("shard.kills_scheduled",
-                                   shard=str(self.shard_id)).inc()
-        self.state = "down"
-        if self.impaired_since is None:
-            self.impaired_since = now
-        traced_event("shard.crash", shard=self.shard_id, cause=cause,
-                     at_ms=now)
-
-    def restart(self, now: float) -> None:
-        """Supervised restart: enter the re-warm phase (not yet serving)."""
-        if self.state != "down":
-            return
-        self.state = "rewarming"
-        self.rewarm_until = now + self.rewarm_ms
-        traced_event("shard.restart", shard=self.shard_id, at_ms=now,
-                     ready_ms=self.rewarm_until)
-
-    def begin_rewarm(self, now: float) -> None:
-        """Force the re-warm phase from whatever state the worker is in.
-
-        The supervisor calls this when the health plane's verdict is
-        "down" regardless of what put it there: a crashed worker is
-        restarted, a worker still hung past the restart deadline is
-        watchdog-killed first (a wedged process is not waited out), and
-        a worker that self-healed (hang expired, or it never left "up"
-        — slow dispatches, dropped heartbeats) keeps its process but
-        still rejoins only through re-warm → consistency check →
-        readmission.
-        """
-        self._tick_state(now)
-        if self.state == "rewarming":
-            return
-        if self.state == "hung":
-            self.kill(now, cause="watchdog")
-        if self.state == "down":
-            self.restart(now)
-            return
-        self.state = "rewarming"
-        self.rewarm_until = now + self.rewarm_ms
-        traced_event("shard.rewarm_forced", shard=self.shard_id, at_ms=now,
-                     ready_ms=self.rewarm_until)
 
     def complete_rewarm(self, hot_ids_by_slice: dict) -> int:
         """Replay the hot-row set; returns rows re-warmed. State -> up.
@@ -262,34 +158,8 @@ class ShardWorker:
             emb.forward(ids, offsets)
             total += int(ids.size)
         self._rewarmed.inc(total)
-        self.state = "up"
-        self.rewarm_until = -1.0
-        self.impaired_since = None
-        traced_event("shard.rewarmed", shard=self.shard_id, rows=total)
+        self._readmit(rows=total)
         return total
-
-    def _tick_state(self, now: float) -> None:
-        if self.state == "hung" and now >= self.hang_until:
-            self.state = "up"
-            self.hang_until = -1.0
-            self.impaired_since = None
-
-    # ------------------------------------------------------------------ #
-    # Messages
-    # ------------------------------------------------------------------ #
-
-    def heartbeat(self, now: float) -> dict | None:
-        """Answer a health-plane probe; ``None`` models a lost/absent reply."""
-        self._tick_state(now)
-        if self.state == "down":
-            return None
-        if self.state == "hung":
-            return None
-        if self.injector is not None and self.injector.fires("shard.net_drop"):
-            self._net_drops.inc()
-            return None
-        self._heartbeats.inc()
-        return {"shard": self.shard_id, "state": self.state, "at_ms": now}
 
     def dispatch(self, requests: list, now: float,
                  deadline_ms: float) -> tuple[dict, float]:
@@ -300,30 +170,7 @@ class ShardWorker:
         rung)}, sim_service_ms)``. Raises :class:`ShardDown`,
         :class:`ShardTimeout` or :class:`NetDrop` per the failure model.
         """
-        self._tick_state(now)
-        if self.state in ("down", "rewarming"):
-            raise ShardDown(f"shard {self.shard_id} is {self.state}")
-        if self.injector is not None and self.injector.fires("shard.net_drop"):
-            self._net_drops.inc()
-            raise NetDrop(f"message to shard {self.shard_id} lost")
-        if self.state == "hung":
-            raise ShardTimeout(
-                f"shard {self.shard_id} hung until {self.hang_until:.0f} ms"
-            )
-        sim_ms = self.service_ms
-        if self.injector is not None and self.injector.fires("shard.slow"):
-            self._slows.inc()
-            self._pending_penalty_ms = self.slow_penalty_ms
-            traced_event("shard.slow", shard=self.shard_id,
-                         penalty_ms=self.slow_penalty_ms)
-        if self._pending_penalty_ms:
-            sim_ms += self._pending_penalty_ms
-            self._pending_penalty_ms = 0.0
-        if sim_ms > deadline_ms:
-            raise ShardTimeout(
-                f"shard {self.shard_id} needed {sim_ms:.1f} ms > "
-                f"deadline {deadline_ms:.1f} ms"
-            )
+        sim_ms = self.begin_dispatch(now, deadline_ms)
         out = {}
         for sl, indices, offsets in requests:
             ladder = self.ladders[(sl.table, sl.row_lo)]
@@ -345,14 +192,7 @@ class ShardWorker:
 
     def stats(self) -> dict:
         return {
-            "shard": self.shard_id,
-            "state": self.state,
-            "heartbeats": self._heartbeats.value,
-            "dispatches": self._dispatches.value,
-            "crashes": self._crashes.value,
-            "hangs": self._hangs.value,
-            "slows": self._slows.value,
-            "net_drops": self._net_drops.value,
+            **super().stats(),
             "rewarmed_rows": self._rewarmed.value,
             "service_ms": self._service_hist.summary(),
             "breaker": self.breaker.snapshot(),

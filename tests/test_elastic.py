@@ -56,7 +56,7 @@ def chaos_trainer(tmp_path, seed, *, kill="1@8", slow=0.02):
 class TestKillSpec:
     def test_parse(self):
         spec = parse_worker_kill_spec(" 2@60 ")
-        assert (spec.worker, spec.at_step, spec.done) == (2, 60, False)
+        assert (spec.unit, spec.at, spec.done) == (2, 60, False)
 
     @pytest.mark.parametrize("bad", ["2", "2@", "@60", "2@60ms", "w2@60",
                                      "2@0"])

@@ -502,11 +502,27 @@ class TestInferenceServer:
                           deadline_ms=500.0, seed=3, clock=clock)
         assert report["non_finite_outputs"] == 0
         assert report["reconciliation"]["passed"], report["reconciliation"]
+        kept = report["reconciliation"]["checks"]["no_lost_requests"]
+        assert kept["passed"] and kept["fired"] == report["outcomes"]["queued"]
         assert sum(report["outcomes"].values()) == 300
         assert report["served"] <= report["outcomes"]["queued"]
         assert len(report["breaker_transitions"]) >= 1
         # Latency accounting covered every served request.
         assert report["stats"]["latency_ms"]["count"] == report["served"]
+
+    def test_clean_run_load_balances_requests(self, predictor):
+        """Without an injector nothing else is checked, but accepted work
+        is still conserved: queued == served + deadline sheds."""
+        server, clock = build_server(predictor, max_depth=8, max_batch=4,
+                                     default_deadline_ms=5.0)
+        report = run_load(server, num_requests=200, mean_interarrival_ms=0.05,
+                          seed=1, clock=clock)
+        recon = report["reconciliation"]
+        assert not recon["checked"] and recon["passed"]
+        assert list(recon["checks"]) == ["no_lost_requests"]
+        kept = recon["checks"]["no_lost_requests"]
+        assert kept["fired"] == report["outcomes"]["queued"]
+        assert kept["counted"] == report["served"] + report["shed"]["deadline"]
 
     def test_breaker_recovery_closes_after_faults_stop(self, predictor):
         inj = FaultInjector(seed=5).register("serving.backend", 1.0,

@@ -483,7 +483,7 @@ class TestKillSpec:
     ])
     def test_parses(self, spec, shard, at_ms):
         ks = parse_kill_spec(spec)
-        assert (ks.shard, ks.at_ms) == (shard, at_ms)
+        assert (ks.unit, ks.at) == (shard, at_ms)
 
     @pytest.mark.parametrize("bad", ["", "x@2s", "1@", "1@2m", "@2s", "1"])
     def test_rejects_garbage(self, bad):

@@ -205,6 +205,18 @@ class TestContractPasses:
         assert all(f.severity == "error" for f in report.findings)
         assert not report.ok
 
+    def test_xmod001_resolves_per_tier_site_prefix(self):
+        # One shared machine fires f"{self.site_prefix}.crash"; each
+        # payload class's literal prefix is reconciled exactly: alpha and
+        # beta balance, delta's site is unregistered, gamma's is dead.
+        report = lint_xmod("site_prefix", ["XMOD001"],
+                           fault_registry=["xmod/site_prefix/registry.py"])
+        assert located(report, "XMOD001") == [
+            ("machine.py", 8),    # 'delta.crash' fired, never registered
+            ("registry.py", 6),   # 'gamma.crash' registered, never fired
+        ]
+        assert "'delta.crash'" in report.findings[0].message
+
     def test_xmod002_metric_drift(self):
         report = lint_xmod("metrics", ["XMOD002"])
         assert located(report, "XMOD002") == [
@@ -391,6 +403,20 @@ class TestRunner:
         assert "repro/tt" in cfg.hot_path
         assert "repro/utils/seeding.py" in cfg.rng_allowed
         assert "repro/bench" in cfg.clock_exempt
+
+    def test_builtin_defaults_agree_with_pyproject(self):
+        # Linting without the pyproject must not silently narrow a scope
+        # (DET003 on distributed/, the benchmarks graph root, ...).
+        try:
+            import tomllib  # noqa: F401
+        except ImportError:
+            pytest.skip("tomllib unavailable (py<3.11): defaults used")
+        cfg, builtin = load_config(PYPROJECT), LintConfig()
+        for key in ("process_scope", "trace_scope", "state_scope",
+                    "state_attrs", "graph_roots", "hot_path"):
+            assert getattr(cfg, key) == getattr(builtin, key), key
+        for key in ("process_scope", "trace_scope", "state_scope"):
+            assert "repro/runtime" in getattr(cfg, key)
 
     def test_select_and_ignore(self):
         cfg = load_config(PYPROJECT)
