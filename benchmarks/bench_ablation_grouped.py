@@ -96,13 +96,14 @@ def test_fusion_report(benchmark):
     print(format_table(
         ["tables", "per-table ms", "fused ms", "speedup"], rows
     ))
-    print("\nNegative result on CPU: NumPy's GEMM dispatch overhead is tiny, "
-          "so fusing chains only saves a little at small table counts and "
-          "the gather/concatenate copies dominate at 26 tables. The "
-          "optimization exists for GPU backends (FBGEMM batched kernels), "
-          "where per-launch overhead is 10-100x larger; the fused kernel "
-          "here is the bit-equivalent reference for such a backend "
-          "(tests/test_tt_grouped.py).")
+    print("\nSmall result on CPU: core slices are multiplied in place, so a "
+          "fused chain still runs each table's per-slice GEMMs and saves "
+          "only per-table bookkeeping (one schedule, one buffer per core, "
+          "one Algorithm 2 sweep): 1.0-1.3x at 4-26 tables of batch 64 "
+          "(21.3 vs 22.9 ms median at 26). The optimization exists for GPU "
+          "backends (FBGEMM batched kernels), where per-launch overhead is "
+          "10-100x larger; the fused kernel here is the bit-equivalent "
+          "reference for such a backend (tests/test_tt_grouped.py).")
     speedups = [float(r[3].rstrip("x")) for r in rows]
     # Sanity: fusion is within 2x either way (it must never be catastrophic),
     # and the small-table-count case does not lose.

@@ -63,7 +63,10 @@ def _planner_arms() -> dict[str, float]:
       step — dedup shared between forward and Algorithm 2;
     - ``uniform_b4096_step``: uniform batch-4096 forward+backward step —
       nothing to dedup, so Algorithm 2's segmented GEMMs carry it (the
-      shape ROADMAP item 2 named); auto must match fixed.
+      shape ROADMAP item 2 named); auto must match fixed;
+    - ``uniform_b4096_fwd``: the same batch, pooled forward only —
+      Algorithm 1's segmented GEMMs against core-slice views, where a
+      per-lookup slice copy would show first; auto must match fixed.
     """
     scale = float(os.environ.get("REPRO_BENCH_SCALE", "1") or 1)
     iters = max(3, int(round(10 * scale)))
@@ -107,6 +110,8 @@ def _planner_arms() -> dict[str, float]:
         emb = make(name, False)
         arms[f"uniform_b4096_step_{name}"] = _time_min(
             lambda: step(emb, idx_s, off_s, grad_s), iters=iters, repeats=repeats)
+        arms[f"uniform_b4096_fwd_{name}"] = _time_min(
+            lambda: emb.forward(idx_s, off_s), iters=iters, repeats=repeats)
     return arms
 
 
@@ -157,7 +162,7 @@ def test_batching_speedup_report(benchmark):
     ref = arms[REFERENCE_ARM]
     banner("Batch execution planner: auto policy vs fixed l2r")
     pairs = ["uniform_b256", "zipf_b4096", "zipf_p100_step",
-             "uniform_b4096_step"]
+             "uniform_b4096_step", "uniform_b4096_fwd"]
     rows = []
     speedups = {}
     for pair in pairs:

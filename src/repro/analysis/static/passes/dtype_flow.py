@@ -8,6 +8,7 @@ from repro.analysis.static.contracts import ContractPass, register_pass
 from repro.analysis.static.core import Finding
 from repro.analysis.static.graph import ModuleInfo, ProjectGraph
 from repro.analysis.static.rules import path_matches
+from repro.analysis.static.runner import _DEFAULT_CONFIG
 
 # Allocators that default to float64 when no dtype is given. dtype-
 # preserving constructors (asarray, *_like, copy) are deliberately out.
@@ -16,7 +17,6 @@ _ALLOC_FUNCS = {
     "eye", "identity", "array",
 }
 _WIDE_DTYPES = {"float64", "double"}
-_DEFAULT_HOT = ["repro/tt", "repro/ops", "repro/cache"]
 
 
 def _is_tainted_alloc(call: ast.Call, ctx) -> bool:
@@ -75,7 +75,7 @@ class DtypeTaintPass(ContractPass):
     summary = "fresh float64/dtype-less arrays flowing into hot-path modules"
 
     def check_project(self, graph: ProjectGraph) -> list[Finding]:
-        hot_patterns = self.config.get("hot_path", _DEFAULT_HOT)
+        hot_patterns = self.config.get("hot_path", _DEFAULT_CONFIG["hot_path"])
 
         tainted: set[str] = set()
         ret_calls: dict[str, list[str]] = {}

@@ -337,13 +337,13 @@ class CachedTTEmbeddingBag(Module):
                 need_lefts=self.tt.store_intermediates,
             )
             tt_rows, lefts = self.tt.planner.execute(
-                plan.schedule, plan.decoded, self.tt._core_data(),
+                plan.schedule, [(self.tt.cores, plan)],
                 keep_lefts=self.tt.store_intermediates, pooled=True,
             )
-            decoded, inverse = plan.decoded, plan.inverse
-            rows[~mask] = tt_rows[inverse] if inverse is not None else tt_rows
+            rows[~mask] = (tt_rows[plan.inverse] if plan.inverse is not None
+                           else tt_rows)
         else:
-            decoded, lefts, inverse = None, None, None
+            plan, lefts = None, None
 
         weighted = rows if alpha is None else rows * alpha[:, None]
         out = segment_sum(weighted, offsets)
@@ -352,9 +352,7 @@ class CachedTTEmbeddingBag(Module):
             scale = np.asarray(np.where(counts > 0, counts, 1), dtype=out.dtype)
             out = out / scale[:, None]
         self._cache = {
-            "mask": mask, "slots": slots, "decoded": decoded,
-            "inverse": inverse,
-            "lefts": lefts if self.tt.store_intermediates else None,
+            "mask": mask, "slots": slots, "plan": plan, "lefts": lefts,
             "alpha": alpha, "counts": counts,
         }
         self._did_backward = False
@@ -389,18 +387,19 @@ class CachedTTEmbeddingBag(Module):
             # core grads) — np.add.at is an O(n) scalar loop in NumPy.
             scatter_add_rows(self.cache_rows.grad, c["slots"], grad_rows[mask])
             self.cache_rows.record_touched(c["slots"])
-        if c["decoded"] is not None:
+        plan = c["plan"]
+        if plan is not None:
             tt_grad = grad_rows[~mask]
-            if c["inverse"] is not None:
+            if plan.inverse is not None:
                 # Combine gradient contributions of deduplicated misses.
-                combined = np.zeros((c["decoded"].shape[1], self.dim),
+                combined = np.zeros((plan.n_unique, self.dim),
                                     dtype=tt_grad.dtype)
-                scatter_add_rows(combined, c["inverse"], tt_grad)
+                scatter_add_rows(combined, plan.inverse, tt_grad)
                 tt_grad = combined
             lefts = c["lefts"]
             if lefts is None:
-                _, lefts = self.tt._row_chain(c["decoded"])
-            self.tt._accumulate_core_grads(c["decoded"], tt_grad, lefts)
+                _, lefts = self.tt._row_chain(plan)
+            self.tt._accumulate_core_grads(plan, tt_grad, lefts)
         self._cache = None
         self._did_backward = True
 

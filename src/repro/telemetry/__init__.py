@@ -8,7 +8,7 @@ reports into one place (docs/OBSERVABILITY.md has the full conventions):
   byte/hit/fault counters across the cache, collectives and reliability
   runtime;
 - :mod:`repro.telemetry.tracer` — nested timing spans
-  (``with trace("tt.forward.gemm", core=k):``), off by default with a
+  (``with trace("tt.forward.segment_gemm", core=k):``), off by default with a
   near-zero-cost no-op path, aggregated into a span tree that
   ``repro profile`` prints;
 - :mod:`repro.telemetry.events` — a structured JSONL sink for discrete

@@ -4,7 +4,7 @@ Usage in instrumented code::
 
     from repro.telemetry import trace
 
-    with trace("tt.forward.gemm", core=k):
+    with trace("tt.forward.segment_gemm", core=k):
         res = np.matmul(...)
 
 Tracing is **off by default**. While disabled, ``trace()`` returns a
@@ -17,7 +17,7 @@ one per TT core) fold into count/total/min/max statistics instead of an
 unbounded event list.
 
 Span naming convention: dotted component path plus optional bracketed
-attributes, e.g. ``tt.forward.gemm[core=2]`` (see docs/OBSERVABILITY.md).
+attributes, e.g. ``tt.forward.segment_gemm[core=1]`` (see docs/OBSERVABILITY.md).
 """
 
 from __future__ import annotations

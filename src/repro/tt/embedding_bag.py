@@ -3,10 +3,12 @@
 Forward (Algorithm 1): each queried row index is decoded into per-core
 indices ``(i_1, ..., i_d)``; the row is the chain of matrix products
 ``G_1(i_1) G_2(:,i_2) ... G_d(:,i_d)`` (paper Eq. 3), evaluated for the
-whole batch at once as a sequence of *batched GEMMs* (``np.matmul`` over
-stacked 3-D operands — the NumPy analogue of cuBLAS ``GemmBatchedEx``).
-Rows are then pooled into bags by summation/averaging with optional
-per-sample weights (Eq. 6-7).
+whole batch at once: each chain step groups the batch by core index and
+runs every lookup's GEMM against a view of its core slice — the NumPy
+analogue of handing cuBLAS ``GemmBatchedEx`` pointers to the slices (see
+:meth:`repro.tt.planner.ExecutionPlanner.execute`). Rows are then pooled
+into bags by summation/averaging with optional per-sample weights
+(Eq. 6-7).
 
 Backward (Algorithm 2): the chain rule of Eq. 4-5. For every core ``k`` the
 per-sample gradient is ``L_{k-1}^T dO R_k^T`` where ``L`` are the left
@@ -17,7 +19,7 @@ receives one GEMM over its group (:func:`accumulate_core_grads`), so the
 per-sample gradient block is never materialised.
 
 Storage layout: cores are kept mode-first, ``(m_k, R_{k-1}, n_k, R_k)``,
-so a lookup is one contiguous row gather; see :class:`repro.tt.shapes.TTShape`.
+so a core slice is one contiguous block; see :class:`repro.tt.shapes.TTShape`.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from repro.tt.decomposition import tt_reconstruct
 from repro.tt.initialization import tt_core_initializer
 from repro.tt.kernels import (scatter_add_rows, segmented_matmul,
                               segmented_outer_add)
-from repro.tt.planner import ExecutionPlanner
+from repro.tt.planner import BatchPlan, ExecutionPlanner, member_segments
 from repro.tt.shapes import TTShape
 from repro.utils.seeding import as_rng
 from repro.utils.validation import check_csr
@@ -40,24 +42,22 @@ __all__ = ["TTEmbeddingBag", "accumulate_core_grads", "unpool_grads"]
 
 
 def accumulate_core_grads(shape: TTShape,
-                          members: list[tuple[list[Parameter], np.ndarray]],
+                          members: list[tuple[list[Parameter], BatchPlan]],
                           grad_rows: np.ndarray,
                           lefts: list[np.ndarray]) -> None:
     """Algorithm 2's right-to-left sweep, shared by every TT operator.
 
-    ``members`` lists ``(cores, decoded)`` per table; their samples are
+    ``members`` lists ``(cores, plan)`` per table; their samples are
     concatenated in that order along axis 0 of ``grad_rows`` ``(n, dim)``
     and of the left partials ``lefts``. For core ``k`` the sweep forms the
     two per-sample factors of ``L_{k-1}^T dO R_k^T`` — never their product
     — and the segmented kernels of :mod:`repro.tt.kernels` contract them
-    per touched slice straight into each member's ``cores[k].grad``.
+    per touched slice straight into each member's ``cores[k].grad``,
+    grouped by the plan's per-core runs the forward already sorted.
     """
-    n = grad_rows.shape[0]
+    parts, n = member_segments(members)
     if n == 0:
         return
-    ends = np.cumsum([decoded.shape[1] for _, decoded in members]).tolist()
-    parts = [(cores, decoded, slice(hi - decoded.shape[1], hi))
-             for (cores, decoded), hi in zip(members, ends) if decoded.shape[1]]
     # Both factors are kept K-major, (sample, Q_k, ...), so a slice's
     # samples stack along the GEMM's K axis without a transpose.
     right_t = np.ones((n, 1, 1), dtype=grad_rows.dtype)  # Right_k^T: (n, Q_k, R_k)
@@ -75,18 +75,19 @@ def accumulate_core_grads(shape: TTShape,
                                   d_out)
             left_do_t = d_out.reshape(n, q, r_prev * nk)
         with trace("tt.backward.segment_gemm", core=k):
-            for cores, decoded, seg in parts:
-                segmented_outer_add(cores[k].grad, decoded[k],
-                                    left_do_t[seg], right_t[seg])
-                cores[k].record_touched(decoded[k])
+            for cores, plan, seg in parts:
+                segmented_outer_add(cores[k].grad, plan.decoded[k],
+                                    left_do_t[seg], right_t[seg], plan.runs(k))
+                cores[k].record_touched(plan.decoded[k])
         if k > 0:
             with trace("tt.backward.gemm_right", core=k):
                 # Right_{k-1}^T = Right_k^T · G_k(i_k)^T per column of n_k:
                 # (n, Q, R_k) x (m_k, n_k, R_k, R_{k-1}) -> (n, n_k, Q, R_{k-1})
                 right_t = np.concatenate([
-                    segmented_matmul(right_t[seg], decoded[k],
-                                     cores[k].data.transpose(0, 2, 3, 1))
-                    for cores, decoded, seg in parts])
+                    segmented_matmul(right_t[seg], plan.decoded[k],
+                                     cores[k].data.transpose(0, 2, 3, 1),
+                                     plan.runs(k))
+                    for cores, plan, seg in parts])
                 q *= nk
                 right_t = right_t.reshape(n, q, r_prev)
 
@@ -199,22 +200,18 @@ class TTEmbeddingBag(Module):
     # Forward
     # ------------------------------------------------------------------ #
 
-    def _core_data(self) -> list[np.ndarray]:
-        return [p.data for p in self.cores]
-
-    def _row_chain(self, decoded: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    def _row_chain(self, plan: BatchPlan) -> tuple[np.ndarray, list[np.ndarray]]:
         """Batched TT chain (Algorithm 1). Returns ``(rows, left_partials)``.
 
-        ``decoded`` is ``(d, n)``; ``rows`` is ``(n, dim)``; ``left_partials[k]``
-        is the product of cores ``0..k`` with shape ``(n, prod_{j<=k} n_j, R_{k+1})``
-        (the ``tr_k`` buffers of Algorithm 1). Always the ``l2r`` schedule
+        ``rows`` is ``(n, dim)``; ``left_partials[k]`` is the product of
+        cores ``0..k`` with shape ``(n, prod_{j<=k} n_j, R_{k+1})`` (the
+        ``tr_k`` buffers of Algorithm 1). Always the ``l2r`` schedule
         (left partials only exist for it) and always unpooled, so callers
         may hold the returned buffers indefinitely.
         """
-        schedule = self.planner.schedule_for(decoded.shape[1], need_lefts=True)
-        rows, lefts = self.planner.execute(schedule, decoded, self._core_data(),
-                                           keep_lefts=True)
-        return rows, lefts
+        schedule = self.planner.schedule_for(plan.n_unique, need_lefts=True)
+        return self.planner.execute(schedule, [(self.cores, plan)],
+                                    keep_lefts=True)
 
     def lookup(self, indices: np.ndarray) -> np.ndarray:
         """Materialise the requested rows (no pooling, no backward cache).
@@ -228,8 +225,7 @@ class TTEmbeddingBag(Module):
             return np.zeros((0, self.dim), dtype=self.dtype)
         plan = self.planner.plan_batch(indices, dedup=self.dedup,
                                        need_lefts=False)
-        rows, _ = self.planner.execute(plan.schedule, plan.decoded,
-                                       self._core_data())
+        rows, _ = self.planner.execute(plan.schedule, [(self.cores, plan)])
         return rows[plan.inverse] if plan.inverse is not None else rows
 
     def forward(self, indices: np.ndarray, offsets: np.ndarray | None = None,
@@ -251,12 +247,7 @@ class TTEmbeddingBag(Module):
 
         if indices.size == 0:
             # All bags empty: zero output, nothing for backward to touch.
-            self._cache = {
-                "indices": indices,
-                "decoded": np.empty((self.shape.d, 0), dtype=np.int64),
-                "inverse": None, "alpha": alpha,
-                "counts": np.diff(offsets), "lefts": [],
-            }
+            self._cache = {"indices": indices, "plan": None}
             self._did_backward = False
             return np.zeros((offsets.size - 1, self.dim), dtype=self.dtype)
 
@@ -267,11 +258,10 @@ class TTEmbeddingBag(Module):
         plan = self.planner.plan_batch(indices, dedup=self.dedup,
                                        need_lefts=self.store_intermediates)
         uniq_rows, lefts = self.planner.execute(
-            plan.schedule, plan.decoded, self._core_data(),
+            plan.schedule, [(self.cores, plan)],
             keep_lefts=self.store_intermediates, pooled=True,
         )
         rows = uniq_rows[plan.inverse] if plan.inverse is not None else uniq_rows
-        decoded, inverse = plan.decoded, plan.inverse
 
         with trace("tt.forward.pool"):
             weighted = rows if alpha is None else rows * alpha[:, None]
@@ -283,11 +273,10 @@ class TTEmbeddingBag(Module):
                 out = out / scale[:, None]
         self._cache = {
             "indices": indices,
-            "decoded": decoded,
-            "inverse": inverse,
+            "plan": plan,
             "alpha": alpha,
             "counts": counts,
-            "lefts": lefts if self.store_intermediates else None,
+            "lefts": lefts,
         }
         self._did_backward = False
         return out
@@ -313,22 +302,23 @@ class TTEmbeddingBag(Module):
                 )
             raise RuntimeError("backward called before forward")
         c = self._cache
-        decoded = c["decoded"]
-        grad_rows = unpool_grads(np.asarray(grad_out, dtype=self.dtype),
-                                 c["counts"], c["alpha"], self.mode,
-                                 c["inverse"], decoded.shape[1])
-        lefts = c["lefts"]
-        if lefts is None:
-            # Recompute-intermediates arm (paper §4.2, Algorithm 2 line 3).
-            with trace("tt.backward.recompute"):
-                _, lefts = self._row_chain(decoded)
-        self._accumulate_core_grads(decoded, grad_rows, lefts)
+        plan = c["plan"]
+        if plan is not None:
+            grad_rows = unpool_grads(np.asarray(grad_out, dtype=self.dtype),
+                                     c["counts"], c["alpha"], self.mode,
+                                     plan.inverse, plan.n_unique)
+            lefts = c["lefts"]
+            if lefts is None:
+                # Recompute-intermediates arm (paper §4.2, Algorithm 2 line 3).
+                with trace("tt.backward.recompute"):
+                    _, lefts = self._row_chain(plan)
+            self._accumulate_core_grads(plan, grad_rows, lefts)
         self._cache = None
         self._did_backward = True
 
-    def _accumulate_core_grads(self, decoded: np.ndarray, grad_rows: np.ndarray,
+    def _accumulate_core_grads(self, plan: BatchPlan, grad_rows: np.ndarray,
                                lefts: list[np.ndarray]) -> None:
-        accumulate_core_grads(self.shape, [(self.cores, decoded)], grad_rows,
+        accumulate_core_grads(self.shape, [(self.cores, plan)], grad_rows,
                               lefts)
 
     # ------------------------------------------------------------------ #

@@ -1,13 +1,13 @@
-"""Grouped multi-table TT kernel: one batched chain for many tables.
+"""Grouped multi-table TT kernel: one chain sweep for many tables.
 
 A DLRM looks up 26 tables per iteration; issuing 26 separate TT chains
-leaves batched-GEMM throughput on the table (pun intended) when the
-per-table batch is small. ``GroupedTTEmbeddingBag`` fuses the lookups of
-*same-shaped* tables: core slices are gathered per table, concatenated
-along the batch axis, pushed through a single Algorithm 1/2 chain, and
-split back — mathematically identical to per-table execution (tested
-bit-for-bit) with one GEMM dispatch per TT core instead of one per
-(table, core).
+repeats the per-table bookkeeping 26 times. ``GroupedTTEmbeddingBag``
+fuses the lookups of *same-shaped* tables: their lookups are concatenated
+along the batch axis into one pseudo-batch, pushed through a single
+Algorithm 1/2 sweep — one buffer and one pass per TT core, each table's
+segment multiplied against views of its own core slices — and split back.
+Every lookup is still its own GEMM, so the result is identical to
+per-table execution (tested bit-for-bit).
 
 Execution goes through a shared :class:`~repro.tt.planner.ExecutionPlanner`:
 each table's indices are deduplicated once (when ``dedup`` is on) and the
@@ -91,20 +91,6 @@ class GroupedTTEmbeddingBag(Module):
 
     # ------------------------------------------------------------------ #
 
-    def _make_gather(self, decoded_list: list[np.ndarray], total: int):
-        """Pooled fused gather: per-table ``np.take`` into one scratch view."""
-        def gather(k: int) -> np.ndarray:
-            tail = self.tables[0].cores[k].data.shape[1:]
-            buf = self.planner.pool.take(("gather", k), (total, *tail),
-                                         self.dtype)
-            lo = 0
-            for t, dec in zip(self.tables, decoded_list):
-                hi = lo + dec.shape[1]
-                np.take(t.cores[k].data, dec[k], axis=0, out=buf[lo:hi])
-                lo = hi
-            return buf
-        return gather
-
     def forward_all(self, sparse: list[tuple[np.ndarray, np.ndarray]],
                     per_sample_weights: list[np.ndarray] | None = None
                     ) -> list[np.ndarray]:
@@ -115,8 +101,7 @@ class GroupedTTEmbeddingBag(Module):
                 f"got {len(sparse)}"
             )
         checked = []
-        decoded_list = []
-        inverses = []
+        plans = []
         alphas = []
         for t, (indices, offsets) in enumerate(sparse):
             indices = np.asarray(indices, dtype=np.int64)
@@ -125,8 +110,7 @@ class GroupedTTEmbeddingBag(Module):
             checked.append((indices, offsets))
             plan = self.planner.plan_batch(indices, dedup=self.dedup,
                                            need_lefts=True)
-            decoded_list.append(plan.decoded)
-            inverses.append(plan.inverse)
+            plans.append(plan)
             if per_sample_weights is not None and per_sample_weights[t] is not None:
                 a = np.asarray(per_sample_weights[t], dtype=self.dtype).reshape(-1)
                 if a.shape[0] != indices.shape[0]:
@@ -135,26 +119,22 @@ class GroupedTTEmbeddingBag(Module):
             else:
                 alphas.append(None)
 
-        counts_per_table = [d.shape[1] for d in decoded_list]
-        total = int(sum(counts_per_table))
-        splits = np.cumsum(counts_per_table)[:-1]
-
         # Fused Algorithm 1 over the concatenated (deduplicated)
         # pseudo-batch; left partials are needed for the fused backward
         # sweep, so the planner pins l2r here.
+        members = [(t.cores, plan) for t, plan in zip(self.tables, plans)]
+        total = sum(plan.n_unique for plan in plans)
         schedule = self.planner.schedule_for(total, need_lefts=True)
-        rows_all, lefts = self.planner.execute_chain(
-            schedule, self._make_gather(decoded_list, total), total,
-            self.dtype, keep_lefts=True, pooled=True,
-        )
+        rows_all, lefts = self.planner.execute(schedule, members,
+                                               keep_lefts=True, pooled=True)
 
         outputs = []
-        for t, ((indices, offsets), alpha) in enumerate(zip(checked, alphas)):
-            lo = 0 if t == 0 else splits[t - 1]
-            hi = splits[t] if t < self.num_tables - 1 else total
-            rows = rows_all[lo:hi]
-            if inverses[t] is not None:
-                rows = rows[inverses[t]]
+        lo = 0
+        for (indices, offsets), alpha, plan in zip(checked, alphas, plans):
+            rows = rows_all[lo:lo + plan.n_unique]
+            lo += plan.n_unique
+            if plan.inverse is not None:
+                rows = rows[plan.inverse]
             weighted = rows if alpha is None else rows * alpha[:, None]
             out = segment_sum(weighted, offsets)
             counts = np.diff(offsets)
@@ -164,8 +144,7 @@ class GroupedTTEmbeddingBag(Module):
                 out = out / scale[:, None]
             outputs.append(out)
         self._cache = {
-            "checked": checked, "decoded_list": decoded_list,
-            "inverses": inverses, "alphas": alphas,
+            "checked": checked, "members": members, "alphas": alphas,
             "lefts": lefts,
         }
         self._did_backward = False
@@ -190,14 +169,9 @@ class GroupedTTEmbeddingBag(Module):
             raise ValueError(f"expected {self.num_tables} gradients")
         grad_rows = np.concatenate([
             unpool_grads(np.asarray(grad, dtype=self.dtype), np.diff(offsets),
-                         alpha, self.mode, inverse, decoded.shape[1])
-            for (_, offsets), alpha, inverse, decoded, grad in zip(
-                c["checked"], c["alphas"], c["inverses"], c["decoded_list"],
-                grads)])
-        accumulate_core_grads(
-            self.shape,
-            [(t.cores, dec) for t, dec in zip(self.tables, c["decoded_list"])],
-            grad_rows, c["lefts"],
-        )
+                         alpha, self.mode, plan.inverse, plan.n_unique)
+            for (_, offsets), alpha, (_, plan), grad in zip(
+                c["checked"], c["alphas"], c["members"], grads)])
+        accumulate_core_grads(self.shape, c["members"], grad_rows, c["lefts"])
         self._cache = None
         self._did_backward = True

@@ -1,16 +1,18 @@
 """Low-level kernels shared by the TT embedding operators.
 
 The production forward/backward paths in
-:class:`~repro.tt.embedding_bag.TTEmbeddingBag` are built from batched
-GEMMs (``np.matmul`` over stacked 3-D operands — the NumPy analogue of the
-cuBLAS ``GemmBatchedEx`` calls in paper Algorithms 1-2). This module holds:
+:class:`~repro.tt.embedding_bag.TTEmbeddingBag` are built from segmented
+GEMMs — the batch grouped by core index, each group multiplied against its
+core slice in place, the NumPy analogue of the pointer-array cuBLAS
+``GemmBatchedEx`` calls in paper Algorithms 1-2. This module holds:
 
 - :func:`segmented_outer_add` — Algorithm 2's core-gradient accumulation
   as a segmented GEMM: samples are grouped by core index and each touched
   slice gets one ``A_groupᵀ @ B_group`` product, so duplicates are reduced
   inside the contraction and no per-sample gradient block exists;
-- :func:`segmented_matmul` — the sweep's ``Right_{k-1} = G_k(i_k) Right_k``
-  against one view of each touched slice instead of a per-sample gather;
+- :func:`segmented_matmul` — one chain step ``x[s] @ G_k(i_k[s])`` against
+  one view of each touched slice instead of a per-sample gather: every
+  step of Algorithm 1 and Algorithm 2's ``Right_{k-1} = G_k(i_k) Right_k``;
 - :func:`scatter_add_rows` — duplicate-combining scatter-add for row-shaped
   values (dedup combine, cache-row grads, the baselines; much faster than
   raw ``np.add.at`` when indices repeat, which Zipf lookups guarantee);
@@ -28,17 +30,26 @@ from repro.tt.shapes import TTShape
 from repro.utils.dtypes import result_dtype
 
 __all__ = ["scatter_add_rows", "segmented_matmul", "segmented_outer_add",
-           "tt_lookup_reference"]
+           "sorted_runs", "tt_lookup_reference"]
 
 
-def _sorted_runs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[int]]:
+def sorted_runs(rows: np.ndarray) -> tuple[np.ndarray | None, np.ndarray, list[int]]:
     """``(order, uniq, bounds)``: ``order`` stably sorts ``rows`` and run
-    ``rows[order][bounds[i]:bounds[i + 1]]`` holds only ``uniq[i]``."""
-    order = np.argsort(rows, kind="stable")
-    sorted_rows = rows[order]
-    starts = np.flatnonzero(
-        np.concatenate(([True], sorted_rows[1:] != sorted_rows[:-1])))
-    return order, sorted_rows[starts], [*starts.tolist(), rows.shape[0]]
+    ``rows[order][bounds[i]:bounds[i + 1]]`` holds only ``uniq[i]``.
+
+    ``order`` is ``None`` when ``rows`` is already sorted (always at
+    ``n = 1``, and for the leading core of a deduplicated batch), which
+    lets the segmented kernels skip their permute-in and permute-out.
+    """
+    n = rows.shape[0]
+    if n == 1:
+        return None, rows, [0, 1]
+    order = None
+    if (rows[1:] < rows[:-1]).any():
+        order = np.argsort(rows, kind="stable")
+        rows = rows[order]
+    starts = [0, *((rows[1:] != rows[:-1]).nonzero()[0] + 1).tolist()]
+    return order, rows[starts], [*starts, n]
 
 
 def scatter_add_rows(buf: np.ndarray, rows: np.ndarray, vals: np.ndarray) -> None:
@@ -55,9 +66,10 @@ def scatter_add_rows(buf: np.ndarray, rows: np.ndarray, vals: np.ndarray) -> Non
     if rows.shape[0] != vals.shape[0]:
         raise ValueError(f"rows ({rows.shape[0]}) and vals ({vals.shape[0]}) disagree")
     with trace("kernels.scatter_add"):
-        order, uniq, bounds = _sorted_runs(rows)
-        sorted_vals = vals.reshape(rows.shape[0], -1)[order]
-        summed = np.add.reduceat(sorted_vals, bounds[:-1], axis=0)
+        order, uniq, bounds = sorted_runs(rows)
+        vals = vals.reshape(rows.shape[0], -1)
+        summed = np.add.reduceat(vals if order is None else vals[order],
+                                 bounds[:-1], axis=0)
         # In-place accumulation into the caller's gradient buffer is this
         # function's documented contract ("buf[rows] += vals").
         buf_flat = buf.reshape(buf.shape[0], -1)
@@ -65,7 +77,7 @@ def scatter_add_rows(buf: np.ndarray, rows: np.ndarray, vals: np.ndarray) -> Non
 
 
 def segmented_outer_add(buf: np.ndarray, rows: np.ndarray, a: np.ndarray,
-                        b: np.ndarray) -> None:
+                        b: np.ndarray, runs: tuple | None = None) -> None:
     """``buf[j] += sum(a[s].T @ b[s] for s where rows[s] == j)``.
 
     ``buf`` is ``(m, ...)`` with ``A * B`` elements per slice, ``rows`` is
@@ -74,7 +86,8 @@ def segmented_outer_add(buf: np.ndarray, rows: np.ndarray, a: np.ndarray,
     K-major to ``(n*Q, A)`` / ``(n*Q, B)``, so the samples of one slice are
     a contiguous run and their summed outer product is a single GEMM with
     ``K = group * Q`` — duplicates are reduced inside the contraction and
-    the per-sample ``(n, A, B)`` block never exists.
+    the per-sample ``(n, A, B)`` block never exists. ``runs`` is
+    ``sorted_runs(rows)`` when the caller already has it.
     """
     rows = np.asarray(rows, dtype=np.int64)
     n = rows.shape[0]
@@ -85,9 +98,10 @@ def segmented_outer_add(buf: np.ndarray, rows: np.ndarray, a: np.ndarray,
             f"rows ({n}), a {a.shape} and b {b.shape} disagree on (n, Q)")
     with trace("kernels.segmented_outer_add"):
         q, width_a, width_b = a.shape[1], a.shape[2], b.shape[2]
-        order, uniq, bounds = _sorted_runs(rows)
-        a = np.take(a, order, axis=0).reshape(n * q, width_a)
-        b = np.take(b, order, axis=0).reshape(n * q, width_b)
+        order, uniq, bounds = runs or sorted_runs(rows)
+        if order is not None:
+            a, b = np.take(a, order, axis=0), np.take(b, order, axis=0)
+        a, b = a.reshape(n * q, width_a), b.reshape(n * q, width_b)
         block = np.empty((uniq.size, width_a, width_b), dtype=result_dtype(a, b))
         for i in range(uniq.size):
             run = slice(bounds[i] * q, bounds[i + 1] * q)
@@ -98,33 +112,41 @@ def segmented_outer_add(buf: np.ndarray, rows: np.ndarray, a: np.ndarray,
         buf_flat[uniq] += block  # repro: noqa[MUT001]
 
 
-def segmented_matmul(x: np.ndarray, rows: np.ndarray,
-                     mats: np.ndarray) -> np.ndarray:
+def segmented_matmul(x: np.ndarray, rows: np.ndarray, mats: np.ndarray,
+                     runs: tuple | None = None,
+                     out: np.ndarray | None = None) -> np.ndarray:
     """``out[s] = x[s] @ mats[rows[s]]`` without gathering ``mats`` per sample.
 
     ``x`` is ``(n, Q, K)``, ``mats`` is ``(m, J, K, N)`` (any strides) and
-    the result ``(n, J, Q, N)``. Samples are grouped by ``rows`` and each
-    group multiplies one *view* of its slice, so the ``(n, J, K, N)``
-    gather — for a middle TT core the largest transient of a step — is
-    never made. Every sample is its own GEMM, so its result does not
-    depend on which other samples share the batch.
+    the result ``(n, J, Q, N)``, written into ``out`` when given. Samples
+    are grouped by ``rows`` (``runs`` is ``sorted_runs(rows)`` when the
+    caller already has it) and each group multiplies one *view* of its
+    slice, so the ``(n, J, K, N)`` gather — for a middle TT core the
+    largest transient of a step — is never made. Every sample is its own
+    GEMM on a C-contiguous ``x[s]``, so its result does not depend on
+    which other samples share the batch or on where in it the sample sits.
     """
     rows = np.asarray(rows, dtype=np.int64)
     n = rows.shape[0]
     if x.shape[0] != n:
         raise ValueError(f"rows ({n}) and x ({x.shape[0]}) disagree")
-    out = np.empty((n, mats.shape[1], x.shape[1], mats.shape[3]),
-                   dtype=result_dtype(x, mats))
+    if out is None:
+        out = np.empty((n, mats.shape[1], x.shape[1], mats.shape[3]),
+                       dtype=result_dtype(x, mats))
     if n == 0:
         return out
     with trace("kernels.segmented_matmul"):
-        order, uniq, bounds = _sorted_runs(rows)
-        x = np.take(x, order, axis=0)[:, None]
-        sorted_out = np.empty_like(out)
+        order, uniq, bounds = runs or sorted_runs(rows)
+        # C-contiguous either way, so a sample's GEMM sees one layout
+        # whether or not its batch needed the permute.
+        x = (np.ascontiguousarray(x) if order is None
+             else np.take(x, order, axis=0))[:, None]
+        sorted_out = out if order is None else np.empty_like(out)
         for i, j in enumerate(uniq.tolist()):
             run = slice(bounds[i], bounds[i + 1])
             np.matmul(x[run], mats[j], out=sorted_out[run])
-        out[order] = sorted_out
+        if order is not None:
+            out[order] = sorted_out
     return out
 
 

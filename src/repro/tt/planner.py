@@ -21,9 +21,15 @@ module brings that planning layer to the NumPy hot path:
   the same cost as ``split@1`` and ``l2r`` the same as ``split@{d-1}``;
   interior splits are only distinct for ``d >= 4``.
 
-- **Buffer reuse.** In pooled mode every GEMM writes into a
-  :class:`BufferPool` scratch view (``np.matmul(..., out=)`` /
-  ``np.take(..., out=)``) instead of allocating fresh ``lefts`` each step.
+- **No per-sample core gather.** Algorithm 1 hands ``GemmBatchedEx``
+  *pointers* to the core slices; here every chain step groups the batch by
+  core index and multiplies each lookup against a *view* of its slice
+  (:func:`~repro.tt.kernels.segmented_matmul`), each lookup still its own
+  GEMM. The sort behind the grouping is made once per core per step
+  (:meth:`BatchPlan.runs`) and shared with Algorithm 2's kernels.
+
+- **Buffer reuse.** In pooled mode every partial product is written into
+  a :class:`BufferPool` scratch view instead of a fresh allocation.
   Pooled buffers are only valid until the next pooled call on the same
   planner, so side paths (``lookup`` during cache population/scrub) run
   unpooled — see ``TTEmbeddingBag.lookup``.
@@ -42,11 +48,12 @@ and ``tt.plan.memo_hits``/``tt.plan.memo_misses`` for the schedule memo.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from repro.telemetry import annotate_span, get_registry, trace
+from repro.tt.kernels import segmented_matmul, sorted_runs
 from repro.tt.shapes import TTShape
 
 __all__ = [
@@ -55,11 +62,13 @@ __all__ = [
     "BufferPool",
     "ExecutionPlanner",
     "candidate_schedules",
+    "member_segments",
     "schedule_cost",
 ]
 
 # Weight (in FLOP-equivalents per byte) of modelled memory traffic when
-# ranking schedules. The chain is small-operand / gather-heavy, so a pure
+# ranking schedules. The chain is many small GEMMs whose partials are
+# permuted in and out of core-index order around each step, so a pure
 # FLOP count under-penalises schedules that stream larger intermediates;
 # 0.5 flop/byte roughly matches the measured FLOP:bandwidth balance of
 # NumPy batched matmul on the bench shapes and is documented in
@@ -73,9 +82,10 @@ class Schedule:
     """One contraction order for a fixed :class:`TTShape`.
 
     ``flops_per_row`` counts exact multiply-add FLOPs (2 per MAC) for one
-    looked-up row; ``bytes_per_row`` is the modelled traffic: gathered
-    core slices (read + write of the gather buffer) plus every GEMM's
-    operand reads and output write, times the element size.
+    looked-up row; ``bytes_per_row`` is the modelled traffic: the two
+    boundary-core gathers (read + write), every segmented step's permutes
+    and GEMM operands (:func:`_segment_traffic`) and the combine GEMM,
+    times the element size. Interior core slices are read in place.
     """
 
     kind: str  # "l2r" | "r2l" | "split"
@@ -109,6 +119,29 @@ class BatchPlan:
     inverse: np.ndarray | None
     flops_planned: int
     flops_baseline: int
+    _runs: dict = field(default_factory=dict, repr=False)
+
+    def runs(self, k: int) -> tuple:
+        """``sorted_runs(decoded[k])``, sorted once per step: the forward
+        and both Algorithm 2 kernels group core ``k`` the same way."""
+        if k not in self._runs:
+            self._runs[k] = sorted_runs(self.decoded[k])
+        return self._runs[k]
+
+
+def member_segments(members: list[tuple[list, BatchPlan]]
+                    ) -> tuple[list[tuple[list, BatchPlan, slice]], int]:
+    """``([(cores, plan, rows), ...], n)`` for the non-empty members.
+
+    Members' lookups are concatenated in list order; ``rows`` is each
+    member's slice of that ``n``-row pseudo-batch.
+    """
+    parts, lo = [], 0
+    for cores, plan in members:
+        if plan.n_unique:
+            parts.append((cores, plan, slice(lo, lo + plan.n_unique)))
+            lo += plan.n_unique
+    return parts, lo
 
 
 def _partial_l2r(shape: TTShape, itemsize: int, lo: int, hi: int):
@@ -119,18 +152,17 @@ def _partial_l2r(shape: TTShape, itemsize: int, lo: int, hi: int):
     that row count (``P``).
     """
     col, ranks = shape.col_factors, shape.ranks
-    gathered = ranks[lo] * col[lo] * ranks[lo + 1]
-    traffic = 2 * gathered  # read slice + write gather buffer
+    traffic = 2 * ranks[lo] * col[lo] * ranks[lo + 1]  # boundary gather: read + write
     flops = 0
     gemms = 0
     p = col[lo]
     for k in range(lo + 1, hi):
         slice_elems = ranks[k] * col[k] * ranks[k + 1]
-        traffic += 2 * slice_elems
+        in_elems = p * ranks[lo] * ranks[k]
         out_elems = p * ranks[lo] * col[k] * ranks[k + 1]
         # A (P*R_lo, R_k) @ B (R_k, n_k*R_{k+1}) -> C
-        flops += 2 * p * ranks[lo] * ranks[k] * col[k] * ranks[k + 1]
-        traffic += p * ranks[lo] * ranks[k] + slice_elems + out_elems
+        flops += 2 * in_elems * col[k] * ranks[k + 1]
+        traffic += _segment_traffic(in_elems, slice_elems, out_elems)
         gemms += 1
         p *= col[k]
     return flops, traffic * itemsize, gemms, p
@@ -144,33 +176,42 @@ def _partial_r2l(shape: TTShape, itemsize: int, lo: int, hi: int):
     """
     col, ranks = shape.col_factors, shape.ranks
     last = hi - 1
-    gathered = ranks[last] * col[last] * ranks[last + 1]
-    traffic = 2 * gathered
+    traffic = 2 * ranks[last] * col[last] * ranks[hi]  # boundary gather
     flops = 0
     gemms = 0
-    q = col[last] * ranks[hi]  # ranks[hi] == 1 in both call sites (hi == d)
+    q = col[last] * ranks[hi]  # ranks[hi] == 1 (hi == d at the one call site)
     for k in range(hi - 2, lo - 1, -1):
         slice_elems = ranks[k] * col[k] * ranks[k + 1]
-        traffic += 2 * slice_elems
-        # A (R_k*n_k, R_{k+1}) @ B (R_{k+1}, Q) -> C
-        flops += 2 * ranks[k] * col[k] * ranks[k + 1] * q
         out_elems = ranks[k] * col[k] * q
-        traffic += slice_elems + ranks[k + 1] * q + out_elems
+        # A (R_k*n_k, R_{k+1}) @ B (R_{k+1}, Q) -> C
+        flops += 2 * slice_elems * q
+        traffic += _segment_traffic(ranks[k + 1] * q, slice_elems, out_elems)
         gemms += 1
         q *= col[k]
     return flops, traffic * itemsize, gemms, q
 
 
+def _segment_traffic(in_elems: int, slice_elems: int, out_elems: int) -> int:
+    """Elements one lookup moves in a segmented step: its partial is
+    permuted into core-index order and read by the GEMM (write + 2 reads),
+    its slice is read in place, and the product is written and permuted
+    back (2 writes + read). No slice is copied."""
+    return 3 * in_elems + slice_elems + 3 * out_elems
+
+
 def schedule_cost(shape: TTShape, kind: str, split: int | None = None,
                   itemsize: int = 8) -> Schedule:
-    """Exact per-row FLOP/bytes model for one contraction order."""
+    """Exact per-row FLOP/bytes model for one contraction order.
+
+    Boundary ranks are 1, so ``l2r`` is ``split@(d-1)`` and ``r2l`` is
+    ``split@1`` — same GEMMs, the last one relabelled as the combine —
+    and that is how :meth:`ExecutionPlanner.execute` runs them.
+    """
     d = shape.d
-    if kind == "l2r":
-        flops, nbytes, gemms, _ = _partial_l2r(shape, itemsize, 0, d)
-        return Schedule("l2r", None, flops, nbytes, gemms)
-    if kind == "r2l":
-        flops, nbytes, gemms, _ = _partial_r2l(shape, itemsize, 0, d)
-        return Schedule("r2l", None, flops, nbytes, gemms)
+    if kind in ("l2r", "r2l"):
+        meet = schedule_cost(shape, "split", d - 1 if kind == "l2r" else 1,
+                             itemsize)
+        return replace(meet, kind=kind, split=None)
     if kind == "split":
         if split is None or not (1 <= split <= d - 1):
             raise ValueError(f"split must be in [1, {d - 1}], got {split}")
@@ -341,142 +382,94 @@ class ExecutionPlanner:
     # Execution
     # ------------------------------------------------------------------ #
 
-    def execute(self, schedule: Schedule, decoded: np.ndarray,
-                cores: list[np.ndarray], *, keep_lefts: bool = False,
-                pooled: bool = False) -> tuple[np.ndarray, list[np.ndarray] | None]:
-        """Contract the chain over pre-gathered per-core indices.
+    def execute(self, schedule: Schedule, members: list[tuple[list, BatchPlan]],
+                *, keep_lefts: bool = False, pooled: bool = False
+                ) -> tuple[np.ndarray, list[np.ndarray] | None]:
+        """Contract the chain for ``members = [(cores, plan), ...]``.
 
-        ``cores`` are the raw core arrays (mode-first layout). Returns
-        ``(rows, lefts)`` where ``lefts`` is ``None`` unless
-        ``keep_lefts``. Pooled outputs are views into :attr:`pool` and are
-        clobbered by the next pooled call.
+        ``cores`` is one table's list of core parameters (mode-first
+        layout) and ``plan`` its :class:`BatchPlan`; the members' lookups
+        are concatenated in list order along axis 0 of everything
+        returned. Every interior chain step is
+        :func:`~repro.tt.kernels.segmented_matmul` against a view of each
+        touched core slice; only the boundary core that *is* a sweep's
+        first partial is gathered. Returns ``(rows, lefts)`` where
+        ``lefts`` is ``None`` unless ``keep_lefts``. Pooled outputs are
+        views into :attr:`pool` and are clobbered by the next pooled call.
         """
-        dtype = cores[0].dtype
-
-        def gather(k: int) -> np.ndarray:
-            core = cores[k]
-            idx = decoded[k]
-            if pooled:
-                buf = self.pool.take(("gather", k),
-                                     (idx.size,) + core.shape[1:], core.dtype)
-                return np.take(core, idx, axis=0, out=buf)
-            return core[idx]
-
-        return self.execute_chain(schedule, gather, decoded.shape[1], dtype,
-                                  keep_lefts=keep_lefts, pooled=pooled)
-
-    def execute_chain(self, schedule: Schedule, gather, n: int, dtype, *,
-                      keep_lefts: bool = False, pooled: bool = False
-                      ) -> tuple[np.ndarray, list[np.ndarray] | None]:
-        """Like :meth:`execute` but with a caller-supplied ``gather(k)``
-        (the grouped kernel concatenates slices across tables)."""
         if keep_lefts and schedule.kind != "l2r":
             raise ValueError(
                 f"left partials require the l2r schedule, got {schedule.label}"
             )
+        parts, n = member_segments(members)
+        dtype = members[0][0][0].data.dtype
         if n == 0:
             rows = np.zeros((0, self.shape.dim), dtype=dtype)
             return rows, ([] if keep_lefts else None)
-        if schedule.kind == "l2r":
-            rows, lefts = self._run_l2r(gather, n, dtype, keep_lefts, pooled)
-        elif schedule.kind == "r2l":
-            rows, lefts = self._run_r2l(gather, n, dtype, pooled), None
-        else:
-            rows, lefts = self._run_split(gather, n, dtype, schedule.split,
-                                          pooled), None
-        self._counters["flops_executed"].inc(n * schedule.flops_per_row)
-        return rows, lefts
-
-    # -- schedule bodies ------------------------------------------------ #
-
-    def _run_l2r(self, gather, n: int, dtype, keep_lefts: bool, pooled: bool):
-        col, ranks, d = self.shape.col_factors, self.shape.ranks, self.shape.d
-        with trace("tt.forward.gather", core=0):
-            first = gather(0)  # (n, 1, n_1, R_1)
-        res = first.reshape(n, col[0], ranks[1])
-        lefts = [res] if keep_lefts else None
-        p = col[0]
-        for k in range(1, d):
-            with trace("tt.forward.gather", core=k):
-                core = gather(k)  # (n, R_{k-1}, n_k, R_k)
-            r_prev, r_next, nk = ranks[k], ranks[k + 1], col[k]
-            with trace("tt.forward.gemm", core=k):
-                rhs = core.reshape(n, r_prev, nk * r_next)
-                if pooled:
-                    out = self.pool.take(("l2r", k), (n, p, nk * r_next), dtype)
-                    res = np.matmul(res, rhs, out=out)
-                else:
-                    res = np.matmul(res, rhs)
-            p *= nk
-            res = res.reshape(n, p, r_next)
-            if keep_lefts:
-                lefts.append(res)
-        return res.reshape(n, self.shape.dim), lefts
-
-    def _run_r2l(self, gather, n: int, dtype, pooled: bool):
-        col, ranks, d = self.shape.col_factors, self.shape.ranks, self.shape.d
-        with trace("tt.forward.gather", core=d - 1):
-            last = gather(d - 1)  # (n, R_{d-1}, n_d, 1)
-        res = last.reshape(n, ranks[d - 1], col[d - 1])
-        q = col[d - 1]
-        for k in range(d - 2, -1, -1):
-            with trace("tt.forward.gather", core=k):
-                core = gather(k)
-            r_prev, r_next, nk = ranks[k], ranks[k + 1], col[k]
-            with trace("tt.forward.gemm", core=k):
-                lhs = core.reshape(n, r_prev * nk, r_next)
-                if pooled:
-                    out = self.pool.take(("r2l", k), (n, r_prev * nk, q), dtype)
-                    res = np.matmul(lhs, res, out=out)
-                else:
-                    res = np.matmul(lhs, res)
-            q *= nk
-            res = res.reshape(n, r_prev, q)
-        return res.reshape(n, self.shape.dim)
-
-    def _run_split(self, gather, n: int, dtype, split: int, pooled: bool):
-        col, ranks, d = self.shape.col_factors, self.shape.ranks, self.shape.d
-        # Left sweep over cores 0..split-1 (plain l2r, shorter chain).
-        with trace("tt.forward.gather", core=0):
-            first = gather(0)
-        left = first.reshape(n, col[0], ranks[1])
-        p = col[0]
-        for k in range(1, split):
-            with trace("tt.forward.gather", core=k):
-                core = gather(k)
-            r_prev, r_next, nk = ranks[k], ranks[k + 1], col[k]
-            with trace("tt.forward.gemm", core=k):
-                rhs = core.reshape(n, r_prev, nk * r_next)
-                if pooled:
-                    out = self.pool.take(("sl", k), (n, p, nk * r_next), dtype)
-                    left = np.matmul(left, rhs, out=out)
-                else:
-                    left = np.matmul(left, rhs)
-            p *= nk
-            left = left.reshape(n, p, r_next)
-        # Right sweep over cores split..d-1.
-        with trace("tt.forward.gather", core=d - 1):
-            last = gather(d - 1)
-        right = last.reshape(n, ranks[d - 1], col[d - 1])
-        q = col[d - 1]
-        for k in range(d - 2, split - 1, -1):
-            with trace("tt.forward.gather", core=k):
-                core = gather(k)
-            r_prev, r_next, nk = ranks[k], ranks[k + 1], col[k]
-            with trace("tt.forward.gemm", core=k):
-                lhs = core.reshape(n, r_prev * nk, r_next)
-                if pooled:
-                    out = self.pool.take(("sr", k), (n, r_prev * nk, q), dtype)
-                    right = np.matmul(lhs, right, out=out)
-                else:
-                    right = np.matmul(lhs, right)
-            q *= nk
-            right = right.reshape(n, r_prev, q)
-        # Combine: (n, P_left, R_split) @ (n, R_split, Q_right).
+        # Boundary ranks are 1, so l2r *is* split@(d-1) and r2l split@1
+        # (same GEMMs, the last one relabelled "combine"): both boundary
+        # cores are gathered and only interior cores take a segmented step.
+        d = self.shape.d
+        split = {"l2r": d - 1, "r2l": 1}.get(schedule.kind, schedule.split)
+        lefts = self._sweep(parts, n, dtype, range(split), pooled)
+        right_t = self._sweep(parts, n, dtype, range(d - 1, split - 1, -1),
+                              pooled)[-1]
         with trace("tt.forward.combine", split=split):
-            if pooled:
-                out = self.pool.take(("combine",), (n, p, q), dtype)
-                res = np.matmul(left, right, out=out)
+            # (n, P_left, R_split) @ (n, Q_right, R_split)^T
+            rows = np.matmul(lefts[-1], right_t.transpose(0, 2, 1), out=self._buf(
+                pooled, "combine", (n, lefts[-1].shape[1], right_t.shape[1]),
+                dtype))
+        self._counters["flops_executed"].inc(n * schedule.flops_per_row)
+        if keep_lefts:
+            lefts.append(rows.reshape(n, -1, 1))
+        return rows.reshape(n, self.shape.dim), (lefts if keep_lefts else None)
+
+    def _buf(self, pooled: bool, key, shape: tuple[int, ...], dtype) -> np.ndarray:
+        return self.pool.take(key, shape, dtype) if pooled else np.empty(shape, dtype)
+
+    def _sweep(self, parts, n: int, dtype, ks: range, pooled: bool
+               ) -> list[np.ndarray]:
+        """Partial products of one sweep over cores ``ks``, one per core.
+
+        Ascending ``ks`` gives the left partials ``(n, P_k, R_{k+1})`` of
+        Algorithm 1. Descending ``ks`` gives the right partials kept
+        K-major transposed, ``(n, Q_k, R_k)``: the same kernel on
+        ``G_k(i_k)^T`` per column of ``n_k``, as in Algorithm 2's sweep.
+        """
+        col, ranks = self.shape.col_factors, self.shape.ranks
+        left = ks.step > 0
+        side = "left" if left else "right"
+        res, partials = None, []
+        for k in ks:
+            r_prev, nk, r_next = ranks[k], col[k], ranks[k + 1]
+            r_out = r_next if left else r_prev
+            if res is None:
+                # The boundary core is the sweep's first partial: one row
+                # gather of <= n_k * R elements per lookup ("clip" only
+                # spares take's defensive copy of ``out``; decode_indices
+                # bounds-checked the indices).
+                with trace("tt.forward.gather", core=k):
+                    res = self._buf(pooled, (side, k), (n, nk * r_out), dtype)
+                    for cores, plan, seg in parts:
+                        cores[k].data.reshape(-1, nk * r_out).take(
+                            plan.decoded[k], axis=0, out=res[seg], mode="clip")
+                    res = (res.reshape(n, nk, r_out) if left
+                           else res.reshape(n, r_out, nk).transpose(0, 2, 1))
             else:
-                res = np.matmul(left, right)
-        return res.reshape(n, self.shape.dim)
+                with trace("tt.forward.segment_gemm", core=k):
+                    # x (n, P, R_{k-1}) @ G_k (R_{k-1}, n_k R_k), or on the
+                    # right x^T (n, Q, R_k) @ G_k^T (R_k, R_{k-1}) per n_k
+                    out = self._buf(
+                        pooled, (side, k),
+                        (n, 1, res.shape[1], nk * r_out) if left
+                        else (n, nk, res.shape[1], r_out), dtype)
+                    for cores, plan, seg in parts:
+                        g = cores[k].data
+                        segmented_matmul(
+                            res[seg], plan.decoded[k],
+                            g.reshape(-1, 1, r_prev, nk * r_next) if left
+                            else g.transpose(0, 2, 3, 1),
+                            plan.runs(k), out=out[seg])
+                    res = out.reshape(n, -1, r_out)
+            partials.append(res)
+        return partials

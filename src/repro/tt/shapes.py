@@ -12,8 +12,9 @@ Core ``k`` (0-based) then has the paper shape
 
 Implementation note: :class:`repro.tt.embedding_bag.TTEmbeddingBag` stores
 each core with the *mode index first* — ``(m_k, R_{k-1}, n_k, R_k)`` — so
-that a row lookup is a single contiguous NumPy gather ``core[i_k]`` and
-Algorithm 2 writes each touched slice's gradient as one contiguous
+that a core slice ``core[i_k]`` is one contiguous block: Algorithm 1
+multiplies against it as a view (:func:`repro.tt.kernels.segmented_matmul`)
+and Algorithm 2 writes each touched slice's gradient as one contiguous
 ``grad[i_k] += A^T B`` (:func:`repro.tt.kernels.segmented_outer_add`).
 :meth:`TTShape.core_shape` /
 :meth:`TTShape.paper_core_shape` give both layouts.

@@ -119,10 +119,9 @@ class T3nsorEmbeddingBag(Module):
         """
         planner = ExecutionPlanner(self.shape, "l2r",
                                    itemsize=self.dtype.itemsize)
-        all_rows = np.arange(self.shape.padded_rows, dtype=np.int64)
-        decoded = self.shape.decode_indices(all_rows)
-        _, lefts = planner.execute(
-            planner.schedule_for(all_rows.size, need_lefts=True), decoded,
-            [p.data for p in self.cores], keep_lefts=True)
-        accumulate_core_grads(self.shape, [(self.cores, decoded)], d_full,
-                              lefts)
+        plan = planner.plan_batch(
+            np.arange(self.shape.padded_rows, dtype=np.int64), dedup=False,
+            need_lefts=True)
+        members = [(self.cores, plan)]
+        _, lefts = planner.execute(plan.schedule, members, keep_lefts=True)
+        accumulate_core_grads(self.shape, members, d_full, lefts)

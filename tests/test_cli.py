@@ -99,7 +99,7 @@ class TestCommands:
         assert main(["profile", "--iters", "12", "--scale", "0.0002"]) == 0
         out = capsys.readouterr().out
         # Span tree with per-core GEMM timings plus the two tables.
-        assert "tt.forward.gemm[core=1]" in out
+        assert "tt.forward.segment_gemm[core=1]" in out
         assert "trainer.forward" in out
         assert "collective.allreduce" in out
         assert "cache.hits" in out

@@ -345,3 +345,145 @@ class TestCoreGradsAgainstNaive:
             return b"".join(p.grad.tobytes() for p in emb.cores)
 
         assert run() == run()
+
+
+# --------------------------------------------------------------------- #
+# Algorithm 1 through every schedule vs. the per-row reference
+# --------------------------------------------------------------------- #
+
+SCHEDULE_CASES = [(d, policy) for d in (2, 3, 4)
+                  for policy in ["l2r", "r2l", "auto"]
+                  + [f"split:{k}" for k in range(1, d)]]
+
+
+def naive_left_partials(cores, shape, indices):
+    """``lefts[k][s]`` = product of core slices ``0..k`` of row ``s``."""
+    decoded = shape.decode_indices(np.asarray(indices, dtype=np.int64))
+    lefts = [[] for _ in range(shape.d)]
+    for s in range(decoded.shape[1]):
+        acc = np.ones((1, 1), dtype=cores[0].dtype)
+        for k in range(shape.d):
+            sl = cores[k][decoded[k, s]]
+            acc = (acc @ sl.reshape(sl.shape[0], -1)).reshape(-1, sl.shape[2])
+            lefts[k].append(acc)
+    return [np.stack(part) for part in lefts]
+
+
+def _edge_batch(shape, seed):
+    """Duplicates, the first and the last row (first and last slice of
+    every core), in no particular order."""
+    rng = np.random.default_rng(seed)
+    idx = rng.integers(0, shape.num_rows, size=40)
+    idx[:8] = idx[0]
+    idx[[11, 29]] = 0, shape.num_rows - 1
+    return idx
+
+
+class TestEveryScheduleAgainstReference:
+    @pytest.mark.parametrize("d,policy", SCHEDULE_CASES)
+    @pytest.mark.parametrize("dedup", [False, True], ids=["nodedup", "dedup"])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_integer_lattice_is_bit_exact(self, d, policy, dedup, dtype):
+        """Rows (unpooled and pooled), left partials and planned grads
+        carry the exact integers of the per-row / per-sample references."""
+        from repro.utils.dtypes import dtype_policy
+
+        shape = GRAD_SHAPES[d]
+        idx = _edge_batch(shape, seed=d)
+        grad = np.random.default_rng(d).integers(
+            -3, 4, size=(idx.size, shape.dim)).astype(dtype)
+        with dtype_policy(dtype):
+            emb = TTEmbeddingBag(shape.num_rows, shape.dim, shape=shape, rng=0,
+                                 plan_policy=policy, dedup=dedup)
+        emb.load_cores(_integer_cores(shape, np.random.default_rng(d)))
+        cores = [p.data for p in emb.cores]
+        want = tt_lookup_reference(cores, shape, idx)
+        assert want.dtype == dtype
+        assert emb.lookup(idx).tobytes() == want.tobytes()          # unpooled
+        assert np.array_equal(emb.forward(idx), want)               # pooled
+        emb.backward(grad)
+        for p, w in zip(emb.cores, naive_core_grads(cores, shape, idx, grad)):
+            assert p.grad.dtype == dtype and np.array_equal(p.grad, w)
+        plan = emb.planner.plan_batch(idx, dedup=dedup, need_lefts=True)
+        rows, lefts = emb._row_chain(plan)
+        uniq = np.unique(idx) if plan.inverse is not None else idx
+        assert rows.tobytes() == tt_lookup_reference(cores, shape, uniq).tobytes()
+        for got, w in zip(lefts, naive_left_partials(cores, shape, uniq)):
+            assert got.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("d,policy", SCHEDULE_CASES)
+    @pytest.mark.parametrize("dedup", [False, True], ids=["nodedup", "dedup"])
+    @pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+    def test_float_cores_within_tolerance(self, d, policy, dedup, dtype, tol):
+        from repro.utils.dtypes import dtype_policy
+
+        shape = GRAD_SHAPES[d]
+        idx = _edge_batch(shape, seed=10 + d)
+        with dtype_policy(dtype):
+            emb = TTEmbeddingBag(shape.num_rows, shape.dim, shape=shape, rng=d,
+                                 plan_policy=policy, dedup=dedup)
+        want = tt_lookup_reference([p.data for p in emb.cores], shape, idx)
+        scale = np.abs(want).max()
+        for got in (emb.lookup(idx), emb.forward(idx)):
+            assert got.dtype == dtype
+            np.testing.assert_allclose(got, want, rtol=0, atol=tol * scale)
+
+
+class TestLookupIsBatchIndependent:
+    """A row's bytes depend on its index alone — not on its batch-mates,
+    its position, or pooled vs. unpooled buffers. Sharded failover is
+    bit-identical only because a replica serving a request in another
+    batch returns the same bytes."""
+
+    @pytest.mark.parametrize("d,policy", [(3, "l2r"), (3, "r2l"), (4, "auto"),
+                                          (4, "split:1"), (2, "auto")])
+    @pytest.mark.parametrize("dedup", [False, True], ids=["nodedup", "dedup"])
+    def test_alone_in_4096_and_reordered(self, d, policy, dedup):
+        emb = TTEmbeddingBag(200_000, 16, rank=8, d=d, rng=d,
+                             plan_policy=policy, dedup=dedup)
+        rng = np.random.default_rng(50 + d)
+        idx = rng.integers(0, emb.num_rows, size=4096)
+        idx[:64] = idx[0]
+        full = emb.lookup(idx)
+        perm = rng.permutation(idx.size)
+        assert emb.lookup(idx[perm]).tobytes() == full[perm].tobytes()
+        assert self.pooled_rows(emb, idx).tobytes() == full.tobytes()
+        assert emb.lookup(idx[:7]).tobytes() == full[:7].tobytes()
+        for s in rng.choice(idx.size, size=24, replace=False).tolist() + [0]:
+            one = idx[s:s + 1]
+            assert emb.lookup(one).tobytes() == full[s].tobytes()
+            assert self.pooled_rows(emb, one).tobytes() == full[s].tobytes()
+
+    @staticmethod
+    def pooled_rows(emb, idx):
+        """What ``forward`` contracts, before pooling (``segment_sum``
+        re-associates even one-row bags, so its output is not comparable)."""
+        plan = emb.planner.plan_batch(idx, dedup=emb.dedup, need_lefts=False)
+        rows, _ = emb.planner.execute(plan.schedule, [(emb.cores, plan)],
+                                      pooled=True)
+        return rows[plan.inverse] if plan.inverse is not None else rows
+
+
+class TestForwardMemory:
+    def test_no_middle_core_gather_at_batch_4096_rank_32(self):
+        """Scratch pool and call peak stay below one ``(n, R, n_k, R)``
+        gather of the middle core, so the copy cannot come back unnoticed."""
+        import tracemalloc
+
+        n = 4096
+        emb = TTEmbeddingBag(1_000_000, 16, rank=32, rng=0)
+        r_prev, nk, r_next = emb.shape.core_shape(1)[1:]
+        assert (r_prev, r_next) == (32, 32)
+        gather_bytes = n * r_prev * nk * r_next * emb.dtype.itemsize
+        idx = np.random.default_rng(0).integers(0, emb.num_rows, size=n)
+        emb.forward(idx)  # grow the pool to its steady state
+        tracemalloc.start()
+        try:
+            emb.forward(idx)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert emb.planner.pool.nbytes() < gather_bytes
+        assert peak < gather_bytes
+        # and neither is close: the pool holds partials, not slices
+        assert emb.planner.pool.nbytes() < gather_bytes // 4

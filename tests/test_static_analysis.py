@@ -404,7 +404,7 @@ class TestRunner:
         assert "repro/utils/seeding.py" in cfg.rng_allowed
         assert "repro/bench" in cfg.clock_exempt
 
-    def test_builtin_defaults_agree_with_pyproject(self):
+    def test_builtin_defaults_agree_with_pyproject(self, tmp_path):
         # Linting without the pyproject must not silently narrow a scope
         # (DET003 on distributed/, the benchmarks graph root, ...).
         try:
@@ -417,6 +417,22 @@ class TestRunner:
             assert getattr(cfg, key) == getattr(builtin, key), key
         for key in ("process_scope", "trace_scope", "state_scope"):
             assert "repro/runtime" in getattr(cfg, key)
+        # A pass run with no config must see the same hot path (with
+        # repro/compress), not a private, older copy of the list.
+        from repro.analysis.static.graph import build_graph
+        from repro.analysis.static.passes.dtype_flow import DtypeTaintPass
+
+        fixture = XMOD / "dtype"
+        hot = tmp_path / "repro" / "compress"
+        hot.mkdir(parents=True)
+        (tmp_path / "helpers.py").write_text(
+            (fixture / "helpers.py").read_text())
+        (hot / "kernel.py").write_text(
+            (fixture / "hot" / "kernel.py").read_text())
+        graph = build_graph([tmp_path / "helpers.py", hot / "kernel.py"])
+        findings = DtypeTaintPass(config={}).check_project(graph)
+        assert [(Path(f.path).name, f.line) for f in findings] == [
+            ("kernel.py", 9)]
 
     def test_select_and_ignore(self):
         cfg = load_config(PYPROJECT)

@@ -81,6 +81,36 @@ class TestBackwardEquivalence:
             for pf, ps in zip(tables[t].cores, emb.cores):
                 np.testing.assert_allclose(pf.grad, ps.grad, atol=1e-11)
 
+    @pytest.mark.parametrize("dedup", [False, True], ids=["nodedup", "dedup"])
+    @pytest.mark.parametrize("kind", ["n0", "all_equal", "first_last"])
+    def test_edge_batches_with_an_empty_member(self, kind, dedup):
+        """Member 1 is always empty; the others get no lookups at all, one
+        row repeated, or only the first and last row (the first and last
+        slice of every core). Fused == per table, bit for bit."""
+        ids = {"n0": np.empty(0, dtype=np.int64),
+               "all_equal": np.full(6, 17),
+               "first_last": np.array([59, 0, 0, 59, 59, 0])}[kind]
+        bags = np.array([0, 0, ids.size // 2, ids.size])
+        empty = (np.empty(0, dtype=np.int64), np.zeros(4, dtype=np.int64))
+        sparse = [(ids, bags), empty, (ids[::-1].copy(), bags)]
+        rng = np.random.default_rng(3)
+        grads = [rng.normal(size=(3, 8)) for _ in sparse]
+
+        tables = [TTEmbeddingBag(60, 8, shape=SHAPE, rng=i, dedup=dedup)
+                  for i in range(3)]
+        solo = [TTEmbeddingBag(60, 8, shape=SHAPE, rng=i, dedup=dedup)
+                for i in range(3)]
+        group = GroupedTTEmbeddingBag(tables)
+        fused = group.forward_all(sparse)
+        group.backward_all(grads)
+        for t, emb in enumerate(solo):
+            assert np.array_equal(fused[t], emb.forward(*sparse[t]))
+            emb.backward(grads[t])
+            for pf, ps in zip(tables[t].cores, emb.cores):
+                assert np.array_equal(pf.grad, ps.grad)
+        assert not fused[1].any()
+        assert all(p.touched_rows is None for p in tables[1].cores)
+
     def test_touched_rows_recorded_per_table(self):
         rng = np.random.default_rng(2)
         group, tables = make_group(2)

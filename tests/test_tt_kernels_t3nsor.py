@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from repro.tt import T3nsorEmbeddingBag, TTEmbeddingBag, TTShape
 from repro.tt.kernels import (scatter_add_rows, segmented_matmul,
-                              segmented_outer_add, tt_lookup_reference)
+                              segmented_outer_add, sorted_runs,
+                              tt_lookup_reference)
 from tests.helpers import numeric_grad_check, random_csr
 
 
@@ -184,6 +185,37 @@ class TestSegmentedMatmul:
         for s in (0, 7, rows.size - 1):
             solo = segmented_matmul(x[s:s + 1], rows[s:s + 1], mats)
             assert solo.tobytes() == full[s:s + 1].tobytes()
+
+    @pytest.mark.parametrize("case", SEGMENT_CASES)
+    def test_shared_runs_and_out_change_nothing(self, case):
+        """The planner passes one ``sorted_runs`` per core to every kernel
+        and a pool view as ``out``; a transposed ``x`` is what the
+        right-to-left sweep hands over. Same bytes as the plain call."""
+        rng = np.random.default_rng(5)
+        rows = _segment_case(case, rng)
+        m = max(7, int(rows.max()) + 1)
+        x = rng.normal(size=(rows.size, 4, 3)).transpose(0, 2, 1)
+        mats = rng.normal(size=(m, 2, 4, 5))
+        a, b = rng.normal(size=(2, rows.size, 3, 4))
+        runs = sorted_runs(rows)
+        want = segmented_matmul(np.ascontiguousarray(x), rows, mats)
+        out = np.full(want.shape, np.nan)
+        assert segmented_matmul(x, rows, mats, runs, out=out) is out
+        assert out.tobytes() == want.tobytes()
+        got, plain = np.zeros((m, 4, 4)), np.zeros((m, 4, 4))
+        segmented_outer_add(got, rows, a, b, runs)
+        segmented_outer_add(plain, rows, a, b)
+        assert got.tobytes() == plain.tobytes()
+
+    def test_sorted_runs_skips_the_permutation_when_sorted(self):
+        for rows in (np.array([4]), np.array([2, 2, 2]), np.array([0, 3, 3, 9])):
+            order, uniq, bounds = sorted_runs(rows)
+            assert order is None
+            assert uniq.tolist() == sorted(set(rows.tolist()))
+            assert bounds[0] == 0 and bounds[-1] == rows.size
+        order, uniq, bounds = sorted_runs(np.array([5, 1, 5, 0]))
+        assert order.tolist() == [3, 1, 0, 2]          # stable
+        assert uniq.tolist() == [0, 1, 5] and bounds == [0, 1, 2, 4]
 
     def test_empty_and_mismatch(self):
         mats = np.zeros((3, 2, 4, 5))

@@ -267,10 +267,34 @@ def test_keep_lefts_requires_l2r():
     planner = ExecutionPlanner(SHAPE_D3, "r2l")
     sched = planner.schedule_for(4)
     assert sched.label == "r2l"
-    decoded = SHAPE_D3.decode_indices(np.arange(4))
-    cores = [np.ones(SHAPE_D3.core_shape(k)) for k in range(SHAPE_D3.d)]
+    emb = make_emb(SHAPE_D3, "r2l", dedup=False)
+    plan = planner.plan_batch(np.arange(4), dedup=False, need_lefts=False)
     with pytest.raises(ValueError, match="left partials"):
-        planner.execute(sched, decoded, cores, keep_lefts=True)
+        planner.execute(sched, [(emb.cores, plan)], keep_lefts=True)
+
+
+@pytest.mark.parametrize("shape", [SHAPE_D3, SHAPE_D4], ids=["d3", "d4"])
+@pytest.mark.parametrize("store", [True, False], ids=["store", "recompute"])
+def test_each_core_is_sorted_once_per_step(monkeypatch, shape, store):
+    """Forward, recompute and both Algorithm 2 kernels group core ``k`` by
+    the one ``BatchPlan.runs(k)``: a training step sorts each core once,
+    and the kernels never sort for themselves."""
+    import repro.tt.kernels as kernels
+    import repro.tt.planner as planner
+
+    calls = []
+    real = kernels.sorted_runs
+    monkeypatch.setattr(planner, "sorted_runs",
+                        lambda rows: calls.append("plan") or real(rows))
+    monkeypatch.setattr(kernels, "sorted_runs",
+                        lambda rows: calls.append("kernel") or real(rows))
+    emb = make_emb(shape, "auto", dedup=False, store_intermediates=store)
+    idx = as_rng(2).integers(0, shape.num_rows, size=64)
+    out = emb.forward(idx)
+    emb.backward(np.ones_like(out))
+    assert calls == ["plan"] * shape.d
+    plan = emb.planner.plan_batch(idx, dedup=False, need_lefts=False)
+    assert plan.runs(1) is plan.runs(1)
 
 
 def test_pooled_lookup_does_not_corrupt_pending_backward():
