@@ -35,9 +35,9 @@ def test_recompute_vs_store(benchmark, store):
 def test_recompute_memory_report(benchmark):
     def compute():
         emb = TTEmbeddingBag(ROWS, DIM, rank=RANK, rng=0)
-        idx, off = uniform_workload(ROWS, BATCH, rng=0)
-        emb.forward(idx, off)
-        lefts = emb._cache["lefts"]
+        idx, _ = uniform_workload(ROWS, BATCH, rng=0)
+        # What a forward keeps for its backward: (plan, left partials).
+        _, (_, lefts) = emb._planned_rows(idx, emb.dedup)
         stored = sum(a.size for a in lefts) * 8
         return stored
 

@@ -1,8 +1,11 @@
 """Embedding-compression baselines from the paper's Related Work (§7).
 
 The paper positions TT-Rec against three families of embedding-table
-compression, each implemented here with the same EmbeddingBag interface so
-they slot into the DLRM unchanged:
+compression, each implemented here as a direct subclass of the one bag
+contract (:class:`repro.ops.embedding.CompressedEmbedding`) — the class
+supplies its rows and their gradients, the base class the bag — so they
+slot into the DLRM, the compression registry and the serving tier
+unchanged:
 
 - :class:`~repro.baselines.hashing.HashedEmbeddingBag` — the feature
   hashing ("hashing trick") of Weinberger et al. 2009; collisions trade

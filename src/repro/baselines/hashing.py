@@ -13,16 +13,14 @@ from __future__ import annotations
 import numpy as np
 
 from repro.cache.hashtable import splitmix64
-from repro.ops.embedding import EmbeddingBag
-from repro.ops.module import Module
-from repro.utils.dtypes import result_dtype
+from repro.ops.embedding import CompressedEmbedding, EmbeddingBag
+from repro.utils.dtypes import default_dtype
 from repro.utils.seeding import as_rng
-from repro.utils.validation import check_csr
 
 __all__ = ["HashedEmbeddingBag"]
 
 
-class HashedEmbeddingBag(Module):
+class HashedEmbeddingBag(CompressedEmbedding):
     """EmbeddingBag over a hashed, smaller physical table.
 
     Parameters
@@ -37,6 +35,15 @@ class HashedEmbeddingBag(Module):
         collisions cancel in expectation.
     """
 
+    kind = "hash"
+    # The physical bucket table is a plain EmbeddingBag, but the hash +
+    # sign transform lives here: quantizing the inner table in place would
+    # mutate the (shared) model, so the operator is kept and reported.
+    quantize_skip_note = (
+        "{kind} left unquantized (its bucket table is shared with the "
+        "training model); serving footprint includes the full-precision "
+        "buckets")
+
     def __init__(self, num_rows: int, dim: int, num_buckets: int, *,
                  mode: str = "sum", signed: bool = False, salt: int = 0,
                  rng: int | None | np.random.Generator = None,
@@ -48,21 +55,14 @@ class HashedEmbeddingBag(Module):
                 f"num_buckets ({num_buckets}) exceeding num_rows ({num_rows}) "
                 "defeats the purpose of hashing"
             )
-        self.num_rows = num_rows
-        self.dim = dim
+        super().__init__(num_rows, dim, mode)
         self.num_buckets = num_buckets
         self.signed = signed
         self.salt = salt
         self.table = EmbeddingBag(num_buckets, dim, mode=mode, rng=as_rng(rng),
                                   name=f"{name}.table")
-        self.mode = mode
 
     # ------------------------------------------------------------------ #
-
-    @property
-    def dtype(self) -> np.dtype:
-        """Floating dtype of the physical table (follows the policy)."""
-        return self.table.weight.data.dtype
 
     def _hash(self, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
         mixed = splitmix64(indices + np.int64(self.salt * 0x9E3779B9))
@@ -73,40 +73,33 @@ class HashedEmbeddingBag(Module):
                              ).astype(self.dtype)
         return buckets, signs
 
-    def forward(self, indices: np.ndarray, offsets: np.ndarray | None = None,
-                per_sample_weights: np.ndarray | None = None) -> np.ndarray:
-        indices = np.asarray(indices, dtype=np.int64)
-        if offsets is None:
-            offsets = np.arange(indices.size + 1, dtype=np.int64)
-        indices, offsets = check_csr(indices, offsets, self.num_rows)
-        buckets, signs = self._hash(indices)
-        weights = per_sample_weights
-        if signs is not None:
-            dt = result_dtype(self.table.weight.data)
-            w = (np.ones(indices.size, dtype=dt) if weights is None
-                 else np.asarray(weights, dtype=dt).reshape(-1))
-            weights = w * signs
-        return self.table.forward(buckets, offsets, weights)
-
-    __call__ = forward
-
-    def backward(self, grad_out: np.ndarray) -> None:
-        """Delegate to the physical table (it owns the re-entrancy guard)."""
-        self.table.backward(grad_out)
-
-    def lookup(self, indices: np.ndarray) -> np.ndarray:
-        indices = np.asarray(indices, dtype=np.int64)
+    def _rows(self, indices: np.ndarray) -> np.ndarray:
         buckets, signs = self._hash(indices)
         rows = self.table.weight.data[buckets]
+        return rows if signs is None else rows * signs[:, None]
+
+    def _backward_rows(self, indices, grad_rows, saved) -> None:
+        buckets, signs = self._hash(indices)
         if signs is not None:
-            rows = rows * signs[:, None]
-        return rows
+            grad_rows = grad_rows * signs[:, None]
+        self.table._backward_rows(buckets, grad_rows, None)
 
-    def num_parameters(self) -> int:
-        return self.num_buckets * self.dim
+    @staticmethod
+    def _spec_buckets(spec) -> int:
+        return int(spec.get("num_buckets", max(1, spec.num_rows // 16)))
 
-    def compression_ratio(self) -> float:
-        return self.num_rows / self.num_buckets
+    @classmethod
+    def from_spec(cls, spec) -> "HashedEmbeddingBag":
+        """Knobs: ``num_buckets``, ``signed``, ``salt``."""
+        cls._check_knobs(spec, {"num_buckets", "signed", "salt"})
+        return cls(spec.num_rows, spec.dim, cls._spec_buckets(spec),
+                   signed=bool(spec.get("signed", False)),
+                   salt=int(spec.get("salt", 0)), mode=spec.mode,
+                   rng=as_rng(spec.seed), name=spec.name or "hashed_emb")
+
+    @classmethod
+    def predict_memory_bytes(cls, spec) -> int:
+        return cls._spec_buckets(spec) * spec.dim * default_dtype().itemsize
 
     def collision_rate(self, sample: int = 100_000,
                        rng: int | None | np.random.Generator = None) -> float:

@@ -11,18 +11,24 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.ops.embedding import segment_sum
-from repro.ops.module import Module, Parameter
+from repro.ops.embedding import CompressedEmbedding
+from repro.ops.module import Parameter
 from repro.tt.kernels import scatter_add_rows
-from repro.utils.dtypes import result_dtype
+from repro.utils.dtypes import default_dtype
 from repro.utils.seeding import as_rng
-from repro.utils.validation import check_csr
 
 __all__ = ["LowRankEmbeddingBag"]
 
 
-class LowRankEmbeddingBag(Module):
-    """Pooled embedding lookup through a rank-``r`` factorization."""
+class LowRankEmbeddingBag(CompressedEmbedding):
+    """Pooled embedding lookup through a rank-``r`` factorization.
+
+    Bags are pooled in *factor space* (``r << dim``) and projected by one
+    GEMM per batch, so the forward's rows are rows of ``A`` and the pool
+    step (and its adjoint) carries the ``B`` projection.
+    """
+
+    kind = "lowrank"
 
     def __init__(self, num_rows: int, dim: int, rank: int, *, mode: str = "sum",
                  rng: int | None | np.random.Generator = None,
@@ -33,13 +39,9 @@ class LowRankEmbeddingBag(Module):
             raise ValueError(
                 f"rank ({rank}) above dim ({dim}) stores more than the dense table"
             )
-        if mode not in ("sum", "mean"):
-            raise ValueError(f"mode must be 'sum' or 'mean', got {mode!r}")
+        super().__init__(num_rows, dim, mode)
         rng = as_rng(rng)
-        self.num_rows = num_rows
-        self.dim = dim
         self.rank = rank
-        self.mode = mode
         # Scale so W = A @ B matches the DLRM default Uniform(±1/sqrt(M))
         # variance: Var(W_ij) = rank * var_a * var_b = 1/(3M).
         entry_std = (1.0 / (3.0 * num_rows * rank)) ** 0.25
@@ -50,88 +52,40 @@ class LowRankEmbeddingBag(Module):
         self.factor_b = Parameter(
             rng.normal(0.0, entry_std, size=(rank, dim)), name=f"{name}.B"
         )
-        self._cache: dict | None = None
-        self._did_backward = False
 
-    @property
-    def dtype(self) -> np.dtype:
-        """Floating dtype of the factors (follows the policy at build time)."""
-        return self.factor_a.data.dtype
-
-    def forward(self, indices: np.ndarray, offsets: np.ndarray | None = None,
-                per_sample_weights: np.ndarray | None = None) -> np.ndarray:
-        indices = np.asarray(indices, dtype=np.int64)
-        if offsets is None:
-            offsets = np.arange(indices.size + 1, dtype=np.int64)
-        indices, offsets = check_csr(indices, offsets, self.num_rows)
-        alpha = None
-        if per_sample_weights is not None:
-            alpha = np.asarray(per_sample_weights,
-                               dtype=result_dtype(self.factor_a.data)).reshape(-1)
-            if alpha.shape[0] != indices.shape[0]:
-                raise ValueError("per_sample_weights must match indices in length")
-        a_rows = self.factor_a.data[indices]  # (n, r)
-        weighted = a_rows if alpha is None else a_rows * alpha[:, None]
-        # Pool in factor space first (r << dim), then one GEMM per batch.
-        pooled_a = segment_sum(weighted, offsets)  # (m, r)
-        counts = np.diff(offsets)
-        if self.mode == "mean":
-            scale = np.asarray(np.where(counts > 0, counts, 1),
-                               dtype=pooled_a.dtype)
-            pooled_a = pooled_a / scale[:, None]
-        out = pooled_a @ self.factor_b.data
-        self._cache = {
-            "indices": indices, "offsets": offsets, "alpha": alpha,
-            "counts": counts, "pooled_a": pooled_a,
-        }
-        self._did_backward = False
-        return out
-
-    __call__ = forward
-
-    def backward(self, grad_out: np.ndarray) -> None:
-        """Accumulate factor gradients; consumes the forward cache.
-
-        A second ``backward`` for the same forward raises instead of
-        silently double-accumulating (shared zoo contract).
-        """
-        if self._cache is None:
-            if self._did_backward:
-                raise RuntimeError(
-                    "backward called twice for one forward; factor gradients "
-                    "would double-accumulate — run forward again first"
-                )
-            raise RuntimeError("backward called before forward")
-        c = self._cache
-        grad_out = np.asarray(grad_out, dtype=self.dtype)
-        # dB = pooled_a^T dO
-        self.factor_b.grad += c["pooled_a"].T @ grad_out
-        # d pooled_a = dO B^T, then un-pool to per-index gradients.
-        grad_pooled = grad_out @ self.factor_b.data.T  # (m, r)
-        counts = c["counts"]
-        if self.mode == "mean":
-            scale = np.asarray(np.where(counts > 0, counts, 1),
-                               dtype=grad_pooled.dtype)
-            grad_pooled = grad_pooled / scale[:, None]
-        bag_ids = np.repeat(np.arange(len(counts)), counts)
-        grad_rows = grad_pooled[bag_ids]
-        if c["alpha"] is not None:
-            grad_rows = grad_rows * c["alpha"][:, None]
-        scatter_add_rows(self.factor_a.grad, c["indices"], grad_rows)
-        self.factor_a.record_touched(c["indices"])
-        self._cache = None
-        self._did_backward = True
-
-    def lookup(self, indices: np.ndarray) -> np.ndarray:
-        indices = np.asarray(indices, dtype=np.int64)
+    def _rows(self, indices: np.ndarray) -> np.ndarray:
         return self.factor_a.data[indices] @ self.factor_b.data
+
+    def _forward_rows(self, indices: np.ndarray):
+        return self.factor_a.data[indices], None  # (n, r)
+
+    def _pool(self, a_rows, offsets, alpha):
+        self._pooled_a, counts = super()._pool(a_rows, offsets, alpha)  # (m, r)
+        return self._pooled_a @ self.factor_b.data, counts
+
+    def _unpool(self, grad_out, counts, alpha):
+        # dB = pooled_a^T dO; d pooled_a = dO B^T, un-pooled to (n, r).
+        self.factor_b.grad += self._pooled_a.T @ grad_out
+        return super()._unpool(grad_out @ self.factor_b.data.T, counts, alpha)
+
+    def _backward_rows(self, indices, grad_rows, saved) -> None:
+        scatter_add_rows(self.factor_a.grad, indices, grad_rows)
+        self.factor_a.record_touched(indices)
+
+    @classmethod
+    def from_spec(cls, spec) -> "LowRankEmbeddingBag":
+        """Knob: ``rank``."""
+        cls._check_knobs(spec, {"rank"})
+        return cls(spec.num_rows, spec.dim, rank=int(spec.get("rank", 2)),
+                   mode=spec.mode, rng=as_rng(spec.seed),
+                   name=spec.name or "lowrank_emb")
+
+    @classmethod
+    def predict_memory_bytes(cls, spec) -> int:
+        rank = int(spec.get("rank", 2))
+        return ((spec.num_rows * rank + rank * spec.dim)
+                * default_dtype().itemsize)
 
     def materialize(self) -> np.ndarray:
         """Dense ``num_rows x dim`` table (analysis only)."""
         return self.factor_a.data @ self.factor_b.data
-
-    def num_parameters(self) -> int:
-        return self.factor_a.size + self.factor_b.size
-
-    def compression_ratio(self) -> float:
-        return (self.num_rows * self.dim) / self.num_parameters()

@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.ops.embedding import segment_sum
-from repro.ops.module import Module
-from repro.utils.dtypes import result_dtype
-from repro.utils.validation import check_csr
+from repro.ops.embedding import CompressedEmbedding, EmbeddingBag
+from repro.utils.dtypes import default_dtype, result_dtype
+from repro.utils.seeding import as_rng
 
 __all__ = ["quantize_rows", "dequantize_rows", "QuantizedEmbeddingBag"]
 
@@ -54,28 +53,30 @@ def dequantize_rows(codes: np.ndarray, scales: np.ndarray,
     return codes.astype(dt) * scales[:, None] + zero_points[:, None]
 
 
-class QuantizedEmbeddingBag(Module):
+class QuantizedEmbeddingBag(CompressedEmbedding):
     """Inference-only EmbeddingBag over a quantized table.
 
     Construct from a trained dense table (``from_dense``) — matching the
-    post-training workflow of the cited scheme.
+    post-training workflow of the cited scheme. (``from_spec`` quantizes a
+    freshly initialised dense table, which is only meaningful for
+    memory/latency benchmarking, never for accuracy.)
     """
+
+    kind = "quant"
+    supports_gradient = False
 
     def __init__(self, codes: np.ndarray, scales: np.ndarray,
                  zero_points: np.ndarray, bits: int, *, mode: str = "sum"):
-        if mode not in ("sum", "mean"):
-            raise ValueError(f"mode must be 'sum' or 'mean', got {mode!r}")
         if codes.ndim != 2:
             raise ValueError(f"codes must be 2-D, got {codes.shape}")
         if scales.shape != (codes.shape[0],) or zero_points.shape != (codes.shape[0],):
             raise ValueError("scales/zero_points must be per-row vectors")
+        super().__init__(*codes.shape, mode)
         dt = result_dtype(np.asarray(scales), np.asarray(zero_points))
         self.codes = codes
         self.scales = np.asarray(scales, dtype=dt)
         self.zero_points = np.asarray(zero_points, dtype=dt)
         self.bits = bits
-        self.mode = mode
-        self.num_rows, self.dim = codes.shape
 
     @classmethod
     def from_dense(cls, table: np.ndarray, *, bits: int = 4,
@@ -83,39 +84,43 @@ class QuantizedEmbeddingBag(Module):
         codes, scales, zero_points = quantize_rows(table, bits)
         return cls(codes, scales, zero_points, bits, mode=mode)
 
-    def lookup(self, indices: np.ndarray) -> np.ndarray:
-        indices = np.asarray(indices, dtype=np.int64)
+    @classmethod
+    def from_spec(cls, spec) -> "QuantizedEmbeddingBag":
+        """Knob: ``bits``."""
+        cls._check_knobs(spec, {"bits"})
+        table = EmbeddingBag(spec.num_rows, spec.dim, rng=as_rng(spec.seed))
+        return cls.from_dense(table.weight.data, bits=int(spec.get("bits", 4)),
+                              mode=spec.mode)
+
+    @classmethod
+    def predict_memory_bytes(cls, spec) -> int:
+        code_itemsize = 1 if int(spec.get("bits", 4)) <= 8 else 2
+        return (spec.num_rows * spec.dim * code_itemsize
+                + 2 * spec.num_rows * default_dtype().itemsize)
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self.scales.dtype
+
+    def _rows(self, indices: np.ndarray) -> np.ndarray:
         return dequantize_rows(
             self.codes[indices], self.scales[indices], self.zero_points[indices]
         )
 
-    def forward(self, indices: np.ndarray, offsets: np.ndarray | None = None,
-                per_sample_weights: np.ndarray | None = None) -> np.ndarray:
-        indices = np.asarray(indices, dtype=np.int64)
-        if offsets is None:
-            offsets = np.arange(indices.size + 1, dtype=np.int64)
-        indices, offsets = check_csr(indices, offsets, self.num_rows)
-        rows = self.lookup(indices)
-        if per_sample_weights is not None:
-            alpha = np.asarray(per_sample_weights, dtype=rows.dtype).reshape(-1)
-            if alpha.shape[0] != indices.shape[0]:
-                raise ValueError("per_sample_weights must match indices in length")
-            rows = rows * alpha[:, None]
-        out = segment_sum(rows, offsets)
-        if self.mode == "mean":
-            counts = np.diff(offsets)
-            scale = np.asarray(np.where(counts > 0, counts, 1), dtype=out.dtype)
-            out = out / scale[:, None]
-        return out
+    def quantized(self, bits: int):
+        return self, "already-quantized"
 
-    __call__ = forward
+    def _extra_arrays(self) -> list[np.ndarray]:
+        return list(self.extra_state().values())
 
-    def backward(self, grad_out: np.ndarray) -> None:
-        raise NotImplementedError(
-            "QuantizedEmbeddingBag is inference-only (post-training "
-            "quantization, Guan et al. 2019); train a dense or TT table and "
-            "quantize it with from_dense()"
-        )
+    def extra_state(self) -> dict:
+        return {"codes": self.codes, "scales": self.scales,
+                "zero_points": self.zero_points}
+
+    def load_extra_state(self, state: dict) -> None:
+        for key in ("codes", "scales", "zero_points"):
+            setattr(self, key, np.asarray(state[key],
+                                          dtype=getattr(self, key).dtype))
 
     def num_parameters(self) -> int:
         """Effective fp32-equivalent parameter count (for fair comparison).
@@ -127,6 +132,8 @@ class QuantizedEmbeddingBag(Module):
         return int(np.ceil(code_floats + 2 * self.num_rows))
 
     def compression_ratio(self) -> float:
+        """Against fp32-equivalent parameters, the cited scheme's
+        accounting (``bits`` per code, not the byte each one occupies)."""
         return (self.num_rows * self.dim) / self.num_parameters()
 
     def reconstruction_error(self, table: np.ndarray) -> float:

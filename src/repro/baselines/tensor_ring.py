@@ -23,13 +23,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.ops.embedding import segment_sum
-from repro.ops.module import Module, Parameter
+from repro.ops.embedding import CompressedEmbedding
+from repro.ops.module import Parameter
 from repro.tt.kernels import scatter_add_rows
-from repro.utils.dtypes import result_dtype
+from repro.utils.dtypes import default_dtype
 from repro.utils.factorization import factorize_into, suggested_tt_shapes
 from repro.utils.seeding import as_rng
-from repro.utils.validation import check_csr
 
 __all__ = ["TRShape", "TREmbeddingBag"]
 
@@ -113,15 +112,16 @@ class TRShape:
         return out
 
 
-class TREmbeddingBag(Module):
+class TREmbeddingBag(CompressedEmbedding):
     """Bag-pooled embedding lookup backed by Tensor-Ring cores."""
+
+    kind = "tr"
 
     def __init__(self, num_rows: int, dim: int, *, shape: TRShape | None = None,
                  rank: int = 8, d: int = 3, mode: str = "sum",
                  rng: int | None | np.random.Generator = None,
                  name: str = "tr_emb"):
-        if mode not in ("sum", "mean"):
-            raise ValueError(f"mode must be 'sum' or 'mean', got {mode!r}")
+        super().__init__(num_rows, dim, mode)
         if shape is None:
             shape = TRShape.suggested(num_rows, dim, d=d, rank=rank)
         if shape.num_rows != num_rows or shape.dim != dim:
@@ -130,10 +130,7 @@ class TREmbeddingBag(Module):
                 f"expected {num_rows}x{dim}"
             )
         rng = as_rng(rng)
-        self.num_rows = num_rows
-        self.dim = dim
         self.shape = shape
-        self.mode = mode
         # Variance-matched init: each entry is a sum over R0 * prod(R_k)
         # ring paths of d-fold products; match N(0, 1/3n) like TT (§3.2).
         paths = float(np.prod(shape.ranks[:-1]))  # R0 * R1 * ... * R_{d-1}
@@ -144,15 +141,8 @@ class TREmbeddingBag(Module):
                       name=f"{name}.core{k}", sparse=True)
             for k in range(shape.d)
         ]
-        self._cache: dict | None = None
-        self._did_backward = False
 
     # ------------------------------------------------------------------ #
-
-    @property
-    def dtype(self) -> np.dtype:
-        """Floating dtype of the cores (follows the policy at build time)."""
-        return self.cores[0].data.dtype
 
     def _row_chain(self, decoded: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
         """Ring chain; returns ``(rows, lefts)``.
@@ -178,81 +168,22 @@ class TREmbeddingBag(Module):
         rows = np.einsum("bapa->bp", res)
         return rows, lefts
 
-    def lookup(self, indices: np.ndarray) -> np.ndarray:
-        indices = np.asarray(indices, dtype=np.int64)
+    def _forward_rows(self, indices: np.ndarray):
+        decoded = self.shape.decode_indices(indices)
         if indices.size == 0:
-            return np.zeros((0, self.dim), dtype=self.dtype)
-        rows, _ = self._row_chain(self.shape.decode_indices(indices))
-        return rows
+            return np.zeros((0, self.dim), dtype=self.dtype), (decoded, [])
+        rows, lefts = self._row_chain(decoded)
+        return rows, (decoded, lefts)
+
+    def _rows(self, indices: np.ndarray) -> np.ndarray:
+        return self._forward_rows(indices)[0]
 
     def materialize(self) -> np.ndarray:
         """Dense table from the ring cores (analysis/tests only)."""
-        return self.lookup(np.arange(self.num_rows, dtype=np.int64))
+        return self._rows(np.arange(self.num_rows, dtype=np.int64))
 
-    def forward(self, indices: np.ndarray, offsets: np.ndarray | None = None,
-                per_sample_weights: np.ndarray | None = None) -> np.ndarray:
-        indices = np.asarray(indices, dtype=np.int64)
-        if offsets is None:
-            offsets = np.arange(indices.size + 1, dtype=np.int64)
-        indices, offsets = check_csr(indices, offsets, self.num_rows)
-        alpha = None
-        if per_sample_weights is not None:
-            alpha = np.asarray(per_sample_weights,
-                               dtype=result_dtype(self.cores[0].data)).reshape(-1)
-            if alpha.shape[0] != indices.shape[0]:
-                raise ValueError("per_sample_weights must match indices in length")
-        if indices.size == 0:
-            self._cache = {
-                "decoded": np.empty((self.shape.d, 0), dtype=np.int64),
-                "lefts": [], "alpha": alpha, "counts": np.diff(offsets),
-            }
-            self._did_backward = False
-            return np.zeros((offsets.size - 1, self.dim), dtype=self.dtype)
-        decoded = self.shape.decode_indices(indices)
-        rows, lefts = self._row_chain(decoded)
-        weighted = rows if alpha is None else rows * alpha[:, None]
-        out = segment_sum(weighted, offsets)
-        counts = np.diff(offsets)
-        if self.mode == "mean":
-            scale = np.asarray(np.where(counts > 0, counts, 1), dtype=out.dtype)
-            out = out / scale[:, None]
-        self._cache = {"decoded": decoded, "lefts": lefts, "alpha": alpha,
-                       "counts": counts}
-        self._did_backward = False
-        return out
-
-    __call__ = forward
-
-    def backward(self, grad_out: np.ndarray) -> None:
-        """Accumulate core gradients; consumes the forward cache.
-
-        A second ``backward`` for the same forward raises instead of
-        silently double-accumulating (shared zoo contract).
-        """
-        if self._cache is None:
-            if self._did_backward:
-                raise RuntimeError(
-                    "backward called twice for one forward; core gradients "
-                    "would double-accumulate — run forward again first"
-                )
-            raise RuntimeError("backward called before forward")
-        c = self._cache
-        grad_out = np.asarray(grad_out, dtype=self.dtype)
-        counts = c["counts"]
-        if self.mode == "mean":
-            scale = np.asarray(np.where(counts > 0, counts, 1),
-                               dtype=grad_out.dtype)
-            grad_out = grad_out / scale[:, None]
-        bag_ids = np.repeat(np.arange(len(counts)), counts)
-        grad_rows = grad_out[bag_ids]
-        if c["alpha"] is not None:
-            grad_rows = grad_rows * c["alpha"][:, None]
-        self._accumulate_core_grads(c["decoded"], grad_rows, c["lefts"])
-        self._cache = None
-        self._did_backward = True
-
-    def _accumulate_core_grads(self, decoded: np.ndarray, grad_rows: np.ndarray,
-                               lefts: list[np.ndarray]) -> None:
+    def _backward_rows(self, indices, grad_rows, saved) -> None:
+        decoded, lefts = saved
         n = decoded.shape[1]
         if n == 0:
             return
@@ -288,8 +219,20 @@ class TREmbeddingBag(Module):
 
     # ------------------------------------------------------------------ #
 
-    def num_parameters(self) -> int:
-        return self.shape.num_params()
+    @staticmethod
+    def _spec_shape(spec) -> TRShape:
+        return TRShape.suggested(spec.num_rows, spec.dim,
+                                 d=int(spec.get("d", 3)),
+                                 rank=int(spec.get("rank", 4)))
 
-    def compression_ratio(self) -> float:
-        return self.shape.compression_ratio()
+    @classmethod
+    def from_spec(cls, spec) -> "TREmbeddingBag":
+        """Knobs: ``rank``, ``d``."""
+        cls._check_knobs(spec, {"rank", "d"})
+        return cls(spec.num_rows, spec.dim, shape=cls._spec_shape(spec),
+                   mode=spec.mode, rng=as_rng(spec.seed),
+                   name=spec.name or "tr_emb")
+
+    @classmethod
+    def predict_memory_bytes(cls, spec) -> int:
+        return cls._spec_shape(spec).num_params() * default_dtype().itemsize

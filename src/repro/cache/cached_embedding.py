@@ -22,14 +22,14 @@ from __future__ import annotations
 import numpy as np
 
 from repro.cache.lfu import LFUTracker
-from repro.ops.embedding import segment_sum
-from repro.ops.module import Module, Parameter
+from repro.ops.embedding import CompressedEmbedding
+from repro.ops.module import Parameter
 from repro.telemetry import emit_event, get_registry, trace
 from repro.tt.embedding_bag import TTEmbeddingBag
 from repro.tt.kernels import scatter_add_rows
 from repro.tt.shapes import TTShape
+from repro.utils.dtypes import default_dtype
 from repro.utils.seeding import as_rng
-from repro.utils.validation import check_csr
 
 __all__ = ["CachedTTEmbeddingBag"]
 
@@ -39,7 +39,7 @@ __all__ = ["CachedTTEmbeddingBag"]
 _INSTANCE_SEQ = 0
 
 
-class CachedTTEmbeddingBag(Module):
+class CachedTTEmbeddingBag(CompressedEmbedding):
     """TT-compressed embedding bag with an uncompressed hot-row cache.
 
     Parameters
@@ -83,6 +83,8 @@ class CachedTTEmbeddingBag(Module):
         ``r2l``/``split:k``).
     """
 
+    kind = "cached_tt"
+
     def __init__(self, num_rows: int, dim: int, *, shape: TTShape | None = None,
                  rank: int = 32, d: int = 3, mode: str = "sum",
                  initializer="sampled_gaussian",
@@ -92,25 +94,15 @@ class CachedTTEmbeddingBag(Module):
                  policy: str = "lfu", eviction: str = "discard",
                  injector=None, dedup: bool = True, plan_policy: str = "auto",
                  name: str = "cached_tt_emb"):
-        rng = as_rng(rng)
+        super().__init__(num_rows, dim, mode)
         self.tt = TTEmbeddingBag(
             num_rows, dim, shape=shape, rank=rank, d=d, mode=mode,
-            initializer=initializer, rng=rng, plan_policy=plan_policy,
+            initializer=initializer, rng=as_rng(rng), plan_policy=plan_policy,
             name=f"{name}.tt",
         )
         self.dedup = bool(dedup)
-        self.num_rows = num_rows
-        self.dim = dim
-        self.mode = mode
-        if cache_size is None:
-            if cache_fraction is None:
-                cache_fraction = 1e-4  # the paper's 0.01%
-            if not (0.0 < cache_fraction <= 1.0):
-                raise ValueError(f"cache_fraction must be in (0, 1], got {cache_fraction}")
-            cache_size = max(1, int(round(num_rows * cache_fraction)))
-        if cache_size < 1:
-            raise ValueError(f"cache_size must be >= 1, got {cache_size}")
-        self.cache_size = min(cache_size, num_rows)
+        self.cache_size = self.resolve_cache_size(num_rows, cache_size,
+                                                  cache_fraction)
         if warmup_steps < 0:
             raise ValueError(f"warmup_steps must be >= 0, got {warmup_steps}")
         if refresh_interval is not None and refresh_interval < 1:
@@ -131,8 +123,6 @@ class CachedTTEmbeddingBag(Module):
         self._cache_slot = np.empty(0, dtype=np.int64)
         self._steps = 0
         self._populated = False
-        self._cache: dict | None = None
-        self._did_backward = False
         self.injector = injector
         # Read validation (ECC / row-checksum stand-in): verify served
         # cache rows are finite and refill poisoned ones from the TT
@@ -151,6 +141,21 @@ class CachedTTEmbeddingBag(Module):
             for key in ("lookups", "hits", "misses", "repairs",
                         "insertions", "evictions", "refreshes")
         }
+
+    @staticmethod
+    def resolve_cache_size(num_rows: int, cache_size: int | None = None,
+                           cache_fraction: float | None = None) -> int:
+        """Rows the cache holds: ``cache_size``, else ``cache_fraction`` of
+        the table (the paper's 0.01 % by default), capped at ``num_rows``."""
+        if cache_size is None:
+            if cache_fraction is None:
+                cache_fraction = 1e-4  # the paper's 0.01%
+            if not (0.0 < cache_fraction <= 1.0):
+                raise ValueError(f"cache_fraction must be in (0, 1], got {cache_fraction}")
+            cache_size = max(1, int(round(num_rows * cache_fraction)))
+        if cache_size < 1:
+            raise ValueError(f"cache_size must be >= 1, got {cache_size}")
+        return min(int(cache_size), num_rows)
 
     # ------------------------------------------------------------------ #
     # Cache management
@@ -255,7 +260,7 @@ class CachedTTEmbeddingBag(Module):
             assert old_mask.all()
             values[kept_mask] = self.cache_rows.data[old_slots]
         if new.size:
-            values[~kept_mask] = self.tt.lookup(new)
+            values[~kept_mask] = self.tt._rows(new)
         self.cache_rows.data[: hot.size] = values
         self._cached_ids = hot
         self._cache_slot = np.arange(hot.size, dtype=np.int64)
@@ -284,19 +289,7 @@ class CachedTTEmbeddingBag(Module):
     # Forward / backward
     # ------------------------------------------------------------------ #
 
-    def forward(self, indices: np.ndarray, offsets: np.ndarray | None = None,
-                per_sample_weights: np.ndarray | None = None) -> np.ndarray:
-        indices = np.asarray(indices, dtype=np.int64)
-        if offsets is None:
-            offsets = np.arange(indices.size + 1, dtype=np.int64)
-        indices, offsets = check_csr(indices, offsets, self.num_rows)
-        alpha = None
-        if per_sample_weights is not None:
-            alpha = np.asarray(per_sample_weights,
-                               dtype=self.cache_rows.data.dtype).reshape(-1)
-            if alpha.shape[0] != indices.shape[0]:
-                raise ValueError("per_sample_weights must match indices in length")
-
+    def _forward_rows(self, indices: np.ndarray):
         self._steps += 1
         self.tracker.record(indices)
         self.maybe_refresh()
@@ -328,92 +321,34 @@ class CachedTTEmbeddingBag(Module):
                 served = self.cache_rows.data[slots]  # re-gather repaired rows
             rows[mask] = served
         tt_idx = indices[~mask]
+        chain = None
         if tt_idx.size:
-            # Shared batch plan for the miss path: dedup once, contract
-            # through the planner's pooled buffers, expand via `inverse`.
-            # Backward reuses the same decoded/inverse arrays.
-            plan = self.tt.planner.plan_batch(
-                tt_idx, dedup=self.dedup,
-                need_lefts=self.tt.store_intermediates,
-            )
-            tt_rows, lefts = self.tt.planner.execute(
-                plan.schedule, [(self.tt.cores, plan)],
-                keep_lefts=self.tt.store_intermediates, pooled=True,
-            )
-            rows[~mask] = (tt_rows[plan.inverse] if plan.inverse is not None
-                           else tt_rows)
-        else:
-            plan, lefts = None, None
+            # The miss path shares the TT operator's planned forward (one
+            # plan for forward and backward, pooled buffers), deduplicated
+            # by this operator's own setting.
+            rows[~mask], chain = self.tt._planned_rows(tt_idx, self.dedup)
+        return rows, (mask, slots, chain)
 
-        weighted = rows if alpha is None else rows * alpha[:, None]
-        out = segment_sum(weighted, offsets)
-        counts = np.diff(offsets)
-        if self.mode == "mean":
-            scale = np.asarray(np.where(counts > 0, counts, 1), dtype=out.dtype)
-            out = out / scale[:, None]
-        self._cache = {
-            "mask": mask, "slots": slots, "plan": plan, "lefts": lefts,
-            "alpha": alpha, "counts": counts,
-        }
-        self._did_backward = False
-        return out
-
-    __call__ = forward
-
-    def backward(self, grad_out: np.ndarray) -> None:
-        if self._cache is None:
-            if self._did_backward:
-                raise RuntimeError(
-                    "backward called twice for one forward; cache-row and "
-                    "core gradients would double-accumulate — run forward "
-                    "again first"
-                )
-            raise RuntimeError("backward called before forward")
-        c = self._cache
-        grad_out = np.asarray(grad_out, dtype=self.cache_rows.data.dtype)
-        counts = c["counts"]
-        if self.mode == "mean":
-            scale = np.asarray(np.where(counts > 0, counts, 1),
-                               dtype=grad_out.dtype)
-            grad_out = grad_out / scale[:, None]
-        bag_ids = np.repeat(np.arange(len(counts)), counts)
-        grad_rows = grad_out[bag_ids]
-        if c["alpha"] is not None:
-            grad_rows = grad_rows * c["alpha"][:, None]
-
-        mask = c["mask"]
+    def _backward_rows(self, indices, grad_rows, saved) -> None:
+        mask, slots, chain = saved
         if mask.any():
             # Duplicate-combining segmented scatter (same kernel as the TT
             # core grads) — np.add.at is an O(n) scalar loop in NumPy.
-            scatter_add_rows(self.cache_rows.grad, c["slots"], grad_rows[mask])
-            self.cache_rows.record_touched(c["slots"])
-        plan = c["plan"]
-        if plan is not None:
-            tt_grad = grad_rows[~mask]
-            if plan.inverse is not None:
-                # Combine gradient contributions of deduplicated misses.
-                combined = np.zeros((plan.n_unique, self.dim),
-                                    dtype=tt_grad.dtype)
-                scatter_add_rows(combined, plan.inverse, tt_grad)
-                tt_grad = combined
-            lefts = c["lefts"]
-            if lefts is None:
-                _, lefts = self.tt._row_chain(plan)
-            self.tt._accumulate_core_grads(plan, tt_grad, lefts)
-        self._cache = None
-        self._did_backward = True
+            scatter_add_rows(self.cache_rows.grad, slots, grad_rows[mask])
+            self.cache_rows.record_touched(slots)
+        if chain is not None:
+            self.tt._backward_plan(grad_rows[~mask], *chain)
 
     # ------------------------------------------------------------------ #
 
-    def lookup(self, indices: np.ndarray) -> np.ndarray:
+    def _rows(self, indices: np.ndarray) -> np.ndarray:
         """Row materialisation honouring the cache (no stats, no backward)."""
-        indices = np.asarray(indices, dtype=np.int64)
         mask, slots = self._membership(indices)
         rows = np.empty((indices.size, self.dim), dtype=self.cache_rows.data.dtype)
         if mask.any():
             rows[mask] = self.cache_rows.data[slots]
         if (~mask).any():
-            rows[~mask] = self.tt.lookup(indices[~mask])
+            rows[~mask] = self.tt._rows(indices[~mask])
         return rows
 
     def scrub(self) -> int:
@@ -432,7 +367,7 @@ class CachedTTEmbeddingBag(Module):
         bad = ~np.isfinite(resident).all(axis=1)
         if not bad.any():
             return 0
-        self.cache_rows.data[self._cache_slot[bad]] = self.tt.lookup(
+        self.cache_rows.data[self._cache_slot[bad]] = self.tt._rows(
             self._cached_ids[bad]
         )
         emit_event("cache.repair", module=self.metrics_label,
@@ -474,12 +409,37 @@ class CachedTTEmbeddingBag(Module):
             key.split(".", 1)[1]: value
             for key, value in state.items() if key.startswith("tracker.")
         })
-        self._cache = None
-        self._did_backward = False
+        self._bag = None  # a forward made before the restore is void
 
-    def num_parameters(self) -> int:
-        """TT params + cache rows (the cache counts toward the budget)."""
-        return self.tt.num_parameters() + self.cache_rows.size
+    # ------------------------------------------------------------------ #
+    # Registry hooks
+    # ------------------------------------------------------------------ #
 
-    def compression_ratio(self) -> float:
-        return (self.num_rows * self.dim) / self.num_parameters()
+    @classmethod
+    def from_spec(cls, spec) -> "CachedTTEmbeddingBag":
+        """Knobs: the TT ones plus ``cache_size``, ``warmup_steps``,
+        ``refresh_interval``, ``policy``, ``eviction``."""
+        cls._check_knobs(spec, {"rank", "d", "initializer", "cache_size",
+                                "warmup_steps", "refresh_interval", "policy",
+                                "eviction", "dedup", "plan_policy"})
+        return cls(spec.num_rows, spec.dim, shape=TTEmbeddingBag._spec_shape(spec),
+                   initializer=spec.get("initializer", "sampled_gaussian"),
+                   cache_size=spec.get("cache_size"),
+                   warmup_steps=int(spec.get("warmup_steps", 100)),
+                   refresh_interval=spec.get("refresh_interval", 1000),
+                   policy=spec.get("policy", "lfu"),
+                   eviction=spec.get("eviction", "discard"),
+                   dedup=bool(spec.get("dedup", True)),
+                   plan_policy=spec.get("plan_policy", "auto"),
+                   mode=spec.mode, rng=as_rng(spec.seed),
+                   name=spec.name or "cached_tt_emb")
+
+    @classmethod
+    def predict_memory_bytes(cls, spec) -> int:
+        cache = cls.resolve_cache_size(spec.num_rows, spec.get("cache_size"))
+        return ((TTEmbeddingBag._spec_shape(spec).num_params()
+                 + cache * spec.dim) * default_dtype().itemsize)
+
+    def quantized(self, bits: int):
+        """Kept, like the TT table it wraps (see ``TTEmbeddingBag``)."""
+        return self, "tt-kept"

@@ -1,7 +1,8 @@
 """Compression zoo: one interface over every embedding compressor.
 
 Importing this package registers all built-in compressors, so
-``make_embedding(spec)`` can build any of them:
+``make_embedding(spec)`` can build any of them — and what it returns *is*
+the operator class listed here, not a wrapper around it:
 
 =============  ==========================================================
 kind           operator
@@ -22,6 +23,10 @@ See ``docs/COMPRESSION.md`` for the full zoo table and
 per table under a global byte budget.
 """
 
+from repro.baselines import (HashedEmbeddingBag, LowRankEmbeddingBag,
+                             QuantizedEmbeddingBag, TREmbeddingBag)
+from repro.cache.cached_embedding import CachedTTEmbeddingBag
+from repro.compress.alpt import ALPTEmbeddingBag
 from repro.compress.base import (
     CompressedEmbedding,
     EmbeddingSpec,
@@ -32,17 +37,6 @@ from repro.compress.base import (
     register_compressor,
     registered_kinds,
 )
-from repro.compress import adapters as _adapters  # noqa: F401  (registers kinds)
-from repro.compress.adapters import (
-    CachedTTEmbedding,
-    DenseEmbedding,
-    HashedEmbedding,
-    LowRankEmbedding,
-    QuantizedEmbedding,
-    TREmbedding,
-    TTEmbedding,
-)
-from repro.compress.alpt import ALPTEmbeddingBag
 from repro.compress.dpq import DPQEmbeddingBag
 from repro.compress.planner import (
     BUDGET_PLAN_SCHEMA,
@@ -52,6 +46,16 @@ from repro.compress.planner import (
     TableStats,
     load_budget_plan,
 )
+from repro.ops.embedding import EmbeddingBag
+from repro.tt.embedding_bag import TTEmbeddingBag
+
+# Every operator carries its own ``kind``, ``from_spec`` and
+# ``predict_memory_bytes`` (most live below this package and cannot import
+# it); listing them here is all the zoo adds.
+for _cls in (EmbeddingBag, TTEmbeddingBag, CachedTTEmbeddingBag, TREmbeddingBag,
+             HashedEmbeddingBag, LowRankEmbeddingBag, QuantizedEmbeddingBag,
+             DPQEmbeddingBag, ALPTEmbeddingBag):
+    register_compressor(_cls)
 
 __all__ = [
     "CompressedEmbedding",
@@ -62,13 +66,6 @@ __all__ = [
     "predict_memory_bytes",
     "register_compressor",
     "registered_kinds",
-    "DenseEmbedding",
-    "TTEmbedding",
-    "CachedTTEmbedding",
-    "TREmbedding",
-    "HashedEmbedding",
-    "LowRankEmbedding",
-    "QuantizedEmbedding",
     "DPQEmbeddingBag",
     "ALPTEmbeddingBag",
     "BUDGET_PLAN_SCHEMA",

@@ -19,25 +19,19 @@ float64 policy that is an ~7.5x ratio, independent of table size.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 
-from repro.compress.base import (
-    CompressedEmbedding,
-    EmbeddingSpec,
-    _check_known_params,
-    register_compressor,
-)
-from repro.ops.embedding import segment_sum
+from repro.compress.base import CompressedEmbedding, EmbeddingSpec
 from repro.ops.module import Parameter
 from repro.tt.kernels import scatter_add_rows
 from repro.utils.dtypes import default_dtype, result_dtype
 from repro.utils.seeding import as_rng
-from repro.utils.validation import check_csr
 
 __all__ = ["ALPTEmbeddingBag"]
 
 
-@register_compressor
 class ALPTEmbeddingBag(CompressedEmbedding):
     """Integer-code table with learned per-row scales.
 
@@ -49,8 +43,8 @@ class ALPTEmbeddingBag(CompressedEmbedding):
     kind = "alpt"
 
     def __init__(self, spec: EmbeddingSpec):
-        _check_known_params(spec, {"bits", "weight_lr"})
-        super().__init__(spec)
+        self._check_knobs(spec, {"bits", "weight_lr"})
+        super().__init__(spec.num_rows, spec.dim, spec.mode)
         self.bits = int(spec.get("bits", 8))
         if not (2 <= self.bits <= 16):
             raise ValueError(f"bits must be in [2, 16], got {self.bits}")
@@ -71,51 +65,19 @@ class ALPTEmbeddingBag(CompressedEmbedding):
         # Deterministic stream for the stochastic rounding of code updates,
         # separate from the init stream so replays line up.
         self._round_rng = as_rng(spec.seed + 1)
-        self._cache: dict | None = None
+
+    @classmethod
+    def from_spec(cls, spec: EmbeddingSpec) -> "ALPTEmbeddingBag":
+        return cls(spec)
 
     # ------------------------------------------------------------------ #
 
-    def lookup(self, indices: np.ndarray) -> np.ndarray:
-        indices = np.asarray(indices, dtype=np.int64)
+    def _rows(self, indices: np.ndarray) -> np.ndarray:
         dt = result_dtype(self.scales.data)
         frac = self.codes[indices].astype(dt) * (1.0 / self.qmax)
         return frac * self.scales.data[indices]
 
-    def _forward_impl(self, indices, offsets, per_sample_weights) -> np.ndarray:
-        indices = np.asarray(indices, dtype=np.int64)
-        if offsets is None:
-            offsets = np.arange(indices.size + 1, dtype=np.int64)
-        indices, offsets = check_csr(indices, offsets, self.num_rows)
-        alpha = None
-        if per_sample_weights is not None:
-            alpha = np.asarray(per_sample_weights,
-                               dtype=result_dtype(self.scales.data)).reshape(-1)
-            if alpha.shape[0] != indices.shape[0]:
-                raise ValueError("per_sample_weights must match indices in length")
-        rows = self.lookup(indices)
-        weighted = rows if alpha is None else rows * alpha[:, None]
-        out = segment_sum(weighted, offsets)
-        counts = np.diff(offsets)
-        if self.mode == "mean":
-            scale = np.asarray(np.where(counts > 0, counts, 1), dtype=out.dtype)
-            out = out / scale[:, None]
-        self._cache = {"indices": indices, "offsets": offsets,
-                       "alpha": alpha, "counts": counts}
-        return out
-
-    def _backward_impl(self, grad_out) -> None:
-        c = self._cache
-        grad_out = np.asarray(grad_out, dtype=self.dtype)
-        counts = c["counts"]
-        if self.mode == "mean":
-            scale = np.asarray(np.where(counts > 0, counts, 1),
-                               dtype=grad_out.dtype)
-            grad_out = grad_out / scale[:, None]
-        bag_ids = np.repeat(np.arange(len(counts)), counts)
-        grad_rows = grad_out[bag_ids]  # (n, dim)
-        if c["alpha"] is not None:
-            grad_rows = grad_rows * c["alpha"][:, None]
-        indices = c["indices"]
+    def _backward_rows(self, indices, grad_rows, saved) -> None:
         # (n, dim) code fractions in [-1, 1]
         frac_rows = self.codes[indices].astype(grad_rows.dtype) * (1.0 / self.qmax)
         # dL/dscale_i = sum_j dL/dW_ij * c_ij/qmax  (W = c/qmax * scale).
@@ -124,7 +86,6 @@ class ALPTEmbeddingBag(CompressedEmbedding):
         self.scales.record_touched(indices)
         if self.weight_lr > 0.0:
             self._update_codes(indices, grad_rows)
-        self._cache = None
 
     def _update_codes(self, indices: np.ndarray, grad_rows: np.ndarray) -> None:
         """Stochastically-rounded SGD step on the touched code rows."""
@@ -148,20 +109,21 @@ class ALPTEmbeddingBag(CompressedEmbedding):
     def _extra_arrays(self) -> list[np.ndarray]:
         return [self.codes]
 
-    def _extra_state(self) -> dict[str, np.ndarray]:
-        return {"codes": self.codes}
+    def extra_state(self) -> dict:
+        """The codes and the stochastic-rounding stream: a resumed run must
+        round exactly as the uninterrupted one would have."""
+        return {"codes": self.codes,
+                "round_rng": json.dumps(self._round_rng.bit_generator.state)}
 
-    def _load_extra_state(self, state: dict[str, np.ndarray]) -> None:
+    def load_extra_state(self, state: dict) -> None:
         self.codes = np.asarray(state["codes"], dtype=self.codes.dtype
                                 ).reshape(self.num_rows, self.dim)
+        self._round_rng.bit_generator.state = json.loads(str(state["round_rng"]))
 
     def materialize(self) -> np.ndarray:
         """Dense ``num_rows x dim`` table (analysis only)."""
         dt = result_dtype(self.scales.data)
         return self.codes.astype(dt) * (1.0 / self.qmax) * self.scales.data
-
-    def num_parameters(self) -> int:
-        return self.scales.size
 
     @classmethod
     def predict_memory_bytes(cls, spec: EmbeddingSpec) -> int:

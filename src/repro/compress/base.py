@@ -1,31 +1,23 @@
-"""The ``CompressedEmbedding`` contract and the compressor registry.
+"""``EmbeddingSpec`` and the compressor registry over the bag contract.
 
-Every member of the compression zoo — dense, TT, cached TT, tensor-ring,
-hashing, low-rank, post-training quantization, DPQ and ALPT — sits behind
-one interface so models, benches and the serving tier can swap
-compressors per table without caring which family they got:
+Every embedding operator of the repo — dense, TT, cached TT, tensor-ring,
+hashing, low-rank, post-training quantization, DPQ and ALPT — subclasses
+:class:`~repro.ops.embedding.CompressedEmbedding` (defined beside
+``segment_sum`` in :mod:`repro.ops.embedding`, below this package, and
+re-exported here), so models, benches and the serving tier can swap
+compressors per table without caring which family they got. The zoo
+members *are* the operators: there is no wrapper between a registered
+``kind`` and the class that computes.
 
-- ``forward(indices, offsets, per_sample_weights)`` / ``backward(grad)``
-  with the *shared* re-entrancy contract: ``backward`` before ``forward``
-  raises, and a second ``backward`` for the same forward raises instead
-  of silently double-accumulating gradients (PR-5 convention, now
-  enforced here for every implementation);
-- ``lookup(indices)`` — non-pooled row gather (serving path);
-- ``memory_bytes()`` — actual bytes of the stored representation
-  (parameters plus any non-parameter code/scale arrays), the quantity
-  the :class:`~repro.compress.planner.BudgetPlanner` budgets against;
-- ``compression_ratio()`` and ``state_dict()``/``load_state_dict()``.
-
-Implementations are :class:`~repro.ops.module.Module` subclasses, so
-parameter discovery, :class:`~repro.analysis.static.sanitizer.
-NumericSanitizer` wrapping and telemetry labels all work unchanged.
-
-``make_embedding(spec)`` is the one factory: give it an
-:class:`EmbeddingSpec` (or a plain dict) and it builds the registered
-compressor. ``predict_memory_bytes(spec)`` answers the same question
-*without* building — each compressor class predicts exactly what its
-instance will report, which is what lets the planner binary-search over
-candidate specs cheaply.
+This module adds what turns those classes into a zoo: the
+:class:`EmbeddingSpec` value (kind + shape + per-kind knobs, JSON-safe)
+and the ``kind -> class`` registry. ``make_embedding(spec)`` is the one
+factory — ``compressor_class(spec.kind).from_spec(spec)``, returning the
+native operator — and ``predict_memory_bytes(spec)`` answers the same
+question *without* building: each class predicts exactly what its
+instance will report, which is what lets the
+:class:`~repro.compress.planner.BudgetPlanner` search candidate specs
+cheaply.
 """
 
 from __future__ import annotations
@@ -34,8 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.ops.module import Module
-from repro.utils.dtypes import default_dtype
+from repro.ops.embedding import CompressedEmbedding
 
 __all__ = [
     "EmbeddingSpec",
@@ -54,7 +45,7 @@ class EmbeddingSpec:
 
     ``params`` holds the per-kind knobs (``rank``, ``num_buckets``,
     ``bits``, ``codebook_size`` ...); unknown keys are rejected by the
-    compressor constructor so a typo'd knob fails loudly.
+    compressor's ``from_spec`` so a typo'd knob fails loudly.
     """
 
     kind: str
@@ -112,162 +103,6 @@ def as_spec(spec) -> EmbeddingSpec:
     raise TypeError(f"expected EmbeddingSpec or dict, got {type(spec).__name__}")
 
 
-class CompressedEmbedding(Module):
-    """Abstract base of the compression zoo (see module docstring).
-
-    Subclasses implement ``_forward_impl``/``_backward_impl``/``lookup``
-    and inherit the uniform re-entrancy guard: the base ``backward``
-    raises ``RuntimeError`` both before any forward and on a second call
-    for the same forward, for *every* zoo member — including adapters
-    whose wrapped module historically guarded only one of the two.
-    """
-
-    #: registry key; subclasses set it (e.g. ``"tt"``).
-    kind: str = ""
-    #: False for inference-only members (post-training quantization).
-    supports_gradient: bool = True
-
-    def __init__(self, spec: EmbeddingSpec):
-        if spec.mode not in ("sum", "mean"):
-            raise ValueError(f"mode must be 'sum' or 'mean', got {spec.mode!r}")
-        self.spec = spec
-        self.num_rows = spec.num_rows
-        self.dim = spec.dim
-        self.mode = spec.mode
-        self._ready = False
-        self._spent = False
-
-    # ------------------------------------------------------------------ #
-    # Forward / backward with the shared re-entrancy contract
-    # ------------------------------------------------------------------ #
-
-    def forward(self, indices: np.ndarray, offsets: np.ndarray | None = None,
-                per_sample_weights: np.ndarray | None = None) -> np.ndarray:
-        out = self._forward_impl(indices, offsets, per_sample_weights)
-        self._ready = True
-        self._spent = False
-        return out
-
-    __call__ = forward
-
-    def backward(self, grad_out: np.ndarray) -> None:
-        if not self.supports_gradient:
-            raise NotImplementedError(
-                f"{type(self).__name__} ({self.kind!r}) is inference-only; "
-                "train an uncompressed table and convert it post-training"
-            )
-        if self._spent:
-            raise RuntimeError(
-                "backward called twice for one forward; gradients would "
-                "double-accumulate — run forward again first"
-            )
-        if not self._ready:
-            raise RuntimeError("backward called before forward")
-        self._backward_impl(grad_out)
-        self._ready = False
-        self._spent = True
-
-    def _forward_impl(self, indices, offsets, per_sample_weights) -> np.ndarray:
-        raise NotImplementedError
-
-    def _backward_impl(self, grad_out) -> None:
-        raise NotImplementedError
-
-    def lookup(self, indices: np.ndarray) -> np.ndarray:
-        """Non-pooled row gather (reference semantics for ``forward``)."""
-        raise NotImplementedError
-
-    # ------------------------------------------------------------------ #
-    # Memory accounting
-    # ------------------------------------------------------------------ #
-
-    @property
-    def dtype(self) -> np.dtype:
-        """Floating dtype of the stored representation."""
-        params = self.parameters()
-        if params:
-            return params[0].data.dtype
-        return default_dtype()
-
-    def _extra_arrays(self) -> list[np.ndarray]:
-        """Non-parameter arrays that count toward ``memory_bytes``."""
-        return []
-
-    def memory_bytes(self) -> int:
-        """Actual bytes stored: parameters + code/scale side arrays."""
-        total = sum(p.data.nbytes for p in self.parameters())
-        total += sum(a.nbytes for a in self._extra_arrays())
-        return int(total)
-
-    def dense_bytes(self) -> int:
-        """Bytes an uncompressed table would take at this dtype."""
-        return int(self.num_rows) * int(self.dim) * self.dtype.itemsize
-
-    def compression_ratio(self) -> float:
-        return self.dense_bytes() / self.memory_bytes()
-
-    @classmethod
-    def predict_memory_bytes(cls, spec: EmbeddingSpec) -> int:
-        """Exact ``memory_bytes()`` of ``make_embedding(spec)``, unbuilt."""
-        raise NotImplementedError
-
-    # ------------------------------------------------------------------ #
-    # Serialization
-    # ------------------------------------------------------------------ #
-
-    def _extra_state(self) -> dict[str, np.ndarray]:
-        """Non-parameter arrays that must round-trip via ``state_dict``."""
-        return {}
-
-    def _load_extra_state(self, state: dict[str, np.ndarray]) -> None:
-        for key, value in state.items():
-            raise KeyError(f"unexpected extra state {key!r}")
-
-    def state_dict(self) -> dict[str, np.ndarray]:
-        """Bit-exact snapshot: parameters by positional key + extra arrays.
-
-        Keys follow the checkpoint convention of
-        :mod:`repro.models.serialization` (``"NNNN:param.name"``) with
-        ``"extra:<key>"`` entries for non-parameter arrays.
-        """
-        out: dict[str, np.ndarray] = {}
-        for i, p in enumerate(self.parameters()):
-            out[f"{i:04d}:{p.name}"] = p.data.copy()
-        for key, value in self._extra_state().items():
-            out[f"extra:{key}"] = np.asarray(value).copy()
-        return out
-
-    def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        params = {f"{i:04d}:{p.name}": p for i, p in enumerate(self.parameters())}
-        extra: dict[str, np.ndarray] = {}
-        seen: set[str] = set()
-        for key, value in state.items():
-            if key.startswith("extra:"):
-                extra[key[len("extra:"):]] = value
-                continue
-            if key not in params:
-                raise KeyError(f"unexpected parameter key {key!r}")
-            p = params[key]
-            value = np.asarray(value)
-            if value.shape != p.data.shape:
-                raise ValueError(
-                    f"shape mismatch for {key!r}: {value.shape} != {p.data.shape}"
-                )
-            p.data[...] = value
-            seen.add(key)
-        missing = sorted(set(params) - seen)
-        if missing:
-            raise KeyError(f"missing parameter keys: {missing}")
-        if extra:
-            self._load_extra_state(extra)
-
-    # ------------------------------------------------------------------ #
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"{type(self).__name__}({self.num_rows}x{self.dim}, "
-                f"{self.spec.label()}, {self.memory_bytes():,} B)")
-
-
 # ---------------------------------------------------------------------- #
 # Registry + factory
 # ---------------------------------------------------------------------- #
@@ -276,7 +111,7 @@ _REGISTRY: dict[str, type[CompressedEmbedding]] = {}
 
 
 def register_compressor(cls: type[CompressedEmbedding]):
-    """Class decorator: register ``cls`` under its ``kind`` key."""
+    """Register ``cls`` under its ``kind`` key (usable as a class decorator)."""
     if not cls.kind:
         raise ValueError(f"{cls.__name__} must set a non-empty 'kind'")
     if cls.kind in _REGISTRY:
@@ -301,20 +136,10 @@ def compressor_class(kind: str) -> type[CompressedEmbedding]:
 def make_embedding(spec: EmbeddingSpec | dict) -> CompressedEmbedding:
     """Build the registered compressor for ``spec`` — the zoo's one door."""
     spec = as_spec(spec)
-    return compressor_class(spec.kind)(spec)
+    return compressor_class(spec.kind).from_spec(spec)
 
 
 def predict_memory_bytes(spec: EmbeddingSpec | dict) -> int:
     """``memory_bytes()`` the built compressor would report, without building."""
     spec = as_spec(spec)
     return compressor_class(spec.kind).predict_memory_bytes(spec)
-
-
-def _check_known_params(spec: EmbeddingSpec, allowed: set[str]) -> None:
-    """Reject unknown spec knobs so typos fail at build time."""
-    unknown = sorted(set(spec.params) - allowed)
-    if unknown:
-        raise ValueError(
-            f"unknown params {unknown} for kind {spec.kind!r}; "
-            f"allowed: {sorted(allowed)}"
-        )

@@ -19,18 +19,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.compress.base import (
-    CompressedEmbedding,
-    EmbeddingSpec,
-    _check_known_params,
-    register_compressor,
-)
-from repro.ops.embedding import segment_sum
+from repro.compress.base import CompressedEmbedding, EmbeddingSpec
 from repro.ops.module import Parameter
 from repro.tt.kernels import scatter_add_rows
-from repro.utils.dtypes import default_dtype, result_dtype
+from repro.utils.dtypes import default_dtype
 from repro.utils.seeding import as_rng
-from repro.utils.validation import check_csr
 
 __all__ = ["DPQEmbeddingBag"]
 
@@ -39,7 +32,6 @@ def _code_dtype(codebook_size: int) -> np.dtype:
     return np.dtype(np.uint8 if codebook_size <= 256 else np.uint16)
 
 
-@register_compressor
 class DPQEmbeddingBag(CompressedEmbedding):
     """Product-quantization embedding with straight-through gradients.
 
@@ -49,8 +41,8 @@ class DPQEmbeddingBag(CompressedEmbedding):
     kind = "dpq"
 
     def __init__(self, spec: EmbeddingSpec):
-        _check_known_params(spec, {"num_subspaces", "codebook_size"})
-        super().__init__(spec)
+        self._check_knobs(spec, {"num_subspaces", "codebook_size"})
+        super().__init__(spec.num_rows, spec.dim, spec.mode)
         self.num_subspaces = int(spec.get("num_subspaces", 4))
         self.codebook_size = int(spec.get("codebook_size", 256))
         if self.num_subspaces < 1 or self.dim % self.num_subspaces != 0:
@@ -82,7 +74,10 @@ class DPQEmbeddingBag(CompressedEmbedding):
         # Per-subspace base offsets into the flat codebook.
         self._base = (np.arange(self.num_subspaces, dtype=np.int64)
                       * self.codebook_size)
-        self._cache: dict | None = None
+
+    @classmethod
+    def from_spec(cls, spec: EmbeddingSpec) -> "DPQEmbeddingBag":
+        return cls(spec)
 
     # ------------------------------------------------------------------ #
 
@@ -90,55 +85,18 @@ class DPQEmbeddingBag(CompressedEmbedding):
         """Flat codebook row ids for each (index, subspace): (n, S) int64."""
         return self.codes[indices].astype(np.int64) + self._base[None, :]
 
-    def lookup(self, indices: np.ndarray) -> np.ndarray:
-        indices = np.asarray(indices, dtype=np.int64)
+    def _rows(self, indices: np.ndarray) -> np.ndarray:
         flat = self._global_codes(indices).reshape(-1)  # (n*S,)
         rows = self.codebooks.data[flat]                # (n*S, sub_dim)
         return rows.reshape(indices.shape[0], self.dim)
 
-    def _forward_impl(self, indices, offsets, per_sample_weights) -> np.ndarray:
-        indices = np.asarray(indices, dtype=np.int64)
-        if offsets is None:
-            offsets = np.arange(indices.size + 1, dtype=np.int64)
-        indices, offsets = check_csr(indices, offsets, self.num_rows)
-        alpha = None
-        if per_sample_weights is not None:
-            alpha = np.asarray(per_sample_weights,
-                               dtype=result_dtype(self.codebooks.data)
-                               ).reshape(-1)
-            if alpha.shape[0] != indices.shape[0]:
-                raise ValueError("per_sample_weights must match indices in length")
-        rows = self.lookup(indices)
-        weighted = rows if alpha is None else rows * alpha[:, None]
-        out = segment_sum(weighted, offsets)
-        counts = np.diff(offsets)
-        if self.mode == "mean":
-            scale = np.asarray(np.where(counts > 0, counts, 1),
-                               dtype=out.dtype)
-            out = out / scale[:, None]
-        self._cache = {"indices": indices, "offsets": offsets,
-                       "alpha": alpha, "counts": counts}
-        return out
-
-    def _backward_impl(self, grad_out) -> None:
-        c = self._cache
-        grad_out = np.asarray(grad_out, dtype=self.dtype)
-        counts = c["counts"]
-        if self.mode == "mean":
-            scale = np.asarray(np.where(counts > 0, counts, 1),
-                               dtype=grad_out.dtype)
-            grad_out = grad_out / scale[:, None]
-        bag_ids = np.repeat(np.arange(len(counts)), counts)
-        grad_rows = grad_out[bag_ids]  # (n, dim)
-        if c["alpha"] is not None:
-            grad_rows = grad_rows * c["alpha"][:, None]
+    def _backward_rows(self, indices, grad_rows, saved) -> None:
         # Straight-through: the pooled gradient lands on the codebook
         # entries the forward actually read.
-        flat = self._global_codes(c["indices"]).reshape(-1)  # (n*S,)
-        vals = grad_rows.reshape(-1, self.sub_dim)           # (n*S, sub_dim)
+        flat = self._global_codes(indices).reshape(-1)  # (n*S,)
+        vals = grad_rows.reshape(-1, self.sub_dim)      # (n*S, sub_dim)
         scatter_add_rows(self.codebooks.grad, flat, vals)
         self.codebooks.record_touched(flat)
-        self._cache = None
 
     # ------------------------------------------------------------------ #
     # Code (re-)assignment
@@ -204,15 +162,12 @@ class DPQEmbeddingBag(CompressedEmbedding):
     def _extra_arrays(self) -> list[np.ndarray]:
         return [self.codes]
 
-    def _extra_state(self) -> dict[str, np.ndarray]:
+    def extra_state(self) -> dict:
         return {"codes": self.codes}
 
-    def _load_extra_state(self, state: dict[str, np.ndarray]) -> None:
+    def load_extra_state(self, state: dict) -> None:
         self.codes = np.asarray(state["codes"], dtype=self.codes.dtype
                                 ).reshape(self.num_rows, self.num_subspaces)
-
-    def num_parameters(self) -> int:
-        return self.codebooks.size
 
     @classmethod
     def predict_memory_bytes(cls, spec: EmbeddingSpec) -> int:

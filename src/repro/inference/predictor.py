@@ -17,10 +17,8 @@ import warnings
 
 import numpy as np
 
-from repro.baselines.quantization import QuantizedEmbeddingBag
 from repro.data.batching import Batch, make_offsets
 from repro.models.dlrm import DLRM
-from repro.ops.embedding import EmbeddingBag
 from repro.utils.validation import check_1d_int_array
 
 __all__ = ["Predictor", "rank_candidates"]
@@ -69,50 +67,22 @@ class Predictor:
     def _maybe_quantize(self, table: int, emb, bits: int):
         """Quantize one embedding operator, or explain why it is skipped.
 
-        Every operator type is handled explicitly so a mixed model (hashed
-        or low-rank baselines alongside dense and TT tables) cannot
-        silently overstate its serving-footprint reduction: anything left
-        at full precision without a principled reason raises a
-        ``RuntimeWarning`` and shows up in ``quantization_report``.
+        The rule is the operator's own
+        (:meth:`~repro.ops.embedding.CompressedEmbedding.quantized`), so a
+        mixed model (hashed or low-rank baselines alongside dense and TT
+        tables) cannot silently overstate its serving-footprint reduction:
+        anything left at full precision without a principled reason raises
+        a ``RuntimeWarning`` and shows up in ``quantization_report``.
         """
-        from repro.baselines.hashing import HashedEmbeddingBag
-        from repro.cache.cached_embedding import CachedTTEmbeddingBag
-        from repro.tt.embedding_bag import TTEmbeddingBag
-
+        served, status = emb.quantized(bits)
         kind = type(emb).__name__
-        if isinstance(emb, EmbeddingBag):
-            self.quantization_report.append((table, kind, f"quantized@{bits}b"))
-            return QuantizedEmbeddingBag.from_dense(emb.weight.data, bits=bits,
-                                                    mode=emb.mode)
-        if isinstance(emb, HashedEmbeddingBag):
-            # The physical bucket table is a plain EmbeddingBag, but the
-            # hash + sign transform lives in the wrapper: quantizing the
-            # inner table in place would mutate the (shared) model, so the
-            # operator is kept and reported.
-            self.quantization_report.append((table, kind, "skipped"))
+        self.quantization_report.append((table, kind, status))
+        if status == "skipped":
             warnings.warn(
-                f"table {table}: {kind} left unquantized (its bucket table "
-                "is shared with the training model); serving footprint "
-                "includes the full-precision buckets",
+                f"table {table}: " + emb.quantize_skip_note.format(kind=kind),
                 RuntimeWarning, stacklevel=3,
             )
-            return emb
-        if isinstance(emb, (TTEmbeddingBag, CachedTTEmbeddingBag)):
-            # TT tables are already 100x+ smaller than dense; quantizing
-            # the cores would compound approximation error for a
-            # negligible footprint win (paper §6.2).
-            self.quantization_report.append((table, kind, "tt-kept"))
-            return emb
-        if isinstance(emb, QuantizedEmbeddingBag):
-            self.quantization_report.append((table, kind, "already-quantized"))
-            return emb
-        self.quantization_report.append((table, kind, "skipped"))
-        warnings.warn(
-            f"table {table}: no quantization rule for {kind}; operator kept "
-            "at full precision (serving footprint may be overstated)",
-            RuntimeWarning, stacklevel=3,
-        )
-        return emb
+        return served
 
     @property
     def embeddings(self) -> list:

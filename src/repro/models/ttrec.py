@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.cache.cached_embedding import CachedTTEmbeddingBag
+from repro.compress import make_embedding
 from repro.models.config import DLRMConfig, TTConfig
 from repro.models.dlrm import DLRM
 from repro.ops.embedding import EmbeddingBag
@@ -93,8 +94,6 @@ def build_from_plan(plan, *, config: DLRMConfig | None = None,
     its table sizes and embedding dim must match the plan; otherwise a
     default config is derived from the plan.
     """
-    from repro.compress import make_embedding  # deferred: avoids cycles
-
     if not plan.tables:
         raise ValueError("plan has no tables")
     dims = {t.spec.dim for t in plan.tables}

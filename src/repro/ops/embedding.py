@@ -1,19 +1,29 @@
-"""Dense EmbeddingBag — the uncompressed DLRM baseline.
+"""The embedding-bag contract and the dense table that is its reference.
 
-Mirrors ``torch.nn.EmbeddingBag``: a table of ``num_rows x dim`` weights,
-queried with CSR-style ``(indices, offsets)`` bags, pooled by sum or mean,
-with optional per-sample weights (the alpha_i of paper Eq. 6).
+Mirrors ``torch.nn.EmbeddingBag``: a ``num_rows x dim`` table queried with
+CSR-style ``(indices, offsets)`` bags, pooled by sum or mean, with optional
+per-sample weights (the alpha_i of paper Eq. 6).
+:class:`CompressedEmbedding` owns that bag once — validation, pooling, the
+re-entrancy guard, un-pooling, memory accounting and serialisation — and
+every operator in the repo (dense, TT, cached TT, T3nsor, tensor-ring,
+hashing, low-rank, quantized, DPQ, ALPT) subclasses it and supplies only
+its rows: how to materialise them and where their gradients go.
+:class:`EmbeddingBag` is the uncompressed DLRM baseline.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from repro.ops.module import Module, Parameter
+from repro.utils.dtypes import default_dtype
 from repro.utils.seeding import as_rng
 from repro.utils.validation import check_1d_int_array, check_csr
 
-__all__ = ["EmbeddingBag", "segment_sum"]
+__all__ = ["CompressedEmbedding", "EmbeddingBag", "segment_sum", "check_bag",
+           "pool_bags", "unpool_grads"]
 
 
 def segment_sum(rows: np.ndarray, offsets: np.ndarray) -> np.ndarray:
@@ -31,7 +41,309 @@ def segment_sum(rows: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     return cs[offsets[1:]] - cs[offsets[:-1]]
 
 
-class EmbeddingBag(Module):
+def check_bag(indices, offsets, per_sample_weights, num_rows: int,
+              dtype: np.dtype):
+    """Validate one bag batch; returns ``(indices, offsets, alpha)``.
+
+    With ``offsets=None`` each index is its own bag. Ids must be an
+    integer array inside ``[0, num_rows)`` — a float id raises
+    ``TypeError`` and an out-of-range one :class:`~repro.utils.validation.
+    IndexOutOfRangeError`, never a silent truncation or wrap-around.
+    Weights are cast to ``dtype`` and must match ``indices`` in length.
+    """
+    indices = np.asarray(indices)
+    if offsets is None:
+        offsets = np.arange(indices.size + 1, dtype=np.int64)
+    indices, offsets = check_csr(indices, offsets, num_rows)
+    if per_sample_weights is None:
+        return indices, offsets, None
+    alpha = np.asarray(per_sample_weights, dtype=dtype).reshape(-1)
+    if alpha.shape[0] != indices.shape[0]:
+        raise ValueError(
+            f"per_sample_weights length {alpha.shape[0]} != "
+            f"len(indices) {indices.shape[0]}"
+        )
+    return indices, offsets, alpha
+
+
+def _mean_scale(counts: np.ndarray, dtype: np.dtype) -> np.ndarray:
+    return np.asarray(np.where(counts > 0, counts, 1), dtype=dtype)[:, None]
+
+
+def pool_bags(rows: np.ndarray, offsets: np.ndarray,
+              alpha: np.ndarray | None, mode: str):
+    """Eq. 6-7 pooling: ``(n, d)`` rows -> ``((bags, d) pooled, bag sizes)``.
+
+    Weights first, then the segment sum, then the mean divide — the order
+    is part of the contract (outputs are compared bit for bit).
+    """
+    out = segment_sum(rows if alpha is None else rows * alpha[:, None], offsets)
+    counts = np.diff(offsets)
+    if mode == "mean":
+        out = out / _mean_scale(counts, out.dtype)
+    return out, counts
+
+
+def unpool_grads(grad_out: np.ndarray, counts: np.ndarray,
+                 alpha: np.ndarray | None, mode: str) -> np.ndarray:
+    """Adjoint of :func:`pool_bags`: bag gradients ``(bags, d)`` -> one
+    gradient per looked-up row ``(n, d)``."""
+    if mode == "mean":
+        grad_out = grad_out / _mean_scale(counts, grad_out.dtype)
+    grad_rows = grad_out[np.repeat(np.arange(len(counts)), counts)]
+    return grad_rows if alpha is None else grad_rows * alpha[:, None]
+
+
+class CompressedEmbedding(Module):
+    """Base class of every embedding-bag operator (see module docstring).
+
+    The public surface is written here, once: ``forward`` validates,
+    asks the operator for rows, pools and remembers the bag; ``backward``
+    guards, un-pools and hands the operator per-row gradients; ``lookup``
+    validates and gathers without touching any state. Subclasses implement
+    the hooks:
+
+    - ``_rows(indices) -> (n, dim)`` — *pure* row materialisation
+      (``lookup`` runs between a forward and its backward, so it must not
+      disturb what the backward needs);
+    - ``_forward_rows(indices) -> (rows, saved)`` — the forward's rows plus
+      whatever its backward wants back; defaults to ``(_rows(indices),
+      None)``;
+    - ``_backward_rows(indices, grad_rows, saved)`` — accumulate parameter
+      gradients from the ``(n, dim)`` per-row gradients;
+    - ``_pool`` / ``_unpool`` — the pooling step and its adjoint, for an
+      operator that pools in another space (low-rank) or times it (TT);
+    - ``from_spec`` / ``predict_memory_bytes`` — the registry's builder
+      and its exact, build-free size prediction;
+    - ``extra_state`` / ``load_extra_state``, ``_extra_arrays``,
+      ``quantized``, ``scrub`` — where the defaults below do not fit.
+
+    ``indices`` reaching a hook are already validated ``int64``.
+    """
+
+    #: registry key under :func:`repro.compress.make_embedding`.
+    kind: str = ""
+    #: False for inference-only members (post-training quantization).
+    supports_gradient: bool = True
+    #: Why :meth:`quantized` keeps the operator at full precision.
+    quantize_skip_note: str = (
+        "no quantization rule for {kind}; operator kept at full precision "
+        "(serving footprint may be overstated)")
+
+    def __init__(self, num_rows: int, dim: int, mode: str = "sum"):
+        if num_rows <= 0 or dim <= 0:
+            raise ValueError(f"num_rows and dim must be positive, got {num_rows}, {dim}")
+        if mode not in ("sum", "mean"):
+            raise ValueError(f"mode must be 'sum' or 'mean', got {mode!r}")
+        self.num_rows = num_rows
+        self.dim = dim
+        self.mode = mode
+        # (indices, counts, alpha, saved) of the forward awaiting backward.
+        self._bag: tuple | None = None
+        self._spent = False
+
+    # ------------------------------------------------------------------ #
+    # The bag: forward / backward / lookup
+    # ------------------------------------------------------------------ #
+
+    def forward(self, indices: np.ndarray, offsets: np.ndarray | None = None,
+                per_sample_weights: np.ndarray | None = None) -> np.ndarray:
+        """Pooled lookup. With ``offsets=None`` each index is its own bag."""
+        indices, offsets, alpha = check_bag(indices, offsets, per_sample_weights,
+                                            self.num_rows, self.dtype)
+        rows, saved = self._forward_rows(indices)
+        out, counts = self._pool(rows, offsets, alpha)
+        self._bag = (indices, counts, alpha, saved)
+        return out
+
+    __call__ = forward
+
+    def backward(self, grad_out: np.ndarray) -> None:
+        """Accumulate parameter gradients for the last ``forward``.
+
+        Consumes that forward: ``backward`` before any forward raises, and
+        a second ``backward`` for the same forward raises instead of
+        silently double-accumulating gradients. Bags carry no input grad.
+        """
+        if not self.supports_gradient:
+            raise NotImplementedError(
+                f"{type(self).__name__} ({self.kind!r}) is inference-only; "
+                "train an uncompressed table and convert it post-training"
+            )
+        if self._bag is None:
+            if self._spent:
+                raise RuntimeError(
+                    "backward called twice for one forward; gradients would "
+                    "double-accumulate — run forward again first"
+                )
+            raise RuntimeError("backward called before forward")
+        indices, counts, alpha, saved = self._bag
+        grad_rows = self._unpool(np.asarray(grad_out, dtype=self.dtype),
+                                 counts, alpha)
+        self._backward_rows(indices, grad_rows, saved)
+        self._bag = None
+        self._spent = True
+
+    def lookup(self, indices: np.ndarray) -> np.ndarray:
+        """Plain (non-pooled) row gather; the reference for ``forward``.
+
+        Indices are validated against ``num_rows`` — a float, negative or
+        out-of-range id raises instead of truncating, wrapping around or
+        reading a padded row. Callers that want clamp-or-hash semantics
+        for out-of-vocabulary ids must go through
+        :class:`repro.serving.RequestSanitizer`; the table never guesses.
+        Touches no tracker, statistic or pending-backward state.
+        """
+        return self._rows(check_1d_int_array(
+            "indices", np.asarray(indices).reshape(-1),
+            min_value=0, max_value=self.num_rows - 1))
+
+    def _rows(self, indices: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    def _forward_rows(self, indices: np.ndarray):
+        return self._rows(indices), None
+
+    def _backward_rows(self, indices: np.ndarray, grad_rows: np.ndarray,
+                       saved) -> None:
+        raise NotImplementedError
+
+    def _pool(self, rows, offsets, alpha):
+        return pool_bags(rows, offsets, alpha, self.mode)
+
+    def _unpool(self, grad_out, counts, alpha):
+        return unpool_grads(grad_out, counts, alpha, self.mode)
+
+    # ------------------------------------------------------------------ #
+    # Memory accounting
+    # ------------------------------------------------------------------ #
+
+    @cached_property
+    def dtype(self) -> np.dtype:
+        """The single floating dtype of the stored rows (and every output);
+        fixed at construction, since parameters are only updated in place."""
+        params = self.parameters()
+        return params[0].data.dtype if params else default_dtype()
+
+    def _extra_arrays(self) -> list[np.ndarray]:
+        """Non-parameter arrays that count toward ``memory_bytes``."""
+        return []
+
+    def memory_bytes(self) -> int:
+        """Actual bytes stored: parameters + code/scale side arrays."""
+        return int(sum(p.data.nbytes for p in self.parameters())
+                   + sum(a.nbytes for a in self._extra_arrays()))
+
+    def dense_bytes(self) -> int:
+        """Bytes an uncompressed table would take at this dtype."""
+        return int(self.num_rows) * int(self.dim) * self.dtype.itemsize
+
+    def compression_ratio(self) -> float:
+        """Dense bytes over stored bytes (for an all-parameter operator,
+        the paper's Table 2 parameter ratio)."""
+        return self.dense_bytes() / self.memory_bytes()
+
+    # ------------------------------------------------------------------ #
+    # Registry hooks (see repro.compress)
+    # ------------------------------------------------------------------ #
+
+    @classmethod
+    def from_spec(cls, spec) -> "CompressedEmbedding":
+        """Build from an :class:`~repro.compress.EmbeddingSpec`."""
+        raise NotImplementedError
+
+    @classmethod
+    def predict_memory_bytes(cls, spec) -> int:
+        """Exact ``memory_bytes()`` of ``from_spec(spec)``, unbuilt."""
+        raise NotImplementedError
+
+    @staticmethod
+    def _check_knobs(spec, allowed: set[str]) -> None:
+        """Reject unknown spec knobs so typos fail at build time."""
+        unknown = sorted(set(spec.params) - allowed)
+        if unknown:
+            raise ValueError(
+                f"unknown params {unknown} for kind {spec.kind!r}; "
+                f"allowed: {sorted(allowed)}"
+            )
+
+    # ------------------------------------------------------------------ #
+    # Serving hooks
+    # ------------------------------------------------------------------ #
+
+    def quantized(self, bits: int) -> tuple["CompressedEmbedding", str]:
+        """Serving stand-in at ``bits`` per weight: ``(operator, status)``.
+
+        The default keeps the operator and reports ``"skipped"``, for
+        which :class:`~repro.inference.Predictor` warns with
+        :attr:`quantize_skip_note` so a mixed model cannot silently
+        overstate its footprint reduction.
+        """
+        return self, "skipped"
+
+    def scrub(self) -> int:
+        """Repair non-finite derived state in place; returns rows repaired."""
+        return 0
+
+    # ------------------------------------------------------------------ #
+    # Serialization
+    # ------------------------------------------------------------------ #
+
+    def extra_state(self) -> dict:
+        """Non-parameter state a serialiser must carry (arrays or JSON
+        scalars). Read by :meth:`state_dict` and, per module, by
+        :class:`repro.reliability.checkpoint.CheckpointManager`."""
+        return {}
+
+    def load_extra_state(self, state: dict) -> None:
+        """Inverse of :meth:`extra_state`."""
+        if state:
+            raise KeyError(f"unexpected extra state {sorted(state)}")
+
+    def state_dict(self) -> dict[str, np.ndarray]:
+        """Bit-exact snapshot: parameters by positional key + extra state.
+
+        Keys follow the checkpoint convention of
+        :mod:`repro.models.serialization` (``"NNNN:param.name"``) with
+        ``"extra:<key>"`` entries for :meth:`extra_state`.
+        """
+        out = {f"{i:04d}:{p.name}": p.data.copy()
+               for i, p in enumerate(self.parameters())}
+        for key, value in self.extra_state().items():
+            out[f"extra:{key}"] = np.asarray(value).copy()
+        return out
+
+    def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
+        """Inverse of :meth:`state_dict`; rejects missing/unknown keys."""
+        params = {f"{i:04d}:{p.name}": p for i, p in enumerate(self.parameters())}
+        extra: dict[str, np.ndarray] = {}
+        seen: set[str] = set()
+        for key, value in state.items():
+            if key.startswith("extra:"):
+                extra[key[len("extra:"):]] = value
+                continue
+            if key not in params:
+                raise KeyError(f"unexpected parameter key {key!r}")
+            p = params[key]
+            value = np.asarray(value)
+            if value.shape != p.data.shape:
+                raise ValueError(
+                    f"shape mismatch for {key!r}: {value.shape} != {p.data.shape}"
+                )
+            p.data[...] = value
+            seen.add(key)
+        missing = sorted(set(params) - seen)
+        if missing:
+            raise KeyError(f"missing parameter keys: {missing}")
+        if extra:
+            self.load_extra_state(extra)
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (f"{type(self).__name__}({self.num_rows}x{self.dim}, "
+                f"{self.mode}, {self.memory_bytes():,} B)")
+
+
+class EmbeddingBag(CompressedEmbedding):
     """Uncompressed embedding table with bag pooling.
 
     Parameters
@@ -49,94 +361,42 @@ class EmbeddingBag(Module):
     alternatives parameterized by the same ``n``.
     """
 
+    kind = "dense"
+
     def __init__(self, num_rows: int, dim: int, *, mode: str = "sum",
                  initializer=None, rng: int | None | np.random.Generator = None,
                  name: str = "emb"):
-        if num_rows <= 0 or dim <= 0:
-            raise ValueError(f"num_rows and dim must be positive, got {num_rows}, {dim}")
-        if mode not in ("sum", "mean"):
-            raise ValueError(f"mode must be 'sum' or 'mean', got {mode!r}")
+        super().__init__(num_rows, dim, mode)
         rng = as_rng(rng)
-        self.num_rows = num_rows
-        self.dim = dim
-        self.mode = mode
         if initializer is None:
             bound = 1.0 / np.sqrt(num_rows)
             data = rng.uniform(-bound, bound, size=(num_rows, dim))
         else:
             data = initializer(rng, (num_rows, dim))
         self.weight = Parameter(data, name=f"{name}.weight", sparse=True)
-        self._cache: tuple | None = None
-        self._did_backward = False
 
-    def forward(self, indices: np.ndarray, offsets: np.ndarray,
-                per_sample_weights: np.ndarray | None = None) -> np.ndarray:
-        indices, offsets = check_csr(indices, offsets, self.num_rows)
-        rows = self.weight.data[indices]
-        if per_sample_weights is not None:
-            alpha = np.asarray(per_sample_weights, dtype=rows.dtype).reshape(-1)
-            if alpha.shape[0] != indices.shape[0]:
-                raise ValueError(
-                    f"per_sample_weights length {alpha.shape[0]} != "
-                    f"len(indices) {indices.shape[0]}"
-                )
-            rows = rows * alpha[:, None]
-        else:
-            alpha = None
-        out = segment_sum(rows, offsets)
-        counts = np.diff(offsets)
-        if self.mode == "mean":
-            scale = np.asarray(np.where(counts > 0, counts, 1), dtype=out.dtype)
-            out = out / scale[:, None]
-        self._cache = (indices, offsets, alpha, counts)
-        self._did_backward = False
-        return out
+    def _rows(self, indices):
+        return self.weight.data[indices]
 
-    def backward(self, grad_out: np.ndarray) -> None:
-        """Accumulate grads into ``weight.grad``; bags carry no input grad.
-
-        Consumes the forward cache: a second ``backward`` for the same
-        forward would silently double-accumulate gradients, so it raises
-        instead (the contract every zoo member shares — see
-        ``repro.compress.base.CompressedEmbedding``).
-        """
-        if self._cache is None:
-            if self._did_backward:
-                raise RuntimeError(
-                    "backward called twice for one forward; table gradients "
-                    "would double-accumulate — run forward again first"
-                )
-            raise RuntimeError("backward called before forward")
-        indices, offsets, alpha, counts = self._cache
-        grad_out = np.asarray(grad_out, dtype=self.weight.data.dtype)
-        if self.mode == "mean":
-            scale = np.asarray(np.where(counts > 0, counts, 1),
-                               dtype=grad_out.dtype)
-            grad_out = grad_out / scale[:, None]
-        # Expand bag gradients back to per-index gradients.
-        bag_ids = np.repeat(np.arange(len(counts)), counts)
-        grad_rows = grad_out[bag_ids]
-        if alpha is not None:
-            grad_rows = grad_rows * alpha[:, None]
+    def _backward_rows(self, indices, grad_rows, saved):
         np.add.at(self.weight.grad, indices, grad_rows)
         self.weight.record_touched(indices)
-        self._cache = None
-        self._did_backward = True
 
-    __call__ = forward
+    @classmethod
+    def from_spec(cls, spec) -> "EmbeddingBag":
+        cls._check_knobs(spec, set())
+        return cls(spec.num_rows, spec.dim, mode=spec.mode,
+                   rng=as_rng(spec.seed), name=spec.name or "dense_emb")
 
-    def lookup(self, indices: np.ndarray) -> np.ndarray:
-        """Plain (non-pooled) row gather; used by caches and tests.
+    @classmethod
+    def predict_memory_bytes(cls, spec) -> int:
+        return spec.num_rows * spec.dim * default_dtype().itemsize
 
-        Indices are validated against ``num_rows`` — a negative or
-        out-of-range index raises :class:`IndexOutOfRangeError` instead of
-        silently wrapping around through NumPy fancy indexing. Callers that
-        want clamp-or-hash semantics for out-of-vocabulary ids must go
-        through :class:`repro.serving.RequestSanitizer`; the table itself
-        never guesses.
-        """
-        indices = check_1d_int_array(
-            "indices", np.asarray(indices).reshape(-1),
-            min_value=0, max_value=self.num_rows - 1,
-        )
-        return self.weight.data[indices]
+    def quantized(self, bits: int):
+        """Post-training row-wise quantised copy of the table."""
+        # Deferred: repro.baselines.quantization subclasses this module's base.
+        from repro.baselines.quantization import QuantizedEmbeddingBag
+
+        return (QuantizedEmbeddingBag.from_dense(self.weight.data, bits=bits,
+                                                 mode=self.mode),
+                f"quantized@{bits}b")

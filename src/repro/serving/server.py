@@ -13,10 +13,10 @@ with the three defensive layers docs/SERVING.md describes:
    when the cache is poisoned or broken, and finally a frequency-prior
    default row that cannot fail. A rung *fails* when it raises, returns
    non-finite values, or returns implausibly large magnitudes (the
-   ``scale``-fault signature); failures trip the rung's breaker and, when
-   the backend exposes the PR-1 ``scrub()`` hook, trigger a repair so the
-   rung can recover. The server therefore keeps answering — at reduced
-   fidelity — no matter which backend is poisoned.
+   ``scale``-fault signature); failures trip the rung's breaker and
+   trigger the backend's ``scrub()`` repair (a no-op for operators with
+   no derived state) so the rung can recover. The server therefore keeps
+   answering — at reduced fidelity — no matter which backend is poisoned.
 
 Chaos-testable by construction: a
 :class:`~repro.reliability.fault_injection.FaultInjector` is probed at
@@ -104,7 +104,7 @@ class TableLadder:
     """
 
     def __init__(self, table: int, rungs: list[Rung], default_row: np.ndarray,
-                 mode: str, scrub=None, injector=None):
+                 mode: str, scrub, injector=None):
         self.table = table
         self.rungs = rungs
         self.default_row = default_row
@@ -172,10 +172,9 @@ class TableLadder:
         traced_event("serving.backend_failure", table=self.table,
                      rung=rung.name, detail=detail,
                      breaker_state=rung.breaker.state)
-        if self.scrub is not None:
-            repaired = self.scrub()
-            if repaired:
-                self._scrubs.inc(int(repaired))
+        repaired = self.scrub()
+        if repaired:
+            self._scrubs.inc(int(repaired))
 
     # ------------------------------------------------------------------ #
 
@@ -217,13 +216,8 @@ def frequency_prior_row(emb, dim: int) -> np.ndarray:
         ids = np.arange(min(_PRIOR_SAMPLE_ROWS, num_rows), dtype=np.int64)
         weights = np.ones(ids.size)
     # lookup() materialises rows without touching trackers or backward
-    # caches; operators lacking it fall back to single-index-bag forward.
-    lookup = getattr(emb, "lookup", None)
-    if lookup is not None:
-        rows = lookup(ids)
-    else:
-        rows = emb.forward(ids, np.arange(ids.size + 1, dtype=np.int64))
-    rows = np.nan_to_num(rows, nan=0.0, posinf=0.0, neginf=0.0)
+    # caches.
+    rows = np.nan_to_num(emb.lookup(ids), nan=0.0, posinf=0.0, neginf=0.0)
     row = (rows * weights[:, None]).sum(axis=0) / weights.sum()
     if not np.isfinite(row).all():  # pragma: no cover - belt and braces
         row = np.zeros(dim)
@@ -439,11 +433,9 @@ class InferenceServer(ServingFrontEnd):
             # directly, bypassing a poisoned uncompressed cache.
             rungs.append(Rung("tt_direct", tt.forward,
                               self.config.breaker(f"t{table}.tt_direct")))
-        mode = getattr(emb, "mode", "sum")
         default_row = frequency_prior_row(emb, self.predictor.config.emb_dim)
-        return TableLadder(table, rungs, default_row, mode,
-                           scrub=getattr(emb, "scrub", None),
-                           injector=self.injector)
+        return TableLadder(table, rungs, default_row, emb.mode,
+                           scrub=emb.scrub, injector=self.injector)
 
     def _pool(self, batch: list, tables: list, now: float) -> tuple:
         """Every table's local ladder; service time is measured."""

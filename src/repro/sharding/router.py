@@ -135,8 +135,7 @@ class ShardRouter(ServingFrontEnd):
             frequency_prior_row(emb, cfg.emb_dim)
             for emb in predictor.embeddings
         ]
-        self.modes = [getattr(emb, "mode", "sum")
-                      for emb in predictor.embeddings]
+        self.modes = [emb.mode for emb in predictor.embeddings]
         self.workers = [
             ShardWorker(
                 s, self.plan.slices_of(s), predictor.embeddings,
@@ -189,12 +188,7 @@ class ShardRouter(ServingFrontEnd):
         return merged[: self.shard_config.hot_rows]
 
     def _lookup_fn(self, table: int):
-        emb = self.predictor.embeddings[table]
-        lookup = getattr(emb, "lookup", None)
-        if lookup is not None:
-            return lookup
-        return lambda ids: emb.forward(  # pragma: no cover - all ops have it
-            ids, np.arange(ids.size + 1, dtype=np.int64))
+        return self.predictor.embeddings[table].lookup
 
     def refresh_replicas(self, slices=None) -> int:
         """Re-mirror slices' hot heads (default: every slice's) from

@@ -103,16 +103,11 @@ class ShardWorker(SupervisedWorker):
         emb = self.embeddings[sl.table]
         dim = self.emb_dim
 
-        lookup = getattr(emb, "lookup", None)
-        if lookup is not None:
-            def rows_compute(indices, offsets, _lookup=lookup, _dim=dim):
-                rows = np.asarray(_lookup(indices))
-                bag_of = np.repeat(np.arange(offsets.size - 1),
-                                   np.diff(offsets))
-                return pool_rows(rows, bag_of, offsets.size - 1, _dim)
-            primary = rows_compute
-        else:  # pragma: no cover - every repo operator exposes lookup
-            primary = emb.forward
+        def rows_compute(indices, offsets, _lookup=emb.lookup, _dim=dim):
+            rows = np.asarray(_lookup(indices))
+            bag_of = np.repeat(np.arange(offsets.size - 1),
+                               np.diff(offsets))
+            return pool_rows(rows, bag_of, offsets.size - 1, _dim)
 
         def breaker_for(rung: str) -> CircuitBreaker:
             return CircuitBreaker(
@@ -121,16 +116,15 @@ class ShardWorker(SupervisedWorker):
                 half_open_successes=2,
             )
 
-        rungs = [Rung("rows", primary, breaker_for("rows"))]
+        rungs = [Rung("rows", rows_compute, breaker_for("rows"))]
         tt = getattr(emb, "tt", None)
-        if tt is not None and getattr(emb, "mode", "sum") == "sum":
+        if tt is not None and emb.mode == "sum":
             rungs.append(Rung("tt_direct", tt.forward,
                               breaker_for("tt_direct")))
         # Worker ladders always pool *sum* partials; the router converts
         # to the table's real mode after combining slices.
         return TableLadder(sl.table, rungs, self.default_rows[sl.table],
-                           "sum", scrub=getattr(emb, "scrub", None),
-                           injector=self.injector)
+                           "sum", scrub=emb.scrub, injector=self.injector)
 
     # ------------------------------------------------------------------ #
     # Payload: re-warm and dispatch

@@ -26,8 +26,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.ops.embedding import segment_sum
-from repro.ops.module import Module, Parameter
+from repro.ops.embedding import CompressedEmbedding
+from repro.ops.module import Parameter
 from repro.telemetry import trace
 from repro.tt.decomposition import tt_reconstruct
 from repro.tt.initialization import tt_core_initializer
@@ -35,10 +35,10 @@ from repro.tt.kernels import (scatter_add_rows, segmented_matmul,
                               segmented_outer_add)
 from repro.tt.planner import BatchPlan, ExecutionPlanner, member_segments
 from repro.tt.shapes import TTShape
+from repro.utils.dtypes import default_dtype
 from repro.utils.seeding import as_rng
-from repro.utils.validation import check_csr
 
-__all__ = ["TTEmbeddingBag", "accumulate_core_grads", "unpool_grads"]
+__all__ = ["TTEmbeddingBag", "accumulate_core_grads", "combine_duplicates"]
 
 
 def accumulate_core_grads(shape: TTShape,
@@ -92,28 +92,17 @@ def accumulate_core_grads(shape: TTShape,
                 right_t = right_t.reshape(n, q, r_prev)
 
 
-def unpool_grads(grad_out: np.ndarray, counts: np.ndarray,
-                 alpha: np.ndarray | None, mode: str,
-                 inverse: np.ndarray | None = None, n_rows: int = 0) -> np.ndarray:
-    """Bag gradients ``(bags, dim)`` -> one gradient per looked-up row.
-
-    Undoes pooling (mean scale, per-sample weights) and, for a deduplicated
-    batch, combines duplicates through ``inverse`` into ``(n_rows, dim)``.
-    """
-    if mode == "mean":
-        scale = np.asarray(np.where(counts > 0, counts, 1), dtype=grad_out.dtype)
-        grad_out = grad_out / scale[:, None]
-    grad_rows = grad_out[np.repeat(np.arange(len(counts)), counts)]
-    if alpha is not None:
-        grad_rows = grad_rows * alpha[:, None]
-    if inverse is not None:
-        combined = np.zeros((n_rows, grad_rows.shape[1]), dtype=grad_rows.dtype)
-        scatter_add_rows(combined, inverse, grad_rows)
-        grad_rows = combined
-    return grad_rows
+def combine_duplicates(grad_rows: np.ndarray, plan: BatchPlan) -> np.ndarray:
+    """Per-lookup gradients -> one per *planned* row: a deduplicated plan's
+    duplicates are summed through ``plan.inverse``."""
+    if plan.inverse is None:
+        return grad_rows
+    combined = np.zeros((plan.n_unique, grad_rows.shape[1]), dtype=grad_rows.dtype)
+    scatter_add_rows(combined, plan.inverse, grad_rows)
+    return combined
 
 
-class TTEmbeddingBag(Module):
+class TTEmbeddingBag(CompressedEmbedding):
     """Bag-pooled embedding lookup backed by TT cores.
 
     Parameters
@@ -149,14 +138,15 @@ class TTEmbeddingBag(Module):
         partials for Algorithm 2 always run ``l2r`` (see planner docs).
     """
 
+    kind = "tt"
+
     def __init__(self, num_rows: int, dim: int, *, shape: TTShape | None = None,
                  rank: int = 32, d: int = 3, mode: str = "sum",
                  initializer="sampled_gaussian",
                  rng: int | None | np.random.Generator = None,
                  store_intermediates: bool = True, dedup: bool = False,
                  plan_policy: str = "auto", name: str = "tt_emb"):
-        if mode not in ("sum", "mean"):
-            raise ValueError(f"mode must be 'sum' or 'mean', got {mode!r}")
+        super().__init__(num_rows, dim, mode)
         if shape is None:
             shape = TTShape.suggested(num_rows, dim, d=d, rank=rank)
         if shape.num_rows != num_rows or shape.dim != dim:
@@ -164,18 +154,14 @@ class TTEmbeddingBag(Module):
                 f"shape describes a {shape.num_rows}x{shape.dim} table, "
                 f"expected {num_rows}x{dim}"
             )
-        rng = as_rng(rng)
-        self.num_rows = num_rows
-        self.dim = dim
         self.shape = shape
-        self.mode = mode
         self.store_intermediates = store_intermediates
         self.dedup = dedup
         if callable(initializer):
             init_fn = initializer
         else:
             init_fn = tt_core_initializer(initializer)
-        cores = init_fn(shape, rng)
+        cores = init_fn(shape, as_rng(rng))
         self.cores: list[Parameter] = []
         for k, core in enumerate(cores):
             expected = shape.core_shape(k)
@@ -188,13 +174,6 @@ class TTEmbeddingBag(Module):
         self.planner = ExecutionPlanner(
             shape, plan_policy, itemsize=self.cores[0].data.dtype.itemsize
         )
-        self._cache: dict | None = None
-        self._did_backward = False
-
-    @property
-    def dtype(self) -> np.dtype:
-        """The single floating dtype of the cores (and every output)."""
-        return self.cores[0].data.dtype
 
     # ------------------------------------------------------------------ #
     # Forward
@@ -213,14 +192,13 @@ class TTEmbeddingBag(Module):
         return self.planner.execute(schedule, [(self.cores, plan)],
                                     keep_lefts=True)
 
-    def lookup(self, indices: np.ndarray) -> np.ndarray:
-        """Materialise the requested rows (no pooling, no backward cache).
+    def _rows(self, indices: np.ndarray) -> np.ndarray:
+        """Materialise the requested rows through *unpooled* buffers.
 
-        Runs *unpooled*: lookup is called between forward and backward
-        (cache population, scrubbing, row write-back), so it must not
-        clobber pooled left partials a pending backward still needs.
+        ``lookup`` is called between forward and backward (cache
+        population, scrubbing, row write-back), so it must not clobber
+        pooled left partials a pending backward still needs.
         """
-        indices = np.asarray(indices, dtype=np.int64)
         if indices.size == 0:
             return np.zeros((0, self.dim), dtype=self.dtype)
         plan = self.planner.plan_batch(indices, dedup=self.dedup,
@@ -228,98 +206,85 @@ class TTEmbeddingBag(Module):
         rows, _ = self.planner.execute(plan.schedule, [(self.cores, plan)])
         return rows[plan.inverse] if plan.inverse is not None else rows
 
-    def forward(self, indices: np.ndarray, offsets: np.ndarray | None = None,
-                per_sample_weights: np.ndarray | None = None) -> np.ndarray:
-        """Pooled lookup. With ``offsets=None`` each index is its own bag."""
-        indices = np.asarray(indices, dtype=np.int64)
-        if offsets is None:
-            offsets = np.arange(indices.size + 1, dtype=np.int64)
-        indices, offsets = check_csr(indices, offsets, self.num_rows)
-        if per_sample_weights is not None:
-            alpha = np.asarray(per_sample_weights, dtype=self.dtype).reshape(-1)
-            if alpha.shape[0] != indices.shape[0]:
-                raise ValueError(
-                    f"per_sample_weights length {alpha.shape[0]} != "
-                    f"len(indices) {indices.shape[0]}"
-                )
-        else:
-            alpha = None
+    def _planned_rows(self, indices: np.ndarray, dedup: bool):
+        """A forward's rows and the ``(plan, lefts)`` its backward consumes.
 
-        if indices.size == 0:
-            # All bags empty: zero output, nothing for backward to touch.
-            self._cache = {"indices": indices, "plan": None}
-            self._did_backward = False
-            return np.zeros((offsets.size - 1, self.dim), dtype=self.dtype)
-
-        # One plan shared with backward: dedup once, pick the schedule,
-        # run through pooled scratch buffers (reused across steps). Left
-        # partials are pool views, valid until the next pooled call —
-        # i.e. exactly until this forward's backward has consumed them.
-        plan = self.planner.plan_batch(indices, dedup=self.dedup,
+        One plan shared with backward: dedup once, pick the schedule, run
+        through pooled scratch buffers (reused across steps). Left
+        partials are pool views, valid until the next pooled call — i.e.
+        exactly until this forward's backward has consumed them.
+        """
+        plan = self.planner.plan_batch(indices, dedup=dedup,
                                        need_lefts=self.store_intermediates)
-        uniq_rows, lefts = self.planner.execute(
+        rows, lefts = self.planner.execute(
             plan.schedule, [(self.cores, plan)],
             keep_lefts=self.store_intermediates, pooled=True,
         )
-        rows = uniq_rows[plan.inverse] if plan.inverse is not None else uniq_rows
+        if plan.inverse is not None:
+            rows = rows[plan.inverse]
+        return rows, (plan, lefts)
 
+    def _forward_rows(self, indices: np.ndarray):
+        if indices.size == 0:
+            # All bags empty: zero output, nothing for backward to touch.
+            return np.zeros((0, self.dim), dtype=self.dtype), None
+        return self._planned_rows(indices, self.dedup)
+
+    def _pool(self, rows, offsets, alpha):
+        if not rows.shape[0]:  # all bags empty: nothing pooled, no span
+            return super()._pool(rows, offsets, alpha)
         with trace("tt.forward.pool"):
-            weighted = rows if alpha is None else rows * alpha[:, None]
-            out = segment_sum(weighted, offsets)
-            counts = np.diff(offsets)
-            if self.mode == "mean":
-                scale = np.asarray(np.where(counts > 0, counts, 1),
-                                   dtype=out.dtype)
-                out = out / scale[:, None]
-        self._cache = {
-            "indices": indices,
-            "plan": plan,
-            "alpha": alpha,
-            "counts": counts,
-            "lefts": lefts,
-        }
-        self._did_backward = False
-        return out
-
-    __call__ = forward
+            return super()._pool(rows, offsets, alpha)
 
     # ------------------------------------------------------------------ #
     # Backward
     # ------------------------------------------------------------------ #
 
-    def backward(self, grad_out: np.ndarray) -> None:
-        """Accumulate core gradients for the last forward call (Algorithm 2).
+    def _backward_rows(self, indices, grad_rows, saved) -> None:
+        if saved is not None:
+            self._backward_plan(grad_rows, *saved)
 
-        Consumes the forward cache: a second ``backward`` for the same
-        forward would silently double-accumulate gradients, so it raises
-        instead.
-        """
-        if self._cache is None:
-            if self._did_backward:
-                raise RuntimeError(
-                    "backward called twice for one forward; core gradients "
-                    "would double-accumulate — run forward again first"
-                )
-            raise RuntimeError("backward called before forward")
-        c = self._cache
-        plan = c["plan"]
-        if plan is not None:
-            grad_rows = unpool_grads(np.asarray(grad_out, dtype=self.dtype),
-                                     c["counts"], c["alpha"], self.mode,
-                                     plan.inverse, plan.n_unique)
-            lefts = c["lefts"]
-            if lefts is None:
-                # Recompute-intermediates arm (paper §4.2, Algorithm 2 line 3).
-                with trace("tt.backward.recompute"):
-                    _, lefts = self._row_chain(plan)
-            self._accumulate_core_grads(plan, grad_rows, lefts)
-        self._cache = None
-        self._did_backward = True
+    def _backward_plan(self, grad_rows: np.ndarray, plan: BatchPlan,
+                       lefts: list[np.ndarray] | None) -> None:
+        """Algorithm 2 for one planned batch of per-lookup gradients."""
+        if lefts is None:
+            # Recompute-intermediates arm (paper §4.2, Algorithm 2 line 3).
+            with trace("tt.backward.recompute"):
+                _, lefts = self._row_chain(plan)
+        accumulate_core_grads(self.shape, [(self.cores, plan)],
+                              combine_duplicates(grad_rows, plan), lefts)
 
-    def _accumulate_core_grads(self, plan: BatchPlan, grad_rows: np.ndarray,
-                               lefts: list[np.ndarray]) -> None:
-        accumulate_core_grads(self.shape, [(self.cores, plan)], grad_rows,
-                              lefts)
+    # ------------------------------------------------------------------ #
+    # Registry hooks
+    # ------------------------------------------------------------------ #
+
+    @staticmethod
+    def _spec_shape(spec) -> TTShape:
+        return TTShape.suggested(spec.num_rows, spec.dim,
+                                 d=int(spec.get("d", 3)),
+                                 rank=int(spec.get("rank", 8)))
+
+    @classmethod
+    def from_spec(cls, spec) -> "TTEmbeddingBag":
+        """Knobs: ``rank``, ``d``, ``initializer``, ``dedup``, ``plan_policy``."""
+        cls._check_knobs(spec, {"rank", "d", "initializer", "dedup",
+                                "plan_policy"})
+        return cls(spec.num_rows, spec.dim, shape=cls._spec_shape(spec),
+                   initializer=spec.get("initializer", "sampled_gaussian"),
+                   dedup=bool(spec.get("dedup", False)),
+                   plan_policy=spec.get("plan_policy", "auto"),
+                   mode=spec.mode, rng=as_rng(spec.seed),
+                   name=spec.name or "tt_emb")
+
+    @classmethod
+    def predict_memory_bytes(cls, spec) -> int:
+        return cls._spec_shape(spec).num_params() * default_dtype().itemsize
+
+    def quantized(self, bits: int):
+        """TT tables are already 100x+ smaller than dense; quantizing the
+        cores would compound approximation error for a negligible
+        footprint win (paper §6.2), so the operator is kept."""
+        return self, "tt-kept"
 
     # ------------------------------------------------------------------ #
     # Interop
@@ -342,10 +307,3 @@ class TTEmbeddingBag(Module):
             if core.shape != expected:
                 raise ValueError(f"core {k} has shape {core.shape}, expected {expected}")
             self.cores[k].data[...] = core
-
-    def num_parameters(self) -> int:
-        return self.shape.num_params()
-
-    def compression_ratio(self) -> float:
-        """Dense-table params divided by TT params (paper Table 2)."""
-        return self.shape.compression_ratio()

@@ -25,12 +25,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.ops.embedding import segment_sum
+from repro.ops.embedding import check_bag, pool_bags, unpool_grads
 from repro.ops.module import Module
 from repro.tt.embedding_bag import (TTEmbeddingBag, accumulate_core_grads,
-                                    unpool_grads)
+                                    combine_duplicates)
 from repro.tt.planner import ExecutionPlanner
-from repro.utils.validation import check_csr
 
 __all__ = ["GroupedTTEmbeddingBag"]
 
@@ -100,24 +99,13 @@ class GroupedTTEmbeddingBag(Module):
                 f"expected {self.num_tables} (indices, offsets) pairs, "
                 f"got {len(sparse)}"
             )
-        checked = []
-        plans = []
-        alphas = []
-        for t, (indices, offsets) in enumerate(sparse):
-            indices = np.asarray(indices, dtype=np.int64)
-            indices, offsets = check_csr(indices, offsets,
-                                         self.tables[t].num_rows)
-            checked.append((indices, offsets))
-            plan = self.planner.plan_batch(indices, dedup=self.dedup,
-                                           need_lefts=True)
-            plans.append(plan)
-            if per_sample_weights is not None and per_sample_weights[t] is not None:
-                a = np.asarray(per_sample_weights[t], dtype=self.dtype).reshape(-1)
-                if a.shape[0] != indices.shape[0]:
-                    raise ValueError(f"table {t}: weight length mismatch")
-                alphas.append(a)
-            else:
-                alphas.append(None)
+        weights = per_sample_weights or [None] * self.num_tables
+        bags = [check_bag(indices, offsets, w, table.num_rows, self.dtype)
+                for table, (indices, offsets), w in zip(self.tables, sparse,
+                                                        weights)]
+        plans = [self.planner.plan_batch(indices, dedup=self.dedup,
+                                         need_lefts=True)
+                 for indices, _, _ in bags]
 
         # Fused Algorithm 1 over the concatenated (deduplicated)
         # pseudo-batch; left partials are needed for the fused backward
@@ -128,25 +116,17 @@ class GroupedTTEmbeddingBag(Module):
         rows_all, lefts = self.planner.execute(schedule, members,
                                                keep_lefts=True, pooled=True)
 
-        outputs = []
+        outputs, pooled = [], []
         lo = 0
-        for (indices, offsets), alpha, plan in zip(checked, alphas, plans):
+        for (_, offsets, alpha), plan in zip(bags, plans):
             rows = rows_all[lo:lo + plan.n_unique]
             lo += plan.n_unique
             if plan.inverse is not None:
                 rows = rows[plan.inverse]
-            weighted = rows if alpha is None else rows * alpha[:, None]
-            out = segment_sum(weighted, offsets)
-            counts = np.diff(offsets)
-            if self.mode == "mean":
-                scale = np.asarray(np.where(counts > 0, counts, 1),
-                                   dtype=out.dtype)
-                out = out / scale[:, None]
+            out, counts = pool_bags(rows, offsets, alpha, self.mode)
             outputs.append(out)
-        self._cache = {
-            "checked": checked, "members": members, "alphas": alphas,
-            "lefts": lefts,
-        }
+            pooled.append((counts, alpha))
+        self._cache = {"members": members, "pooled": pooled, "lefts": lefts}
         self._did_backward = False
         return outputs
 
@@ -168,10 +148,11 @@ class GroupedTTEmbeddingBag(Module):
         if len(grads) != self.num_tables:
             raise ValueError(f"expected {self.num_tables} gradients")
         grad_rows = np.concatenate([
-            unpool_grads(np.asarray(grad, dtype=self.dtype), np.diff(offsets),
-                         alpha, self.mode, plan.inverse, plan.n_unique)
-            for (_, offsets), alpha, (_, plan), grad in zip(
-                c["checked"], c["alphas"], c["members"], grads)])
+            combine_duplicates(
+                unpool_grads(np.asarray(grad, dtype=self.dtype), counts,
+                             alpha, self.mode), plan)
+            for (counts, alpha), (_, plan), grad in zip(
+                c["pooled"], c["members"], grads)])
         accumulate_core_grads(self.shape, c["members"], grad_rows, c["lefts"])
         self._cache = None
         self._did_backward = True

@@ -181,10 +181,6 @@ class TestTREmbeddingBag:
         tt = TTShape.suggested(100_000, 16, d=3, rank=8)
         assert tr.compression_ratio() < tt.compression_ratio()
 
-    def test_backward_before_forward(self, shape):
-        with pytest.raises(RuntimeError):
-            TREmbeddingBag(60, 8, shape=shape, rng=0).backward(np.ones((1, 8)))
-
     def test_validation(self, shape):
         with pytest.raises(ValueError):
             TREmbeddingBag(61, 8, shape=shape)

@@ -139,10 +139,6 @@ class TestForwardBackward:
         assert not np.allclose(after, before_tt)
         np.testing.assert_allclose(emb.tt.lookup(np.array([5]))[0], before_tt)
 
-    def test_backward_before_forward(self):
-        with pytest.raises(RuntimeError):
-            make().backward(np.ones((1, 8)))
-
     def test_double_backward_raises(self):
         """A second backward for one forward would silently double the
         accumulated cache-row and core gradients; it must raise instead."""

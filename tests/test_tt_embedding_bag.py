@@ -123,10 +123,6 @@ class TestBackward:
         for p in emb.cores:
             numeric_grad_check(p.data, p.grad, loss, samples=10)
 
-    def test_backward_before_forward(self, emb):
-        with pytest.raises(RuntimeError):
-            emb.backward(np.ones((1, 8)))
-
     def test_double_backward_raises(self, emb):
         """A second backward for one forward would silently double-count
         core gradients; it must raise and leave grads untouched."""

@@ -292,10 +292,6 @@ class TestT3nsorBaseline:
         full = t3.materialize()
         np.testing.assert_allclose(out[0], full[[3, 4]].mean(axis=0), atol=1e-12)
 
-    def test_backward_before_forward(self, shape):
-        with pytest.raises(RuntimeError):
-            T3nsorEmbeddingBag(60, 8, shape=shape, rng=0).backward(np.ones((1, 8)))
-
     def test_rejects_bad_mode(self):
         with pytest.raises(ValueError):
             T3nsorEmbeddingBag(60, 8, mode="max")
