@@ -640,73 +640,6 @@ class ArgumentMutationRule(Rule):
 
 
 # --------------------------------------------------------------------- #
-# Observability propagation
-# --------------------------------------------------------------------- #
-
-# Raw telemetry entry points that bypass request-trace propagation.
-_TRACE_BYPASS = {
-    "repro.telemetry.trace",
-    "repro.telemetry.tracer.trace",
-    "repro.telemetry.emit_event",
-    "repro.telemetry.events.emit_event",
-}
-
-
-@register
-class TraceContextRule(Rule):
-    """OBS001: spans/events in the serving tier must carry trace context.
-
-    The request tracer propagates per-request contexts through the
-    single-threaded serving path via the ``traced_span`` /
-    ``traced_event`` helpers; a raw ``trace()`` / ``emit_event()`` (or a
-    direct ``Tracer.span``) inside ``trace_scope`` records into the
-    aggregate tree only, so sampled request traces silently lose that
-    hop and events cannot be joined to the requests in flight.
-
-    Bad::
-
-        with trace("backend.lookup"):
-            rows = backend.lookup(indices)
-
-    Good::
-
-        with traced_span("backend.lookup"):
-            rows = backend.lookup(indices)
-    """
-
-    id = "OBS001"
-    summary = "raw trace()/emit_event() bypasses request-trace propagation"
-
-    def check(self, ctx: FileContext) -> list[Finding]:
-        if not path_matches(ctx.path, self.config.get("trace_scope", [])):
-            return []
-        out = []
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            name = ctx.resolve(node.func)
-            if name in _TRACE_BYPASS:
-                leaf = name.rsplit(".", 1)[1]
-                helper = ("traced_span" if leaf == "trace"
-                          else "traced_event")
-                out.append(self.finding(
-                    ctx, node,
-                    f"{leaf}() here records into the aggregate tree only; "
-                    f"use repro.telemetry.{helper}() so the hop also "
-                    "lands in every sampled request trace",
-                ))
-            elif (isinstance(node.func, ast.Attribute)
-                  and node.func.attr == "span"
-                  and name is not None and "tracer" in name.lower()):
-                out.append(self.finding(
-                    ctx, node,
-                    "direct Tracer.span() bypasses request-trace "
-                    "propagation; use repro.telemetry.traced_span()",
-                ))
-        return out
-
-
-# --------------------------------------------------------------------- #
 # Suppression hygiene
 # --------------------------------------------------------------------- #
 

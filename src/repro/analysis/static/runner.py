@@ -55,7 +55,6 @@ _DEFAULT_CONFIG = {
     "clock_exempt": ["repro/bench"],
     "mutation_scope": ["repro/tt/kernels.py", "repro/cache"],
     "process_scope": ["repro/runtime", "repro/sharding", "repro/distributed"],
-    "trace_scope": ["repro/runtime", "repro/serving", "repro/sharding"],
     "exclude": ["__pycache__", ".git", "build", "dist", ".eggs"],
     "fault_registry": ["repro/reliability/fault_injection.py"],
     "state_scope": ["repro/runtime", "repro/sharding", "repro/distributed"],
@@ -77,7 +76,6 @@ class LintConfig:
     clock_exempt: list[str] = _default("clock_exempt")
     mutation_scope: list[str] = _default("mutation_scope")
     process_scope: list[str] = _default("process_scope")
-    trace_scope: list[str] = _default("trace_scope")
     exclude: list[str] = _default("exclude")
     fault_registry: list[str] = _default("fault_registry")
     state_scope: list[str] = _default("state_scope")
@@ -94,7 +92,6 @@ class LintConfig:
             "clock_exempt": self.clock_exempt,
             "mutation_scope": self.mutation_scope,
             "process_scope": self.process_scope,
-            "trace_scope": self.trace_scope,
             "fault_registry": self.fault_registry,
             "state_scope": self.state_scope,
             "state_attrs": self.state_attrs,

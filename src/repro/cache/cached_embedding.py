@@ -131,7 +131,7 @@ class CachedTTEmbeddingBag(CompressedEmbedding):
         # Cumulative hit/miss/evict/repair statistics (Fig. 10 / Fig. 12
         # instrumentation), held in the shared metrics registry under a
         # per-instance ``module`` label; ``lookups``/``hits``/
-        # ``repaired_rows`` stay readable as attribute shims.
+        # ``repaired_rows`` stay readable as attributes.
         global _INSTANCE_SEQ
         self.metrics_label = f"{name}#{_INSTANCE_SEQ}"
         _INSTANCE_SEQ += 1
@@ -165,31 +165,19 @@ class CachedTTEmbeddingBag(CompressedEmbedding):
     def is_warm(self) -> bool:
         return self._populated
 
-    # -- statistics (registry-backed; attribute shims kept for callers) -- #
+    # -- statistics (registry-backed, read-only views) -- #
 
     @property
     def lookups(self) -> int:
         return self._metrics["lookups"].value
 
-    @lookups.setter
-    def lookups(self, value: int) -> None:
-        self._metrics["lookups"].set(value)
-
     @property
     def hits(self) -> int:
         return self._metrics["hits"].value
 
-    @hits.setter
-    def hits(self, value: int) -> None:
-        self._metrics["hits"].set(value)
-
     @property
     def repaired_rows(self) -> int:
         return self._metrics["repairs"].value
-
-    @repaired_rows.setter
-    def repaired_rows(self, value: int) -> None:
-        self._metrics["repairs"].set(value)
 
     def hit_rate(self) -> float:
         """Cumulative cache hit rate since construction (shim over
@@ -317,7 +305,7 @@ class CachedTTEmbeddingBag(CompressedEmbedding):
             served = self.cache_rows.data[slots]
             if ((self.validate_reads or self.injector is not None)
                     and not np.isfinite(served).all()):
-                self.repaired_rows += self.scrub()
+                self.scrub()
                 served = self.cache_rows.data[slots]  # re-gather repaired rows
             rows[mask] = served
         tt_idx = indices[~mask]
@@ -358,8 +346,9 @@ class CachedTTEmbeddingBag(CompressedEmbedding):
         The recovery hook for poisoned-cache faults: a corrupted
         uncompressed row is replaced by the row the TT chain currently
         encodes (losing only that row's dense updates, exactly as a cache
-        refresh would). Called by
-        :func:`repro.reliability.guard.scrub_non_finite`.
+        refresh would). Called by read validation, the serving ladder
+        and :func:`repro.reliability.guard.scrub_non_finite`; every
+        repair counts under ``cache.repairs`` whoever asked for it.
         """
         if self._cached_ids.size == 0:
             return 0
@@ -370,9 +359,11 @@ class CachedTTEmbeddingBag(CompressedEmbedding):
         self.cache_rows.data[self._cache_slot[bad]] = self.tt._rows(
             self._cached_ids[bad]
         )
+        repaired = int(bad.sum())
+        self._metrics["repairs"].inc(repaired)
         emit_event("cache.repair", module=self.metrics_label,
-                   rows=int(bad.sum()), step=int(self._steps))
-        return int(bad.sum())
+                   rows=repaired, step=int(self._steps))
+        return repaired
 
     # ------------------------------------------------------------------ #
     # Checkpointable non-parameter state (see repro.reliability.checkpoint)

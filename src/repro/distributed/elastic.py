@@ -71,7 +71,7 @@ from repro.runtime.worker import (
 )
 from repro.serving.breaker import CircuitBreaker
 from repro.serving.queue import ManualClock
-from repro.telemetry import get_registry, traced_event, traced_span
+from repro.telemetry import emit_event, get_registry, trace
 
 __all__ = ["ElasticTrainer", "TrainerWorker", "ElasticConfig", "ElasticError",
            "WorkerDown", "WorkerTimeout", "WorkerNetDrop",
@@ -434,7 +434,7 @@ class ElasticTrainer:
             return
         donor = live[0]
         worker = self.workers[w]
-        with traced_span("dist.recover", worker=str(w)):
+        with trace("dist.recover", worker=str(w)):
             restored_step = None
             if self.checkpoint is not None:
                 restored_step = self.checkpoint.latest_common_shard_step(
@@ -445,13 +445,13 @@ class ElasticTrainer:
                         worker.replica, s, restored_step,
                         optimizer=worker.optimizer)
                     self._c_restores.inc()
-                traced_event("dist.recover.restore", worker=w,
-                             step=restored_step, shards=self.world_size)
+                emit_event("dist.recover.restore", worker=w,
+                           step=restored_step, shards=self.world_size)
                 rows, arrays = self._replay_hot_state(donor, w)
                 self._c_replayed_rows.inc(rows)
                 self._c_replayed_params.inc(arrays)
-                traced_event("dist.recover.replay", worker=w, donor=donor,
-                             rows=rows, arrays=arrays)
+                emit_event("dist.recover.replay", worker=w, donor=donor,
+                           rows=rows, arrays=arrays)
             else:
                 # No complete checkpoint round yet: full copy of a
                 # survivor's state (correct, but not a delta).
@@ -463,8 +463,8 @@ class ElasticTrainer:
                                      self.workers[donor].optimizer)
             if ours != theirs:
                 self._c_audit_failures.inc()
-                traced_event("dist.recover.audit_failed", worker=w,
-                             donor=donor)
+                emit_event("dist.recover.audit_failed", worker=w,
+                           donor=donor)
                 self._full_sync_from(donor, w)
                 self._c_resyncs.inc()
             now = self.clock.now()
@@ -476,9 +476,9 @@ class ElasticTrainer:
                 recovery_ms = now - down_at
                 self.recovery_times.append(recovery_ms)
                 self._h_recover.observe(recovery_ms)
-                traced_event("dist.recover.readmit", worker=w,
-                             recovery_ms=recovery_ms, donor=donor,
-                             restored_step=restored_step)
+                emit_event("dist.recover.readmit", worker=w,
+                           recovery_ms=recovery_ms, donor=donor,
+                           restored_step=restored_step)
 
     # ------------------------------------------------------------------ #
     # Checkpointing
@@ -504,7 +504,7 @@ class ElasticTrainer:
                                        optimizer=sw.optimizer)
         self._c_ckpt_rounds.inc()
         self._reset_replay_tracking()
-        traced_event("dist.ckpt.round", step=step, adopted=len(
+        emit_event("dist.ckpt.round", step=step, adopted=len(
             [w for w in range(self.world_size) if not self.health.is_up(w)]))
 
     # ------------------------------------------------------------------ #
@@ -529,8 +529,8 @@ class ElasticTrainer:
         weights = [1.0] * k if uniform else [1.0 / e for e in ewmas]
         if not uniform:
             self._c_straggler.inc()
-            traced_event("dist.straggler", workers=list(live),
-                         ewma_ms=[round(e, 3) for e in ewmas])
+            emit_event("dist.straggler", workers=list(live),
+                       ewma_ms=[round(e, 3) for e in ewmas])
         total = sum(weights)
         raw = [batch_size * wt / total for wt in weights]
         counts = [max(1, int(r)) for r in raw]
@@ -646,8 +646,8 @@ class ElasticTrainer:
                 raise ElasticError("no live workers remain")
             counts = self._shares(batch.size, live)
             shards = shard_batch_counts(batch, counts)
-            with traced_span("dist.step", step=str(self._step_index),
-                             workers=str(len(live))):
+            with trace("dist.step", step=str(self._step_index),
+                       workers=str(len(live))):
                 results = []
                 failed = False
                 for w, shard in zip(live, shards):

@@ -16,7 +16,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from repro.telemetry import get_registry, traced_event
+from repro.telemetry import emit_event, get_registry
 
 __all__ = ["HealthPlane", "supervise", "readmit", "quiesce", "KillSpec",
            "parse_kill_spec", "check_kill_targets", "fire_kills",
@@ -115,9 +115,9 @@ class HealthPlane:
         self.verdict[shard] = "down"
         self.marked_down_at[shard] = now
         self._up_gauge.set(self.up_count)
-        traced_event(f"{self.prefix}.marked_down", reason=reason,
-                     at_ms=now, misses=self.misses[shard],
-                     **{self._label: shard})
+        emit_event(f"{self.prefix}.marked_down", reason=reason,
+                   at_ms=now, misses=self.misses[shard],
+                   **{self._label: shard})
 
     def mark_down(self, shard: int, now: float, *,
                   reason: str = "dispatch") -> bool:
@@ -140,8 +140,8 @@ class HealthPlane:
         self.last_seen[shard] = now
         self.marked_down_at[shard] = None
         self._up_gauge.set(self.up_count)
-        traced_event(f"{self.prefix}.readmitted", at_ms=now,
-                     **{self._label: shard})
+        emit_event(f"{self.prefix}.readmitted", at_ms=now,
+                   **{self._label: shard})
 
     def is_up(self, shard: int) -> bool:
         return self.verdict[shard] == "up"

@@ -29,7 +29,7 @@ deadline is treated exactly like a timeout.
 
 from __future__ import annotations
 
-from repro.telemetry import get_registry, traced_event
+from repro.telemetry import emit_event, get_registry
 
 __all__ = ["SupervisedWorker", "WorkerDown", "WorkerTimeout", "WorkerNetDrop"]
 
@@ -92,7 +92,7 @@ class SupervisedWorker:
         self._net_drops = reg.counter(f"{prefix}.net_drops", **labels)
 
     def _event(self, name: str, **attrs) -> None:
-        traced_event(name, **{self.label: self.unit_id}, **attrs)
+        emit_event(name, **{self.label: self.unit_id}, **attrs)
 
     # ------------------------------------------------------------------ #
     # Failure model

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from repro.telemetry import get_registry, traced_event
+from repro.telemetry import emit_event, get_registry
 
 __all__ = ["CircuitBreaker"]
 
@@ -70,8 +70,8 @@ class CircuitBreaker:
     def _transition(self, to: str) -> None:
         if to == self.state:
             return
-        traced_event("serving.breaker", breaker=self.name,
-                     from_state=self.state, to_state=to)
+        emit_event("serving.breaker", breaker=self.name,
+                   from_state=self.state, to_state=to)
         self.transitions.append((self.state, to))
         self._transition_counters[to].inc()
         self.state = to

@@ -42,11 +42,11 @@ from repro.serving.breaker import CircuitBreaker
 from repro.serving.queue import MicroBatchQueue, monotonic_ms
 from repro.telemetry import (
     annotate_span,
+    emit_event,
     finish_request,
     get_registry,
     get_request_tracer,
-    traced_event,
-    traced_span,
+    trace,
 )
 
 __all__ = ["ServerConfig", "ServingFrontEnd", "InferenceServer", "Rung",
@@ -144,8 +144,8 @@ class TableLadder:
             if not rung.breaker.allow():
                 continue
             try:
-                with traced_span("serving.pooled", table=str(self.table),
-                                 rung=rung.name):
+                with trace("serving.pooled", table=str(self.table),
+                           rung=rung.name):
                     annotate_span(breaker=rung.breaker.state,
                                   bags=int(offsets.size - 1))
                     pooled = np.asarray(rung.compute(indices, offsets),
@@ -169,9 +169,9 @@ class TableLadder:
     def _record_failure(self, rung: Rung, detail: str) -> None:
         rung.breaker.record_failure()
         self._failures.inc()
-        traced_event("serving.backend_failure", table=self.table,
-                     rung=rung.name, detail=detail,
-                     breaker_state=rung.breaker.state)
+        emit_event("serving.backend_failure", table=self.table,
+                   rung=rung.name, detail=detail,
+                   breaker_state=rung.breaker.state)
         repaired = self.scrub()
         if repaired:
             self._scrubs.inc(int(repaired))
@@ -279,7 +279,7 @@ class ServingFrontEnd:
         rt = get_request_tracer()
         ctx = rt.maybe_start(request.request_id, now=self.clock())
         with rt.scope([ctx]):
-            with traced_span("serving.admission"):
+            with trace("serving.admission"):
                 admitted = self.sanitizer.sanitize(request)
         if isinstance(admitted, Rejection):
             rt.finish(ctx, "rejected", now=self.clock(),
@@ -327,7 +327,7 @@ class ServingFrontEnd:
                 ctx = getattr(req, "trace_ctx", None)
                 if ctx is not None:
                     ctx.record_span("queue.wait", req.arrival_ms, formed_at)
-            with traced_span("serving.batch"):
+            with trace("serving.batch"):
                 annotate_span(batch_size=len(batch))
                 dense = np.stack([r.dense for r in batch])
                 tables = []
@@ -340,14 +340,14 @@ class ServingFrontEnd:
                     tables.append((indices, counts))
                 pooled, served_by, sim_ms = self._pool(batch, tables,
                                                        formed_at)
-                with traced_span("serving.towers"):
+                with trace("serving.towers"):
                     probs = _sigmoid(
                         self.predictor.logits_from_pooled(dense, pooled)
                     )
             bad = ~np.isfinite(probs)
             if bad.any():  # the last line of defence; should be unreachable
                 self._final_guard.inc(int(bad.sum()))
-                traced_event("serving.final_guard", count=int(bad.sum()))
+                emit_event("serving.final_guard", count=int(bad.sum()))
                 probs = np.where(bad, 0.5, probs)
         if sim_ms is None:
             service_ms = (perf_counter_ns() - start_ns) / 1e6

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.telemetry import get_registry, traced_event
+from repro.telemetry import emit_event, get_registry
 
 __all__ = ["ReplicaStore"]
 
@@ -126,8 +126,8 @@ class ReplicaStore:
         n_bad = int(bad.sum())
         if n_bad:
             self._violations.inc(n_bad)
-            traced_event("shard.replica_violation", table=sl.table,
-                         row_lo=sl.row_lo, rows=n_bad)
+            emit_event("shard.replica_violation", table=sl.table,
+                       row_lo=sl.row_lo, rows=n_bad)
             m.rows[bad] = fresh[bad]
         return n_bad
 

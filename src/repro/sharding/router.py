@@ -63,9 +63,9 @@ from repro.sharding.worker import (
 )
 from repro.telemetry import (
     annotate_span,
+    emit_event,
     get_registry,
-    traced_event,
-    traced_span,
+    trace,
 )
 
 __all__ = ["ShardConfig", "ShardRouter"]
@@ -358,7 +358,7 @@ class ShardRouter(ServingFrontEnd):
             if not reqs:
                 continue
             try:
-                with traced_span("shard.dispatch", shard=str(s)):
+                with trace("shard.dispatch", shard=str(s)):
                     annotate_span(
                         slices=[sl.describe() for sl, _, _ in reqs],
                         breaker=self.workers[s].breaker.state,
@@ -367,10 +367,10 @@ class ShardRouter(ServingFrontEnd):
                     annotate_span(sim_ms=sim_ms)
             except (ShardDown, ShardTimeout, NetDrop) as exc:
                 self._failovers.inc()
-                traced_event(
+                emit_event(
                     "shard.failover", shard=s, at_ms=now,
                     slices=[sl.describe() for sl, _, _ in reqs])
-                with traced_span("shard.failover", shard=str(s)):
+                with trace("shard.failover", shard=str(s)):
                     annotate_span(cause=_FAILOVER_CAUSE[type(exc)])
                     paths = {}
                     for sl, sub_idx, sub_off in reqs:

@@ -26,7 +26,7 @@ from repro.runtime.worker import (
 )
 from repro.serving.breaker import CircuitBreaker
 from repro.serving.server import Rung, TableLadder
-from repro.telemetry import annotate_span, get_registry, traced_span
+from repro.telemetry import annotate_span, get_registry, trace
 
 __all__ = ["ShardWorker", "ShardDown", "ShardTimeout", "NetDrop",
            "pool_rows"]
@@ -168,8 +168,8 @@ class ShardWorker(SupervisedWorker):
         out = {}
         for sl, indices, offsets in requests:
             ladder = self.ladders[(sl.table, sl.row_lo)]
-            with traced_span("shard.slice", shard=str(self.shard_id),
-                             slice=sl.describe()):
+            with trace("shard.slice", shard=str(self.shard_id),
+                       slice=sl.describe()):
                 pooled, rung = ladder.serve(indices, offsets)
                 annotate_span(rung=rung, indices=int(indices.size))
             out[(sl.table, sl.row_lo)] = (pooled, rung)

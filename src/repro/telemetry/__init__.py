@@ -1,26 +1,23 @@
 """Unified telemetry layer: metrics registry, span tracer, JSONL events.
 
-Three cooperating pieces, all process-wide singletons so every component
-reports into one place (docs/OBSERVABILITY.md has the full conventions):
+Process-wide singletons, so every component reports into one place
+(docs/OBSERVABILITY.md has the conventions and the name catalogue):
 
 - :mod:`repro.telemetry.registry` — labelled counters/gauges/histograms
   (``get_registry()``), always on, backing ``stats()`` methods and the
   byte/hit/fault counters across the cache, collectives and reliability
   runtime;
-- :mod:`repro.telemetry.tracer` — nested timing spans
-  (``with trace("tt.forward.segment_gemm", core=k):``), off by default with a
-  near-zero-cost no-op path, aggregated into a span tree that
-  ``repro profile`` prints;
-- :mod:`repro.telemetry.events` — a structured JSONL sink for discrete
-  events (fault firings, guard actions, cache refreshes) plus the
-  ``--emit-json`` snapshot document combining registry + span tree.
-
-PR 7 adds the cross-boundary plane on top (three layers total —
-metrics → traces → SLOs/flight recorder):
-
-- :mod:`repro.telemetry.tracing` — deterministic per-request distributed
-  traces (``repro.trace/v1`` JSONL) propagated router→shard→ladder→
-  kernel via ``traced_span``/``traced_event``;
+- :mod:`repro.telemetry.tracer` — ``trace()``, the one way to open a
+  span (``with trace("tt.forward.segment_gemm", core=k):``): a shared
+  no-op unless something listens — the aggregate span tree that
+  ``repro profile`` prints and/or the deterministic per-request traces
+  (``repro.trace/v1`` JSONL) of the sampled requests being served;
+- :mod:`repro.telemetry.trace_reader` — reads those traces back
+  (``read_trace``, ``critical_path``, ``format_trace_tree``);
+- :mod:`repro.telemetry.events` — ``emit_event()``, the one way to emit
+  a discrete event (fault firings, guard actions, cache refreshes), to
+  the JSONL sink, the flight recorder and the traces of the requests in
+  flight; plus the ``--emit-json`` snapshot of registry + span tree;
 - :mod:`repro.telemetry.slo` — declarative objectives evaluated as
   multi-window burn rates with exemplar trace ids;
 - :mod:`repro.telemetry.flightrec` — bounded rings of recent events and
@@ -65,30 +62,28 @@ from repro.telemetry.slo import (
     format_report,
     load_policy,
 )
-from repro.telemetry.tracer import (
-    SpanNode,
-    Tracer,
-    disable_tracing,
-    enable_tracing,
-    get_tracer,
-    trace,
-    tracing_enabled,
-)
-from repro.telemetry.tracing import (
+from repro.telemetry.trace_reader import (
     TRACE_SCHEMA,
-    RequestTracer,
-    TraceContext,
-    annotate_span,
     critical_path,
-    finish_request,
     format_trace_tree,
-    get_request_tracer,
     read_trace,
     slowest_traces,
     trace_duration_ms,
-    traced_event,
-    traced_span,
     validate_trace_record,
+)
+from repro.telemetry.tracer import (
+    RequestTracer,
+    SpanNode,
+    TraceContext,
+    Tracer,
+    annotate_span,
+    disable_tracing,
+    enable_tracing,
+    finish_request,
+    get_request_tracer,
+    get_tracer,
+    trace,
+    tracing_enabled,
 )
 
 __all__ = [
@@ -121,8 +116,6 @@ __all__ = [
     "TraceContext",
     "RequestTracer",
     "get_request_tracer",
-    "traced_span",
-    "traced_event",
     "annotate_span",
     "finish_request",
     "read_trace",

@@ -3,8 +3,12 @@
 One process-wide sink (installed with :func:`install_sink`) receives
 discrete events — fault firings, guard actions, cache refreshes,
 checkpoint saves — as one JSON object per line. Components emit through
-:func:`emit_event`, which is a cheap no-op while no sink is installed, so
-the reliability runtime can emit unconditionally.
+:func:`emit_event`, from any module; it is a cheap no-op while nothing
+consumes events, so the reliability runtime can emit unconditionally.
+The consumers — this sink, the flight recorder's ring and, while sampled
+requests are being served, their traces (the event then carries
+``trace_id``/``trace_ids``) — are handed to this module by their owners,
+which keeps it the package's import leaf.
 
 Event schema (``repro.telemetry.event/v1``)::
 
@@ -34,7 +38,7 @@ __all__ = [
     "uninstall_sink",
     "get_sink",
     "set_event_recorder",
-    "get_event_recorder",
+    "set_event_scope",
     "emit_event",
     "read_events",
     "validate_event",
@@ -76,7 +80,7 @@ class JsonlSink:
         self._fh = open(self.path, "a")
         self._seq = 0
 
-    def emit(self, etype: str, **data) -> dict:
+    def emit(self, etype: str, /, **data) -> dict:
         """Write one event line; returns the emitted record."""
         record = {
             "schema": EVENT_SCHEMA,
@@ -138,12 +142,24 @@ def set_event_recorder(recorder) -> None:
     _RECORDER = recorder
 
 
-def get_event_recorder():
-    return _RECORDER
+# Optional third consumer: the request tracer, while one of its scopes
+# holds sampled requests active (repro.telemetry.tracer.join_event).
+_SCOPE = None
 
 
-def emit_event(etype: str, **data) -> None:
-    """Emit to the installed sink; free when none is installed."""
+def set_event_scope(request_tracer) -> None:
+    """Install (or with ``None`` remove) the active request-trace scope."""
+    global _SCOPE
+    _SCOPE = request_tracer
+
+
+def emit_event(etype: str, /, **data) -> None:
+    """Emit an event to every consumer; free when there is none.
+
+    ``etype`` is positional-only, so no payload key can collide with it.
+    """
+    if _SCOPE is not None:
+        data = _SCOPE.join_event(etype, data)
     if _SINK is not None:
         _SINK.emit(etype, **data)
     if _RECORDER is not None:

@@ -18,9 +18,10 @@ label is dumped (later ones are counted as ``suppressed``), keeping the
 artifact set bounded no matter how long the incident lasts.
 
 Wiring: :func:`install_flight_recorder` registers the recorder with
-:mod:`repro.telemetry.events` so every ``emit_event``/``traced_event``
-feeds the ring automatically; the request tracer hands finished sampled
-traces to :meth:`FlightRecorder.record_trace`.
+:mod:`repro.telemetry.events` so every ``emit_event`` feeds the ring
+automatically — carrying the ids of the sampled requests in flight when
+it is emitted while they are being served; the request tracer hands
+finished sampled traces to :meth:`FlightRecorder.record_trace`.
 """
 
 from __future__ import annotations

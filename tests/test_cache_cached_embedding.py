@@ -199,6 +199,34 @@ class TestForwardBackward:
                                    atol=1e-12)
         assert emb.repaired_rows == 1
 
+    def test_every_repair_is_counted_whoever_scrubs(self, tmp_path):
+        """``cache.repairs`` equals the summed ``rows`` of the module's
+        ``cache.repair`` events for read validation, a direct ``scrub()``
+        (what the serving ladder calls) and the divergence guard alike."""
+        from repro.reliability.guard import scrub_non_finite
+        from repro.telemetry import install_sink, read_events, uninstall_sink
+
+        emb = make(warmup_steps=1, cache_size=2)
+        emb.forward(np.array([5, 5, 6]))
+        emb.forward(np.array([5, 6]))
+        emb.validate_reads = True
+        install_sink(tmp_path / "events.jsonl")
+        try:
+            emb.cache_rows.data[0] = np.nan
+            emb.forward(np.array([5, 6]))          # read validation
+            emb.cache_rows.data[1] = np.inf
+            assert emb.scrub() == 1                # explicit caller
+            assert emb.stats()["repairs"] == 2
+            emb.cache_rows.data[:2] = np.nan
+            assert scrub_non_finite(emb) == 2      # the guard's walk
+        finally:
+            uninstall_sink()
+        rows = [e["data"]["rows"]
+                for e in read_events(tmp_path / "events.jsonl", "cache.repair")
+                if e["data"]["module"] == emb.metrics_label]
+        assert rows == [1, 1, 2]
+        assert emb.repaired_rows == emb.stats()["repairs"] == sum(rows)
+
 
 class TestConfigValidation:
     def test_cache_fraction_default_paper_value(self):
@@ -294,11 +322,14 @@ class TestStats:
         assert s["lookups"] == 3 and s["misses"] == 0
 
     def test_legacy_counter_shims(self):
-        """The pre-registry attribute API still reads and writes."""
+        """The pre-registry attributes read the registry; only a restore
+        (``load_extra_state``) writes the counters from outside."""
         emb = make(warmup_steps=1, cache_size=2)
         emb.forward(np.array([3, 3, 4]))
         assert emb.lookups == 3
-        emb.lookups = 7  # checkpoint restore path assigns directly
-        assert emb.stats()["lookups"] == 7
-        emb.repaired_rows += 2
-        assert emb.stats()["repairs"] == 2
+        emb.load_extra_state({**emb.extra_state(), "lookups": 7,
+                              "repairs": 2})
+        assert emb.lookups == emb.stats()["lookups"] == 7
+        assert emb.repaired_rows == emb.stats()["repairs"] == 2
+        with pytest.raises(AttributeError):
+            emb.lookups = 9

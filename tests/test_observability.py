@@ -10,11 +10,22 @@ histogram quantile stays within one bucket width of the exact
 percentile.
 """
 
+import ast
 import json
+import re
+from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.analysis.static.graph import (
+    build_graph,
+    fstring_pattern,
+    pattern_to_regex,
+)
+from repro.analysis.static.passes.metrics import MetricDriftPass
+from repro.analysis.static.passes.sites import FaultSiteDriftPass
 from repro.cli import main
 from repro.data import KAGGLE
 from repro.inference import Predictor
@@ -36,18 +47,25 @@ from repro.telemetry import (
     TRACE_SCHEMA,
     FlightRecorder,
     SLOEngine,
+    Tracer,
+    disable_tracing,
+    emit_event,
+    enable_tracing,
     format_report,
     format_trace_tree,
     get_registry,
     get_request_tracer,
+    get_tracer,
     install_flight_recorder,
+    install_sink,
     load_policy,
+    read_events,
     read_trace,
     slowest_traces,
+    trace,
     trace_duration_ms,
-    traced_event,
-    traced_span,
     uninstall_flight_recorder,
+    uninstall_sink,
     validate_trace_record,
 )
 from repro.telemetry.registry import Histogram
@@ -65,6 +83,9 @@ def _fresh_telemetry():
     yield
     get_request_tracer().shutdown()
     uninstall_flight_recorder()
+    uninstall_sink()
+    disable_tracing()
+    get_tracer().reset()
     reg.reset(prefix="serving.")
     reg.reset(prefix="shard.")
 
@@ -184,43 +205,194 @@ class TestRequestTracer:
         assert rt.maybe_start(3).trace_id != ctx.trace_id
         assert rt.maybe_start(None) is None
 
-    def test_disabled_mode_is_inert(self):
+    def test_one_entry_point_each(self):
+        import repro.telemetry as telemetry
+
+        # trace() and emit_event() are the only ways in: no second,
+        # "propagating" helper pair, no hook, no span method to bypass.
+        assert not [n for n in dir(telemetry)
+                    if n.startswith("traced_") or "hook" in n]
+        public = set(telemetry.__all__)
+        assert {n for n in public if n.startswith("trace")} == {
+            "trace", "trace_duration_ms"}
+        assert {n for n in public if n.endswith(("_span", "_event"))} == {
+            "annotate_span", "emit_event", "validate_event"}
+        assert not hasattr(Tracer, "span")
+
+    def test_nothing_listening_is_one_shared_noop(self):
         rt = get_request_tracer()
+        disable_tracing()
         assert not rt.enabled
         assert rt.maybe_start(0) is None
-        with traced_span("serving.batch", batch_size=4):
-            pass  # no scope active: falls back to the aggregate no-op
-        traced_event("serving.breaker", breaker="t0", to_state="open")
+        noop = trace("serving.batch", batch_size=4)
+        assert trace("tt.plan") is noop  # no allocation per call
+        assert rt.scope([None]) is noop and rt.scope([]) is noop
+        with noop:
+            pass
+        emit_event("serving.breaker", breaker="t0", to_state="open")
+        assert get_tracer().total_spans() == 0
 
-    def test_combined_span_parentage_and_output(self, tmp_path):
+    @pytest.mark.parametrize("aggregate,scoped", [
+        (False, True), (True, False), (True, True)],
+        ids=["scope", "tree", "both"])
+    def test_span_reaches_exactly_its_listeners(self, tmp_path, aggregate,
+                                                scoped):
         path = tmp_path / "t.jsonl"
         clock = ManualClock()
         rt = get_request_tracer()
         rt.configure(sample_every=1, path=path, clock=clock.now, seed=0)
+        install_sink(tmp_path / "events.jsonl")
+        if aggregate:
+            enable_tracing()
         ctx = rt.maybe_start(0, now=clock.now())
-        with rt.scope([ctx]):
+        with rt.scope([ctx] if scoped else []):
             clock.advance(1.0)
-            with traced_span("serving.batch"):
-                with traced_span("shard.dispatch", shard="1"):
+            with trace("serving.batch"):
+                with trace("shard.dispatch", shard="1"):
                     clock.advance(2.0)
-                traced_event("shard.failover", shard=1)
+                emit_event("shard.failover", shard=1)
         rt.finish(ctx, "served", now=clock.now(), latency_ms=3.0)
         rt.shutdown()
-        traces = read_trace(path)
-        assert len(traces) == 1
-        spans = next(iter(traces.values()))
+
+        tree = get_tracer().tree_dict()
+        if aggregate:
+            assert list(tree) == ["serving.batch"]
+            assert tree["serving.batch"]["count"] == 1
+            kids = tree["serving.batch"]["children"]
+            assert list(kids) == ["shard.dispatch[shard=1]"]
+            assert kids["shard.dispatch[shard=1]"]["count"] == 1
+        else:
+            assert tree == {}
+        assert get_tracer().depth == 0
+
+        (spans,) = read_trace(path).values()
         for rec in spans:
             validate_trace_record(rec)
         by_name = {s["name"]: s for s in spans}
         root = by_name["request"]
         assert root["parent_id"] is None
         assert root["attrs"]["status"] == "served"
-        assert by_name["serving.batch"]["parent_id"] == root["span_id"]
-        assert (by_name["shard.dispatch"]["parent_id"]
-                == by_name["serving.batch"]["span_id"])
-        assert (by_name["event:shard.failover"]["parent_id"]
-                == by_name["serving.batch"]["span_id"])
         assert trace_duration_ms(spans) == pytest.approx(3.0)
+        (event,) = read_events(tmp_path / "events.jsonl")
+        if not scoped:
+            assert list(by_name) == ["request"]
+            assert event["data"] == {"shard": 1}
+            return
+        assert event["data"] == {"trace_id": ctx.trace_id, "shard": 1}
+        batch, dispatch = by_name["serving.batch"], by_name["shard.dispatch"]
+        assert batch["parent_id"] == root["span_id"]
+        assert (batch["start_ms"], batch["end_ms"]) == (1.0, 3.0)
+        assert dispatch["parent_id"] == batch["span_id"]
+        assert dispatch["attrs"] == {"shard": "1"}
+        assert (by_name["event:shard.failover"]["parent_id"]
+                == batch["span_id"])
+
+    def test_nested_scopes_restore_and_exceptions_close_spans(self):
+        clock = ManualClock()
+        rt = get_request_tracer()
+        rt.configure(sample_every=1, clock=clock.now, seed=0)
+        enable_tracing()
+        a, b = rt.maybe_start(0), rt.maybe_start(1)
+        with rt.scope([a]):
+            with trace("outer"):
+                with rt.scope([b]):
+                    with trace("inner"):
+                        pass
+                with pytest.raises(RuntimeError):
+                    with trace("boom"):
+                        clock.advance(1.0)
+                        raise RuntimeError("x")
+                with trace("after"):  # the outer context is active again
+                    pass
+        disable_tracing()
+        assert trace("outside") is rt.scope([None])  # nothing left active
+
+        def names(ctx):
+            by_id = {s["span_id"]: s["name"] for s in ctx.spans}
+            return [(s["name"], by_id.get(s["parent_id"])) for s in ctx.spans]
+
+        assert names(a) == [("request", None), ("outer", "request"),
+                            ("boom", "outer"), ("after", "outer")]
+        assert names(b) == [("request", None), ("inner", "request")]
+        boom = a.spans[2]
+        assert (boom["start_ms"], boom["end_ms"]) == (0.0, 1.0)
+        outer = get_tracer().tree_dict()["outer"]
+        assert {k: v["count"] for k, v in outer["children"].items()} == {
+            "inner": 1, "boom": 1, "after": 1}
+        assert get_tracer().depth == 0
+
+    def test_events_join_the_requests_in_flight_from_any_module(
+            self, tmp_path):
+        """A fault firing, a cache repair and a sanitizer trip — emitted
+        by modules that know nothing about serving — carry the trace id
+        and appear under the innermost open span."""
+        from repro.analysis.static import NumericFaultError, NumericSanitizer
+        from repro.cache import CachedTTEmbeddingBag
+        from repro.ops import Linear
+        from repro.reliability import FaultInjector
+
+        emb = CachedTTEmbeddingBag(600, 8, rank=4, cache_size=4,
+                                   warmup_steps=0, rng=0)
+        emb.forward(np.arange(4))
+        lin = Linear(2, 2, rng=0)
+        lin.weight.data[0, 0] = np.nan
+
+        def provoke():
+            assert FaultInjector(seed=0).register(
+                "cache.row", probability=1.0).fires("cache.row")
+            emb.cache_rows.data[0, 0] = np.nan
+            assert emb.scrub() == 1
+            with pytest.raises(NumericFaultError):
+                with NumericSanitizer(lin, name="lin"):
+                    lin.forward(np.ones((1, 2)))
+
+        types = ["fault.fired", "cache.repair", "sanitizer.trip"]
+        install_sink(tmp_path / "outside.jsonl")
+        provoke()
+        uninstall_sink()
+        outside = read_events(tmp_path / "outside.jsonl")
+        assert [e["type"] for e in outside] == types
+        assert list(outside[0]["data"]) == ["site", "kind", "count"]
+        assert list(outside[1]["data"]) == ["module", "rows", "step"]
+
+        rt = get_request_tracer()
+        rt.configure(sample_every=1, seed=0)
+        ctx = rt.maybe_start(0)
+        install_sink(tmp_path / "inside.jsonl")
+        with rt.scope([ctx]):
+            with trace("serving.batch"):
+                with trace("serving.pooled"):
+                    provoke()
+        inside = read_events(tmp_path / "inside.jsonl")
+        assert [e["type"] for e in inside] == types
+        pooled = next(s for s in ctx.spans if s["name"] == "serving.pooled")
+        for before, event in zip(outside, inside):
+            assert event["data"] == {"trace_id": ctx.trace_id,
+                                     **before["data"]}
+            assert list(event["data"]) == ["trace_id", *before["data"]]
+            (span,) = [s for s in ctx.spans
+                       if s["name"] == f"event:{event['type']}"]
+            assert span["parent_id"] == pooled["span_id"]
+            assert span["attrs"] == before["data"]
+
+    def test_event_payload_cannot_collide_with_emit_parameters(
+            self, tmp_path):
+        payload = {"etype": "e", "type": "t", "data": 1, "name": "n",
+                   "now": 2, "start_ms": 3, "end_ms": 4, "self": 5}
+        rt = get_request_tracer()
+        rt.configure(sample_every=1, seed=0)
+        ctx = rt.maybe_start(0)
+        rec = install_flight_recorder(FlightRecorder(tmp_path))
+        install_sink(tmp_path / "events.jsonl")
+        emit_event("x.outside", **payload)
+        with rt.scope([ctx]):
+            emit_event("x.inside", **payload)
+        outside, inside = read_events(tmp_path / "events.jsonl")
+        assert outside["data"] == payload
+        assert inside["data"] == {"trace_id": ctx.trace_id, **payload}
+        assert ctx.spans[-1]["name"] == "event:x.inside"
+        assert ctx.spans[-1]["attrs"] == payload
+        assert rec.summary()["events_seen"] == 2
 
     def test_trace_views(self, tmp_path):
         path = tmp_path / "t.jsonl"
@@ -237,6 +409,93 @@ class TestRequestTracer:
         assert [trace_duration_ms(spans) for _, spans in ranked] == [9.0, 5.0]
         text = format_trace_tree(*ranked[0])
         assert "request" in text and "9.00 ms" in text
+
+
+# ---------------------------------------------------------------------- #
+# The catalogue in docs/OBSERVABILITY.md is checked against the code
+# ---------------------------------------------------------------------- #
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+@pytest.fixture(scope="module")
+def emitted_names() -> dict[str, set[str]]:
+    """Every span, event and metric name ``src/repro`` can emit, read off
+    the analyzer's project graph. An f-string becomes its exact names
+    when it interpolates class-level literals (``site_prefix``), else a
+    ``*`` pattern; a wrapper that forwards its own parameter
+    (``SupervisedWorker._event``) contributes its callers' arguments."""
+    graph = build_graph(sorted((REPO / "src" / "repro").rglob("*.py")))
+    literals = FaultSiteDriftPass._class_literals(graph)
+    out = {"Spans": set(), "Events": set(), "Metrics": set()}
+    entry = {"trace": out["Spans"], "emit_event": out["Events"]}
+
+    def names(arg: ast.AST, where: str) -> list[str]:
+        found = FaultSiteDriftPass._site_names(arg, literals)
+        if not found and isinstance(arg, ast.JoinedStr):
+            found = [fstring_pattern(arg)]
+        assert found and all(found), f"{where}: name is not static"
+        return found
+
+    for fn in graph.functions.values():
+        ctx = graph.by_name[fn.module].ctx
+        params = [a.arg for a in fn.node.args.args if a.arg != "self"]
+        for node in ast.walk(fn.node):
+            if not (isinstance(node, ast.Call) and node.args):
+                continue
+            head, _, leaf = (ctx.resolve(node.func) or "").rpartition(".")
+            if not head.startswith("repro.telemetry") or leaf not in entry:
+                continue
+            args = [node.args[0]]
+            if isinstance(args[0], ast.Name) and args[0].id in params:
+                pos = params.index(args[0].id)
+                args = [call.args[pos]
+                        for caller in graph.functions.values()
+                        for callee, call in caller.calls
+                        if callee == fn.qualname]
+            for arg in args:
+                entry[leaf].update(names(arg, f"{fn.path}:{node.lineno}"))
+    collector = MetricDriftPass(config={})
+    for info in graph.iter_modules():
+        for reg in collector._module_registrations(info):
+            out["Metrics"].update(reg.match_keys())
+    return out
+
+
+def documented_names(section: str) -> set[str]:
+    """First-column names of the ``### <section>`` catalogue table,
+    brace families (``tt.forward.{gather,pool}``) expanded."""
+    text = (REPO / "docs" / "OBSERVABILITY.md").read_text()
+    body = text.split(f"\n### {section}\n", 1)[1].split("\n#", 1)[0]
+    found = set()
+    for row in body.splitlines():
+        if not row.startswith("| `"):
+            continue
+        for family in re.findall(r"`([^`]+)`", row.split("|")[1]):
+            parts = re.split(r"\{([^{}]*)\}", family)
+            choices = [p.split(",") if i % 2 else [p]
+                       for i, p in enumerate(parts)]
+            found.update("".join(combo) for combo in product(*choices))
+    return found
+
+
+class TestCatalogue:
+    @pytest.mark.parametrize("section", ["Spans", "Events", "Metrics"])
+    def test_docs_list_exactly_what_the_code_emits(self, section,
+                                                   emitted_names):
+        emitted = emitted_names[section]
+        listed = documented_names(section)
+        assert len(emitted) > 20 and len(listed) > 20
+
+        def covered(name, by):
+            return any(pattern_to_regex(other).match(name)
+                       or pattern_to_regex(name).match(other)
+                       for other in by)
+
+        missing = sorted(n for n in emitted if not covered(n, listed))
+        phantom = sorted(n for n in listed if not covered(n, emitted))
+        assert not missing, f"emitted but not in the docs: {missing}"
+        assert not phantom, f"in the docs but never emitted: {phantom}"
 
 
 # ---------------------------------------------------------------------- #
@@ -484,10 +743,10 @@ class TestFlightRecorder:
         rec = install_flight_recorder(
             FlightRecorder(tmp_path, clock=clock.now, event_ring=4))
         for i in range(6):
-            traced_event("serving.other", i=i)
-        traced_event("serving.breaker", breaker="t0", from_state="closed",
+            emit_event("serving.other", i=i)
+        emit_event("serving.breaker", breaker="t0", from_state="closed",
                      to_state="open")
-        traced_event("serving.breaker", breaker="t1", from_state="closed",
+        emit_event("serving.breaker", breaker="t1", from_state="closed",
                      to_state="open")
         dump = tmp_path / "flightrec-breaker-open.json"
         assert dump.is_file()
@@ -500,7 +759,7 @@ class TestFlightRecorder:
 
     def test_half_open_transition_does_not_trigger(self, tmp_path):
         install_flight_recorder(FlightRecorder(tmp_path))
-        traced_event("serving.breaker", breaker="t0", from_state="open",
+        emit_event("serving.breaker", breaker="t0", from_state="open",
                      to_state="half_open")
         assert not list(tmp_path.iterdir())
         uninstall_flight_recorder()
@@ -518,7 +777,7 @@ class TestObservabilityCLI:
         rt.configure(sample_every=1, path=path, clock=clock.now, seed=0)
         ctx = rt.maybe_start(0, now=clock.now())
         with rt.scope([ctx]):
-            with traced_span("serving.batch"):
+            with trace("serving.batch"):
                 clock.advance(4.0)
         rt.finish(ctx, "served", now=clock.now())
         rt.shutdown()

@@ -151,26 +151,11 @@ class TestRuleFixtures:
         report = lint_fixture("viol_det003.py")
         assert fired(report, "DET003") == []
 
-    def test_obs001(self):
-        # The fixture lives under repro/serving/, inside the default
-        # trace-scope: raw trace(), raw emit_event(), direct Tracer.span.
-        report = lint_fixture("repro/serving/viol_obs001.py")
-        assert fired(report, "OBS001") == [
-            (8, "OBS001"), (9, "OBS001"), (11, "OBS001"),
-        ]
-
-    def test_obs001_scoped_to_trace_modules(self):
-        # Outside trace-scope the aggregate-only entry points are fine
-        # (kernels, training loops, the telemetry module itself).
-        report = lint_fixture("repro/serving/viol_obs001.py",
-                              trace_scope=["nowhere"])
-        assert fired(report, "OBS001") == []
-
     def test_all_documented_rules_registered(self):
         assert set(all_rules()) == {
             "RNG001", "DT001", "DT002", "DT003",
             "DET001", "DET002", "DET003", "EXC001", "EXC002", "MUT001",
-            "OBS001", "NOQA001",
+            "NOQA001",
         }
         assert set(all_passes()) == {
             "XMOD001", "XMOD002", "XMOD003", "XMOD004", "XMOD005",
@@ -412,10 +397,10 @@ class TestRunner:
         except ImportError:
             pytest.skip("tomllib unavailable (py<3.11): defaults used")
         cfg, builtin = load_config(PYPROJECT), LintConfig()
-        for key in ("process_scope", "trace_scope", "state_scope",
+        for key in ("process_scope", "state_scope",
                     "state_attrs", "graph_roots", "hot_path"):
             assert getattr(cfg, key) == getattr(builtin, key), key
-        for key in ("process_scope", "trace_scope", "state_scope"):
+        for key in ("process_scope", "state_scope"):
             assert "repro/runtime" in getattr(cfg, key)
         # A pass run with no config must see the same hot path (with
         # repro/compress), not a private, older copy of the list.

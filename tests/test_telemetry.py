@@ -190,6 +190,28 @@ class TestTracer:
         get_tracer().reset()
         assert "no spans recorded" in get_tracer().format_tree()
 
+    def test_self_time_is_total_minus_children(self):
+        enable_tracing()
+        for _ in range(2):
+            with trace("outer"):
+                with trace("inner", core=0):
+                    pass
+                with trace("inner", core=1):
+                    time.sleep(0.001)
+        outer = get_tracer().tree_dict()["outer"]
+        kids = outer["children"].values()
+        assert outer["self_ns"] == (outer["total_ns"]
+                                    - sum(k["total_ns"] for k in kids))
+        assert 0 <= outer["self_ns"] < outer["total_ns"]
+        for leaf in kids:  # a leaf's time is all its own
+            assert leaf["self_ns"] == leaf["total_ns"]
+        header, _, row = get_tracer().format_tree().splitlines()[:3]
+        assert header.split() == ["span", "count", "total", "ms", "self",
+                                  "ms", "mean", "us"]
+        assert row.split()[0] == "outer"
+        assert float(row.split()[3]) == pytest.approx(
+            outer["self_ns"] / 1e6, abs=1e-3)
+
     def test_span_records_on_exception(self):
         enable_tracing()
         with pytest.raises(RuntimeError):
@@ -266,6 +288,18 @@ class TestEvents:
         bad["metrics"]["counters"]["evil"] = "NaN"
         with pytest.raises(ValueError):
             validate_snapshot(bad)
+
+    def test_validate_snapshot_accepts_trees_without_self_time(self):
+        """Snapshots written before ``self_ns`` existed stay readable."""
+        enable_tracing()
+        with trace("outer"):
+            with trace("inner"):
+                pass
+        doc = json.loads(json.dumps(snapshot(command="x")))
+        assert "self_ns" in doc["spans"]["outer"]
+        del doc["spans"]["outer"]["self_ns"]
+        del doc["spans"]["outer"]["children"]["inner"]["self_ns"]
+        validate_snapshot(doc)
 
 
 # ---------------------------------------------------------------------- #
