@@ -56,16 +56,17 @@ class LowRankEmbeddingBag(CompressedEmbedding):
     def _rows(self, indices: np.ndarray) -> np.ndarray:
         return self.factor_a.data[indices] @ self.factor_b.data
 
-    def _forward_rows(self, indices: np.ndarray):
-        return self.factor_a.data[indices], None  # (n, r)
+    def _read_rows(self, indices: np.ndarray) -> np.ndarray:
+        return self.factor_a.data[indices]  # (n, r)
 
     def _pool(self, a_rows, offsets, alpha):
-        self._pooled_a, counts = super()._pool(a_rows, offsets, alpha)  # (m, r)
-        return self._pooled_a @ self.factor_b.data, counts
+        pooled_a, counts = super()._pool(a_rows, offsets, alpha)  # (m, r)
+        return pooled_a @ self.factor_b.data, (pooled_a, counts)
 
-    def _unpool(self, grad_out, counts, alpha):
+    def _unpool(self, grad_out, kept, alpha):
         # dB = pooled_a^T dO; d pooled_a = dO B^T, un-pooled to (n, r).
-        self.factor_b.grad += self._pooled_a.T @ grad_out
+        pooled_a, counts = kept
+        self.factor_b.grad += pooled_a.T @ grad_out
         return super()._unpool(grad_out @ self.factor_b.data.T, counts, alpha)
 
     def _backward_rows(self, indices, grad_rows, saved) -> None:

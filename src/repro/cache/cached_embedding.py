@@ -278,10 +278,24 @@ class CachedTTEmbeddingBag(CompressedEmbedding):
     # ------------------------------------------------------------------ #
 
     def _forward_rows(self, indices: np.ndarray):
+        # Observe (the Fig. 4 schedule), then serve, remembering the miss
+        # path's plan for backward.
         self._steps += 1
         self.tracker.record(indices)
         self.maybe_refresh()
+        return self._serve_rows(indices, remember=True)
 
+    def _read_rows(self, indices: np.ndarray) -> np.ndarray:
+        """``lookup_bags``: serve from what ``populate()`` last built. No
+        step, no tracker record, no refresh — a request must not retrain
+        the cache — and no pooled buffer a pending backward still needs."""
+        return self._serve_rows(indices, remember=False)[0]
+
+    def _serve_rows(self, indices: np.ndarray, remember: bool):
+        """Split hits from misses, count them, serve both:
+        ``(rows, saved)`` with ``saved`` the backward's ``(mask, slots,
+        chain)``. The one place a resident row is fault-probed, read and
+        validated, for training steps and served requests alike."""
         if self.injector is not None and self._cached_ids.size:
             spec = self.injector.draw("cache.row")
             if spec is not None:
@@ -296,7 +310,7 @@ class CachedTTEmbeddingBag(CompressedEmbedding):
         self._metrics["misses"].inc(indices.size - hits)
 
         rows = np.empty((indices.size, self.dim), dtype=self.cache_rows.data.dtype)
-        if mask.any():
+        if hits:
             # Single gather: validate and serve from the same buffer. A
             # poisoned row served into the towers is masked by ReLU (NaN
             # clips to 0) and silently degrades the model instead of
@@ -308,13 +322,16 @@ class CachedTTEmbeddingBag(CompressedEmbedding):
                 self.scrub()
                 served = self.cache_rows.data[slots]  # re-gather repaired rows
             rows[mask] = served
-        tt_idx = indices[~mask]
         chain = None
-        if tt_idx.size:
-            # The miss path shares the TT operator's planned forward (one
-            # plan for forward and backward, pooled buffers), deduplicated
-            # by this operator's own setting.
-            rows[~mask], chain = self.tt._planned_rows(tt_idx, self.dedup)
+        if hits < indices.size:
+            tt_idx = indices[~mask]
+            if remember:
+                # One plan for forward and backward through the TT
+                # operator's pooled buffers, deduplicated by this
+                # operator's own setting.
+                rows[~mask], chain = self.tt._planned_rows(tt_idx, self.dedup)
+            else:
+                rows[~mask] = self.tt._rows(tt_idx)
         return rows, (mask, slots, chain)
 
     def _backward_rows(self, indices, grad_rows, saved) -> None:

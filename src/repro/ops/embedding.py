@@ -7,7 +7,11 @@ per-sample weights (the alpha_i of paper Eq. 6).
 re-entrancy guard, un-pooling, memory accounting and serialisation — and
 every operator in the repo (dense, TT, cached TT, T3nsor, tensor-ring,
 hashing, low-rank, quantized, DPQ, ALPT) subclasses it and supplies only
-its rows: how to materialise them and where their gradients go.
+its rows: how to materialise them and where their gradients go. Three
+entry points read a table: ``forward`` (a training step: remembers the bag
+for ``backward`` and drives whatever schedule the operator keeps),
+``lookup_bags`` (the same pooled output for a server: nothing remembered,
+recorded or refreshed) and ``lookup`` (plain rows, no pooling).
 :class:`EmbeddingBag` is the uncompressed DLRM baseline.
 """
 
@@ -99,20 +103,29 @@ class CompressedEmbedding(Module):
 
     The public surface is written here, once: ``forward`` validates,
     asks the operator for rows, pools and remembers the bag; ``backward``
-    guards, un-pools and hands the operator per-row gradients; ``lookup``
-    validates and gathers without touching any state. Subclasses implement
+    guards, un-pools and hands the operator per-row gradients;
+    ``lookup_bags`` is ``forward`` for a reader — validate, rows, pool,
+    return — and ``lookup`` validates and gathers; neither touches what a
+    pending backward or a training schedule keeps. Subclasses implement
     the hooks:
 
     - ``_rows(indices) -> (n, dim)`` — *pure* row materialisation
       (``lookup`` runs between a forward and its backward, so it must not
       disturb what the backward needs);
+    - ``_read_rows(indices)`` — the rows ``lookup_bags`` pools: what
+      ``forward`` would pool, materialised as purely as ``_rows`` (its
+      default). Low-rank returns factor-space rows, cached TT counts the
+      hits and misses it serves;
     - ``_forward_rows(indices) -> (rows, saved)`` — the forward's rows plus
-      whatever its backward wants back; defaults to ``(_rows(indices),
-      None)``;
+      whatever its backward wants back; defaults to
+      ``(_read_rows(indices), None)``;
     - ``_backward_rows(indices, grad_rows, saved)`` — accumulate parameter
       gradients from the ``(n, dim)`` per-row gradients;
-    - ``_pool`` / ``_unpool`` — the pooling step and its adjoint, for an
-      operator that pools in another space (low-rank) or times it (TT);
+    - ``_pool(rows, offsets, alpha) -> (out, kept)`` /
+      ``_unpool(grad_out, kept, alpha)`` — the pooling step and its
+      adjoint, for an operator that pools in another space (low-rank) or
+      times it (TT); ``kept`` is what the adjoint wants back (the bag
+      sizes, by default) and ``_pool`` itself stores nothing;
     - ``from_spec`` / ``predict_memory_bytes`` — the registry's builder
       and its exact, build-free size prediction;
     - ``extra_state`` / ``load_extra_state``, ``_extra_arrays``,
@@ -138,12 +151,12 @@ class CompressedEmbedding(Module):
         self.num_rows = num_rows
         self.dim = dim
         self.mode = mode
-        # (indices, counts, alpha, saved) of the forward awaiting backward.
+        # (indices, kept, alpha, saved) of the forward awaiting backward.
         self._bag: tuple | None = None
         self._spent = False
 
     # ------------------------------------------------------------------ #
-    # The bag: forward / backward / lookup
+    # The bag: forward / backward / lookup_bags / lookup
     # ------------------------------------------------------------------ #
 
     def forward(self, indices: np.ndarray, offsets: np.ndarray | None = None,
@@ -152,11 +165,28 @@ class CompressedEmbedding(Module):
         indices, offsets, alpha = check_bag(indices, offsets, per_sample_weights,
                                             self.num_rows, self.dtype)
         rows, saved = self._forward_rows(indices)
-        out, counts = self._pool(rows, offsets, alpha)
-        self._bag = (indices, counts, alpha, saved)
+        out, kept = self._pool(rows, offsets, alpha)
+        self._bag = (indices, kept, alpha, saved)
         return out
 
     __call__ = forward
+
+    def lookup_bags(self, indices: np.ndarray, offsets: np.ndarray | None = None,
+                    per_sample_weights: np.ndarray | None = None) -> np.ndarray:
+        """``forward``'s pooled output for a caller that will never call
+        ``backward`` (serving): same validation, same pooling, nothing
+        remembered.
+
+        Leaves a pending forward's backward, the LFU tracker and the cache
+        refresh schedule exactly as they were; a cached operator still
+        counts the hits and misses it serves. Equal to ``forward`` bit for
+        bit wherever both contract a row the same way — a TT read is
+        planned without left partials, so on a shape whose cheapest
+        schedule is not ``l2r`` it agrees to round-off instead.
+        """
+        indices, offsets, alpha = check_bag(indices, offsets, per_sample_weights,
+                                            self.num_rows, self.dtype)
+        return self._pool(self._read_rows(indices), offsets, alpha)[0]
 
     def backward(self, grad_out: np.ndarray) -> None:
         """Accumulate parameter gradients for the last ``forward``.
@@ -177,9 +207,9 @@ class CompressedEmbedding(Module):
                     "double-accumulate — run forward again first"
                 )
             raise RuntimeError("backward called before forward")
-        indices, counts, alpha, saved = self._bag
+        indices, kept, alpha, saved = self._bag
         grad_rows = self._unpool(np.asarray(grad_out, dtype=self.dtype),
-                                 counts, alpha)
+                                 kept, alpha)
         self._backward_rows(indices, grad_rows, saved)
         self._bag = None
         self._spent = True
@@ -201,8 +231,11 @@ class CompressedEmbedding(Module):
     def _rows(self, indices: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def _read_rows(self, indices: np.ndarray) -> np.ndarray:
+        return self._rows(indices)
+
     def _forward_rows(self, indices: np.ndarray):
-        return self._rows(indices), None
+        return self._read_rows(indices), None
 
     def _backward_rows(self, indices: np.ndarray, grad_rows: np.ndarray,
                        saved) -> None:
@@ -211,8 +244,8 @@ class CompressedEmbedding(Module):
     def _pool(self, rows, offsets, alpha):
         return pool_bags(rows, offsets, alpha, self.mode)
 
-    def _unpool(self, grad_out, counts, alpha):
-        return unpool_grads(grad_out, counts, alpha, self.mode)
+    def _unpool(self, grad_out, kept, alpha):
+        return unpool_grads(grad_out, kept, alpha, self.mode)
 
     # ------------------------------------------------------------------ #
     # Memory accounting

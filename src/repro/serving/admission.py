@@ -45,6 +45,8 @@ __all__ = [
 
 OOV_POLICIES = ("clamp", "hash", "reject")
 
+_NO_IDS = np.empty(0, dtype=np.int64)
+
 REJECT_REASONS = (
     "dense_shape",
     "dense_non_finite",
@@ -80,7 +82,13 @@ class Request:
 
 @dataclass
 class SanitizedRequest:
-    """An admitted request: canonical arrays, all invariants guaranteed."""
+    """An admitted request: canonical arrays, all invariants guaranteed.
+
+    The ids are held twice over the same numbers: ``values`` per table,
+    and ``ids``/``counts`` — every table's ids as one array in table
+    order plus the ``(num_tables,)`` bag sizes — which is what batching
+    concatenates. Built from ``values`` when not given.
+    """
 
     dense: np.ndarray                 # (num_dense,) float64, finite
     values: list[np.ndarray]          # per-table int64 ids, all in range
@@ -88,6 +96,14 @@ class SanitizedRequest:
     deadline_ms: float | None = None
     repairs: tuple[str, ...] = ()     # sanitizer actions applied, if any
     arrival_ms: float = 0.0           # stamped by the queue
+    ids: np.ndarray | None = None
+    counts: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.ids is None:
+            self.counts = np.array([v.size for v in self.values],
+                                   dtype=np.int64)
+            self.ids = np.concatenate([_NO_IDS, *self.values])
 
 
 @dataclass
@@ -175,6 +191,7 @@ class RequestSanitizer:
             )
         self.config = config
         self.oov_policy = oov_policy
+        self._table_sizes = np.asarray(config.table_sizes, dtype=np.int64)
         reg = get_registry()
         self._rejected = {
             reason: reg.counter("serving.rejected", reason=reason)
@@ -208,7 +225,7 @@ class RequestSanitizer:
     def _sanitize_ids(self, values, cardinality: int):
         """Return ``(int64 ids in range, actions) | None`` (None = reject)."""
         if values is None:
-            return np.empty(0, dtype=np.int64), ()
+            return _NO_IDS, ()
         arr = np.atleast_1d(np.asarray(values)).reshape(-1)
         if not np.issubdtype(arr.dtype, np.integer):
             if not np.issubdtype(arr.dtype, np.floating):
@@ -252,23 +269,53 @@ class RequestSanitizer:
                 f"got {len(request.sparse)}",
                 rid,
             )
-        values: list[np.ndarray] = []
+        clean = self._clean_ids(request.sparse)
         repairs: list[str] = []
-        for t, entry in enumerate(request.sparse):
-            out = self._sanitize_ids(entry, cfg.table_sizes[t])
-            if out is None:
-                reason = "oov" if self.oov_policy == "reject" else "ids_dtype"
-                return self._reject(
-                    reason, f"table {t}: unusable categorical ids", rid
-                )
-            ids, actions = out
-            values.append(ids)
-            repairs.extend(actions)
+        if clean is not None:
+            flat, counts = clean
+            ends = np.cumsum(counts).tolist()
+            values = [flat[lo:hi] for lo, hi in zip([0, *ends], ends)]
+        else:
+            flat = counts = None  # SanitizedRequest joins the repaired values
+            values = []
+            for t, entry in enumerate(request.sparse):
+                out = self._sanitize_ids(entry, cfg.table_sizes[t])
+                if out is None:
+                    reason = "oov" if self.oov_policy == "reject" else "ids_dtype"
+                    return self._reject(
+                        reason, f"table {t}: unusable categorical ids", rid
+                    )
+                ids, actions = out
+                values.append(ids)
+                repairs.extend(actions)
         self._admitted.inc()
         return SanitizedRequest(
             dense=dense, values=values, request_id=rid,
             deadline_ms=request.deadline_ms, repairs=tuple(dict.fromkeys(repairs)),
+            ids=flat, counts=counts,
         )
+
+    def _clean_ids(self, sparse: list):
+        """A whole request's ids in one pass: ``(ids, counts)`` in table
+        order when every entry is ``None``, an integer or an integer array
+        and every id is in range — nothing to repair, reject or count.
+        ``None`` otherwise, and the per-table loop decides."""
+        parts = []
+        for entry in sparse:
+            if entry is None:
+                parts.append(_NO_IDS)
+                continue
+            arr = np.asarray(entry)
+            if arr.dtype.kind not in "iu":
+                return None
+            # Cast per entry: concatenating int64 with uint64 promotes
+            # the lot to float64.
+            parts.append(arr.reshape(-1).astype(np.int64, copy=False))
+        counts = np.array([part.size for part in parts], dtype=np.int64)
+        ids = np.concatenate(parts)
+        if (ids < 0).any() or (ids >= np.repeat(self._table_sizes, counts)).any():
+            return None
+        return ids, counts
 
     # ------------------------------------------------------------------ #
 

@@ -35,7 +35,6 @@ from time import perf_counter_ns
 
 import numpy as np
 
-from repro.data.batching import make_offsets
 from repro.inference.predictor import Predictor, _sigmoid
 from repro.serving.admission import Rejection, Request, RequestSanitizer
 from repro.serving.breaker import CircuitBreaker
@@ -50,7 +49,7 @@ from repro.telemetry import (
 )
 
 __all__ = ["ServerConfig", "ServingFrontEnd", "InferenceServer", "Rung",
-           "TableLadder", "frequency_prior_row"]
+           "TableLadder", "frequency_prior_row", "table_batches"]
 
 # A pooled embedding magnitude beyond this is treated as corruption even
 # though it is finite (catches "scale"-kind faults before the towers
@@ -224,6 +223,26 @@ def frequency_prior_row(emb, dim: int) -> np.ndarray:
     return row
 
 
+def table_batches(batch: list) -> list[tuple[np.ndarray, np.ndarray]]:
+    """One micro-batch as a ``(indices, counts)`` pair per table: the
+    table's ids in request order and its per-request bag sizes.
+
+    An admitted request holds its ids as one array in table order, so the
+    batch is one concatenation (request-major) and one stable sort by
+    table, whatever the number of tables; the pairs are views of the two
+    results.
+    """
+    counts = np.array([req.counts for req in batch])  # (B, T)
+    ids = np.concatenate([req.ids for req in batch])
+    table_of = np.repeat(np.tile(np.arange(counts.shape[1]), len(batch)),
+                         counts.ravel())
+    ids = ids[np.argsort(table_of, kind="stable")]
+    counts = np.ascontiguousarray(counts.T)
+    bounds = [0, *np.cumsum(counts.sum(axis=1)).tolist()]
+    return [(ids[lo:hi], row)
+            for lo, hi, row in zip(bounds, bounds[1:], counts)]
+
+
 class ServingFrontEnd:
     """The request path both serving tiers share: admission → queue →
     pooling step → towers → responses.
@@ -330,16 +349,8 @@ class ServingFrontEnd:
             with trace("serving.batch"):
                 annotate_span(batch_size=len(batch))
                 dense = np.stack([r.dense for r in batch])
-                tables = []
-                for t in range(self.predictor.config.num_tables):
-                    counts = np.array([r.values[t].size for r in batch],
-                                      dtype=np.int64)
-                    indices = (np.concatenate([r.values[t] for r in batch])
-                               if counts.sum()
-                               else np.empty(0, dtype=np.int64))
-                    tables.append((indices, counts))
-                pooled, served_by, sim_ms = self._pool(batch, tables,
-                                                       formed_at)
+                pooled, served_by, sim_ms = self._pool(
+                    batch, table_batches(batch), formed_at)
                 with trace("serving.towers"):
                     probs = _sigmoid(
                         self.predictor.logits_from_pooled(dense, pooled)
@@ -425,13 +436,16 @@ class InferenceServer(ServingFrontEnd):
     # ------------------------------------------------------------------ #
 
     def _build_ladder(self, table: int, emb) -> TableLadder:
-        rungs = [Rung("primary", emb.forward,
+        # Rungs read through ``lookup_bags``: ``forward``'s output with
+        # nothing recorded, refreshed or kept for a backward — the server
+        # serves what ``populate()`` last built and never changes it.
+        rungs = [Rung("primary", emb.lookup_bags,
                       self.config.breaker(f"t{table}.primary"))]
         tt = getattr(emb, "tt", None)
         if tt is not None:
             # The cached operator's escape hatch: contract the TT cores
             # directly, bypassing a poisoned uncompressed cache.
-            rungs.append(Rung("tt_direct", tt.forward,
+            rungs.append(Rung("tt_direct", tt.lookup_bags,
                               self.config.breaker(f"t{table}.tt_direct")))
         default_row = frequency_prior_row(emb, self.predictor.config.emb_dim)
         return TableLadder(table, rungs, default_row, emb.mode,
@@ -441,8 +455,12 @@ class InferenceServer(ServingFrontEnd):
         """Every table's local ladder; service time is measured."""
         pooled = []
         served_by: dict[int, str] = {}
-        for (indices, counts), ladder in zip(tables, self.ladders):
-            vecs, rung = ladder.serve(indices, make_offsets(counts))
+        # Every table's CSR offsets from one cumulative sum.
+        offsets = np.zeros((len(tables), len(batch) + 1), dtype=np.int64)
+        np.cumsum([counts for _, counts in tables], axis=1, out=offsets[:, 1:])
+        for (indices, _), table_offsets, ladder in zip(tables, offsets,
+                                                       self.ladders):
+            vecs, rung = ladder.serve(indices, table_offsets)
             pooled.append(vecs)
             if rung != "primary":
                 served_by[ladder.table] = rung

@@ -119,7 +119,7 @@ class ShardWorker(SupervisedWorker):
         rungs = [Rung("rows", rows_compute, breaker_for("rows"))]
         tt = getattr(emb, "tt", None)
         if tt is not None and emb.mode == "sum":
-            rungs.append(Rung("tt_direct", tt.forward,
+            rungs.append(Rung("tt_direct", tt.lookup_bags,
                               breaker_for("tt_direct")))
         # Worker ladders always pool *sum* partials; the router converts
         # to the table's real mode after combining slices.

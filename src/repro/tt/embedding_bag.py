@@ -33,7 +33,7 @@ from repro.tt.decomposition import tt_reconstruct
 from repro.tt.initialization import tt_core_initializer
 from repro.tt.kernels import (scatter_add_rows, segmented_matmul,
                               segmented_outer_add)
-from repro.tt.planner import BatchPlan, ExecutionPlanner, member_segments
+from repro.tt.planner import BatchPlan, ExecutionPlanner
 from repro.tt.shapes import TTShape
 from repro.utils.dtypes import default_dtype
 from repro.utils.seeding import as_rng
@@ -41,21 +41,19 @@ from repro.utils.seeding import as_rng
 __all__ = ["TTEmbeddingBag", "accumulate_core_grads", "combine_duplicates"]
 
 
-def accumulate_core_grads(shape: TTShape,
-                          members: list[tuple[list[Parameter], BatchPlan]],
-                          grad_rows: np.ndarray,
+def accumulate_core_grads(shape: TTShape, cores: list[Parameter],
+                          plan: BatchPlan, grad_rows: np.ndarray,
                           lefts: list[np.ndarray]) -> None:
     """Algorithm 2's right-to-left sweep, shared by every TT operator.
 
-    ``members`` lists ``(cores, plan)`` per table; their samples are
-    concatenated in that order along axis 0 of ``grad_rows`` ``(n, dim)``
-    and of the left partials ``lefts``. For core ``k`` the sweep forms the
+    ``grad_rows`` ``(n, dim)`` and the left partials ``lefts`` hold one
+    entry per planned row of ``plan``. For core ``k`` the sweep forms the
     two per-sample factors of ``L_{k-1}^T dO R_k^T`` — never their product
     — and the segmented kernels of :mod:`repro.tt.kernels` contract them
-    per touched slice straight into each member's ``cores[k].grad``,
-    grouped by the plan's per-core runs the forward already sorted.
+    per touched slice straight into ``cores[k].grad``, grouped by the
+    plan's per-core runs the forward already sorted.
     """
-    parts, n = member_segments(members)
+    n = plan.n_unique
     if n == 0:
         return
     # Both factors are kept K-major, (sample, Q_k, ...), so a slice's
@@ -75,19 +73,16 @@ def accumulate_core_grads(shape: TTShape,
                                   d_out)
             left_do_t = d_out.reshape(n, q, r_prev * nk)
         with trace("tt.backward.segment_gemm", core=k):
-            for cores, plan, seg in parts:
-                segmented_outer_add(cores[k].grad, plan.decoded[k],
-                                    left_do_t[seg], right_t[seg], plan.runs(k))
-                cores[k].record_touched(plan.decoded[k])
+            segmented_outer_add(cores[k].grad, plan.decoded[k], left_do_t,
+                                right_t, plan.runs(k))
+            cores[k].record_touched(plan.decoded[k])
         if k > 0:
             with trace("tt.backward.gemm_right", core=k):
                 # Right_{k-1}^T = Right_k^T · G_k(i_k)^T per column of n_k:
                 # (n, Q, R_k) x (m_k, n_k, R_k, R_{k-1}) -> (n, n_k, Q, R_{k-1})
-                right_t = np.concatenate([
-                    segmented_matmul(right_t[seg], plan.decoded[k],
-                                     cores[k].data.transpose(0, 2, 3, 1),
-                                     plan.runs(k))
-                    for cores, plan, seg in parts])
+                right_t = segmented_matmul(
+                    right_t, plan.decoded[k],
+                    cores[k].data.transpose(0, 2, 3, 1), plan.runs(k))
                 q *= nk
                 right_t = right_t.reshape(n, q, r_prev)
 
@@ -189,7 +184,7 @@ class TTEmbeddingBag(CompressedEmbedding):
         may hold the returned buffers indefinitely.
         """
         schedule = self.planner.schedule_for(plan.n_unique, need_lefts=True)
-        return self.planner.execute(schedule, [(self.cores, plan)],
+        return self.planner.execute(schedule, self.cores, plan,
                                     keep_lefts=True)
 
     def _rows(self, indices: np.ndarray) -> np.ndarray:
@@ -203,7 +198,7 @@ class TTEmbeddingBag(CompressedEmbedding):
             return np.zeros((0, self.dim), dtype=self.dtype)
         plan = self.planner.plan_batch(indices, dedup=self.dedup,
                                        need_lefts=False)
-        rows, _ = self.planner.execute(plan.schedule, [(self.cores, plan)])
+        rows, _ = self.planner.execute(plan.schedule, self.cores, plan)
         return rows[plan.inverse] if plan.inverse is not None else rows
 
     def _planned_rows(self, indices: np.ndarray, dedup: bool):
@@ -217,7 +212,7 @@ class TTEmbeddingBag(CompressedEmbedding):
         plan = self.planner.plan_batch(indices, dedup=dedup,
                                        need_lefts=self.store_intermediates)
         rows, lefts = self.planner.execute(
-            plan.schedule, [(self.cores, plan)],
+            plan.schedule, self.cores, plan,
             keep_lefts=self.store_intermediates, pooled=True,
         )
         if plan.inverse is not None:
@@ -251,7 +246,7 @@ class TTEmbeddingBag(CompressedEmbedding):
             # Recompute-intermediates arm (paper §4.2, Algorithm 2 line 3).
             with trace("tt.backward.recompute"):
                 _, lefts = self._row_chain(plan)
-        accumulate_core_grads(self.shape, [(self.cores, plan)],
+        accumulate_core_grads(self.shape, self.cores, plan,
                               combine_duplicates(grad_rows, plan), lefts)
 
     # ------------------------------------------------------------------ #

@@ -62,7 +62,6 @@ __all__ = [
     "BufferPool",
     "ExecutionPlanner",
     "candidate_schedules",
-    "member_segments",
     "schedule_cost",
 ]
 
@@ -127,21 +126,6 @@ class BatchPlan:
         if k not in self._runs:
             self._runs[k] = sorted_runs(self.decoded[k])
         return self._runs[k]
-
-
-def member_segments(members: list[tuple[list, BatchPlan]]
-                    ) -> tuple[list[tuple[list, BatchPlan, slice]], int]:
-    """``([(cores, plan, rows), ...], n)`` for the non-empty members.
-
-    Members' lookups are concatenated in list order; ``rows`` is each
-    member's slice of that ``n``-row pseudo-batch.
-    """
-    parts, lo = [], 0
-    for cores, plan in members:
-        if plan.n_unique:
-            parts.append((cores, plan, slice(lo, lo + plan.n_unique)))
-            lo += plan.n_unique
-    return parts, lo
 
 
 def _partial_l2r(shape: TTShape, itemsize: int, lo: int, hi: int):
@@ -382,18 +366,16 @@ class ExecutionPlanner:
     # Execution
     # ------------------------------------------------------------------ #
 
-    def execute(self, schedule: Schedule, members: list[tuple[list, BatchPlan]],
+    def execute(self, schedule: Schedule, cores: list, plan: BatchPlan,
                 *, keep_lefts: bool = False, pooled: bool = False
                 ) -> tuple[np.ndarray, list[np.ndarray] | None]:
-        """Contract the chain for ``members = [(cores, plan), ...]``.
+        """Contract the chain for the planned rows of one table.
 
-        ``cores`` is one table's list of core parameters (mode-first
-        layout) and ``plan`` its :class:`BatchPlan`; the members' lookups
-        are concatenated in list order along axis 0 of everything
-        returned. Every interior chain step is
-        :func:`~repro.tt.kernels.segmented_matmul` against a view of each
-        touched core slice; only the boundary core that *is* a sweep's
-        first partial is gathered. Returns ``(rows, lefts)`` where
+        ``cores`` is the table's list of core parameters (mode-first
+        layout) and ``plan`` its :class:`BatchPlan`. Every interior chain
+        step is :func:`~repro.tt.kernels.segmented_matmul` against a view
+        of each touched core slice; only the boundary core that *is* a
+        sweep's first partial is gathered. Returns ``(rows, lefts)`` where
         ``lefts`` is ``None`` unless ``keep_lefts``. Pooled outputs are
         views into :attr:`pool` and are clobbered by the next pooled call.
         """
@@ -401,8 +383,8 @@ class ExecutionPlanner:
             raise ValueError(
                 f"left partials require the l2r schedule, got {schedule.label}"
             )
-        parts, n = member_segments(members)
-        dtype = members[0][0][0].data.dtype
+        n = plan.n_unique
+        dtype = cores[0].data.dtype
         if n == 0:
             rows = np.zeros((0, self.shape.dim), dtype=dtype)
             return rows, ([] if keep_lefts else None)
@@ -411,8 +393,8 @@ class ExecutionPlanner:
         # cores are gathered and only interior cores take a segmented step.
         d = self.shape.d
         split = {"l2r": d - 1, "r2l": 1}.get(schedule.kind, schedule.split)
-        lefts = self._sweep(parts, n, dtype, range(split), pooled)
-        right_t = self._sweep(parts, n, dtype, range(d - 1, split - 1, -1),
+        lefts = self._sweep(cores, plan, range(split), pooled)
+        right_t = self._sweep(cores, plan, range(d - 1, split - 1, -1),
                               pooled)[-1]
         with trace("tt.forward.combine", split=split):
             # (n, P_left, R_split) @ (n, Q_right, R_split)^T
@@ -427,7 +409,7 @@ class ExecutionPlanner:
     def _buf(self, pooled: bool, key, shape: tuple[int, ...], dtype) -> np.ndarray:
         return self.pool.take(key, shape, dtype) if pooled else np.empty(shape, dtype)
 
-    def _sweep(self, parts, n: int, dtype, ks: range, pooled: bool
+    def _sweep(self, cores: list, plan: BatchPlan, ks: range, pooled: bool
                ) -> list[np.ndarray]:
         """Partial products of one sweep over cores ``ks``, one per core.
 
@@ -437,6 +419,7 @@ class ExecutionPlanner:
         ``G_k(i_k)^T`` per column of ``n_k``, as in Algorithm 2's sweep.
         """
         col, ranks = self.shape.col_factors, self.shape.ranks
+        n, dtype = plan.n_unique, cores[0].data.dtype
         left = ks.step > 0
         side = "left" if left else "right"
         res, partials = None, []
@@ -450,9 +433,8 @@ class ExecutionPlanner:
                 # bounds-checked the indices).
                 with trace("tt.forward.gather", core=k):
                     res = self._buf(pooled, (side, k), (n, nk * r_out), dtype)
-                    for cores, plan, seg in parts:
-                        cores[k].data.reshape(-1, nk * r_out).take(
-                            plan.decoded[k], axis=0, out=res[seg], mode="clip")
+                    cores[k].data.reshape(-1, nk * r_out).take(
+                        plan.decoded[k], axis=0, out=res, mode="clip")
                     res = (res.reshape(n, nk, r_out) if left
                            else res.reshape(n, r_out, nk).transpose(0, 2, 1))
             else:
@@ -463,13 +445,12 @@ class ExecutionPlanner:
                         pooled, (side, k),
                         (n, 1, res.shape[1], nk * r_out) if left
                         else (n, nk, res.shape[1], r_out), dtype)
-                    for cores, plan, seg in parts:
-                        g = cores[k].data
-                        segmented_matmul(
-                            res[seg], plan.decoded[k],
-                            g.reshape(-1, 1, r_prev, nk * r_next) if left
-                            else g.transpose(0, 2, 3, 1),
-                            plan.runs(k), out=out[seg])
+                    g = cores[k].data
+                    segmented_matmul(
+                        res, plan.decoded[k],
+                        g.reshape(-1, 1, r_prev, nk * r_next) if left
+                        else g.transpose(0, 2, 3, 1),
+                        plan.runs(k), out=out)
                     res = out.reshape(n, -1, r_out)
             partials.append(res)
         return partials

@@ -83,6 +83,6 @@ class T3nsorEmbeddingBag(CompressedEmbedding):
         plan = planner.plan_batch(
             np.arange(self.shape.padded_rows, dtype=np.int64), dedup=False,
             need_lefts=True)
-        members = [(self.cores, plan)]
-        _, lefts = planner.execute(plan.schedule, members, keep_lefts=True)
-        accumulate_core_grads(self.shape, members, d_full, lefts)
+        _, lefts = planner.execute(plan.schedule, self.cores, plan,
+                                   keep_lefts=True)
+        accumulate_core_grads(self.shape, self.cores, plan, d_full, lefts)

@@ -142,7 +142,7 @@ def test_suite_covers_every_registered_kind():
 def test_operator_subclasses_the_contract_directly(name):
     cls = OPERATORS[name][0]
     assert CompressedEmbedding in cls.__bases__
-    for method in ("forward", "backward", "lookup", "__call__"):
+    for method in ("forward", "backward", "lookup", "lookup_bags", "__call__"):
         assert method not in vars(cls), f"{cls.__name__} re-spells {method}"
 
 
@@ -209,6 +209,90 @@ def test_offsets_default_and_all_empty_bags(name, how):
 
 
 # ---------------------------------------------------------------------- #
+# lookup_bags == forward, for a reader
+# ---------------------------------------------------------------------- #
+
+
+@pytest.mark.parametrize("mode", ["sum", "mean"])
+@pytest.mark.parametrize("weighted", [False, True], ids=["plain", "weighted"])
+@pytest.mark.parametrize("name,how", BUILDS)
+def test_lookup_bags_is_forward_bit_for_bit(name, how, weighted, mode):
+    emb = build(name, how, mode)
+    emb.forward(*bags(1))  # past any warm-up: the cache serves rows too
+    indices, offsets = bags(2)  # duplicates, and an empty trailing bag
+    weights = (np.random.default_rng(3).uniform(0.5, 2.0, size=indices.size)
+               if weighted else None)
+    read = emb.lookup_bags(indices, offsets, weights)
+    out = emb.forward(indices, offsets, weights)
+    assert read.dtype == out.dtype == emb.dtype
+    assert read.tobytes() == out.tobytes()
+    assert emb.lookup_bags(indices, offsets, weights).tobytes() == out.tobytes()
+
+
+@pytest.mark.parametrize("name,how", BUILDS)
+def test_lookup_bags_offsets_default_and_all_empty_bags(name, how):
+    emb = build(name, how)
+    indices = np.array([5, 0, 5], dtype=np.int64)
+    assert emb.lookup_bags(indices).tobytes() == emb.forward(indices).tobytes()
+    empty = emb.lookup_bags(np.empty(0, dtype=np.int64),
+                            np.zeros(4, dtype=np.int64))
+    assert empty.shape == (3, DIM) and not empty.any()
+
+
+@pytest.mark.parametrize("name,how", TRAINABLE)
+def test_lookup_bags_between_forward_and_backward_is_pure(name, how):
+    """A served read between a training forward and its backward changes
+    neither the gradients nor what the next step sees."""
+    indices, offsets = bags(5)
+    grad = np.random.default_rng(6).normal(size=(len(offsets) - 1, DIM))
+    grads, states = [], []
+    for interleave in (False, True):
+        emb = build(name, how)
+        emb.forward(*bags(1))
+        emb.zero_grad()
+        emb.forward(indices, offsets)
+        if interleave:
+            emb.lookup_bags(*bags(7))
+            emb.lookup_bags(np.arange(ROWS))
+        emb.backward(grad)
+        grads.append([p.grad.copy() for p in emb.parameters()])
+        states.append(emb.state_dict())
+    for plain, interleaved in zip(*grads):
+        np.testing.assert_array_equal(plain, interleaved)
+    served = {"extra:lookups", "extra:hits", "extra:misses"}  # cached TT counts reads
+    assert states[0].keys() == states[1].keys()
+    for key in states[0].keys() - served:
+        np.testing.assert_array_equal(states[0][key], states[1][key], err_msg=key)
+
+
+def test_cached_lookup_bags_counts_what_it_serves():
+    """Hits, misses and read validation are the forward's, one body: a read
+    advances ``lookups == hits + misses`` and repairs a poisoned row, and
+    leaves the step count, the tracker and the resident set alone."""
+    emb = build("cached_tt", "native")
+    emb.forward(*bags(1))  # warmup_steps=1: populates from this batch
+    assert emb.is_warm
+    emb.validate_reads = True
+    before, steps = emb.stats(), emb._steps
+    tracked = emb.tracker.state_dict()
+    resident = emb._cached_ids.copy()
+    emb.cache_rows.data[emb._cache_slot[0]] = np.nan
+    indices, offsets = bags(2)
+    indices[0] = resident[0]
+    out = emb.lookup_bags(indices, offsets)
+    assert np.isfinite(out).all()
+    after = emb.stats()
+    assert after["lookups"] == before["lookups"] + indices.size
+    assert after["lookups"] == after["hits"] + after["misses"]
+    assert after["hits"] > before["hits"] and after["misses"] > before["misses"]
+    assert after["repairs"] == before["repairs"] + 1
+    assert (after["refreshes"], emb._steps) == (before["refreshes"], steps)
+    np.testing.assert_array_equal(emb._cached_ids, resident)
+    for key, value in emb.tracker.state_dict().items():
+        np.testing.assert_array_equal(value, tracked[key], err_msg=key)
+
+
+# ---------------------------------------------------------------------- #
 # One input-validation behaviour
 # ---------------------------------------------------------------------- #
 
@@ -216,17 +300,20 @@ def test_offsets_default_and_all_empty_bags(name, how):
 @pytest.mark.parametrize("name,how", BUILDS)
 def test_bad_ids_raise_in_forward_and_lookup(name, how):
     emb = build(name, how)
-    for call in (emb.forward, emb.lookup):
+    for call in (emb.forward, emb.lookup, emb.lookup_bags):
         with pytest.raises(TypeError):
             call(np.array([1.7, 2.9]))
         with pytest.raises(IndexOutOfRangeError):
             call(np.array([3, -1]))
         with pytest.raises(IndexOutOfRangeError):
             call(np.array([ROWS]))
-    with pytest.raises(ValueError, match="per_sample_weights"):
-        emb.forward(np.array([1, 2]), np.array([0, 2]), np.array([1.0]))
-    with pytest.raises(ValueError, match="offsets"):
-        emb.forward(np.array([1, 2]), np.array([0, 1]))
+    for call in (emb.forward, emb.lookup_bags):
+        with pytest.raises(ValueError, match="per_sample_weights"):
+            call(np.array([1, 2]), np.array([0, 2]), np.array([1.0]))
+        with pytest.raises(ValueError, match="offsets"):
+            call(np.array([1, 2]), np.array([0, 1]))
+        with pytest.raises(ValueError, match="non-decreasing"):
+            call(np.array([1, 2, 3]), np.array([0, 2, 1, 3]))
 
 
 # ---------------------------------------------------------------------- #

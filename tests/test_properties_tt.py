@@ -303,35 +303,6 @@ class TestCoreGradsAgainstNaive:
                                        atol=1e-10 * np.abs(w).max())
 
     @pytest.mark.parametrize("d", [2, 3, 4])
-    @pytest.mark.parametrize("dedup", [False, True], ids=["nodedup", "dedup"])
-    @pytest.mark.parametrize("dtype,rtol", [(np.float64, 1e-10), (np.float32, 2e-4)])
-    def test_grouped(self, d, dedup, dtype, rtol):
-        from repro.tt.grouped import GroupedTTEmbeddingBag
-        from repro.utils.dtypes import dtype_policy
-
-        shape = GRAD_SHAPES[d]
-        batches = [_pooled_batch(shape, seed=30 + 3 * d + t, integer=False)
-                   for t in range(3)]
-        # An empty member in the middle: its slice of the fused batch is empty.
-        batches[1] = (np.empty(0, dtype=np.int64), np.zeros(3, dtype=np.int64),
-                      np.empty(0), np.zeros((2, shape.dim)),
-                      np.empty((0, shape.dim)))
-        with dtype_policy(dtype):
-            tables = [TTEmbeddingBag(shape.num_rows, shape.dim, shape=shape, rng=t)
-                      for t in range(3)]
-            group = GroupedTTEmbeddingBag(tables, dedup=dedup)
-            group.forward_all([(b[0], b[1]) for b in batches],
-                              [b[2] for b in batches])
-            group.backward_all([b[3] for b in batches])
-        for table, b in zip(tables, batches):
-            want = naive_core_grads([p.data for p in table.cores], shape,
-                                    b[0], b[4])
-            for p, w in zip(table.cores, want):
-                np.testing.assert_allclose(p.grad, w, rtol=rtol,
-                                           atol=rtol * max(np.abs(w).max(), 1.0))
-        assert all(p.touched_rows is None for p in tables[1].cores)
-
-    @pytest.mark.parametrize("d", [2, 3, 4])
     def test_same_seed_same_bytes(self, d):
         shape = GRAD_SHAPES[d]
 
@@ -459,7 +430,7 @@ class TestLookupIsBatchIndependent:
         """What ``forward`` contracts, before pooling (``segment_sum``
         re-associates even one-row bags, so its output is not comparable)."""
         plan = emb.planner.plan_batch(idx, dedup=emb.dedup, need_lefts=False)
-        rows, _ = emb.planner.execute(plan.schedule, [(emb.cores, plan)],
+        rows, _ = emb.planner.execute(plan.schedule, emb.cores, plan,
                                       pooled=True)
         return rows[plan.inverse] if plan.inverse is not None else rows
 

@@ -270,7 +270,7 @@ def test_keep_lefts_requires_l2r():
     emb = make_emb(SHAPE_D3, "r2l", dedup=False)
     plan = planner.plan_batch(np.arange(4), dedup=False, need_lefts=False)
     with pytest.raises(ValueError, match="left partials"):
-        planner.execute(sched, [(emb.cores, plan)], keep_lefts=True)
+        planner.execute(sched, emb.cores, plan, keep_lefts=True)
 
 
 @pytest.mark.parametrize("shape", [SHAPE_D3, SHAPE_D4], ids=["d3", "d4"])

@@ -5,6 +5,7 @@ import pytest
 
 from repro.utils.seeding import as_rng, spawn_rngs
 from repro.utils.validation import (
+    IndexOutOfRangeError,
     check_1d_int_array,
     check_csr,
     check_positive,
@@ -128,3 +129,20 @@ class TestCheckCSR:
     def test_rejects_out_of_range_index(self):
         with pytest.raises(ValueError):
             check_csr(np.array([5]), np.array([0, 1]), num_rows=5)
+
+    def test_rejects_empty_offsets(self):
+        with pytest.raises(ValueError, match="at least one element"):
+            check_csr(np.array([0]), np.array([], dtype=np.int64), num_rows=2)
+
+    @pytest.mark.parametrize("offsets", [[-1, 1], [0, -1, 2]])
+    def test_negative_offset_is_named_before_order(self, offsets):
+        """One comparison pass accepts; a rejected array still names its
+        first fault, a negative entry ahead of the ordering it also breaks."""
+        with pytest.raises(IndexOutOfRangeError, match="below 0: min=-1"):
+            check_csr(np.array([0, 1]), np.array(offsets), num_rows=2)
+
+    @pytest.mark.parametrize("offsets,error", [
+        (np.array([0.0, 1.0]), TypeError), (np.array([[0, 1]]), ValueError)])
+    def test_rejects_offsets_of_the_wrong_kind(self, offsets, error):
+        with pytest.raises(error, match="offsets must"):
+            check_csr(np.array([0]), offsets, num_rows=2)
