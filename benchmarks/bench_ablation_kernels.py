@@ -6,10 +6,11 @@ Kernel-level design choices measured here:
    (the paper's 3x-over-T3nsor claim rests on batching).
 2. Deduplicating repeated indices before the TT chain (an optimization the
    paper's GPU kernel omits; relevant at high pooling factors).
-3. The batch execution planner (repro.tt.planner, docs/KERNELS.md):
-   ``auto`` policy vs the fixed left-to-right chain, across uniform and
-   Zipf traffic. These arms feed ``BENCH_kernels.json`` and the CI
-   ``kernel-bench`` regression gate (repro.bench.regression).
+3. The chain executor (repro.tt.planner, docs/KERNELS.md) on the shapes
+   that stress it: small and large uniform batches, forward alone and a
+   full step, and Zipf traffic with dedup off and on. These arms feed
+   ``BENCH_kernels.json`` and the CI ``kernel-bench`` regression gate
+   (repro.bench.regression).
 """
 
 import os
@@ -35,12 +36,12 @@ BATCH = 256
 
 # The kernel-bench gate compares each arm's ms/iter normalised by this
 # arm, so the committed baseline survives machine-speed differences.
-REFERENCE_ARM = "uniform_b256_fixed"
+REFERENCE_ARM = "uniform_b256"
 
 
 def _time_min(fn, *, iters: int, repeats: int) -> float:
     """Steady-state ms/iter: best mean over ``repeats`` rounds."""
-    fn()  # warm buffers, plan memo, BLAS threads
+    fn()  # warm buffers, BLAS threads
     best = float("inf")
     for _ in range(repeats):
         t0 = time.perf_counter()
@@ -51,67 +52,60 @@ def _time_min(fn, *, iters: int, repeats: int) -> float:
 
 
 def _planner_arms() -> dict[str, float]:
-    """Planner benchmark arms: fixed-l2r vs auto policy, ms/iter each.
+    """Chain-executor benchmark arms, ms/iter each. Every arm says what it
+    varies (dedup off/on is ``raw``/``dedup``); nothing else differs:
 
-    Pairs (fixed baseline, planner arm):
-
-    - ``uniform_b256``: uniform batch-256 lookup — auto must match fixed
-      (same schedule, planner overhead only);
-    - ``zipf_b4096``: Zipf(1.2) batch-4096 lookup — dedup collapses the
-      hot rows, the paper's Fig. 11 reuse gap;
-    - ``zipf_p100_step``: Zipf(1.2) pooling-100 forward+backward training
-      step — dedup shared between forward and Algorithm 2;
+    - ``uniform_b256``: uniform batch-256 lookup — the reference arm;
+    - ``zipf_b4096_{raw,dedup}``: Zipf(1.2) batch-4096 lookup — dedup
+      collapses the hot rows, the paper's Fig. 11 reuse gap;
+    - ``zipf_p100_step_{raw,dedup}``: Zipf(1.2) pooling-100
+      forward+backward training step — dedup shared between forward and
+      Algorithm 2;
     - ``uniform_b4096_step``: uniform batch-4096 forward+backward step —
       nothing to dedup, so Algorithm 2's segmented GEMMs carry it (the
-      shape ROADMAP item 2 named); auto must match fixed;
+      shape ROADMAP item 2 named);
     - ``uniform_b4096_fwd``: the same batch, pooled forward only —
       Algorithm 1's segmented GEMMs against core-slice views, where a
-      per-lookup slice copy would show first; auto must match fixed.
+      per-lookup slice copy would show first.
     """
     scale = float(os.environ.get("REPRO_BENCH_SCALE", "1") or 1)
     iters = max(3, int(round(10 * scale)))
     repeats = max(3, int(round(5 * scale)))
 
-    def make(policy, dedup):
-        return TTEmbeddingBag(ROWS, DIM, rank=RANK, plan_policy=policy,
-                              dedup=dedup, rng=0)
-
-    arms: dict[str, float] = {}
-    idx_u, _ = uniform_workload(ROWS, BATCH, rng=0)
-    fixed, auto = make("fixed", False), make("auto", False)
-    arms["uniform_b256_fixed"] = _time_min(lambda: fixed.lookup(idx_u),
-                                           iters=iters, repeats=repeats)
-    arms["uniform_b256_auto"] = _time_min(lambda: auto.lookup(idx_u),
-                                          iters=iters, repeats=repeats)
-
-    idx_z, _ = pooling_workload(ROWS, 4096, 1, zipf_s=1.2, rng=0)
-    fixed, auto = make("fixed", False), make("auto", True)
-    arms["zipf_b4096_fixed"] = _time_min(lambda: fixed.lookup(idx_z),
-                                         iters=iters, repeats=repeats)
-    arms["zipf_b4096_auto"] = _time_min(lambda: auto.lookup(idx_z),
-                                        iters=iters, repeats=repeats)
-
-    idx_p, off_p = pooling_workload(ROWS, 32, 100, zipf_s=1.2, rng=0)
-    grad = np.ones((32, DIM))
+    def make(dedup):
+        return TTEmbeddingBag(ROWS, DIM, rank=RANK, dedup=dedup, rng=0)
 
     def step(emb, idx, off, grad):
         emb.zero_grad()
         emb.forward(idx, off)
         emb.backward(grad)
 
-    for name, emb in (("fixed", make("fixed", False)),
-                      ("auto", make("auto", True))):
+    arms: dict[str, float] = {}
+    idx_u, _ = uniform_workload(ROWS, BATCH, rng=0)
+    emb = make(False)
+    arms["uniform_b256"] = _time_min(lambda: emb.lookup(idx_u),
+                                     iters=iters, repeats=repeats)
+
+    idx_z, _ = pooling_workload(ROWS, 4096, 1, zipf_s=1.2, rng=0)
+    for name, dedup in (("raw", False), ("dedup", True)):
+        emb = make(dedup)
+        arms[f"zipf_b4096_{name}"] = _time_min(
+            lambda: emb.lookup(idx_z), iters=iters, repeats=repeats)
+
+    idx_p, off_p = pooling_workload(ROWS, 32, 100, zipf_s=1.2, rng=0)
+    grad = np.ones((32, DIM))
+    for name, dedup in (("raw", False), ("dedup", True)):
+        emb = make(dedup)
         arms[f"zipf_p100_step_{name}"] = _time_min(
             lambda: step(emb, idx_p, off_p, grad), iters=iters, repeats=repeats)
 
     idx_s, off_s = uniform_workload(ROWS, 4096, rng=1)
     grad_s = np.ones((4096, DIM))
-    for name in ("fixed", "auto"):
-        emb = make(name, False)
-        arms[f"uniform_b4096_step_{name}"] = _time_min(
-            lambda: step(emb, idx_s, off_s, grad_s), iters=iters, repeats=repeats)
-        arms[f"uniform_b4096_fwd_{name}"] = _time_min(
-            lambda: emb.forward(idx_s, off_s), iters=iters, repeats=repeats)
+    emb = make(False)
+    arms["uniform_b4096_step"] = _time_min(
+        lambda: step(emb, idx_s, off_s, grad_s), iters=iters, repeats=repeats)
+    arms["uniform_b4096_fwd"] = _time_min(
+        lambda: emb.forward(idx_s, off_s), iters=iters, repeats=repeats)
     return arms
 
 
@@ -160,17 +154,12 @@ def test_batching_speedup_report(benchmark):
 
     arms = _planner_arms()
     ref = arms[REFERENCE_ARM]
-    banner("Batch execution planner: auto policy vs fixed l2r")
-    pairs = ["uniform_b256", "zipf_b4096", "zipf_p100_step",
-             "uniform_b4096_step", "uniform_b4096_fwd"]
-    rows = []
-    speedups = {}
-    for pair in pairs:
-        f, a = arms[f"{pair}_fixed"], arms[f"{pair}_auto"]
-        speedups[pair] = f / a
-        rows.append([pair, f"{f:.3f}", f"{a:.3f}", f"{f / a:.2f}x"])
-    print(format_table(["arm", "fixed ms/iter", "auto ms/iter", "speedup"],
-                       rows))
+    banner("Chain executor arms (ms/iter, and relative to the reference)")
+    print(format_table(["arm", "ms/iter", "norm"],
+                       [[name, f"{ms:.3f}", f"{ms / ref:.1f}"]
+                        for name, ms in arms.items()]))
+    speedups = {pair: arms[f"{pair}_raw"] / arms[f"{pair}_dedup"]
+                for pair in ("zipf_b4096", "zipf_p100_step")}
     path = write_bench_json("kernels", {
         "rows": ROWS, "dim": DIM, "rank": RANK, "batch": BATCH,
         "naive_ms_per_batch": naive * 1e3,
@@ -179,14 +168,11 @@ def test_batching_speedup_report(benchmark):
         "reference_arm": REFERENCE_ARM,
         "arms": {name: {"ms_per_iter": ms, "norm_ms": ms / ref}
                  for name, ms in arms.items()},
-        "planner_speedups": speedups,
+        "dedup_speedups": speedups,
     })
     print(f"wrote {path}")
     assert batched < naive / 3
-    # Acceptance gates: auto never slower than fixed l2r by >5% on any
-    # arm; >=1.3x on the Zipf dedup arm at batch 4096.
-    for pair in pairs:
-        assert arms[f"{pair}_auto"] <= arms[f"{pair}_fixed"] * 1.05, pair
+    # Acceptance gate: dedup >=1.3x on the Zipf lookup at batch 4096.
     assert speedups["zipf_b4096"] >= 1.3
 
 

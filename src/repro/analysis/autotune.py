@@ -33,10 +33,6 @@ class TablePlan:
     rank: int | None
     params: int
 
-    @property
-    def dense_params_equivalent(self) -> int:
-        return self.params if not self.compress else self.params
-
 
 @dataclass(frozen=True)
 class CompressionPlan:

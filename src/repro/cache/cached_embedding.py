@@ -77,10 +77,6 @@ class CachedTTEmbeddingBag(CompressedEmbedding):
         past the cache are still duplicate-heavy, and duplicate gradients
         are combined before Algorithm 2 either way, so results match the
         raw path to float round-off.
-    plan_policy:
-        Contraction-schedule policy forwarded to the underlying
-        :class:`TTEmbeddingBag`'s planner (``auto``/``fixed``/``l2r``/
-        ``r2l``/``split:k``).
     """
 
     kind = "cached_tt"
@@ -92,13 +88,12 @@ class CachedTTEmbeddingBag(CompressedEmbedding):
                  cache_size: int | None = None, cache_fraction: float | None = None,
                  warmup_steps: int = 100, refresh_interval: int | None = 1000,
                  policy: str = "lfu", eviction: str = "discard",
-                 injector=None, dedup: bool = True, plan_policy: str = "auto",
+                 injector=None, dedup: bool = True,
                  name: str = "cached_tt_emb"):
         super().__init__(num_rows, dim, mode)
         self.tt = TTEmbeddingBag(
             num_rows, dim, shape=shape, rank=rank, d=d, mode=mode,
-            initializer=initializer, rng=as_rng(rng), plan_policy=plan_policy,
-            name=f"{name}.tt",
+            initializer=initializer, rng=as_rng(rng), name=f"{name}.tt",
         )
         self.dedup = bool(dedup)
         self.cache_size = self.resolve_cache_size(num_rows, cache_size,
@@ -429,7 +424,7 @@ class CachedTTEmbeddingBag(CompressedEmbedding):
         ``refresh_interval``, ``policy``, ``eviction``."""
         cls._check_knobs(spec, {"rank", "d", "initializer", "cache_size",
                                 "warmup_steps", "refresh_interval", "policy",
-                                "eviction", "dedup", "plan_policy"})
+                                "eviction", "dedup"})
         return cls(spec.num_rows, spec.dim, shape=TTEmbeddingBag._spec_shape(spec),
                    initializer=spec.get("initializer", "sampled_gaussian"),
                    cache_size=spec.get("cache_size"),
@@ -438,7 +433,6 @@ class CachedTTEmbeddingBag(CompressedEmbedding):
                    policy=spec.get("policy", "lfu"),
                    eviction=spec.get("eviction", "discard"),
                    dedup=bool(spec.get("dedup", True)),
-                   plan_policy=spec.get("plan_policy", "auto"),
                    mode=spec.mode, rng=as_rng(spec.seed),
                    name=spec.name or "cached_tt_emb")
 

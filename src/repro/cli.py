@@ -75,34 +75,31 @@ def _cmd_sizes(args) -> int:
 
 
 def _cmd_plan_kernel(args) -> int:
-    """Kernel-planner report: chosen schedule, predicted vs measured FLOPs."""
+    """Kernel-planner report: the chain's splits, predicted vs measured FLOPs."""
     from time import perf_counter_ns
 
     from repro.bench.reporting import format_table
     from repro.bench.workloads import pooling_workload, uniform_workload
     from repro.telemetry import get_registry
     from repro.tt.embedding_bag import TTEmbeddingBag
-    from repro.tt.planner import candidate_schedules
 
     dedup = not args.no_dedup
     emb = TTEmbeddingBag(args.rows, args.dim, rank=args.rank, d=args.d,
-                         dedup=dedup, plan_policy=args.policy, rng=0)
-    shape = emb.shape
+                         dedup=dedup, rng=0)
+    flops = emb.planner.flops
     n_lookups = args.batch * args.pooling
-    chosen = emb.planner.schedule_for(n_lookups, need_lefts=False)
-    print(f"shape: {shape.describe()}")
-    print(f"policy: {args.policy}  dedup: {'on' if dedup else 'off'}  "
+    print(f"shape: {emb.shape.describe()}")
+    print(f"dedup: {'on' if dedup else 'off'}  "
           f"batch: {args.batch} x pooling {args.pooling}")
     rows = [
-        [s.label, s.gemms, f"{s.flops_per_row:,}", f"{s.bytes_per_row:,}",
-         f"{n_lookups * s.flops_per_row:,}",
-         "chosen" if s.label == chosen.label else ""]
-        for s in candidate_schedules(shape, emb.dtype.itemsize)
+        [split, f"{per_row:,}", f"{n_lookups * per_row:,}",
+         "chosen" if split == emb.planner.read_split else ""]
+        for split, per_row in flops.items()
     ]
     print(format_table(
-        ["schedule", "GEMMs", "FLOPs/row", "bytes/row",
-         f"FLOPs @ n={n_lookups}", ""],
-        rows, title="Candidate contraction schedules (lookup path)",
+        ["split", "FLOPs/row", f"FLOPs @ n={n_lookups}", ""],
+        rows, title="Contraction splits (lookup path; training keeps "
+                    f"left partials and runs split {emb.shape.d - 1})",
     ))
 
     if args.zipf is not None:
@@ -119,7 +116,7 @@ def _cmd_plan_kernel(args) -> int:
     executed_c = reg.counter("tt.plan.flops_executed")
     saved_c = reg.counter("tt.plan.flops_saved")
     removed_c = reg.counter("tt.plan.dedup_removed")
-    for _ in range(3):  # warm the plan memo and buffer pool
+    for _ in range(3):  # warm BLAS and the allocator
         emb.lookup(indices)
     base = (planned_c.value, executed_c.value, saved_c.value, removed_c.value)
     t0 = perf_counter_ns()
@@ -131,14 +128,14 @@ def _cmd_plan_kernel(args) -> int:
     saved = (saved_c.value - base[2]) / args.iters
     removed = (removed_c.value - base[3]) / args.iters
     ms = elapsed_ms / args.iters
-    baseline = n_lookups * emb.planner.candidates[0].flops_per_row
+    baseline = n_lookups * flops[emb.shape.d - 1]
     print(f"\nmeasured over {args.iters} iters:")
     print(f"  ms/iter:          {ms:.3f}")
     print(f"  predicted FLOPs:  {planned:,.0f} / iter")
     print(f"  measured FLOPs:   {executed:,.0f} / iter "
           f"({executed / (ms * 1e6):.2f} GFLOP/s)")
-    print(f"  fixed-l2r FLOPs:  {baseline:,.0f} / iter "
-          f"(saved {saved:,.0f}, {100.0 * saved / baseline:.1f}%)")
+    print(f"  baseline FLOPs:   {baseline:,.0f} / iter, every lookup at split "
+          f"{emb.shape.d - 1} (saved {saved:,.0f}, {100.0 * saved / baseline:.1f}%)")
     print(f"  dedup removed:    {removed:,.0f} of {n_lookups} lookups / iter")
     return 0
 
@@ -1106,13 +1103,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "plan",
         help="auto-tune ranks for a memory budget, or (--kernel) report "
-             "the batch execution planner's schedule choice",
+             "the TT chain's contraction splits",
     )
     p.add_argument("--dataset", choices=["kaggle", "terabyte"], default="kaggle")
     p.add_argument("--budget-mb", type=float, default=20.0)
     p.add_argument("--top", type=int, default=10, help="tables to display")
     p.add_argument("--kernel", action="store_true",
-                   help="kernel-planner mode: chosen contraction schedule "
+                   help="kernel-planner mode: the chain's contraction splits "
                         "and predicted vs measured FLOPs (docs/KERNELS.md)")
     p.add_argument("--rows", type=int, default=100_000,
                    help="[--kernel] logical table rows")
@@ -1124,8 +1121,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="[--kernel] lookups per bag")
     p.add_argument("--zipf", type=float, default=None,
                    help="[--kernel] Zipf exponent (default: uniform traffic)")
-    p.add_argument("--policy", default="auto",
-                   help="[--kernel] auto | fixed | l2r | r2l | split:<k>")
     p.add_argument("--no-dedup", action="store_true",
                    help="[--kernel] disable batch deduplication")
     p.add_argument("--iters", type=int, default=20,

@@ -30,15 +30,18 @@ class TTConfig:
     eviction: str = "discard"
     store_intermediates: bool = True
     dedup: bool = False
-    # Contraction-schedule policy for the batch execution planner
-    # (repro.tt.planner): "auto", "fixed"/"l2r", "r2l" or "split:k".
-    plan_policy: str = "auto"
 
     def __post_init__(self):
         if self.rank < 1:
             raise ValueError(f"rank must be >= 1, got {self.rank}")
         if self.d < 2:
             raise ValueError(f"d must be >= 2, got {self.d}")
+        if self.use_cache and not self.store_intermediates:
+            # The cached operator always stores them; the §4.2 recompute
+            # arm runs on the plain operator (bench_ablation_recompute.py).
+            raise ValueError(
+                "use_cache=True with store_intermediates=False is not "
+                "supported: the cached table keeps its intermediates")
 
     def with_(self, **kwargs) -> TTConfig:
         """Return a copy with fields replaced (sweep helper)."""

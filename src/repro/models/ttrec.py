@@ -43,12 +43,12 @@ def _make_embedding(num_rows: int, dim: int, tt: TTConfig | None,
             cache_size=tt.cache_size, cache_fraction=tt.cache_fraction,
             warmup_steps=tt.warmup_steps, refresh_interval=tt.refresh_interval,
             policy=tt.policy, eviction=tt.eviction, dedup=tt.dedup,
-            plan_policy=tt.plan_policy, rng=rng, name=name,
+            rng=rng, name=name,
         )
     return TTEmbeddingBag(
         num_rows, dim, rank=tt.rank, d=tt.d, initializer=tt.initializer,
         store_intermediates=tt.store_intermediates, dedup=tt.dedup,
-        plan_policy=tt.plan_policy, rng=rng, name=name,
+        rng=rng, name=name,
     )
 
 

@@ -180,9 +180,14 @@ class CompressedEmbedding(Module):
         Leaves a pending forward's backward, the LFU tracker and the cache
         refresh schedule exactly as they were; a cached operator still
         counts the hits and misses it serves. Equal to ``forward`` bit for
-        bit wherever both contract a row the same way — a TT read is
-        planned without left partials, so on a shape whose cheapest
-        schedule is not ``l2r`` it agrees to round-off instead.
+        bit with one exception: a TT-family read (TT, cached TT, tensor
+        ring) keeps no left partials, so it contracts at the shape's
+        fewest-FLOPs split while a training forward contracts at
+        ``d - 1``. The two are the same split — and the outputs the same
+        bits — on every ``d = 3`` Table-2 shape at rank 8-64, i.e. every
+        table the paper builds; on a shape where they differ (some
+        ``d >= 4`` shapes, some folded ring shapes) the outputs agree to
+        round-off.
         """
         indices, offsets, alpha = check_bag(indices, offsets, per_sample_weights,
                                             self.num_rows, self.dtype)

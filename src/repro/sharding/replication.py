@@ -10,8 +10,11 @@ bag whose ids all fall inside the mirrored head is served from the
 replica **bit-identically** to the primary path: both sides materialise
 rows through the operator's ``lookup`` and pool with the same
 :func:`~repro.sharding.worker.pool_rows` reduction, so failover is
-invisible to the towers (asserted in ``tests/test_sharding.py``; TT
-tables want a pinned ``plan_policy`` for cross-batch bit-stability).
+invisible to the towers (asserted in ``tests/test_sharding.py``). A TT
+row's bytes depend on its id and the table's shape alone — one
+contraction split per shape, each lookup its own GEMM on a C-contiguous
+operand (:func:`repro.tt.kernels.segmented_matmul`) — so the batch a
+replica happens to serve the row in cannot change them.
 
 Replicas are *checked*, not trusted: ``consistency_check`` re-derives
 every mirrored row from the primary operator and counts mismatches

@@ -13,9 +13,8 @@ Public surface:
   sampled-Gaussian scheme (paper Algorithm 3, §3.2).
 - :class:`~repro.tt.t3nsor.T3nsorEmbeddingBag` — the decompress-on-the-fly
   SOTA baseline the paper compares against (Fig. 8).
-- :mod:`~repro.tt.planner` — per-batch execution planning: dedup,
-  contraction-schedule selection by FLOP/bytes counting, pooled buffers
-  (docs/KERNELS.md).
+- :mod:`~repro.tt.planner` — the one chain executor: per-batch dedup,
+  the shape's contraction split, pooled buffers (docs/KERNELS.md).
 """
 
 from repro.tt.decomposition import tt_reconstruct, tt_svd
@@ -27,14 +26,7 @@ from repro.tt.initialization import (
     sampled_gaussian_cores,
     tt_core_initializer,
 )
-from repro.tt.planner import (
-    BatchPlan,
-    BufferPool,
-    ExecutionPlanner,
-    Schedule,
-    candidate_schedules,
-    schedule_cost,
-)
+from repro.tt.planner import BatchPlan, BufferPool, ExecutionPlanner, chain_flops
 from repro.tt.shapes import TTShape
 from repro.tt.t3nsor import T3nsorEmbeddingBag
 
@@ -45,9 +37,7 @@ __all__ = [
     "BatchPlan",
     "BufferPool",
     "ExecutionPlanner",
-    "Schedule",
-    "candidate_schedules",
-    "schedule_cost",
+    "chain_flops",
     "tt_svd",
     "tt_reconstruct",
     "tt_core_initializer",

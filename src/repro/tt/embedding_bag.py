@@ -125,12 +125,12 @@ class TTEmbeddingBag(CompressedEmbedding):
         expand afterwards. The paper's GPU kernel does not dedup (Fig. 11
         discusses exactly this reuse gap vs EmbeddingBag); dedup is off by
         default for faithfulness but available as an optimization.
-    plan_policy:
-        Contraction-schedule policy for the per-batch
-        :class:`~repro.tt.planner.ExecutionPlanner`: ``"auto"`` (default)
-        picks the cheapest order by the FLOP/bytes model, ``"fixed"``/
-        ``"l2r"``/``"r2l"``/``"split:k"`` pin one. Forwards that keep left
-        partials for Algorithm 2 always run ``l2r`` (see planner docs).
+
+    The contraction order is not an option: the table's
+    :class:`~repro.tt.planner.ExecutionPlanner` computes one split from
+    the shape at construction (``d - 1`` when left partials are kept,
+    else the fewest FLOPs), so a row's bytes depend on its id and the
+    shape alone.
     """
 
     kind = "tt"
@@ -140,7 +140,7 @@ class TTEmbeddingBag(CompressedEmbedding):
                  initializer="sampled_gaussian",
                  rng: int | None | np.random.Generator = None,
                  store_intermediates: bool = True, dedup: bool = False,
-                 plan_policy: str = "auto", name: str = "tt_emb"):
+                 name: str = "tt_emb"):
         super().__init__(num_rows, dim, mode)
         if shape is None:
             shape = TTShape.suggested(num_rows, dim, d=d, rank=rank)
@@ -166,9 +166,7 @@ class TTEmbeddingBag(CompressedEmbedding):
                     f"expected {expected}"
                 )
             self.cores.append(Parameter(core, name=f"{name}.core{k}", sparse=True))
-        self.planner = ExecutionPlanner(
-            shape, plan_policy, itemsize=self.cores[0].data.dtype.itemsize
-        )
+        self.planner = ExecutionPlanner(shape)
 
     # ------------------------------------------------------------------ #
     # Forward
@@ -179,12 +177,11 @@ class TTEmbeddingBag(CompressedEmbedding):
 
         ``rows`` is ``(n, dim)``; ``left_partials[k]`` is the product of
         cores ``0..k`` with shape ``(n, prod_{j<=k} n_j, R_{k+1})`` (the
-        ``tr_k`` buffers of Algorithm 1). Always the ``l2r`` schedule
-        (left partials only exist for it) and always unpooled, so callers
-        may hold the returned buffers indefinitely.
+        ``tr_k`` buffers of Algorithm 1). Always split ``d - 1`` (the one
+        sweep that makes every left partial) and always unpooled, so
+        callers may hold the returned buffers indefinitely.
         """
-        schedule = self.planner.schedule_for(plan.n_unique, need_lefts=True)
-        return self.planner.execute(schedule, self.cores, plan,
+        return self.planner.execute(self.cores, plan, split=self.shape.d - 1,
                                     keep_lefts=True)
 
     def _rows(self, indices: np.ndarray) -> np.ndarray:
@@ -198,23 +195,21 @@ class TTEmbeddingBag(CompressedEmbedding):
             return np.zeros((0, self.dim), dtype=self.dtype)
         plan = self.planner.plan_batch(indices, dedup=self.dedup,
                                        need_lefts=False)
-        rows, _ = self.planner.execute(plan.schedule, self.cores, plan)
+        rows, _ = self.planner.execute(self.cores, plan)
         return rows[plan.inverse] if plan.inverse is not None else rows
 
     def _planned_rows(self, indices: np.ndarray, dedup: bool):
         """A forward's rows and the ``(plan, lefts)`` its backward consumes.
 
-        One plan shared with backward: dedup once, pick the schedule, run
-        through pooled scratch buffers (reused across steps). Left
-        partials are pool views, valid until the next pooled call — i.e.
-        exactly until this forward's backward has consumed them.
+        One plan shared with backward: dedup once, run through pooled
+        scratch buffers (reused across steps). Left partials are pool
+        views, valid until the next pooled call — i.e. exactly until this
+        forward's backward has consumed them.
         """
         plan = self.planner.plan_batch(indices, dedup=dedup,
                                        need_lefts=self.store_intermediates)
         rows, lefts = self.planner.execute(
-            plan.schedule, self.cores, plan,
-            keep_lefts=self.store_intermediates, pooled=True,
-        )
+            self.cores, plan, keep_lefts=self.store_intermediates, pooled=True)
         if plan.inverse is not None:
             rows = rows[plan.inverse]
         return rows, (plan, lefts)
@@ -261,13 +256,11 @@ class TTEmbeddingBag(CompressedEmbedding):
 
     @classmethod
     def from_spec(cls, spec) -> "TTEmbeddingBag":
-        """Knobs: ``rank``, ``d``, ``initializer``, ``dedup``, ``plan_policy``."""
-        cls._check_knobs(spec, {"rank", "d", "initializer", "dedup",
-                                "plan_policy"})
+        """Knobs: ``rank``, ``d``, ``initializer``, ``dedup``."""
+        cls._check_knobs(spec, {"rank", "d", "initializer", "dedup"})
         return cls(spec.num_rows, spec.dim, shape=cls._spec_shape(spec),
                    initializer=spec.get("initializer", "sampled_gaussian"),
                    dedup=bool(spec.get("dedup", False)),
-                   plan_policy=spec.get("plan_policy", "auto"),
                    mode=spec.mode, rng=as_rng(spec.seed),
                    name=spec.name or "tt_emb")
 

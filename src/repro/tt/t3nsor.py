@@ -78,11 +78,9 @@ class T3nsorEmbeddingBag(CompressedEmbedding):
         ``d_full[i]``" and reuses the TT chain-rule sweep; this is
         mathematically the adjoint of :func:`tt_full_tensor`.
         """
-        planner = ExecutionPlanner(self.shape, "l2r",
-                                   itemsize=self.dtype.itemsize)
+        planner = ExecutionPlanner(self.shape)
         plan = planner.plan_batch(
             np.arange(self.shape.padded_rows, dtype=np.int64), dedup=False,
             need_lefts=True)
-        _, lefts = planner.execute(plan.schedule, self.cores, plan,
-                                   keep_lefts=True)
+        _, lefts = planner.execute(self.cores, plan, keep_lefts=True)
         accumulate_core_grads(self.shape, self.cores, plan, d_full, lefts)

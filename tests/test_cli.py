@@ -43,16 +43,19 @@ class TestCommands:
                      "--zipf", "1.2", "--iters", "3", "--d", "4",
                      "--rank", "4"]) == 0
         out = capsys.readouterr().out
-        assert "schedule" in out
+        assert "split" in out and "FLOPs/row" in out
         assert "chosen" in out
         assert "predicted" in out and "measured" in out
         assert "dedup removed" in out
 
-    def test_plan_kernel_fixed_policy_no_dedup(self, capsys):
+    def test_plan_kernel_no_dedup(self, capsys):
         assert main(["plan", "--kernel", "--rows", "2000", "--batch", "64",
-                     "--iters", "2", "--policy", "l2r", "--no-dedup"]) == 0
+                     "--iters", "2", "--no-dedup"]) == 0
         out = capsys.readouterr().out
-        assert "l2r" in out
+        assert "dedup: off" in out
+        assert "dedup removed:    0 of 64" in out
+        with pytest.raises(SystemExit):  # the order is not an option
+            main(["plan", "--kernel", "--policy", "l2r"])
 
     def test_locality(self, capsys):
         assert main(["locality", "--rows", "2000", "--accesses", "20000",

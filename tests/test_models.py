@@ -54,6 +54,16 @@ class TestConfig:
         with pytest.raises(ValueError):
             TTConfig(d=1)
 
+    def test_ttconfig_rejects_cache_with_recompute(self):
+        """The cached operator always stores its intermediates, so the
+        combination used to build silently ignoring one field."""
+        with pytest.raises(ValueError, match="use_cache.*store_intermediates"):
+            TTConfig(use_cache=True, store_intermediates=False)
+        with pytest.raises(ValueError, match="use_cache.*store_intermediates"):
+            TTConfig(store_intermediates=False).with_(use_cache=True)
+        assert not TTConfig(store_intermediates=False).store_intermediates
+        assert TTConfig(use_cache=True).store_intermediates
+
     def test_with_replaces(self, config):
         c2 = config.with_(emb_dim=8)
         assert c2.emb_dim == 8 and config.emb_dim == 4

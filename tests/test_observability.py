@@ -92,7 +92,7 @@ def _fresh_telemetry():
 
 @pytest.fixture(scope="module")
 def predictor():
-    tt = TTConfig(rank=4, use_cache=False, plan_policy="fixed")
+    tt = TTConfig(rank=4, use_cache=False)
     model = build_ttrec(CFG, num_tt_tables=5, tt=tt, min_rows=50, rng=0)
     return Predictor(model)
 

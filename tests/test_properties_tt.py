@@ -12,8 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.ops.embedding import pool_bags
 from repro.tt import TTEmbeddingBag, TTShape, tt_reconstruct, tt_svd
 from repro.tt.kernels import tt_lookup_reference
+from tests.helpers import tt_rows_at
 
 SHAPE = TTShape.with_uniform_rank(60, 8, (3, 4, 5), (2, 2, 2), rank=4)
 
@@ -319,12 +321,11 @@ class TestCoreGradsAgainstNaive:
 
 
 # --------------------------------------------------------------------- #
-# Algorithm 1 through every schedule vs. the per-row reference
+# Algorithm 1 at every split vs. the per-row reference
 # --------------------------------------------------------------------- #
 
-SCHEDULE_CASES = [(d, policy) for d in (2, 3, 4)
-                  for policy in ["l2r", "r2l", "auto"]
-                  + [f"split:{k}" for k in range(1, d)]]
+# Every distinct execution of the chain: d - 1 splits per d.
+SPLIT_CASES = [(d, split) for d in (2, 3, 4) for split in range(1, d)]
 
 
 def naive_left_partials(cores, shape, indices):
@@ -351,12 +352,14 @@ def _edge_batch(shape, seed):
 
 
 class TestEveryScheduleAgainstReference:
-    @pytest.mark.parametrize("d,policy", SCHEDULE_CASES)
+    @pytest.mark.parametrize("d,split", SPLIT_CASES)
+    @pytest.mark.parametrize("pooled", [False, True], ids=["unpooled", "pooled"])
     @pytest.mark.parametrize("dedup", [False, True], ids=["nodedup", "dedup"])
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_integer_lattice_is_bit_exact(self, d, policy, dedup, dtype):
-        """Rows (unpooled and pooled), left partials and planned grads
-        carry the exact integers of the per-row / per-sample references."""
+    def test_integer_lattice_is_bit_exact(self, d, split, pooled, dedup, dtype):
+        """Rows at every split, the operator's rows (unpooled and pooled),
+        left partials and planned grads carry the exact integers of the
+        per-row / per-sample references."""
         from repro.utils.dtypes import dtype_policy
 
         shape = GRAD_SHAPES[d]
@@ -365,11 +368,12 @@ class TestEveryScheduleAgainstReference:
             -3, 4, size=(idx.size, shape.dim)).astype(dtype)
         with dtype_policy(dtype):
             emb = TTEmbeddingBag(shape.num_rows, shape.dim, shape=shape, rng=0,
-                                 plan_policy=policy, dedup=dedup)
+                                 dedup=dedup)
         emb.load_cores(_integer_cores(shape, np.random.default_rng(d)))
         cores = [p.data for p in emb.cores]
         want = tt_lookup_reference(cores, shape, idx)
         assert want.dtype == dtype
+        assert tt_rows_at(emb, idx, split, pooled=pooled).tobytes() == want.tobytes()
         assert emb.lookup(idx).tobytes() == want.tobytes()          # unpooled
         assert np.array_equal(emb.forward(idx), want)               # pooled
         emb.backward(grad)
@@ -382,57 +386,59 @@ class TestEveryScheduleAgainstReference:
         for got, w in zip(lefts, naive_left_partials(cores, shape, uniq)):
             assert got.tobytes() == w.tobytes()
 
-    @pytest.mark.parametrize("d,policy", SCHEDULE_CASES)
+    @pytest.mark.parametrize("d,split", SPLIT_CASES)
+    @pytest.mark.parametrize("pooled", [False, True], ids=["unpooled", "pooled"])
     @pytest.mark.parametrize("dedup", [False, True], ids=["nodedup", "dedup"])
     @pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
-    def test_float_cores_within_tolerance(self, d, policy, dedup, dtype, tol):
+    def test_float_cores_within_tolerance(self, d, split, pooled, dedup, dtype, tol):
         from repro.utils.dtypes import dtype_policy
 
         shape = GRAD_SHAPES[d]
         idx = _edge_batch(shape, seed=10 + d)
         with dtype_policy(dtype):
             emb = TTEmbeddingBag(shape.num_rows, shape.dim, shape=shape, rng=d,
-                                 plan_policy=policy, dedup=dedup)
+                                 dedup=dedup)
         want = tt_lookup_reference([p.data for p in emb.cores], shape, idx)
         scale = np.abs(want).max()
-        for got in (emb.lookup(idx), emb.forward(idx)):
+        for got in (tt_rows_at(emb, idx, split, pooled=pooled),
+                    emb.lookup(idx), emb.forward(idx)):
             assert got.dtype == dtype
             np.testing.assert_allclose(got, want, rtol=0, atol=tol * scale)
 
 
 class TestLookupIsBatchIndependent:
-    """A row's bytes depend on its index alone — not on its batch-mates,
-    its position, or pooled vs. unpooled buffers. Sharded failover is
-    bit-identical only because a replica serving a request in another
-    batch returns the same bytes."""
+    """A row's bytes depend on its index and the table's shape alone — not
+    on its batch-mates, its position, the batch size, or which entry point
+    (``lookup``, ``lookup_bags``, the pooled forward chain) read it: one
+    split per shape, each lookup its own GEMM on a C-contiguous operand.
+    Sharded failover is bit-identical only because a replica serving a
+    request in another batch returns the same bytes."""
 
-    @pytest.mark.parametrize("d,policy", [(3, "l2r"), (3, "r2l"), (4, "auto"),
-                                          (4, "split:1"), (2, "auto")])
+    @pytest.mark.parametrize("d", [2, 3, 4])
     @pytest.mark.parametrize("dedup", [False, True], ids=["nodedup", "dedup"])
-    def test_alone_in_4096_and_reordered(self, d, policy, dedup):
-        emb = TTEmbeddingBag(200_000, 16, rank=8, d=d, rng=d,
-                             plan_policy=policy, dedup=dedup)
+    def test_alone_in_4096_and_reordered(self, d, dedup):
+        emb = TTEmbeddingBag(200_000, 16, rank=8, d=d, rng=d, dedup=dedup)
         rng = np.random.default_rng(50 + d)
         idx = rng.integers(0, emb.num_rows, size=4096)
         idx[:64] = idx[0]
         full = emb.lookup(idx)
         perm = rng.permutation(idx.size)
         assert emb.lookup(idx[perm]).tobytes() == full[perm].tobytes()
-        assert self.pooled_rows(emb, idx).tobytes() == full.tobytes()
-        assert emb.lookup(idx[:7]).tobytes() == full[:7].tobytes()
-        for s in rng.choice(idx.size, size=24, replace=False).tolist() + [0]:
+        # batch sizes on both sides of every power-of-two buffer bucket
+        for n in (1, 2, 7, 127, 129, 4096):
+            part = idx[:n]
+            assert emb.lookup(part).tobytes() == full[:n].tobytes()
+            # the read chain through pooled buffers (``forward``'s own output
+            # is not comparable: ``segment_sum`` re-associates one-row bags)
+            assert tt_rows_at(emb, part, pooled=True).tobytes() == full[:n].tobytes()
+            # what a ladder serves: the same pooling over the same bytes
+            bags, _ = pool_bags(full[:n], np.arange(n + 1), None, emb.mode)
+            assert emb.lookup_bags(part).tobytes() == bags.tobytes()
+        for s in rng.choice(idx.size, size=24, replace=False).tolist():
             one = idx[s:s + 1]
             assert emb.lookup(one).tobytes() == full[s].tobytes()
-            assert self.pooled_rows(emb, one).tobytes() == full[s].tobytes()
-
-    @staticmethod
-    def pooled_rows(emb, idx):
-        """What ``forward`` contracts, before pooling (``segment_sum``
-        re-associates even one-row bags, so its output is not comparable)."""
-        plan = emb.planner.plan_batch(idx, dedup=emb.dedup, need_lefts=False)
-        rows, _ = emb.planner.execute(plan.schedule, emb.cores, plan,
-                                      pooled=True)
-        return rows[plan.inverse] if plan.inverse is not None else rows
+            assert emb.lookup_bags(one).tobytes() == full[s].tobytes()
+            assert tt_rows_at(emb, one, pooled=True).tobytes() == full[s].tobytes()
 
 
 class TestForwardMemory:

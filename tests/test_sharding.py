@@ -45,10 +45,10 @@ def _fresh_metrics():
 
 @pytest.fixture(scope="module")
 def predictor():
-    # plan_policy="fixed" pins the TT contraction schedule: per-row
-    # lookup bits must not depend on batch composition, or replica
-    # failover could not promise bit-identity.
-    tt = TTConfig(rank=4, use_cache=False, plan_policy="fixed")
+    # Nothing to pin: a row's bits depend on its id and the table's shape
+    # alone (TestLookupIsBatchIndependent), which is what lets replica
+    # failover promise bit-identity.
+    tt = TTConfig(rank=4, use_cache=False)
     model = build_ttrec(CFG, num_tt_tables=5, tt=tt, min_rows=50, rng=0)
     return Predictor(model)
 

@@ -1,120 +1,207 @@
-"""Batch execution planner: schedule equivalence, cost model, buffers.
+"""Batch execution planner: every split against the references, the
+computed split, counters, buffers.
 
-The load-bearing property (ISSUE 5): every contraction schedule, with and
-without dedup, produces the same rows as the naive per-row reference, and
-the planned path's core gradients are *bit-identical* to the unplanned
-fixed-l2r path (backward always consumes l2r left partials).
+The load-bearing properties: every split of the chain, with and without
+dedup, produces the same rows as the naive per-row reference; the split a
+table runs is a number its shape decides (``d - 1`` whenever Algorithm 2
+needs the left partials, else the fewest FLOPs); and core gradients are
+*bit-identical* whichever split the forward ran (backward always consumes
+the ``d - 1`` left partials).
 """
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
-from tests.helpers import random_csr
+from tests.helpers import random_csr, tt_rows_at as rows_at
+from repro.analysis.memory import tt_shape_for_table
+from repro.data import KAGGLE, TERABYTE
+from repro.ops.embedding import pool_bags
 from repro.telemetry import get_registry
-from repro.tt import TTEmbeddingBag, TTShape, candidate_schedules, schedule_cost
+from repro.tt import TTEmbeddingBag, TTShape, chain_flops
 from repro.tt.kernels import tt_lookup_reference
 from repro.tt.planner import BufferPool, ExecutionPlanner, _bucket
+from repro.utils.factorization import factorize_into, suggested_tt_shapes
 from repro.utils.seeding import as_rng
 
 # d=3 (the common case) and d=4 (where interior splits are distinct
-# schedules and auto genuinely picks a non-l2r order).
+# orders and the fewest-FLOPs read split is genuinely not d - 1).
 SHAPE_D3 = TTShape(num_rows=120, dim=16, row_factors=(4, 5, 6),
                    col_factors=(2, 2, 4), ranks=(1, 3, 3, 1))
 SHAPE_D4 = TTShape(num_rows=360, dim=16, row_factors=(3, 4, 5, 6),
                    col_factors=(2, 2, 2, 2), ranks=(1, 5, 5, 5, 1))
 
-POLICIES_D3 = ["fixed", "l2r", "r2l", "split:1", "split:2", "auto"]
-POLICIES_D4 = ["fixed", "r2l", "split:1", "split:2", "split:3", "auto"]
+# Contraction orders by the names these cases have carried since the
+# planner landed. Each is a split (boundary ranks are 1, so a one-sided
+# sweep is a boundary split); see ``split_of``.
+ORDERS_D3 = ["fixed", "l2r", "r2l", "split:1", "split:2", "auto"]
+ORDERS_D4 = ["fixed", "r2l", "split:1", "split:2", "split:3", "auto"]
+ORDER_CASES = ([(SHAPE_D3, o) for o in ORDERS_D3]
+               + [(SHAPE_D4, o) for o in ORDERS_D4])
 
 
-def make_emb(shape: TTShape, policy: str, *, dedup: bool,
-             mode: str = "sum", store_intermediates: bool = True,
-             rng: int = 0) -> TTEmbeddingBag:
-    return TTEmbeddingBag(shape.num_rows, shape.dim, shape=shape,
-                          plan_policy=policy, dedup=dedup, mode=mode,
-                          store_intermediates=store_intermediates, rng=rng)
+def split_of(emb: TTEmbeddingBag, order: str) -> int:
+    if order in ("fixed", "l2r"):  # Algorithm 1's chain; what a training step runs
+        return emb.shape.d - 1
+    if order == "r2l":
+        return 1
+    if order == "auto":  # what a read that keeps nothing runs
+        return emb.planner.read_split
+    return int(order.partition(":")[2])
+
+
+def make_emb(shape: TTShape, *, dedup: bool, mode: str = "sum",
+             store_intermediates: bool = True, rng: int = 0) -> TTEmbeddingBag:
+    return TTEmbeddingBag(shape.num_rows, shape.dim, shape=shape, dedup=dedup,
+                          mode=mode, store_intermediates=store_intermediates,
+                          rng=rng)
 
 
 # --------------------------------------------------------------------- #
-# Cost model
+# FLOP count and the computed split
 # --------------------------------------------------------------------- #
+
+def walk_flops(shape: TTShape, split: int) -> int:
+    """FLOPs of one row at ``split``, read off the operands of real
+    matmuls over all-ones core slices (independent of ``chain_flops``)."""
+    d, ranks = shape.d, shape.ranks
+    slices = [np.ones((ranks[k], shape.col_factors[k], ranks[k + 1]))
+              for k in range(d)]
+    flops = 0
+
+    def mm(a, b):
+        nonlocal flops
+        flops += 2 * a.shape[0] * a.shape[1] * b.shape[1]
+        return a @ b
+
+    left = slices[0].reshape(-1, ranks[1])
+    for k in range(1, split):
+        left = mm(left, slices[k].reshape(ranks[k], -1)).reshape(-1, ranks[k + 1])
+    right = slices[-1].reshape(ranks[d - 1], -1)
+    for k in range(d - 2, split - 1, -1):
+        right = mm(slices[k].reshape(-1, ranks[k + 1]), right).reshape(ranks[k], -1)
+    assert mm(left, right).size == shape.dim
+    return flops
+
 
 def test_l2r_flops_match_hand_count():
-    # l2r on SHAPE_D3: (1, n1*R1) then two GEMMs:
+    # Left to right (split 2) on SHAPE_D3: (1, n1*R1) then two GEMMs:
     #   k=1: (P=2, R1=3) @ (3, 2*3)  -> 2*2*3*6  = 72 flops
     #   k=2: (P=4, R2=3) @ (3, 4*1)  -> 2*4*3*4  = 96 flops
-    s = schedule_cost(SHAPE_D3, "l2r")
-    assert s.flops_per_row == 72 + 96
-    assert s.gemms == 2
-
-    r = schedule_cost(SHAPE_D3, "r2l")
+    assert chain_flops(SHAPE_D3, 2) == 72 + 96
+    # Right to left (split 1):
     #   k=1: (R1*n2=6, R2=3) @ (3, Q=4) -> 2*6*3*4 = 144
     #   k=0: (1*2, R1=3) @ (3, Q=8)     -> 2*2*3*8 = 96
-    assert r.flops_per_row == 144 + 96
-    assert r.gemms == 2
+    assert chain_flops(SHAPE_D3, 1) == 144 + 96
 
 
 def test_boundary_splits_equal_sweeps():
-    # ranks[0] == ranks[d] == 1 make split@1 cost-identical to r2l and
-    # split@(d-1) cost-identical to l2r (same GEMMs, one relabelled).
+    # ranks[0] == ranks[d] == 1 make split d-1 the plain left-to-right
+    # chain and split 1 the right-to-left one: the combine is the sweep's
+    # last GEMM under another name.
     for shape in (SHAPE_D3, SHAPE_D4):
-        l2r = schedule_cost(shape, "l2r")
-        r2l = schedule_cost(shape, "r2l")
-        first = schedule_cost(shape, "split", 1)
-        last = schedule_cost(shape, "split", shape.d - 1)
-        assert first.flops_per_row == r2l.flops_per_row
-        assert last.flops_per_row == l2r.flops_per_row
+        d, col, ranks = shape.d, shape.col_factors, shape.ranks
+        l2r = sum(2 * int(np.prod(col[:k])) * ranks[k] * col[k] * ranks[k + 1]
+                  for k in range(1, d))
+        r2l = sum(2 * ranks[k] * col[k] * ranks[k + 1] * int(np.prod(col[k + 1:]))
+                  for k in range(d - 1))
+        assert chain_flops(shape, d - 1) == l2r
+        assert chain_flops(shape, 1) == r2l
 
 
 def test_auto_picks_interior_split_on_d4():
-    # On SHAPE_D4 the split@2 order does 560 FLOPs/row vs 760 for l2r,
-    # so auto must not pick l2r for lookup-only batches...
-    flops = {s.label: s.flops_per_row for s in candidate_schedules(SHAPE_D4)}
-    assert flops["split@2"] < flops["l2r"]
-    planner = ExecutionPlanner(SHAPE_D4, "auto")
-    assert planner.schedule_for(256).label == "split@2"
-    # ...but any batch that must produce Algorithm-2 left partials is
-    # pinned to l2r regardless of policy.
-    assert planner.schedule_for(256, need_lefts=True).label == "l2r"
+    # On SHAPE_D4 meeting at core 2 does 560 FLOPs/row vs 760 left to
+    # right, so a lookup that keeps nothing runs split 2...
+    planner = ExecutionPlanner(SHAPE_D4)
+    assert planner.flops == {1: chain_flops(SHAPE_D4, 1), 2: 560, 3: 760}
+    assert planner.read_split == 2
+    idx = np.arange(256)
+    assert planner.plan_batch(idx, dedup=False, need_lefts=False).split == 2
+    # ...but any batch that must produce Algorithm-2 left partials runs
+    # d - 1, the one sweep that makes them.
+    assert planner.plan_batch(idx, dedup=False, need_lefts=True).split == 3
 
 
-def test_auto_breaks_ties_toward_l2r():
-    # Fully symmetric shape: every candidate costs the same, so auto must
-    # fall back to l2r (list order) and stay bit-compatible with the
-    # pre-planner behaviour on the common path.
-    shape = TTShape.suggested(1000, 8, d=3, rank=4)
-    assert len(set(s.flops_per_row for s in candidate_schedules(shape))) <= 2
-    planner = ExecutionPlanner(shape, "auto")
-    chosen = planner.schedule_for(64)
-    if chosen.flops_per_row == planner.candidates[0].flops_per_row:
-        assert chosen.label == "l2r"
+def _sized_shapes():
+    """The grid the split rule was sized on: uniform-rank shapes over rows
+    x dim x d x every column-factor order x rank."""
+    for rows, dim, d in itertools.product(
+            (10 ** 3, 5 * 10 ** 4, 10 ** 6, 10 ** 7), (8, 16, 32, 64, 128),
+            (2, 3, 4, 5)):
+        row_factors = tuple(suggested_tt_shapes(rows, d))
+        for cols in sorted(set(itertools.permutations(factorize_into(dim, d)))):
+            for rank in (2, 4, 8, 16, 32, 64, 128):
+                yield TTShape.with_uniform_rank(rows, dim, row_factors, cols, rank)
+
+
+def test_read_split_is_the_flop_argmin():
+    """Fewest FLOPs, trying d-1 first, then 1, 2, ...: the first strict
+    minimum wins — brute force over every split, on real GEMM operands."""
+    shapes = list(_sized_shapes())
+    picked = [shapes[i] for i in
+              as_rng(0).choice(len(shapes), size=200, replace=False)]
+    seen = set()
+    for shape in picked:
+        walked = {s: walk_flops(shape, s) for s in range(1, shape.d)}
+        best = shape.d - 1
+        for s in range(1, shape.d - 1):
+            if walked[s] < walked[best]:
+                best = s
+        planner = ExecutionPlanner(shape)
+        assert planner.flops == walked, shape
+        assert planner.read_split == best, shape
+        seen.add((shape.d, best))
+    # the sample exercises ties, d - 1 winners and interior winners
+    assert {(2, 1), (3, 2), (4, 3), (4, 2), (5, 4)} <= seen
+
+
+@pytest.mark.parametrize("rank", [8, 16, 32, 64])
+def test_read_split_is_d_minus_1_on_every_table_the_paper_builds(rank):
+    """So ``forward``, ``lookup`` and ``lookup_bags`` contract a row the
+    same way — bit for bit — on every d = 3 Table-2 shape."""
+    for spec in (KAGGLE, TERABYTE):
+        for i in spec.largest(7):
+            shape = tt_shape_for_table(spec.table_sizes[i], spec.emb_dim, rank)
+            assert shape.d == 3
+            assert ExecutionPlanner(shape).read_split == 2, shape
+
+
+def test_split_validation():
+    emb = make_emb(SHAPE_D3, dedup=False)
+    for bad in (0, 3, 9):
+        with pytest.raises(ValueError, match="split must be in"):
+            chain_flops(SHAPE_D3, bad)
+        with pytest.raises(ValueError, match="split must be in"):
+            rows_at(emb, np.arange(4), bad)
 
 
 # --------------------------------------------------------------------- #
-# Schedule equivalence (the property test)
+# Every split gives the same rows (the property test)
 # --------------------------------------------------------------------- #
 
-@pytest.mark.parametrize("shape,policy", [(SHAPE_D3, p) for p in POLICIES_D3]
-                         + [(SHAPE_D4, p) for p in POLICIES_D4])
+@pytest.mark.parametrize("shape,order", ORDER_CASES)
 @pytest.mark.parametrize("dedup", [False, True], ids=["nodedup", "dedup"])
-def test_lookup_matches_reference(shape, policy, dedup):
-    emb = make_emb(shape, policy, dedup=dedup)
+def test_lookup_matches_reference(shape, order, dedup):
+    emb = make_emb(shape, dedup=dedup)
     rng = as_rng(7)
     # Duplicate-heavy batch so dedup actually collapses something.
     idx = rng.integers(0, shape.num_rows, size=300)
     idx[:100] = idx[0]
     expected = tt_lookup_reference([p.data for p in emb.cores], shape, idx)
+    np.testing.assert_allclose(rows_at(emb, idx, split_of(emb, order)),
+                               expected, atol=1e-12)
     np.testing.assert_allclose(emb.lookup(idx), expected, atol=1e-12)
 
 
-@pytest.mark.parametrize("shape,policy", [(SHAPE_D3, p) for p in POLICIES_D3]
-                         + [(SHAPE_D4, p) for p in POLICIES_D4])
+@pytest.mark.parametrize("shape,order", ORDER_CASES)
 @pytest.mark.parametrize("dedup", [False, True], ids=["nodedup", "dedup"])
 @pytest.mark.parametrize("bags", ["mean_empty", "weighted"])
-def test_forward_matches_unplanned(shape, policy, dedup, bags):
-    """Every schedule x dedup x pooling arm equals the fixed-l2r path."""
+def test_forward_matches_unplanned(shape, order, dedup, bags):
+    """Every dedup x pooling arm equals the plain no-dedup operator, and
+    the operator's forward equals pooling the rows of every split."""
     rng = as_rng(11)
     indices, offsets = random_csr(rng, shape.num_rows, 17, max_bag=6,
                                   allow_empty=True)
@@ -125,11 +212,14 @@ def test_forward_matches_unplanned(shape, policy, dedup, bags):
         mode, weights = "mean", None
         offsets = np.concatenate([offsets, [offsets[-1]]])  # trailing empty bag
 
-    ref = make_emb(shape, "l2r", dedup=False, mode=mode)
-    emb = make_emb(shape, policy, dedup=dedup, mode=mode)
+    ref = make_emb(shape, dedup=False, mode=mode)
+    emb = make_emb(shape, dedup=dedup, mode=mode)
     out_ref = ref.forward(indices, offsets, weights)
     out = emb.forward(indices, offsets, weights)
     np.testing.assert_allclose(out, out_ref, atol=1e-12)
+    pooled, _ = pool_bags(rows_at(emb, indices, split_of(emb, order)),
+                          offsets, weights, mode)
+    np.testing.assert_allclose(pooled, out_ref, atol=1e-12)
 
     grad = rng.normal(size=out.shape)
     ref.zero_grad()
@@ -141,66 +231,62 @@ def test_forward_matches_unplanned(shape, policy, dedup, bags):
 
 
 def test_planned_grads_bit_identical_to_unplanned():
-    """auto (non-l2r lookup schedule) still yields bit-exact l2r grads."""
+    """A forward at the read split (not d-1) still yields bit-exact grads."""
     rng = as_rng(3)
     indices, offsets = random_csr(rng, SHAPE_D4.num_rows, 9, max_bag=5,
                                   allow_empty=True)
     grad = rng.normal(size=(offsets.size - 1, SHAPE_D4.dim))
-    outs, grads, scheds = [], [], []
-    for policy in ("l2r", "auto"):
-        for store in (True, False):
-            emb = make_emb(SHAPE_D4, policy, dedup=False,
-                           store_intermediates=store)
-            out = emb.forward(indices, offsets)
-            emb.zero_grad()
-            emb.backward(grad)
-            outs.append(out)
-            grads.append([p.grad.copy() for p in emb.cores])
-            scheds.append(emb.planner.schedule_for(
-                indices.size, need_lefts=store).label)
-    # auto + recompute-intermediates is the one arm whose *forward* runs a
-    # non-l2r schedule; its output differs only in float association.
-    assert scheds == ["l2r", "l2r", "l2r", "split@2"]
-    for out, sched in zip(outs[1:], scheds[1:]):
-        if sched == "l2r":
-            assert np.array_equal(out, outs[0])
-        else:
-            np.testing.assert_allclose(out, outs[0], atol=1e-12)
-    # Gradients always flow through l2r left partials: bit-exact everywhere.
-    for gset in grads[1:]:
-        for g, g0 in zip(gset, grads[0]):
-            assert np.array_equal(g, g0)
-
-
-def test_empty_batch_every_policy():
-    for policy in POLICIES_D3:
-        emb = make_emb(SHAPE_D3, policy, dedup=True)
-        out = emb.forward(np.array([], dtype=np.int64),
-                          np.zeros(4, dtype=np.int64))
-        assert out.shape == (3, SHAPE_D3.dim)
-        assert not out.any()
+    outs, grads, splits = [], [], []
+    for store in (True, False):
+        emb = make_emb(SHAPE_D4, dedup=False, store_intermediates=store)
+        out = emb.forward(indices, offsets)
         emb.zero_grad()
-        emb.backward(np.zeros_like(out))
-        assert emb.lookup(np.array([], dtype=np.int64)).shape == (0, SHAPE_D3.dim)
+        emb.backward(grad)
+        outs.append(out)
+        grads.append([p.grad.copy() for p in emb.cores])
+        splits.append(emb.planner.plan_batch(
+            indices, dedup=False, need_lefts=store).split)
+    # Recompute-intermediates is the one arm whose *forward* runs the read
+    # split; its output differs only in float association.
+    assert splits == [3, 2]
+    np.testing.assert_allclose(outs[1], outs[0], atol=1e-12)
+    # Gradients always flow through the d-1 left partials: bit-exact.
+    for g, g0 in zip(grads[1], grads[0]):
+        assert np.array_equal(g, g0)
+
+
+def test_empty_batch_every_split():
+    emb = make_emb(SHAPE_D3, dedup=True)
+    empty = np.array([], dtype=np.int64)
+    out = emb.forward(empty, np.zeros(4, dtype=np.int64))
+    assert out.shape == (3, SHAPE_D3.dim)
+    assert not out.any()
+    emb.zero_grad()
+    emb.backward(np.zeros_like(out))
+    assert emb.lookup(empty).shape == (0, SHAPE_D3.dim)
+    for split in (1, 2):
+        assert rows_at(emb, empty, split).shape == (0, SHAPE_D3.dim)
 
 
 # --------------------------------------------------------------------- #
-# Counters, memoization, buffers
+# Counters, buffers
 # --------------------------------------------------------------------- #
 
 def test_flops_executed_counter_is_exact():
     counter = get_registry().counter("tt.plan.flops_executed")
-    for policy in ("l2r", "r2l", "split:2", "auto"):
-        emb = make_emb(SHAPE_D4, policy, dedup=False)
-        idx = np.arange(50, dtype=np.int64)
-        sched = emb.planner.schedule_for(50, need_lefts=False)
+    emb = make_emb(SHAPE_D4, dedup=False)
+    idx = np.arange(50, dtype=np.int64)
+    for split in (1, 2, 3):
         before = counter.value
-        emb.lookup(idx)
-        assert counter.value - before == 50 * sched.flops_per_row
+        rows_at(emb, idx, split)
+        assert counter.value - before == 50 * walk_flops(SHAPE_D4, split)
+    before = counter.value
+    emb.lookup(idx)
+    assert counter.value - before == 50 * walk_flops(SHAPE_D4, 2)
 
 
 def test_plan_batch_dedup_bookkeeping():
-    planner = ExecutionPlanner(SHAPE_D3, "auto")
+    planner = ExecutionPlanner(SHAPE_D3)
     saved = get_registry().counter("tt.plan.flops_saved")
     removed = get_registry().counter("tt.plan.dedup_removed")
     s0, r0 = saved.value, removed.value
@@ -209,24 +295,11 @@ def test_plan_batch_dedup_bookkeeping():
     assert plan.n == 4 and plan.n_unique == 2
     assert plan.inverse is not None and plan.inverse.shape == (4,)
     assert removed.value - r0 == 2
-    assert plan.flops_planned == 2 * plan.schedule.flops_per_row
+    assert plan.flops_planned == 2 * planner.flops[plan.split]
     assert saved.value - s0 == plan.flops_baseline - plan.flops_planned
     # A duplicate-free batch drops the inverse (no expansion copy).
     plan = planner.plan_batch(np.array([1, 2, 3]), dedup=True, need_lefts=False)
     assert plan.inverse is None and plan.n_unique == 3
-
-
-def test_schedule_memo_buckets():
-    planner = ExecutionPlanner(SHAPE_D3, "auto")
-    hits = get_registry().counter("tt.plan.memo_hits")
-    misses = get_registry().counter("tt.plan.memo_misses")
-    h0, m0 = hits.value, misses.value
-    planner.schedule_for(100)   # bucket 128: miss
-    planner.schedule_for(120)   # same bucket: hit
-    planner.schedule_for(200)   # bucket 256: miss
-    planner.schedule_for(100, need_lefts=True)  # distinct key: miss
-    assert misses.value - m0 == 3
-    assert hits.value - h0 == 1
 
 
 def test_buffer_pool_reuse_and_growth():
@@ -252,25 +325,15 @@ def test_bucket_rounding():
         [1, 1, 2, 4, 4, 8, 1024, 1024, 2048]
 
 
-def test_policy_validation():
-    with pytest.raises(ValueError, match="unknown plan policy"):
-        ExecutionPlanner(SHAPE_D3, "bogus")
-    with pytest.raises(ValueError, match="split must be in"):
-        ExecutionPlanner(SHAPE_D3, "split:0")
-    with pytest.raises(ValueError, match="split must be in"):
-        ExecutionPlanner(SHAPE_D3, "split:9")
-    with pytest.raises(ValueError, match="unknown schedule kind"):
-        schedule_cost(SHAPE_D3, "zigzag")
-
-
 def test_keep_lefts_requires_l2r():
-    planner = ExecutionPlanner(SHAPE_D3, "r2l")
-    sched = planner.schedule_for(4)
-    assert sched.label == "r2l"
-    emb = make_emb(SHAPE_D3, "r2l", dedup=False)
-    plan = planner.plan_batch(np.arange(4), dedup=False, need_lefts=False)
-    with pytest.raises(ValueError, match="left partials"):
-        planner.execute(sched, emb.cores, plan, keep_lefts=True)
+    """Only the left-to-right sweep (split d-1) makes every left partial."""
+    emb = make_emb(SHAPE_D4, dedup=False)
+    plan = emb.planner.plan_batch(np.arange(4), dedup=False, need_lefts=False)
+    for split in (None, 1, 2):  # None: the plan's own read split, 2
+        with pytest.raises(ValueError, match="left partials"):
+            emb.planner.execute(emb.cores, plan, split=split, keep_lefts=True)
+    _, lefts = emb.planner.execute(emb.cores, plan, split=3, keep_lefts=True)
+    assert len(lefts) == SHAPE_D4.d
 
 
 @pytest.mark.parametrize("shape", [SHAPE_D3, SHAPE_D4], ids=["d3", "d4"])
@@ -288,7 +351,7 @@ def test_each_core_is_sorted_once_per_step(monkeypatch, shape, store):
                         lambda rows: calls.append("plan") or real(rows))
     monkeypatch.setattr(kernels, "sorted_runs",
                         lambda rows: calls.append("kernel") or real(rows))
-    emb = make_emb(shape, "auto", dedup=False, store_intermediates=store)
+    emb = make_emb(shape, dedup=False, store_intermediates=store)
     idx = as_rng(2).integers(0, shape.num_rows, size=64)
     out = emb.forward(idx)
     emb.backward(np.ones_like(out))
@@ -305,13 +368,13 @@ def test_pooled_lookup_does_not_corrupt_pending_backward():
                                   allow_empty=False)
     grad = rng.normal(size=(offsets.size - 1, SHAPE_D3.dim))
 
-    ref = make_emb(SHAPE_D3, "auto", dedup=True)
+    ref = make_emb(SHAPE_D3, dedup=True)
     ref.forward(indices, offsets)
     ref.zero_grad()
     ref.backward(grad)
     expected = [p.grad.copy() for p in ref.cores]
 
-    emb = make_emb(SHAPE_D3, "auto", dedup=True)
+    emb = make_emb(SHAPE_D3, dedup=True)
     emb.forward(indices, offsets)
     emb.lookup(rng.integers(0, SHAPE_D3.num_rows, size=500))  # interloper
     emb.zero_grad()
