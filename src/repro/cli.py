@@ -1,40 +1,24 @@
-"""Command-line interface: regenerate analyses and run demo training.
+"""Command-line interface: ``python -m repro <cmd>``.
 
-Subcommands (also available via ``python -m repro <cmd>``):
+``repro --help`` lists the subcommands and ``repro <cmd> --help`` each
+one's options; docs/ walks through them.
 
-- ``table2``   — paper Table 2 (exact TT decompositions of Kaggle tables);
-- ``sizes``    — Fig. 5 / §6 whole-model compression for both datasets;
-- ``plan``     — auto-tune TT ranks for a memory budget (MB);
-- ``plan-budget`` — pick a compressor per table from the full zoo under
-  one global byte budget, emitting ``repro.budget_plan/v1`` JSON
-  (docs/COMPRESSION.md); ``serve-bench --budget-plan`` serves the result;
-- ``locality`` — Fig. 9-style hot-set stability for a synthetic stream;
-- ``train``    — small demo training run (baseline vs TT-Rec), with
-  optional periodic checkpointing and ``--resume``;
-- ``chaos``    — fault-injection drill: a guarded TT-Rec run under
-  seeded gradient/cache faults, compared against the fault-free run;
-- ``profile``  — telemetry drill-down: a short TT-Rec + cache training
-  workload plus a simulated allreduce leg, printed as a nested span tree,
-  a per-stage iteration breakdown and a shared-registry metrics table;
-- ``serve-bench`` — closed-loop load test of the hardened serving runtime
-  (docs/SERVING.md): p50/p99 latency, shed rate, degradation-ladder and
-  circuit-breaker activity, optionally under ``serving.*`` fault
-  injection with fault-ledger reconciliation.
-
-``train``/``chaos``/``profile``/``serve-bench`` accept ``--emit-json
-PATH`` to write a machine-readable telemetry snapshot (schema
-``repro.telemetry/v1``; see docs/OBSERVABILITY.md), and
-``chaos``/``profile``/``serve-bench`` accept ``--events-jsonl PATH`` to
-stream fault/guard/cache/breaker events as JSONL.
-
-Analyses that need no training are exact and instantaneous; ``train``,
-``chaos`` and ``profile`` use the scaled synthetic dataset and take a few
-seconds.
+Analyses that need no training (``table2``, ``sizes``, ``plan``, ...) are
+exact and instantaneous. The drills — ``train`` (and ``train --elastic``),
+``chaos``, ``profile``, ``serve-bench`` — run the scaled synthetic dataset
+for a few seconds and stand on one scaffold ("The drill scaffold" below):
+one model recipe, one seeded-injector table, one context manager for the
+``--events-jsonl`` / ``--slo`` / ``--trace-sample`` / ``--flight-dir``
+listeners, one ledger table whose verdict is
+:func:`repro.runtime.supervisor.reconcile_ledger`'s, one PASS/FAIL line
+and one ``--emit-json`` snapshot (schema ``repro.telemetry/v1``; see
+docs/OBSERVABILITY.md).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 
 import numpy as np
@@ -141,8 +125,7 @@ def _cmd_plan_kernel(args) -> int:
 
 
 def _cmd_plan(args) -> int:
-    # `report` re-enters with a synthetic Namespace that predates --kernel.
-    if getattr(args, "kernel", False):
+    if args.kernel:
         return _cmd_plan_kernel(args)
     from repro.analysis.autotune import plan_compression
     from repro.bench.reporting import format_table
@@ -247,30 +230,192 @@ def _cmd_locality(args) -> int:
 
 def _cmd_report(args) -> int:
     """Write every no-training analysis to one markdown report."""
-    import contextlib
     import io
 
     sections = []
-    for title, fn, ns in (
-        ("Paper Table 2 (exact)", _cmd_table2,
-         argparse.Namespace(ranks=[16, 32, 64])),
-        ("Model sizes (Fig. 5 / §6)", _cmd_sizes,
-         argparse.Namespace(rank=32, tables=[3, 5, 7])),
-        ("Auto-tuned plan, 19 MB Kaggle budget", _cmd_plan,
-         argparse.Namespace(dataset="kaggle", budget_mb=19.0, top=10)),
-        ("Hot-set stability (Fig. 9 style)", _cmd_locality,
-         argparse.Namespace(rows=50_000, zipf=1.05, accesses=150_000,
-                            k=500, seed=0)),
+    for title, argv in (
+        ("Paper Table 2 (exact)", ["table2"]),
+        ("Model sizes (Fig. 5 / §6)", ["sizes"]),
+        ("Auto-tuned plan, 19 MB Kaggle budget",
+         ["plan", "--budget-mb", "19"]),
+        ("Hot-set stability (Fig. 9 style)",
+         ["locality", "--rows", "50000", "--accesses", "150000",
+          "--k", "500"]),
     ):
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
-            fn(ns)
+            main(argv)
         sections.append(f"## {title}\n\n```\n{buf.getvalue().strip()}\n```\n")
     body = "# TT-Rec analysis report\n\n" + "\n".join(sections)
     with open(args.out, "w") as fh:
         fh.write(body)
     print(f"wrote {args.out} ({len(body)} bytes, {len(sections)} sections)")
     return 0
+
+
+# ---------------------------------------------------------------------- #
+# The drill scaffold: what `train`, `chaos`, `profile` and `serve-bench`
+# each do around their own run, written once.
+# ---------------------------------------------------------------------- #
+
+_WIDE_MLP = ((32, 16), (32,))
+# TTConfig fields of the training drills' LFU cache (chaos, profile).
+_TRAINING_CACHE = dict(use_cache=True, warmup_steps=5, refresh_interval=40,
+                       cache_fraction=0.05)
+
+
+def _scaled_kaggle(args, *, mlp=((16,), (16,)), min_rows: int = 60, **tt):
+    """The drills' model recipe on the ``--scale``d Kaggle layout.
+
+    Returns a namespace of ``cfg``, ``build`` and ``stream``: every
+    ``build()`` is one identically seeded TT-Rec with 7 TT tables at
+    ``--rank`` (``mlp`` is the (bottom, top) tower widths, ``tt`` further
+    ``TTConfig`` fields) and every ``stream()`` the same seeded synthetic
+    click stream from its start.
+    """
+    from repro.data import KAGGLE, SyntheticCTRDataset
+    from repro.models import DLRMConfig, TTConfig, build_ttrec
+
+    spec = KAGGLE.scaled(args.scale)
+    cfg = DLRMConfig(table_sizes=spec.table_sizes, emb_dim=8,
+                     bottom_mlp=mlp[0], top_mlp=mlp[1])
+
+    def stream(noise: float = 0.7):
+        return SyntheticCTRDataset(spec, seed=args.seed, noise=noise)
+
+    def build():
+        return build_ttrec(cfg, num_tt_tables=7,
+                           tt=TTConfig(rank=args.rank, **tt),
+                           min_rows=min_rows, rng=args.seed)
+
+    return argparse.Namespace(cfg=cfg, build=build, stream=stream)
+
+
+def _checkpoints(args, slug: str):
+    """The run's manager under ``--checkpoint-dir``/``slug``, if asked for."""
+    if not args.checkpoint_dir:
+        return None
+    import os
+
+    from repro.reliability import CheckpointManager
+
+    return CheckpointManager(os.path.join(args.checkpoint_dir, slug))
+
+
+def _injector(seed: int, sites: dict):
+    """A seeded injector from ``{site: (rate, register() keywords)}``.
+
+    Sites at rate 0 are not registered; with none left there is no
+    injector at all, which is how every drill spells "no chaos".
+    """
+    from repro.reliability import FaultInjector
+
+    armed = {site: spec for site, spec in sites.items() if spec[0] > 0}
+    if not armed:
+        return None
+    injector = FaultInjector(seed=seed)
+    for site, (rate, keywords) in armed.items():
+        injector.register(site, rate, **keywords)
+    return injector
+
+
+@contextlib.contextmanager
+def _observed(args, clock=None):
+    """Arm the listeners the command has and was given, for one run.
+
+    ``--events-jsonl`` (event sink), ``--slo`` (burn-rate engine),
+    ``--trace-sample`` (request tracer) and ``--flight-dir`` (flight
+    recorder; the last two read ``clock``) are armed in that order and
+    detached — tracer, recorder, sink — on the way out, run or raise.
+    Yields a namespace holding ``slo`` and ``recorder`` (``None`` when
+    not armed).
+    """
+    from repro import telemetry
+
+    armed = argparse.Namespace(slo=None, recorder=None)
+    try:
+        if getattr(args, "events_jsonl", None):
+            telemetry.install_sink(args.events_jsonl)
+        if getattr(args, "slo", None):
+            armed.slo = telemetry.SLOEngine(telemetry.load_policy(args.slo))
+        if getattr(args, "trace_sample", 0) > 0:
+            telemetry.get_request_tracer().configure(
+                sample_every=args.trace_sample, path=args.trace_jsonl,
+                clock=clock.now, seed=args.seed,
+            )
+        if getattr(args, "flight_dir", None):
+            armed.recorder = telemetry.install_flight_recorder(
+                telemetry.FlightRecorder(args.flight_dir, clock=clock.now))
+        yield armed
+    finally:
+        telemetry.get_request_tracer().shutdown()
+        telemetry.uninstall_flight_recorder()
+        telemetry.uninstall_sink()
+
+
+def _print_fleet(label: str, units: list[dict]) -> None:
+    """One row per supervised worker: the ``SupervisedWorker.stats()``
+    keys training and serving fleets share, and the serving tier's
+    ``p99_ms`` / ``rewarmed_rows`` where a row has them."""
+    for s in units:
+        p99 = f"p99 {s['p99_ms']:6.2f} ms  " if "p99_ms" in s else ""
+        rewarmed = (f" rewarmed {s['rewarmed_rows']}"
+                    if "rewarmed_rows" in s else "")
+        print(f"  {label} {s[label]}: {s['state']:9s} "
+              f"dispatches {s['dispatches']:<5d} {p99}"
+              f"hb {s['heartbeats']:<4d} "
+              f"crash {s['crashes']} hang {s['hangs']} slow {s['slows']} "
+              f"drop {s['net_drops']}{rewarmed}")
+
+
+def _print_ledger(recon: dict) -> bool:
+    """The ``reconcile_ledger`` table, one row per check that gates;
+    returns its verdict. Which rows count is the ledger's rule
+    (:func:`repro.runtime.supervisor.reconcile_ledger`), not the CLI's."""
+    print("reconcile :")
+    for name, check in recon["checks"].items():
+        print(f"  {name:28s} fired={check['fired']:<6d} "
+              f"counted={check['counted']:<6d} "
+              f"{'ok' if check['passed'] else 'MISMATCH'}")
+    if "skipped" in recon:
+        print(f"  fault rows skipped ({recon['skipped']})")
+    return recon["passed"]
+
+
+def _print_threshold(what: str, value: float, fmt: str, bound: float) -> bool:
+    within = value <= bound
+    print(f"threshold : {what} {value:{fmt}} ms "
+          f"{'<=' if within else '>'} {bound:g} ms "
+          f"{'ok' if within else 'FAIL'}")
+    return within
+
+
+def _print_flightrec(recorder, flight_dir) -> None:
+    if recorder is None:
+        return
+    summ = recorder.summary()
+    if summ["dumps"]:
+        print(f"flightrec : {len(summ['dumps'])} dump(s) in "
+              f"{flight_dir}: " + ", ".join(sorted(summ["dumps"])))
+    else:
+        print(f"flightrec : armed ({summ['events_seen']} events), "
+              f"no trigger fired")
+
+
+def _verdict(ok: bool, passed: str,
+             failed: str = "see mismatches above") -> int:
+    """Print the drill's PASS/FAIL line; returns the exit code it means."""
+    print(f"{'PASS' if ok else 'FAIL'}: {passed if ok else failed}")
+    return 0 if ok else 1
+
+
+def _emit_json(args, command: str, result: dict, lead: str = "") -> None:
+    """``--emit-json``: the run's ``repro.telemetry/v1`` snapshot."""
+    if args.emit_json:
+        from repro.telemetry import write_snapshot
+
+        write_snapshot(args.emit_json, command=command, result=result)
+        print(f"{lead}wrote telemetry snapshot to {args.emit_json}")
 
 
 def _cmd_train_elastic(args) -> int:
@@ -283,58 +428,27 @@ def _cmd_train_elastic(args) -> int:
     worst recovery stays under ``--recovery-ms-max`` simulated ms — the
     contract the ``training-chaos`` CI job relies on.
     """
-    import os
-
-    from repro.data import KAGGLE, SyntheticCTRDataset
     from repro.distributed import ElasticTrainer, parse_worker_kill_spec
-    from repro.models import DLRMConfig, TTConfig, build_ttrec
-    from repro.reliability import FaultInjector
     from repro.serving import ManualClock
 
-    spec = KAGGLE.scaled(args.scale)
-    cfg = DLRMConfig(table_sizes=spec.table_sizes, emb_dim=8,
-                     bottom_mlp=(16,), top_mlp=(16,))
-    replicas = [
-        build_ttrec(cfg, num_tt_tables=7, tt=TTConfig(rank=args.rank),
-                    min_rows=60, rng=args.seed)
-        for _ in range(args.workers)
-    ]
-    rates = {"dist.crash": args.dist_crash, "dist.hang": args.dist_hang,
-             "dist.slow": args.dist_slow, "dist.net_drop": args.dist_net_drop}
-    injector = None
-    if any(r > 0 for r in rates.values()):
-        injector = FaultInjector(seed=args.fault_seed)
-        for site, rate in rates.items():
-            if rate > 0:
-                injector.register(site, rate)
+    kaggle = _scaled_kaggle(args)
+    replicas = [kaggle.build() for _ in range(args.workers)]
+    injector = _injector(args.fault_seed, {
+        "dist.crash": (args.dist_crash, {}),
+        "dist.hang": (args.dist_hang, {}),
+        "dist.slow": (args.dist_slow, {}),
+        "dist.net_drop": (args.dist_net_drop, {}),
+    })
     kill_specs = [parse_worker_kill_spec(s) for s in (args.kill_worker or [])]
-
     clock = ManualClock()
-    recorder = None
-    if args.flight_dir:
-        from repro.telemetry import FlightRecorder, install_flight_recorder
-
-        recorder = install_flight_recorder(
-            FlightRecorder(args.flight_dir, clock=clock.now))
-    manager = None
-    if args.checkpoint_dir:
-        from repro.reliability import CheckpointManager
-
-        manager = CheckpointManager(
-            os.path.join(args.checkpoint_dir, "elastic"))
-    try:
+    with _observed(args, clock) as obs:
         trainer = ElasticTrainer(
             replicas, lr=0.1, optimizer="adagrad", injector=injector,
-            clock=clock, checkpoint=manager,
+            clock=clock, checkpoint=_checkpoints(args, "elastic"),
             checkpoint_every=args.checkpoint_every, kill_specs=kill_specs,
         )
-        ds = SyntheticCTRDataset(spec, seed=args.seed, noise=0.7)
-        report = trainer.train(ds.batches(args.batch_size, args.iters))
-    finally:
-        if recorder is not None:
-            from repro.telemetry import uninstall_flight_recorder
-
-            uninstall_flight_recorder()
+        report = trainer.train(
+            kaggle.stream().batches(args.batch_size, args.iters))
 
     kills = ", ".join(f"w{k.unit}@{k.at}" for k in kill_specs) or "none"
     print(f"train --elastic: {args.iters} batches of {args.batch_size} over "
@@ -344,11 +458,7 @@ def _cmd_train_elastic(args) -> int:
           f"(retried {report['retried_steps']}, degraded "
           f"{report['degraded_steps']}, dispatch retries "
           f"{report['dispatch_retries']})")
-    for s in report["workers"]:
-        print(f"  worker {s['worker']}: {s['state']:9s} "
-              f"dispatches {s['dispatches']:<5d} hb {s['heartbeats']:<4d} "
-              f"crash {s['crashes']} hang {s['hangs']} slow {s['slows']} "
-              f"drop {s['net_drops']}")
+    _print_fleet("worker", report["workers"])
     rec = report["recovery"]
     print(f"recovery  : {rec['readmissions']} readmissions  shard restores "
           f"{rec['restores']}  replayed rows {rec['replayed_rows']}  audits "
@@ -357,75 +467,37 @@ def _cmd_train_elastic(args) -> int:
     print(f"health    : {report['health']['up']}/{report['world_size']} "
           f"workers up  membership epochs {report['membership_epochs']}  "
           f"resyncs {report['resyncs']}")
-
-    recon = report["reconciliation"]
-    ok = report["in_sync"]
-    print("reconcile :")
-    for name, check in recon["checks"].items():
-        print(f"  {name:28s} fired={check['fired']:<6d} "
-              f"counted={check['counted']:<6d} "
-              f"{'ok' if check['passed'] else 'MISMATCH'}")
-    ok = ok and recon["passed"]
+    ok = _print_ledger(report["reconciliation"])
     if args.recovery_ms_max is not None and rec["readmissions"]:
-        within = rec["max_ms"] <= args.recovery_ms_max
-        ok = ok and within
-        print(f"threshold : recovery max {rec['max_ms']:g} ms "
-              f"{'<=' if within else '>'} {args.recovery_ms_max:g} ms "
-              f"{'ok' if within else 'FAIL'}")
-    if recorder is not None:
-        summ = recorder.summary()
-        if summ["dumps"]:
-            print(f"flightrec : {len(summ['dumps'])} dump(s) in "
-                  f"{args.flight_dir}: " + ", ".join(sorted(summ["dumps"])))
-        else:
-            print(f"flightrec : armed ({summ['events_seen']} events), "
-                  f"no trigger fired")
+        ok = _print_threshold("recovery max", rec["max_ms"], "g",
+                              args.recovery_ms_max) and ok
+    _print_flightrec(obs.recorder, args.flight_dir)
     print(f"final loss: {report['final_loss']:.4f}  "
           f"(sim {report['sim_ms']:g} ms)")
-    print(f"{'PASS' if ok else 'FAIL'}: "
-          + ("ledgers reconcile, fleet readmitted, replicas in sync"
-             if ok else "see mismatches above"))
-    if args.emit_json:
-        from repro.telemetry import write_snapshot
-
-        write_snapshot(args.emit_json, command="train-elastic",
-                       result={"report": report, "passed": ok})
-        print(f"wrote telemetry snapshot to {args.emit_json}")
-    return 0 if ok else 1
+    code = _verdict(ok, "ledgers reconcile, fleet readmitted, "
+                        "replicas in sync")
+    _emit_json(args, "train-elastic", {"report": report, "passed": ok})
+    return code
 
 
 def _cmd_train(args) -> int:
-    import os
-
-    from repro.data import KAGGLE, SyntheticCTRDataset
-    from repro.models import DLRMConfig, TTConfig, build_dlrm, build_ttrec
+    from repro.models import build_dlrm
     from repro.training import Trainer
 
     if args.elastic:
         return _cmd_train_elastic(args)
-    if args.kill_worker:
-        print("error: --kill-worker requires --elastic")
-        return 2
 
-    spec = KAGGLE.scaled(args.scale)
-    cfg = DLRMConfig(table_sizes=spec.table_sizes, emb_dim=8,
-                     bottom_mlp=(32, 16), top_mlp=(32,))
+    kaggle = _scaled_kaggle(args, mlp=_WIDE_MLP)
     summaries = {}
     for name, model in (
-        ("baseline", build_dlrm(cfg, rng=args.seed)),
-        (f"tt-rec r{args.rank}",
-         build_ttrec(cfg, num_tt_tables=7, tt=TTConfig(rank=args.rank),
-                     min_rows=60, rng=args.seed)),
+        ("baseline", build_dlrm(kaggle.cfg, rng=args.seed)),
+        (f"tt-rec r{args.rank}", kaggle.build()),
     ):
-        ds = SyntheticCTRDataset(spec, seed=args.seed, noise=0.7)
+        ds = kaggle.stream()
         trainer = Trainer(model, lr=0.1)
         ckpt_kwargs = {}
-        if args.checkpoint_dir:
-            from repro.reliability import CheckpointManager
-
-            slug = name.split()[0].replace("-", "_")
-            manager = CheckpointManager(
-                os.path.join(args.checkpoint_dir, slug))
+        manager = _checkpoints(args, name.split()[0].replace("-", "_"))
+        if manager is not None:
             resume = manager if (args.resume
                                  and manager.latest_step() is not None) else None
             ckpt_kwargs = dict(checkpoint_dir=manager.directory,
@@ -447,12 +519,7 @@ def _cmd_train(args) -> int:
             "accuracy": ev.accuracy, "bce": ev.bce, "auc": ev.auc,
             "ne": ev.ne,
         }
-    if args.emit_json:
-        from repro.telemetry import write_snapshot
-
-        write_snapshot(args.emit_json, command="train",
-                       result={"models": summaries})
-        print(f"wrote telemetry snapshot to {args.emit_json}")
+    _emit_json(args, "train", {"models": summaries})
     return 0
 
 
@@ -460,39 +527,29 @@ def _cmd_profile(args) -> int:
     """Telemetry drill-down over one short instrumented workload."""
     from repro import telemetry
     from repro.bench.reporting import format_table
-    from repro.data import KAGGLE, SyntheticCTRDataset
     from repro.distributed.collectives import Communicator
-    from repro.models import DLRMConfig, TTConfig, build_ttrec
     from repro.training import Trainer
 
+    kaggle = _scaled_kaggle(args, mlp=_WIDE_MLP, **_TRAINING_CACHE)
     tracer = telemetry.get_tracer()
     tracer.reset()
-    telemetry.enable_tracing()
-    if args.events_jsonl:
-        telemetry.install_sink(args.events_jsonl)
-    try:
-        spec = KAGGLE.scaled(args.scale)
-        cfg = DLRMConfig(table_sizes=spec.table_sizes, emb_dim=8,
-                         bottom_mlp=(32, 16), top_mlp=(32,))
-        tt = TTConfig(rank=args.rank, use_cache=True, warmup_steps=5,
-                      refresh_interval=40, cache_fraction=0.05)
-        model = build_ttrec(cfg, num_tt_tables=7, tt=tt, min_rows=60,
-                            rng=args.seed)
-        ds = SyntheticCTRDataset(spec, seed=args.seed, noise=0.7)
-        trainer = Trainer(model, lr=0.1)
-        with telemetry.trace("profile.train"):
-            res = trainer.train(ds.batches(args.batch_size, args.iters))
-        # Collective leg: allreduce every dense gradient across a simulated
-        # ring so the same registry carries byte counters, too.
-        comm = Communicator(args.world_size)
-        with telemetry.trace("profile.collectives"):
-            for p in model.parameters():
-                if p.grad is not None and p.grad.size:
-                    comm.allreduce_mean([p.grad] * args.world_size)
-    finally:
-        telemetry.disable_tracing()
-        if args.events_jsonl:
-            telemetry.uninstall_sink()
+    with _observed(args):
+        telemetry.enable_tracing()
+        try:
+            model = kaggle.build()
+            trainer = Trainer(model, lr=0.1)
+            with telemetry.trace("profile.train"):
+                res = trainer.train(
+                    kaggle.stream().batches(args.batch_size, args.iters))
+            # Collective leg: allreduce every dense gradient across a
+            # simulated ring so the same registry carries byte counters, too.
+            comm = Communicator(args.world_size)
+            with telemetry.trace("profile.collectives"):
+                for p in model.parameters():
+                    if p.grad is not None and p.grad.size:
+                        comm.allreduce_mean([p.grad] * args.world_size)
+        finally:
+            telemetry.disable_tracing()
 
     print(f"profile workload: {args.iters} iters, batch {args.batch_size}, "
           f"TT rank {args.rank}, world size {args.world_size}")
@@ -525,39 +582,27 @@ def _cmd_profile(args) -> int:
              for emb in cached for s in [emb.stats()]],
         ))
 
-    if args.emit_json:
-        telemetry.write_snapshot(
-            args.emit_json, command="profile",
-            result={
-                "iterations": res.iterations,
-                "ms_per_iter": res.ms_per_iter,
-                "ms_per_iter_steady": res.ms_per_iter_steady,
-                "stage_ms_per_iter": breakdown,
-                "cache": {emb.metrics_label: emb.stats() for emb in cached},
-                "collective_bytes": comm.total_bytes,
-            },
-        )
-        print(f"\nwrote telemetry snapshot to {args.emit_json}")
+    _emit_json(args, "profile", {
+        "iterations": res.iterations,
+        "ms_per_iter": res.ms_per_iter,
+        "ms_per_iter_steady": res.ms_per_iter_steady,
+        "stage_ms_per_iter": breakdown,
+        "cache": {emb.metrics_label: emb.stats() for emb in cached},
+        "collective_bytes": comm.total_bytes,
+    }, lead="\n")
     return 0
 
 
 def _cmd_chaos(args) -> int:
     """Fault-injection drill: guarded faulty run vs the fault-free run."""
-    from repro.data import KAGGLE, SyntheticCTRDataset
-    from repro.models import DLRMConfig, TTConfig, build_ttrec
     from repro.ops.optim import Adagrad
     from repro.reliability import DivergenceGuard, FaultInjector, GuardPolicy
     from repro.training import Trainer
 
-    spec = KAGGLE.scaled(args.scale)
-    cfg = DLRMConfig(table_sizes=spec.table_sizes, emb_dim=8,
-                     bottom_mlp=(16,), top_mlp=(16,))
-    tt = TTConfig(rank=args.rank, use_cache=True, warmup_steps=5,
-                  refresh_interval=40, cache_fraction=0.05)
+    kaggle = _scaled_kaggle(args, min_rows=50, **_TRAINING_CACHE)
 
     def run(injector):
-        model = build_ttrec(cfg, num_tt_tables=7, tt=tt, min_rows=50,
-                            rng=args.seed)
+        model = kaggle.build()
         if injector is not None:
             for emb in model.embeddings:
                 if hasattr(emb, "validate_reads"):
@@ -566,27 +611,19 @@ def _cmd_chaos(args) -> int:
         guard = DivergenceGuard(GuardPolicy())
         trainer = Trainer(model, optimizer=Adagrad(model.parameters(), lr=0.05),
                           guard=guard, injector=injector)
-        ds = SyntheticCTRDataset(spec, seed=args.seed, noise=0.6)
-        res = trainer.train(ds.batches(64, args.iters))
+        res = trainer.train(kaggle.stream(noise=0.6).batches(64, args.iters))
         return res.smoothed_loss(50), guard
 
-    if args.events_jsonl:
-        from repro.telemetry import install_sink
-
-        install_sink(args.events_jsonl)
-    try:
+    with _observed(args):
         clean, _ = run(None)
+        # Registered by --sites, at any --prob (0 included): the counters
+        # below list every site asked for.
         inj = FaultInjector(seed=args.fault_seed)
         if "grad" in args.sites:
             inj.register("trainer.grad", args.prob, kind="nan", max_elements=4)
         if "cache" in args.sites:
             inj.register("cache.row", args.prob, kind="nan", max_elements=2)
         faulted, guard = run(inj)
-    finally:
-        if args.events_jsonl:
-            from repro.telemetry import uninstall_sink
-
-            uninstall_sink()
     rel = abs(faulted - clean) / clean
 
     print(f"fault-free smoothed loss : {clean:.5f}")
@@ -594,91 +631,42 @@ def _cmd_chaos(args) -> int:
     print(f"injector: {inj.counters()}")
     print(f"guard   : {guard.events}")
     ok = rel <= args.tolerance
-    print(f"{'PASS' if ok else 'FAIL'}: faulted run "
-          f"{'within' if ok else 'exceeds'} {args.tolerance * 100:g}% "
-          "of fault-free")
-    if args.emit_json:
-        from repro.telemetry import write_snapshot
-
-        write_snapshot(args.emit_json, command="chaos", result={
-            "clean_smoothed_loss": clean,
-            "faulted_smoothed_loss": faulted,
-            "rel_diff": rel,
-            "tolerance": args.tolerance,
-            "passed": ok,
-            "injector": inj.counters(),
-            "guard_events": guard.events,
-        })
-        print(f"wrote telemetry snapshot to {args.emit_json}")
-    return 0 if ok else 1
-
-
-def _setup_observability(args, clock):
-    """serve-bench: arm request tracing, flight recorder, SLO engine.
-
-    Returns ``(slo_engine, flight_recorder)`` (either may be ``None``);
-    the caller owns teardown via :func:`_teardown_observability`.
-    """
-    slo = None
-    recorder = None
-    if args.slo:
-        from repro.telemetry import SLOEngine, load_policy
-
-        slo = SLOEngine(load_policy(args.slo))
-    if args.trace_sample > 0:
-        from repro.telemetry import get_request_tracer
-
-        get_request_tracer().configure(
-            sample_every=args.trace_sample, path=args.trace_jsonl,
-            clock=clock.now, seed=args.seed,
-        )
-    if args.flight_dir:
-        from repro.telemetry import FlightRecorder, install_flight_recorder
-
-        recorder = install_flight_recorder(
-            FlightRecorder(args.flight_dir, clock=clock.now)
-        )
-    return slo, recorder
-
-
-def _teardown_observability() -> None:
-    from repro.telemetry import get_request_tracer, uninstall_flight_recorder
-
-    get_request_tracer().shutdown()
-    uninstall_flight_recorder()
-
-
-def _print_observability(args, report, recorder) -> bool:
-    """Print the traces/flightrec/SLO sections; returns the SLO gate."""
-    from repro.telemetry import format_report, get_request_tracer
-
-    if args.trace_sample > 0:
-        rt = get_request_tracer()
-        print(f"traces    : {rt.finished} sampled (every "
-              f"{args.trace_sample}th request id) -> {args.trace_jsonl}")
-    if recorder is not None:
-        summ = recorder.summary()
-        if summ["dumps"]:
-            print(f"flightrec : {len(summ['dumps'])} dump(s) in "
-                  f"{args.flight_dir}: " + ", ".join(sorted(summ["dumps"])))
-        else:
-            print(f"flightrec : armed ({summ['events_seen']} events), "
-                  f"no trigger fired")
-    if "slo" in report:
-        print(format_report(report["slo"]))
-        return bool(report["slo"]["gate_passed"])
-    return True
+    bound = f"{args.tolerance * 100:g}% of fault-free"
+    code = _verdict(ok, f"faulted run within {bound}",
+                    f"faulted run exceeds {bound}")
+    _emit_json(args, "chaos", {
+        "clean_smoothed_loss": clean,
+        "faulted_smoothed_loss": faulted,
+        "rel_diff": rel,
+        "tolerance": args.tolerance,
+        "passed": ok,
+        "injector": inj.counters(),
+        "guard_events": guard.events,
+    })
+    return code
 
 
 def _cmd_serve_bench(args) -> int:
-    """Closed-loop load test of the hardened serving runtime."""
+    """Closed-loop load test of the hardened serving runtime; with
+    ``--shards N``, the sharded tier's chaos drill.
+
+    Exit is non-zero on any non-finite output, a ledger out of balance
+    (``reconcile_ledger``: invariants on every run, fault rows when an
+    injector ran over clean traffic), a gated SLO burning its budget and,
+    sharded, failover p99 above ``--failover-p99-ms`` or a fleet that is
+    not readmitted — the contract the ``serving-chaos`` CI job relies on.
+    """
     import json
 
-    from repro.data import KAGGLE
+    from repro import telemetry
     from repro.inference import Predictor
-    from repro.models import DLRMConfig, TTConfig, build_ttrec
-    from repro.reliability import FaultInjector
     from repro.serving import InferenceServer, ManualClock, ServerConfig, run_load
+    from repro.sharding import (
+        ShardConfig,
+        ShardRouter,
+        parse_kill_spec,
+        run_sharded_load,
+    )
 
     if args.budget_plan:
         from repro.compress import load_budget_plan
@@ -689,234 +677,110 @@ def _cmd_serve_bench(args) -> int:
         print(f"serving a budget plan: {args.budget_plan} "
               f"({plan.total_bytes():,} B, kinds {sorted(set(plan.kinds()))})")
     else:
-        spec = KAGGLE.scaled(args.scale)
-        cfg = DLRMConfig(table_sizes=spec.table_sizes, emb_dim=8,
-                         bottom_mlp=(16,), top_mlp=(16,))
-        tt = TTConfig(rank=args.rank, use_cache=True, warmup_steps=0,
-                      refresh_interval=None, cache_fraction=0.05)
-        model = build_ttrec(cfg, num_tt_tables=7, tt=tt, min_rows=60,
-                            rng=args.seed)
-
-    injector = None
-    if args.fault_rate > 0 or args.shard_fault_rate > 0:
-        injector = FaultInjector(seed=args.fault_seed)
-    if args.fault_rate > 0:
-        injector.register("serving.request", args.fault_rate, kind="nan")
-        injector.register("serving.queue", args.fault_rate)
-        injector.register("serving.backend", args.fault_rate, kind="nan",
-                          max_elements=4)
-    if args.shard_fault_rate > 0:
-        if args.shards < 1:
-            print("error: --shard-fault-rate requires --shards N")
-            return 2
-        injector.register("shard.crash", args.shard_fault_rate / 4)
-        injector.register("shard.hang", args.shard_fault_rate / 4)
-        injector.register("shard.slow", args.shard_fault_rate)
-        injector.register("shard.net_drop", args.shard_fault_rate)
-    if args.kill_shard and args.shards < 1:
-        print("error: --kill-shard requires --shards N")
-        return 2
-
-    if args.shards > 0:
-        return _run_sharded_bench(args, model, injector)
-
-    if args.events_jsonl:
-        from repro.telemetry import install_sink
-
-        install_sink(args.events_jsonl)
-    clock = ManualClock()
-    slo, recorder = _setup_observability(args, clock)
-    try:
-        server = InferenceServer(
-            Predictor(model),
-            config=ServerConfig(
-                oov_policy=args.policy, max_depth=args.max_depth,
-                max_batch=args.max_batch,
-                default_deadline_ms=args.deadline_ms, cooldown=10,
-            ),
-            injector=injector, clock=clock,
-        )
-        report = run_load(
-            server, num_requests=args.requests,
-            mean_interarrival_ms=args.interarrival_ms,
-            deadline_ms=args.deadline_ms, malformed=args.malformed,
-            seed=args.seed, clock=clock, slo=slo,
-        )
-    finally:
-        _teardown_observability()
-        if args.events_jsonl:
-            from repro.telemetry import uninstall_sink
-
-            uninstall_sink()
-
-    lat = report["latency_ms"]
-    out = report["outcomes"]
-    print(f"serve-bench: {args.requests} requests, batch<= "
-          f"{args.max_batch}, deadline {args.deadline_ms:g} ms, "
-          f"fault rate {args.fault_rate:g}, malformed {args.malformed:g}")
-    print(f"latency   : p50 {lat['p50']:.2f} ms  p99 {lat['p99']:.2f} ms  "
-          f"max {lat['max']:.2f} ms")
-    print(f"outcomes  : served {report['served']}  queued {out['queued']}  "
-          f"rejected {out['rejected']}  shed {out['shed']} "
-          f"(+{report['shed']['deadline']} at deadline)  "
-          f"shed rate {report['shed_rate']:.1%}")
-    print(f"degraded  : {report['degraded_responses']} responses via "
-          f"fallback rungs; backend failures "
-          f"{report['stats']['backend_failures']}; scrubbed rows "
-          f"{report['stats']['scrubbed_rows']}")
-    transitions = report["breaker_transitions"]
-    shown = ", ".join(f"{t['breaker']}:{t['from']}->{t['to']}"
-                      for t in transitions[:6])
-    print(f"breakers  : {len(transitions)} transitions"
-          + (f" ({shown}{', ...' if len(transitions) > 6 else ''})"
-             if transitions else ""))
-    print(f"health    : {report['health']['status']}  "
-          f"non-finite outputs {report['non_finite_outputs']}")
-
-    recon = report["reconciliation"]
-    # Accepted work is conserved with or without an injector, and however
-    # malformed the traffic (a rejected request is never queued).
-    kept = recon["checks"]["no_lost_requests"]
-    ok = report["non_finite_outputs"] == 0 and kept["passed"]
-    reconciled = recon["checked"] and args.malformed == 0
-    if reconciled:
-        ok = ok and recon["passed"]
-        print("reconcile :")
-        for name, check in recon["checks"].items():
-            print(f"  {name:28s} fired={check['fired']:<4d} "
-                  f"counted={check['counted']:<4d} "
-                  f"{'ok' if check['passed'] else 'MISMATCH'}")
-    else:
-        if recon["checked"]:
-            print("reconcile : skipped (malformed traffic mixes with "
-                  "injected faults)")
-        if not kept["passed"]:
-            print(f"reconcile : no_lost_requests fired={kept['fired']} "
-                  f"counted={kept['counted']} MISMATCH")
-    ok = _print_observability(args, report, recorder) and ok
-    print(f"{'PASS' if ok else 'FAIL'}: "
-          + ("zero non-finite outputs"
-             + (", ledgers reconcile" if reconciled else "")
-             if ok else "see mismatches above"))
-    if args.emit_json:
-        from repro.telemetry import write_snapshot
-
-        write_snapshot(args.emit_json, command="serve-bench",
-                       result={"report": report, "passed": ok})
-        print(f"wrote telemetry snapshot to {args.emit_json}")
-    return 0 if ok else 1
-
-
-def _run_sharded_bench(args, model, injector) -> int:
-    """``serve-bench --shards N``: the sharded-tier chaos drill.
-
-    Exit is non-zero on any non-finite output, an out-of-balance chaos
-    ledger (clean traffic only), or failover p99 above
-    ``--failover-p99-ms`` — the contract the ``serving-chaos`` CI job
-    relies on.
-    """
-    import json
-
-    from repro.inference import Predictor
-    from repro.serving import ManualClock, ServerConfig
-    from repro.sharding import (
-        ShardConfig,
-        ShardRouter,
-        parse_kill_spec,
-        run_sharded_load,
-    )
-
+        model = _scaled_kaggle(args, use_cache=True, warmup_steps=0,
+                               refresh_interval=None,
+                               cache_fraction=0.05).build()
+    injector = _injector(args.fault_seed, {
+        "serving.request": (args.fault_rate, {"kind": "nan"}),
+        "serving.queue": (args.fault_rate, {}),
+        "serving.backend": (args.fault_rate,
+                            {"kind": "nan", "max_elements": 4}),
+        "shard.crash": (args.shard_fault_rate / 4, {}),
+        "shard.hang": (args.shard_fault_rate / 4, {}),
+        "shard.slow": (args.shard_fault_rate, {}),
+        "shard.net_drop": (args.shard_fault_rate, {}),
+    })
     kill_specs = [parse_kill_spec(s) for s in (args.kill_shard or [])]
-    if args.events_jsonl:
-        from repro.telemetry import install_sink
-
-        install_sink(args.events_jsonl)
+    sharded = args.shards > 0
     clock = ManualClock()
-    slo, recorder = _setup_observability(args, clock)
-    try:
-        router = ShardRouter(
-            Predictor(model),
-            config=ServerConfig(
-                oov_policy=args.policy, max_depth=args.max_depth,
-                max_batch=args.max_batch,
-                default_deadline_ms=args.deadline_ms, cooldown=10,
-            ),
-            shard_config=ShardConfig(num_shards=args.shards),
-            injector=injector, clock=clock,
-        )
-        report = run_sharded_load(
-            router, num_requests=args.requests,
+    tier = dict(
+        config=ServerConfig(
+            oov_policy=args.policy, max_depth=args.max_depth,
+            max_batch=args.max_batch,
+            default_deadline_ms=args.deadline_ms, cooldown=10,
+        ),
+        injector=injector, clock=clock,
+    )
+    with _observed(args, clock) as obs:
+        load = dict(
+            num_requests=args.requests,
             mean_interarrival_ms=args.interarrival_ms,
             deadline_ms=args.deadline_ms, malformed=args.malformed,
-            seed=args.seed, clock=clock, kill_specs=kill_specs, slo=slo,
+            seed=args.seed, clock=clock, slo=obs.slo,
         )
-    finally:
-        _teardown_observability()
-        if args.events_jsonl:
-            from repro.telemetry import uninstall_sink
-
-            uninstall_sink()
+        if sharded:
+            router = ShardRouter(
+                Predictor(model),
+                shard_config=ShardConfig(num_shards=args.shards), **tier)
+            report = run_sharded_load(router, kill_specs=kill_specs, **load)
+        else:
+            report = run_load(InferenceServer(Predictor(model), **tier),
+                              **load)
 
     lat = report["latency_ms"]
     out = report["outcomes"]
-    kills = ", ".join(f"s{k.unit}@{k.at:g}ms" for k in kill_specs) \
-        or "none"
-    print(f"serve-bench: {args.requests} requests across {args.shards} "
-          f"shards, deadline {args.deadline_ms:g} ms, kills: {kills}")
-    print(f"topology  : spread {report['stats']['topology']['spread']}, "
-          f"{len(report['stats']['topology']['slices'])} slices")
+    if sharded:
+        kills = ", ".join(f"s{k.unit}@{k.at:g}ms" for k in kill_specs) \
+            or "none"
+        print(f"serve-bench: {args.requests} requests across {args.shards} "
+              f"shards, deadline {args.deadline_ms:g} ms, kills: {kills}")
+        print(f"topology  : spread {report['stats']['topology']['spread']}, "
+              f"{len(report['stats']['topology']['slices'])} slices")
+    else:
+        print(f"serve-bench: {args.requests} requests, batch<= "
+              f"{args.max_batch}, deadline {args.deadline_ms:g} ms, "
+              f"fault rate {args.fault_rate:g}, malformed {args.malformed:g}")
     print(f"latency   : p50 {lat['p50']:.2f} ms  p99 {lat['p99']:.2f} ms  "
           f"max {lat['max']:.2f} ms")
     print(f"outcomes  : served {report['served']}  queued {out['queued']}  "
           f"rejected {out['rejected']}  shed {out['shed']} "
           f"(+{report['shed']['deadline']} at deadline)  "
           f"shed rate {report['shed_rate']:.1%}")
-    fo = report["failover_ms"]
-    print(f"failover  : {report['failovers']} failovers  "
-          f"replica hits {report['replica_hits']}  prior fills "
-          f"{report['prior_fills']}  latency mean {fo['mean']:.2f} ms  "
-          f"p99 {fo['p99']:.2f} ms")
-    for s in report["per_shard"]:
-        print(f"  shard {s['shard']}: {s['state']:9s} "
-              f"dispatches {s['dispatches']:<5d} "
-              f"p99 {s['p99_ms']:6.2f} ms  hb {s['heartbeats']:<4d} "
-              f"crash {s['crashes']} hang {s['hangs']} slow {s['slows']} "
-              f"drop {s['net_drops']} rewarmed {s['rewarmed_rows']}")
-    print(f"health    : {report['health']['status']}  shards up "
-          f"{report['health']['shards']['up']}/"
-          f"{report['health']['shards']['total']}  non-finite outputs "
-          f"{report['non_finite_outputs']}")
+    if sharded:
+        fo = report["failover_ms"]
+        print(f"failover  : {report['failovers']} failovers  "
+              f"replica hits {report['replica_hits']}  prior fills "
+              f"{report['prior_fills']}  latency mean {fo['mean']:.2f} ms  "
+              f"p99 {fo['p99']:.2f} ms")
+        _print_fleet("shard", report["per_shard"])
+        print(f"health    : {report['health']['status']}  shards up "
+              f"{report['health']['shards']['up']}/"
+              f"{report['health']['shards']['total']}  non-finite outputs "
+              f"{report['non_finite_outputs']}")
+    else:
+        print(f"degraded  : {report['degraded_responses']} responses via "
+              f"fallback rungs; backend failures "
+              f"{report['stats']['backend_failures']}; scrubbed rows "
+              f"{report['stats']['scrubbed_rows']}")
+        transitions = report["breaker_transitions"]
+        shown = ", ".join(f"{t['breaker']}:{t['from']}->{t['to']}"
+                          for t in transitions[:6])
+        print(f"breakers  : {len(transitions)} transitions"
+              + (f" ({shown}{', ...' if len(transitions) > 6 else ''})"
+                 if transitions else ""))
+        print(f"health    : {report['health']['status']}  "
+              f"non-finite outputs {report['non_finite_outputs']}")
 
     ok = report["non_finite_outputs"] == 0
-    recon = report["reconciliation"]
-    reconciled = recon["checked"] and args.malformed == 0
-    if reconciled:
-        ok = ok and recon["passed"]
-        print("reconcile :")
-        for name, check in recon["checks"].items():
-            print(f"  {name:28s} fired={check['fired']:<4d} "
-                  f"counted={check['counted']:<4d} "
-                  f"{'ok' if check['passed'] else 'MISMATCH'}")
-    elif recon["checked"]:
-        print("reconcile : skipped (malformed traffic mixes with injected "
-              "faults)")
+    ok = _print_ledger(report["reconciliation"]) and ok
     if args.failover_p99_ms is not None:
-        within = fo["p99"] <= args.failover_p99_ms
-        ok = ok and within
-        print(f"threshold : failover p99 {fo['p99']:.2f} ms "
-              f"{'<=' if within else '>'} {args.failover_p99_ms:g} ms "
-              f"{'ok' if within else 'FAIL'}")
+        ok = _print_threshold("failover p99", report["failover_ms"]["p99"],
+                              ".2f", args.failover_p99_ms) and ok
     if kill_specs or args.shard_fault_rate > 0:
         readmitted = report["ready"]["full_capacity"]
         ok = ok and readmitted
         print(f"recovery  : {report['ready']['shards_up']}/{args.shards} "
               f"shards up after quiesce "
               f"{'ok' if readmitted else 'FAIL (not readmitted)'}")
-    ok = _print_observability(args, report, recorder) and ok
-    print(f"{'PASS' if ok else 'FAIL'}: "
-          + ("zero non-finite outputs"
-             + (", ledgers reconcile" if reconciled else "")
-             if ok else "see mismatches above"))
+    if args.trace_sample > 0:
+        print(f"traces    : {telemetry.get_request_tracer().finished} sampled "
+              f"(every {args.trace_sample}th request id) -> "
+              f"{args.trace_jsonl}")
+    _print_flightrec(obs.recorder, args.flight_dir)
+    if "slo" in report:
+        print(telemetry.format_report(report["slo"]))
+        ok = bool(report["slo"]["gate_passed"]) and ok
+    code = _verdict(ok, "zero non-finite outputs, ledgers reconcile")
     if args.per_shard_json:
         with open(args.per_shard_json, "w") as fh:
             json.dump({
@@ -925,18 +789,13 @@ def _run_sharded_bench(args, model, injector) -> int:
                 "failovers": report["failovers"],
                 "replica_hits": report["replica_hits"],
                 "prior_fills": report["prior_fills"],
-                "reconciliation": recon,
+                "reconciliation": report["reconciliation"],
                 "topology": report["stats"]["topology"],
                 "passed": ok,
             }, fh, indent=2)
         print(f"wrote per-shard report to {args.per_shard_json}")
-    if args.emit_json:
-        from repro.telemetry import write_snapshot
-
-        write_snapshot(args.emit_json, command="serve-bench",
-                       result={"report": report, "passed": ok})
-        print(f"wrote telemetry snapshot to {args.emit_json}")
-    return 0 if ok else 1
+    _emit_json(args, "serve-bench", {"report": report, "passed": ok})
+    return code
 
 
 def _cmd_trace(args) -> int:
@@ -1350,8 +1209,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# command -> (its mode, the mode's flag, the options nothing reads without
+# it), each option by its argparse dest.
+_MODE_OPTIONS = {
+    "serve-bench": ("shards", "--shards N", (
+        "kill_shard", "shard_fault_rate", "failover_p99_ms",
+        "per_shard_json")),
+    "train": ("elastic", "--elastic", (
+        "kill_worker", "dist_crash", "dist_hang", "dist_slow",
+        "dist_net_drop", "recovery_ms_max", "flight_dir")),
+}
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    mode, flag, dests = _MODE_OPTIONS.get(args.command, (None, None, ()))
+    if dests and not (getattr(args, mode) > 0):
+        # An option given (it differs from its default) without the mode
+        # that reads it would be accepted and ignored: refuse, run nothing.
+        defaults = parser.parse_args([args.command])
+        for dest in dests:
+            if getattr(args, dest) != getattr(defaults, dest):
+                print(f"error: --{dest.replace('_', '-')} requires {flag}")
+                return 2
     return args.fn(args)
 
 

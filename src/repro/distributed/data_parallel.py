@@ -33,7 +33,8 @@ from repro.ops.loss import bce_with_logits
 from repro.ops.optim import SparseSGD
 from repro.telemetry import get_registry
 
-__all__ = ["DataParallelTrainer", "shard_batch", "shard_batch_counts"]
+__all__ = ["DataParallelTrainer", "shard_batch", "shard_batch_counts",
+           "sync_gradients"]
 
 
 def shard_batch_counts(batch: Batch, counts: list[int]) -> list[Batch]:
@@ -84,6 +85,43 @@ def shard_batch(batch: Batch, world_size: int) -> list[Batch]:
             f"batch size {b} is not divisible by world size {world_size}"
         )
     return shard_batch_counts(batch, [b // world_size] * world_size)
+
+
+def sync_gradients(replicas, collective) -> tuple[list[int], list]:
+    """Reduce every parameter's gradient across ``replicas`` and union the
+    sparse touched-row sets — the gradient exchange of both data-parallel
+    trainers. ``collective`` is the communicator's bound reduction:
+    ``comm.allreduce_mean`` over equal shards, ``comm.allreduce_sum`` over
+    the elastic trainer's pre-scaled partial gradients.
+
+    Survivors receive the reduced gradient and the survivors' touched
+    union; a rank the collective dropped keeps its local gradient and
+    local touched rows — exactly what a real dropped worker would apply.
+    Returns the ranks (positions in ``replicas``) dropped from any
+    parameter's collective, and each parameter's union (``None`` = every
+    row), which the elastic trainer's replay bookkeeping reads.
+    """
+    comm = collective.__self__
+    dropped_any: set[int] = set()
+    unions = []
+    for group in zip(*(r.parameters() for r in replicas)):
+        reduced = collective([p.grad for p in group])
+        dropped = set(comm.last_dropped)
+        dropped_any |= dropped
+        touched_sets = [p.touched_rows for rank, p in enumerate(group)
+                        if rank not in dropped and p.touched_rows is not None]
+        union = None
+        if touched_sets:
+            union = touched_sets[0]
+            for t in touched_sets[1:]:
+                union = np.union1d(union, t)
+        for rank, p in enumerate(group):
+            if rank in dropped:
+                continue
+            p.grad[...] = reduced
+            p.touched_rows = union.copy() if union is not None else None
+        unions.append(union)
+    return sorted(dropped_any), unions
 
 
 class DataParallelTrainer:
@@ -149,7 +187,7 @@ class DataParallelTrainer:
             loss, grad = bce_with_logits(logits, shard.labels)
             replica.backward(grad)
             losses.append(loss)
-        dropped = self._sync_gradients()
+        dropped, _ = sync_gradients(self.replicas, self.comm.allreduce_mean)
         for opt in self.optimizers:
             opt.step()
         if dropped:
@@ -158,34 +196,6 @@ class DataParallelTrainer:
             # survivor's parameters over them before the next step.
             self.resync_replicas(dropped)
         return float(np.mean(losses))
-
-    def _sync_gradients(self) -> list[int]:
-        """Allreduce-average gradients; union sparse touched-row sets.
-
-        Survivors receive the reduced gradient and the survivors' touched
-        union; a rank the collective dropped keeps its local gradient and
-        local touched rows — exactly what a real dropped worker would
-        apply. Returns the ranks dropped from any group's allreduce.
-        """
-        param_groups = list(zip(*(r.parameters() for r in self.replicas)))
-        dropped_any: set[int] = set()
-        for group in param_groups:
-            mean_grad = self.comm.allreduce_mean([p.grad for p in group])
-            dropped = set(self.comm.last_dropped)
-            dropped_any |= dropped
-            touched_sets = [p.touched_rows for rank, p in enumerate(group)
-                            if rank not in dropped and p.touched_rows is not None]
-            union = None
-            if touched_sets:
-                union = touched_sets[0]
-                for t in touched_sets[1:]:
-                    union = np.union1d(union, t)
-            for rank, p in enumerate(group):
-                if rank in dropped:
-                    continue
-                p.grad[...] = mean_grad
-                p.touched_rows = union.copy() if union is not None else None
-        return sorted(dropped_any)
 
     def resync_replicas(self, ranks: list[int], *,
                         source: int | None = None) -> int:

@@ -56,7 +56,10 @@ import numpy as np
 
 from repro.data.batching import Batch
 from repro.distributed.collectives import Communicator
-from repro.distributed.data_parallel import shard_batch_counts
+from repro.distributed.data_parallel import (
+    shard_batch_counts,
+    sync_gradients,
+)
 from repro.distributed.model_parallel import partition_parameters
 from repro.models.serialization import load_state_dict, state_dict
 from repro.ops.loss import bce_with_logits
@@ -586,41 +589,25 @@ class ElasticTrainer:
     def _sync_gradients(self, live: list[int]) -> list[int]:
         """Allreduce-sum partial gradients over the participants.
 
-        Mirrors the faithful degraded-mode semantics of
-        :class:`~repro.distributed.data_parallel.DataParallelTrainer`:
-        a participant the collective drops keeps its local gradient and
-        is resynced after the update. Returns the dropped worker ids.
+        The degraded-mode semantics are
+        :func:`~repro.distributed.data_parallel.sync_gradients`'s: a
+        participant the collective drops keeps its local gradient and is
+        resynced after the update. Returns the dropped worker ids.
         """
         if self.comm.world_size != len(live):
             self.comm.resize(len(live))
             self._c_epochs.inc()
         reps = [self.workers[w].replica for w in live]
-        groups = list(zip(*(r.parameters() for r in reps)))
-        dropped_any: set[int] = set()
-        for gi, group in enumerate(groups):
-            total_grad = self.comm.allreduce_sum([p.grad for p in group])
-            dropped = set(self.comm.last_dropped)
-            dropped_any |= dropped
-            touched_sets = [p.touched_rows for r, p in enumerate(group)
-                            if r not in dropped and p.touched_rows is not None]
-            union = None
-            if touched_sets:
-                union = touched_sets[0]
-                for t in touched_sets[1:]:
-                    union = np.union1d(union, t)
-            for r, p in enumerate(group):
-                if r in dropped:
-                    continue
-                p.grad[...] = total_grad
-                p.touched_rows = union.copy() if union is not None else None
-            # Replay bookkeeping: which rows the survivors will update.
-            if group[0].sparse:
+        dropped, unions = sync_gradients(reps, self.comm.allreduce_sum)
+        # Replay bookkeeping: which rows the survivors will update.
+        for gi, (p, union) in enumerate(zip(reps[0].parameters(), unions)):
+            if p.sparse:
                 known = self._replay_rows.get(gi)
                 if union is None:
                     self._replay_rows[gi] = None  # full update: copy whole
                 elif known is not None:
                     self._replay_rows[gi] = np.union1d(known, union)
-        return sorted(live[r] for r in dropped_any)
+        return [live[r] for r in dropped]
 
     def train_step(self, batch: Batch) -> float:
         """Feed one global batch; re-shard over survivors until applied.

@@ -39,14 +39,16 @@ optimizer slots of exactly those parameters, as a separate pair::
 
     ckpt-s2_00000100.npz / ckpt-s2_00000100.json
 
-Shard files use the ``{prefix}-s{shard}`` sub-prefix, so they never
-collide with (or shadow) the dense ``{prefix}_{step}`` series — the
-``steps()`` regex cannot match them. Together the K shard pairs at one
-step cover the whole model, which is what lets a supervisor rebuild a
-*lost* worker's replica from the last common shard step
-(:meth:`CheckpointManager.latest_common_shard_step`) without touching
-any survivor's state: :meth:`restore_shard` writes only the shard's
-parameters and merges only the shard's optimizer slots.
+A shard series is the same file protocol under the prefix
+``{prefix}-s{shard}`` — :meth:`CheckpointManager.shard` returns its
+manager, so paths, discovery, verification, retention and loading are
+the dense series' code — and never collides with (or shadows) the dense
+``{prefix}_{step}`` series: the ``steps()`` regex cannot match it.
+Together the K shard pairs at one step cover the whole model, which is
+what lets a supervisor rebuild a *lost* worker's replica from the last
+common shard step (:meth:`CheckpointManager.latest_common_shard_step`)
+without touching any survivor's state: :meth:`restore_shard` writes only
+the shard's parameters and merges only the shard's optimizer slots.
 """
 
 from __future__ import annotations
@@ -104,6 +106,48 @@ def _atomic_write(path: str, writer) -> None:
     os.replace(tmp, path)
 
 
+def _split_optimizer(optimizer, arrays: dict, owned=None) -> dict:
+    """File an optimizer's ``state_dict()``: arrays into ``arrays`` as
+    ``opt/<key>`` (given ``owned``, only the ``<slot>.<index>`` slots of
+    those parameter indices); returns the manifest's ``optimizer``
+    section, the type name and the scalars.
+    """
+    scalars: dict[str, float] = {}
+    if optimizer is not None:
+        for key, value in optimizer.state_dict().items():
+            if not isinstance(value, np.ndarray):
+                scalars[key] = value
+                continue
+            slot, _, idx = key.rpartition(".")
+            if owned is None or (slot and idx.isdigit() and int(idx) in owned):
+                arrays[f"opt/{key}"] = value
+    return {
+        "type": type(optimizer).__name__ if optimizer is not None else None,
+        "scalars": scalars,
+    }
+
+
+def _overlay_optimizer(ck: LoadedCheckpoint, optimizer, base: dict) -> None:
+    """Load ``ck``'s optimizer state over ``base``: empty for a full
+    checkpoint; the optimizer's *current* ``state_dict()`` for a shard
+    delta, so the scalars and that shard's slots change while every other
+    slot round-trips through ``load_state_dict()`` bit-identically.
+    """
+    saved_type = ck.manifest["optimizer"]["type"]
+    if saved_type is None:
+        return
+    if saved_type != type(optimizer).__name__:
+        raise CheckpointError(
+            f"checkpoint holds {saved_type} state but the trainer "
+            f"uses {type(optimizer).__name__}"
+        )
+    base.update(ck.manifest["optimizer"]["scalars"])
+    for key, value in ck.arrays.items():
+        if key.startswith("opt/"):
+            base[key.split("/", 1)[1]] = value
+    optimizer.load_state_dict(base)
+
+
 class CheckpointManager:
     """Rolling window of verified checkpoints for one training run.
 
@@ -125,6 +169,14 @@ class CheckpointManager:
         self.keep = keep
         self.prefix = prefix
         os.makedirs(self.directory, exist_ok=True)
+
+    def shard(self, shard_id: int) -> "CheckpointManager":
+        """The manager of one shard-delta series: this directory and
+        retention, file prefix ``{prefix}-s{shard_id}``."""
+        if shard_id < 0:
+            raise ValueError(f"shard_id must be >= 0, got {shard_id}")
+        return CheckpointManager(self.directory, keep=self.keep,
+                                 prefix=f"{self.prefix}-s{shard_id}")
 
     # ------------------------------------------------------------------ #
     # Paths and discovery
@@ -174,6 +226,29 @@ class CheckpointManager:
     # Save
     # ------------------------------------------------------------------ #
 
+    def _write(self, step: int, arrays: dict, head: dict, tail: dict) -> str:
+        """Payload, then the manifest that checksums it, then retention:
+        the one write under both checkpoint kinds. ``head`` and ``tail``
+        are the manifest fields before and after the payload's name and
+        checksum (key order is part of the file format).
+        """
+        if step < 0:
+            raise ValueError(f"step must be >= 0, got {step}")
+        payload = self.payload_path(step)
+        _atomic_write(payload, lambda fh: np.savez_compressed(fh, **arrays))
+        manifest = {
+            "format": FORMAT_VERSION,
+            "step": int(step),
+            **head,
+            "payload": os.path.basename(payload),
+            "sha256": _sha256_file(payload),
+            **tail,
+        }
+        body = json.dumps(manifest, indent=1).encode()
+        _atomic_write(self.manifest_path(step), lambda fh: fh.write(body))
+        self._prune()
+        return payload
+
     def save(self, step: int, model: Module, *, optimizer=None,
              rng: np.random.Generator | None = None,
              losses: list[float] | None = None) -> str:
@@ -184,18 +259,10 @@ class CheckpointManager:
         module's ``extra_state()`` hook, the RNG bit-generator state, and
         the loss history.
         """
-        if step < 0:
-            raise ValueError(f"step must be >= 0, got {step}")
         arrays: dict[str, np.ndarray] = {
             f"model/{key}": value for key, value in state_dict(model).items()
         }
-        opt_scalars: dict[str, float] = {}
-        if optimizer is not None:
-            for key, value in optimizer.state_dict().items():
-                if isinstance(value, np.ndarray):
-                    arrays[f"opt/{key}"] = value
-                else:
-                    opt_scalars[key] = value
+        opt_section = _split_optimizer(optimizer, arrays)
         extra_scalars: dict[str, dict] = {}
         for path, mod in named_modules(model):
             hook = getattr(mod, "extra_state", None)
@@ -206,26 +273,12 @@ class CheckpointManager:
                     arrays[f"extra/{path}/{key}"] = value
                 else:
                     extra_scalars.setdefault(path, {})[key] = value
-
-        payload = self.payload_path(step)
-        _atomic_write(payload, lambda fh: np.savez_compressed(fh, **arrays))
-        manifest = {
-            "format": FORMAT_VERSION,
-            "step": int(step),
-            "payload": os.path.basename(payload),
-            "sha256": _sha256_file(payload),
-            "optimizer": {
-                "type": type(optimizer).__name__ if optimizer is not None else None,
-                "scalars": opt_scalars,
-            },
+        return self._write(step, arrays, {}, {
+            "optimizer": opt_section,
             "rng": None if rng is None else rng.bit_generator.state,
             "losses": None if losses is None else [float(x) for x in losses],
             "extra": extra_scalars,
-        }
-        body = json.dumps(manifest, indent=1).encode()
-        _atomic_write(self.manifest_path(step), lambda fh: fh.write(body))
-        self._prune()
-        return payload
+        })
 
     def _prune(self) -> None:
         for step in self.steps()[: -self.keep] if self.keep else []:
@@ -249,8 +302,8 @@ class CheckpointManager:
                 )
         elif not self.verify(step):
             raise CheckpointError(
-                f"checkpoint step {step} in {self.directory!r} is missing "
-                "or fails checksum verification"
+                f"{self.prefix} checkpoint step {step} in {self.directory!r} "
+                "is missing or fails checksum verification"
             )
         with open(self.manifest_path(step)) as fh:
             manifest = json.load(fh)
@@ -275,18 +328,7 @@ class CheckpointManager:
         }
         load_state_dict(model, model_state)
         if optimizer is not None:
-            opt_state: dict = dict(ck.manifest["optimizer"]["scalars"])
-            saved_type = ck.manifest["optimizer"]["type"]
-            if saved_type is not None and saved_type != type(optimizer).__name__:
-                raise CheckpointError(
-                    f"checkpoint holds {saved_type} state but the trainer "
-                    f"uses {type(optimizer).__name__}"
-                )
-            for key, value in ck.arrays.items():
-                if key.startswith("opt/"):
-                    opt_state[key.split("/", 1)[1]] = value
-            if opt_state or saved_type is not None:
-                optimizer.load_state_dict(opt_state)
+            _overlay_optimizer(ck, optimizer, {})
         for path, mod in named_modules(model):
             hook = getattr(mod, "load_extra_state", None)
             if not callable(hook):
@@ -306,46 +348,6 @@ class CheckpointManager:
     # Shard-delta checkpoints (elastic training)
     # ------------------------------------------------------------------ #
 
-    def _shard_prefix(self, shard_id: int) -> str:
-        return f"{self.prefix}-s{shard_id}"
-
-    def shard_payload_path(self, shard_id: int, step: int) -> str:
-        return os.path.join(
-            self.directory, f"{self._shard_prefix(shard_id)}_{step:08d}.npz")
-
-    def shard_manifest_path(self, shard_id: int, step: int) -> str:
-        return os.path.join(
-            self.directory, f"{self._shard_prefix(shard_id)}_{step:08d}.json")
-
-    def shard_steps(self, shard_id: int) -> list[int]:
-        """Steps with both shard files present (ascending; unverified)."""
-        pattern = re.compile(
-            rf"^{re.escape(self._shard_prefix(shard_id))}_(\d+)\.json$")
-        found = []
-        for entry in os.listdir(self.directory):
-            m = pattern.match(entry)
-            if m:
-                step = int(m.group(1))
-                if os.path.exists(self.shard_payload_path(shard_id, step)):
-                    found.append(step)
-        return sorted(found)
-
-    def verify_shard(self, shard_id: int, step: int) -> bool:
-        """True when the shard pair parses and its payload checksums."""
-        try:
-            with open(self.shard_manifest_path(shard_id, step)) as fh:
-                manifest = json.load(fh)
-        except (OSError, ValueError):
-            return False
-        expected = manifest.get("sha256")
-        if not expected:
-            return False
-        try:
-            return _sha256_file(
-                self.shard_payload_path(shard_id, step)) == expected
-        except OSError:
-            return False
-
     def latest_common_shard_step(self, num_shards: int) -> int | None:
         """Newest step at which *every* shard's pair verifies.
 
@@ -356,11 +358,10 @@ class CheckpointManager:
         """
         if num_shards < 1:
             raise ValueError(f"num_shards must be >= 1, got {num_shards}")
-        common = set(self.shard_steps(0))
-        for s in range(1, num_shards):
-            common &= set(self.shard_steps(s))
+        series = [self.shard(s) for s in range(num_shards)]
+        common = set.intersection(*(set(m.steps()) for m in series))
         for step in sorted(common, reverse=True):
-            if all(self.verify_shard(s, step) for s in range(num_shards)):
+            if all(m.verify(step) for m in series):
                 return step
         return None
 
@@ -375,10 +376,6 @@ class CheckpointManager:
         optimizer scalars (lr, eps, ...) ride in the manifest so any
         single shard can restore them.
         """
-        if step < 0:
-            raise ValueError(f"step must be >= 0, got {step}")
-        if shard_id < 0:
-            raise ValueError(f"shard_id must be >= 0, got {shard_id}")
         keys = parameter_keys(model)
         params = model.parameters()
         indices = sorted(int(i) for i in param_indices)
@@ -387,63 +384,13 @@ class CheckpointManager:
                 raise ValueError(
                     f"param index {i} out of range (model has {len(params)})"
                 )
-        owned = set(indices)
         arrays: dict[str, np.ndarray] = {
             f"model/{keys[i]}": params[i].data.copy() for i in indices
         }
-        opt_scalars: dict[str, float] = {}
-        if optimizer is not None:
-            for key, value in optimizer.state_dict().items():
-                if isinstance(value, np.ndarray):
-                    slot, _, idx = key.rpartition(".")
-                    if slot and idx.isdigit() and int(idx) in owned:
-                        arrays[f"opt/{key}"] = value
-                else:
-                    opt_scalars[key] = value
-        payload = self.shard_payload_path(shard_id, step)
-        _atomic_write(payload, lambda fh: np.savez_compressed(fh, **arrays))
-        manifest = {
-            "format": FORMAT_VERSION,
-            "step": int(step),
-            "shard": int(shard_id),
-            "param_indices": indices,
-            "payload": os.path.basename(payload),
-            "sha256": _sha256_file(payload),
-            "optimizer": {
-                "type": type(optimizer).__name__ if optimizer is not None else None,
-                "scalars": opt_scalars,
-            },
-        }
-        body = json.dumps(manifest, indent=1).encode()
-        _atomic_write(self.shard_manifest_path(shard_id, step),
-                      lambda fh: fh.write(body))
-        self._prune_shard(shard_id)
-        return payload
-
-    def _prune_shard(self, shard_id: int) -> None:
-        for step in self.shard_steps(shard_id)[: -self.keep] if self.keep else []:
-            for path in (self.shard_payload_path(shard_id, step),
-                         self.shard_manifest_path(shard_id, step)):
-                try:
-                    os.remove(path)
-                except OSError:  # pragma: no cover - best-effort cleanup
-                    pass
-
-    def load_shard(self, shard_id: int, step: int) -> LoadedCheckpoint:
-        """Read and verify one shard-delta pair."""
-        if not self.verify_shard(shard_id, step):
-            raise CheckpointError(
-                f"shard {shard_id} checkpoint step {step} in "
-                f"{self.directory!r} is missing or fails checksum "
-                "verification"
-            )
-        with open(self.shard_manifest_path(shard_id, step)) as fh:
-            manifest = json.load(fh)
-        with np.load(self.shard_payload_path(shard_id, step)) as archive:
-            arrays = {name: archive[name] for name in archive.files}
-        return LoadedCheckpoint(step=int(manifest["step"]),
-                                path=self.shard_payload_path(shard_id, step),
-                                manifest=manifest, arrays=arrays)
+        opt_section = _split_optimizer(optimizer, arrays, owned=set(indices))
+        return self.shard(shard_id)._write(
+            step, arrays, {"shard": int(shard_id), "param_indices": indices},
+            {"optimizer": opt_section})
 
     def restore_shard(self, model: Module, shard_id: int, step: int, *,
                       optimizer=None) -> LoadedCheckpoint:
@@ -455,7 +402,7 @@ class CheckpointManager:
         and restoring one shard into a *live* replica cannot disturb the
         parameters owned by surviving workers.
         """
-        ck = self.load_shard(shard_id, step)
+        ck = self.shard(shard_id).load(step)
         keys = parameter_keys(model)
         params = dict(zip(keys, model.parameters()))
         for key, value in ck.arrays.items():
@@ -475,20 +422,5 @@ class CheckpointManager:
                 )
             p.data[...] = value
         if optimizer is not None:
-            saved_type = ck.manifest["optimizer"]["type"]
-            if saved_type is not None and saved_type != type(optimizer).__name__:
-                raise CheckpointError(
-                    f"shard checkpoint holds {saved_type} state but the "
-                    f"worker uses {type(optimizer).__name__}"
-                )
-            # Merge into the optimizer's *current* state: scalars + this
-            # shard's slots change, every other slot round-trips through
-            # state_dict()/load_state_dict() bit-identically.
-            merged: dict = optimizer.state_dict()
-            merged.update(ck.manifest["optimizer"]["scalars"])
-            for key, value in ck.arrays.items():
-                if key.startswith("opt/"):
-                    merged[key.split("/", 1)[1]] = value
-            if saved_type is not None:
-                optimizer.load_state_dict(merged)
+            _overlay_optimizer(ck, optimizer, optimizer.state_dict())
         return ck

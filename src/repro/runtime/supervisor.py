@@ -297,17 +297,24 @@ def worker_fault_rows(site_prefix: str, worker_stats: list[dict]) -> dict:
     }
 
 
-def reconcile_ledger(injector, fault_rows: dict, invariants: dict) -> dict:
+def reconcile_ledger(injector, fault_rows: dict, invariants: dict, *,
+                     clean: bool = True) -> dict:
     """Fold a run's ledgers into ``{checked, passed, checks}``.
 
     ``fault_rows`` maps a check name to ``(site, counted)``: every firing
-    of the injector site must surface in the defensive counter (skipped
-    without an injector). ``invariants`` maps a check name to
+    of the injector site must surface in the defensive counter. They
+    count only when an injector ran over ``clean`` traffic: without an
+    injector nothing fired, and garbage the caller sent is
+    indistinguishable from an injected fault to the defensive counters
+    (``skipped`` then says so). ``invariants`` maps a check name to
     ``(expected, counted)`` and is checked always — conservation of
-    accepted work, fleet readmitted. A check passes on exact equality.
+    accepted work, fleet readmitted. A check passes on exact equality,
+    and ``passed`` is the verdict in every drill: a check that gates is
+    a row of ``checks``.
     """
     checks: dict[str, dict] = {}
-    if injector is not None:
+    checked = injector is not None and clean
+    if checked:
         for name, (site, counted) in fault_rows.items():
             checks[name] = {"fired": injector.fired.get(site, 0),
                             "counted": counted}
@@ -315,8 +322,11 @@ def reconcile_ledger(injector, fault_rows: dict, invariants: dict) -> dict:
         checks[name] = {"fired": expected, "counted": counted}
     for check in checks.values():
         check["passed"] = check["fired"] == check["counted"]
-    return {
-        "checked": injector is not None,
+    recon = {
+        "checked": checked,
         "passed": all(c["passed"] for c in checks.values()),
         "checks": checks,
     }
+    if injector is not None and not clean:
+        recon["skipped"] = "malformed traffic mixes with injected faults"
+    return recon

@@ -21,9 +21,10 @@ against the injector's per-site firing counts:
 - ``serving.backend`` firings must all surface as recorded backend
   failures (each one either served by a lower rung or scrubbed+retried).
 
-A run passes only if those ledgers balance, no accepted request is lost
-(``no_lost_requests``, checked with or without an injector) *and* every
-served probability is finite — the ISSUE-3 chaos proof.
+A run passes only if those ledgers balance (they are read when an
+injector ran over clean traffic), no accepted request is lost
+(``no_lost_requests``, checked on every run) *and* every served
+probability is finite — the ISSUE-3 chaos proof.
 """
 
 from __future__ import annotations
@@ -62,12 +63,13 @@ def _make_request(rng: np.random.Generator, cfg, rid: int,
                    request_id=rid)
 
 
-def reconcile(server, outcomes: dict, served: int) -> dict:
+def reconcile(server, outcomes: dict, served: int, *,
+              clean: bool = True) -> dict:
     """Balance the server's defensive ledgers against its fault injector.
 
     The ``serving.*`` fault rows are only meaningful when the load was
-    otherwise clean (``malformed=0``): user-supplied garbage and injected
-    faults are indistinguishable to the admission counters.
+    otherwise ``clean`` (``malformed=0``): user-supplied garbage and
+    injected faults are indistinguishable to the admission counters.
     ``no_lost_requests`` holds regardless, injector or not: everything
     queued is either served or counted as a deadline shed.
     """
@@ -84,15 +86,17 @@ def reconcile(server, outcomes: dict, served: int) -> dict:
         },
         {"no_lost_requests": (outcomes["queued"],
                               served + stats["shed"]["deadline"])},
+        clean=clean,
     )
 
 
-def _node_report(server, stats: dict, outcomes: dict, served: int) -> dict:
+def _node_report(server, stats: dict, outcomes: dict, served: int,
+                 clean: bool) -> dict:
     return {
         "breaker_transitions": stats["breaker_transitions"],
         "health": server.healthz(),
         "stats": stats,
-        "reconciliation": reconcile(server, outcomes, served),
+        "reconciliation": reconcile(server, outcomes, served, clean=clean),
     }
 
 
@@ -118,8 +122,9 @@ def run_load(server, *, num_requests: int = 1000,
     time advance and keeps the drain moving in simulated time, so
     in-flight recovery completes against the tail; ``settle(clock)`` runs
     between the drain and the report; ``tier_report(server, stats,
-    outcomes, served)`` supplies the report from its first tier-specific
-    key through ``reconciliation``.
+    outcomes, served, clean)`` supplies the report from its first
+    tier-specific key through ``reconciliation`` (``clean``: no malformed
+    traffic was asked for, so the fault ledgers can be read).
 
     Latency bookkeeping lives in the shared ``serving.latency_ms``
     histogram (reset at run start so the report is run-local) — the
@@ -214,7 +219,7 @@ def run_load(server, *, num_requests: int = 1000,
         "degraded_responses": degraded_responses,
         "backpressure_signals": backpressured,
         "non_finite_outputs": stats["final_guard"],
-        **tier_report(server, stats, outcomes, served),
+        **tier_report(server, stats, outcomes, served, malformed == 0),
     }
     if slo is not None:
         report["slo"] = slo.report(clock.now())

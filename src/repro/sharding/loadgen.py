@@ -8,11 +8,13 @@ recovery), scheduled ``--kill-shard`` kills, periodic hot-row replica
 refresh/consistency audits, and the settle phase that lets recovery finish.
 
 ``reconcile_sharded`` balances the chaos ledgers: every ``shard.*``
-injector firing must surface in the matching defensive counter, mirrors
-must audit clean, and **no accepted request may vanish** — everything
-queued is either served or counted as a deadline shed. The drill CI runs
-(``serve-bench --shards 4 --kill-shard 1@2s``) fails the build when any
-ledger is out of balance or failover p99 exceeds its threshold.
+injector firing must surface in the matching defensive counter (read
+when an injector ran over clean traffic), and on every run mirrors must
+audit clean, the fleet must end readmitted and **no accepted request may
+vanish** — everything queued is either served or counted as a deadline
+shed. The drill CI runs (``serve-bench --shards 4 --kill-shard 1@2s``)
+fails the build when any ledger is out of balance or failover p99
+exceeds its threshold.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ __all__ = ["KillSpec", "parse_kill_spec", "run_sharded_load",
            "reconcile_sharded"]
 
 
-def reconcile_sharded(router: ShardRouter, outcomes: dict,
-                      served: int) -> dict:
+def reconcile_sharded(router: ShardRouter, outcomes: dict, served: int, *,
+                      clean: bool = True) -> dict:
     """Balance the sharded tier's ledgers against its fault injector.
 
     The shard sites and the PR-3 ``serving.*`` sites must balance
@@ -62,11 +64,12 @@ def reconcile_sharded(router: ShardRouter, outcomes: dict,
                 stats["admission"]["rejected"].get("dense_non_finite", 0)),
         },
         invariants,
+        clean=clean,
     )
 
 
 def _shard_report(router: ShardRouter, stats: dict, outcomes: dict,
-                  served: int) -> dict:
+                  served: int, clean: bool) -> dict:
     reg = get_registry()
     per_shard = []
     for w in stats["workers"]:
@@ -99,7 +102,8 @@ def _shard_report(router: ShardRouter, stats: dict, outcomes: dict,
         "health": router.healthz(),
         "ready": router.readyz(),
         "stats": stats,
-        "reconciliation": reconcile_sharded(router, outcomes, served),
+        "reconciliation": reconcile_sharded(router, outcomes, served,
+                                            clean=clean),
     }
 
 

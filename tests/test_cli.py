@@ -1,8 +1,14 @@
 """Tests for the command-line interface."""
 
+import argparse
+import re
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
+
+ROOT = Path(__file__).parent.parent
 
 
 class TestParser:
@@ -13,6 +19,47 @@ class TestParser:
     def test_unknown_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["frobnicate"])
+
+    def test_readme_lists_every_subcommand(self):
+        """README's ``python -m repro {…}`` is ``repro --help``'s list."""
+        subparsers = next(a for a in build_parser()._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        listed = re.search(r"python -m repro \{([^}]*)\}",
+                           (ROOT / "README.md").read_text()).group(1)
+        assert listed.split(",") == list(subparsers.choices)
+
+
+class TestModeOptions:
+    """An option only one mode reads is refused without that mode — it
+    used to be accepted and ignored (only ``--kill-shard``,
+    ``--shard-fault-rate`` and ``--kill-worker`` were checked)."""
+
+    @pytest.mark.parametrize("option,value", [
+        ("--kill-shard", "1@2s"), ("--shard-fault-rate", "0.01"),
+        ("--failover-p99-ms", "200"), ("--per-shard-json", "shards.json"),
+    ])
+    def test_sharded_options_require_shards(self, option, value, capsys):
+        assert main(["serve-bench", "--requests", "5", option, value]) == 2
+        assert capsys.readouterr().out == \
+            f"error: {option} requires --shards N\n"
+
+    @pytest.mark.parametrize("option,value", [
+        ("--kill-worker", "1@5"), ("--dist-crash", "0.5"),
+        ("--dist-hang", "0.5"), ("--dist-slow", "0.5"),
+        ("--dist-net-drop", "0.5"), ("--recovery-ms-max", "600"),
+        ("--flight-dir", "flight"),
+    ])
+    def test_elastic_options_require_elastic(self, option, value, capsys,
+                                             tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)     # nothing may be written: checked below
+        assert main(["train", "--iters", "1", option, value]) == 2
+        assert capsys.readouterr().out == \
+            f"error: {option} requires --elastic\n"
+        assert not list(tmp_path.iterdir())
+
+    def test_an_option_left_at_its_default_is_not_given(self, capsys):
+        assert main(["serve-bench", "--requests", "5", "--scale", "0.0003",
+                     "--shard-fault-rate", "0"]) == 0
 
 
 class TestCommands:
@@ -71,6 +118,8 @@ class TestCommands:
         assert "Paper Table 2" in body
         assert "135040" in body  # the exact Table 2 value
         assert body.count("## ") == 4
+        # The committed report is a view of the code: regenerate, don't edit.
+        assert body == (ROOT / "REPORT.md").read_text()
 
     def test_train_smoke(self, capsys):
         assert main(["train", "--iters", "15", "--scale", "0.0002"]) == 0

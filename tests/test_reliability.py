@@ -659,21 +659,21 @@ class TestShardDeltaCheckpoints:
             for w in range(self.WORLD):
                 mgr.save_shard(step, w, model, owned[w])
         mgr.save_shard(15, 0, model, owned[0])   # torn round: shard 0 only
-        assert mgr.shard_steps(0) == [5, 10, 15]
-        assert mgr.shard_steps(1) == [5, 10]
+        assert mgr.shard(0).steps() == [5, 10, 15]
+        assert mgr.shard(1).steps() == [5, 10]
         assert mgr.latest_common_shard_step(self.WORLD) == 10
 
-    def test_verify_shard_detects_tamper(self, tmp_path):
+    def test_shard_verify_detects_tamper(self, tmp_path):
         model, opt = self._trained(steps=1)
         owned = self._ownership(model)
         mgr = CheckpointManager(tmp_path)
         mgr.save_shard(2, 0, model, owned[0], optimizer=opt)
-        assert mgr.verify_shard(0, 2)
-        with open(mgr.shard_payload_path(0, 2), "ab") as fh:
+        assert mgr.shard(0).verify(2)
+        with open(mgr.shard(0).payload_path(2), "ab") as fh:
             fh.write(b"tamper")
-        assert not mgr.verify_shard(0, 2)
+        assert not mgr.shard(0).verify(2)
         with pytest.raises(CheckpointError):
-            mgr.load_shard(0, 2)
+            mgr.shard(0).load(2)
 
     def test_shard_series_does_not_collide_with_dense(self, tmp_path):
         """`ckpt-s0_...` files must not appear in the dense `steps()`
@@ -684,4 +684,26 @@ class TestShardDeltaCheckpoints:
         mgr.save(4, model)
         mgr.save_shard(9, 0, model, owned[0])
         assert mgr.steps() == [4]
-        assert mgr.shard_steps(0) == [9]
+        assert mgr.shard(0).steps() == [9]
+
+    def test_shard_series_on_disk_names(self, tmp_path):
+        """A shard series is the dense file protocol under the prefix
+        ``{prefix}-s{shard}``; these names are what an existing elastic
+        checkpoint directory holds, so they must stay readable."""
+        model, opt = self._trained(steps=1)
+        owned = self._ownership(model)
+        mgr = CheckpointManager(tmp_path, keep=2)
+        mgr.save_shard(4, 0, model, owned[0], optimizer=opt)
+        assert sorted(os.listdir(tmp_path)) == ["ckpt-s0_00000004.json",
+                                                "ckpt-s0_00000004.npz"]
+        series = mgr.shard(0)
+        assert (series.directory, series.keep, series.prefix) == \
+            (mgr.directory, 2, "ckpt-s0")
+        with open(series.manifest_path(4)) as fh:
+            manifest = json.load(fh)
+        assert list(manifest) == ["format", "step", "shard", "param_indices",
+                                  "payload", "sha256", "optimizer"]
+        assert manifest["payload"] == "ckpt-s0_00000004.npz"
+        for step in (8, 12):            # retention is the series' own
+            mgr.save_shard(step, 0, model, owned[0])
+        assert series.steps() == [8, 12]

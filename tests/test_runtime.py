@@ -6,7 +6,8 @@ machine — a 2-slice :class:`ShardWorker` and a tiny-model
 readmitted" is asserted once for serving and training alike; a seeded
 property test then drives both through the same random message sequence
 and requires the same states and the same injector ledger. The kill-spec
-grammar cases of both tiers run against the one parser.
+grammar cases of both tiers run against the one parser, and the ledger
+fold's one rule for which rows gate a verdict is pinned at the end.
 """
 
 import numpy as np
@@ -18,7 +19,12 @@ from repro.models import DLRMConfig, TTConfig, build_ttrec
 from repro.ops.embedding import EmbeddingBag
 from repro.ops.optim import SparseSGD
 from repro.reliability import FaultInjector
-from repro.runtime.supervisor import KillSpec, fire_kills, parse_kill_spec
+from repro.runtime.supervisor import (
+    KillSpec,
+    fire_kills,
+    parse_kill_spec,
+    reconcile_ledger,
+)
 from repro.runtime.worker import (
     SupervisedWorker,
     WorkerDown,
@@ -331,3 +337,45 @@ class TestKillSpec:
         fire_kills(specs, [p.worker], 31, 4.0)   # done: does not re-fire
         assert p.worker.state == "rewarming"
         assert p.counter("kills_scheduled") == 1
+
+
+# --------------------------------------------------------------------- #
+# The ledger fold: which rows gate a verdict
+# --------------------------------------------------------------------- #
+
+class TestReconcileLedger:
+    FAULTS = {"site_counted": ("x.site", 1)}      # fired twice, counted once
+    INVARIANTS = {"kept": (5, 5)}
+
+    def _injector(self):
+        inj = FaultInjector(seed=0).register("x.site", 1.0)
+        assert inj.fires("x.site") and inj.fires("x.site")
+        return inj
+
+    def test_fault_rows_gate_an_injector_over_clean_traffic(self):
+        recon = reconcile_ledger(self._injector(), self.FAULTS,
+                                 self.INVARIANTS)
+        assert recon["checked"] and not recon["passed"]
+        assert list(recon["checks"]) == ["site_counted", "kept"]
+        assert recon["checks"]["site_counted"] == {
+            "fired": 2, "counted": 1, "passed": False}
+        assert "skipped" not in recon
+
+    def test_unclean_traffic_leaves_the_fault_rows_out_and_says_so(self):
+        recon = reconcile_ledger(self._injector(), self.FAULTS,
+                                 self.INVARIANTS, clean=False)
+        assert not recon["checked"] and recon["passed"]
+        assert list(recon["checks"]) == ["kept"]
+        assert "malformed traffic" in recon["skipped"]
+        # Nothing fired without an injector, so nothing is skipped either.
+        assert "skipped" not in reconcile_ledger(None, self.FAULTS,
+                                                 self.INVARIANTS, clean=False)
+
+    @pytest.mark.parametrize("injector", [None, "armed"])
+    @pytest.mark.parametrize("clean", [True, False])
+    def test_invariants_gate_always(self, injector, clean):
+        recon = reconcile_ledger(injector and self._injector(), {},
+                                 {"kept": (5, 4)}, clean=clean)
+        assert not recon["passed"]
+        assert recon["checks"]["kept"] == {
+            "fired": 5, "counted": 4, "passed": False}
