@@ -1,13 +1,15 @@
 """Project-specific static analysis (``repro lint``) and runtime sanitizer.
 
 The TT kernels and the LFU cache only reproduce the paper faithfully if
-the codebase stays deterministic, dtype-consistent and free of silent
-numeric corruption. This package enforces those invariants twice:
+the codebase stays dtype-consistent and free of silent numeric
+corruption. This package enforces those invariants twice:
 
-- at commit time, with an AST linter (:mod:`~repro.analysis.static.rules`,
-  driven by :mod:`~repro.analysis.static.runner`) whose rules encode the
-  project's RNG, dtype, determinism, exception-hygiene and mutation-safety
-  contracts (docs/STATIC_ANALYSIS.md);
+- at commit time, with a linter (driven by
+  :mod:`~repro.analysis.static.runner`) whose per-file rules
+  (:mod:`~repro.analysis.static.rules`) encode the project's dtype and
+  mutation-safety contracts and whose whole-program passes
+  (:mod:`~repro.analysis.static.passes`) reconcile metric names, schema
+  tags and state-machine literals across modules (docs/STATIC_ANALYSIS.md);
 - at run time, with :class:`~repro.analysis.static.sanitizer.NumericSanitizer`,
   a context manager that asserts finite outputs and stable dtypes at every
   ``Module`` layer boundary.

@@ -1,11 +1,12 @@
-"""Shared framework for the ``repro lint`` AST rules.
+"""Shared framework for the ``repro lint`` rules.
 
-Every rule is a :class:`Rule` subclass registered with :func:`register`;
-the runner parses each file once into a :class:`FileContext` (source, AST,
-import bindings, ``noqa`` map) and hands it to every selected rule. Rules
-emit :class:`Finding` records; suppression — a ``repro: noqa`` comment,
-optionally targeted as ``repro: noqa[RULE1,RULE2]`` (hash mark omitted
-here so this docstring is not itself scanned as one) — is applied
+Every rule is a :class:`Rule` subclass registered with :func:`register`.
+A rule implements :meth:`Rule.check` (one file's :class:`FileContext`:
+source, AST, import bindings, ``noqa`` map) or :meth:`Rule.check_project`
+(the whole-program :class:`~repro.analysis.static.graph.ProjectGraph`).
+Rules emit :class:`Finding` records; suppression — a ``repro: noqa``
+comment, optionally targeted as ``repro: noqa[RULE1,RULE2]`` (hash mark
+omitted here so this docstring is not itself scanned as one) — is applied
 centrally so individual rules never need to think about it.
 """
 
@@ -18,10 +19,11 @@ from dataclasses import dataclass, field
 __all__ = [
     "Finding",
     "FileContext",
+    "LintConfig",
     "Rule",
     "register",
     "all_rules",
-    "dotted_name",
+    "path_matches",
 ]
 
 _NOQA_RE = re.compile(
@@ -45,10 +47,6 @@ class Finding:
     col: int
     message: str
     severity: str = "error"
-
-    def key(self) -> str:
-        """Stable identity used for baselines and deduplication."""
-        return f"{self.path}:{self.line}:{self.rule}"
 
     def to_dict(self) -> dict:
         return {
@@ -75,14 +73,9 @@ class FileContext:
     bindings : dict[str, str]
         Local name -> dotted origin for module-level and function-level
         imports: ``import numpy as np`` yields ``{"np": "numpy"}``;
-        ``from datetime import datetime as dt`` yields
-        ``{"dt": "datetime.datetime"}``.
+        ``from numpy import zeros as z`` yields ``{"z": "numpy.zeros"}``.
     noqa : dict[int, set[str] | None]
         Line -> suppressed rule ids; ``None`` means "all rules".
-    noqa_ids : dict[int, list[str]]
-        Line -> the rule ids exactly as written in targeted ``noqa[...]``
-        comments (upper-cased), so the runner can reject unknown ids
-        instead of silently ignoring a typo'd suppression.
     """
 
     def __init__(self, path: str, source: str):
@@ -91,18 +84,13 @@ class FileContext:
         self.tree = ast.parse(source, filename=path)
         self.bindings = _collect_bindings(self.tree)
         self.noqa = _collect_noqa(source)
-        self.noqa_ids = {
-            line: sorted(ids) for line, ids in self.noqa.items()
-            if ids is not None
-        }
 
     def resolve(self, node: ast.AST) -> str | None:
         """Full dotted name of a Name/Attribute chain, imports resolved.
 
-        ``np.random.standard_normal`` resolves to
-        ``numpy.random.standard_normal`` when ``np`` is bound to ``numpy``;
-        chains rooted in anything other than a plain name (calls,
-        subscripts) resolve to ``None``.
+        ``xp.zeros`` resolves to ``numpy.zeros`` when ``xp`` is bound to
+        ``numpy``; chains rooted in anything other than a plain name
+        (calls, subscripts) resolve to ``None``.
         """
         parts: list[str] = []
         while isinstance(node, ast.Attribute):
@@ -119,18 +107,6 @@ class FileContext:
             return False
         rules = self.noqa[line]
         return rules is None or rule.upper() in rules
-
-
-def dotted_name(node: ast.AST) -> str | None:
-    """Literal dotted name of a Name/Attribute chain (no import resolution)."""
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if not isinstance(node, ast.Name):
-        return None
-    parts.append(node.id)
-    return ".".join(reversed(parts))
 
 
 def _collect_bindings(tree: ast.Module) -> dict[str, str]:
@@ -168,31 +144,73 @@ def _collect_noqa(source: str) -> dict[int, set[str] | None]:
     return noqa
 
 
+def path_matches(path: str, patterns: list[str]) -> bool:
+    """True if any pattern occurs as a segment-aligned substring of path.
+
+    ``repro/tt`` matches both ``src/repro/tt/kernels.py`` and an
+    installed ``site-packages/repro/tt/kernels.py``, never ``repro/ttx``.
+    """
+    haystack = "/" + path.replace("\\", "/").strip("/") + "/"
+    for pattern in patterns:
+        needle = "/" + pattern.replace("\\", "/").strip("/") + "/"
+        if needle in haystack:
+            return True
+    return False
+
+
+@dataclass
+class LintConfig:
+    """What one run checks: rule selection and the scopes rules read.
+
+    ``hot_path`` scopes the dtype rules (DT001-DT003); ``state_scope``
+    the modules whose state machines XMOD004 enforces; ``graph_roots``
+    are trees parsed into the project graph besides the linted paths
+    (relative to the working directory), so linting a subtree still
+    sees the registries and readers that live elsewhere.
+    """
+
+    hot_path: list[str] = field(default_factory=lambda: [
+        "repro/tt", "repro/ops", "repro/cache", "repro/baselines",
+        "repro/compress"])
+    state_scope: list[str] = field(default_factory=lambda: [
+        "repro/runtime", "repro/sharding", "repro/distributed"])
+    graph_roots: list[str] = field(default_factory=lambda: [
+        "src", "benchmarks"])
+    select: list[str] = field(default_factory=list)
+    ignore: list[str] = field(default_factory=list)
+
+
 @dataclass
 class Rule:
     """Base class for lint rules.
 
     Subclasses set :attr:`id`/:attr:`summary` as class attributes and
-    implement :meth:`check`, returning findings for one file. The runner
-    filters suppressed lines afterwards, so ``check`` reports everything
-    it sees.
+    override :meth:`check` (findings in one file) or
+    :meth:`check_project` (findings anchored anywhere in the whole
+    program). The runner applies suppression and lint-path scoping
+    afterwards, so a rule reports everything it sees.
     """
 
     id = "RULE000"
     summary = ""
 
-    config: dict = field(default_factory=dict)
+    config: LintConfig = field(default_factory=LintConfig)
 
-    def check(self, ctx: FileContext) -> list[Finding]:  # pragma: no cover
-        raise NotImplementedError
+    def check(self, ctx: FileContext) -> list[Finding]:
+        return []
 
-    def finding(self, ctx: FileContext, node: ast.AST, message: str) -> Finding:
+    def check_project(self, graph) -> list[Finding]:
+        return []
+
+    def finding(self, path: str, node: ast.AST, message: str,
+                severity: str = "error") -> Finding:
         return Finding(
             rule=self.id,
-            path=ctx.path,
-            line=getattr(node, "lineno", 0),
-            col=getattr(node, "col_offset", 0),
+            path=path,
+            line=getattr(node, "lineno", 0) or 0,
+            col=getattr(node, "col_offset", 0) or 0,
             message=message,
+            severity=severity,
         )
 
 
@@ -208,7 +226,8 @@ def register(cls: type[Rule]) -> type[Rule]:
 
 
 def all_rules() -> dict[str, type[Rule]]:
-    """Registered rules by id (import side effect of the rules module)."""
+    """Registered rules by id (import side effect of rules and passes)."""
+    from repro.analysis.static import passes as _passes  # noqa: F401
     from repro.analysis.static import rules as _rules  # noqa: F401
 
     return dict(_REGISTRY)

@@ -1,43 +1,32 @@
 """Whole-program project graph for the cross-module contract passes.
 
 ``repro lint``'s per-file rules see one AST at a time, which is exactly
-why stringly-typed contracts (fault-site names, metric names, schema
-tags, state literals) can drift: the writer and the reader live in
-different files. The :class:`ProjectGraph` parses every analyzed file
-once and adds the three whole-program views the XMOD passes consume:
+why stringly-typed contracts (metric names, schema tags, state literals)
+can drift: the writer and the reader live in different files. The
+:class:`ProjectGraph` parses every analyzed file once — the runner's
+per-file rules read the same :class:`~repro.analysis.static.core.
+FileContext` — and adds the two whole-program views the XMOD passes
+consume:
 
 - **module naming** — each file gets a dotted module name with any
-  leading ``src``/``site-packages`` layout stripped, and dotted imports
-  resolve back to project modules by exact or suffix match (so fixture
-  mini-packages under ``tests/fixtures/...`` resolve their own absolute
-  imports);
-- **a call graph** — module-level functions and methods become
-  :class:`FunctionInfo` nodes; call sites are resolved through the
-  per-file import bindings, same-module names and ``self.`` receivers
-  (dynamic dispatch is out of scope — unresolvable calls are simply
-  absent, and the passes that ride on the call graph are documented as
-  under-approximate);
+  leading ``src``/``site-packages`` layout stripped, so a tag constant
+  is known by the name other modules import it under;
 - **a string index** — every string literal with its AST location, plus
   f-strings reduced to match patterns (literal fragments kept,
   interpolations wildcarded), so name-contract passes never re-walk
   the forest.
-
-The graph is built once per ``repro lint`` invocation and memoized on
-``(path, mtime)`` so repeated in-process runs (the test suite, editor
-integrations) skip re-parsing unchanged trees.
 """
 
 from __future__ import annotations
 
 import ast
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from repro.analysis.static.core import FileContext
 
 __all__ = [
-    "FunctionInfo",
     "ModuleInfo",
     "ProjectGraph",
     "build_graph",
@@ -140,41 +129,32 @@ def expand_comprehension_fstring(call: ast.Call,
     return out
 
 
-@dataclass
-class FunctionInfo:
-    """One function or method in the call graph."""
-
-    qualname: str                     # module.Class.method / module.func
-    module: str
-    path: str
-    node: ast.FunctionDef | ast.AsyncFunctionDef
-    calls: list[tuple[str, ast.Call]] = field(default_factory=list)
-
-
 class ModuleInfo:
-    """One parsed file: context plus its slice of the call graph."""
+    """One parsed file: its context, module name and string literals."""
 
     def __init__(self, path: str, ctx: FileContext):
         self.path = path
         self.ctx = ctx
         self.name = module_name_for(path)
-        self.functions: dict[str, FunctionInfo] = {}
         self.strings: list[StringLit] = []
+        for node in ast.walk(ctx.tree):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                self.strings.append(StringLit(
+                    node.value, path, node.lineno, node.col_offset))
+            elif isinstance(node, ast.JoinedStr):
+                pattern = fstring_pattern(node)
+                if pattern is not None:
+                    self.strings.append(StringLit(
+                        pattern, path, node.lineno, node.col_offset,
+                        is_pattern=True))
 
 
 class ProjectGraph:
-    """Parsed modules + import/call graph + string index, built once."""
+    """Every analyzed file parsed once, keyed by its POSIX path."""
 
     def __init__(self):
-        self.modules: dict[str, ModuleInfo] = {}       # by path
-        self.by_name: dict[str, ModuleInfo] = {}       # by dotted name
-        self.functions: dict[str, FunctionInfo] = {}   # by qualname
-        self.imports: dict[str, set[str]] = {}         # module -> modules
+        self.modules: dict[str, ModuleInfo] = {}
         self.parse_errors: list[tuple[str, str]] = []
-
-    # ------------------------------------------------------------------ #
-    # Construction
-    # ------------------------------------------------------------------ #
 
     def add_file(self, path: Path) -> None:
         posix = path.as_posix()
@@ -185,193 +165,15 @@ class ProjectGraph:
         except (SyntaxError, UnicodeDecodeError) as exc:
             self.parse_errors.append((posix, str(exc)))
             return
-        info = ModuleInfo(posix, ctx)
-        self.modules[posix] = info
-        self.by_name[info.name] = info
-
-    def finalize(self) -> None:
-        """Resolve imports, functions and calls once every file is in."""
-        for info in self.modules.values():
-            self._index_functions(info)
-            self._index_strings(info)
-        for info in self.modules.values():
-            self._resolve_imports(info)
-            for fn in info.functions.values():
-                self._resolve_calls(info, fn)
-                self.functions[fn.qualname] = fn
-
-    def _index_functions(self, info: ModuleInfo) -> None:
-        def visit(node: ast.AST, prefix: str) -> None:
-            for child in ast.iter_child_nodes(node):
-                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    qual = f"{prefix}.{child.name}"
-                    info.functions[qual] = FunctionInfo(
-                        qualname=qual, module=info.name, path=info.path,
-                        node=child)
-                    # Nested defs are indexed but their callees resolve
-                    # through the same module-level namespace.
-                    visit(child, qual)
-                elif isinstance(child, ast.ClassDef):
-                    visit(child, f"{prefix}.{child.name}")
-        visit(info.ctx.tree, info.name)
-
-    def _index_strings(self, info: ModuleInfo) -> None:
-        for node in ast.walk(info.ctx.tree):
-            if isinstance(node, ast.Constant) and isinstance(node.value, str):
-                info.strings.append(StringLit(
-                    node.value, info.path, node.lineno, node.col_offset))
-            elif isinstance(node, ast.JoinedStr):
-                pattern = fstring_pattern(node)
-                if pattern is not None:
-                    info.strings.append(StringLit(
-                        pattern, info.path, node.lineno, node.col_offset,
-                        is_pattern=True))
-
-    def _resolve_imports(self, info: ModuleInfo) -> None:
-        targets: set[str] = set()
-        for node in ast.walk(info.ctx.tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    resolved = self.resolve_module(alias.name)
-                    if resolved:
-                        targets.add(resolved)
-            elif isinstance(node, ast.ImportFrom):
-                base = self._import_base(info, node)
-                if base is None:
-                    continue
-                resolved = self.resolve_module(base)
-                if resolved:
-                    targets.add(resolved)
-                for alias in node.names:
-                    sub = self.resolve_module(f"{base}.{alias.name}")
-                    if sub:
-                        targets.add(sub)
-        self.imports[info.name] = targets
-
-    @staticmethod
-    def _import_base(info: ModuleInfo, node: ast.ImportFrom) -> str | None:
-        if not node.level:
-            return node.module
-        # Relative import: climb from the importing module's package.
-        parts = info.name.split(".")
-        if len(parts) < node.level:
-            return node.module
-        base_parts = parts[:len(parts) - node.level]
-        if node.module:
-            base_parts.append(node.module)
-        return ".".join(base_parts) if base_parts else None
-
-    def _resolve_calls(self, info: ModuleInfo, fn: FunctionInfo) -> None:
-        cls_prefix = fn.qualname.rsplit(".", 1)[0]
-        for node in ast.walk(fn.node):
-            if not isinstance(node, ast.Call):
-                continue
-            callee = self._resolve_callee(info, cls_prefix, node)
-            if callee is not None:
-                fn.calls.append((callee, node))
-
-    def _resolve_callee(self, info: ModuleInfo, cls_prefix: str,
-                        call: ast.Call) -> str | None:
-        func = call.func
-        if isinstance(func, ast.Name):
-            local = f"{info.name}.{func.id}"
-            if local in info.functions:
-                return local
-            bound = info.ctx.bindings.get(func.id)
-            if bound:
-                return self.resolve_function_name(bound)
-            return None
-        if isinstance(func, ast.Attribute):
-            # self.method() -> a sibling method of the enclosing class.
-            if (isinstance(func.value, ast.Name) and func.value.id == "self"
-                    and cls_prefix != info.name):
-                candidate = f"{cls_prefix}.{func.attr}"
-                if candidate in info.functions:
-                    return candidate
-                return None
-            dotted = info.ctx.resolve(func)
-            if dotted:
-                return self.resolve_function_name(dotted)
-        return None
-
-    # ------------------------------------------------------------------ #
-    # Lookup
-    # ------------------------------------------------------------------ #
-
-    def resolve_module(self, dotted: str | None) -> str | None:
-        """Project module name for a dotted import path (suffix-aware)."""
-        if not dotted:
-            return None
-        if dotted in self.by_name:
-            return dotted
-        suffix = "." + dotted
-        matches = [name for name in self.by_name if name.endswith(suffix)]
-        if len(matches) == 1:
-            return matches[0]
-        return None
-
-    def resolve_function_name(self, dotted: str) -> str | None:
-        """Qualname of a project function referred to by ``dotted``.
-
-        ``repro.tt.planner.BatchPlanner`` style class references resolve
-        to ``None`` (constructors are not in the function graph); plain
-        ``module.func`` and ``module.Class.method`` chains resolve when
-        the module part maps to a project module.
-        """
-        head, _, leaf = dotted.rpartition(".")
-        if not head:
-            return None
-        module = self.resolve_module(head)
-        if module is not None:
-            candidate = f"{module}.{leaf}"
-            info = self.by_name[module]
-            if candidate in info.functions:
-                return candidate
-            return None
-        # Maybe head itself is module.Class.
-        mod_part, _, cls = head.rpartition(".")
-        module = self.resolve_module(mod_part)
-        if module is not None:
-            candidate = f"{module}.{cls}.{leaf}"
-            if candidate in self.by_name[module].functions:
-                return candidate
-        return None
-
-    def context_for(self, path: str) -> FileContext | None:
-        info = self.modules.get(path)
-        return info.ctx if info else None
+        self.modules[posix] = ModuleInfo(posix, ctx)
 
     def iter_modules(self) -> list[ModuleInfo]:
         return [self.modules[p] for p in sorted(self.modules)]
 
 
-_GRAPH_CACHE: dict[tuple, ProjectGraph] = {}
-
-
 def build_graph(files: list[Path]) -> ProjectGraph:
-    """Build (or reuse) the project graph over ``files``.
-
-    Memoized on the sorted ``(path, mtime_ns)`` signature, so repeated
-    lint runs in one process — the common case in the test suite —
-    parse each tree exactly once.
-    """
-    sig = []
-    for f in sorted({Path(p).as_posix() for p in files}):
-        p = Path(f)
-        try:
-            sig.append((f, p.stat().st_mtime_ns))
-        except OSError:
-            sig.append((f, -1))
-    key = tuple(sig)
-    cached = _GRAPH_CACHE.get(key)
-    if cached is not None:
-        return cached
+    """Parse ``files`` (each once, duplicates skipped) into a graph."""
     graph = ProjectGraph()
-    for f, _ in sig:
+    for f in files:
         graph.add_file(Path(f))
-    graph.finalize()
-    # Bound the cache: lint runs cycle through few distinct file sets.
-    if len(_GRAPH_CACHE) > 8:
-        _GRAPH_CACHE.clear()
-    _GRAPH_CACHE[key] = graph
     return graph

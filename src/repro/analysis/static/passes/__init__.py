@@ -1,13 +1,7 @@
-"""The cross-module contract passes (XMOD001-XMOD005).
+"""The cross-module contract passes (XMOD002-XMOD004).
 
 Importing this package registers every pass with
-:func:`repro.analysis.static.contracts.all_passes`.
+:func:`repro.analysis.static.core.all_rules`.
 """
 
-from repro.analysis.static.passes import (  # noqa: F401
-    dtype_flow,
-    metrics,
-    schemas,
-    sites,
-    states,
-)
+from repro.analysis.static.passes import metrics, schemas, states  # noqa: F401

@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import ast
 
-from repro.analysis.static.contracts import ContractPass, register_pass
-from repro.analysis.static.core import Finding
+from repro.analysis.static.core import Finding, Rule, register
 from repro.analysis.static.graph import (
     ModuleInfo,
     ProjectGraph,
@@ -51,8 +50,8 @@ class _Registration:
         return self.names or ([self.pattern] if self.pattern else [])
 
 
-@register_pass
-class MetricDriftPass(ContractPass):
+@register
+class MetricDriftPass(Rule):
     """XMOD002: counter/gauge/histogram names written vs. read must agree.
 
     Rationale: the registry is get-or-create, so a reader that asks for

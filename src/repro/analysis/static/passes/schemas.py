@@ -5,8 +5,7 @@ from __future__ import annotations
 import ast
 import re
 
-from repro.analysis.static.contracts import ContractPass, register_pass
-from repro.analysis.static.core import Finding
+from repro.analysis.static.core import Finding, Rule, register
 from repro.analysis.static.graph import ModuleInfo, ProjectGraph
 
 # A versioned artifact tag: "repro.<name>/v<N>".
@@ -18,8 +17,8 @@ def _split_tag(tag: str) -> tuple[str, str]:
     return base, version
 
 
-@register_pass
-class SchemaTagDriftPass(ContractPass):
+@register
+class SchemaTagDriftPass(Rule):
     """XMOD003: every versioned artifact writer has a reader; versions agree.
 
     Rationale: JSONL artifacts are stamped with a ``.../vN`` schema tag

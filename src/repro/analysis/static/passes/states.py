@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import ast
 
-from repro.analysis.static.contracts import ContractPass, register_pass
-from repro.analysis.static.core import Finding
+from repro.analysis.static.core import Finding, Rule, path_matches, register
 from repro.analysis.static.graph import ModuleInfo, ProjectGraph
-from repro.analysis.static.rules import path_matches
-from repro.analysis.static.runner import _DEFAULT_CONFIG
+
+# The attribute families whose assigned string literals are machine states.
+STATE_ATTRS = {"state", "verdict"}
 
 
 def _literal_values(node: ast.AST) -> set[str]:
@@ -32,8 +32,8 @@ def _literal_values(node: ast.AST) -> set[str]:
     return set()
 
 
-@register_pass
-class StateMachineDriftPass(ContractPass):
+@register
+class StateMachineDriftPass(Rule):
     """XMOD004: state literals assigned vs. dispatched-on must reconcile.
 
     Rationale: worker lifecycle states (``up``/``hung``/``down``/
@@ -41,14 +41,14 @@ class StateMachineDriftPass(ContractPass):
     dispatched on in others; a typo'd comparison is dead code that
     Python never flags, and a newly added state silently falls through
     every existing dispatcher. The pass pools, **graph-wide**, every
-    string a tracked attribute (``state-attrs`` config, default
-    ``state``/``verdict``) is assigned, keyed by attribute family —
-    then, only inside ``state-scope`` modules (default ``runtime/``,
-    ``sharding/`` and ``distributed/``), it reports: a comparison against a value never
-    assigned anywhere is an **error**; an assigned value no comparison
-    ever dispatches on is an **error**; and a pure ``if/elif`` equality
-    chain over a tracked attribute with no ``else`` that misses some
-    assigned values is a **warning** naming the unhandled states.
+    string a tracked attribute (``state``/``verdict``) is assigned,
+    keyed by attribute family — then, only inside ``state_scope``
+    modules (default ``runtime/``, ``sharding/`` and ``distributed/``),
+    it reports: a comparison against a value never assigned anywhere is
+    an **error**; an assigned value no comparison ever dispatches on is
+    an **error**; and a pure ``if/elif`` equality chain over a tracked
+    attribute with no ``else`` that misses some assigned values is a
+    **warning** naming the unhandled states.
 
     Bad::
 
@@ -69,10 +69,7 @@ class StateMachineDriftPass(ContractPass):
     summary = "state-machine literal drift between producers and dispatchers"
 
     def check_project(self, graph: ProjectGraph) -> list[Finding]:
-        scope = self.config.get("state_scope", _DEFAULT_CONFIG["state_scope"])
-        attrs = set(self.config.get("state_attrs",
-                                    _DEFAULT_CONFIG["state_attrs"]))
-
+        scope, attrs = self.config.state_scope, STATE_ATTRS
         produced: dict[str, set[str]] = {}
         productions: list[tuple[str, str, str, ast.AST]] = []
         consumed: dict[str, set[str]] = {}

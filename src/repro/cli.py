@@ -873,14 +873,13 @@ def _explain_rule(rule_id: str) -> int:
     """Print a rule's documentation (id, summary, rationale, examples)."""
     import inspect
 
-    from repro.analysis.static.contracts import all_passes
     from repro.analysis.static.core import all_rules
 
-    entries = {**all_rules(), **all_passes()}
-    cls = entries.get(rule_id.upper())
+    rules = all_rules()
+    cls = rules.get(rule_id.upper())
     if cls is None:
         print(f"repro lint: unknown rule id '{rule_id}'; available: "
-              + ", ".join(sorted(entries)), file=sys.stderr)
+              + ", ".join(sorted(rules)), file=sys.stderr)
         return 2
     print(f"{cls.id}: {cls.summary}")
     doc = inspect.getdoc(cls)
@@ -892,45 +891,23 @@ def _explain_rule(rule_id: str) -> int:
 
 def _cmd_lint(args) -> int:
     from repro.analysis.static.runner import (
+        LintConfig,
         format_json,
         format_text,
         lint_paths,
-        load_config,
-        write_baseline,
     )
-    from repro.analysis.static.sarif import format_sarif
 
     if args.explain:
         return _explain_rule(args.explain)
-
-    config = load_config(args.config)
-    if args.select:
-        config.select = [r.upper() for r in args.select]
-    if args.ignore:
-        config.ignore = [r.upper() for r in args.ignore]
-    changed = None
-    if args.diff_base:
-        from repro.analysis.static.diff import changed_lines
-
-        try:
-            changed = changed_lines(args.diff_base)
-        except ValueError as exc:
-            print(f"repro lint: {exc}", file=sys.stderr)
-            return 2
+    config = LintConfig(select=[r.upper() for r in args.select or []],
+                        ignore=[r.upper() for r in args.ignore or []])
     try:
-        report = lint_paths(args.paths, config=config,
-                            baseline=args.baseline, changed=changed)
+        report = lint_paths(args.paths, config=config)
     except (FileNotFoundError, ValueError) as exc:
         print(f"repro lint: {exc}", file=sys.stderr)
         return 2
-    if args.write_baseline:
-        write_baseline(report, args.write_baseline)
-        print(f"wrote baseline with {len(report.findings)} key(s) to "
-              f"{args.write_baseline}")
-        return 0
-    if args.format in ("json", "sarif"):
-        text = format_json(report) if args.format == "json" \
-            else format_sarif(report)
+    if args.format == "json":
+        text = format_json(report)
         if args.output:
             from pathlib import Path
 
@@ -1184,24 +1161,13 @@ def build_parser() -> argparse.ArgumentParser:
                             "(docs/STATIC_ANALYSIS.md); exit 1 on findings")
     p.add_argument("paths", nargs="*", default=["src"],
                    help="files or directories to lint (default: src)")
-    p.add_argument("--format", choices=["text", "json", "sarif"],
-                   default="text")
+    p.add_argument("--format", choices=["text", "json"], default="text")
     p.add_argument("--select", nargs="+", metavar="RULE", default=None,
                    help="run only these rule ids")
     p.add_argument("--ignore", nargs="+", metavar="RULE", default=None,
                    help="skip these rule ids")
-    p.add_argument("--diff-base", default=None, metavar="REF",
-                   help="report only findings on lines changed since this "
-                        "git ref (e.g. origin/main)")
     p.add_argument("--explain", default=None, metavar="RULE",
                    help="print a rule's documentation and exit")
-    p.add_argument("--baseline", default=None, metavar="PATH",
-                   help="JSON baseline of grandfathered finding keys")
-    p.add_argument("--write-baseline", default=None, metavar="PATH",
-                   help="write current findings as a baseline and exit 0")
-    p.add_argument("--config", default=None, metavar="PYPROJECT",
-                   help="pyproject.toml to read [tool.repro.lint] from "
-                        "(default: nearest to cwd)")
     p.add_argument("--output", default=None, metavar="PATH",
                    help="with --format json, write the report here")
     p.set_defaults(fn=_cmd_lint)

@@ -31,9 +31,9 @@ test bounds at <5% of a small training run; with only the aggregate tree
 listening the request clock is never read.
 
 Request traces are **deterministic by construction** (same seed, same
-bytes): trace ids are splitmix64 hashes of ``(seed, request_id)`` — no
-ambient entropy, the DET003 rule the sharded tier lives under — span ids
-are per-trace open-order counters, and timestamps are the run's
+bytes, pinned by ``test_same_seed_runs_are_byte_identical``): trace ids
+are splitmix64 hashes of ``(seed, request_id)`` — no ambient entropy —
+span ids are per-trace open-order counters, and timestamps are the run's
 :class:`~repro.serving.queue.ManualClock` (simulated ms), never
 ``perf_counter``. Aggregate-tree nodes are named by dotted path plus
 bracketed attributes (``tt.forward.segment_gemm[core=1]``); request

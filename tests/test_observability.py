@@ -25,7 +25,6 @@ from repro.analysis.static.graph import (
     pattern_to_regex,
 )
 from repro.analysis.static.passes.metrics import MetricDriftPass
-from repro.analysis.static.passes.sites import FaultSiteDriftPass
 from repro.cli import main
 from repro.data import KAGGLE
 from repro.inference import Predictor
@@ -426,21 +425,39 @@ def emitted_names() -> dict[str, set[str]]:
     ``*`` pattern; a wrapper that forwards its own parameter
     (``SupervisedWorker._event``) contributes its callers' arguments."""
     graph = build_graph(sorted((REPO / "src" / "repro").rglob("*.py")))
-    literals = FaultSiteDriftPass._class_literals(graph)
+    nodes = [(info.ctx, node) for info in graph.iter_modules()
+             for node in ast.walk(info.ctx.tree)]
+    literals, self_calls = {}, {}  # class NAME = "str"; self.<method>(…)
+    for _, node in nodes:
+        for stmt in node.body if isinstance(node, ast.ClassDef) else ():
+            if (isinstance(stmt, ast.Assign)
+                    and isinstance(getattr(stmt.value, "value", None), str)):
+                for target in stmt.targets:
+                    literals.setdefault(getattr(target, "id", None),
+                                        []).append(stmt.value.value)
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and getattr(node.func.value, "id", None) == "self"):
+            self_calls.setdefault(node.func.attr, []).append(node)
     out = {"Spans": set(), "Events": set(), "Metrics": set()}
     entry = {"trace": out["Spans"], "emit_event": out["Events"]}
 
     def names(arg: ast.AST, where: str) -> list[str]:
-        found = FaultSiteDriftPass._site_names(arg, literals)
-        if not found and isinstance(arg, ast.JoinedStr):
-            found = [fstring_pattern(arg)]
-        assert found and all(found), f"{where}: name is not static"
+        if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
+            return [arg.value]
+        assert isinstance(arg, ast.JoinedStr), f"{where}: name is not static"
+        pieces = [[str(p.value)] if isinstance(p, ast.Constant)
+                  else literals.get(getattr(p.value, "attr", None))
+                  for p in arg.values]
+        found = ([fstring_pattern(arg)] if not all(pieces)
+                 else ["".join(combo) for combo in product(*pieces)])
+        assert all(found), f"{where}: name is not static"
         return found
 
-    for fn in graph.functions.values():
-        ctx = graph.by_name[fn.module].ctx
-        params = [a.arg for a in fn.node.args.args if a.arg != "self"]
-        for node in ast.walk(fn.node):
+    for ctx, fn in nodes:
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        params = [a.arg for a in fn.args.args if a.arg != "self"]
+        for node in ast.walk(fn):
             if not (isinstance(node, ast.Call) and node.args):
                 continue
             head, _, leaf = (ctx.resolve(node.func) or "").rpartition(".")
@@ -449,13 +466,10 @@ def emitted_names() -> dict[str, set[str]]:
             args = [node.args[0]]
             if isinstance(args[0], ast.Name) and args[0].id in params:
                 pos = params.index(args[0].id)
-                args = [call.args[pos]
-                        for caller in graph.functions.values()
-                        for callee, call in caller.calls
-                        if callee == fn.qualname]
+                args = [call.args[pos] for call in self_calls[fn.name]]
             for arg in args:
-                entry[leaf].update(names(arg, f"{fn.path}:{node.lineno}"))
-    collector = MetricDriftPass(config={})
+                entry[leaf].update(names(arg, f"{ctx.path}:{node.lineno}"))
+    collector = MetricDriftPass()
     for info in graph.iter_modules():
         for reg in collector._module_registrations(info):
             out["Metrics"].update(reg.match_keys())
