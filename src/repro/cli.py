@@ -869,58 +869,6 @@ def _cmd_slo_report(args) -> int:
     return 0 if rep["gate_passed"] else 1
 
 
-def _explain_rule(rule_id: str) -> int:
-    """Print a rule's documentation (id, summary, rationale, examples)."""
-    import inspect
-
-    from repro.analysis.static.core import all_rules
-
-    rules = all_rules()
-    cls = rules.get(rule_id.upper())
-    if cls is None:
-        print(f"repro lint: unknown rule id '{rule_id}'; available: "
-              + ", ".join(sorted(rules)), file=sys.stderr)
-        return 2
-    print(f"{cls.id}: {cls.summary}")
-    doc = inspect.getdoc(cls)
-    if doc:
-        print()
-        print(doc)
-    return 0
-
-
-def _cmd_lint(args) -> int:
-    from repro.analysis.static.runner import (
-        LintConfig,
-        format_json,
-        format_text,
-        lint_paths,
-    )
-
-    if args.explain:
-        return _explain_rule(args.explain)
-    config = LintConfig(select=[r.upper() for r in args.select or []],
-                        ignore=[r.upper() for r in args.ignore or []])
-    try:
-        report = lint_paths(args.paths, config=config)
-    except (FileNotFoundError, ValueError) as exc:
-        print(f"repro lint: {exc}", file=sys.stderr)
-        return 2
-    if args.format == "json":
-        text = format_json(report)
-        if args.output:
-            from pathlib import Path
-
-            Path(args.output).write_text(text + "\n", encoding="utf-8")
-            print(f"wrote lint report to {args.output} "
-                  f"({len(report.findings)} finding(s))")
-        else:
-            print(text)
-    else:
-        print(format_text(report))
-    return 0 if report.ok else 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro", description="TT-Rec reproduction toolkit"
@@ -1155,22 +1103,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("json", help="repro.slo-report/v1 JSON, or a "
                                 "serve-bench --emit-json snapshot")
     p.set_defaults(fn=_cmd_slo_report)
-
-    p = sub.add_parser("lint",
-                       help="project-specific static analysis "
-                            "(docs/STATIC_ANALYSIS.md); exit 1 on findings")
-    p.add_argument("paths", nargs="*", default=["src"],
-                   help="files or directories to lint (default: src)")
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    p.add_argument("--select", nargs="+", metavar="RULE", default=None,
-                   help="run only these rule ids")
-    p.add_argument("--ignore", nargs="+", metavar="RULE", default=None,
-                   help="skip these rule ids")
-    p.add_argument("--explain", default=None, metavar="RULE",
-                   help="print a rule's documentation and exit")
-    p.add_argument("--output", default=None, metavar="PATH",
-                   help="with --format json, write the report here")
-    p.set_defaults(fn=_cmd_lint)
 
     return parser
 

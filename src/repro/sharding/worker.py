@@ -2,8 +2,9 @@
 
 A :class:`ShardWorker` plays the role of one process in the sharded
 tier. Its failure model — the ``shard.{crash,hang,slow,net_drop}``
-injector sites, the ``kill()`` behind ``serve-bench --kill-shard`` — is
-the shared :class:`~repro.runtime.worker.SupervisedWorker` machine
+injector sites, the ``kill()`` behind ``serve-bench --kill-shard``
+(counted under ``shard.kills_scheduled{shard=}``, apart from injector
+crashes) — is the shared :class:`~repro.runtime.worker.SupervisedWorker` machine
 (state table in :mod:`repro.runtime.worker`); this module adds what a
 shard *does*: the per-slice degradation ladders a dispatch walks, and
 the hot-row replay that re-warms a restarted shard.

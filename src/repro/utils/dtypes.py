@@ -5,7 +5,7 @@ agree on one floating dtype: a stray ``float64`` gather buffer next to
 float32 cores silently upcasts a whole GEMM chain (extra memory traffic)
 while a stray float32 temporary next to float64 parameters silently
 *loses* precision. Both failure modes are invisible at the call site,
-which is why ``repro lint`` (docs/STATIC_ANALYSIS.md) bans hard-coded
+which is why the tree checks (docs/STATIC_ANALYSIS.md) ban hard-coded
 ``np.float64`` literals and dtype-less ``np.empty/zeros/ones``
 allocations inside ``repro/tt``, ``repro/ops`` and ``repro/cache``.
 

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.analysis.static.sanitizer import NumericSanitizer
+from repro.reliability.sanitizer import NumericSanitizer
 from repro.baselines.lowrank import LowRankEmbeddingBag
 from repro.compress import (
     ALPTEmbeddingBag,

@@ -14,17 +14,10 @@ import ast
 import json
 import re
 from itertools import product
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.analysis.static.graph import (
-    build_graph,
-    fstring_pattern,
-    pattern_to_regex,
-)
-from repro.analysis.static.passes.metrics import MetricDriftPass
 from repro.cli import main
 from repro.data import KAGGLE
 from repro.inference import Predictor
@@ -68,6 +61,13 @@ from repro.telemetry import (
     validate_trace_record,
 )
 from repro.telemetry.registry import Histogram
+from tests.tree_checks import (
+    REPO,
+    class_literals,
+    pattern_to_regex,
+    registrations,
+    static_names,
+)
 
 SPEC = KAGGLE.scaled(0.0003)
 CFG = DLRMConfig(table_sizes=SPEC.table_sizes, emb_dim=8,
@@ -325,10 +325,13 @@ class TestRequestTracer:
         """A fault firing, a cache repair and a sanitizer trip — emitted
         by modules that know nothing about serving — carry the trace id
         and appear under the innermost open span."""
-        from repro.analysis.static import NumericFaultError, NumericSanitizer
         from repro.cache import CachedTTEmbeddingBag
         from repro.ops import Linear
         from repro.reliability import FaultInjector
+        from repro.reliability.sanitizer import (
+            NumericFaultError,
+            NumericSanitizer,
+        )
 
         emb = CachedTTEmbeddingBag(600, 8, rank=4, cache_size=4,
                                    warmup_steps=0, rng=0)
@@ -414,65 +417,47 @@ class TestRequestTracer:
 # The catalogue in docs/OBSERVABILITY.md is checked against the code
 # ---------------------------------------------------------------------- #
 
-REPO = Path(__file__).resolve().parent.parent
-
-
 @pytest.fixture(scope="module")
-def emitted_names() -> dict[str, set[str]]:
+def emitted_names(tree) -> dict[str, set[str]]:
     """Every span, event and metric name ``src/repro`` can emit, read off
-    the analyzer's project graph. An f-string becomes its exact names
-    when it interpolates class-level literals (``site_prefix``), else a
-    ``*`` pattern; a wrapper that forwards its own parameter
+    the session parse by the metric check's own resolver
+    (``tree_checks.static_names``): f-strings over class-level literals
+    (``site_prefix``) or a literal comprehension become exact names, the
+    rest ``*`` patterns. A wrapper that forwards its own parameter
     (``SupervisedWorker._event``) contributes its callers' arguments."""
-    graph = build_graph(sorted((REPO / "src" / "repro").rglob("*.py")))
-    nodes = [(info.ctx, node) for info in graph.iter_modules()
-             for node in ast.walk(info.ctx.tree)]
-    literals, self_calls = {}, {}  # class NAME = "str"; self.<method>(…)
-    for _, node in nodes:
-        for stmt in node.body if isinstance(node, ast.ClassDef) else ():
-            if (isinstance(stmt, ast.Assign)
-                    and isinstance(getattr(stmt.value, "value", None), str)):
-                for target in stmt.targets:
-                    literals.setdefault(getattr(target, "id", None),
-                                        []).append(stmt.value.value)
-        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                and getattr(node.func.value, "id", None) == "self"):
-            self_calls.setdefault(node.func.attr, []).append(node)
+    src = [m for m in tree if m.path.startswith("src/repro/")]
+    literals, self_calls = class_literals(src), {}  # self.<method>(…)
+    for m in src:
+        for node in m.nodes:
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and getattr(node.func.value, "id", None) == "self"):
+                self_calls.setdefault(node.func.attr, []).append((m, node))
     out = {"Spans": set(), "Events": set(), "Metrics": set()}
     entry = {"trace": out["Spans"], "emit_event": out["Events"]}
-
-    def names(arg: ast.AST, where: str) -> list[str]:
-        if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
-            return [arg.value]
-        assert isinstance(arg, ast.JoinedStr), f"{where}: name is not static"
-        pieces = [[str(p.value)] if isinstance(p, ast.Constant)
-                  else literals.get(getattr(p.value, "attr", None))
-                  for p in arg.values]
-        found = ([fstring_pattern(arg)] if not all(pieces)
-                 else ["".join(combo) for combo in product(*pieces)])
-        assert all(found), f"{where}: name is not static"
-        return found
-
-    for ctx, fn in nodes:
-        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        params = [a.arg for a in fn.args.args if a.arg != "self"]
-        for node in ast.walk(fn):
-            if not (isinstance(node, ast.Call) and node.args):
+    for m in src:
+        for fn in m.nodes:
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
-            head, _, leaf = (ctx.resolve(node.func) or "").rpartition(".")
-            if not head.startswith("repro.telemetry") or leaf not in entry:
-                continue
-            args = [node.args[0]]
-            if isinstance(args[0], ast.Name) and args[0].id in params:
-                pos = params.index(args[0].id)
-                args = [call.args[pos] for call in self_calls[fn.name]]
-            for arg in args:
-                entry[leaf].update(names(arg, f"{ctx.path}:{node.lineno}"))
-    collector = MetricDriftPass()
-    for info in graph.iter_modules():
-        for reg in collector._module_registrations(info):
-            out["Metrics"].update(reg.match_keys())
+            params = [a.arg for a in fn.args.args if a.arg != "self"]
+            for node in ast.walk(fn):
+                if not (isinstance(node, ast.Call) and node.args):
+                    continue
+                head, _, leaf = (m.resolve(node.func) or "").rpartition(".")
+                if not head.startswith("repro.telemetry") or leaf not in entry:
+                    continue
+                arg = node.args[0]
+                args = [(m, arg)]
+                if isinstance(arg, ast.Name) and arg.id in params:
+                    pos = params.index(arg.id)
+                    args = [(caller, call.args[pos])
+                            for caller, call in self_calls[fn.name]]
+                for where, arg in args:
+                    found = static_names(where, arg, literals)
+                    assert found, f"{where.path}:{arg.lineno}: not static"
+                    entry[leaf].update(found)
+        for reg in registrations(m, literals):
+            out["Metrics"].update(reg.keys)
     return out
 
 

@@ -18,6 +18,7 @@ from repro.data import DatasetSpec, SyntheticCTRDataset
 from repro.distributed import CollectiveError, Communicator, DataParallelTrainer
 from repro.models import DLRMConfig, TTConfig, build_dlrm, build_ttrec
 from repro.models.serialization import named_modules, state_dict
+from repro.ops.loss import bce_with_logits
 from repro.ops.optim import SGD, Adagrad, RowWiseAdagrad, SparseSGD
 from repro.reliability import (
     CheckpointManager,
@@ -28,6 +29,7 @@ from repro.reliability import (
 )
 from repro.reliability.checkpoint import CheckpointError
 from repro.reliability.guard import scrub_non_finite
+from repro.reliability.sanitizer import NumericFaultError, NumericSanitizer
 from repro.training import Trainer
 
 SIZES = (400, 60, 300, 200)
@@ -707,3 +709,113 @@ class TestShardDeltaCheckpoints:
         for step in (8, 12):            # retention is the series' own
             mgr.save_shard(step, 0, model, owned[0])
         assert series.steps() == [8, 12]
+
+
+# --------------------------------------------------------------------- #
+# NumericSanitizer
+# --------------------------------------------------------------------- #
+
+class TestNumericSanitizer:
+    def test_clean_pass_and_restore(self):
+        model = tiny_model(cache=False)
+        batch = tiny_stream(seed=1).batch(16)
+        with NumericSanitizer(model) as sani:
+            out = model.forward(batch.dense, batch.sparse)
+            _, grad = bce_with_logits(out, batch.labels)
+            model.backward(grad)
+            assert "forward" in vars(model.bottom_mlp.layers[0])
+        assert np.isfinite(out).all()
+        # Wrappers removed: instance dicts hold no shadowing attributes.
+        assert "forward" not in vars(model.bottom_mlp.layers[0])
+        assert "backward" not in vars(model.top_mlp)
+
+    def test_fault_injected_nan_caught_at_first_layer(self):
+        """A NaN planted by the fault injector trips at the first boundary
+        it crosses — the bottom tower's first linear — not downstream."""
+        model = tiny_model(cache=False)
+        batch = tiny_stream(seed=1).batch(16)
+        injector = FaultInjector(seed=3)
+        injector.register("sanitizer.weight", 1.0, kind="nan")
+        spec = injector.draw("sanitizer.weight")
+        assert spec is not None
+        injector.apply(spec, model.bottom_mlp.layers[0].weight.data)
+        with pytest.raises(NumericFaultError) as exc_info:
+            with NumericSanitizer(model, name="dlrm"):
+                model.forward(batch.dense, batch.sparse)
+        err = exc_info.value
+        assert err.layer == "dlrm.bottom_mlp.layers[0]"
+        assert err.stage == "forward"
+        assert err.kind == "nan"
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    def test_backward_grad_corruption_caught(self):
+        model = tiny_model(cache=False)
+        batch = tiny_stream(seed=1).batch(16)
+        out = model.forward(batch.dense, batch.sparse)
+        _, grad = bce_with_logits(out, batch.labels)
+        grad = grad.copy()
+        grad[0] = np.inf
+        with pytest.raises(NumericFaultError) as exc_info:
+            with NumericSanitizer(model, name="dlrm"):
+                model.forward(batch.dense, batch.sparse)
+                model.backward(grad)
+        err = exc_info.value
+        assert err.stage == "backward"
+        assert err.kind == "inf"
+
+    def test_dtype_drift_caught(self):
+        model = tiny_model(cache=False)
+        batch = tiny_stream(seed=1).batch(16)
+
+        class Downcaster:
+            """Stub layer that silently changes dtype on the second call."""
+
+            def __init__(self):
+                self.calls = 0
+
+            def forward(self, x):
+                self.calls += 1
+                return x.astype(np.float32) if self.calls > 1 else x
+
+            def backward(self, g):
+                return g
+
+        from repro.ops.module import Module
+
+        class Wrapper(Module):
+            def __init__(self, inner):
+                self.inner = inner
+                self.stub = Downcaster()
+
+            def forward(self, dense, sparse):
+                return self.stub.forward(self.inner.forward(dense, sparse))
+
+        wrapped = Wrapper(model)
+        with pytest.raises(NumericFaultError) as exc_info:
+            with NumericSanitizer(wrapped, name="w"):
+                wrapped.forward(batch.dense, batch.sparse)
+                wrapped.forward(batch.dense, batch.sparse)
+        assert exc_info.value.kind == "dtype_drift"
+
+    def test_sanitizer_counts_checks(self):
+        from repro.telemetry import get_registry
+
+        model = tiny_model(cache=False)
+        batch = tiny_stream(seed=1).batch(16)
+        checks = get_registry().counter("sanitizer.checks")
+        before = checks.value
+        with NumericSanitizer(model):
+            model.forward(batch.dense, batch.sparse)
+        assert checks.value > before
+
+    def test_rejects_non_module(self):
+        with pytest.raises(TypeError):
+            NumericSanitizer(np.zeros(3))
+
+    def test_sanitized_output_identical(self):
+        model = tiny_model(cache=False)
+        batch = tiny_stream(seed=1).batch(16)
+        plain = model.forward(batch.dense, batch.sparse)
+        with NumericSanitizer(model):
+            guarded = model.forward(batch.dense, batch.sparse)
+        np.testing.assert_array_equal(plain, guarded)
