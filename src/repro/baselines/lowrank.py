@@ -12,8 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.ops.embedding import CompressedEmbedding
-from repro.ops.module import Parameter
-from repro.tt.kernels import scatter_add_rows
+from repro.ops.module import Parameter, coalesce_rows
 from repro.utils.dtypes import default_dtype
 from repro.utils.seeding import as_rng
 
@@ -70,8 +69,7 @@ class LowRankEmbeddingBag(CompressedEmbedding):
         return super()._unpool(grad_out @ self.factor_b.data.T, counts, alpha)
 
     def _backward_rows(self, indices, grad_rows, saved) -> None:
-        scatter_add_rows(self.factor_a.grad, indices, grad_rows)
-        self.factor_a.record_touched(indices)
+        self.factor_a.accumulate(*coalesce_rows(indices, grad_rows))
 
     @classmethod
     def from_spec(cls, spec) -> "LowRankEmbeddingBag":

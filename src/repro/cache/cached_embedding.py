@@ -23,10 +23,9 @@ import numpy as np
 
 from repro.cache.lfu import LFUTracker
 from repro.ops.embedding import CompressedEmbedding
-from repro.ops.module import Parameter
+from repro.ops.module import Parameter, coalesce_rows
 from repro.telemetry import emit_event, get_registry, trace
 from repro.tt.embedding_bag import TTEmbeddingBag
-from repro.tt.kernels import scatter_add_rows
 from repro.tt.shapes import TTShape
 from repro.utils.dtypes import default_dtype
 from repro.utils.seeding import as_rng
@@ -332,10 +331,7 @@ class CachedTTEmbeddingBag(CompressedEmbedding):
     def _backward_rows(self, indices, grad_rows, saved) -> None:
         mask, slots, chain = saved
         if mask.any():
-            # Duplicate-combining segmented scatter (same kernel as the TT
-            # core grads) — np.add.at is an O(n) scalar loop in NumPy.
-            scatter_add_rows(self.cache_rows.grad, slots, grad_rows[mask])
-            self.cache_rows.record_touched(slots)
+            self.cache_rows.accumulate(*coalesce_rows(slots, grad_rows[mask]))
         if chain is not None:
             self.tt._backward_plan(grad_rows[~mask], *chain)
 

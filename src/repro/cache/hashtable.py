@@ -103,8 +103,10 @@ class OpenAddressingHashTable:
             occupant = self._keys[s]
             match = occupant == keys[pending]
             if match.any():
+                # Keys are unique and each holds one slot, so no slot
+                # repeats and a plain indexed add is exact.
                 hit = pending[match]
-                np.add.at(self._values, slots[hit], vals[hit])
+                self._values[slots[hit]] += vals[hit]
             free = occupant == _EMPTY
             claim = pending[free & ~match]
             if claim.size:

@@ -546,8 +546,8 @@ def _cmd_profile(args) -> int:
             comm = Communicator(args.world_size)
             with telemetry.trace("profile.collectives"):
                 for p in model.parameters():
-                    if p.grad is not None and p.grad.size:
-                        comm.allreduce_mean([p.grad] * args.world_size)
+                    if p.size:
+                        comm.allreduce_mean([p.dense_grad()] * args.world_size)
         finally:
             telemetry.disable_tracing()
 

@@ -24,8 +24,7 @@ import json
 import numpy as np
 
 from repro.compress.base import CompressedEmbedding, EmbeddingSpec
-from repro.ops.module import Parameter
-from repro.tt.kernels import scatter_add_rows
+from repro.ops.module import Parameter, sum_rows
 from repro.utils.dtypes import default_dtype, result_dtype
 from repro.utils.seeding import as_rng
 
@@ -82,16 +81,14 @@ class ALPTEmbeddingBag(CompressedEmbedding):
         frac_rows = self.codes[indices].astype(grad_rows.dtype) * (1.0 / self.qmax)
         # dL/dscale_i = sum_j dL/dW_ij * c_ij/qmax  (W = c/qmax * scale).
         grad_scale = (grad_rows * frac_rows).sum(axis=1, keepdims=True)
-        scatter_add_rows(self.scales.grad, indices, grad_scale)
-        self.scales.record_touched(indices)
+        uniq, inverse = np.unique(indices, return_inverse=True)
+        self.scales.accumulate(uniq, sum_rows(inverse, grad_scale, uniq.size))
         if self.weight_lr > 0.0:
-            self._update_codes(indices, grad_rows)
+            self._update_codes(uniq, sum_rows(inverse, grad_rows, uniq.size))
 
-    def _update_codes(self, indices: np.ndarray, grad_rows: np.ndarray) -> None:
-        """Stochastically-rounded SGD step on the touched code rows."""
-        uniq, inv = np.unique(indices, return_inverse=True)
-        grad_w = np.zeros((uniq.size, self.dim), dtype=grad_rows.dtype)
-        scatter_add_rows(grad_w, inv, grad_rows)
+    def _update_codes(self, uniq: np.ndarray, grad_w: np.ndarray) -> None:
+        """Stochastically-rounded SGD step on the touched code rows
+        (``grad_w`` is their coalesced weight gradient)."""
         scales = self.scales.data[uniq]  # (u, 1)
         # Step in weight space, then express the result on the row grid
         # (one grid step = scale/qmax in weight units).

@@ -20,8 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.compress.base import CompressedEmbedding, EmbeddingSpec
-from repro.ops.module import Parameter
-from repro.tt.kernels import scatter_add_rows
+from repro.ops.module import Parameter, coalesce_rows
 from repro.utils.dtypes import default_dtype
 from repro.utils.seeding import as_rng
 
@@ -95,8 +94,7 @@ class DPQEmbeddingBag(CompressedEmbedding):
         # entries the forward actually read.
         flat = self._global_codes(indices).reshape(-1)  # (n*S,)
         vals = grad_rows.reshape(-1, self.sub_dim)      # (n*S, sub_dim)
-        scatter_add_rows(self.codebooks.grad, flat, vals)
-        self.codebooks.record_touched(flat)
+        self.codebooks.accumulate(*coalesce_rows(flat, vals))
 
     # ------------------------------------------------------------------ #
     # Code (re-)assignment

@@ -30,6 +30,7 @@ from repro.distributed.collectives import Communicator
 from repro.models.dlrm import DLRM
 from repro.models.serialization import load_state_dict, state_dict
 from repro.ops.loss import bce_with_logits
+from repro.ops.module import SparseGrad
 from repro.ops.optim import SparseSGD
 from repro.telemetry import get_registry
 
@@ -88,38 +89,42 @@ def shard_batch(batch: Batch, world_size: int) -> list[Batch]:
 
 
 def sync_gradients(replicas, collective) -> tuple[list[int], list]:
-    """Reduce every parameter's gradient across ``replicas`` and union the
-    sparse touched-row sets — the gradient exchange of both data-parallel
-    trainers. ``collective`` is the communicator's bound reduction:
-    ``comm.allreduce_mean`` over equal shards, ``comm.allreduce_sum`` over
-    the elastic trainer's pre-scaled partial gradients.
+    """Reduce every parameter's gradient across ``replicas`` — the gradient
+    exchange of both data-parallel trainers. ``collective`` is the
+    communicator's bound reduction: ``comm.allreduce_mean`` over equal
+    shards, ``comm.allreduce_sum`` over the elastic trainer's pre-scaled
+    partial gradients.
 
-    Survivors receive the reduced gradient and the survivors' touched
-    union; a rank the collective dropped keeps its local gradient and
-    local touched rows — exactly what a real dropped worker would apply.
-    Returns the ranks (positions in ``replicas``) dropped from any
-    parameter's collective, and each parameter's union (``None`` = every
-    row), which the elastic trainer's replay bookkeeping reads.
+    A sparse parameter's pair is scattered into a ``data``-shaped scratch
+    buffer per rank, so the collective moves the same bytes as a dense
+    one; survivors then receive the reduced values on the union of the
+    survivors' rows. A rank the collective dropped keeps its local
+    gradient — exactly what a real dropped worker would apply. Returns
+    the ranks (positions in ``replicas``) dropped from any parameter's
+    collective, and per parameter that union of rows (empty when no
+    survivor touched the parameter; ``None`` for a dense one), which the
+    elastic trainer's replay bookkeeping reads.
     """
     comm = collective.__self__
     dropped_any: set[int] = set()
     unions = []
     for group in zip(*(r.parameters() for r in replicas)):
-        reduced = collective([p.grad for p in group])
+        reduced = collective([p.dense_grad() for p in group])
         dropped = set(comm.last_dropped)
         dropped_any |= dropped
-        touched_sets = [p.touched_rows for rank, p in enumerate(group)
-                        if rank not in dropped and p.touched_rows is not None]
+        survivors = [p for rank, p in enumerate(group) if rank not in dropped]
         union = None
-        if touched_sets:
-            union = touched_sets[0]
-            for t in touched_sets[1:]:
-                union = np.union1d(union, t)
-        for rank, p in enumerate(group):
-            if rank in dropped:
-                continue
-            p.grad[...] = reduced
-            p.touched_rows = union.copy() if union is not None else None
+        if group[0].sparse:
+            union = np.empty(0, dtype=np.int64)
+            for p in survivors:
+                if p.grad is not None:
+                    union = np.union1d(union, p.grad.rows)
+            pair = SparseGrad(union, reduced[union]) if union.size else None
+        for p in survivors:
+            if p.sparse:
+                p.grad = pair
+            else:
+                p.grad[...] = reduced
         unions.append(union)
     return sorted(dropped_any), unions
 

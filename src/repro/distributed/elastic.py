@@ -180,8 +180,8 @@ class TrainerWorker(SupervisedWorker):
         The local BCE gradient is scaled by ``scale`` (= shard size /
         global batch size) so the fleet-wide ``allreduce_sum`` of these
         partial gradients is exactly the global-batch mean gradient.
-        Gradients (and sparse touched rows) are left on the replica's
-        parameters. Returns ``(shard mean loss, simulated service ms)``.
+        Gradients (a sparse parameter's as its pair) are left on the
+        replica's parameters. Returns ``(shard mean loss, simulated service ms)``.
         Raises :class:`WorkerDown`, :class:`WorkerTimeout` or
         :class:`WorkerNetDrop` per the failure model.
         """
@@ -298,7 +298,7 @@ class ElasticTrainer:
                       for w in range(world)}
         # Rows to replay per parameter since the last checkpoint round:
         # ndarray of touched rows for sparse parameters, None = the whole
-        # parameter must be copied (dense, or a sparse full update).
+        # (dense) parameter must be copied.
         self._replay_rows: dict[int, np.ndarray | None] = {}
         self._reset_replay_tracking()
         self._step_index = 0       # batches fed (kill specs key on this)
@@ -600,13 +600,10 @@ class ElasticTrainer:
         reps = [self.workers[w].replica for w in live]
         dropped, unions = sync_gradients(reps, self.comm.allreduce_sum)
         # Replay bookkeeping: which rows the survivors will update.
-        for gi, (p, union) in enumerate(zip(reps[0].parameters(), unions)):
-            if p.sparse:
-                known = self._replay_rows.get(gi)
-                if union is None:
-                    self._replay_rows[gi] = None  # full update: copy whole
-                elif known is not None:
-                    self._replay_rows[gi] = np.union1d(known, union)
+        for gi, union in enumerate(unions):
+            known = self._replay_rows.get(gi)
+            if union is not None and known is not None:
+                self._replay_rows[gi] = np.union1d(known, union)
         return [live[r] for r in dropped]
 
     def train_step(self, batch: Batch) -> float:

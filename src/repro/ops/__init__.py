@@ -2,8 +2,10 @@
 
 This subpackage replaces the role PyTorch plays in the original TT-Rec
 codebase. Layers are plain objects with ``forward``/``backward`` methods
-that cache whatever the backward pass needs; parameters carry explicit
-``.grad`` buffers that optimizers consume. Everything is vectorized NumPy.
+that cache whatever the backward pass needs; parameters carry the
+gradients optimizers consume: a ``.grad`` buffer for a dense parameter, a
+coalesced ``(rows, values)`` pair for a sparse one (embedding rows, cache
+rows, TT cores). Everything is vectorized NumPy.
 """
 
 from repro.ops.activations import ReLU, Sigmoid

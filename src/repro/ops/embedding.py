@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from repro.ops.module import Module, Parameter
+from repro.ops.module import Module, Parameter, coalesce_rows
 from repro.utils.dtypes import default_dtype
 from repro.utils.seeding import as_rng
 from repro.utils.validation import check_1d_int_array, check_csr
@@ -120,7 +120,8 @@ class CompressedEmbedding(Module):
       whatever its backward wants back; defaults to
       ``(_read_rows(indices), None)``;
     - ``_backward_rows(indices, grad_rows, saved)`` — accumulate parameter
-      gradients from the ``(n, dim)`` per-row gradients;
+      gradients from the ``(n, dim)`` per-row gradients (a sparse
+      parameter's as a coalesced pair, :meth:`Parameter.accumulate`);
     - ``_pool(rows, offsets, alpha) -> (out, kept)`` /
       ``_unpool(grad_out, kept, alpha)`` — the pooling step and its
       adjoint, for an operator that pools in another space (low-rank) or
@@ -417,8 +418,7 @@ class EmbeddingBag(CompressedEmbedding):
         return self.weight.data[indices]
 
     def _backward_rows(self, indices, grad_rows, saved):
-        np.add.at(self.weight.grad, indices, grad_rows)
-        self.weight.record_touched(indices)
+        self.weight.accumulate(*coalesce_rows(indices, grad_rows))
 
     @classmethod
     def from_spec(cls, spec) -> "EmbeddingBag":

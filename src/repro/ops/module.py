@@ -1,33 +1,72 @@
-"""Parameter and Module base classes for the manual-backprop substrate."""
+"""Parameter and Module base classes for the manual-backprop substrate,
+and the coalesced ``(rows, values)`` pair a sparse parameter's gradient is."""
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
+from typing import NamedTuple
 
 import numpy as np
 
+from repro.telemetry import trace
 from repro.utils.dtypes import default_dtype
 
-__all__ = ["Parameter", "Module"]
+__all__ = ["Parameter", "Module", "SparseGrad", "coalesce_rows", "sum_rows"]
+
+
+class SparseGrad(NamedTuple):
+    """A sparse parameter's gradient: sorted unique ``int64`` ``rows`` and
+    one summed block per row, ``values[i]`` the gradient of
+    ``data[rows[i]]``; every other row's gradient is zero. Pairs are never
+    written in place, so one may be handed to several parameters."""
+
+    rows: np.ndarray
+    values: np.ndarray
+
+
+def sum_rows(inverse: np.ndarray, vals: np.ndarray, m: int) -> np.ndarray:
+    """``out[j] = sum(vals[s] for s where inverse[s] == j)``, shape
+    ``(m, ...)``: one ``np.bincount`` over ``inverse * width + column``
+    bins. Each bin sums from zero in input order, so the result is
+    bit-identical to ``np.add.at`` into a zero buffer."""
+    tail = vals.shape[1:]
+    width = math.prod(tail)
+    with trace("kernels.coalesce"):
+        bins = (inverse.reshape(-1, 1) * width + np.arange(width)).reshape(-1)
+        out = np.bincount(bins, weights=vals.reshape(-1), minlength=m * width)
+    return out.astype(vals.dtype, copy=False).reshape(m, *tail)
+
+
+def coalesce_rows(rows: np.ndarray, vals: np.ndarray) -> SparseGrad:
+    """Per-sample ``(rows, vals)`` -> the coalesced pair: sorted unique rows
+    and, per row, its samples' ``vals`` summed in input order (see
+    :func:`sum_rows`). ``rows`` is ``(n,)`` int, ``vals`` ``(n, ...)``."""
+    rows = np.asarray(rows, dtype=np.int64)
+    if rows.shape[0] != vals.shape[0]:
+        raise ValueError(f"rows ({rows.shape[0]}) and vals ({vals.shape[0]}) disagree")
+    uniq, inverse = np.unique(rows, return_inverse=True)
+    return SparseGrad(uniq, sum_rows(inverse, vals, uniq.size))
 
 
 class Parameter:
-    """A trainable array with an explicit dense gradient buffer.
+    """A trainable array and the gradient backward accumulates for it.
 
     Attributes
     ----------
     data : np.ndarray
         The parameter value, updated in place by optimizers.
-    grad : np.ndarray
-        Accumulated gradient of the loss w.r.t. ``data``. Layers *add* into
-        this buffer during backward so a parameter shared by several paths
-        (e.g. a TT core indexed by many rows) accumulates correctly.
+    grad : np.ndarray | SparseGrad | None
+        Accumulated gradient of the loss w.r.t. ``data``. Dense parameters
+        keep a ``data``-shaped buffer that layers *add* into. A sparse
+        parameter (embedding rows, cache rows, TT cores) holds the
+        coalesced :class:`SparseGrad` its backward built, ``None`` until
+        one does: optimizers step over those rows only, and no pair means
+        no work.
     name : str
         Human-readable identifier used in optimizer state and error messages.
     sparse : bool
-        Parameters flagged sparse (embedding tables) additionally record
-        per-step touched row indices in ``touched_rows`` so sparse
-        optimizers can skip the untouched bulk of the table.
+        Whether ``grad`` is a pair rather than a buffer.
     """
 
     def __init__(self, data: np.ndarray, *, name: str = "param", sparse: bool = False,
@@ -35,10 +74,9 @@ class Parameter:
         self.data = np.ascontiguousarray(
             data, dtype=default_dtype() if dtype is None else np.dtype(dtype)
         )
-        self.grad = np.zeros_like(self.data)
         self.name = name
         self.sparse = sparse
-        self.touched_rows: np.ndarray | None = None
+        self.grad = None if sparse else np.zeros_like(self.data)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -49,17 +87,36 @@ class Parameter:
         return int(self.data.size)
 
     def zero_grad(self) -> None:
-        """Reset the gradient buffer (and touched-row bookkeeping) to zero."""
-        self.grad.fill(0.0)
-        self.touched_rows = None
-
-    def record_touched(self, rows: np.ndarray) -> None:
-        """Record rows whose gradient is (possibly) non-zero this step."""
-        rows = np.unique(np.asarray(rows, dtype=np.int64))
-        if self.touched_rows is None:
-            self.touched_rows = rows
+        """Zero the gradient buffer, or drop a sparse parameter's pair."""
+        if self.sparse:
+            self.grad = None
         else:
-            self.touched_rows = np.union1d(self.touched_rows, rows)
+            self.grad.fill(0.0)
+
+    def accumulate(self, rows: np.ndarray, values: np.ndarray) -> None:
+        """Add a coalesced pair (sorted unique ``int64`` rows, one block per
+        row) to this sparse parameter's gradient. An empty pair is no
+        gradient; a second pair is merged with :func:`coalesce_rows`, the
+        held values first."""
+        if values.shape != (rows.size, *self.data.shape[1:]):
+            raise ValueError(f"{self.name}: a pair of {rows.size} rows cannot "
+                             f"carry values of shape {values.shape}")
+        if not rows.size:
+            return
+        if self.grad is not None:
+            rows, values = coalesce_rows(np.concatenate([self.grad.rows, rows]),
+                                         np.concatenate([self.grad.values, values]))
+        self.grad = SparseGrad(rows, values)
+
+    def dense_grad(self) -> np.ndarray:
+        """The gradient as a ``data``-shaped array, for whole-table readers:
+        ``grad`` itself when dense, a fresh scatter of the pair when sparse."""
+        if not self.sparse:
+            return self.grad
+        out = np.zeros_like(self.data)
+        if self.grad is not None:
+            out[self.grad.rows] = self.grad.values
+        return out
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Parameter(name={self.name!r}, shape={self.data.shape}, sparse={self.sparse})"

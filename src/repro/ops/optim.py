@@ -1,11 +1,14 @@
 """Optimizers for the manual-backprop substrate.
 
 ``SGD`` matches the MLPerf-DLRM reference (plain SGD, no momentum by
-default, optional momentum for completeness). ``SparseSGD`` exploits the
-``touched_rows`` bookkeeping on sparse parameters so an update step costs
-O(rows touched) instead of O(table size) — the same optimization PyTorch's
-sparse embedding gradients provide. ``Adagrad`` is included because
-industrial DLRM training commonly uses it for embeddings.
+default, optional momentum for completeness); momentum and weight decay
+read the whole table, so it densifies a sparse parameter's gradient.
+``SparseSGD``, ``Adagrad`` and ``RowWiseAdagrad`` step over a sparse
+parameter's coalesced ``(rows, values)`` pair, so an update costs O(rows
+touched) instead of O(table size) — the same optimization PyTorch's sparse
+embedding gradients provide — and a sparse parameter without a pair costs
+nothing. ``Adagrad`` is included because industrial DLRM training commonly
+uses it for embeddings.
 
 Every optimizer exposes ``state_dict()``/``load_state_dict()`` so
 checkpoints capture the full update rule: hyperparameters (including a
@@ -42,7 +45,7 @@ class SGD:
 
     def step(self) -> None:
         for p in self.params:
-            grad = p.grad
+            grad = p.dense_grad()
             if self.weight_decay:
                 grad = grad + self.weight_decay * p.data
             if self.momentum:
@@ -81,7 +84,7 @@ class SGD:
 
 
 class SparseSGD:
-    """SGD that only touches rows with recorded non-zero gradients.
+    """SGD that updates only the rows of a sparse parameter's pair.
 
     Dense (non-``sparse``) parameters fall back to full updates. Momentum
     is deliberately unsupported: momentum on sparse rows requires decayed
@@ -96,11 +99,11 @@ class SparseSGD:
 
     def step(self) -> None:
         for p in self.params:
-            if p.sparse and p.touched_rows is not None:
-                rows = p.touched_rows
-                p.data[rows] -= self.lr * p.grad[rows]
-            else:
+            if not p.sparse:
                 p.data -= self.lr * p.grad
+            elif p.grad is not None:
+                rows, g = p.grad
+                p.data[rows] -= self.lr * g
 
     def zero_grad(self) -> None:
         for p in self.params:
@@ -120,7 +123,8 @@ class RowWiseAdagrad:
     squared gradients) instead of one per element, cutting optimizer state
     for a ``rows x dim`` table from ``rows*dim`` to ``rows`` floats — the
     variant FBGEMM/torchrec call ``ROWWISE_ADAGRAD``. Non-2D or dense
-    parameters fall back to element-wise Adagrad behaviour.
+    parameters fall back to element-wise Adagrad behaviour, a non-2D
+    sparse one over its pair's entries only.
     """
 
     def __init__(self, params: list[Parameter], lr: float, *, eps: float = 1e-10):
@@ -139,21 +143,19 @@ class RowWiseAdagrad:
     def step(self) -> None:
         for p in self.params:
             acc = self._accum[id(p)]
-            rowwise = p.sparse and p.data.ndim >= 2
-            if rowwise and p.touched_rows is not None:
-                rows = p.touched_rows
-                g = p.grad[rows]
-                acc[rows] += (g.reshape(g.shape[0], -1) ** 2).mean(axis=1)
-                denom = np.sqrt(acc[rows]) + self.eps
-                p.data[rows] -= self.lr * g / denom.reshape(-1, *([1] * (g.ndim - 1)))
-            elif rowwise:
-                g = p.grad
-                acc += (g.reshape(g.shape[0], -1) ** 2).mean(axis=1)
-                denom = np.sqrt(acc) + self.eps
-                p.data -= self.lr * g / denom.reshape(-1, *([1] * (g.ndim - 1)))
-            else:
+            if not p.sparse:
                 acc += p.grad * p.grad
                 p.data -= self.lr * p.grad / (np.sqrt(acc) + self.eps)
+            elif p.grad is not None:
+                rows, g = p.grad
+                if p.data.ndim >= 2:
+                    acc[rows] += (g.reshape(g.shape[0], -1) ** 2).mean(axis=1)
+                    denom = (np.sqrt(acc[rows]) + self.eps).reshape(
+                        -1, *([1] * (g.ndim - 1)))
+                else:
+                    acc[rows] += g * g
+                    denom = np.sqrt(acc[rows]) + self.eps
+                p.data[rows] -= self.lr * g / denom
 
     def zero_grad(self) -> None:
         for p in self.params:
@@ -191,14 +193,13 @@ class Adagrad:
     def step(self) -> None:
         for p in self.params:
             acc = self._accum[id(p)]
-            if p.sparse and p.touched_rows is not None:
-                rows = p.touched_rows
-                g = p.grad[rows]
-                acc[rows] += g * g
-                p.data[rows] -= self.lr * g / (np.sqrt(acc[rows]) + self.eps)
-            else:
+            if not p.sparse:
                 acc += p.grad * p.grad
                 p.data -= self.lr * p.grad / (np.sqrt(acc) + self.eps)
+            elif p.grad is not None:
+                rows, g = p.grad
+                acc[rows] += g * g
+                p.data[rows] -= self.lr * g / (np.sqrt(acc[rows]) + self.eps)
 
     def zero_grad(self) -> None:
         for p in self.params:

@@ -138,7 +138,7 @@ class NumericSanitizer:
             # Root-style backward: gradient went into this module's own
             # parameters, so inspect those instead.
             for p in self._own_parameters(mod):
-                arrays.append((f"grad:{p.name}", p.grad))
+                arrays.append((f"grad:{p.name}", p.dense_grad()))
         for label, arr in arrays:
             self._checks.inc()
             if arr.dtype.kind not in "fc":

@@ -16,7 +16,9 @@ partial products (``tr_i`` in the paper — either stored from forward or
 recomputed, §4.2's trade-off) and ``R`` right partial products built by a
 backward sweep. Samples are grouped by core index and each touched slice
 receives one GEMM over its group (:func:`accumulate_core_grads`), so the
-per-sample gradient block is never materialised.
+per-sample gradient block is never materialised and each core's gradient
+is the coalesced ``(slices, blocks)`` pair those GEMMs return — which is
+why every TT-family core is a sparse parameter.
 
 Storage layout: cores are kept mode-first, ``(m_k, R_{k-1}, n_k, R_k)``,
 so a core slice is one contiguous block; see :class:`repro.tt.shapes.TTShape`.
@@ -27,12 +29,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro.ops.embedding import CompressedEmbedding
-from repro.ops.module import Parameter
+from repro.ops.module import Parameter, sum_rows
 from repro.telemetry import trace
 from repro.tt.decomposition import tt_reconstruct
 from repro.tt.initialization import tt_core_initializer
-from repro.tt.kernels import (scatter_add_rows, segmented_matmul,
-                              segmented_outer_add)
+from repro.tt.kernels import segmented_matmul, segmented_outer_add
 from repro.tt.planner import BatchPlan, ExecutionPlanner
 from repro.tt.shapes import TTShape
 from repro.utils.dtypes import default_dtype
@@ -50,8 +51,9 @@ def accumulate_core_grads(shape: TTShape, cores: list[Parameter],
     entry per planned row of ``plan``. For core ``k`` the sweep forms the
     two per-sample factors of ``L_{k-1}^T dO R_k^T`` — never their product
     — and the segmented kernels of :mod:`repro.tt.kernels` contract them
-    per touched slice straight into ``cores[k].grad``, grouped by the
-    plan's per-core runs the forward already sorted.
+    per touched slice, grouped by the plan's per-core runs the forward
+    already sorted. Core ``k``'s gradient is the ``(slices, blocks)`` pair
+    that contraction returns, accumulated onto ``cores[k]``.
     """
     n = plan.n_unique
     if n == 0:
@@ -73,9 +75,9 @@ def accumulate_core_grads(shape: TTShape, cores: list[Parameter],
                                   d_out)
             left_do_t = d_out.reshape(n, q, r_prev * nk)
         with trace("tt.backward.segment_gemm", core=k):
-            segmented_outer_add(cores[k].grad, plan.decoded[k], left_do_t,
-                                right_t, plan.runs(k))
-            cores[k].record_touched(plan.decoded[k])
+            slices, block = segmented_outer_add(plan.decoded[k], left_do_t,
+                                                right_t, plan.runs(k))
+            cores[k].accumulate(slices, block.reshape(-1, *cores[k].shape[1:]))
         if k > 0:
             with trace("tt.backward.gemm_right", core=k):
                 # Right_{k-1}^T = Right_k^T · G_k(i_k)^T per column of n_k:
@@ -89,12 +91,10 @@ def accumulate_core_grads(shape: TTShape, cores: list[Parameter],
 
 def combine_duplicates(grad_rows: np.ndarray, plan: BatchPlan) -> np.ndarray:
     """Per-lookup gradients -> one per *planned* row: a deduplicated plan's
-    duplicates are summed through ``plan.inverse``."""
+    duplicates are summed, in input order, through ``plan.inverse``."""
     if plan.inverse is None:
         return grad_rows
-    combined = np.zeros((plan.n_unique, grad_rows.shape[1]), dtype=grad_rows.dtype)
-    scatter_add_rows(combined, plan.inverse, grad_rows)
-    return combined
+    return sum_rows(plan.inverse, grad_rows, plan.n_unique)
 
 
 class TTEmbeddingBag(CompressedEmbedding):

@@ -6,19 +6,23 @@ GEMMs — the batch grouped by core index, each group multiplied against its
 core slice in place, the NumPy analogue of the pointer-array cuBLAS
 ``GemmBatchedEx`` calls in paper Algorithms 1-2. This module holds:
 
-- :func:`segmented_outer_add` — Algorithm 2's core-gradient accumulation
-  as a segmented GEMM: samples are grouped by core index and each touched
+- :func:`segmented_outer_add` — Algorithm 2's core gradient as a
+  segmented GEMM: samples are grouped by core index and each touched
   slice gets one ``A_groupᵀ @ B_group`` product, so duplicates are reduced
-  inside the contraction and no per-sample gradient block exists;
+  inside the contraction, no per-sample gradient block exists, and the
+  result is already the coalesced ``(slices, blocks)`` pair a core's
+  gradient is;
 - :func:`segmented_matmul` — one chain step ``x[s] @ G_k(i_k[s])`` against
   one view of each touched slice instead of a per-sample gather: every
   step of Algorithm 1 and Algorithm 2's ``Right_{k-1} = G_k(i_k) Right_k``;
-- :func:`scatter_add_rows` — duplicate-combining scatter-add for row-shaped
-  values (dedup combine, cache-row grads, the baselines; much faster than
-  raw ``np.add.at`` when indices repeat, which Zipf lookups guarantee);
 - :func:`tt_lookup_reference` — a deliberately naive per-row implementation
   of paper Eq. 3 used as the correctness oracle in tests and as the
   "no batching" arm of the kernel ablation benchmark.
+
+Row-shaped gradients (the dedup combine, cache rows, the dense table and
+the baselines) coalesce through :func:`repro.ops.module.coalesce_rows`,
+which lives beside :class:`~repro.ops.module.Parameter` because
+:mod:`repro.ops`'s dense table needs it and cannot import this package.
 """
 
 from __future__ import annotations
@@ -29,8 +33,8 @@ from repro.telemetry import trace
 from repro.tt.shapes import TTShape
 from repro.utils.dtypes import result_dtype
 
-__all__ = ["scatter_add_rows", "segmented_matmul", "segmented_outer_add",
-           "sorted_runs", "tt_lookup_reference"]
+__all__ = ["segmented_matmul", "segmented_outer_add", "sorted_runs",
+           "tt_lookup_reference"]
 
 
 def sorted_runs(rows: np.ndarray) -> tuple[np.ndarray | None, np.ndarray, list[int]]:
@@ -52,52 +56,29 @@ def sorted_runs(rows: np.ndarray) -> tuple[np.ndarray | None, np.ndarray, list[i
     return order, rows[starts], [*starts, n]
 
 
-def scatter_add_rows(buf: np.ndarray, rows: np.ndarray, vals: np.ndarray) -> None:
-    """``buf[rows] += vals`` with correct duplicate handling.
+def segmented_outer_add(rows: np.ndarray, a: np.ndarray, b: np.ndarray,
+                        runs: tuple | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """``(uniq, block)`` with ``block[i] = sum(a[s].T @ b[s] for s where
+    rows[s] == uniq[i])`` and ``uniq`` the sorted unique ``rows``.
 
-    ``buf`` has shape ``(m, ...)``, ``rows`` is ``(n,)`` int, ``vals`` is
-    ``(n, ...)``. Duplicates in ``rows`` are first combined with a sorted
-    segmented reduction, then written with one fancy-indexed add — this
-    turns the O(n) scalar loop of ``np.add.at`` into two vectorized passes.
-    """
-    rows = np.asarray(rows, dtype=np.int64)
-    if rows.size == 0:
-        return
-    if rows.shape[0] != vals.shape[0]:
-        raise ValueError(f"rows ({rows.shape[0]}) and vals ({vals.shape[0]}) disagree")
-    with trace("kernels.scatter_add"):
-        order, uniq, bounds = sorted_runs(rows)
-        vals = vals.reshape(rows.shape[0], -1)
-        summed = np.add.reduceat(vals if order is None else vals[order],
-                                 bounds[:-1], axis=0)
-        # In-place accumulation into the caller's gradient buffer is this
-        # function's documented contract ("buf[rows] += vals").
-        buf_flat = buf.reshape(buf.shape[0], -1)
-        buf_flat[uniq] += summed  # repro: noqa[MUT001]
-
-
-def segmented_outer_add(buf: np.ndarray, rows: np.ndarray, a: np.ndarray,
-                        b: np.ndarray, runs: tuple | None = None) -> None:
-    """``buf[j] += sum(a[s].T @ b[s] for s where rows[s] == j)``.
-
-    ``buf`` is ``(m, ...)`` with ``A * B`` elements per slice, ``rows`` is
-    ``(n,)`` int, ``a`` is ``(n, Q, A)`` and ``b`` is ``(n, Q, B)``. Both
-    factors are gathered once in sorted ``rows`` order and flattened
-    K-major to ``(n*Q, A)`` / ``(n*Q, B)``, so the samples of one slice are
-    a contiguous run and their summed outer product is a single GEMM with
-    ``K = group * Q`` — duplicates are reduced inside the contraction and
-    the per-sample ``(n, A, B)`` block never exists. ``runs`` is
-    ``sorted_runs(rows)`` when the caller already has it.
+    ``rows`` is ``(n,)`` int, ``a`` is ``(n, Q, A)``, ``b`` is ``(n, Q, B)``
+    and ``block`` ``(len(uniq), A, B)``. Both factors are gathered once in
+    sorted ``rows`` order and flattened K-major to ``(n*Q, A)`` /
+    ``(n*Q, B)``, so the samples of one slice are a contiguous run and
+    their summed outer product is a single GEMM with ``K = group * Q`` —
+    duplicates are reduced inside the contraction and the per-sample
+    ``(n, A, B)`` block never exists. ``runs`` is ``sorted_runs(rows)``
+    when the caller already has it.
     """
     rows = np.asarray(rows, dtype=np.int64)
     n = rows.shape[0]
-    if n == 0:
-        return
     if a.shape[:2] != b.shape[:2] or a.shape[0] != n:
         raise ValueError(
             f"rows ({n}), a {a.shape} and b {b.shape} disagree on (n, Q)")
+    q, width_a, width_b = a.shape[1], a.shape[2], b.shape[2]
+    if n == 0:
+        return rows, np.empty((0, width_a, width_b), dtype=result_dtype(a, b))
     with trace("kernels.segmented_outer_add"):
-        q, width_a, width_b = a.shape[1], a.shape[2], b.shape[2]
         order, uniq, bounds = runs or sorted_runs(rows)
         if order is not None:
             a, b = np.take(a, order, axis=0), np.take(b, order, axis=0)
@@ -106,10 +87,7 @@ def segmented_outer_add(buf: np.ndarray, rows: np.ndarray, a: np.ndarray,
         for i in range(uniq.size):
             run = slice(bounds[i] * q, bounds[i + 1] * q)
             np.matmul(a[run].T, b[run], out=block[i])
-        # In-place accumulation into the caller's gradient buffer is this
-        # function's documented contract, as for scatter_add_rows.
-        buf_flat = buf.reshape(buf.shape[0], width_a, width_b)
-        buf_flat[uniq] += block  # repro: noqa[MUT001]
+    return uniq, block
 
 
 def segmented_matmul(x: np.ndarray, rows: np.ndarray, mats: np.ndarray,

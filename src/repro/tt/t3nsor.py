@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.ops.embedding import CompressedEmbedding
-from repro.ops.module import Parameter
+from repro.ops.module import Parameter, coalesce_rows
 from repro.tt.decomposition import tt_full_tensor
 from repro.tt.embedding_bag import accumulate_core_grads
 from repro.tt.initialization import tt_core_initializer
@@ -41,8 +41,10 @@ class T3nsorEmbeddingBag(CompressedEmbedding):
             shape = TTShape.suggested(num_rows, dim, d=d, rank=rank)
         self.shape = shape
         init_fn = initializer if callable(initializer) else tt_core_initializer(initializer)
+        # Sparse like every TT core: a core's gradient is the pair
+        # accumulate_core_grads builds (here nearly every slice).
         self.cores = [
-            Parameter(core, name=f"{name}.core{k}", sparse=False)
+            Parameter(core, name=f"{name}.core{k}", sparse=True)
             for k, core in enumerate(init_fn(shape, as_rng(rng)))
         ]
 
@@ -66,9 +68,12 @@ class T3nsorEmbeddingBag(CompressedEmbedding):
         pushed through the reconstruction — an ``O(M*N)``-memory step, the
         exact cost TT-Rec's Algorithm 2 avoids.
         """
+        if not indices.size:  # all bags empty: no row, no core gradient
+            return
         d_full = np.zeros((self.shape.padded_rows, self.dim),
                           dtype=grad_rows.dtype)
-        np.add.at(d_full, indices, grad_rows)
+        rows, summed = coalesce_rows(indices, grad_rows)
+        d_full[rows] = summed
         self._backprop_full(d_full)
 
     def _backprop_full(self, d_full: np.ndarray) -> None:

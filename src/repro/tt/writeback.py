@@ -84,6 +84,6 @@ def absorb_rows(emb: TTEmbeddingBag, row_ids: np.ndarray, targets: np.ndarray, *
         grad = 2.0 * (out - targets) / n
         emb.backward(grad)
         for p, anchor in zip(emb.cores, anchors):
-            p.data -= lr * (p.grad + ridge * (p.data - anchor))
+            p.data -= lr * (p.dense_grad() + ridge * (p.data - anchor))
     after = reconstruction_error(emb, row_ids, targets)
     return {"before": before, "after": after, "steps": used}

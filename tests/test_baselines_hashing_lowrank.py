@@ -49,7 +49,7 @@ class TestHashedEmbeddingBag:
         emb.zero_grad()
         emb.forward(idx, off)
         emb.backward(r)
-        numeric_grad_check(emb.table.weight.data, emb.table.weight.grad, loss,
+        numeric_grad_check(emb.table.weight.data, emb.table.weight.dense_grad(), loss,
                            samples=20)
 
     def test_collision_rate_increases_with_compression(self):
@@ -108,8 +108,8 @@ class TestLowRankEmbeddingBag:
         emb.zero_grad()
         emb.forward(idx, off, alpha)
         emb.backward(r)
-        numeric_grad_check(emb.factor_a.data, emb.factor_a.grad, loss, samples=15)
-        numeric_grad_check(emb.factor_b.data, emb.factor_b.grad, loss, samples=15)
+        numeric_grad_check(emb.factor_a.data, emb.factor_a.dense_grad(), loss, samples=15)
+        numeric_grad_check(emb.factor_b.data, emb.factor_b.dense_grad(), loss, samples=15)
 
     def test_pooling_matches_row_sum(self):
         emb = LowRankEmbeddingBag(60, 6, rank=3, rng=0)
@@ -126,7 +126,7 @@ class TestLowRankEmbeddingBag:
         emb = LowRankEmbeddingBag(60, 6, rank=3, rng=0)
         emb.forward(np.array([9, 4, 9]), np.array([0, 3]))
         emb.backward(np.ones((1, 6)))
-        np.testing.assert_array_equal(emb.factor_a.touched_rows, [4, 9])
+        np.testing.assert_array_equal(emb.factor_a.grad.rows, [4, 9])
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -119,8 +119,8 @@ class TestForwardBackward:
         emb.forward(idx, off, alpha)
         emb.backward(r)
         for p in emb.tt.cores:
-            numeric_grad_check(p.data, p.grad, loss, samples=10)
-        numeric_grad_check(emb.cache_rows.data, emb.cache_rows.grad, loss, samples=10)
+            numeric_grad_check(p.data, p.dense_grad(), loss, samples=10)
+        numeric_grad_check(emb.cache_rows.data, emb.cache_rows.dense_grad(), loss, samples=10)
 
     def test_cached_rows_update_densely(self):
         """After SGD on cache_rows, hits serve the *updated* value while the
@@ -133,8 +133,8 @@ class TestForwardBackward:
         emb.zero_grad()
         emb.forward(np.array([5]))
         emb.backward(np.ones((1, 8)))
-        assert not any(p.grad.any() for p in emb.tt.cores)
-        emb.cache_rows.data -= 0.1 * emb.cache_rows.grad
+        assert not any(p.dense_grad().any() for p in emb.tt.cores)
+        emb.cache_rows.data -= 0.1 * emb.cache_rows.dense_grad()
         after = emb.lookup(np.array([5]))[0]
         assert not np.allclose(after, before_tt)
         np.testing.assert_allclose(emb.tt.lookup(np.array([5]))[0], before_tt)
@@ -149,11 +149,11 @@ class TestForwardBackward:
         emb.zero_grad()
         emb.forward(idx)
         emb.backward(np.ones((3, 8)))
-        snapshot = [p.grad.copy() for p in emb.tt.cores]
-        snapshot.append(emb.cache_rows.grad.copy())
+        snapshot = [p.dense_grad().copy() for p in emb.tt.cores]
+        snapshot.append(emb.cache_rows.dense_grad().copy())
         with pytest.raises(RuntimeError, match="twice"):
             emb.backward(np.ones((3, 8)))
-        after = [p.grad for p in emb.tt.cores] + [emb.cache_rows.grad]
+        after = [p.dense_grad() for p in emb.tt.cores] + [emb.cache_rows.dense_grad()]
         for g, s in zip(after, snapshot):
             assert np.array_equal(g, s)  # nothing accumulated by the raise
         # forward -> backward works again afterwards.
@@ -161,7 +161,7 @@ class TestForwardBackward:
         emb.backward(np.ones((3, 8)))
 
     def test_cache_grad_scatter_matches_add_at(self):
-        """Duplicate-heavy hit batch: scatter_add_rows on cache-row grads
+        """Duplicate-heavy hit batch: coalesce_rows on cache-row grads
         must agree with the np.add.at oracle it replaced."""
         rng = np.random.default_rng(13)
         emb = make(warmup_steps=1, cache_size=4)
@@ -177,9 +177,9 @@ class TestForwardBackward:
         emb.forward(idx)
         emb.backward(grad)
         mask, slots = emb._membership(idx)
-        expected = np.zeros_like(emb.cache_rows.grad)
+        expected = np.zeros_like(emb.cache_rows.dense_grad())
         np.add.at(expected, slots, grad[mask])
-        np.testing.assert_allclose(emb.cache_rows.grad, expected, atol=1e-12)
+        np.testing.assert_allclose(emb.cache_rows.dense_grad(), expected, atol=1e-12)
 
     def test_validated_read_serves_repaired_row(self):
         """Validation and serving must use the same gather: a row poisoned

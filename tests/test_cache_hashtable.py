@@ -125,6 +125,29 @@ class TestHashTable:
             assert v == expected.get(int(k), 0)
         assert len(t) == len(expected)
 
+    def test_forced_collisions_match_dict(self):
+        """Capacity 8 and four keys whose probes all start at one slot: the
+        upserts that find their key (``match``) add into distinct slots, so
+        the indexed ``+=`` equals a dict, batch after batch."""
+        t = OpenAddressingHashTable(8, load_factor=0.95)
+        home = splitmix64(np.arange(10_000, dtype=np.int64)) & np.uint64(7)
+        keys = np.flatnonzero(home == home[0])[:4]
+        assert keys.size == 4
+        rng = np.random.default_rng(0)
+        want: dict[int, float] = {}
+        # Later batches carry at most three distinct keys, so the table
+        # never grows out of the collision.
+        batches = [np.repeat(keys, 2)]
+        batches += [rng.choice(rng.permutation(keys)[:3], size=7) for _ in range(8)]
+        for batch in batches:
+            amounts = rng.integers(1, 5, size=batch.size).astype(float)
+            t.add(batch, amounts)
+            for k, a in zip(batch.tolist(), amounts.tolist()):
+                want[k] = want.get(k, 0.0) + a
+        assert t.capacity == 8 and len(t) == len(want)
+        got = t.get(np.array(sorted(want)))
+        assert dict(zip(sorted(want), got.tolist())) == want
+
     def test_adversarial_same_slot_keys(self):
         """Many keys, tiny table: forces heavy probing and growth."""
         t = OpenAddressingHashTable(8, load_factor=0.5)

@@ -109,7 +109,7 @@ def train_steps(emb, steps, *, first=0, lr=0.1):
         emb.zero_grad()
         emb.backward(np.random.default_rng(200 + step).normal(size=out.shape))
         for p in emb.parameters():
-            p.data -= lr * p.grad
+            p.data -= lr * p.dense_grad()
 
 
 class Holder(Module):
@@ -205,7 +205,7 @@ def test_offsets_default_and_all_empty_bags(name, how):
     if emb.supports_gradient:
         emb.zero_grad()
         emb.backward(np.ones((3, DIM)))
-        assert not any(p.grad.any() for p in emb.parameters())
+        assert not any(p.dense_grad().any() for p in emb.parameters())
 
 
 # ---------------------------------------------------------------------- #
@@ -255,7 +255,7 @@ def test_lookup_bags_between_forward_and_backward_is_pure(name, how):
             emb.lookup_bags(*bags(7))
             emb.lookup_bags(np.arange(ROWS))
         emb.backward(grad)
-        grads.append([p.grad.copy() for p in emb.parameters()])
+        grads.append([p.dense_grad().copy() for p in emb.parameters()])
         states.append(emb.state_dict())
     for plain, interleaved in zip(*grads):
         np.testing.assert_array_equal(plain, interleaved)
@@ -335,11 +335,11 @@ def test_backward_guard(name, how):
         emb.backward(grad)
     emb.forward(indices, offsets)
     emb.backward(grad)
-    snapshot = [p.grad.copy() for p in emb.parameters()]
+    snapshot = [p.dense_grad().copy() for p in emb.parameters()]
     with pytest.raises(RuntimeError, match="twice"):
         emb.backward(grad)
     for p, before in zip(emb.parameters(), snapshot):
-        np.testing.assert_array_equal(p.grad, before)  # the raise added nothing
+        np.testing.assert_array_equal(p.dense_grad(), before)  # the raise added nothing
     emb.forward(indices, offsets)  # a fresh forward re-arms backward
     emb.backward(grad)
 
@@ -357,7 +357,7 @@ def test_lookup_between_forward_and_backward_is_pure(name, how):
         if interleave:
             emb.lookup(np.arange(ROWS))
         emb.backward(grad)
-        grads.append([p.grad.copy() for p in emb.parameters()])
+        grads.append([p.dense_grad().copy() for p in emb.parameters()])
     for plain, interleaved in zip(*grads):
         np.testing.assert_array_equal(plain, interleaved)
 

@@ -53,7 +53,7 @@ class TestEmptyBatch:
         except NotImplementedError:
             return  # inference-only operator
         for p in getattr(emb, "parameters", lambda: [])():
-            assert not p.grad.any()
+            assert not p.dense_grad().any()
 
     def test_mixed_empty_and_nonempty_bags(self, emb):
         idx = np.array([5, 7], dtype=np.int64)

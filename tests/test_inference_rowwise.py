@@ -240,8 +240,7 @@ class TestRowWiseAdagrad:
 
     def test_touched_rows_only(self):
         p = Parameter(np.ones((5, 2)), sparse=True)
-        p.grad[:] = 1.0
-        p.record_touched(np.array([1, 3]))
+        p.accumulate(np.array([1, 3]), np.ones((2, 2)))
         RowWiseAdagrad([p], lr=0.1).step()
         np.testing.assert_allclose(p.data[0], 1.0)
         assert (p.data[1] != 1.0).all()
@@ -250,8 +249,7 @@ class TestRowWiseAdagrad:
     def test_first_step_magnitude(self):
         """With uniform row gradient g, first update is -lr * g/|g| = -lr."""
         p = Parameter(np.zeros((2, 3)), sparse=True)
-        p.grad[:] = 2.0
-        p.record_touched(np.array([0, 1]))
+        p.accumulate(np.array([0, 1]), np.full((2, 3), 2.0))
         RowWiseAdagrad([p], lr=0.1).step()
         np.testing.assert_allclose(p.data, -0.1, atol=1e-8)
 
@@ -261,8 +259,7 @@ class TestRowWiseAdagrad:
         p1 = Parameter(np.zeros((1, 2)), sparse=True)
         p2 = Parameter(np.zeros((1, 2)), sparse=True)
         for p in (p1, p2):
-            p.grad[:] = [[3.0, 1.0]]
-            p.record_touched(np.array([0]))
+            p.accumulate(np.array([0]), np.array([[3.0, 1.0]]))
         RowWiseAdagrad([p1], lr=0.1).step()
         Adagrad([p2], lr=0.1).step()
         # element-wise: both elements move ~ -0.1; row-wise keeps the 3:1 ratio

@@ -158,7 +158,7 @@ class TestDLRMForwardBackward:
         model.forward(dense, sparse)
         model.backward(r)
         for p in model.parameters():
-            numeric_grad_check(p.data, p.grad, loss, samples=6, rtol=5e-4)
+            numeric_grad_check(p.data, p.dense_grad(), loss, samples=6, rtol=5e-4)
 
     def test_predict_proba_range(self, config):
         rng = np.random.default_rng(1)

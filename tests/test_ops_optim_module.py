@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.ops import SGD, Adagrad, Linear, SparseSGD
-from repro.ops.module import Module, Parameter
+from repro.ops.module import Module, Parameter, coalesce_rows
+from repro.ops.optim import RowWiseAdagrad
 
 
 class TestParameter:
@@ -13,17 +14,35 @@ class TestParameter:
         assert p.grad.shape == (2, 3)
         assert not p.grad.any()
 
-    def test_zero_grad_resets_touched(self):
+    def test_sparse_grad_starts_without_pair(self):
         p = Parameter(np.ones((4, 2)), sparse=True)
-        p.record_touched(np.array([1, 3]))
-        p.zero_grad()
-        assert p.touched_rows is None
+        assert p.grad is None
+        assert not p.dense_grad().any()
 
-    def test_record_touched_unions(self):
+    def test_zero_grad_drops_the_pair(self):
+        p = Parameter(np.ones((4, 2)), sparse=True)
+        p.accumulate(np.array([1, 3]), np.ones((2, 2)))
+        p.zero_grad()
+        assert p.grad is None
+
+    def test_accumulate_merges_pairs(self):
         p = Parameter(np.ones((5, 1)), sparse=True)
-        p.record_touched(np.array([3, 1, 3]))
-        p.record_touched(np.array([0]))
-        np.testing.assert_array_equal(p.touched_rows, [0, 1, 3])
+        p.accumulate(*coalesce_rows(np.array([3, 1, 3]), np.array([[1.0], [2.0], [4.0]])))
+        p.accumulate(np.array([0, 3]), np.array([[8.0], [16.0]]))
+        assert p.grad.rows.dtype == np.int64
+        np.testing.assert_array_equal(p.grad.rows, [0, 1, 3])
+        np.testing.assert_array_equal(p.grad.values, [[8.0], [2.0], [21.0]])
+        np.testing.assert_array_equal(p.dense_grad()[:, 0], [8, 2, 0, 21, 0])
+
+    def test_empty_pair_is_no_gradient(self):
+        p = Parameter(np.ones((3, 2)), sparse=True)
+        p.accumulate(*coalesce_rows(np.array([], dtype=np.int64), np.zeros((0, 2))))
+        assert p.grad is None
+
+    def test_accumulate_rejects_misshaped_values(self):
+        p = Parameter(np.ones((3, 2)), sparse=True)
+        with pytest.raises(ValueError):
+            p.accumulate(np.array([0, 1]), np.ones((2, 3)))
 
     def test_data_is_float64_contiguous(self):
         p = Parameter(np.ones((2, 2), dtype=np.float32).T)
@@ -106,11 +125,17 @@ class TestSGD:
         assert not p.grad.any()
 
 
+def _read_only_sparse(shape):
+    """A sparse parameter whose ``data`` raises on any write."""
+    p = Parameter(np.ones(shape), sparse=True)
+    p.data.flags.writeable = False
+    return p
+
+
 class TestSparseSGD:
-    def test_touches_only_recorded_rows(self):
+    def test_updates_only_pair_rows(self):
         p = Parameter(np.ones((4, 2)), sparse=True)
-        p.grad[:] = 1.0  # grads exist everywhere, but only rows 1,2 touched
-        p.record_touched(np.array([1, 2]))
+        p.accumulate(np.array([1, 2]), np.ones((2, 2)))
         SparseSGD([p], lr=0.5).step()
         np.testing.assert_allclose(p.data[0], [1.0, 1.0])
         np.testing.assert_allclose(p.data[1], [0.5, 0.5])
@@ -122,11 +147,14 @@ class TestSparseSGD:
         SparseSGD([p], lr=0.5).step()
         np.testing.assert_allclose(p.data, 0.5)
 
-    def test_sparse_without_touch_updates_all(self):
-        p = Parameter(np.ones(3), sparse=True)
-        p.grad[:] = 1.0
+    def test_sparse_without_pair_is_not_walked(self):
+        """No pair, no work: an untouched table (a cache before its first
+        populate, all-empty bags) is not written, not even with zeros."""
+        p = _read_only_sparse((3, 2))
         SparseSGD([p], lr=1.0).step()
-        np.testing.assert_allclose(p.data, 0.0)
+        RowWiseAdagrad([p], lr=1.0).step()
+        Adagrad([p], lr=1.0).step()
+        np.testing.assert_array_equal(p.data, 1.0)
 
 
 class TestAdagrad:
@@ -147,10 +175,11 @@ class TestAdagrad:
         second = abs(p.data[0] - before)
         assert second < first
 
-    def test_sparse_rows_only(self):
+    def test_sparse_pair_rows_only(self):
         p = Parameter(np.zeros((3, 1)), sparse=True)
-        p.grad[:] = 1.0
-        p.record_touched(np.array([2]))
-        Adagrad([p], lr=0.1).step()
+        p.accumulate(np.array([2]), np.ones((1, 1)))
+        opt = Adagrad([p], lr=0.1)
+        opt.step()
         assert p.data[0, 0] == 0.0
         assert p.data[2, 0] != 0.0
+        np.testing.assert_array_equal(opt.state_dict()["accum.0"][:, 0], [0, 0, 1])

@@ -93,8 +93,8 @@ class TestCacheTransparency:
         mask, _ = emb._membership(idx)
         # cache grad rows touched == unique hit slots; TT grads nonzero iff misses
         if mask.any():
-            assert emb.cache_rows.grad.any()
+            assert emb.cache_rows.dense_grad().any()
         if (~mask).any():
-            assert any(p.grad.any() for p in emb.tt.cores)
+            assert any(p.dense_grad().any() for p in emb.tt.cores)
         else:
-            assert not any(p.grad.any() for p in emb.tt.cores)
+            assert not any(p.dense_grad().any() for p in emb.tt.cores)

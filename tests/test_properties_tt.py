@@ -111,12 +111,12 @@ class TestGradientStructure:
         emb.backward(g1)
         emb.forward(idx2)
         emb.backward(g2)
-        accumulated = [p.grad.copy() for p in emb.cores]
+        accumulated = [p.dense_grad().copy() for p in emb.cores]
 
         emb.zero_grad()
         emb.forward(np.concatenate([idx1, idx2]))
         emb.backward(np.vstack([g1, g2]))
-        for acc, union in zip(accumulated, (p.grad for p in emb.cores)):
+        for acc, union in zip(accumulated, (p.dense_grad() for p in emb.cores)):
             np.testing.assert_allclose(acc, union, atol=1e-10)
 
     @given(seeds)
@@ -130,12 +130,12 @@ class TestGradientStructure:
         emb.zero_grad()
         emb.forward(idx)
         emb.backward(g)
-        base = [p.grad.copy() for p in emb.cores]
+        base = [p.dense_grad().copy() for p in emb.cores]
 
         emb.zero_grad()
         emb.forward(idx)
         emb.backward(3.0 * g)
-        for b, s in zip(base, (p.grad for p in emb.cores)):
+        for b, s in zip(base, (p.dense_grad() for p in emb.cores)):
             np.testing.assert_allclose(s, 3.0 * b, atol=1e-10)
 
     @given(seeds)
@@ -148,8 +148,8 @@ class TestGradientStructure:
         emb.forward(idx)
         emb.backward(np.ones((1, 8)))
         for p in emb.cores:
-            assert not p.grad[1:].any()  # only slice 0 touched
-            assert p.grad[0].any()
+            assert p.grad.rows.tolist() == [0]  # only slice 0 touched
+            assert p.grad.values.any()
 
 
 class TestCompressionMonotonicity:
@@ -256,11 +256,11 @@ class TestCoreGradsAgainstNaive:
         want = naive_core_grads([p.data for p in emb.cores], shape, indices,
                                 grad_rows)
         for p, w in zip(emb.cores, want):
-            assert p.grad.dtype == dtype
-            np.testing.assert_allclose(p.grad, w, rtol=rtol,
+            assert p.grad.values.dtype == dtype
+            np.testing.assert_allclose(p.dense_grad(), w, rtol=rtol,
                                        atol=rtol * np.abs(w).max())
             touched = np.flatnonzero(np.abs(w).reshape(w.shape[0], -1).sum(axis=1))
-            assert np.isin(touched, p.touched_rows).all()
+            assert np.isin(touched, p.grad.rows).all()
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     @pytest.mark.parametrize("dedup", [False, True], ids=["nodedup", "dedup"])
@@ -277,7 +277,7 @@ class TestCoreGradsAgainstNaive:
         want = naive_core_grads([p.data for p in emb.cores], shape, indices,
                                 grad_rows)
         for p, w in zip(emb.cores, want):
-            assert p.grad.tobytes() == w.tobytes()
+            assert p.dense_grad().tobytes() == w.tobytes()
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     @pytest.mark.parametrize("dedup", [False, True], ids=["nodedup", "dedup"])
@@ -301,7 +301,7 @@ class TestCoreGradsAgainstNaive:
         want = naive_core_grads([p.data for p in emb.tt.cores], shape,
                                 indices[miss], grad_rows[miss])
         for p, w in zip(emb.tt.cores, want):
-            np.testing.assert_allclose(p.grad, w, rtol=1e-10,
+            np.testing.assert_allclose(p.dense_grad(), w, rtol=1e-10,
                                        atol=1e-10 * np.abs(w).max())
 
     @pytest.mark.parametrize("d", [2, 3, 4])
@@ -315,7 +315,7 @@ class TestCoreGradsAgainstNaive:
                                  dedup=True)
             emb.forward(indices, offsets, weights)
             emb.backward(grad_out)
-            return b"".join(p.grad.tobytes() for p in emb.cores)
+            return b"".join(p.dense_grad().tobytes() for p in emb.cores)
 
         assert run() == run()
 
@@ -378,7 +378,7 @@ class TestEveryScheduleAgainstReference:
         assert np.array_equal(emb.forward(idx), want)               # pooled
         emb.backward(grad)
         for p, w in zip(emb.cores, naive_core_grads(cores, shape, idx, grad)):
-            assert p.grad.dtype == dtype and np.array_equal(p.grad, w)
+            assert p.dense_grad().dtype == dtype and np.array_equal(p.dense_grad(), w)
         plan = emb.planner.plan_batch(idx, dedup=dedup, need_lefts=True)
         rows, lefts = emb._row_chain(plan)
         uniq = np.unique(idx) if plan.inverse is not None else idx

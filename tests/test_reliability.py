@@ -189,7 +189,12 @@ class TestOptimizerState:
     def _grads(self, model, seed=0):
         rng = np.random.default_rng(seed)
         for p in model.parameters():
-            p.grad[...] = rng.normal(size=p.data.shape)
+            g = rng.normal(size=p.data.shape)
+            if p.sparse:  # every row touched
+                p.zero_grad()
+                p.accumulate(np.arange(p.shape[0]), g)
+            else:
+                p.grad[...] = g
 
     @pytest.mark.parametrize("make", [
         lambda ps: SGD(ps, lr=0.05, momentum=0.9),

@@ -1,8 +1,7 @@
 """The tree checks (``tests/tree_checks.py``) on the tree and on fixtures.
 
 ``src/`` and ``benchmarks/`` are parsed once per session (the ``tree``
-fixture in ``conftest.py``) and must be clean apart from the two
-documented ``MUT001`` suppressions in ``repro/tt/kernels.py``. Fixture
+fixture in ``conftest.py``) and must be clean, with no suppressions. Fixture
 files under ``tests/fixtures/lint/`` each plant the violations one check
 should catch; the directory mirrors the scopes (``repro/tt``,
 ``repro/cache``, ``repro/runtime``), so the real scopes apply to them.
@@ -60,11 +59,10 @@ def findings(tree):
 
 class TestTree:
     def test_src_is_clean(self, findings):
-        """``src`` is clean, with its two documented suppressions."""
+        """``src`` is clean, and nothing in it is suppressed."""
         kept, suppressed = findings
         assert [f for f in kept if f.path.startswith("src/")] == []
-        assert [(f.rule, f.path) for f in suppressed] == [
-            ("MUT001", "src/repro/tt/kernels.py")] * 2
+        assert suppressed == []
 
     def test_benchmarks_clean(self, findings, tree):
         kept, _ = findings

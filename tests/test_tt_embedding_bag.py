@@ -107,7 +107,7 @@ class TestBackward:
         emb.forward(idx, off, alpha)
         emb.backward(r)
         for p in emb.cores:
-            numeric_grad_check(p.data, p.grad, loss, samples=12)
+            numeric_grad_check(p.data, p.dense_grad(), loss, samples=12)
 
     def test_mean_mode_gradient(self, shape):
         rng = np.random.default_rng(11)
@@ -121,18 +121,18 @@ class TestBackward:
         emb.forward(idx, off)
         emb.backward(r)
         for p in emb.cores:
-            numeric_grad_check(p.data, p.grad, loss, samples=10)
+            numeric_grad_check(p.data, p.dense_grad(), loss, samples=10)
 
     def test_double_backward_raises(self, emb):
         """A second backward for one forward would silently double-count
         core gradients; it must raise and leave grads untouched."""
         emb.forward(np.array([1, 2]), np.array([0, 2]))
         emb.backward(np.ones((1, 8)))
-        snapshot = [p.grad.copy() for p in emb.cores]
+        snapshot = [p.dense_grad().copy() for p in emb.cores]
         with pytest.raises(RuntimeError, match="twice"):
             emb.backward(np.ones((1, 8)))
         for p, s in zip(emb.cores, snapshot):
-            assert np.array_equal(p.grad, s)
+            assert np.array_equal(p.dense_grad(), s)
         # A new forward re-arms backward.
         emb.forward(np.array([1]), np.array([0, 1]))
         emb.backward(np.ones((1, 8)))
@@ -141,11 +141,11 @@ class TestBackward:
         idx = np.array([5, 5])
         emb.forward(idx, np.array([0, 2]))
         emb.backward(np.ones((1, 8)))
-        g2 = [p.grad.copy() for p in emb.cores]
+        g2 = [p.dense_grad().copy() for p in emb.cores]
         emb.zero_grad()
         emb.forward(np.array([5]), np.array([0, 1]))
         emb.backward(np.ones((1, 8)))
-        for got, single in zip(g2, (p.grad for p in emb.cores)):
+        for got, single in zip(g2, (p.dense_grad() for p in emb.cores)):
             np.testing.assert_allclose(got, 2 * single, atol=1e-12)
 
     def test_touched_rows_recorded(self, emb, shape):
@@ -154,7 +154,7 @@ class TestBackward:
         emb.backward(np.ones((1, 8)))
         decoded = shape.decode_indices(idx)
         for k, p in enumerate(emb.cores):
-            np.testing.assert_array_equal(p.touched_rows, np.unique(decoded[k]))
+            np.testing.assert_array_equal(p.grad.rows, np.unique(decoded[k]))
 
     def test_gradient_matches_dense_reconstruction_path(self, shape):
         """Core grads agree with autodiff through the materialised table."""
@@ -179,7 +179,7 @@ class TestBackward:
             lm = float((emb.materialize()[idx] * r).sum())
             flat[j] = orig
             numeric = (lp - lm) / (2 * eps)
-            assert numeric == pytest.approx(p.grad.reshape(-1)[j], rel=1e-4, abs=1e-7)
+            assert numeric == pytest.approx(p.dense_grad().reshape(-1)[j], rel=1e-4, abs=1e-7)
 
 
 class TestInterop:

@@ -5,55 +5,65 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.ops.module import coalesce_rows
 from repro.tt import T3nsorEmbeddingBag, TTEmbeddingBag, TTShape
-from repro.tt.kernels import (scatter_add_rows, segmented_matmul,
-                              segmented_outer_add, sorted_runs,
-                              tt_lookup_reference)
+from repro.tt.kernels import (segmented_matmul, segmented_outer_add,
+                              sorted_runs, tt_lookup_reference)
 from tests.helpers import numeric_grad_check, random_csr
 
 
+def scatter(m, pair):
+    """The pair as an ``(m, ...)`` array (zeros off its rows)."""
+    rows, vals = pair
+    out = np.zeros((m, *vals.shape[1:]), dtype=vals.dtype)
+    out[rows] = vals
+    return out
+
+
 class TestScatterAddRows:
+    """``coalesce_rows``: the scatter-add of row-shaped values, returned as
+    the coalesced ``(sorted unique rows, summed values)`` pair."""
+
     def test_basic(self):
-        buf = np.zeros((4, 2))
-        scatter_add_rows(buf, np.array([1, 3]), np.array([[1.0, 2.0], [3.0, 4.0]]))
-        np.testing.assert_allclose(buf[1], [1, 2])
-        np.testing.assert_allclose(buf[3], [3, 4])
+        rows, vals = coalesce_rows(np.array([3, 1]),
+                                   np.array([[3.0, 4.0], [1.0, 2.0]]))
+        assert rows.dtype == np.int64 and rows.tolist() == [1, 3]
+        np.testing.assert_array_equal(vals, [[1, 2], [3, 4]])
 
     def test_duplicates_combine(self):
-        buf = np.zeros((3, 2))
         rows = np.array([2, 2, 2, 0])
         vals = np.arange(8.0).reshape(4, 2)
-        scatter_add_rows(buf, rows, vals)
-        np.testing.assert_allclose(buf[2], vals[:3].sum(axis=0))
-        np.testing.assert_allclose(buf[0], vals[3])
+        got = coalesce_rows(rows, vals)
+        assert got.rows.tolist() == [0, 2]
+        np.testing.assert_array_equal(got.values[1], vals[:3].sum(axis=0))
+        np.testing.assert_array_equal(got.values[0], vals[3])
 
     def test_nd_values(self):
-        buf = np.zeros((3, 2, 2))
-        vals = np.ones((2, 2, 2))
-        scatter_add_rows(buf, np.array([1, 1]), vals)
-        np.testing.assert_allclose(buf[1], 2 * np.ones((2, 2)))
+        got = coalesce_rows(np.array([1, 1]), np.ones((2, 2, 2)))
+        assert got.rows.tolist() == [1]
+        np.testing.assert_array_equal(got.values, 2 * np.ones((1, 2, 2)))
 
     def test_empty(self):
-        buf = np.zeros((3, 2))
-        scatter_add_rows(buf, np.array([], dtype=np.int64), np.zeros((0, 2)))
-        assert not buf.any()
+        rows, vals = coalesce_rows(np.array([], dtype=np.int64), np.zeros((0, 2)))
+        assert rows.shape == (0,) and vals.shape == (0, 2)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            scatter_add_rows(np.zeros((3, 2)), np.array([0]), np.zeros((2, 2)))
+            coalesce_rows(np.array([0]), np.zeros((2, 2)))
 
     @given(st.integers(min_value=0, max_value=2 ** 31),
            st.integers(min_value=1, max_value=50))
     @settings(max_examples=50)
     def test_matches_add_at(self, seed, n):
+        """Sums in input order from zero: the bytes of ``np.add.at``."""
         rng = np.random.default_rng(seed)
         rows = rng.integers(0, 6, size=n)
         vals = rng.normal(size=(n, 3))
-        a = np.zeros((6, 3))
-        b = np.zeros((6, 3))
-        scatter_add_rows(a, rows, vals)
-        np.add.at(b, rows, vals)
-        np.testing.assert_allclose(a, b, atol=1e-12)
+        want = np.zeros((6, 3))
+        np.add.at(want, rows, vals)
+        got = coalesce_rows(rows, vals)
+        assert got.rows.tolist() == sorted(set(rows.tolist()))
+        assert scatter(6, got).tobytes() == want.tobytes()
 
 
 def _segment_case(case: str, rng, n: int = 40, m: int = 7) -> np.ndarray:
@@ -85,12 +95,20 @@ def _factors(rng, n, q, width_a, width_b, *, integer, dtype):
 
 
 class TestSegmentedOuterAdd:
-    """``buf[j] += sum_s a[s].T @ b[s]`` vs. the per-sample loop."""
+    """``(uniq, block)`` with ``block[i] = sum_s a[s].T @ b[s]`` over the
+    samples of ``uniq[i]``, vs. the per-sample loop."""
 
     @staticmethod
     def naive(buf, rows, a, b):
         for s, j in enumerate(rows):
             buf[j] += (a[s].T @ b[s]).reshape(buf.shape[1:])
+
+    @staticmethod
+    def add(buf, rows, a, b, runs=None):
+        """``buf[j] += ...`` through the returned pair."""
+        uniq, block = segmented_outer_add(rows, a, b, runs)
+        assert uniq.tolist() == sorted(set(rows.tolist()))
+        buf[uniq] += block.reshape(-1, *buf.shape[1:])
 
     @pytest.mark.parametrize("case", SEGMENT_CASES)
     @pytest.mark.parametrize("q", [1, 3])
@@ -101,7 +119,7 @@ class TestSegmentedOuterAdd:
         a, b = _factors(rng, rows.size, q, 4, 5, integer=True, dtype=np.float64)
         got = rng.integers(-3, 4, size=(m, 2, 2, 5)).astype(np.float64)
         want = got.copy()
-        segmented_outer_add(got, rows, a, b)
+        self.add(got, rows, a, b)
         self.naive(want, rows, a, b)
         assert got.tobytes() == want.tobytes()
 
@@ -114,7 +132,7 @@ class TestSegmentedOuterAdd:
         a, b = _factors(rng, rows.size, 2, 6, 3, integer=False, dtype=dtype)
         got = np.zeros((m, 6, 3), dtype=dtype)
         want = np.zeros((m, 6, 3), dtype=np.float64)
-        segmented_outer_add(got, rows, a, b)
+        self.add(got, rows, a, b)
         self.naive(want, rows, a.astype(np.float64), b.astype(np.float64))
         assert got.dtype == dtype
         np.testing.assert_allclose(got, want, rtol=rtol, atol=rtol)
@@ -125,30 +143,29 @@ class TestSegmentedOuterAdd:
         rows = _segment_case("zipf", rng)
         a, b = _factors(rng, rows.size, 3, 4, 5, integer=True, dtype=np.float64)
         got, want = np.zeros((7, 4, 5)), np.zeros((7, 4, 5))
-        segmented_outer_add(got, rows, np.asfortranarray(a),
-                            b.transpose(0, 2, 1).copy().transpose(0, 2, 1))
+        self.add(got, rows, np.asfortranarray(a),
+                 b.transpose(0, 2, 1).copy().transpose(0, 2, 1))
         self.naive(want, rows, a, b)
         assert got.tobytes() == want.tobytes()
 
     def test_untouched_slices_stay_untouched(self):
-        buf = np.zeros((5, 2, 2))
-        segmented_outer_add(buf, np.array([1, 1, 3]), np.ones((3, 1, 2)),
-                            np.ones((3, 1, 2)))
-        assert not buf[[0, 2, 4]].any()
-        np.testing.assert_array_equal(buf[1], 2 * np.ones((2, 2)))
+        """Untouched slices are not in the pair at all."""
+        uniq, block = segmented_outer_add(np.array([3, 1, 1]), np.ones((3, 1, 2)),
+                                          np.ones((3, 1, 2)))
+        assert uniq.tolist() == [1, 3]
+        np.testing.assert_array_equal(block, [2 * np.ones((2, 2)), np.ones((2, 2))])
 
     def test_empty(self):
-        buf = np.zeros((3, 2, 2))
-        segmented_outer_add(buf, np.array([], dtype=np.int64),
-                            np.zeros((0, 1, 2)), np.zeros((0, 1, 2)))
-        assert not buf.any()
+        uniq, block = segmented_outer_add(np.array([], dtype=np.int64),
+                                          np.zeros((0, 1, 2)), np.zeros((0, 1, 3)))
+        assert uniq.shape == (0,) and block.shape == (0, 2, 3)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            segmented_outer_add(np.zeros((3, 2, 2)), np.array([0, 1]),
+            segmented_outer_add(np.array([0, 1]),
                                 np.zeros((2, 1, 2)), np.zeros((2, 3, 2)))
         with pytest.raises(ValueError):
-            segmented_outer_add(np.zeros((3, 2, 2)), np.array([0]),
+            segmented_outer_add(np.array([0]),
                                 np.zeros((2, 1, 2)), np.zeros((2, 1, 2)))
 
 
@@ -202,10 +219,9 @@ class TestSegmentedMatmul:
         out = np.full(want.shape, np.nan)
         assert segmented_matmul(x, rows, mats, runs, out=out) is out
         assert out.tobytes() == want.tobytes()
-        got, plain = np.zeros((m, 4, 4)), np.zeros((m, 4, 4))
-        segmented_outer_add(got, rows, a, b, runs)
-        segmented_outer_add(plain, rows, a, b)
-        assert got.tobytes() == plain.tobytes()
+        got = segmented_outer_add(rows, a, b, runs)
+        plain = segmented_outer_add(rows, a, b)
+        assert [x.tobytes() for x in got] == [x.tobytes() for x in plain]
 
     def test_sorted_runs_skips_the_permutation_when_sorted(self):
         for rows in (np.array([4]), np.array([2, 2, 2]), np.array([0, 3, 3, 9])):
@@ -268,7 +284,7 @@ class TestT3nsorBaseline:
         t3.forward(idx, off)
         t3.backward(r)
         for p in t3.cores:
-            numeric_grad_check(p.data, p.grad, loss, samples=10)
+            numeric_grad_check(p.data, p.dense_grad(), loss, samples=10)
 
     def test_backward_matches_ttrec_backward(self, shape):
         """The two implementations compute identical core gradients."""
@@ -283,7 +299,7 @@ class TestT3nsorBaseline:
         tt.forward(idx, off)
         tt.backward(r)
         for a, b in zip(t3.cores, tt.cores):
-            np.testing.assert_allclose(a.grad, b.grad, atol=1e-10)
+            np.testing.assert_allclose(a.dense_grad(), b.dense_grad(), atol=1e-10)
 
     def test_mean_mode(self, shape):
         t3 = T3nsorEmbeddingBag(60, 8, shape=shape, mode="mean", rng=0)

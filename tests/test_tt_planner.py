@@ -227,7 +227,7 @@ def test_forward_matches_unplanned(shape, order, dedup, bags):
     ref.backward(grad)
     emb.backward(grad)
     for pr, pe in zip(ref.cores, emb.cores):
-        np.testing.assert_allclose(pe.grad, pr.grad, atol=1e-12)
+        np.testing.assert_allclose(pe.dense_grad(), pr.dense_grad(), atol=1e-12)
 
 
 def test_planned_grads_bit_identical_to_unplanned():
@@ -243,7 +243,7 @@ def test_planned_grads_bit_identical_to_unplanned():
         emb.zero_grad()
         emb.backward(grad)
         outs.append(out)
-        grads.append([p.grad.copy() for p in emb.cores])
+        grads.append([p.dense_grad().copy() for p in emb.cores])
         splits.append(emb.planner.plan_batch(
             indices, dedup=False, need_lefts=store).split)
     # Recompute-intermediates is the one arm whose *forward* runs the read
@@ -372,12 +372,12 @@ def test_pooled_lookup_does_not_corrupt_pending_backward():
     ref.forward(indices, offsets)
     ref.zero_grad()
     ref.backward(grad)
-    expected = [p.grad.copy() for p in ref.cores]
+    expected = [p.dense_grad().copy() for p in ref.cores]
 
     emb = make_emb(SHAPE_D3, dedup=True)
     emb.forward(indices, offsets)
     emb.lookup(rng.integers(0, SHAPE_D3.num_rows, size=500))  # interloper
     emb.zero_grad()
     emb.backward(grad)
-    for g, e in zip([p.grad for p in emb.cores], expected):
+    for g, e in zip([p.dense_grad() for p in emb.cores], expected):
         assert np.array_equal(g, e)

@@ -49,4 +49,5 @@ class TestDtypePolicy:
             _, grad = bce_with_logits(out, batch.labels)
             model.backward(grad.astype(np.float32))
             for p in model.parameters():
-                assert p.grad.dtype == np.float32, p.name
+                g = p.grad.values if p.sparse else p.grad
+                assert g.dtype == np.float32, p.name

@@ -42,7 +42,7 @@ class TestTTGeneralDepth:
         emb.forward(idx, off)
         emb.backward(r)
         for p in emb.cores:
-            numeric_grad_check(p.data, p.grad, loss, samples=8)
+            numeric_grad_check(p.data, p.dense_grad(), loss, samples=8)
 
     def test_nonuniform_ranks(self):
         shape = TTShape(60, 8, (3, 4, 5), (2, 2, 2), (1, 2, 7, 1))
@@ -57,7 +57,7 @@ class TestTTGeneralDepth:
         emb.forward(idx, off)
         emb.backward(r)
         for p in emb.cores:
-            numeric_grad_check(p.data, p.grad, loss, samples=8)
+            numeric_grad_check(p.data, p.dense_grad(), loss, samples=8)
 
 
 class TestNaNGuard:
