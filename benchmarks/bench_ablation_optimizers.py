@@ -17,11 +17,9 @@ from repro.training import Trainer
 from trainlib import MIN_ROWS, small_config
 
 
-def _state_floats(opt, params) -> int:
+def _state_floats(opt) -> int:
     """Optimizer-state floats beyond the parameters themselves."""
-    if isinstance(opt, SparseSGD):
-        return 0
-    return sum(a.size for a in opt._accum.values())
+    return sum(a.size for slots in opt.slots for a in slots.values())
 
 
 def test_embedding_optimizers(benchmark, kaggle_small):
@@ -38,15 +36,14 @@ def test_embedding_optimizers(benchmark, kaggle_small):
             ds = SyntheticCTRDataset(kaggle_small, seed=9, noise=0.7)
             model = build_ttrec(cfg, num_tt_tables=5, tt=TTConfig(rank=8),
                                 min_rows=MIN_ROWS, rng=0)
-            params = model.parameters()
-            opt = make_opt(params, lr=lr)
+            opt = make_opt(model.parameters(), lr=lr)
             trainer = Trainer(model, optimizer=opt)
             res = trainer.train(ds.batches(96, iters))
             ev = trainer.evaluate(ds.batches(512, 6))
             rows.append([
                 name, f"{res.smoothed_loss():.4f}",
                 f"{ev.accuracy * 100:.2f}", f"{ev.auc:.4f}",
-                f"{_state_floats(opt, params):,}",
+                f"{_state_floats(opt):,}",
             ])
         return rows
 

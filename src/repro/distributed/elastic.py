@@ -389,42 +389,36 @@ class ElasticTrainer:
         Sparse parameters move only the rows touched since the last
         checkpoint round (their other rows are bit-identical to the
         restored checkpoint by the sparse-update invariant); dense
-        parameters and non-row optimizer slots move whole. Returns
-        ``(rows replayed, whole arrays replayed)``.
+        parameters and non-row optimizer slots move whole; so do the
+        optimizer's hyperparameters. Returns ``(rows replayed, whole
+        arrays replayed)``.
         """
         src_params = self.workers[donor].replica.parameters()
         dst_params = self.workers[target].replica.parameters()
+        src_opt = self.workers[donor].optimizer
+        dst_opt = self.workers[target].optimizer
         rows_replayed = 0
         arrays_replayed = 0
         for i, (sp, dp) in enumerate(zip(src_params, dst_params)):
             rows = self._replay_rows.get(i)
-            if sp.sparse and rows is not None:
+            row_wise = sp.sparse and rows is not None
+            if row_wise:
                 if rows.size:
                     dp.data[rows] = sp.data[rows]
                     rows_replayed += int(rows.size)
             else:
                 dp.data[...] = sp.data
                 arrays_replayed += 1
-        src_state = self.workers[donor].optimizer.state_dict()
-        dst_state = self.workers[target].optimizer.state_dict()
-        for key, value in src_state.items():
-            if not isinstance(value, np.ndarray):
-                dst_state[key] = value
-                continue
-            slot, _, idx = key.rpartition(".")
-            i = int(idx) if slot and idx.isdigit() else None
-            rows = self._replay_rows.get(i) if i is not None else None
-            p = src_params[i] if i is not None else None
-            if (p is not None and p.sparse and rows is not None
-                    and value.ndim >= 1
-                    and value.shape[0] == p.data.shape[0]):
-                if rows.size:
-                    dst_state[key][rows] = value[rows]
-                    rows_replayed += int(rows.size)
-            else:
-                dst_state[key] = value
-                arrays_replayed += 1
-        self.workers[target].optimizer.load_state_dict(dst_state)
+            for name, value in src_opt.slots[i].items():
+                if row_wise and value.ndim >= 1 and value.shape[0] == sp.data.shape[0]:
+                    if rows.size:
+                        dst_opt.slots[i][name][rows] = value[rows]
+                        rows_replayed += int(rows.size)
+                else:
+                    dst_opt.slots[i][name] = value.copy()
+                    arrays_replayed += 1
+        for name in src_opt.hyper:
+            setattr(dst_opt, name, float(getattr(src_opt, name)))
         return rows_replayed, arrays_replayed
 
     def _recover(self, w: int) -> None:

@@ -1,7 +1,9 @@
 """Model checkpointing: save/load any Module's parameters as ``.npz``.
 
-Parameters are addressed by their ``name`` attribute (every layer in this
-package names its parameters uniquely), so a checkpoint written from one
+The key scheme, :func:`state_dict` and :func:`load_state_dict` belong to
+:mod:`repro.ops.module` and are re-exported here; this module adds the
+``.npz`` files and :func:`named_modules`. Keys are ``<position>:<name>``
+in :meth:`Module.parameters` order, so a checkpoint written from one
 process loads into a freshly-constructed model of the same configuration.
 """
 
@@ -11,7 +13,7 @@ import os
 
 import numpy as np
 
-from repro.ops.module import Module
+from repro.ops.module import Module, load_state_dict, parameter_keys, state_dict, walk
 
 __all__ = ["save_model", "load_model", "state_dict", "load_state_dict",
            "named_modules", "parameter_keys"]
@@ -34,64 +36,6 @@ def _npz_path(path: str | os.PathLike, *, for_load: bool = False) -> str:
     return p + ".npz"
 
 
-def _keys(model: Module) -> list[str]:
-    """Stable checkpoint keys: ``<position>:<name>``.
-
-    ``Module.parameters()`` walks the attribute graph deterministically, so
-    the positional prefix makes keys unique even when two layers share a
-    default parameter name (e.g. several ``emb.weight`` tables), while the
-    name suffix keeps checkpoints human-readable.
-    """
-    return [f"{i:04d}:{p.name}" for i, p in enumerate(model.parameters())]
-
-
-def parameter_keys(model: Module) -> list[str]:
-    """Checkpoint key of every parameter, in ``Module.parameters()`` order.
-
-    The public face of the key scheme for code that addresses *subsets*
-    of a model's parameters (the shard-delta checkpoints of
-    :class:`repro.reliability.checkpoint.CheckpointManager` save/restore
-    by parameter index, and need the index -> key mapping to stay in one
-    place).
-    """
-    return _keys(model)
-
-
-def state_dict(model: Module) -> dict[str, np.ndarray]:
-    """Key -> value map of every parameter (copies, detached from grads)."""
-    return {
-        key: p.data.copy()
-        for key, p in zip(_keys(model), model.parameters())
-    }
-
-
-def load_state_dict(model: Module, state: dict[str, np.ndarray], *,
-                    strict: bool = True) -> list[str]:
-    """Copy values into the model's parameters by checkpoint key.
-
-    Returns the list of parameter keys that were *not* found in ``state``
-    (empty under ``strict=True``, which raises instead).
-    """
-    params = dict(zip(_keys(model), model.parameters()))
-    missing = [key for key in params if key not in state]
-    unexpected = [key for key in state if key not in params]
-    if strict and (missing or unexpected):
-        raise KeyError(
-            f"state dict mismatch: missing={missing[:5]} unexpected={unexpected[:5]}"
-        )
-    for key, value in state.items():
-        p = params.get(key)
-        if p is None:
-            continue
-        if p.data.shape != value.shape:
-            raise ValueError(
-                f"shape mismatch for {key!r}: model {p.data.shape}, "
-                f"checkpoint {value.shape}"
-            )
-        p.data[...] = value
-    return missing
-
-
 def save_model(model: Module, path: str | os.PathLike) -> None:
     """Write all parameters to a compressed ``.npz`` checkpoint."""
     np.savez_compressed(_npz_path(path), **state_dict(model))
@@ -105,29 +49,10 @@ def load_model(model: Module, path: str | os.PathLike, *, strict: bool = True) -
 
 
 def named_modules(model: Module) -> list[tuple[str, Module]]:
-    """Depth-first ``(path, module)`` pairs; the root has path ``""``.
-
-    Paths mirror the attribute graph :meth:`Module.parameters` walks
-    (``"embeddings.3"``, ``"bottom_mlp"``), giving stateful modules a
-    stable address for checkpointing non-parameter state (see
+    """Depth-first ``(path, module)`` pairs from :func:`repro.ops.module.walk`;
+    the root has path ``""``. Paths (``"embeddings.3"``, ``"bottom_mlp"``)
+    give stateful modules a stable address for checkpointing
+    non-parameter state (see
     :class:`repro.reliability.checkpoint.CheckpointManager`).
     """
-    out: list[tuple[str, Module]] = []
-    seen: set[int] = set()
-
-    def walk(mod: Module, path: str) -> None:
-        if id(mod) in seen:
-            return
-        seen.add(id(mod))
-        out.append((path, mod))
-        for attr, value in vars(mod).items():
-            prefix = f"{path}.{attr}" if path else attr
-            if isinstance(value, Module):
-                walk(value, prefix)
-            elif isinstance(value, (list, tuple)):
-                for j, item in enumerate(value):
-                    if isinstance(item, Module):
-                        walk(item, f"{prefix}.{j}")
-
-    walk(model, "")
-    return out
+    return [(path, node) for path, node in walk(model) if isinstance(node, Module)]

@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from repro.ops.module import Module, Parameter, coalesce_rows
+from repro.ops.module import Module, Parameter, coalesce_rows, load_state_dict, state_dict
 from repro.utils.dtypes import default_dtype
 from repro.utils.seeding import as_rng
 from repro.utils.validation import check_1d_int_array, check_csr
@@ -340,40 +340,20 @@ class CompressedEmbedding(Module):
             raise KeyError(f"unexpected extra state {sorted(state)}")
 
     def state_dict(self) -> dict[str, np.ndarray]:
-        """Bit-exact snapshot: parameters by positional key + extra state.
-
-        Keys follow the checkpoint convention of
-        :mod:`repro.models.serialization` (``"NNNN:param.name"``) with
-        ``"extra:<key>"`` entries for :meth:`extra_state`.
-        """
-        out = {f"{i:04d}:{p.name}": p.data.copy()
-               for i, p in enumerate(self.parameters())}
+        """Bit-exact snapshot: :func:`repro.ops.module.state_dict`'s
+        parameter keys, then ``"extra:<key>"`` per :meth:`extra_state`."""
+        out = state_dict(self)
         for key, value in self.extra_state().items():
             out[f"extra:{key}"] = np.asarray(value).copy()
         return out
 
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
         """Inverse of :meth:`state_dict`; rejects missing/unknown keys."""
-        params = {f"{i:04d}:{p.name}": p for i, p in enumerate(self.parameters())}
-        extra: dict[str, np.ndarray] = {}
-        seen: set[str] = set()
-        for key, value in state.items():
-            if key.startswith("extra:"):
-                extra[key[len("extra:"):]] = value
-                continue
-            if key not in params:
-                raise KeyError(f"unexpected parameter key {key!r}")
-            p = params[key]
-            value = np.asarray(value)
-            if value.shape != p.data.shape:
-                raise ValueError(
-                    f"shape mismatch for {key!r}: {value.shape} != {p.data.shape}"
-                )
-            p.data[...] = value
-            seen.add(key)
-        missing = sorted(set(params) - seen)
-        if missing:
-            raise KeyError(f"missing parameter keys: {missing}")
+        params = {key: value for key, value in state.items()
+                  if not key.startswith("extra:")}
+        load_state_dict(self, params)
+        extra = {key[len("extra:"):]: value for key, value in state.items()
+                 if key not in params}
         if extra:
             self.load_extra_state(extra)
 

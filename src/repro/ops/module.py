@@ -1,5 +1,10 @@
 """Parameter and Module base classes for the manual-backprop substrate,
-and the coalesced ``(rows, values)`` pair a sparse parameter's gradient is."""
+the coalesced ``(rows, values)`` pair a sparse parameter's gradient is,
+and the one owner of a model's parameter state: :func:`walk` is the only
+traversal of the attribute graph, and :func:`parameter_keys` the only
+writer of the ``<position>:<name>`` key that :func:`state_dict`,
+:func:`load_state_dict`, every operator's ``state_dict()`` and the
+checkpoints address a parameter by."""
 
 from __future__ import annotations
 
@@ -12,7 +17,8 @@ import numpy as np
 from repro.telemetry import trace
 from repro.utils.dtypes import default_dtype
 
-__all__ = ["Parameter", "Module", "SparseGrad", "coalesce_rows", "sum_rows"]
+__all__ = ["Parameter", "Module", "SparseGrad", "coalesce_rows", "sum_rows", "walk",
+           "parameter_keys", "state_dict", "load_state_dict"]
 
 
 class SparseGrad(NamedTuple):
@@ -126,32 +132,12 @@ class Module:
     """Base class providing parameter discovery and grad reset.
 
     Subclasses assign :class:`Parameter` instances and sub-``Module``s as
-    attributes; :meth:`parameters` walks the attribute graph (depth-first,
-    deterministic order) to collect every trainable parameter exactly once.
+    attributes (directly or in a list/tuple); :func:`walk` visits them and
+    :meth:`parameters` keeps the parameters, each exactly once.
     """
 
     def parameters(self) -> list[Parameter]:
-        params: list[Parameter] = []
-        seen: set[int] = set()
-        self._collect(params, seen)
-        return params
-
-    def _collect(self, params: list[Parameter], seen: set[int]) -> None:
-        for value in vars(self).values():
-            if isinstance(value, Parameter):
-                if id(value) not in seen:
-                    seen.add(id(value))
-                    params.append(value)
-            elif isinstance(value, Module):
-                value._collect(params, seen)
-            elif isinstance(value, (list, tuple)):
-                for item in value:
-                    if isinstance(item, Parameter):
-                        if id(item) not in seen:
-                            seen.add(id(item))
-                            params.append(item)
-                    elif isinstance(item, Module):
-                        item._collect(params, seen)
+        return [node for _, node in walk(self) if isinstance(node, Parameter)]
 
     def zero_grad(self) -> None:
         for p in self.parameters():
@@ -169,3 +155,73 @@ class Module:
         default :func:`repro.utils.dtypes.default_dtype` policy.
         """
         return self.num_parameters() * dtype_bytes
+
+
+def walk(module: Module) -> Iterator[tuple[str, Module | Parameter]]:
+    """The attribute graph, depth-first: ``(path, node)`` for the root
+    (path ``""``), then per attribute in assignment order each
+    :class:`Parameter` or sub-:class:`Module` (recursively), a list or
+    tuple's items addressed ``attr.<j>``. An object reached twice is
+    yielded once, at its first path."""
+    seen: set[int] = set()
+
+    def visit(node, path: str):
+        if id(node) in seen:
+            return
+        seen.add(id(node))
+        yield path, node
+        if isinstance(node, Parameter):
+            return
+        for attr, value in vars(node).items():
+            prefix = f"{path}.{attr}" if path else attr
+            if isinstance(value, (list, tuple)):
+                for j, item in enumerate(value):
+                    if isinstance(item, (Module, Parameter)):
+                        yield from visit(item, f"{prefix}.{j}")
+            elif isinstance(value, (Module, Parameter)):
+                yield from visit(value, prefix)
+
+    return visit(module, "")
+
+
+def parameter_keys(model: Module) -> list[str]:
+    """Checkpoint key of every parameter, in :meth:`Module.parameters`
+    order: ``<position>:<name>``. The position keeps keys unique when two
+    layers share a default name (several ``emb.weight`` tables) and is the
+    index shard checkpoints and optimizer slots address a parameter by;
+    the name keeps a checkpoint readable."""
+    return [f"{i:04d}:{p.name}" for i, p in enumerate(model.parameters())]
+
+
+def state_dict(model: Module) -> dict[str, np.ndarray]:
+    """Key -> value map of every parameter (copies, detached from grads)."""
+    return {key: p.data.copy()
+            for key, p in zip(parameter_keys(model), model.parameters())}
+
+
+def load_state_dict(model: Module, state: dict[str, np.ndarray], *,
+                    strict: bool = True) -> list[str]:
+    """Copy values into the model's parameters by checkpoint key.
+
+    Returns the list of parameter keys that were *not* found in ``state``
+    (empty under ``strict=True``, which raises instead).
+    """
+    params = dict(zip(parameter_keys(model), model.parameters()))
+    missing = [key for key in params if key not in state]
+    unexpected = [key for key in state if key not in params]
+    if strict and (missing or unexpected):
+        raise KeyError(
+            f"state dict mismatch: missing={missing[:5]} unexpected={unexpected[:5]}"
+        )
+    for key, value in state.items():
+        p = params.get(key)
+        if p is None:
+            continue
+        value = np.asarray(value)
+        if p.data.shape != value.shape:
+            raise ValueError(
+                f"shape mismatch for {key!r}: model {p.data.shape}, "
+                f"checkpoint {value.shape}"
+            )
+        p.data[...] = value
+    return missing

@@ -10,13 +10,15 @@ embedding gradients provide — and a sparse parameter without a pair costs
 nothing. ``Adagrad`` is included because industrial DLRM training commonly
 uses it for embeddings.
 
-Every optimizer exposes ``state_dict()``/``load_state_dict()`` so
-checkpoints capture the full update rule: hyperparameters (including a
-learning rate adjusted by the divergence guard) plus per-parameter slots
-(momentum velocity, Adagrad accumulators), keyed ``<slot>.<param index>``
-with indices into the construction-time parameter order. Restoring into a
-freshly built optimizer over a structurally identical model reproduces
-the interrupted run bit-for-bit.
+Every optimizer is an :class:`Optimizer`: the base owns the parameter
+list, learning-rate validation, ``zero_grad``, the per-parameter slots
+``slots[i][name]`` (momentum ``velocity``, Adagrad ``accum``), indexed by
+position in the construction-time parameter order, and the one
+``state_dict()``/``load_state_dict()``: hyperparameters first (including a
+learning rate adjusted by the divergence guard), then each slot keyed
+``<slot>.<param index>``. The subclasses keep only their update rules.
+Restoring into a freshly built optimizer over a structurally identical
+model reproduces the interrupted run bit-for-bit.
 """
 
 from __future__ import annotations
@@ -25,77 +27,94 @@ import numpy as np
 
 from repro.ops.module import Parameter
 
-__all__ = ["SGD", "SparseSGD", "Adagrad", "RowWiseAdagrad"]
+__all__ = ["Optimizer", "SGD", "SparseSGD", "Adagrad", "RowWiseAdagrad"]
 
 
-class SGD:
-    """Stochastic gradient descent over an explicit parameter list."""
+class Optimizer:
+    """Parameters, hyperparameters and per-parameter slots.
 
-    def __init__(self, params: list[Parameter], lr: float, *, momentum: float = 0.0,
-                 weight_decay: float = 0.0):
-        if lr <= 0:
-            raise ValueError(f"lr must be > 0, got {lr}")
-        if not (0.0 <= momentum < 1.0):
-            raise ValueError(f"momentum must be in [0, 1), got {momentum}")
-        self.params = list(params)
-        self.lr = lr
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self._velocity: dict[int, np.ndarray] = {}
-
-    def step(self) -> None:
-        for p in self.params:
-            grad = p.dense_grad()
-            if self.weight_decay:
-                grad = grad + self.weight_decay * p.data
-            if self.momentum:
-                v = self._velocity.get(id(p))
-                if v is None:
-                    v = np.zeros_like(p.data)
-                    self._velocity[id(p)] = v
-                v *= self.momentum
-                v += grad
-                grad = v
-            p.data -= self.lr * grad
-
-    def zero_grad(self) -> None:
-        for p in self.params:
-            p.zero_grad()
-
-    def state_dict(self) -> dict:
-        state: dict = {"lr": self.lr, "momentum": self.momentum,
-                       "weight_decay": self.weight_decay}
-        for i, p in enumerate(self.params):
-            v = self._velocity.get(id(p))
-            if v is not None:
-                state[f"velocity.{i}"] = v.copy()
-        return state
-
-    def load_state_dict(self, state: dict) -> None:
-        self.lr = float(state["lr"])
-        self.momentum = float(state["momentum"])
-        self.weight_decay = float(state["weight_decay"])
-        self._velocity = {}
-        for key, value in state.items():
-            if key.startswith("velocity."):
-                i = int(key.split(".", 1)[1])
-                p = self.params[i]
-                self._velocity[id(p)] = np.array(value, dtype=p.data.dtype)
-
-
-class SparseSGD:
-    """SGD that updates only the rows of a sparse parameter's pair.
-
-    Dense (non-``sparse``) parameters fall back to full updates. Momentum
-    is deliberately unsupported: momentum on sparse rows requires decayed
-    catch-up bookkeeping that neither DLRM nor TT-Rec use.
+    ``hyper`` names the float attributes ``state_dict()`` carries, in key
+    order; ``slot_names`` the slots it files and ``load_state_dict()``
+    accepts. A slot the loaded state lacks keeps its current value.
     """
+
+    hyper: tuple[str, ...] = ("lr",)
+    slot_names: tuple[str, ...] = ()
 
     def __init__(self, params: list[Parameter], lr: float):
         if lr <= 0:
             raise ValueError(f"lr must be > 0, got {lr}")
         self.params = list(params)
         self.lr = lr
+        self.slots: list[dict[str, np.ndarray]] = [{} for _ in self.params]
+
+    def step(self) -> None:
+        raise NotImplementedError
+
+    def zero_grad(self) -> None:
+        for p in self.params:
+            p.zero_grad()
+
+    def state_dict(self, indices=None) -> dict:
+        """Hyperparameters, then copies of the slots of ``indices``
+        (ascending parameter positions; all of them by default)."""
+        state: dict = {name: getattr(self, name) for name in self.hyper}
+        for i in range(len(self.params)) if indices is None else indices:
+            for name, value in self.slots[i].items():
+                state[f"{name}.{i}"] = value.copy()
+        return state
+
+    def load_state_dict(self, state: dict) -> None:
+        for name in self.hyper:
+            setattr(self, name, float(state[name]))
+        for key, value in state.items():
+            name, _, index = key.rpartition(".")
+            if name in self.slot_names:
+                i = int(index)
+                self.slots[i][name] = np.array(value, dtype=self.params[i].data.dtype)
+
+
+class SGD(Optimizer):
+    """Stochastic gradient descent over an explicit parameter list."""
+
+    hyper = ("lr", "momentum", "weight_decay")
+    slot_names = ("velocity",)
+
+    def __init__(self, params: list[Parameter], lr: float, *, momentum: float = 0.0,
+                 weight_decay: float = 0.0):
+        super().__init__(params, lr)
+        if not (0.0 <= momentum < 1.0):
+            raise ValueError(f"momentum must be in [0, 1), got {momentum}")
+        self.momentum = momentum
+        self.weight_decay = weight_decay
+
+    def step(self) -> None:
+        for p, slots in zip(self.params, self.slots):
+            grad = p.dense_grad()
+            if self.weight_decay:
+                grad = grad + self.weight_decay * p.data
+            if self.momentum:
+                v = slots.get("velocity")
+                if v is None:
+                    v = slots["velocity"] = np.zeros_like(p.data)
+                v *= self.momentum
+                v += grad
+                grad = v
+            p.data -= self.lr * grad
+
+    def load_state_dict(self, state: dict) -> None:
+        """A velocity the state lacks is dropped: it restarts from zero."""
+        self.slots = [{} for _ in self.params]
+        super().load_state_dict(state)
+
+
+class SparseSGD(Optimizer):
+    """SGD that updates only the rows of a sparse parameter's pair.
+
+    Dense (non-``sparse``) parameters fall back to full updates. Momentum
+    is deliberately unsupported: momentum on sparse rows requires decayed
+    catch-up bookkeeping that neither DLRM nor TT-Rec use.
+    """
 
     def step(self) -> None:
         for p in self.params:
@@ -105,18 +124,47 @@ class SparseSGD:
                 rows, g = p.grad
                 p.data[rows] -= self.lr * g
 
-    def zero_grad(self) -> None:
-        for p in self.params:
-            p.zero_grad()
 
-    def state_dict(self) -> dict:
-        return {"lr": self.lr}
+class Adagrad(Optimizer):
+    """Adagrad with per-element accumulators; sparse-aware like SparseSGD.
 
-    def load_state_dict(self, state: dict) -> None:
-        self.lr = float(state["lr"])
+    A sparse parameter whose accumulator has fewer axes than its data
+    keeps one accumulator per row (:class:`RowWiseAdagrad`): the row's
+    mean squared gradient accumulates there and scales the whole row.
+    """
+
+    hyper = ("lr", "eps")
+    slot_names = ("accum",)
+
+    def __init__(self, params: list[Parameter], lr: float, *, eps: float = 1e-10):
+        super().__init__(params, lr)
+        self.eps = eps
+        for p, slots in zip(self.params, self.slots):
+            slots["accum"] = self._accumulator(p)
+
+    @staticmethod
+    def _accumulator(p: Parameter) -> np.ndarray:
+        return np.zeros_like(p.data)
+
+    def step(self) -> None:
+        for p, slots in zip(self.params, self.slots):
+            acc = slots["accum"]
+            if not p.sparse:
+                acc += p.grad * p.grad
+                p.data -= self.lr * p.grad / (np.sqrt(acc) + self.eps)
+            elif p.grad is not None:
+                rows, g = p.grad
+                if acc.ndim < g.ndim:
+                    acc[rows] += (g.reshape(g.shape[0], -1) ** 2).mean(axis=1)
+                    denom = (np.sqrt(acc[rows]) + self.eps).reshape(
+                        -1, *([1] * (g.ndim - 1)))
+                else:
+                    acc[rows] += g * g
+                    denom = np.sqrt(acc[rows]) + self.eps
+                p.data[rows] -= self.lr * g / denom
 
 
-class RowWiseAdagrad:
+class RowWiseAdagrad(Adagrad):
     """Row-wise Adagrad — the de-facto industrial DLRM embedding optimizer.
 
     Keeps *one* accumulator per embedding row (the mean of the row's
@@ -127,95 +175,8 @@ class RowWiseAdagrad:
     sparse one over its pair's entries only.
     """
 
-    def __init__(self, params: list[Parameter], lr: float, *, eps: float = 1e-10):
-        if lr <= 0:
-            raise ValueError(f"lr must be > 0, got {lr}")
-        self.params = list(params)
-        self.lr = lr
-        self.eps = eps
-        self._accum: dict[int, np.ndarray] = {}
-        for p in self.params:
-            if p.sparse and p.data.ndim >= 2:
-                self._accum[id(p)] = np.zeros(p.data.shape[0], dtype=p.data.dtype)
-            else:
-                self._accum[id(p)] = np.zeros_like(p.data)
-
-    def step(self) -> None:
-        for p in self.params:
-            acc = self._accum[id(p)]
-            if not p.sparse:
-                acc += p.grad * p.grad
-                p.data -= self.lr * p.grad / (np.sqrt(acc) + self.eps)
-            elif p.grad is not None:
-                rows, g = p.grad
-                if p.data.ndim >= 2:
-                    acc[rows] += (g.reshape(g.shape[0], -1) ** 2).mean(axis=1)
-                    denom = (np.sqrt(acc[rows]) + self.eps).reshape(
-                        -1, *([1] * (g.ndim - 1)))
-                else:
-                    acc[rows] += g * g
-                    denom = np.sqrt(acc[rows]) + self.eps
-                p.data[rows] -= self.lr * g / denom
-
-    def zero_grad(self) -> None:
-        for p in self.params:
-            p.zero_grad()
-
-    def state_dict(self) -> dict:
-        state: dict = {"lr": self.lr, "eps": self.eps}
-        for i, p in enumerate(self.params):
-            state[f"accum.{i}"] = self._accum[id(p)].copy()
-        return state
-
-    def load_state_dict(self, state: dict) -> None:
-        self.lr = float(state["lr"])
-        self.eps = float(state["eps"])
-        for key, value in state.items():
-            if key.startswith("accum."):
-                i = int(key.split(".", 1)[1])
-                p = self.params[i]
-                self._accum[id(p)] = np.array(value, dtype=p.data.dtype)
-
-
-class Adagrad:
-    """Adagrad with per-element accumulators; sparse-aware like SparseSGD."""
-
-    def __init__(self, params: list[Parameter], lr: float, *, eps: float = 1e-10):
-        if lr <= 0:
-            raise ValueError(f"lr must be > 0, got {lr}")
-        self.params = list(params)
-        self.lr = lr
-        self.eps = eps
-        self._accum: dict[int, np.ndarray] = {
-            id(p): np.zeros_like(p.data) for p in self.params
-        }
-
-    def step(self) -> None:
-        for p in self.params:
-            acc = self._accum[id(p)]
-            if not p.sparse:
-                acc += p.grad * p.grad
-                p.data -= self.lr * p.grad / (np.sqrt(acc) + self.eps)
-            elif p.grad is not None:
-                rows, g = p.grad
-                acc[rows] += g * g
-                p.data[rows] -= self.lr * g / (np.sqrt(acc[rows]) + self.eps)
-
-    def zero_grad(self) -> None:
-        for p in self.params:
-            p.zero_grad()
-
-    def state_dict(self) -> dict:
-        state: dict = {"lr": self.lr, "eps": self.eps}
-        for i, p in enumerate(self.params):
-            state[f"accum.{i}"] = self._accum[id(p)].copy()
-        return state
-
-    def load_state_dict(self, state: dict) -> None:
-        self.lr = float(state["lr"])
-        self.eps = float(state["eps"])
-        for key, value in state.items():
-            if key.startswith("accum."):
-                i = int(key.split(".", 1)[1])
-                p = self.params[i]
-                self._accum[id(p)] = np.array(value, dtype=p.data.dtype)
+    @staticmethod
+    def _accumulator(p: Parameter) -> np.ndarray:
+        if p.sparse and p.data.ndim >= 2:
+            return np.zeros(p.data.shape[0], dtype=p.data.dtype)
+        return np.zeros_like(p.data)

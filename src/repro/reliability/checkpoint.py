@@ -107,20 +107,18 @@ def _atomic_write(path: str, writer) -> None:
 
 
 def _split_optimizer(optimizer, arrays: dict, owned=None) -> dict:
-    """File an optimizer's ``state_dict()``: arrays into ``arrays`` as
-    ``opt/<key>`` (given ``owned``, only the ``<slot>.<index>`` slots of
-    those parameter indices); returns the manifest's ``optimizer``
-    section, the type name and the scalars.
+    """File an optimizer's ``state_dict(owned)`` (given ``owned``, only
+    those parameter indices' slots): arrays into ``arrays`` as
+    ``opt/<key>``; returns the manifest's ``optimizer`` section, the type
+    name and the scalars.
     """
     scalars: dict[str, float] = {}
     if optimizer is not None:
-        for key, value in optimizer.state_dict().items():
-            if not isinstance(value, np.ndarray):
-                scalars[key] = value
-                continue
-            slot, _, idx = key.rpartition(".")
-            if owned is None or (slot and idx.isdigit() and int(idx) in owned):
+        for key, value in optimizer.state_dict(owned).items():
+            if isinstance(value, np.ndarray):
                 arrays[f"opt/{key}"] = value
+            else:
+                scalars[key] = value
     return {
         "type": type(optimizer).__name__ if optimizer is not None else None,
         "scalars": scalars,
@@ -387,7 +385,7 @@ class CheckpointManager:
         arrays: dict[str, np.ndarray] = {
             f"model/{keys[i]}": params[i].data.copy() for i in indices
         }
-        opt_section = _split_optimizer(optimizer, arrays, owned=set(indices))
+        opt_section = _split_optimizer(optimizer, arrays, owned=indices)
         return self.shard(shard_id)._write(
             step, arrays, {"shard": int(shard_id), "param_indices": indices},
             {"optimizer": opt_section})

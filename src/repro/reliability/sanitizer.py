@@ -27,8 +27,11 @@ caught corruption.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 
+from repro.models.serialization import named_modules
 from repro.ops.module import Module, Parameter
 from repro.telemetry import emit_event, get_registry
 
@@ -46,19 +49,6 @@ class NumericFaultError(FloatingPointError):
         if detail:
             msg += f" ({detail})"
         super().__init__(msg)
-
-
-def _walk_modules(module: Module, prefix: str) -> list[tuple[str, Module]]:
-    """(path, module) pairs, depth-first, mirroring Module._collect order."""
-    found: list[tuple[str, Module]] = [(prefix, module)]
-    for attr, value in vars(module).items():
-        if isinstance(value, Module):
-            found.extend(_walk_modules(value, f"{prefix}.{attr}"))
-        elif isinstance(value, (list, tuple)):
-            for i, item in enumerate(value):
-                if isinstance(item, Module):
-                    found.extend(_walk_modules(item, f"{prefix}.{attr}[{i}]"))
-    return found
 
 
 class NumericSanitizer:
@@ -97,7 +87,9 @@ class NumericSanitizer:
     # ------------------------------------------------------------------ #
 
     def __enter__(self) -> NumericSanitizer:
-        for path, mod in _walk_modules(self.module, self.name):
+        for path, mod in named_modules(self.module):
+            # "bottom_mlp.layers.0" -> "<name>.bottom_mlp.layers[0]"
+            path = self.name + re.sub(r"\.(\d+)", r"[\1]", f".{path}" if path else "")
             for stage in ("forward", "backward"):
                 fn = getattr(mod, stage, None)
                 if fn is None or stage in vars(mod):

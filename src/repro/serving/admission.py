@@ -25,7 +25,7 @@ per-site counters (the ``serve-bench`` chaos proof).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -113,12 +113,6 @@ class Rejection:
     reason: str
     detail: str = ""
     request_id: int = 0
-
-
-@dataclass
-class _Counters:
-    rejected: dict = field(default_factory=dict)
-    sanitized: dict = field(default_factory=dict)
 
 
 def repair_offsets(indices: np.ndarray, offsets: np.ndarray,
@@ -211,10 +205,6 @@ class RequestSanitizer:
             "rejected": {r: c.value for r, c in self._rejected.items()},
             "sanitized": {a: c.value for a, c in self._sanitized.items()},
         }
-
-    @property
-    def total_rejected(self) -> int:
-        return sum(c.value for c in self._rejected.values())
 
     def _reject(self, reason: str, detail: str, request_id: int) -> Rejection:
         self._rejected[reason].inc()

@@ -126,10 +126,6 @@ class MicroBatchQueue:
     def shed_counts(self) -> dict[str, int]:
         return {reason: c.value for reason, c in self._shed.items()}
 
-    @property
-    def total_shed(self) -> int:
-        return sum(c.value for c in self._shed.values())
-
     # ------------------------------------------------------------------ #
 
     def submit(self, request) -> str:

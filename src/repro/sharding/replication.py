@@ -64,10 +64,6 @@ class ReplicaStore:
 
     # ------------------------------------------------------------------ #
 
-    @staticmethod
-    def _key(table: int, row_lo: int) -> tuple[int, int]:
-        return (table, row_lo)
-
     def warm(self, sl, ids: np.ndarray, lookup) -> int:
         """(Re)mirror a slice's hot rows; returns the row count mirrored.
 
@@ -78,29 +74,25 @@ class ReplicaStore:
         ids = np.asarray(ids, dtype=np.int64).reshape(-1)
         ids = ids[sl.covers(ids)][: self.hot_rows]
         if ids.size == 0:
-            self._mirrors.pop(self._key(sl.table, sl.row_lo), None)
+            self._mirrors.pop((sl.table, sl.row_lo), None)
             return 0
         rows = np.asarray(lookup(ids))
-        self._mirrors[self._key(sl.table, sl.row_lo)] = _SliceMirror(ids, rows)
+        self._mirrors[(sl.table, sl.row_lo)] = _SliceMirror(ids, rows)
         self._warmed.inc(int(ids.size))
         return int(ids.size)
-
-    def mirrored_ids(self, sl) -> np.ndarray:
-        m = self._mirrors.get(self._key(sl.table, sl.row_lo))
-        return m.ids.copy() if m is not None else np.empty(0, dtype=np.int64)
 
     # ------------------------------------------------------------------ #
 
     def coverage(self, sl, indices: np.ndarray) -> np.ndarray:
         """Mask of the indices the mirror can serve for this slice."""
-        m = self._mirrors.get(self._key(sl.table, sl.row_lo))
+        m = self._mirrors.get((sl.table, sl.row_lo))
         if m is None:
             return np.zeros(indices.size, dtype=bool)
         return np.isin(indices, m.ids)
 
     def gather(self, sl, indices: np.ndarray) -> np.ndarray:
         """Mirrored rows for the given (fully covered) indices."""
-        m = self._mirrors.get(self._key(sl.table, sl.row_lo))
+        m = self._mirrors.get((sl.table, sl.row_lo))
         if m is None:
             raise KeyError(f"no mirror for slice {sl.describe()}")
         slots = np.fromiter((m.slots[int(i)] for i in indices),
@@ -116,7 +108,7 @@ class ReplicaStore:
         primary is the source of truth; the mirror is a serving copy).
         Returns the number of rows that disagreed.
         """
-        m = self._mirrors.get(self._key(sl.table, sl.row_lo))
+        m = self._mirrors.get((sl.table, sl.row_lo))
         if m is None:
             return 0
         self._checks.inc()

@@ -84,10 +84,6 @@ class ShardPlan:
         """Slices the given shard owns as primary."""
         return list(self._by_shard[shard])
 
-    def replicated_to(self, shard: int) -> list[TableSlice]:
-        """Slices whose hot-row replica the given shard hosts."""
-        return [sl for sl in self.slices if sl.replica == shard]
-
     def slices_of_table(self, table: int) -> list[TableSlice]:
         return list(self._by_table[table])
 

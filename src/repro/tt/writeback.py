@@ -71,6 +71,10 @@ def absorb_rows(emb: TTEmbeddingBag, row_ids: np.ndarray, targets: np.ndarray, *
         return {"before": 0.0, "after": 0.0, "steps": 0}
 
     anchors = [p.data.copy() for p in emb.cores]
+    # The cores' pairs as the caller left them (a training step may be
+    # mid-flight): pairs are never written in place, so holding them is
+    # enough to hand them back.
+    held = [p.grad for p in emb.cores]
     before = reconstruction_error(emb, row_ids, targets)
     n = row_ids.size
     used = 0
@@ -85,5 +89,7 @@ def absorb_rows(emb: TTEmbeddingBag, row_ids: np.ndarray, targets: np.ndarray, *
         emb.backward(grad)
         for p, anchor in zip(emb.cores, anchors):
             p.data -= lr * (p.dense_grad() + ridge * (p.data - anchor))
+    for p, pair in zip(emb.cores, held):
+        p.grad = pair
     after = reconstruction_error(emb, row_ids, targets)
     return {"before": before, "after": after, "steps": used}

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cache import CachedTTEmbeddingBag
+from repro.telemetry import get_registry
 from repro.tt import TTShape
 from tests.helpers import numeric_grad_check, random_csr
 
@@ -77,6 +78,30 @@ class TestLifecycle:
         np.testing.assert_allclose(
             emb.lookup(np.array([3]))[0], emb.tt.lookup(np.array([3]))[0], atol=1e-12
         )
+
+    def test_absorb_eviction_keeps_the_steps_own_gradient(self):
+        """With ``eviction="absorb"`` the write-back runs inside the
+        evicting step's forward: after that step's backward the cores hold
+        exactly the pairs the backward built, not absorb's on top."""
+        def evicting_step(clear_after_forward: bool):
+            emb = make(warmup_steps=1, refresh_interval=2, cache_size=1,
+                       eviction="absorb")
+            emb.forward(np.array([3, 3]))
+            emb.forward(np.array([3]))  # populate with {3}
+            emb.cache_rows.data[:] += 0.01  # learned weights to absorb
+            emb.forward(np.array([4, 4, 4, 4, 4]))
+            emb.zero_grad()
+            out = emb.forward(np.array([4, 4, 4, 4, 4, 10, 11]))  # 3 evicted
+            assert emb.stats()["evictions"] == 1
+            if clear_after_forward:
+                emb.tt.zero_grad()
+            emb.backward(np.ones_like(out))
+            return [p.grad for p in emb.tt.cores]
+
+        for got, own in zip(evicting_step(False), evicting_step(True)):
+            assert np.isfinite(got.values).all()
+            np.testing.assert_array_equal(got.rows, own.rows)
+            np.testing.assert_array_equal(got.values, own.values)
 
     def test_populate_stats(self):
         emb = make(warmup_steps=0, cache_size=3)
@@ -226,6 +251,18 @@ class TestForwardBackward:
                 if e["data"]["module"] == emb.metrics_label]
         assert rows == [1, 1, 2]
         assert emb.repaired_rows == emb.stats()["repairs"] == sum(rows)
+
+
+class TestDedup:
+    @pytest.mark.parametrize("dedup, removed", [(True, 3), (False, 0)])
+    def test_served_misses_plan_with_the_operators_setting(self, dedup, removed):
+        """``lookup_bags`` serves misses through the inner TT table, which
+        carries the cached operator's one dedup setting."""
+        emb = make(dedup=dedup)
+        counter = get_registry().counter("tt.plan.dedup_removed")
+        before = counter.value
+        emb.lookup_bags(np.array([5, 5, 9, 9, 9]), np.array([0, 2, 5]))
+        assert counter.value - before == removed
 
 
 class TestConfigValidation:

@@ -236,7 +236,8 @@ class TestRowWiseAdagrad:
     def test_one_accumulator_per_row(self):
         p = Parameter(np.zeros((10, 4)), sparse=True)
         opt = RowWiseAdagrad([p], lr=0.1)
-        assert opt._accum[id(p)].shape == (10,)
+        assert opt.slots[0]["accum"].shape == (10,)
+        assert list(opt.state_dict()) == ["lr", "eps", "accum.0"]
 
     def test_touched_rows_only(self):
         p = Parameter(np.ones((5, 2)), sparse=True)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.ops import SGD, Adagrad, Linear, SparseSGD
-from repro.ops.module import Module, Parameter, coalesce_rows
+from repro.ops.module import Module, Parameter, coalesce_rows, walk
 from repro.ops.optim import RowWiseAdagrad
 
 
@@ -76,6 +76,25 @@ class TestModule:
                 self.b = shared
 
         assert len(M().parameters()) == 1
+
+    def test_walk_is_depth_first_with_paths(self):
+        class Inner(Module):
+            def __init__(self):
+                self.w = Parameter(np.zeros(2), name="w")
+
+        class Outer(Module):
+            def __init__(self):
+                self.a = Parameter(np.zeros(3), name="a")
+                self.inner = Inner()
+                self.items = [Inner(), Parameter(np.zeros(1), name="loose")]
+                self.again = self.inner  # reached twice, yielded once
+
+        root = Outer()
+        assert [path for path, _ in walk(root)] == [
+            "", "a", "inner", "inner.w", "items.0", "items.0.w", "items.1"]
+        assert dict(walk(root))["inner"] is root.inner
+        assert root.parameters() == [node for _, node in walk(root)
+                                     if isinstance(node, Parameter)]
 
     def test_num_parameters_and_bytes(self):
         layer = Linear(3, 4, rng=0)
@@ -183,3 +202,35 @@ class TestAdagrad:
         assert p.data[0, 0] == 0.0
         assert p.data[2, 0] != 0.0
         np.testing.assert_array_equal(opt.state_dict()["accum.0"][:, 0], [0, 0, 1])
+
+
+class TestOptimizerState:
+    def _stepped(self, make):
+        params = [Parameter(np.zeros(2)) for _ in range(3)]
+        opt = make(params)
+        for p in params:
+            p.grad[:] = 1.0
+        opt.step()
+        return opt
+
+    def test_slot_keys_by_parameter_index(self):
+        opt = self._stepped(lambda ps: SGD(ps, lr=0.1, momentum=0.5))
+        assert list(opt.state_dict()) == ["lr", "momentum", "weight_decay",
+                                          "velocity.0", "velocity.1", "velocity.2"]
+        assert list(opt.state_dict([0, 2])) == ["lr", "momentum", "weight_decay",
+                                                "velocity.0", "velocity.2"]
+        assert opt.state_dict()["velocity.1"] is not opt.slots[1]["velocity"]
+
+    def test_sgd_drops_a_velocity_the_state_lacks(self):
+        opt = self._stepped(lambda ps: SGD(ps, lr=0.1, momentum=0.5))
+        opt.load_state_dict(opt.state_dict([1]))
+        assert [sorted(slots) for slots in opt.slots] == [[], ["velocity"], []]
+
+    @pytest.mark.parametrize("cls", [Adagrad, RowWiseAdagrad])
+    def test_adagrad_keeps_an_accumulator_the_state_lacks(self, cls):
+        opt = self._stepped(lambda ps: cls(ps, lr=0.1))
+        state = opt.state_dict([1])
+        state["accum.1"][:] = 7.0
+        opt.load_state_dict(state)
+        np.testing.assert_array_equal(opt.slots[0]["accum"], 1.0)
+        np.testing.assert_array_equal(opt.slots[1]["accum"], 7.0)

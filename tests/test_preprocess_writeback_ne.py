@@ -154,6 +154,17 @@ class TestWriteBack:
         stats = absorb_rows(emb, rows, targets, steps=60, lr=0.3)
         assert stats["after"] > 0.1  # cannot be driven to zero
 
+    def test_leaves_the_cores_pairs_as_found(self, emb):
+        """absorb_rows can run between a training forward and its backward
+        (cache eviction), so it hands every core's pair back untouched."""
+        absorb_rows(emb, np.array([1, 5, 9]), np.ones((3, 8)), steps=3)
+        assert all(p.grad is None for p in emb.cores)
+        emb.forward(np.array([2, 7]))
+        emb.backward(np.ones((2, 8)))
+        held = [p.grad for p in emb.cores]
+        absorb_rows(emb, np.array([1, 5, 9]), np.ones((3, 8)), steps=3)
+        assert all(p.grad is pair for p, pair in zip(emb.cores, held))
+
     def test_empty_rows_noop(self, emb):
         stats = absorb_rows(emb, np.empty(0, dtype=np.int64),
                             np.zeros((0, 8)))
