@@ -37,7 +37,7 @@ def test_recompute_memory_report(benchmark):
         emb = TTEmbeddingBag(ROWS, DIM, rank=RANK, rng=0)
         idx, _ = uniform_workload(ROWS, BATCH, rng=0)
         # What a forward keeps for its backward: (plan, left partials).
-        _, (_, lefts) = emb._planned_rows(idx)
+        _, (_, lefts) = emb._planned_rows(idx, emb.dedup)
         stored = sum(a.size for a in lefts) * 8
         return stored
 

@@ -70,11 +70,9 @@ class CachedTTEmbeddingBag(CompressedEmbedding):
         corrupts one resident cache row (chaos testing; :meth:`scrub`
         repairs such rows from the TT cores).
     dedup:
-        Deduplicate the *miss* indices before contracting the TT chain:
-        the inner table's setting, so training misses (one shared
-        :class:`~repro.tt.planner.BatchPlan` for forward and backward),
-        served misses, ``lookup``, ``populate`` and ``scrub`` all plan
-        with it. On by default: under Zipf traffic the misses that slip
+        Deduplicate the *miss* indices before contracting the TT chain
+        (one shared :class:`~repro.tt.planner.BatchPlan` for forward and
+        backward). On by default: under Zipf traffic the misses that slip
         past the cache are still duplicate-heavy, and duplicate gradients
         are combined before Algorithm 2 either way, so results match the
         raw path to float round-off.
@@ -94,9 +92,9 @@ class CachedTTEmbeddingBag(CompressedEmbedding):
         super().__init__(num_rows, dim, mode)
         self.tt = TTEmbeddingBag(
             num_rows, dim, shape=shape, rank=rank, d=d, mode=mode,
-            initializer=initializer, rng=as_rng(rng), dedup=bool(dedup),
-            name=f"{name}.tt",
+            initializer=initializer, rng=as_rng(rng), name=f"{name}.tt",
         )
+        self.dedup = bool(dedup)
         self.cache_size = self.resolve_cache_size(num_rows, cache_size,
                                                   cache_fraction)
         if warmup_steps < 0:
@@ -160,11 +158,6 @@ class CachedTTEmbeddingBag(CompressedEmbedding):
     @property
     def is_warm(self) -> bool:
         return self._populated
-
-    @property
-    def dedup(self) -> bool:
-        """The one dedup setting, the inner TT table's."""
-        return self.tt.dedup
 
     # -- statistics (registry-backed, read-only views) -- #
 
@@ -328,8 +321,9 @@ class CachedTTEmbeddingBag(CompressedEmbedding):
             tt_idx = indices[~mask]
             if remember:
                 # One plan for forward and backward through the TT
-                # operator's pooled buffers.
-                rows[~mask], chain = self.tt._planned_rows(tt_idx)
+                # operator's pooled buffers, deduplicated by this
+                # operator's own setting.
+                rows[~mask], chain = self.tt._planned_rows(tt_idx, self.dedup)
             else:
                 rows[~mask] = self.tt._rows(tt_idx)
         return rows, (mask, slots, chain)

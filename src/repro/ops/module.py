@@ -9,7 +9,6 @@ checkpoints address a parameter by."""
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from typing import NamedTuple
 
 import numpy as np
@@ -157,31 +156,32 @@ class Module:
         return self.num_parameters() * dtype_bytes
 
 
-def walk(module: Module) -> Iterator[tuple[str, Module | Parameter]]:
+def walk(module: Module) -> list[tuple[str, Module | Parameter]]:
     """The attribute graph, depth-first: ``(path, node)`` for the root
     (path ``""``), then per attribute in assignment order each
     :class:`Parameter` or sub-:class:`Module` (recursively), a list or
     tuple's items addressed ``attr.<j>``. An object reached twice is
-    yielded once, at its first path."""
+    listed once, at its first path."""
+    out: list[tuple[str, Module | Parameter]] = []
     seen: set[int] = set()
 
-    def visit(node, path: str):
+    def visit(node, path: str) -> None:
         if id(node) in seen:
             return
         seen.add(id(node))
-        yield path, node
+        out.append((path, node))
         if isinstance(node, Parameter):
             return
         for attr, value in vars(node).items():
-            prefix = f"{path}.{attr}" if path else attr
-            if isinstance(value, (list, tuple)):
+            if isinstance(value, (Module, Parameter)):
+                visit(value, f"{path}.{attr}" if path else attr)
+            elif isinstance(value, (list, tuple)):
                 for j, item in enumerate(value):
                     if isinstance(item, (Module, Parameter)):
-                        yield from visit(item, f"{prefix}.{j}")
-            elif isinstance(value, (Module, Parameter)):
-                yield from visit(value, prefix)
+                        visit(item, f"{path}.{attr}.{j}" if path else f"{attr}.{j}")
 
-    return visit(module, "")
+    visit(module, "")
+    return out
 
 
 def parameter_keys(model: Module) -> list[str]:

@@ -31,8 +31,7 @@ import re
 
 import numpy as np
 
-from repro.models.serialization import named_modules
-from repro.ops.module import Module, Parameter
+from repro.ops.module import Module, Parameter, walk
 from repro.telemetry import emit_event, get_registry
 
 __all__ = ["NumericFaultError", "NumericSanitizer"]
@@ -87,7 +86,9 @@ class NumericSanitizer:
     # ------------------------------------------------------------------ #
 
     def __enter__(self) -> NumericSanitizer:
-        for path, mod in named_modules(self.module):
+        for path, mod in walk(self.module):
+            if not isinstance(mod, Module):
+                continue
             # "bottom_mlp.layers.0" -> "<name>.bottom_mlp.layers[0]"
             path = self.name + re.sub(r"\.(\d+)", r"[\1]", f".{path}" if path else "")
             for stage in ("forward", "backward"):

@@ -198,7 +198,7 @@ class TTEmbeddingBag(CompressedEmbedding):
         rows, _ = self.planner.execute(self.cores, plan)
         return rows[plan.inverse] if plan.inverse is not None else rows
 
-    def _planned_rows(self, indices: np.ndarray):
+    def _planned_rows(self, indices: np.ndarray, dedup: bool):
         """A forward's rows and the ``(plan, lefts)`` its backward consumes.
 
         One plan shared with backward: dedup once, run through pooled
@@ -206,7 +206,7 @@ class TTEmbeddingBag(CompressedEmbedding):
         views, valid until the next pooled call — i.e. exactly until this
         forward's backward has consumed them.
         """
-        plan = self.planner.plan_batch(indices, dedup=self.dedup,
+        plan = self.planner.plan_batch(indices, dedup=dedup,
                                        need_lefts=self.store_intermediates)
         rows, lefts = self.planner.execute(
             self.cores, plan, keep_lefts=self.store_intermediates, pooled=True)
@@ -218,7 +218,7 @@ class TTEmbeddingBag(CompressedEmbedding):
         if indices.size == 0:
             # All bags empty: zero output, nothing for backward to touch.
             return np.zeros((0, self.dim), dtype=self.dtype), None
-        return self._planned_rows(indices)
+        return self._planned_rows(indices, self.dedup)
 
     def _pool(self, rows, offsets, alpha):
         if not rows.shape[0]:  # all bags empty: nothing pooled, no span

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.cache import CachedTTEmbeddingBag
-from repro.telemetry import get_registry
 from repro.tt import TTShape
 from tests.helpers import numeric_grad_check, random_csr
 
@@ -251,18 +250,6 @@ class TestForwardBackward:
                 if e["data"]["module"] == emb.metrics_label]
         assert rows == [1, 1, 2]
         assert emb.repaired_rows == emb.stats()["repairs"] == sum(rows)
-
-
-class TestDedup:
-    @pytest.mark.parametrize("dedup, removed", [(True, 3), (False, 0)])
-    def test_served_misses_plan_with_the_operators_setting(self, dedup, removed):
-        """``lookup_bags`` serves misses through the inner TT table, which
-        carries the cached operator's one dedup setting."""
-        emb = make(dedup=dedup)
-        counter = get_registry().counter("tt.plan.dedup_removed")
-        before = counter.value
-        emb.lookup_bags(np.array([5, 5, 9, 9, 9]), np.array([0, 2, 5]))
-        assert counter.value - before == removed
 
 
 class TestConfigValidation:
