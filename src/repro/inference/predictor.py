@@ -19,18 +19,11 @@ import numpy as np
 
 from repro.data.batching import Batch, make_offsets
 from repro.models.dlrm import DLRM
+from repro.ops.activations import sigmoid
+from repro.utils.dtypes import default_dtype
 from repro.utils.validation import check_1d_int_array
 
 __all__ = ["Predictor", "rank_candidates"]
-
-
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
 
 
 class Predictor:
@@ -97,7 +90,7 @@ class Predictor:
 
     def predict_logits(self, dense: np.ndarray,
                        sparse: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
-        dense = np.asarray(dense, dtype=np.float64)
+        dense = np.asarray(dense, dtype=default_dtype())
         pooled = [
             emb.forward(indices, offsets)
             for emb, (indices, offsets) in zip(self._embeddings, sparse)
@@ -112,18 +105,18 @@ class Predictor:
         embedding stage itself (so it can degrade per-table backends)
         while sharing the exact tower math with :meth:`predict_logits`.
         """
-        dense = np.asarray(dense, dtype=np.float64)
+        dense = np.asarray(dense, dtype=default_dtype())
         x = self._bottom.forward(dense)
         z = self._interaction.forward(x, pooled)
         return self._top.forward(z).reshape(-1)
 
     def predict_batch(self, batch: Batch) -> np.ndarray:
         """Click probabilities for a batch."""
-        return _sigmoid(self.predict_logits(batch.dense, batch.sparse))
+        return sigmoid(self.predict_logits(batch.dense, batch.sparse))
 
     def predict_proba(self, dense: np.ndarray,
                       sparse: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
-        return _sigmoid(self.predict_logits(dense, sparse))
+        return sigmoid(self.predict_logits(dense, sparse))
 
 
 def rank_candidates(predictor: Predictor, *, user_dense: np.ndarray,

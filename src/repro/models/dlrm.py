@@ -12,9 +12,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro.models.config import DLRMConfig
+from repro.ops.activations import sigmoid
 from repro.ops.interaction import CatInteraction, DotInteraction
 from repro.ops.mlp import MLP
 from repro.ops.module import Module
+from repro.utils.dtypes import default_dtype
 from repro.utils.seeding import as_rng
 
 __all__ = ["DLRM"]
@@ -69,7 +71,7 @@ class DLRM(Module):
         -------
         ``(B,)`` raw logits (apply sigmoid or feed to BCE-with-logits).
         """
-        dense = np.asarray(dense, dtype=np.float64)
+        dense = np.asarray(dense, dtype=default_dtype())
         if len(sparse) != len(self.embeddings):
             raise ValueError(
                 f"expected {len(self.embeddings)} sparse inputs, got {len(sparse)}"
@@ -91,7 +93,7 @@ class DLRM(Module):
 
     def backward(self, grad_logits: np.ndarray) -> None:
         """Backprop a ``(B,)`` logit gradient through the whole model."""
-        grad = np.asarray(grad_logits, dtype=np.float64).reshape(-1, 1)
+        grad = np.asarray(grad_logits, dtype=default_dtype()).reshape(-1, 1)
         grad_z = self.top_mlp.backward(grad)
         grad_x, grad_sparse = self.interaction.backward(grad_z)
         self.bottom_mlp.backward(grad_x)
@@ -113,10 +115,4 @@ class DLRM(Module):
     def predict_proba(self, dense: np.ndarray,
                       sparse: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
         """Click probabilities (sigmoid of logits), no backward cache kept."""
-        logits = self.forward(dense, sparse)
-        out = np.empty_like(logits)
-        pos = logits >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-logits[pos]))
-        ex = np.exp(logits[~pos])
-        out[~pos] = ex / (1.0 + ex)
-        return out
+        return sigmoid(self.forward(dense, sparse))

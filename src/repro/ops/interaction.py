@@ -65,11 +65,19 @@ class DotInteraction(Module):
         li, lj = self._tri
         grad_out = np.asarray(grad_out, dtype=stacked.dtype)
         grad_x_direct = grad_out[:, :d]
-        grad_pairs = grad_out[:, d:]
-        gz = np.zeros((b, f, f), dtype=stacked.dtype)
-        gz[:, li, lj] = grad_pairs
-        # z = T T^T  =>  dT = (gz + gz^T) T
-        grad_stacked = (gz + gz.transpose(0, 2, 1)) @ stacked
+        # z = T T^T  =>  dT = (gz + gz^T) T. The two triangles are disjoint
+        # and the diagonal is 0, so gz + gz^T is pair (i, j)'s gradient at
+        # both (i, j) and (j, i): one gather of grad_out's pair columns,
+        # then the diagonal zeroed, with no transposed add. (``take`` keeps
+        # the result row-major; ``grad_out[:, cols]`` would not, and the
+        # reshape below would copy it.)
+        pair = d + np.arange(li.size)
+        cols = np.zeros((f, f), dtype=np.intp)
+        cols[li, lj] = pair
+        cols[lj, li] = pair
+        sym = np.take(grad_out, cols.reshape(-1), axis=1)
+        sym[:, :: f + 1] = 0.0
+        grad_stacked = sym.reshape(b, f, f) @ stacked
         grad_x = grad_stacked[:, 0, :] + grad_x_direct
         grad_sparse = [grad_stacked[:, i, :] for i in range(1, f)]
         return grad_x, grad_sparse

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.ops.activations import sigmoid
 from repro.utils.dtypes import default_dtype
 
 __all__ = ["bce_with_logits", "BCEWithLogitsLoss"]
@@ -39,13 +40,7 @@ def bce_with_logits(logits: np.ndarray, targets: np.ndarray) -> tuple[float, np.
     if logits.size == 0:
         raise ValueError("empty batch")
     loss = float(np.mean(_log1p_exp(logits) - targets * logits))
-    # stable sigmoid
-    probs = np.empty_like(logits)
-    pos = logits >= 0
-    probs[pos] = 1.0 / (1.0 + np.exp(-logits[pos]))
-    ex = np.exp(logits[~pos])
-    probs[~pos] = ex / (1.0 + ex)
-    grad = (probs - targets) / logits.size
+    grad = (sigmoid(logits) - targets) / logits.size
     return loss, grad
 
 

@@ -122,7 +122,12 @@ class SparseSGD(Optimizer):
                 p.data -= self.lr * p.grad
             elif p.grad is not None:
                 rows, g = p.grad
-                p.data[rows] -= self.lr * g
+                # Rows are sorted and unique, so a pair as long as the
+                # table covers every row in order: update it in place.
+                if rows.size == p.data.shape[0]:
+                    p.data -= self.lr * g
+                else:
+                    p.data[rows] -= self.lr * g
 
 
 class Adagrad(Optimizer):

@@ -35,7 +35,8 @@ from time import perf_counter_ns
 
 import numpy as np
 
-from repro.inference.predictor import Predictor, _sigmoid
+from repro.inference.predictor import Predictor
+from repro.ops.activations import sigmoid
 from repro.serving.admission import Rejection, Request, RequestSanitizer
 from repro.serving.breaker import CircuitBreaker
 from repro.serving.queue import MicroBatchQueue, monotonic_ms
@@ -352,7 +353,7 @@ class ServingFrontEnd:
                 pooled, served_by, sim_ms = self._pool(
                     batch, table_batches(batch), formed_at)
                 with trace("serving.towers"):
-                    probs = _sigmoid(
+                    probs = sigmoid(
                         self.predictor.logits_from_pooled(dense, pooled)
                     )
             bad = ~np.isfinite(probs)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.data import KAGGLE, CriteoTSVReader, DatasetSpec
-from repro.data.criteo import parse_criteo_line
+from repro.data.criteo import parse_criteo_line, scan_criteo_tsv
 
 
 def make_line(label=1, ints=None, cats=None):
@@ -95,3 +95,48 @@ class TestReader:
         path = self.write_fixture(tmp_path, n=2)
         with pytest.raises(ValueError):
             list(CriteoTSVReader(path, KAGGLE).batches(0))
+
+
+class TestCriteoScan:
+    def make_file(self, tmp_path, rows):
+        lines = []
+        for label, cats in rows:
+            ints = ["1"] * 13
+            lines.append("\t".join([str(label)] + ints + cats))
+        p = tmp_path / "raw.tsv"
+        p.write_text("\n".join(lines) + "\n")
+        return p
+
+    def test_cardinalities_and_frequencies(self, tmp_path):
+        rows = [
+            (1, ["0000000a"] + ["0000000b"] * 25),
+            (0, ["0000000a"] + ["0000000c"] * 25),
+            (0, ["0000000d"] + ["0000000b"] * 25),
+        ]
+        path = self.make_file(tmp_path, rows)
+        scan = scan_criteo_tsv(path)
+        assert scan.num_samples == 3
+        assert scan.positives == 1
+        assert scan.click_rate == pytest.approx(1 / 3)
+        cards = scan.cardinalities()
+        assert cards[0] == 2  # values a, d
+        assert cards[1] == 2  # values b, c
+        top_vals, top_counts = scan.top_values(0, 1)
+        assert top_vals[0] == 0xA
+        assert top_counts[0] == 2
+
+    def test_missing_values_not_counted(self, tmp_path):
+        rows = [(0, [""] * 26)]
+        scan = scan_criteo_tsv(self.make_file(tmp_path, rows))
+        assert scan.cardinalities() == tuple([0] * 26)
+
+    def test_max_samples(self, tmp_path):
+        rows = [(0, ["00000001"] * 26)] * 5
+        scan = scan_criteo_tsv(self.make_file(tmp_path, rows), max_samples=2)
+        assert scan.num_samples == 2
+
+    def test_malformed_line_raises(self, tmp_path):
+        p = tmp_path / "bad.tsv"
+        p.write_text("1\t2\t3\n")
+        with pytest.raises(ValueError, match="expected"):
+            scan_criteo_tsv(p)

@@ -57,6 +57,44 @@ class TestDotInteraction:
         for v, g in zip(sparse, grad_sparse):
             numeric_grad_check(v, g, loss, samples=8)
 
+    @pytest.mark.parametrize("batch", [1, 128])
+    def test_backward_bytes_equal_symmetrised_formula(self, batch):
+        """At DLRM's F = 27 the backward equals ``(gz + gz^T) @ T`` byte
+        for byte."""
+        rng = np.random.default_rng(batch)
+        d, f = 4, 27
+        x = rng.normal(size=(batch, d))
+        sparse = [rng.normal(size=(batch, d)) for _ in range(f - 1)]
+        grad_out = rng.normal(size=(batch, DotInteraction.output_dim(d, f - 1)))
+        inter = DotInteraction()
+        inter.forward(x, sparse)
+        grad_x, grad_sparse = inter.backward(grad_out)
+
+        stacked = np.stack([x] + sparse, axis=1)
+        li, lj = np.tril_indices(f, k=-1)
+        gz = np.zeros((batch, f, f))
+        gz[:, li, lj] = grad_out[:, d:]
+        want = (gz + gz.transpose(0, 2, 1)) @ stacked
+        assert grad_x.tobytes() == (want[:, 0, :] + grad_out[:, :d]).tobytes()
+        for i, g in enumerate(grad_sparse, start=1):
+            assert g.tobytes() == want[:, i, :].tobytes()
+
+    def test_gradients_at_dlrm_width(self):
+        rng = np.random.default_rng(2)
+        x = rng.normal(size=(2, 3))
+        sparse = [rng.normal(size=(2, 3)) for _ in range(26)]
+        inter = DotInteraction()
+        r = rng.normal(size=(2, DotInteraction.output_dim(3, 26)))
+
+        def loss():
+            return float((inter.forward(x, sparse) * r).sum())
+
+        inter.forward(x, sparse)
+        grad_x, grad_sparse = inter.backward(r)
+        numeric_grad_check(x, grad_x, loss, samples=6)
+        for v, g in zip(sparse[::5], grad_sparse[::5]):
+            numeric_grad_check(v, g, loss, samples=3)
+
 
 class TestCatInteraction:
     def test_forward_concatenates(self):

@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.data import KAGGLE, SyntheticCTRDataset
+from repro.models import DLRMConfig, build_dlrm
 from repro.ops import MLP, BCEWithLogitsLoss, Linear, ReLU, Sigmoid, bce_with_logits
+from repro.training import Trainer
 from tests.helpers import numeric_grad_check
 
 
@@ -79,6 +82,36 @@ class TestActivations:
         grad = relu.backward(np.array([[5.0, 5.0]]))
         np.testing.assert_array_equal(grad, [[0.0, 5.0]])
 
+    SPECIALS = [np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 1.5, -2.0, 1e-300]
+
+    def test_relu_forward_bytes_equal_select(self):
+        """NaN, the infinities and both zeros come out byte-equal to the
+        ``np.where`` select (NaN -> 0, -0.0 -> +0.0)."""
+        rng = np.random.default_rng(0)
+        x = np.concatenate([self.SPECIALS * 8, rng.normal(size=200)])
+        rng.shuffle(x)
+        x = x.reshape(-1, 8)
+        out = ReLU().forward(x)
+        assert out.tobytes() == np.where(x > 0, x, 0.0).tobytes()
+
+    def test_relu_backward_equals_select_for_finite_grad(self):
+        rng = np.random.default_rng(1)
+        x = np.concatenate([self.SPECIALS * 4, rng.normal(size=100)]).reshape(-1, 4)
+        g = rng.normal(size=x.shape)
+        g[0, :2] = [0.0, -0.0]
+        relu = ReLU()
+        relu.forward(x)
+        np.testing.assert_array_equal(relu.backward(g), np.where(x > 0, g, 0.0))
+
+    def test_relu_backward_propagates_nonfinite_grad(self):
+        """A non-finite gradient at a masked position is not hidden."""
+        relu = ReLU()
+        relu.forward(np.array([[-1.0, -1.0, 2.0]]))
+        with np.errstate(invalid="ignore"):  # inf * 0
+            grad = relu.backward(np.array([[np.inf, np.nan, 3.0]]))
+        assert np.isnan(grad[0, :2]).all()
+        assert grad[0, 2] == 3.0
+
     def test_sigmoid_extreme_stability(self):
         sig = Sigmoid()
         out = sig.forward(np.array([[-1000.0, 0.0, 1000.0]]))
@@ -102,6 +135,31 @@ class TestActivations:
             ReLU().backward(np.ones((1, 1)))
         with pytest.raises(RuntimeError):
             Sigmoid().backward(np.ones((1, 1)))
+
+
+class TestNaNGuard:
+    def test_divergence_raises_immediately(self):
+        spec = KAGGLE.scaled(0.0002)
+        cfg = DLRMConfig(table_sizes=spec.table_sizes, emb_dim=8,
+                         bottom_mlp=(16,), top_mlp=(16,))
+        model = build_dlrm(cfg, rng=0)
+        # Poison the output layer's bias so logits are NaN. (Poisoning an
+        # earlier layer would be masked: ReLU clips NaN to 0 since
+        # ``nan > 0`` is False.)
+        model.top_mlp.layers[-1].bias.data[:] = np.nan
+        trainer = Trainer(model, lr=0.1)
+        ds = SyntheticCTRDataset(spec, seed=0)
+        with pytest.raises(FloatingPointError, match="diverged"):
+            trainer.train_step(ds.batch(8))
+
+    def test_healthy_training_unaffected(self):
+        spec = KAGGLE.scaled(0.0002)
+        cfg = DLRMConfig(table_sizes=spec.table_sizes, emb_dim=8,
+                         bottom_mlp=(16,), top_mlp=(16,))
+        trainer = Trainer(build_dlrm(cfg, rng=0), lr=0.1)
+        ds = SyntheticCTRDataset(spec, seed=0)
+        loss = trainer.train_step(ds.batch(8))
+        assert np.isfinite(loss)
 
 
 class TestMLP:

@@ -160,6 +160,21 @@ class TestSparseSGD:
         np.testing.assert_allclose(p.data[1], [0.5, 0.5])
         np.testing.assert_allclose(p.data[3], [1.0, 1.0])
 
+    @pytest.mark.parametrize("rows", [[0, 1, 2, 3, 4], [0, 2, 3]])
+    def test_bytes_equal_fancy_index_update(self, rows):
+        """A pair covering every row updates in place; a strict subset by
+        fancy index. Both give the bytes of ``data[rows] -= lr * g``."""
+        rng = np.random.default_rng(len(rows))
+        data = rng.normal(size=(5, 2, 3))
+        rows = np.array(rows, dtype=np.int64)
+        g = rng.normal(size=(rows.size, 2, 3))
+        p = Parameter(data.copy(), sparse=True)
+        p.accumulate(rows, g)
+        SparseSGD([p], lr=0.3).step()
+        want = data.copy()
+        want[rows] -= 0.3 * g
+        assert p.data.tobytes() == want.tobytes()
+
     def test_dense_fallback(self):
         p = Parameter(np.ones(3), sparse=False)
         p.grad[:] = 1.0

@@ -214,3 +214,51 @@ class TestInterop:
         bag = emb.forward(idx, np.array([0, 6]))
         singles = emb.forward(idx)
         np.testing.assert_allclose(bag[0], singles.sum(axis=0), atol=1e-10)
+
+
+class TestTTGeneralDepth:
+    """The kernels must work for any number of cores, not just d=3."""
+
+    @pytest.mark.parametrize("d,row_factors,col_factors", [
+        (2, (6, 10), (2, 4)),
+        (4, (2, 3, 2, 5), (2, 2, 2, 1)),
+        (5, (2, 2, 3, 2, 3), (2, 1, 2, 1, 2)),
+    ])
+    def test_forward_backward_any_depth(self, d, row_factors, col_factors):
+        rows = int(np.prod(row_factors))
+        dim = int(np.prod(col_factors))
+        shape = TTShape.with_uniform_rank(rows, dim, row_factors, col_factors, 3)
+        assert shape.d == d
+        rng = np.random.default_rng(d)
+        emb = TTEmbeddingBag(rows, dim, shape=shape, rng=0)
+        # forward agrees with materialisation
+        idx = rng.integers(0, rows, size=15)
+        np.testing.assert_allclose(
+            emb.lookup(idx), emb.materialize()[idx], atol=1e-11
+        )
+        # gradients correct
+        idx, off = random_csr(rng, rows, 4)
+        r = rng.normal(size=(4, dim))
+
+        def loss():
+            return float((emb.forward(idx, off) * r).sum())
+
+        emb.forward(idx, off)
+        emb.backward(r)
+        for p in emb.cores:
+            numeric_grad_check(p.data, p.dense_grad(), loss, samples=8)
+
+    def test_nonuniform_ranks(self):
+        shape = TTShape(60, 8, (3, 4, 5), (2, 2, 2), (1, 2, 7, 1))
+        emb = TTEmbeddingBag(60, 8, shape=shape, rng=0)
+        rng = np.random.default_rng(0)
+        idx, off = random_csr(rng, 60, 4)
+        r = rng.normal(size=(4, 8))
+
+        def loss():
+            return float((emb.forward(idx, off) * r).sum())
+
+        emb.forward(idx, off)
+        emb.backward(r)
+        for p in emb.cores:
+            numeric_grad_check(p.data, p.dense_grad(), loss, samples=8)

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from repro.data import KAGGLE, SyntheticCTRDataset
+from repro.inference import Predictor
 from repro.models import DLRMConfig, TTConfig, build_ttrec
 from repro.ops.loss import bce_with_logits
+from repro.training import Trainer
 from repro.utils.dtypes import default_dtype, dtype_policy, result_dtype
 
 SPEC = KAGGLE.scaled(0.0002)
@@ -51,3 +53,33 @@ class TestDtypePolicy:
             for p in model.parameters():
                 g = p.grad.values if p.sparse else p.grad
                 assert g.dtype == np.float32, p.name
+
+    def test_float32_towers_see_float32(self):
+        """One training step and a prediction under float32: the towers are
+        handed float32 (no float64 dense input or logit gradient for
+        ``Linear`` to cast back down) and every output is float32."""
+        seen = []
+
+        def spy(fn):
+            def wrapped(x):
+                seen.append(x.dtype)
+                return fn(x)
+            return wrapped
+
+        with dtype_policy(np.float32):
+            model = make_model()
+            model.bottom_mlp.forward = spy(model.bottom_mlp.forward)
+            model.top_mlp.backward = spy(model.top_mlp.backward)
+            batch = make_batch()
+            trainer = Trainer(model, lr=0.1)
+            trainer.train_step(batch)
+            logits = model.forward(batch.dense, batch.sparse)
+            _, grad = bce_with_logits(logits, batch.labels)
+            assert logits.dtype == grad.dtype == np.float32
+            for p in model.parameters():
+                g = p.grad.values if p.sparse else p.grad
+                assert g.dtype == np.float32, p.name
+            assert model.predict_proba(batch.dense, batch.sparse).dtype == np.float32
+            predictor = Predictor(model)
+            assert predictor.predict_proba(batch.dense, batch.sparse).dtype == np.float32
+        assert seen and all(dt == np.float32 for dt in seen), seen
