@@ -7,9 +7,9 @@ against the closed-form all-to-all/allreduce volumes from
 """
 
 import numpy as np
-from conftest import banner, scaled_iters
+from conftest import banner
 
-from repro.bench import format_table, write_bench_json
+from repro.bench import format_table
 from repro.data import SyntheticCTRDataset
 from repro.distributed import Communicator, DataParallelTrainer, ShardedEmbeddingDLRM
 from repro.models import DLRMConfig, TTConfig, build_dlrm, build_ttrec
@@ -120,92 +120,3 @@ def test_degraded_mode_events(benchmark, kaggle_small):
           dp.parameters_in_sync())
     assert events["corruptions_detected"] > 0
     assert dp.parameters_in_sync()
-
-
-def test_elastic_chaos_drill(benchmark, kaggle_small, tmp_path):
-    """Elastic runtime: steady-state cost vs a kill/recovery chaos arm.
-
-    Runs the same seeded workload twice — fault-free, then with worker 1
-    killed a third of the way in (shard-delta checkpoints every 5 steps)
-    — and writes ``BENCH_distributed.json`` with the wall-clock ms/iter
-    of both arms, the degraded/retried step counts, and the simulated
-    recovery time. The chaos arm must reconcile (no lost batches), end
-    bit-in-sync, and land within 2% of the fault-free final loss.
-    """
-    import time
-
-    from repro.distributed import ElasticTrainer, parse_worker_kill_spec
-    from repro.reliability import CheckpointManager, FaultInjector
-
-    cfg, _ = _setup(kaggle_small)
-    iters = scaled_iters(30)
-    kill_at = max(2, iters // 3)
-
-    def replicas():
-        return [build_ttrec(cfg, num_tt_tables=5, tt=TTConfig(rank=8),
-                            min_rows=60, rng=0) for _ in range(WORLD)]
-
-    def batches():
-        ds = SyntheticCTRDataset(kaggle_small, seed=0, noise=0.7)
-        return [ds.batch(BATCH) for _ in range(iters)]
-
-    def run():
-        t0 = time.perf_counter()
-        steady = ElasticTrainer(replicas(), lr=0.1, optimizer="adagrad")
-        steady_report = steady.train(batches())
-        steady_ms = (time.perf_counter() - t0) / iters * 1e3
-
-        injector = FaultInjector(seed=11).register("dist.slow", 0.02)
-        manager = CheckpointManager(tmp_path / "elastic")
-        chaos = ElasticTrainer(
-            replicas(), lr=0.1, optimizer="adagrad", injector=injector,
-            checkpoint=manager, checkpoint_every=5,
-            kill_specs=[parse_worker_kill_spec(f"1@{kill_at}")],
-        )
-        t0 = time.perf_counter()
-        chaos_report = chaos.train(batches())
-        chaos_ms = (time.perf_counter() - t0) / iters * 1e3
-        return steady_ms, steady_report, chaos_ms, chaos_report
-
-    steady_ms, srep, chaos_ms, crep = benchmark.pedantic(
-        run, rounds=1, iterations=1)
-
-    rec = crep["recovery"]
-    banner(f"Elastic training: {WORLD} workers, {iters} steps, "
-           f"kill w1@{kill_at}")
-    rows = [
-        ["steady state", f"{steady_ms:.2f}", 0, 0, "-"],
-        ["chaos (kill + recover)", f"{chaos_ms:.2f}",
-         crep["degraded_steps"], crep["retried_steps"],
-         f"{rec['max_ms']:g}"],
-    ]
-    print(format_table(
-        ["arm", "wall ms/iter", "degraded", "retried", "recovery sim-ms"],
-        rows))
-    print(f"\nrecovery: {rec['restores']} shard restores, "
-          f"{rec['replayed_rows']} hot rows replayed, audit failures "
-          f"{rec['audit_failures']}; final loss {crep['final_loss']:.4f} "
-          f"vs fault-free {srep['final_loss']:.4f}")
-    path = write_bench_json("distributed", {
-        "world_size": WORLD,
-        "iters": iters,
-        "kill_at_step": kill_at,
-        "steady_ms_per_iter": steady_ms,
-        "chaos_ms_per_iter": chaos_ms,
-        "degraded_steps": crep["degraded_steps"],
-        "retried_steps": crep["retried_steps"],
-        "dispatch_retries": crep["dispatch_retries"],
-        "recovery": rec,
-        "steady_final_loss": srep["final_loss"],
-        "chaos_final_loss": crep["final_loss"],
-        "reconciliation": crep["reconciliation"],
-    })
-    print(f"wrote {path}")
-
-    assert crep["reconciliation"]["passed"], crep["reconciliation"]
-    assert crep["in_sync"]
-    assert rec["readmissions"] == 1 and rec["audit_failures"] == 0
-    # Degraded steps re-shard the whole batch over survivors, so the
-    # update stream matches the fault-free run up to float noise.
-    assert abs(crep["final_loss"] - srep["final_loss"]) \
-        <= 0.02 * abs(srep["final_loss"])

@@ -4,8 +4,8 @@
 one's options; docs/ walks through them.
 
 Analyses that need no training (``table2``, ``sizes``, ``plan``, ...) are
-exact and instantaneous. The drills — ``train`` (and ``train --elastic``),
-``chaos``, ``profile``, ``serve-bench`` — run the scaled synthetic dataset
+exact and instantaneous. The drills — ``train``, ``chaos``, ``profile``,
+``serve-bench`` — run the scaled synthetic dataset
 for a few seconds and stand on one scaffold ("The drill scaffold" below):
 one model recipe, one seeded-injector table, one context manager for the
 ``--events-jsonl`` / ``--slo`` / ``--trace-sample`` / ``--flight-dir``
@@ -353,19 +353,14 @@ def _observed(args, clock=None):
         telemetry.uninstall_sink()
 
 
-def _print_fleet(label: str, units: list[dict]) -> None:
-    """One row per supervised worker: the ``SupervisedWorker.stats()``
-    keys training and serving fleets share, and the serving tier's
-    ``p99_ms`` / ``rewarmed_rows`` where a row has them."""
+def _print_fleet(units: list[dict]) -> None:
+    """One row per shard worker of a sharded run's ``per_shard`` report."""
     for s in units:
-        p99 = f"p99 {s['p99_ms']:6.2f} ms  " if "p99_ms" in s else ""
-        rewarmed = (f" rewarmed {s['rewarmed_rows']}"
-                    if "rewarmed_rows" in s else "")
-        print(f"  {label} {s[label]}: {s['state']:9s} "
-              f"dispatches {s['dispatches']:<5d} {p99}"
+        print(f"  shard {s['shard']}: {s['state']:9s} "
+              f"dispatches {s['dispatches']:<5d} p99 {s['p99_ms']:6.2f} ms  "
               f"hb {s['heartbeats']:<4d} "
               f"crash {s['crashes']} hang {s['hangs']} slow {s['slows']} "
-              f"drop {s['net_drops']}{rewarmed}")
+              f"drop {s['net_drops']} rewarmed {s['rewarmed_rows']}")
 
 
 def _print_ledger(recon: dict) -> bool:
@@ -380,14 +375,6 @@ def _print_ledger(recon: dict) -> bool:
     if "skipped" in recon:
         print(f"  fault rows skipped ({recon['skipped']})")
     return recon["passed"]
-
-
-def _print_threshold(what: str, value: float, fmt: str, bound: float) -> bool:
-    within = value <= bound
-    print(f"threshold : {what} {value:{fmt}} ms "
-          f"{'<=' if within else '>'} {bound:g} ms "
-          f"{'ok' if within else 'FAIL'}")
-    return within
 
 
 def _print_flightrec(recorder, flight_dir) -> None:
@@ -418,74 +405,9 @@ def _emit_json(args, command: str, result: dict, lead: str = "") -> None:
         print(f"{lead}wrote telemetry snapshot to {args.emit_json}")
 
 
-def _cmd_train_elastic(args) -> int:
-    """``train --elastic``: the fault-tolerant distributed-training drill.
-
-    Runs K simulated data-parallel workers under scheduled kills
-    (``--kill-worker``) and/or ``dist.*`` fault rates, then gates on the
-    elastic contract: ledgers reconcile (no lost batches), the fleet ends
-    readmitted, live replicas are bit-identical, and (optionally) the
-    worst recovery stays under ``--recovery-ms-max`` simulated ms — the
-    contract the ``training-chaos`` CI job relies on.
-    """
-    from repro.distributed import ElasticTrainer, parse_worker_kill_spec
-    from repro.serving import ManualClock
-
-    kaggle = _scaled_kaggle(args)
-    replicas = [kaggle.build() for _ in range(args.workers)]
-    injector = _injector(args.fault_seed, {
-        "dist.crash": (args.dist_crash, {}),
-        "dist.hang": (args.dist_hang, {}),
-        "dist.slow": (args.dist_slow, {}),
-        "dist.net_drop": (args.dist_net_drop, {}),
-    })
-    kill_specs = [parse_worker_kill_spec(s) for s in (args.kill_worker or [])]
-    clock = ManualClock()
-    with _observed(args, clock) as obs:
-        trainer = ElasticTrainer(
-            replicas, lr=0.1, optimizer="adagrad", injector=injector,
-            clock=clock, checkpoint=_checkpoints(args, "elastic"),
-            checkpoint_every=args.checkpoint_every, kill_specs=kill_specs,
-        )
-        report = trainer.train(
-            kaggle.stream().batches(args.batch_size, args.iters))
-
-    kills = ", ".join(f"w{k.unit}@{k.at}" for k in kill_specs) or "none"
-    print(f"train --elastic: {args.iters} batches of {args.batch_size} over "
-          f"{args.workers} workers, kills: {kills}")
-    print(f"ledger    : fed {report['batches_fed']}  applied "
-          f"{report['steps_applied']}  attempts {report['step_attempts']} "
-          f"(retried {report['retried_steps']}, degraded "
-          f"{report['degraded_steps']}, dispatch retries "
-          f"{report['dispatch_retries']})")
-    _print_fleet("worker", report["workers"])
-    rec = report["recovery"]
-    print(f"recovery  : {rec['readmissions']} readmissions  shard restores "
-          f"{rec['restores']}  replayed rows {rec['replayed_rows']}  audits "
-          f"{rec['audits']} ({rec['audit_failures']} failed)  max "
-          f"{rec['max_ms']:g} ms")
-    print(f"health    : {report['health']['up']}/{report['world_size']} "
-          f"workers up  membership epochs {report['membership_epochs']}  "
-          f"resyncs {report['resyncs']}")
-    ok = _print_ledger(report["reconciliation"])
-    if args.recovery_ms_max is not None and rec["readmissions"]:
-        ok = _print_threshold("recovery max", rec["max_ms"], "g",
-                              args.recovery_ms_max) and ok
-    _print_flightrec(obs.recorder, args.flight_dir)
-    print(f"final loss: {report['final_loss']:.4f}  "
-          f"(sim {report['sim_ms']:g} ms)")
-    code = _verdict(ok, "ledgers reconcile, fleet readmitted, "
-                        "replicas in sync")
-    _emit_json(args, "train-elastic", {"report": report, "passed": ok})
-    return code
-
-
 def _cmd_train(args) -> int:
     from repro.models import build_dlrm
     from repro.training import Trainer
-
-    if args.elastic:
-        return _cmd_train_elastic(args)
 
     kaggle = _scaled_kaggle(args, mlp=_WIDE_MLP)
     summaries = {}
@@ -742,7 +664,7 @@ def _cmd_serve_bench(args) -> int:
               f"replica hits {report['replica_hits']}  prior fills "
               f"{report['prior_fills']}  latency mean {fo['mean']:.2f} ms  "
               f"p99 {fo['p99']:.2f} ms")
-        _print_fleet("shard", report["per_shard"])
+        _print_fleet(report["per_shard"])
         print(f"health    : {report['health']['status']}  shards up "
               f"{report['health']['shards']['up']}/"
               f"{report['health']['shards']['total']}  non-finite outputs "
@@ -764,8 +686,12 @@ def _cmd_serve_bench(args) -> int:
     ok = report["non_finite_outputs"] == 0
     ok = _print_ledger(report["reconciliation"]) and ok
     if args.failover_p99_ms is not None:
-        ok = _print_threshold("failover p99", report["failover_ms"]["p99"],
-                              ".2f", args.failover_p99_ms) and ok
+        p99 = report["failover_ms"]["p99"]
+        within = p99 <= args.failover_p99_ms
+        print(f"threshold : failover p99 {p99:.2f} ms "
+              f"{'<=' if within else '>'} {args.failover_p99_ms:g} ms "
+              f"{'ok' if within else 'FAIL'}")
+        ok = within and ok
     if kill_specs or args.shard_fault_rate > 0:
         readmitted = report["ready"]["full_capacity"]
         ok = ok and readmitted
@@ -965,32 +891,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="resume each model from its latest checkpoint")
     p.add_argument("--emit-json", default=None, metavar="PATH",
                    help="write a repro.telemetry/v1 snapshot JSON")
-    p.add_argument("--elastic", action="store_true",
-                   help="run the elastic fault-tolerant distributed drill "
-                        "instead of the single-worker comparison")
-    p.add_argument("--workers", type=int, default=4,
-                   help="data-parallel workers for --elastic")
-    p.add_argument("--batch-size", type=int, default=96,
-                   help="global batch size for --elastic")
-    p.add_argument("--kill-worker", action="append", default=None,
-                   metavar="W@STEP",
-                   help="kill worker W when batch STEP is fed (repeatable; "
-                        "requires --elastic)")
-    p.add_argument("--dist-crash", type=float, default=0.0,
-                   help="per-probe dist.crash rate (--elastic)")
-    p.add_argument("--dist-hang", type=float, default=0.0,
-                   help="per-probe dist.hang rate (--elastic)")
-    p.add_argument("--dist-slow", type=float, default=0.0,
-                   help="per-dispatch dist.slow rate (--elastic)")
-    p.add_argument("--dist-net-drop", type=float, default=0.0,
-                   help="per-message dist.net_drop rate (--elastic)")
-    p.add_argument("--fault-seed", type=int, default=123)
-    p.add_argument("--recovery-ms-max", type=float, default=None,
-                   help="fail if the worst recovery exceeds this many "
-                        "simulated ms (--elastic)")
-    p.add_argument("--flight-dir", default=None, metavar="DIR",
-                   help="arm the flight recorder; trigger dumps land "
-                        "here as flightrec-<event>.json (--elastic)")
     p.set_defaults(fn=_cmd_train)
 
     p = sub.add_parser("profile",
@@ -1113,9 +1013,6 @@ _MODE_OPTIONS = {
     "serve-bench": ("shards", "--shards N", (
         "kill_shard", "shard_fault_rate", "failover_p99_ms",
         "per_shard_json")),
-    "train": ("elastic", "--elastic", (
-        "kill_worker", "dist_crash", "dist_hang", "dist_slow",
-        "dist_net_drop", "recovery_ms_max", "flight_dir")),
 }
 
 

@@ -17,25 +17,15 @@ training is verified bit-equivalent to single-worker large-batch training,
 and the byte counters are verified against the analytic model of
 :mod:`repro.analysis.parallelism`.
 
-:mod:`repro.distributed.elastic` adds the fault-tolerant runtime on top:
-``ElasticTrainer`` supervises ``TrainerWorker`` s through the worker
-state machine and recovery walk of :mod:`repro.runtime`, adding
-breaker-gated eviction, degraded collectives over survivors, and live
-shard-delta recovery of lost replicas.
+With a :class:`~repro.reliability.fault_injection.FaultInjector`
+attached, the collectives run in degraded mode (checksummed, retried,
+renormalised over survivors) and ``DataParallelTrainer`` resyncs a
+dropped replica after the step.
 """
 
 from repro.distributed.collectives import CollectiveError, Communicator
-from repro.distributed.data_parallel import (DataParallelTrainer, shard_batch,
-                                             shard_batch_counts)
-from repro.distributed.elastic import (ElasticConfig, ElasticError,
-                                       ElasticTrainer, TrainerWorker,
-                                       WorkerKillSpec, parse_worker_kill_spec,
-                                       reconcile_elastic)
-from repro.distributed.model_parallel import (ShardedEmbeddingDLRM,
-                                              partition_parameters)
+from repro.distributed.data_parallel import DataParallelTrainer, shard_batch
+from repro.distributed.model_parallel import ShardedEmbeddingDLRM
 
 __all__ = ["Communicator", "CollectiveError", "DataParallelTrainer",
-           "ShardedEmbeddingDLRM", "ElasticTrainer", "TrainerWorker",
-           "ElasticConfig", "ElasticError", "WorkerKillSpec",
-           "parse_worker_kill_spec", "reconcile_elastic", "shard_batch",
-           "shard_batch_counts", "partition_parameters"]
+           "ShardedEmbeddingDLRM", "shard_batch"]

@@ -141,22 +141,6 @@ class Communicator:
             counter.reset()
         self.last_dropped = []
 
-    def resize(self, world_size: int) -> None:
-        """Change the participant count (an elastic membership epoch).
-
-        A real elastic launcher rebuilds the process group when workers
-        leave or rejoin; here only the expected buffer count and the ring
-        byte model change. Byte/event counters carry across epochs —
-        they account for the whole run, not one membership.
-        """
-        if world_size < 1:
-            raise ValueError(f"world_size must be >= 1, got {world_size}")
-        if world_size != self.world_size:
-            self.world_size = world_size
-            self.last_dropped = []
-            emit_event("collective.resized", comm=self.metrics_label,
-                       world_size=world_size)
-
     # ------------------------------------------------------------------ #
     # Degraded-mode plumbing
     # ------------------------------------------------------------------ #

@@ -34,29 +34,29 @@ from repro.ops.module import SparseGrad
 from repro.ops.optim import SparseSGD
 from repro.telemetry import get_registry
 
-__all__ = ["DataParallelTrainer", "shard_batch", "shard_batch_counts",
-           "sync_gradients"]
+__all__ = ["DataParallelTrainer", "shard_batch", "sync_gradients"]
 
 
-def shard_batch_counts(batch: Batch, counts: list[int]) -> list[Batch]:
-    """Split a batch into contiguous shards of explicit sizes.
+def shard_batch(batch: Batch, world_size: int) -> list[Batch]:
+    """Split a batch into ``world_size`` equal contiguous shards.
 
-    ``counts`` must be positive and sum to the batch size. The equal-shard
-    :func:`shard_batch` is the ``counts = [B/K] * K`` special case; the
-    elastic runtime passes uneven counts when re-sharding a batch over
-    survivors or de-weighting a straggler.
+    The batch size must divide evenly — real synchronous SGD pads or drops
+    remainders; we require exactness so the equivalence theorem holds
+    bit-for-bit.
     """
+    if world_size < 1:
+        raise ValueError(f"world_size must be >= 1, got {world_size}")
     b = batch.size
-    if any(c < 1 for c in counts):
-        raise ValueError(f"every shard needs at least one sample, got {counts}")
-    if sum(counts) != b:
+    if b % world_size != 0:
         raise ValueError(
-            f"shard counts {counts} sum to {sum(counts)}, batch size is {b}"
+            f"batch size {b} is not divisible by world size {world_size}"
         )
-    bounds = np.concatenate(([0], np.cumsum(counts)))
+    if b == 0:
+        raise ValueError("every shard needs at least one sample, batch is empty")
+    per = b // world_size
     shards = []
-    for w in range(len(counts)):
-        lo, hi = int(bounds[w]), int(bounds[w + 1])
+    for lo in range(0, b, per):
+        hi = lo + per
         sparse = []
         weights = [] if batch.per_sample_weights is not None else None
         for t, (indices, offsets) in enumerate(batch.sparse):
@@ -73,27 +73,9 @@ def shard_batch_counts(batch: Batch, counts: list[int]) -> list[Batch]:
     return shards
 
 
-def shard_batch(batch: Batch, world_size: int) -> list[Batch]:
-    """Split a batch into ``world_size`` equal contiguous shards.
-
-    The batch size must divide evenly — real synchronous SGD pads or drops
-    remainders; we require exactness so the equivalence theorem holds
-    bit-for-bit.
-    """
-    b = batch.size
-    if b % world_size != 0:
-        raise ValueError(
-            f"batch size {b} is not divisible by world size {world_size}"
-        )
-    return shard_batch_counts(batch, [b // world_size] * world_size)
-
-
-def sync_gradients(replicas, collective) -> tuple[list[int], list]:
-    """Reduce every parameter's gradient across ``replicas`` — the gradient
-    exchange of both data-parallel trainers. ``collective`` is the
-    communicator's bound reduction: ``comm.allreduce_mean`` over equal
-    shards, ``comm.allreduce_sum`` over the elastic trainer's pre-scaled
-    partial gradients.
+def sync_gradients(replicas, comm: Communicator) -> list[int]:
+    """Average every parameter's gradient across ``replicas`` with
+    ``comm.allreduce_mean`` — the gradient exchange of a data-parallel step.
 
     A sparse parameter's pair is scattered into a ``data``-shaped scratch
     buffer per rank, so the collective moves the same bytes as a dense
@@ -101,19 +83,14 @@ def sync_gradients(replicas, collective) -> tuple[list[int], list]:
     survivors' rows. A rank the collective dropped keeps its local
     gradient — exactly what a real dropped worker would apply. Returns
     the ranks (positions in ``replicas``) dropped from any parameter's
-    collective, and per parameter that union of rows (empty when no
-    survivor touched the parameter; ``None`` for a dense one), which the
-    elastic trainer's replay bookkeeping reads.
+    collective.
     """
-    comm = collective.__self__
     dropped_any: set[int] = set()
-    unions = []
     for group in zip(*(r.parameters() for r in replicas)):
-        reduced = collective([p.dense_grad() for p in group])
+        reduced = comm.allreduce_mean([p.dense_grad() for p in group])
         dropped = set(comm.last_dropped)
         dropped_any |= dropped
         survivors = [p for rank, p in enumerate(group) if rank not in dropped]
-        union = None
         if group[0].sparse:
             union = np.empty(0, dtype=np.int64)
             for p in survivors:
@@ -125,8 +102,7 @@ def sync_gradients(replicas, collective) -> tuple[list[int], list]:
                 p.grad = pair
             else:
                 p.grad[...] = reduced
-        unions.append(union)
-    return sorted(dropped_any), unions
+    return sorted(dropped_any)
 
 
 class DataParallelTrainer:
@@ -192,7 +168,7 @@ class DataParallelTrainer:
             loss, grad = bce_with_logits(logits, shard.labels)
             replica.backward(grad)
             losses.append(loss)
-        dropped, _ = sync_gradients(self.replicas, self.comm.allreduce_mean)
+        dropped = sync_gradients(self.replicas, self.comm)
         for opt in self.optimizers:
             opt.step()
         if dropped:

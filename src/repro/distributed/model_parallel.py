@@ -37,7 +37,7 @@ from repro.ops.loss import bce_with_logits
 from repro.ops.mlp import MLP
 from repro.ops.optim import SparseSGD
 
-__all__ = ["ShardedEmbeddingDLRM", "assign_tables", "partition_parameters"]
+__all__ = ["ShardedEmbeddingDLRM", "assign_tables"]
 
 
 def assign_tables(table_sizes: tuple[int, ...], world_size: int, *,
@@ -92,22 +92,6 @@ def assign_tables(table_sizes: tuple[int, ...], world_size: int, *,
         load[hi] -= table_sizes[best_t]
         load[lo] += table_sizes[best_t]
         owner[best_t] = lo
-
-
-def partition_parameters(model, world_size: int) -> list[int]:
-    """Checkpoint-shard ownership: parameter index -> owning worker.
-
-    The elastic data-parallel runtime replicates the whole model on every
-    worker, but each worker *owns* a slice of it for checkpointing: the
-    K shard-delta checkpoints together cover the model, so any one lost
-    replica can be rebuilt from the survivors' last checkpoint round.
-    Ownership is PS-style balanced by parameter byte count using the same
-    LPT + local-search assignment as the embedding-table layout (a TT
-    table's cores are naturally grouped by size here, and the dense MLP
-    parameters spread across whichever workers are lightest).
-    """
-    sizes = tuple(int(p.data.size) for p in model.parameters())
-    return assign_tables(sizes, world_size)
 
 
 class _Tower:

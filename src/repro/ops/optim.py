@@ -55,12 +55,12 @@ class Optimizer:
         for p in self.params:
             p.zero_grad()
 
-    def state_dict(self, indices=None) -> dict:
-        """Hyperparameters, then copies of the slots of ``indices``
-        (ascending parameter positions; all of them by default)."""
+    def state_dict(self) -> dict:
+        """Hyperparameters, then copies of every parameter's slots in
+        parameter order."""
         state: dict = {name: getattr(self, name) for name in self.hyper}
-        for i in range(len(self.params)) if indices is None else indices:
-            for name, value in self.slots[i].items():
+        for i, slots in enumerate(self.slots):
+            for name, value in slots.items():
                 state[f"{name}.{i}"] = value.copy()
         return state
 

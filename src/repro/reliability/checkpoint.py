@@ -28,27 +28,6 @@ records the full loss history (so a resumed
 :class:`~repro.training.trainer.TrainResult` is seamless) and, when a
 :class:`numpy.random.Generator` is supplied, its bit-generator state —
 everything needed for a killed run to resume bit-exactly.
-
-Shard-delta checkpoints (elastic training)
-------------------------------------------
-The elastic runtime checkpoints each worker's *owned slice* of the
-replicated model instead of the whole thing: worker ``w`` saves only the
-parameters assigned to it (by
-:func:`repro.distributed.model_parallel.partition_parameters`), plus the
-optimizer slots of exactly those parameters, as a separate pair::
-
-    ckpt-s2_00000100.npz / ckpt-s2_00000100.json
-
-A shard series is the same file protocol under the prefix
-``{prefix}-s{shard}`` — :meth:`CheckpointManager.shard` returns its
-manager, so paths, discovery, verification, retention and loading are
-the dense series' code — and never collides with (or shadows) the dense
-``{prefix}_{step}`` series: the ``steps()`` regex cannot match it.
-Together the K shard pairs at one step cover the whole model, which is
-what lets a supervisor rebuild a *lost* worker's replica from the last
-common shard step (:meth:`CheckpointManager.latest_common_shard_step`)
-without touching any survivor's state: :meth:`restore_shard` writes only
-the shard's parameters and merges only the shard's optimizer slots.
 """
 
 from __future__ import annotations
@@ -62,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.models.serialization import (load_state_dict, named_modules,
-                                        parameter_keys, state_dict)
+                                        state_dict)
 from repro.ops.module import Module
 
 __all__ = ["CheckpointManager", "CheckpointError", "LoadedCheckpoint"]
@@ -106,15 +85,14 @@ def _atomic_write(path: str, writer) -> None:
     os.replace(tmp, path)
 
 
-def _split_optimizer(optimizer, arrays: dict, owned=None) -> dict:
-    """File an optimizer's ``state_dict(owned)`` (given ``owned``, only
-    those parameter indices' slots): arrays into ``arrays`` as
+def _split_optimizer(optimizer, arrays: dict) -> dict:
+    """File an optimizer's ``state_dict()``: arrays into ``arrays`` as
     ``opt/<key>``; returns the manifest's ``optimizer`` section, the type
     name and the scalars.
     """
     scalars: dict[str, float] = {}
     if optimizer is not None:
-        for key, value in optimizer.state_dict(owned).items():
+        for key, value in optimizer.state_dict().items():
             if isinstance(value, np.ndarray):
                 arrays[f"opt/{key}"] = value
             else:
@@ -125,12 +103,9 @@ def _split_optimizer(optimizer, arrays: dict, owned=None) -> dict:
     }
 
 
-def _overlay_optimizer(ck: LoadedCheckpoint, optimizer, base: dict) -> None:
-    """Load ``ck``'s optimizer state over ``base``: empty for a full
-    checkpoint; the optimizer's *current* ``state_dict()`` for a shard
-    delta, so the scalars and that shard's slots change while every other
-    slot round-trips through ``load_state_dict()`` bit-identically.
-    """
+def _overlay_optimizer(ck: LoadedCheckpoint, optimizer) -> None:
+    """Load ``ck``'s optimizer state: the manifest's scalars, then the
+    payload's ``opt/<key>`` arrays."""
     saved_type = ck.manifest["optimizer"]["type"]
     if saved_type is None:
         return
@@ -139,11 +114,11 @@ def _overlay_optimizer(ck: LoadedCheckpoint, optimizer, base: dict) -> None:
             f"checkpoint holds {saved_type} state but the trainer "
             f"uses {type(optimizer).__name__}"
         )
-    base.update(ck.manifest["optimizer"]["scalars"])
+    state = dict(ck.manifest["optimizer"]["scalars"])
     for key, value in ck.arrays.items():
         if key.startswith("opt/"):
-            base[key.split("/", 1)[1]] = value
-    optimizer.load_state_dict(base)
+            state[key.split("/", 1)[1]] = value
+    optimizer.load_state_dict(state)
 
 
 class CheckpointManager:
@@ -167,14 +142,6 @@ class CheckpointManager:
         self.keep = keep
         self.prefix = prefix
         os.makedirs(self.directory, exist_ok=True)
-
-    def shard(self, shard_id: int) -> "CheckpointManager":
-        """The manager of one shard-delta series: this directory and
-        retention, file prefix ``{prefix}-s{shard_id}``."""
-        if shard_id < 0:
-            raise ValueError(f"shard_id must be >= 0, got {shard_id}")
-        return CheckpointManager(self.directory, keep=self.keep,
-                                 prefix=f"{self.prefix}-s{shard_id}")
 
     # ------------------------------------------------------------------ #
     # Paths and discovery
@@ -224,29 +191,6 @@ class CheckpointManager:
     # Save
     # ------------------------------------------------------------------ #
 
-    def _write(self, step: int, arrays: dict, head: dict, tail: dict) -> str:
-        """Payload, then the manifest that checksums it, then retention:
-        the one write under both checkpoint kinds. ``head`` and ``tail``
-        are the manifest fields before and after the payload's name and
-        checksum (key order is part of the file format).
-        """
-        if step < 0:
-            raise ValueError(f"step must be >= 0, got {step}")
-        payload = self.payload_path(step)
-        _atomic_write(payload, lambda fh: np.savez_compressed(fh, **arrays))
-        manifest = {
-            "format": FORMAT_VERSION,
-            "step": int(step),
-            **head,
-            "payload": os.path.basename(payload),
-            "sha256": _sha256_file(payload),
-            **tail,
-        }
-        body = json.dumps(manifest, indent=1).encode()
-        _atomic_write(self.manifest_path(step), lambda fh: fh.write(body))
-        self._prune()
-        return payload
-
     def save(self, step: int, model: Module, *, optimizer=None,
              rng: np.random.Generator | None = None,
              losses: list[float] | None = None) -> str:
@@ -257,6 +201,8 @@ class CheckpointManager:
         module's ``extra_state()`` hook, the RNG bit-generator state, and
         the loss history.
         """
+        if step < 0:
+            raise ValueError(f"step must be >= 0, got {step}")
         arrays: dict[str, np.ndarray] = {
             f"model/{key}": value for key, value in state_dict(model).items()
         }
@@ -271,12 +217,22 @@ class CheckpointManager:
                     arrays[f"extra/{path}/{key}"] = value
                 else:
                     extra_scalars.setdefault(path, {})[key] = value
-        return self._write(step, arrays, {}, {
+        payload = self.payload_path(step)
+        _atomic_write(payload, lambda fh: np.savez_compressed(fh, **arrays))
+        manifest = {
+            "format": FORMAT_VERSION,
+            "step": int(step),
+            "payload": os.path.basename(payload),
+            "sha256": _sha256_file(payload),
             "optimizer": opt_section,
             "rng": None if rng is None else rng.bit_generator.state,
             "losses": None if losses is None else [float(x) for x in losses],
             "extra": extra_scalars,
-        })
+        }
+        body = json.dumps(manifest, indent=1).encode()
+        _atomic_write(self.manifest_path(step), lambda fh: fh.write(body))
+        self._prune()
+        return payload
 
     def _prune(self) -> None:
         for step in self.steps()[: -self.keep] if self.keep else []:
@@ -326,7 +282,7 @@ class CheckpointManager:
         }
         load_state_dict(model, model_state)
         if optimizer is not None:
-            _overlay_optimizer(ck, optimizer, {})
+            _overlay_optimizer(ck, optimizer)
         for path, mod in named_modules(model):
             hook = getattr(mod, "load_extra_state", None)
             if not callable(hook):
@@ -340,85 +296,4 @@ class CheckpointManager:
                 hook(extra)
         if rng is not None and ck.manifest.get("rng") is not None:
             rng.bit_generator.state = ck.manifest["rng"]
-        return ck
-
-    # ------------------------------------------------------------------ #
-    # Shard-delta checkpoints (elastic training)
-    # ------------------------------------------------------------------ #
-
-    def latest_common_shard_step(self, num_shards: int) -> int | None:
-        """Newest step at which *every* shard's pair verifies.
-
-        The restore point for a lost worker: the K shard deltas at this
-        step cover the whole model. A shard whose save was torn (crash
-        mid-checkpoint) pushes the common step back to the previous
-        round, exactly like :meth:`latest_step` for dense checkpoints.
-        """
-        if num_shards < 1:
-            raise ValueError(f"num_shards must be >= 1, got {num_shards}")
-        series = [self.shard(s) for s in range(num_shards)]
-        common = set.intersection(*(set(m.steps()) for m in series))
-        for step in sorted(common, reverse=True):
-            if all(m.verify(step) for m in series):
-                return step
-        return None
-
-    def save_shard(self, step: int, shard_id: int, model: Module,
-                   param_indices, *, optimizer=None) -> str:
-        """Atomically checkpoint one worker's owned parameter slice.
-
-        ``param_indices`` indexes into ``model.parameters()`` order (the
-        same order :func:`repro.models.serialization.parameter_keys`
-        walks). The payload holds those parameters plus the optimizer
-        slot arrays keyed ``<slot>.<index>`` for exactly those indices;
-        optimizer scalars (lr, eps, ...) ride in the manifest so any
-        single shard can restore them.
-        """
-        keys = parameter_keys(model)
-        params = model.parameters()
-        indices = sorted(int(i) for i in param_indices)
-        for i in indices:
-            if not (0 <= i < len(params)):
-                raise ValueError(
-                    f"param index {i} out of range (model has {len(params)})"
-                )
-        arrays: dict[str, np.ndarray] = {
-            f"model/{keys[i]}": params[i].data.copy() for i in indices
-        }
-        opt_section = _split_optimizer(optimizer, arrays, owned=indices)
-        return self.shard(shard_id)._write(
-            step, arrays, {"shard": int(shard_id), "param_indices": indices},
-            {"optimizer": opt_section})
-
-    def restore_shard(self, model: Module, shard_id: int, step: int, *,
-                      optimizer=None) -> LoadedCheckpoint:
-        """Restore one shard's parameters (and optimizer slots) in place.
-
-        Only the checkpointed slice is written: every other parameter of
-        ``model`` and every other optimizer slot keeps its current bits,
-        so restoring shard after shard into a rebuilt worker composes —
-        and restoring one shard into a *live* replica cannot disturb the
-        parameters owned by surviving workers.
-        """
-        ck = self.shard(shard_id).load(step)
-        keys = parameter_keys(model)
-        params = dict(zip(keys, model.parameters()))
-        for key, value in ck.arrays.items():
-            if not key.startswith("model/"):
-                continue
-            name = key.split("/", 1)[1]
-            p = params.get(name)
-            if p is None:
-                raise CheckpointError(
-                    f"shard {shard_id} checkpoint holds unknown parameter "
-                    f"{name!r}"
-                )
-            if p.data.shape != value.shape:
-                raise CheckpointError(
-                    f"shape mismatch for {name!r}: model {p.data.shape}, "
-                    f"checkpoint {value.shape}"
-                )
-            p.data[...] = value
-        if optimizer is not None:
-            _overlay_optimizer(ck, optimizer, optimizer.state_dict())
         return ck

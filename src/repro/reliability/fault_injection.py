@@ -24,11 +24,6 @@ Instrumented sites
 ``shard.hang``              a shard stops answering (heartbeats + dispatches)
 ``shard.slow``              a shard's next dispatch exceeds its deadline
 ``shard.net_drop``          one router<->shard message is lost in transit
-``dist.crash``              a training worker dies until supervised restart
-``dist.hang``               a training worker stops answering (heartbeats +
-                            gradient dispatches) for a bounded sim window
-``dist.slow``               a training worker's next step is a straggler
-``dist.net_drop``           one supervisor<->worker message is lost
 ==========================  ====================================================
 
 Sites are just strings: components probe unconditionally and unregistered
@@ -60,10 +55,6 @@ KNOWN_SITES = (
     "shard.hang",
     "shard.slow",
     "shard.net_drop",
-    "dist.crash",
-    "dist.hang",
-    "dist.slow",
-    "dist.net_drop",
 )
 
 _KINDS = ("nan", "inf", "zero", "scale", "bitflip")

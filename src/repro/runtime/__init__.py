@@ -1,11 +1,10 @@
-"""The supervised-worker runtime under sharded serving and elastic training.
+"""The supervised-worker runtime under sharded serving.
 
 TT-Rec's compressed model is small enough to hold whole on every
-worker, so the serving fleet (:mod:`repro.sharding`) and the elastic
-trainer (:mod:`repro.distributed.elastic`) are the same thing: K
-replicas of one model behind a supervisor. This package is that thing,
-once — "how a simulated process fails and is readmitted" — and the two
-tiers are payloads over it (it imports nothing from them):
+worker, so the serving fleet (:mod:`repro.sharding`) is K replicas of
+one model behind a supervisor. This package is "how a simulated process
+fails and is readmitted", and the tier is a payload over it (it imports
+nothing from :mod:`repro.sharding`):
 
 - :mod:`repro.runtime.worker` — the ``up | hung | down | rewarming``
   state machine, its fault sites, counters and dispatch exceptions;

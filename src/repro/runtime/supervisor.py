@@ -6,9 +6,8 @@ What every tier's control plane does to a fleet of
 one control-plane round (fault probes, due heartbeats, the verdict-keyed
 recovery walk), :func:`quiesce` the bounded settle phase a chaos run ends
 with, :class:`KillSpec` and friends the operator-scheduled kills
-(``--kill-shard 1@2s``, ``--kill-worker 1@30``), and
-:func:`reconcile_ledger` the exact ``{fired, counted, passed}`` fold
-every chaos drill reports.
+(``--kill-shard 1@2s``), and :func:`reconcile_ledger` the exact
+``{fired, counted, passed}`` fold every chaos drill reports.
 """
 
 from __future__ import annotations
@@ -34,15 +33,14 @@ class HealthPlane:
     its worker refuses a dispatch outright, and on transient dispatch
     faults once its breaker opens, so the plane is the backstop for
     silent deaths (a hang with no traffic), not the primary detector. It
-    only tracks and reports. ``prefix`` namespaces its events and its
-    metrics ``<prefix>.heartbeat_rounds``, per-unit
-    ``<prefix>.heartbeat_misses`` and the ``<prefix>.up`` gauge:
-    ``"shard"`` for the serving tier, ``"dist.worker"`` for training.
+    only tracks and reports, through the ``shard.marked_down`` /
+    ``shard.readmitted`` events and the metrics ``shard.heartbeat_rounds``,
+    per-shard ``shard.heartbeat_misses`` and the ``shard.up`` gauge.
     """
 
     def __init__(self, num_shards: int, *,
                  heartbeat_interval_ms: float = 50.0,
-                 miss_threshold: int = 3, prefix: str = "shard"):
+                 miss_threshold: int = 3):
         if num_shards < 1:
             raise ValueError(f"num_shards must be >= 1, got {num_shards}")
         if miss_threshold < 1:
@@ -54,23 +52,18 @@ class HealthPlane:
         self.num_shards = num_shards
         self.heartbeat_interval_ms = heartbeat_interval_ms
         self.miss_threshold = miss_threshold
-        self.prefix = prefix
-        # Label key of per-unit metrics/events: the prefix's last
-        # component ("shard" -> "shard", "dist.worker" -> "worker").
-        self._label = prefix.rsplit(".", 1)[-1]
         self.verdict = ["up"] * num_shards        # up | down | rewarming
         self.misses = [0] * num_shards            # consecutive misses
         self.last_seen = [0.0] * num_shards       # last heartbeat reply (ms)
         self.marked_down_at = [None] * num_shards
         self._next_probe_ms = 0.0
         reg = get_registry()
-        self._probe_rounds = reg.counter(f"{prefix}.heartbeat_rounds")
+        self._probe_rounds = reg.counter("shard.heartbeat_rounds")
         self._miss_counters = [
-            reg.counter(f"{prefix}.heartbeat_misses",
-                        **{self._label: str(s)})
+            reg.counter("shard.heartbeat_misses", shard=str(s))
             for s in range(num_shards)
         ]
-        self._up_gauge = reg.gauge(f"{prefix}.up")
+        self._up_gauge = reg.gauge("shard.up")
         self._up_gauge.set(num_shards)
 
     # ------------------------------------------------------------------ #
@@ -115,9 +108,8 @@ class HealthPlane:
         self.verdict[shard] = "down"
         self.marked_down_at[shard] = now
         self._up_gauge.set(self.up_count)
-        emit_event(f"{self.prefix}.marked_down", reason=reason,
-                   at_ms=now, misses=self.misses[shard],
-                   **{self._label: shard})
+        emit_event("shard.marked_down", reason=reason,
+                   at_ms=now, misses=self.misses[shard], shard=shard)
 
     def mark_down(self, shard: int, now: float, *,
                   reason: str = "dispatch") -> bool:
@@ -140,8 +132,7 @@ class HealthPlane:
         self.last_seen[shard] = now
         self.marked_down_at[shard] = None
         self._up_gauge.set(self.up_count)
-        emit_event(f"{self.prefix}.readmitted", at_ms=now,
-                   **{self._label: shard})
+        emit_event("shard.readmitted", at_ms=now, shard=shard)
 
     def is_up(self, shard: int) -> bool:
         return self.verdict[shard] == "up"
@@ -218,7 +209,7 @@ def quiesce(clock, health, tick, *, restart_after_ms: float,
     ``tick()`` runs one round with ``probe_faults=False``. Bounded by a
     budget derived from the recovery ladder, so a report's final health
     reflects the recovery protocol rather than whatever mid-flight state
-    the last request or batch happened to leave.
+    the last request happened to leave.
     """
     budget = 2.0 * (health.detection_window_ms + restart_after_ms
                     + rewarm_ms + hang_ms) + 500.0
@@ -234,7 +225,7 @@ _KILL_RE = re.compile(r"^(\d+)@(\d+(?:\.\d+)?)(ms|s)?$")
 @dataclass
 class KillSpec:
     """One scheduled kill: worker ``unit`` dies once the run reaches ``at``
-    (simulated ms for a serving fleet, a batch number for a training one).
+    simulated ms.
     """
 
     unit: int
@@ -247,22 +238,16 @@ class KillSpec:
                              f"got {self.unit}@{self.at}")
 
 
-def parse_kill_spec(spec: str, *, steps: bool = False) -> KillSpec:
-    """Parse ``<unit>@<time>[ms|s]`` (ms default), or ``<unit>@<step>``.
+def parse_kill_spec(spec: str) -> KillSpec:
+    """Parse ``<unit>@<time>[ms|s]`` (ms default).
 
     ``"1@2s"`` / ``"1@2000ms"`` / ``"1@2000"`` kill unit 1 two simulated
-    seconds in; with ``steps=True`` the position is a whole batch number
-    ``>= 1`` and takes no unit suffix (``"1@60"``).
+    seconds in.
     """
     m = _KILL_RE.match(spec.strip())
-    if m is None or (steps and (m.group(3) or "." in m.group(2)
-                                or int(m.group(2)) < 1)):
+    if m is None:
         raise ValueError(
-            f"bad kill spec {spec!r}: expected "
-            + ("<worker>@<step>, step >= 1" if steps
-               else "<shard>@<time>[ms|s]"))
-    if steps:
-        return KillSpec(int(m.group(1)), int(m.group(2)))
+            f"bad kill spec {spec!r}: expected <shard>@<time>[ms|s]")
     at = float(m.group(2))
     return KillSpec(int(m.group(1)), at * 1000.0 if m.group(3) == "s" else at)
 

@@ -1,8 +1,7 @@
 """How a simulated process fails and is readmitted: the worker state machine.
 
-A :class:`SupervisedWorker` plays the role of one process — a serving
-shard (:class:`repro.sharding.worker.ShardWorker`) or a data-parallel
-trainer (:class:`repro.distributed.elastic.TrainerWorker`). The process
+A :class:`SupervisedWorker` plays the role of one process; its payload is
+a serving shard (:class:`repro.sharding.worker.ShardWorker`). The process
 boundary is *modelled*, not spawned: the supervisor talks to a worker
 only through dispatch/heartbeat messages on a shared deterministic
 clock, so every failure mode replays exactly under a seeded
@@ -50,14 +49,12 @@ class SupervisedWorker:
     """One simulated process as an ``up | hung | down | rewarming`` machine.
 
     A payload class adds the work a successful dispatch does and names
-    its tier through three class attributes: ``site_prefix``, the
-    namespace of the fault sites and the per-unit counters
+    its tier through two class attributes: ``site_prefix``, the
+    namespace of the fault sites, the per-unit counters
     ``<site_prefix>.{heartbeats,dispatches,crashes,hangs,slows,net_drops,
-    kills_scheduled}`` (``"shard"`` / ``"dist"``); ``event_prefix``, the
-    namespace of the lifecycle events ``restart`` / ``rewarm_forced`` /
-    ``rewarmed`` (``"shard"`` / ``"dist.worker"``); and ``label``, the
-    key of the unit id on metrics, events and heartbeat replies
-    (``"shard"`` / ``"worker"``).
+    kills_scheduled}`` and the lifecycle events ``restart`` /
+    ``rewarm_forced`` / ``rewarmed``; and ``label``, the key of the unit
+    id on metrics, events and heartbeat replies.
 
     ``service_ms`` is the simulated cost of a healthy dispatch,
     ``slow_penalty_ms`` what a ``slow`` firing adds to the next one,
@@ -66,7 +63,6 @@ class SupervisedWorker:
     """
 
     site_prefix: str
-    event_prefix: str
     label: str
 
     def __init__(self, unit_id: int, *, injector=None, service_ms: float,
@@ -142,7 +138,7 @@ class SupervisedWorker:
         self._on_restart()
         self.state = "rewarming"
         self.rewarm_until = now + self.rewarm_ms
-        self._event(f"{self.event_prefix}.restart", at_ms=now,
+        self._event(f"{self.site_prefix}.restart", at_ms=now,
                     ready_ms=self.rewarm_until)
 
     def begin_rewarm(self, now: float) -> None:
@@ -166,7 +162,7 @@ class SupervisedWorker:
             return
         self.state = "rewarming"
         self.rewarm_until = now + self.rewarm_ms
-        self._event(f"{self.event_prefix}.rewarm_forced", at_ms=now,
+        self._event(f"{self.site_prefix}.rewarm_forced", at_ms=now,
                     ready_ms=self.rewarm_until)
 
     def _readmit(self, **attrs) -> None:
@@ -174,7 +170,7 @@ class SupervisedWorker:
         self.state = "up"
         self.rewarm_until = -1.0
         self.impaired_since = None
-        self._event(f"{self.event_prefix}.rewarmed", **attrs)
+        self._event(f"{self.site_prefix}.rewarmed", **attrs)
 
     def _tick_state(self, now: float) -> None:
         if self.state == "hung" and now >= self.hang_until:

@@ -6,8 +6,8 @@ shard workers — whole tables by LPT assignment, giant tables split into
 row ranges — requests fan out with per-shard deadlines, and failures
 walk a ladder *across* shards (primary → hot-row replica → frequency
 prior) under the heartbeat health plane and supervised restart →
-re-warm → readmit walk of :mod:`repro.runtime`, which this tier shares
-with elastic training. See docs/SERVING.md (sharding section).
+re-warm → readmit walk of :mod:`repro.runtime`. See docs/SERVING.md
+(sharding section).
 
 - :mod:`repro.sharding.topology` — :class:`TableSlice`/:class:`ShardPlan`
   construction (``build_shard_plan``);

@@ -67,7 +67,6 @@ class ShardWorker(SupervisedWorker):
     """
 
     site_prefix = "shard"
-    event_prefix = "shard"
     label = "shard"
 
     def __init__(self, shard_id: int, slices: list, embeddings: list,

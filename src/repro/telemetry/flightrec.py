@@ -5,8 +5,7 @@ a breaker opens or a shard is marked down the interesting history has
 already happened. The flight recorder keeps small bounded rings of the
 most recent events and sampled traces plus a baseline counter snapshot,
 and on a *trigger* event — breaker-open, shard mark-down, failover,
-training-worker mark-down, sanitizer trip — dumps everything to
-``flightrec-<label>.json``
+sanitizer trip — dumps everything to ``flightrec-<label>.json``
 (schema ``repro.flightrec/v1``), so post-hoc debugging starts from the
 moments *before* the incident, not after it.
 
@@ -51,7 +50,6 @@ _TRIGGERS: tuple[tuple[str, str, object], ...] = (
      lambda data: data.get("to_state") == "open"),
     ("shard.marked_down", "shard-down", None),
     ("shard.failover", "failover", None),
-    ("dist.worker.marked_down", "worker-down", None),
     ("sanitizer.trip", "sanitizer-trip", None),
 )
 

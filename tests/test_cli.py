@@ -31,8 +31,8 @@ class TestParser:
 
 class TestModeOptions:
     """An option only one mode reads is refused without that mode — it
-    used to be accepted and ignored (only ``--kill-shard``,
-    ``--shard-fault-rate`` and ``--kill-worker`` were checked)."""
+    used to be accepted and ignored (only ``--kill-shard`` and
+    ``--shard-fault-rate`` were checked)."""
 
     @pytest.mark.parametrize("option,value", [
         ("--kill-shard", "1@2s"), ("--shard-fault-rate", "0.01"),
@@ -42,20 +42,6 @@ class TestModeOptions:
         assert main(["serve-bench", "--requests", "5", option, value]) == 2
         assert capsys.readouterr().out == \
             f"error: {option} requires --shards N\n"
-
-    @pytest.mark.parametrize("option,value", [
-        ("--kill-worker", "1@5"), ("--dist-crash", "0.5"),
-        ("--dist-hang", "0.5"), ("--dist-slow", "0.5"),
-        ("--dist-net-drop", "0.5"), ("--recovery-ms-max", "600"),
-        ("--flight-dir", "flight"),
-    ])
-    def test_elastic_options_require_elastic(self, option, value, capsys,
-                                             tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)     # nothing may be written: checked below
-        assert main(["train", "--iters", "1", option, value]) == 2
-        assert capsys.readouterr().out == \
-            f"error: {option} requires --elastic\n"
-        assert not list(tmp_path.iterdir())
 
     def test_an_option_left_at_its_default_is_not_given(self, capsys):
         assert main(["serve-bench", "--requests", "5", "--scale", "0.0003",

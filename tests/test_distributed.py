@@ -109,6 +109,11 @@ class TestShardBatch:
         with pytest.raises(ValueError):
             shard_batch(make_batch(10), 4)
 
+    @pytest.mark.parametrize("world_size", [0, -2])
+    def test_world_size_must_be_positive(self, world_size):
+        with pytest.raises(ValueError, match="world_size must be >= 1"):
+            shard_batch(make_batch(8), world_size)
+
 
 class TestDataParallelEquivalence:
     def test_two_workers_equal_single_worker(self):
@@ -289,46 +294,6 @@ class TestModelParallelEquivalence:
         sharded = ShardedEmbeddingDLRM.from_dlrm(build_dlrm(CFG, rng=0), 2)
         with pytest.raises(RuntimeError):
             sharded.backward(np.ones(8))
-
-
-# --------------------------------------------------------------------- #
-# Explicit shard counts (elastic re-sharding)
-# --------------------------------------------------------------------- #
-
-class TestShardBatchCounts:
-    def test_uneven_split_preserves_content(self):
-        from repro.distributed import shard_batch_counts
-
-        batch = make_batch(16)
-        shards = shard_batch_counts(batch, [7, 5, 4])
-        assert [s.size for s in shards] == [7, 5, 4]
-        np.testing.assert_array_equal(
-            np.concatenate([s.labels for s in shards]), batch.labels)
-        for t in range(len(batch.sparse)):
-            rebuilt = np.concatenate([s.sparse[t][0] for s in shards])
-            np.testing.assert_array_equal(rebuilt, batch.sparse[t][0])
-        for shard in shards:
-            for idx, off in shard.sparse:
-                assert off[0] == 0 and off[-1] == idx.size
-
-    def test_equal_counts_match_shard_batch(self):
-        from repro.distributed import shard_batch_counts
-
-        batch = make_batch(16)
-        even = shard_batch(batch, 4)
-        explicit = shard_batch_counts(batch, [4, 4, 4, 4])
-        for a, b in zip(even, explicit):
-            np.testing.assert_array_equal(a.dense, b.dense)
-            np.testing.assert_array_equal(a.labels, b.labels)
-
-    def test_validation(self):
-        from repro.distributed import shard_batch_counts
-
-        batch = make_batch(8)
-        with pytest.raises(ValueError):
-            shard_batch_counts(batch, [4, 3])      # doesn't sum to 8
-        with pytest.raises(ValueError):
-            shard_batch_counts(batch, [8, 0])      # empty shard
 
 
 # --------------------------------------------------------------------- #

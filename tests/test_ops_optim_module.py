@@ -232,19 +232,20 @@ class TestOptimizerState:
         opt = self._stepped(lambda ps: SGD(ps, lr=0.1, momentum=0.5))
         assert list(opt.state_dict()) == ["lr", "momentum", "weight_decay",
                                           "velocity.0", "velocity.1", "velocity.2"]
-        assert list(opt.state_dict([0, 2])) == ["lr", "momentum", "weight_decay",
-                                                "velocity.0", "velocity.2"]
         assert opt.state_dict()["velocity.1"] is not opt.slots[1]["velocity"]
 
     def test_sgd_drops_a_velocity_the_state_lacks(self):
         opt = self._stepped(lambda ps: SGD(ps, lr=0.1, momentum=0.5))
-        opt.load_state_dict(opt.state_dict([1]))
+        state = opt.state_dict()
+        del state["velocity.0"], state["velocity.2"]
+        opt.load_state_dict(state)
         assert [sorted(slots) for slots in opt.slots] == [[], ["velocity"], []]
 
     @pytest.mark.parametrize("cls", [Adagrad, RowWiseAdagrad])
     def test_adagrad_keeps_an_accumulator_the_state_lacks(self, cls):
         opt = self._stepped(lambda ps: cls(ps, lr=0.1))
-        state = opt.state_dict([1])
+        state = opt.state_dict()
+        del state["accum.0"], state["accum.2"]
         state["accum.1"][:] = 7.0
         opt.load_state_dict(state)
         np.testing.assert_array_equal(opt.slots[0]["accum"], 1.0)

@@ -8,7 +8,6 @@ at an arbitrary iteration and resumed from its newest checkpoint must
 reproduce the uninterrupted run's parameters bit-for-bit.
 """
 
-import json
 import os
 
 import numpy as np
@@ -579,141 +578,6 @@ class TestCacheRowRepair:
             mod.scrub()
             assert np.isfinite(mod.cache_rows.data).all()
         assert all(np.isfinite(p.data).all() for p in model.parameters())
-
-
-# --------------------------------------------------------------------- #
-# Shard-delta checkpoints (elastic training)
-# --------------------------------------------------------------------- #
-
-class TestShardDeltaCheckpoints:
-    WORLD = 3
-
-    def _trained(self, steps=4):
-        from repro.ops.loss import bce_with_logits
-
-        model = tiny_model(cache=False)
-        opt = RowWiseAdagrad(model.parameters(), lr=0.05)
-        ds = tiny_stream()
-        for _ in range(steps):
-            opt.zero_grad()
-            batch = ds.batch(16)
-            logits = model.forward(batch.dense, batch.sparse)
-            _, grad = bce_with_logits(logits, batch.labels)
-            model.backward(grad)
-            opt.step()
-        return model, opt
-
-    def _ownership(self, model):
-        from repro.distributed import partition_parameters
-
-        owner = partition_parameters(model, self.WORLD)
-        return {w: [i for i, o in enumerate(owner) if o == w]
-                for w in range(self.WORLD)}
-
-    def test_lost_shard_roundtrip_bit_exact(self, tmp_path):
-        """Scramble one worker's owned slice (params + optimizer rows),
-        restore only that shard, and get every bit back — without the
-        restore touching any other shard's state."""
-        model, opt = self._trained()
-        owned = self._ownership(model)
-        mgr = CheckpointManager(tmp_path)
-        for w in range(self.WORLD):
-            mgr.save_shard(7, w, model, owned[w], optimizer=opt)
-        assert mgr.latest_common_shard_step(self.WORLD) == 7
-
-        params = model.parameters()
-        ref_params = [p.data.copy() for p in params]
-        ref_state = opt.state_dict()
-
-        lost = 1
-        state = opt.state_dict()
-        for i in owned[lost]:
-            params[i].data[...] = -123.0
-            key = f"accum.{i}"
-            state[key] = np.full_like(state[key], -1.0)
-        opt.load_state_dict(state)
-
-        mgr.restore_shard(model, lost, 7, optimizer=opt)
-
-        for p, ref in zip(model.parameters(), ref_params):
-            np.testing.assert_array_equal(p.data, ref)
-        restored = opt.state_dict()
-        assert set(restored) == set(ref_state)
-        for key, value in ref_state.items():
-            if isinstance(value, np.ndarray):
-                np.testing.assert_array_equal(restored[key], value)
-            else:
-                assert restored[key] == value
-
-    def test_restore_leaves_survivors_untouched(self, tmp_path):
-        """restore_shard writes only the named shard's slice: survivor
-        state mutated *after* the save must survive the restore."""
-        model, opt = self._trained()
-        owned = self._ownership(model)
-        mgr = CheckpointManager(tmp_path)
-        for w in range(self.WORLD):
-            mgr.save_shard(3, w, model, owned[w], optimizer=opt)
-        sentinel_param = owned[0][0]
-        model.parameters()[sentinel_param].data[...] = 777.0
-        mgr.restore_shard(model, 1, 3, optimizer=opt)
-        assert np.all(model.parameters()[sentinel_param].data == 777.0)
-
-    def test_latest_common_needs_every_shard(self, tmp_path):
-        model, opt = self._trained(steps=1)
-        owned = self._ownership(model)
-        mgr = CheckpointManager(tmp_path)
-        for step in (5, 10):
-            for w in range(self.WORLD):
-                mgr.save_shard(step, w, model, owned[w])
-        mgr.save_shard(15, 0, model, owned[0])   # torn round: shard 0 only
-        assert mgr.shard(0).steps() == [5, 10, 15]
-        assert mgr.shard(1).steps() == [5, 10]
-        assert mgr.latest_common_shard_step(self.WORLD) == 10
-
-    def test_shard_verify_detects_tamper(self, tmp_path):
-        model, opt = self._trained(steps=1)
-        owned = self._ownership(model)
-        mgr = CheckpointManager(tmp_path)
-        mgr.save_shard(2, 0, model, owned[0], optimizer=opt)
-        assert mgr.shard(0).verify(2)
-        with open(mgr.shard(0).payload_path(2), "ab") as fh:
-            fh.write(b"tamper")
-        assert not mgr.shard(0).verify(2)
-        with pytest.raises(CheckpointError):
-            mgr.shard(0).load(2)
-
-    def test_shard_series_does_not_collide_with_dense(self, tmp_path):
-        """`ckpt-s0_...` files must not appear in the dense `steps()`
-        series (and vice versa)."""
-        model, opt = self._trained(steps=1)
-        owned = self._ownership(model)
-        mgr = CheckpointManager(tmp_path)
-        mgr.save(4, model)
-        mgr.save_shard(9, 0, model, owned[0])
-        assert mgr.steps() == [4]
-        assert mgr.shard(0).steps() == [9]
-
-    def test_shard_series_on_disk_names(self, tmp_path):
-        """A shard series is the dense file protocol under the prefix
-        ``{prefix}-s{shard}``; these names are what an existing elastic
-        checkpoint directory holds, so they must stay readable."""
-        model, opt = self._trained(steps=1)
-        owned = self._ownership(model)
-        mgr = CheckpointManager(tmp_path, keep=2)
-        mgr.save_shard(4, 0, model, owned[0], optimizer=opt)
-        assert sorted(os.listdir(tmp_path)) == ["ckpt-s0_00000004.json",
-                                                "ckpt-s0_00000004.npz"]
-        series = mgr.shard(0)
-        assert (series.directory, series.keep, series.prefix) == \
-            (mgr.directory, 2, "ckpt-s0")
-        with open(series.manifest_path(4)) as fh:
-            manifest = json.load(fh)
-        assert list(manifest) == ["format", "step", "shard", "param_indices",
-                                  "payload", "sha256", "optimizer"]
-        assert manifest["payload"] == "ckpt-s0_00000004.npz"
-        for step in (8, 12):            # retention is the series' own
-            mgr.save_shard(step, 0, model, owned[0])
-        assert series.steps() == [8, 12]
 
 
 # --------------------------------------------------------------------- #

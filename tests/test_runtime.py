@@ -1,23 +1,18 @@
 """Tests for the supervised-worker runtime (``repro.runtime``).
 
-One lifecycle suite runs against both payloads of the shared state
-machine — a 2-slice :class:`ShardWorker` and a tiny-model
-:class:`TrainerWorker` — so "how a simulated process fails and is
-readmitted" is asserted once for serving and training alike; a seeded
-property test then drives both through the same random message sequence
-and requires the same states and the same injector ledger. The kill-spec
-grammar cases of both tiers run against the one parser, and the ledger
-fold's one rule for which rows gate a verdict is pinned at the end.
+One lifecycle suite runs against the state machine's payload, a 2-slice
+:class:`ShardWorker`, so "how a simulated process fails and is readmitted"
+is asserted once; a seeded property test then drives it through random
+message sequences and requires its counters to match the injector ledger
+and every state to be visited. The kill-spec grammar cases run against
+the one parser, and the ledger fold's one rule for which rows gate a
+verdict is pinned at the end.
 """
 
 import numpy as np
 import pytest
 
-from repro.data import KAGGLE, SyntheticCTRDataset
-from repro.distributed import ElasticConfig, TrainerWorker
-from repro.models import DLRMConfig, TTConfig, build_ttrec
 from repro.ops.embedding import EmbeddingBag
-from repro.ops.optim import SparseSGD
 from repro.reliability import FaultInjector
 from repro.runtime.supervisor import (
     KillSpec,
@@ -35,10 +30,6 @@ from repro.serving import CircuitBreaker
 from repro.sharding import ShardWorker, build_shard_plan
 from repro.telemetry import get_registry
 
-SPEC = KAGGLE.scaled(0.0002)
-CFG = DLRMConfig(table_sizes=SPEC.table_sizes, emb_dim=8,
-                 bottom_mlp=(16,), top_mlp=(16,))
-# One set of timings for both payloads (ElasticConfig's defaults).
 TIMING = dict(service_ms=10.0, slow_penalty_ms=30.0, hang_ms=120.0,
               rewarm_ms=50.0)
 KINDS = ("crash", "hang", "slow", "net_drop")
@@ -47,7 +38,7 @@ KINDS = ("crash", "hang", "slow", "net_drop")
 @pytest.fixture(autouse=True)
 def _fresh_metrics():
     reg = get_registry()
-    for prefix in ("shard.", "dist.", "serving."):
+    for prefix in ("shard.", "serving."):
         reg.reset(prefix=prefix)
     yield
 
@@ -81,37 +72,22 @@ def shard_payload(injector=None) -> Payload:
                    lambda now: worker.complete_rewarm({}))
 
 
-def trainer_payload(injector=None) -> Payload:
-    model = build_ttrec(CFG, num_tt_tables=3, tt=TTConfig(rank=4),
-                        min_rows=60, rng=0)
-    worker = TrainerWorker(
-        0, model, make_optimizer=lambda m: SparseSGD(m.parameters(), lr=0.1),
-        config=ElasticConfig(), injector=injector)
-    batch = SyntheticCTRDataset(SPEC, seed=0, noise=0.7).batch(8)
-    return Payload(worker,
-                   lambda now, deadline: worker.compute_grads(
-                       batch, 1.0, now, deadline)[1],
-                   worker.readmit)
-
-
-PAYLOADS = {"shard": shard_payload, "trainer": trainer_payload}
-
-
-@pytest.fixture(params=sorted(PAYLOADS))
+@pytest.fixture(params=["shard"])
 def make_payload(request):
-    return PAYLOADS[request.param]
+    """The payload factory; the id names the tier."""
+    return shard_payload
 
 
 def injector_for(worker_cls, seed=0, **rates) -> FaultInjector:
     inj = FaultInjector(seed=seed)
-    for kind in KINDS:  # one registration order for both tiers
+    for kind in KINDS:
         if kind in rates:
             inj.register(f"{worker_cls.site_prefix}.{kind}", rates[kind])
     return inj
 
 
 # --------------------------------------------------------------------- #
-# Lifecycle, once for both payloads
+# Lifecycle
 # --------------------------------------------------------------------- #
 
 class TestLifecycle:
@@ -214,8 +190,8 @@ class TestLifecycle:
         assert w.injector.fired[f"{w.site_prefix}.crash"] == 1
 
     def test_net_drop_is_probed_before_the_hung_check(self, make_payload):
-        """One guard order for both tiers: a message to a hung worker can
-        still be lost in transit, and is counted as lost."""
+        """A message to a hung worker can still be lost in transit, and is
+        counted as lost."""
         cls = make_payload().worker.__class__
         p = make_payload(injector_for(cls, net_drop=1.0))
         w = p.worker
@@ -226,7 +202,7 @@ class TestLifecycle:
 
 
 # --------------------------------------------------------------------- #
-# Same messages, same faults => same states, for both payloads
+# Random messages under faults: the ledger matches, every state is visited
 # --------------------------------------------------------------------- #
 
 def drive(payload: Payload, ops_seed: int, steps: int = 160) -> list:
@@ -261,35 +237,25 @@ def drive(payload: Payload, ops_seed: int, steps: int = 160) -> list:
     return trace
 
 
-def test_both_payloads_walk_the_same_states():
+def test_random_walk_matches_the_ledger_and_visits_every_state():
     rates = dict(crash=0.1, hang=0.2, slow=0.2, net_drop=0.1)
     visited = set()
     for seed in range(4):
-        traces, ledgers = [], []
-        for factory, cls in ((shard_payload, ShardWorker),
-                             (trainer_payload, TrainerWorker)):
-            get_registry().reset(prefix=f"{cls.site_prefix}.")
-            injector = injector_for(cls, seed=seed, **rates)
-            payload = factory(injector)
-            traces.append(drive(payload, ops_seed=100 + seed))
-            ledgers.append({
-                kind: (injector.attempts[f"{cls.site_prefix}.{kind}"],
-                       injector.fired[f"{cls.site_prefix}.{kind}"])
-                for kind in KINDS
-            })
-            stats = payload.worker.stats()
-            assert [stats[c] for c in ("crashes", "hangs", "slows",
-                                       "net_drops")] \
-                == [ledgers[-1][kind][1] for kind in KINDS]
-        assert traces[0] == traces[1], f"seed {seed}"
-        assert ledgers[0] == ledgers[1], f"seed {seed}"
-        visited |= {state for _, _, state, _ in traces[0]}
+        get_registry().reset(prefix=f"{ShardWorker.site_prefix}.")
+        injector = injector_for(ShardWorker, seed=seed, **rates)
+        payload = shard_payload(injector)
+        trace = drive(payload, ops_seed=100 + seed)
+        stats = payload.worker.stats()
+        assert [stats[c] for c in ("crashes", "hangs", "slows", "net_drops")] \
+            == [injector.fired[f"{ShardWorker.site_prefix}.{kind}"]
+                for kind in KINDS], f"seed {seed}"
+        visited |= {state for _, _, state, _ in trace}
     # The walks are not vacuous: every state of the machine was visited.
     assert visited == {"up", "hung", "down", "rewarming"}
 
 
 # --------------------------------------------------------------------- #
-# Kill-spec grammar (serving's time form and training's step form)
+# Kill-spec grammar
 # --------------------------------------------------------------------- #
 
 class TestKillSpec:
@@ -307,17 +273,6 @@ class TestKillSpec:
     def test_rejects_malformed_times(self, bad):
         with pytest.raises(ValueError):
             parse_kill_spec(bad)
-
-    def test_parses_steps(self):
-        ks = parse_kill_spec(" 2@60 ", steps=True)
-        assert (ks.unit, ks.at, ks.done) == (2, 60, False)
-        assert isinstance(ks.at, int)
-
-    @pytest.mark.parametrize("bad", ["2", "2@", "@60", "2@60ms", "w2@60",
-                                     "2@0", "2@1.5", "2@3s"])
-    def test_rejects_malformed_steps(self, bad):
-        with pytest.raises(ValueError):
-            parse_kill_spec(bad, steps=True)
 
     def test_direct_construction_is_validated(self):
         with pytest.raises(ValueError):

@@ -15,8 +15,7 @@ What is pinned, one ``tests/golden/state_digests.json`` entry each:
 - ``optim/<name>`` and ``optim/<name>/params``: each optimizer's
   ``state_dict()`` after two steps on dense and sparse lattice gradients,
   and the parameters those steps left;
-- ``checkpoint/save`` and ``checkpoint/shard<w>``: one
-  :meth:`CheckpointManager.save` and ``save_shard`` for two owners.
+- ``checkpoint/save``: one :meth:`CheckpointManager.save`.
 
 Regenerate with ``python tests/test_state_digests.py`` (writes the file
 from the tree on ``PYTHONPATH``) — only for a *declared* state change.
@@ -32,7 +31,6 @@ import numpy as np
 import pytest
 
 from repro.compress import EmbeddingSpec, make_embedding, registered_kinds
-from repro.distributed.model_parallel import partition_parameters
 from repro.models import DLRMConfig, TTConfig, build_ttrec
 from repro.models.serialization import state_dict
 from repro.ops.optim import SGD, Adagrad, RowWiseAdagrad, SparseSGD
@@ -137,11 +135,6 @@ def digests() -> dict[str, str]:
         manager.save(7, model, optimizer=opt, rng=np.random.default_rng(5),
                      losses=[0.5, 0.25])
         out["checkpoint/save"] = digest(checkpoint_files(manager, 7))
-        owner = partition_parameters(model, 2)
-        for w in range(2):
-            manager.save_shard(7, w, model, [i for i, o in enumerate(owner) if o == w],
-                               optimizer=opt)
-            out[f"checkpoint/shard{w}"] = digest(checkpoint_files(manager.shard(w), 7))
     return out
 
 
