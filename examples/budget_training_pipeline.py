@@ -4,8 +4,8 @@ Chains the library's ops the way a deployment would:
 
 1. **Plan**: pick TT ranks for a memory budget with the auto-tuner
    (`repro.analysis.autotune`) — no hand sweeping.
-2. **Train**: build the planned model, train with the MLPerf-style
-   warmup + polynomial-decay LR schedule.
+2. **Train**: build the planned model and train it at a constant
+   learning rate.
 3. **Checkpoint**: save to .npz, reload into a fresh process-like model,
    verify bit-identical predictions.
 4. **Serve**: quantize the small dense tables for inference and report
@@ -24,8 +24,7 @@ from repro.baselines import QuantizedEmbeddingBag
 from repro.data import KAGGLE, SyntheticCTRDataset
 from repro.models import TTConfig, load_model, save_model
 from repro.models.dlrm import DLRM
-from repro.ops import EmbeddingBag, SparseSGD
-from repro.training import LRScheduler, warmup_poly_decay_schedule
+from repro.ops import EmbeddingBag
 from repro.tt import TTEmbeddingBag
 
 
@@ -63,24 +62,16 @@ def main():
           f"({plan.total_params() * 4 / 1e6:.2f} MB), "
           f"{plan.compression_ratio():.1f}x vs dense")
 
-    # 2. Train with the MLPerf-style LR schedule ------------------------- #
+    # 2. Train ----------------------------------------------------------- #
     model = build_from_plan(plan, cfg)
     ds = SyntheticCTRDataset(spec, seed=0, noise=0.7)
-    opt = SparseSGD(model.parameters(), lr=0.15)
-    sched = LRScheduler(opt, warmup_poly_decay_schedule(
-        warmup_steps=args.iters // 10,
-        decay_start_step=args.iters // 2,
-        decay_steps=args.iters // 2,
-    ))
-    trainer = Trainer(model, optimizer=opt)
+    trainer = Trainer(model, lr=0.15)
 
     losses = []
     for i, batch in enumerate(ds.batches(96, args.iters)):
-        sched.step()
         losses.append(trainer.train_step(batch))
         if (i + 1) % max(1, args.iters // 5) == 0:
-            print(f"  iter {i + 1:4d}: loss={np.mean(losses[-50:]):.4f} "
-                  f"lr={sched.current_lr:.4f}")
+            print(f"  iter {i + 1:4d}: loss={np.mean(losses[-50:]):.4f}")
     ev = trainer.evaluate(ds.batches(512, 6))
     print(f"trained: {ev}")
 

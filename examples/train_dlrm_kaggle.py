@@ -9,9 +9,7 @@ CPU), trained with plain SGD, comparing:
 - TT-Rec + LFU cache (the full system).
 
 Prints per-model size, training time and validation metrics. Pass
-``--iters`` / ``--scale`` to trade fidelity for runtime; with a real
-Criteo TSV file, pass ``--criteo path/to/train.txt`` to train on real data
-via repro.data.CriteoTSVReader instead of the synthetic stream.
+``--iters`` / ``--scale`` to trade fidelity for runtime.
 
 Run:  python examples/train_dlrm_kaggle.py [--iters 400] [--scale 0.001]
 """
@@ -19,15 +17,7 @@ Run:  python examples/train_dlrm_kaggle.py [--iters 400] [--scale 0.001]
 import argparse
 
 from repro import DLRMConfig, TTConfig, Trainer, build_dlrm, build_ttrec
-from repro.data import KAGGLE, CriteoTSVReader, SyntheticCTRDataset
-
-
-def batches_for(args, spec, seed):
-    if args.criteo:
-        reader = CriteoTSVReader(args.criteo, spec)
-        return reader.batches(args.batch_size, max_samples=args.iters * args.batch_size)
-    ds = SyntheticCTRDataset(spec, seed=seed, noise=0.7)
-    return ds.batches(args.batch_size, args.iters + args.eval_iters)
+from repro.data import KAGGLE, SyntheticCTRDataset
 
 
 def main():
@@ -38,25 +28,22 @@ def main():
     parser.add_argument("--scale", type=float, default=0.001,
                         help="table-size scale factor vs the real Kaggle spec")
     parser.add_argument("--rank", type=int, default=32)
-    parser.add_argument("--criteo", type=str, default=None,
-                        help="path to a real Criteo-format TSV (uses full spec)")
     args = parser.parse_args()
 
-    spec = KAGGLE if args.criteo else KAGGLE.scaled(args.scale)
+    spec = KAGGLE.scaled(args.scale)
     cfg = DLRMConfig(table_sizes=spec.table_sizes, emb_dim=16,
                      bottom_mlp=(128, 64, 32), top_mlp=(128, 64))
-    min_rows = 60 if not args.criteo else 10_000
 
     candidates = {
         "baseline DLRM": lambda: build_dlrm(cfg, rng=0),
         f"TT-Rec (7 tables, R={args.rank})": lambda: build_ttrec(
             cfg, num_tt_tables=7, tt=TTConfig(rank=args.rank),
-            min_rows=min_rows, rng=0),
+            min_rows=60, rng=0),
         f"TT-Rec + LFU cache": lambda: build_ttrec(
             cfg, num_tt_tables=7,
             tt=TTConfig(rank=args.rank, use_cache=True, cache_fraction=0.01,
                         warmup_steps=args.iters // 10, refresh_interval=200),
-            min_rows=min_rows, rng=0),
+            min_rows=60, rng=0),
     }
 
     print(f"spec: {spec.name}, largest table {max(spec.table_sizes):,} rows\n")
@@ -64,8 +51,9 @@ def main():
         model = build()
         trainer = Trainer(model, lr=0.1)
         # Train and evaluate on one stream: the evaluation batches are
-        # held-out samples from the same (planted or real) distribution.
-        stream = batches_for(args, spec, seed=1)
+        # held-out samples from the same planted distribution.
+        stream = SyntheticCTRDataset(spec, seed=1, noise=0.7).batches(
+            args.batch_size, args.iters + args.eval_iters)
         res = trainer.train(stream, max_iters=args.iters)
         ev = trainer.evaluate(stream, max_iters=args.eval_iters)
         emb_mb = model.embedding_parameters() * 4 / 1e6

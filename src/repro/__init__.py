@@ -52,7 +52,7 @@ from repro.telemetry import (
     get_tracer,
     trace,
 )
-from repro.training import EvalResult, LRScheduler, Trainer, TrainResult
+from repro.training import EvalResult, Trainer, TrainResult
 from repro.tt import (
     T3nsorEmbeddingBag,
     TTEmbeddingBag,
@@ -90,7 +90,6 @@ __all__ = [
     "Trainer",
     "TrainResult",
     "EvalResult",
-    "LRScheduler",
     # checkpointing
     "save_model",
     "load_model",

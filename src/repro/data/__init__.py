@@ -1,14 +1,12 @@
 """Datasets: exact Criteo specs, Zipf samplers, synthetic CTR generation.
 
 Real Criteo Kaggle/Terabyte click logs cannot be redistributed or fetched
-offline; :mod:`repro.data.synthetic` generates Criteo-*shaped* data (same
-feature layout, exact table cardinalities, Zipf-distributed categorical
-traffic, a planted logistic ground truth) and :mod:`repro.data.criteo`
-parses the real TSV files if the user supplies them.
+offline, so :mod:`repro.data.synthetic` generates Criteo-*shaped* data
+(same feature layout, exact table cardinalities, Zipf-distributed
+categorical traffic, a planted logistic ground truth) in their place.
 """
 
 from repro.data.batching import Batch, make_offsets
-from repro.data.criteo import CriteoTSVReader, scan_criteo_tsv
 from repro.data.datasets import FixedDataset, materialize
 from repro.data.specs import (
     KAGGLE,
@@ -28,8 +26,6 @@ __all__ = [
     "SyntheticCTRDataset",
     "Batch",
     "make_offsets",
-    "CriteoTSVReader",
-    "scan_criteo_tsv",
     "FixedDataset",
     "materialize",
 ]

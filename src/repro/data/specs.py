@@ -10,6 +10,7 @@ headline numbers) run on these exact specs; training experiments run on
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 __all__ = ["DatasetSpec", "KAGGLE", "TERABYTE", "PAPER_KAGGLE_TT_SHAPES"]
@@ -22,7 +23,6 @@ class DatasetSpec:
     name: str
     table_sizes: tuple[int, ...]
     num_dense: int = 13
-    num_samples: int = 0  # informational; synthetic data is unbounded
     emb_dim: int = 16
 
     def __post_init__(self):
@@ -45,21 +45,20 @@ class DatasetSpec:
         order = sorted(range(self.num_tables), key=lambda i: (-self.table_sizes[i], i))
         return sorted(order[:n])
 
-    def scaled(self, factor: float, *, min_rows: int = 4,
-               name_suffix: str = "-scaled") -> DatasetSpec:
+    def scaled(self, factor: float) -> DatasetSpec:
         """Proportionally shrink every table (CPU-trainable replica).
 
         Keeps the *relative* size distribution so "compress the N largest
-        tables" selects the same tables as in the full spec.
+        tables" selects the same tables as in the full spec; no table
+        drops below 4 rows.
         """
-        if factor <= 0:
-            raise ValueError(f"factor must be > 0, got {factor}")
-        sizes = tuple(max(min_rows, int(round(s * factor))) for s in self.table_sizes)
+        if not (math.isfinite(factor) and factor > 0):
+            raise ValueError(f"factor must be finite and > 0, got {factor}")
+        sizes = tuple(max(4, int(round(s * factor))) for s in self.table_sizes)
         return DatasetSpec(
-            name=self.name + name_suffix,
+            name=self.name + "-scaled",
             table_sizes=sizes,
             num_dense=self.num_dense,
-            num_samples=self.num_samples,
             emb_dim=self.emb_dim,
         )
 
@@ -72,7 +71,6 @@ KAGGLE = DatasetSpec(
         5683, 8351593, 3194, 27, 14992, 5461306, 10, 5652, 2173, 4,
         7046547, 18, 15, 286181, 105, 142572,
     ),
-    num_samples=45_840_617,
 )
 
 # Criteo Terabyte Click Logs: 24 days, ~4.37B samples (paper downsamples
@@ -84,7 +82,6 @@ TERABYTE = DatasetSpec(
         2953546, 403346, 10, 2208, 11938, 155, 4, 976, 14, 39979771,
         25641295, 39664984, 585935, 12972, 108, 36,
     ),
-    num_samples=4_373_472_329,
 )
 
 # Paper Table 2: the authors' TT factorizations of Kaggle's 7 largest

@@ -11,8 +11,10 @@ Design goals (what of Criteo must survive the substitution — DESIGN.md):
    dense features and *hash-derived latent factors* of the categorical
    values, so an embedding-based model genuinely improves with capacity
    and approximation error shows up as accuracy loss. Latents are pure
-   functions of ``(table, row)`` via splitmix64 — no O(rows) storage, so
-   the generator scales to the full 40M-row Terabyte tables.
+   functions of ``(table, row)`` via splitmix64, so they take no
+   per-row storage. The per-table :class:`~repro.data.zipf.ZipfSampler`
+   does: it keeps 24 bytes per row (``_pmf_by_rank``, ``_cdf`` and
+   ``_rank_to_id``), so the generator's memory grows with the tables.
 
 The Bayes accuracy of the generator is controlled by ``noise``: the logit
 is scaled so labels are predictable-but-noisy like CTR data (~78-80%

@@ -1,12 +1,6 @@
 """Training and evaluation loops plus metrics."""
 
 from repro.training.metrics import accuracy, bce_loss, roc_auc
-from repro.training.schedules import (
-    LRScheduler,
-    constant_schedule,
-    step_decay_schedule,
-    warmup_poly_decay_schedule,
-)
 from repro.training.trainer import EvalResult, TrainResult, Trainer
 
 __all__ = [
@@ -16,8 +10,4 @@ __all__ = [
     "accuracy",
     "bce_loss",
     "roc_auc",
-    "LRScheduler",
-    "constant_schedule",
-    "warmup_poly_decay_schedule",
-    "step_decay_schedule",
 ]

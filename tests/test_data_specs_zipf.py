@@ -48,6 +48,10 @@ class TestSpecs:
     def test_scaled_validation(self):
         with pytest.raises(ValueError):
             KAGGLE.scaled(0.0)
+        with pytest.raises(ValueError, match="factor"):
+            KAGGLE.scaled(float("nan"))
+        with pytest.raises(ValueError, match="factor"):
+            KAGGLE.scaled(float("inf"))
 
     def test_spec_rejects_bad_sizes(self):
         with pytest.raises(ValueError):

@@ -1,121 +1,11 @@
-"""Tests for the Criteo preprocessing pipeline, TT row write-back, and NE."""
+"""Tests for TT row write-back and normalized entropy."""
 
 import numpy as np
 import pytest
 
-from repro.data.preprocess import Preprocessor, build_vocabularies, downsample_negatives
 from repro.training.metrics import normalized_entropy
 from repro.tt import TTEmbeddingBag, TTShape
 from repro.tt.writeback import absorb_rows, reconstruction_error
-
-
-def make_tsv(tmp_path, rows, name="day.tsv"):
-    lines = []
-    for label, cats in rows:
-        ints = ["1"] * 13
-        lines.append("\t".join([str(label)] + ints + cats))
-    p = tmp_path / name
-    p.write_text("\n".join(lines) + "\n")
-    return p
-
-
-class TestBuildVocabularies:
-    def test_dense_reindexing_reserves_oov(self, tmp_path):
-        rows = [
-            (1, ["0000000a"] + ["000000ff"] * 25),
-            (0, ["0000000b"] + ["000000ff"] * 25),
-        ]
-        path = make_tsv(tmp_path, rows)
-        vocabs = build_vocabularies([path])
-        assert len(vocabs) == 26
-        assert set(vocabs[0].values()) == {1, 2}  # index 0 reserved
-        assert vocabs[1] == {0xFF: 1}
-
-    def test_min_frequency_thresholds(self, tmp_path):
-        rows = [(0, ["0000000a"] + ["000000ff"] * 25)] * 3 + \
-               [(0, ["0000000b"] + ["000000ff"] * 25)]
-        path = make_tsv(tmp_path, rows)
-        vocabs = build_vocabularies([path], min_frequency=2)
-        assert 0xA in vocabs[0]
-        assert 0xB not in vocabs[0]  # seen once -> OOV
-
-    def test_multiple_files_accumulate(self, tmp_path):
-        p1 = make_tsv(tmp_path, [(0, ["0000000a"] * 26)], "d1.tsv")
-        p2 = make_tsv(tmp_path, [(0, ["0000000b"] * 26)], "d2.tsv")
-        vocabs = build_vocabularies([p1, p2])
-        assert len(vocabs[0]) == 2
-
-    def test_validation(self, tmp_path):
-        with pytest.raises(ValueError):
-            build_vocabularies([], min_frequency=0)
-        bad = tmp_path / "bad.tsv"
-        bad.write_text("1\t2\n")
-        with pytest.raises(ValueError, match="fields"):
-            build_vocabularies([bad])
-
-
-class TestPreprocessor:
-    def test_spec_includes_oov_row(self, tmp_path):
-        path = make_tsv(tmp_path, [(0, ["0000000a"] * 26)])
-        pre = Preprocessor(build_vocabularies([path]))
-        assert pre.spec().table_sizes == tuple([2] * 26)
-
-    def test_batches_encode_known_and_oov(self, tmp_path):
-        train = make_tsv(tmp_path, [(1, ["0000000a"] * 26)], "train.tsv")
-        test = make_tsv(tmp_path, [(0, ["0000000a"] * 26),
-                                   (1, ["deadbeef"] * 26)], "test.tsv")
-        pre = Preprocessor(build_vocabularies([train]))
-        batches = list(pre.batches(test, batch_size=10))
-        assert len(batches) == 1
-        idx0 = batches[0].sparse[0][0]
-        assert idx0[0] == 1   # known value
-        assert idx0[1] == 0   # OOV
-        # indices always fit the derived spec
-        spec = pre.spec()
-        for t, (idx, _) in enumerate(batches[0].sparse):
-            assert idx.max() < spec.table_sizes[t]
-
-    def test_negative_downsampling_in_stream(self, tmp_path):
-        rows = [(0, ["0000000a"] * 26)] * 200 + [(1, ["0000000a"] * 26)] * 10
-        path = make_tsv(tmp_path, rows)
-        pre = Preprocessor(build_vocabularies([path]))
-        kept = sum(b.size for b in pre.batches(path, 64,
-                                               negative_keep_rate=0.1, rng=0))
-        # ~20 negatives + all 10 positives
-        assert 10 <= kept <= 60
-        labels = np.concatenate([
-            b.labels for b in pre.batches(path, 64,
-                                          negative_keep_rate=0.1, rng=0)
-        ])
-        assert labels.sum() == 10  # every positive survived
-
-    def test_batches_validation(self, tmp_path):
-        path = make_tsv(tmp_path, [(0, ["0000000a"] * 26)])
-        pre = Preprocessor(build_vocabularies([path]))
-        with pytest.raises(ValueError):
-            list(pre.batches(path, 0))
-
-
-class TestDownsampleNegatives:
-    def test_positives_always_kept(self):
-        labels = np.array([1.0, 0, 0, 1, 0, 0, 0, 1])
-        keep = downsample_negatives(labels, 0.5, rng=0)
-        assert keep[labels > 0.5].all()
-
-    def test_keep_rate_statistics(self):
-        rng = np.random.default_rng(0)
-        labels = (rng.random(20_000) < 0.2).astype(float)
-        keep = downsample_negatives(labels, 0.125, rng=1)
-        neg_kept = keep[labels < 0.5].mean()
-        assert neg_kept == pytest.approx(0.125, abs=0.01)
-
-    def test_keep_rate_one_keeps_all(self):
-        labels = np.zeros(100)
-        assert downsample_negatives(labels, 1.0, rng=0).all()
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            downsample_negatives(np.zeros(4), 0.0)
 
 
 class TestWriteBack:
