@@ -10,7 +10,7 @@ for a few seconds and stand on one scaffold ("The drill scaffold" below):
 one model recipe, one seeded-injector table, one context manager for the
 ``--events-jsonl`` / ``--slo`` / ``--trace-sample`` / ``--flight-dir``
 listeners, one ledger table whose verdict is
-:func:`repro.runtime.supervisor.reconcile_ledger`'s, one PASS/FAIL line
+:func:`repro.serving.loadgen.reconcile_ledger`'s, one PASS/FAIL line
 and one ``--emit-json`` snapshot (schema ``repro.telemetry/v1``; see
 docs/OBSERVABILITY.md).
 """
@@ -353,20 +353,10 @@ def _observed(args, clock=None):
         telemetry.uninstall_sink()
 
 
-def _print_fleet(units: list[dict]) -> None:
-    """One row per shard worker of a sharded run's ``per_shard`` report."""
-    for s in units:
-        print(f"  shard {s['shard']}: {s['state']:9s} "
-              f"dispatches {s['dispatches']:<5d} p99 {s['p99_ms']:6.2f} ms  "
-              f"hb {s['heartbeats']:<4d} "
-              f"crash {s['crashes']} hang {s['hangs']} slow {s['slows']} "
-              f"drop {s['net_drops']} rewarmed {s['rewarmed_rows']}")
-
-
 def _print_ledger(recon: dict) -> bool:
     """The ``reconcile_ledger`` table, one row per check that gates;
     returns its verdict. Which rows count is the ledger's rule
-    (:func:`repro.runtime.supervisor.reconcile_ledger`), not the CLI's."""
+    (:func:`repro.serving.loadgen.reconcile_ledger`), not the CLI's."""
     print("reconcile :")
     for name, check in recon["checks"].items():
         print(f"  {name:28s} fired={check['fired']:<6d} "
@@ -569,26 +559,16 @@ def _cmd_chaos(args) -> int:
 
 
 def _cmd_serve_bench(args) -> int:
-    """Closed-loop load test of the hardened serving runtime; with
-    ``--shards N``, the sharded tier's chaos drill.
+    """Closed-loop load test of the hardened serving runtime.
 
     Exit is non-zero on any non-finite output, a ledger out of balance
     (``reconcile_ledger``: invariants on every run, fault rows when an
-    injector ran over clean traffic), a gated SLO burning its budget and,
-    sharded, failover p99 above ``--failover-p99-ms`` or a fleet that is
-    not readmitted — the contract the ``serving-chaos`` CI job relies on.
+    injector ran over clean traffic) or a gated SLO burning its budget —
+    the contract the ``serving-chaos`` CI job relies on.
     """
-    import json
-
     from repro import telemetry
     from repro.inference import Predictor
     from repro.serving import InferenceServer, ManualClock, ServerConfig, run_load
-    from repro.sharding import (
-        ShardConfig,
-        ShardRouter,
-        parse_kill_spec,
-        run_sharded_load,
-    )
 
     if args.budget_plan:
         from repro.compress import load_budget_plan
@@ -607,97 +587,49 @@ def _cmd_serve_bench(args) -> int:
         "serving.queue": (args.fault_rate, {}),
         "serving.backend": (args.fault_rate,
                             {"kind": "nan", "max_elements": 4}),
-        "shard.crash": (args.shard_fault_rate / 4, {}),
-        "shard.hang": (args.shard_fault_rate / 4, {}),
-        "shard.slow": (args.shard_fault_rate, {}),
-        "shard.net_drop": (args.shard_fault_rate, {}),
     })
-    kill_specs = [parse_kill_spec(s) for s in (args.kill_shard or [])]
-    sharded = args.shards > 0
     clock = ManualClock()
-    tier = dict(
-        config=ServerConfig(
-            oov_policy=args.policy, max_depth=args.max_depth,
-            max_batch=args.max_batch,
-            default_deadline_ms=args.deadline_ms, cooldown=10,
-        ),
-        injector=injector, clock=clock,
+    config = ServerConfig(
+        oov_policy=args.policy, max_depth=args.max_depth,
+        max_batch=args.max_batch,
+        default_deadline_ms=args.deadline_ms, cooldown=10,
     )
     with _observed(args, clock) as obs:
-        load = dict(
+        report = run_load(
+            InferenceServer(Predictor(model), config=config,
+                            injector=injector, clock=clock),
             num_requests=args.requests,
             mean_interarrival_ms=args.interarrival_ms,
             deadline_ms=args.deadline_ms, malformed=args.malformed,
             seed=args.seed, clock=clock, slo=obs.slo,
         )
-        if sharded:
-            router = ShardRouter(
-                Predictor(model),
-                shard_config=ShardConfig(num_shards=args.shards), **tier)
-            report = run_sharded_load(router, kill_specs=kill_specs, **load)
-        else:
-            report = run_load(InferenceServer(Predictor(model), **tier),
-                              **load)
 
     lat = report["latency_ms"]
     out = report["outcomes"]
-    if sharded:
-        kills = ", ".join(f"s{k.unit}@{k.at:g}ms" for k in kill_specs) \
-            or "none"
-        print(f"serve-bench: {args.requests} requests across {args.shards} "
-              f"shards, deadline {args.deadline_ms:g} ms, kills: {kills}")
-        print(f"topology  : spread {report['stats']['topology']['spread']}, "
-              f"{len(report['stats']['topology']['slices'])} slices")
-    else:
-        print(f"serve-bench: {args.requests} requests, batch<= "
-              f"{args.max_batch}, deadline {args.deadline_ms:g} ms, "
-              f"fault rate {args.fault_rate:g}, malformed {args.malformed:g}")
+    print(f"serve-bench: {args.requests} requests, batch<= "
+          f"{args.max_batch}, deadline {args.deadline_ms:g} ms, "
+          f"fault rate {args.fault_rate:g}, malformed {args.malformed:g}")
     print(f"latency   : p50 {lat['p50']:.2f} ms  p99 {lat['p99']:.2f} ms  "
           f"max {lat['max']:.2f} ms")
     print(f"outcomes  : served {report['served']}  queued {out['queued']}  "
           f"rejected {out['rejected']}  shed {out['shed']} "
           f"(+{report['shed']['deadline']} at deadline)  "
           f"shed rate {report['shed_rate']:.1%}")
-    if sharded:
-        fo = report["failover_ms"]
-        print(f"failover  : {report['failovers']} failovers  "
-              f"replica hits {report['replica_hits']}  prior fills "
-              f"{report['prior_fills']}  latency mean {fo['mean']:.2f} ms  "
-              f"p99 {fo['p99']:.2f} ms")
-        _print_fleet(report["per_shard"])
-        print(f"health    : {report['health']['status']}  shards up "
-              f"{report['health']['shards']['up']}/"
-              f"{report['health']['shards']['total']}  non-finite outputs "
-              f"{report['non_finite_outputs']}")
-    else:
-        print(f"degraded  : {report['degraded_responses']} responses via "
-              f"fallback rungs; backend failures "
-              f"{report['stats']['backend_failures']}; scrubbed rows "
-              f"{report['stats']['scrubbed_rows']}")
-        transitions = report["breaker_transitions"]
-        shown = ", ".join(f"{t['breaker']}:{t['from']}->{t['to']}"
-                          for t in transitions[:6])
-        print(f"breakers  : {len(transitions)} transitions"
-              + (f" ({shown}{', ...' if len(transitions) > 6 else ''})"
-                 if transitions else ""))
-        print(f"health    : {report['health']['status']}  "
-              f"non-finite outputs {report['non_finite_outputs']}")
+    print(f"degraded  : {report['degraded_responses']} responses via "
+          f"fallback rungs; backend failures "
+          f"{report['stats']['backend_failures']}; scrubbed rows "
+          f"{report['stats']['scrubbed_rows']}")
+    transitions = report["breaker_transitions"]
+    shown = ", ".join(f"{t['breaker']}:{t['from']}->{t['to']}"
+                      for t in transitions[:6])
+    print(f"breakers  : {len(transitions)} transitions"
+          + (f" ({shown}{', ...' if len(transitions) > 6 else ''})"
+             if transitions else ""))
+    print(f"health    : {report['health']['status']}  "
+          f"non-finite outputs {report['non_finite_outputs']}")
 
     ok = report["non_finite_outputs"] == 0
     ok = _print_ledger(report["reconciliation"]) and ok
-    if args.failover_p99_ms is not None:
-        p99 = report["failover_ms"]["p99"]
-        within = p99 <= args.failover_p99_ms
-        print(f"threshold : failover p99 {p99:.2f} ms "
-              f"{'<=' if within else '>'} {args.failover_p99_ms:g} ms "
-              f"{'ok' if within else 'FAIL'}")
-        ok = within and ok
-    if kill_specs or args.shard_fault_rate > 0:
-        readmitted = report["ready"]["full_capacity"]
-        ok = ok and readmitted
-        print(f"recovery  : {report['ready']['shards_up']}/{args.shards} "
-              f"shards up after quiesce "
-              f"{'ok' if readmitted else 'FAIL (not readmitted)'}")
     if args.trace_sample > 0:
         print(f"traces    : {telemetry.get_request_tracer().finished} sampled "
               f"(every {args.trace_sample}th request id) -> "
@@ -707,19 +639,6 @@ def _cmd_serve_bench(args) -> int:
         print(telemetry.format_report(report["slo"]))
         ok = bool(report["slo"]["gate_passed"]) and ok
     code = _verdict(ok, "zero non-finite outputs, ledgers reconcile")
-    if args.per_shard_json:
-        with open(args.per_shard_json, "w") as fh:
-            json.dump({
-                "per_shard": report["per_shard"],
-                "failover_ms": report["failover_ms"],
-                "failovers": report["failovers"],
-                "replica_hits": report["replica_hits"],
-                "prior_fills": report["prior_fills"],
-                "reconciliation": report["reconciliation"],
-                "topology": report["stats"]["topology"],
-                "passed": ok,
-            }, fh, indent=2)
-        print(f"wrote per-shard report to {args.per_shard_json}")
     _emit_json(args, "serve-bench", {"report": report, "passed": ok})
     return code
 
@@ -952,21 +871,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fault-rate", type=float, default=0.0,
                    help="per-probe probability at every serving.* site")
     p.add_argument("--fault-seed", type=int, default=123)
-    p.add_argument("--shards", type=int, default=0,
-                   help="run the sharded tier with N shard workers "
-                        "(0 = single-process server)")
-    p.add_argument("--kill-shard", action="append", default=None,
-                   metavar="SPEC",
-                   help="scheduled shard kill <shard>@<time>[ms|s], e.g. "
-                        "1@2s; repeatable (sharded mode)")
-    p.add_argument("--shard-fault-rate", type=float, default=0.0,
-                   help="per-probe probability at the shard.* chaos sites "
-                        "(sharded mode)")
-    p.add_argument("--failover-p99-ms", type=float, default=None,
-                   help="fail when failover p99 exceeds this many "
-                        "simulated ms (sharded mode)")
-    p.add_argument("--per-shard-json", default=None, metavar="PATH",
-                   help="write the per-shard JSON report (sharded mode)")
     p.add_argument("--slo", default=None, metavar="POLICY",
                    help="SLO policy JSON (repro.slo/v1): evaluate "
                         "burn-rate objectives and gate the exit code")
@@ -1007,27 +911,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# command -> (its mode, the mode's flag, the options nothing reads without
-# it), each option by its argparse dest.
-_MODE_OPTIONS = {
-    "serve-bench": ("shards", "--shards N", (
-        "kill_shard", "shard_fault_rate", "failover_p99_ms",
-        "per_shard_json")),
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    mode, flag, dests = _MODE_OPTIONS.get(args.command, (None, None, ()))
-    if dests and not (getattr(args, mode) > 0):
-        # An option given (it differs from its default) without the mode
-        # that reads it would be accepted and ignored: refuse, run nothing.
-        defaults = parser.parse_args([args.command])
-        for dest in dests:
-            if getattr(args, dest) != getattr(defaults, dest):
-                print(f"error: --{dest.replace('_', '-')} requires {flag}")
-                return 2
     return args.fn(args)
 
 

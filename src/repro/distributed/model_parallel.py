@@ -52,8 +52,7 @@ def assign_tables(table_sizes: tuple[int, ...], world_size: int, *,
     that residual can still be the whole giant table, so a local-search
     refinement pass then moves single tables off the most-loaded worker
     whenever doing so strictly shrinks the max/min spread. The result is
-    the capacity-driven sharding both :class:`ShardedEmbeddingDLRM` and
-    the serving tier's :mod:`repro.sharding` topology use.
+    the capacity-driven sharding :class:`ShardedEmbeddingDLRM` uses.
     """
     if world_size < 1:
         raise ValueError(f"world_size must be >= 1, got {world_size}")

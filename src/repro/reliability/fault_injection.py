@@ -20,10 +20,6 @@ Instrumented sites
 ``serving.request``         an inbound request's dense payload is corrupted
 ``serving.queue``           a queued request is lost (shed as a queue fault)
 ``serving.backend``         an embedding backend's pooled output is poisoned
-``shard.crash``             a serving shard worker dies until restarted
-``shard.hang``              a shard stops answering (heartbeats + dispatches)
-``shard.slow``              a shard's next dispatch exceeds its deadline
-``shard.net_drop``          one router<->shard message is lost in transit
 ==========================  ====================================================
 
 Sites are just strings: components probe unconditionally and unregistered
@@ -51,10 +47,6 @@ KNOWN_SITES = (
     "serving.request",
     "serving.queue",
     "serving.backend",
-    "shard.crash",
-    "shard.hang",
-    "shard.slow",
-    "shard.net_drop",
 )
 
 _KINDS = ("nan", "inf", "zero", "scale", "bitflip")

@@ -112,13 +112,6 @@ class CircuitBreaker:
         if self.state == "closed" and sum(self._outcomes) >= self.failure_threshold:
             self._transition("open")
 
-    def reset(self) -> None:
-        """Close and forget all history (the guarded backend restarted)."""
-        self._transition("closed")
-        self._outcomes.clear()
-        self._open_probes = 0
-        self._trial_successes = 0
-
     # ------------------------------------------------------------------ #
 
     def snapshot(self) -> dict:

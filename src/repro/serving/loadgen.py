@@ -1,13 +1,11 @@
-"""Closed-loop load generator for the serving tiers (``serve-bench``).
+"""Closed-loop load generator for the serving runtime (``serve-bench``).
 
-Drives an :class:`~repro.serving.server.InferenceServer` — or, through
-the control-plane callbacks, a :class:`~repro.sharding.router.ShardRouter`
-fleet — on a :class:`~repro.serving.queue.ManualClock`: arrivals advance
-simulated time (exponential inter-arrival), while the single node's
-service time is *measured* from the real forward pass and fed back into
-both the clock and the queue's deadline-feasibility EWMA. Its latency
-numbers therefore combine real compute cost with deterministic,
-reproducible queueing behaviour.
+Drives an :class:`~repro.serving.server.InferenceServer` on a
+:class:`~repro.serving.queue.ManualClock`: arrivals advance simulated
+time (exponential inter-arrival), while the service time is *measured*
+from the real forward pass and fed back into both the clock and the
+queue's deadline-feasibility EWMA. Its latency numbers therefore combine
+real compute cost with deterministic, reproducible queueing behaviour.
 
 The generator can emit deliberately malformed traffic (NaN dense
 features, out-of-vocabulary ids, garbage offsets-style scalar abuse) at a
@@ -31,13 +29,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.runtime.supervisor import reconcile_ledger
 from repro.serving.admission import Request
 from repro.serving.queue import ManualClock
 from repro.telemetry import get_registry
 from repro.utils.seeding import as_rng
 
-__all__ = ["run_load", "reconcile"]
+__all__ = ["run_load", "reconcile", "reconcile_ledger"]
 
 
 def _make_request(rng: np.random.Generator, cfg, rid: int,
@@ -61,6 +58,40 @@ def _make_request(rng: np.random.Generator, cfg, rid: int,
             sparse[t] = np.array([0.5, 1.25])  # fractional ids: unusable
     return Request(dense=dense, sparse=sparse, deadline_ms=deadline_ms,
                    request_id=rid)
+
+
+def reconcile_ledger(injector, fault_rows: dict, invariants: dict, *,
+                     clean: bool = True) -> dict:
+    """Fold a run's ledgers into ``{checked, passed, checks}``.
+
+    ``fault_rows`` maps a check name to ``(site, counted)``: every firing
+    of the injector site must surface in the defensive counter. They
+    count only when an injector ran over ``clean`` traffic: without an
+    injector nothing fired, and garbage the caller sent is
+    indistinguishable from an injected fault to the defensive counters
+    (``skipped`` then says so). ``invariants`` maps a check name to
+    ``(expected, counted)`` and is checked always — conservation of
+    accepted work. A check passes on exact equality, and ``passed`` is
+    the verdict: a check that gates is a row of ``checks``.
+    """
+    checks: dict[str, dict] = {}
+    checked = injector is not None and clean
+    if checked:
+        for name, (site, counted) in fault_rows.items():
+            checks[name] = {"fired": injector.fired.get(site, 0),
+                            "counted": counted}
+    for name, (expected, counted) in invariants.items():
+        checks[name] = {"fired": expected, "counted": counted}
+    for check in checks.values():
+        check["passed"] = check["fired"] == check["counted"]
+    recon = {
+        "checked": checked,
+        "passed": all(c["passed"] for c in checks.values()),
+        "checks": checks,
+    }
+    if injector is not None and not clean:
+        recon["skipped"] = "malformed traffic mixes with injected faults"
+    return recon
 
 
 def reconcile(server, outcomes: dict, served: int, *,
@@ -90,41 +121,20 @@ def reconcile(server, outcomes: dict, served: int, *,
     )
 
 
-def _node_report(server, stats: dict, outcomes: dict, served: int,
-                 clean: bool) -> dict:
-    return {
-        "breaker_transitions": stats["breaker_transitions"],
-        "health": server.healthz(),
-        "stats": stats,
-        "reconciliation": reconcile(server, outcomes, served, clean=clean),
-    }
-
-
 def run_load(server, *, num_requests: int = 1000,
              mean_interarrival_ms: float = 1.0,
              deadline_ms: float | None = None,
              malformed: float = 0.0, seed: int = 0,
-             clock: ManualClock | None = None, slo=None,
-             control_plane=None, settle=None,
-             tier_report=_node_report) -> dict:
-    """Drive a serving tier with a closed-loop synthetic workload.
+             clock: ManualClock | None = None, slo=None) -> dict:
+    """Drive an :class:`InferenceServer` with a closed-loop synthetic
+    workload.
 
     The loop alternates arrival bursts and serving steps: simulated time
     advances by the exponential inter-arrival gaps and by each batch's
-    service time as the queue's EWMA reports it (*measured* for an
-    :class:`InferenceServer`), so overload genuinely backs the queue up
-    and exercises shedding. When the queue signals backpressure the
-    generator halves its offered rate until the backlog clears — the
-    closed loop.
-
-    A supervised tier (:func:`repro.sharding.loadgen.run_sharded_load`)
-    plugs in three callbacks: ``control_plane(clock)`` runs after every
-    time advance and keeps the drain moving in simulated time, so
-    in-flight recovery completes against the tail; ``settle(clock)`` runs
-    between the drain and the report; ``tier_report(server, stats,
-    outcomes, served, clean)`` supplies the report from its first
-    tier-specific key through ``reconciliation`` (``clean``: no malformed
-    traffic was asked for, so the fault ledgers can be read).
+    measured service time as the queue's EWMA reports it, so overload
+    genuinely backs the queue up and exercises shedding. When the queue
+    signals backpressure the generator halves its offered rate until the
+    backlog clears — the closed loop.
 
     Latency bookkeeping lives in the shared ``serving.latency_ms``
     histogram (reset at run start so the report is run-local) — the
@@ -135,6 +145,11 @@ def run_load(server, *, num_requests: int = 1000,
     if clock is None:
         clock = server.clock if isinstance(server.clock, ManualClock) \
             else ManualClock()
+    if num_requests < 1:
+        raise ValueError(f"num_requests must be >= 1, got {num_requests}")
+    if not mean_interarrival_ms >= 0:
+        raise ValueError("mean_interarrival_ms must be >= 0, "
+                         f"got {mean_interarrival_ms}")
     if not (0.0 <= malformed <= 1.0):
         raise ValueError(f"malformed must be in [0, 1], got {malformed}")
     rng = as_rng(seed)
@@ -168,11 +183,6 @@ def run_load(server, *, num_requests: int = 1000,
                         count=cur - last_deadline_shed)
         last_deadline_shed = cur
 
-    def advance(ms: float) -> None:
-        clock.advance(ms)
-        if control_plane is not None:
-            control_plane(clock)
-
     while sent < num_requests:
         # Burst of arrivals between two serving steps.
         burst = int(rng.integers(1, max(2, server.config.max_batch)))
@@ -181,7 +191,7 @@ def run_load(server, *, num_requests: int = 1000,
             if server.queue.should_backpressure():
                 backpressured += 1
                 gap *= 2.0  # the closed-loop client slows down
-            advance(gap)
+            clock.advance(gap)
             absolute = (clock.now() + deadline_ms
                         if deadline_ms is not None else None)
             req = _make_request(rng, cfg, sent, absolute,
@@ -195,13 +205,9 @@ def run_load(server, *, num_requests: int = 1000,
             sent += 1
         serve_step()
         # Catch up on simulated time: the batch's service time.
-        advance(server.queue.expected_service_ms)
+        clock.advance(server.queue.expected_service_ms)
     while server.queue.depth:
         serve_step()
-        if control_plane is not None:
-            advance(max(server.queue.expected_service_ms, 1.0))
-    if settle is not None:
-        settle(clock)
 
     stats = server.stats()
     report = {
@@ -219,7 +225,11 @@ def run_load(server, *, num_requests: int = 1000,
         "degraded_responses": degraded_responses,
         "backpressure_signals": backpressured,
         "non_finite_outputs": stats["final_guard"],
-        **tier_report(server, stats, outcomes, served, malformed == 0),
+        "breaker_transitions": stats["breaker_transitions"],
+        "health": server.healthz(),
+        "stats": stats,
+        "reconciliation": reconcile(server, outcomes, served,
+                                    clean=malformed == 0),
     }
     if slo is not None:
         report["slo"] = slo.report(clock.now())

@@ -49,8 +49,8 @@ from repro.telemetry import (
     trace,
 )
 
-__all__ = ["ServerConfig", "ServingFrontEnd", "InferenceServer", "Rung",
-           "TableLadder", "frequency_prior_row", "table_batches"]
+__all__ = ["ServerConfig", "InferenceServer", "Rung", "TableLadder",
+           "frequency_prior_row", "table_batches"]
 
 # A pooled embedding magnitude beyond this is treated as corruption even
 # though it is finite (catches "scale"-kind faults before the towers
@@ -244,18 +244,27 @@ def table_batches(batch: list) -> list[tuple[np.ndarray, np.ndarray]]:
             for lo, hi, row in zip(bounds, bounds[1:], counts)]
 
 
-class ServingFrontEnd:
-    """The request path both serving tiers share: admission → queue →
-    pooling step → towers → responses.
+class InferenceServer:
+    """Robust serving runtime in front of a :class:`Predictor`: admission
+    → queue → every table's ladder → towers → responses.
 
-    A tier supplies :meth:`_pool` — local ladders, or fan-out across
-    shards; the ``serving.request`` chaos probe, the trace scope and
-    ``queue.wait`` spans, the final non-finite guard, latency observation
-    and response assembly are written once here.
+    Parameters
+    ----------
+    predictor:
+        The frozen model to serve.
+    config:
+        :class:`ServerConfig` tuning knobs.
+    injector:
+        Optional fault injector; register any of ``serving.request``,
+        ``serving.queue``, ``serving.backend`` to chaos-test the ladder.
+    clock:
+        Monotonic-millisecond callable (defaults to wall time; tests and
+        ``serve-bench`` pass a :class:`~repro.serving.queue.ManualClock`).
     """
 
-    def __init__(self, predictor: Predictor, *, config: ServerConfig,
-                 injector, clock):
+    def __init__(self, predictor: Predictor, *,
+                 config: ServerConfig = ServerConfig(),
+                 injector=None, clock=None):
         self.predictor = predictor
         self.config = config
         self.injector = injector
@@ -278,6 +287,36 @@ class ServingFrontEnd:
             bounds=(0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0,
                     500.0, 1000.0),
         )
+        self.ladders = [
+            self._build_ladder(t, emb)
+            for t, emb in enumerate(predictor.embeddings)
+        ]
+        self._ready = all(np.isfinite(lad.default_row).all()
+                          for lad in self.ladders)
+
+    # ------------------------------------------------------------------ #
+    # Ladder construction
+    # ------------------------------------------------------------------ #
+
+    def _build_ladder(self, table: int, emb) -> TableLadder:
+        # Rungs read through ``lookup_bags``: ``forward``'s output with
+        # nothing recorded, refreshed or kept for a backward — the server
+        # serves what ``populate()`` last built and never changes it.
+        rungs = [Rung("primary", emb.lookup_bags,
+                      self.config.breaker(f"t{table}.primary"))]
+        tt = getattr(emb, "tt", None)
+        if tt is not None:
+            # The cached operator's escape hatch: contract the TT cores
+            # directly, bypassing a poisoned uncompressed cache.
+            rungs.append(Rung("tt_direct", tt.lookup_bags,
+                              self.config.breaker(f"t{table}.tt_direct")))
+        default_row = frequency_prior_row(emb, self.predictor.config.emb_dim)
+        return TableLadder(table, rungs, default_row, emb.mode,
+                           scrub=emb.scrub, injector=self.injector)
+
+    # ------------------------------------------------------------------ #
+    # The request path
+    # ------------------------------------------------------------------ #
 
     def submit(self, request: Request) -> dict:
         """Admit one request; returns a status document.
@@ -321,19 +360,33 @@ class ServingFrontEnd:
                 "repairs": list(admitted.repairs),
                 "backpressure": self.queue.should_backpressure()}
 
-    def _pool(self, batch: list, tables: list, now: float) -> tuple:
-        """Pool one micro-batch's embeddings (the tier's step).
+    def _pool(self, batch: list, tables: list) -> tuple:
+        """Pool one micro-batch through every table's ladder.
 
         ``tables[t]`` is ``(indices, counts)``: table ``t``'s ids in
         request order and the per-request bag sizes. Returns a ``(bags,
-        dim)`` array per table, the ``{what: rung}`` map of everything
-        not served by its primary path, and the batch's *simulated*
-        service time — ``None`` when it is whatever the step really took.
+        dim)`` array per table and the ``{table: rung}`` map of every
+        table not served by its primary rung.
         """
-        raise NotImplementedError
+        pooled = []
+        served_by: dict[int, str] = {}
+        # Every table's CSR offsets from one cumulative sum.
+        offsets = np.zeros((len(tables), len(batch) + 1), dtype=np.int64)
+        np.cumsum([counts for _, counts in tables], axis=1, out=offsets[:, 1:])
+        for (indices, _), table_offsets, ladder in zip(tables, offsets,
+                                                       self.ladders):
+            vecs, rung = ladder.serve(indices, table_offsets)
+            pooled.append(vecs)
+            if rung != "primary":
+                served_by[ladder.table] = rung
+        return pooled, served_by
 
     def step(self) -> list[dict]:
-        """Serve one micro-batch from the queue; returns the responses."""
+        """Serve one micro-batch from the queue; returns the responses.
+
+        A response's latency is its simulated queue wait plus the step's
+        measured service time, which also feeds the queue's pacing EWMA.
+        """
         batch = self.queue.next_batch()
         if not batch:
             return []
@@ -350,8 +403,7 @@ class ServingFrontEnd:
             with trace("serving.batch"):
                 annotate_span(batch_size=len(batch))
                 dense = np.stack([r.dense for r in batch])
-                pooled, served_by, sim_ms = self._pool(
-                    batch, table_batches(batch), formed_at)
+                pooled, served_by = self._pool(batch, table_batches(batch))
                 with trace("serving.towers"):
                     probs = sigmoid(
                         self.predictor.logits_from_pooled(dense, pooled)
@@ -361,16 +413,8 @@ class ServingFrontEnd:
                 self._final_guard.inc(int(bad.sum()))
                 emit_event("serving.final_guard", count=int(bad.sum()))
                 probs = np.where(bad, 0.5, probs)
-        if sim_ms is None:
-            service_ms = (perf_counter_ns() - start_ns) / 1e6
-            self.queue.observe_service(service_ms)
-        else:
-            # A simulated tier feeds the queue's pacing EWMA *simulated*
-            # service time, matching its per-request latency model: wall
-            # clock here would leak real time into the ManualClock advances
-            # and break byte-identical same-seed trace files.
-            service_ms = sim_ms
-            self.queue.observe_service(max(sim_ms, 1.0))
+        service_ms = (perf_counter_ns() - start_ns) / 1e6
+        self.queue.observe_service(service_ms)
         self._batches.inc()
         self._served.inc(len(batch))
         responses = []
@@ -388,10 +432,8 @@ class ServingFrontEnd:
             ctx = getattr(req, "trace_ctx", None)
             if ctx is not None:
                 resp["trace_id"] = ctx.trace_id
-            finish_request(
-                req, "served",
-                now=self.clock() if sim_ms is None else formed_at + sim_ms,
-                latency_ms=latency, degraded=bool(served_by))
+            finish_request(req, "served", now=self.clock(),
+                           latency_ms=latency, degraded=bool(served_by))
             responses.append(resp)
         return responses
 
@@ -401,71 +443,6 @@ class ServingFrontEnd:
         while self.queue.depth:
             responses.extend(self.step())
         return responses
-
-
-class InferenceServer(ServingFrontEnd):
-    """Robust serving runtime in front of a :class:`Predictor`.
-
-    Parameters
-    ----------
-    predictor:
-        The frozen model to serve.
-    config:
-        :class:`ServerConfig` tuning knobs.
-    injector:
-        Optional fault injector; register any of ``serving.request``,
-        ``serving.queue``, ``serving.backend`` to chaos-test the ladder.
-    clock:
-        Monotonic-millisecond callable (defaults to wall time; tests and
-        ``serve-bench`` pass a :class:`~repro.serving.queue.ManualClock`).
-    """
-
-    def __init__(self, predictor: Predictor, *,
-                 config: ServerConfig = ServerConfig(),
-                 injector=None, clock=None):
-        super().__init__(predictor, config=config, injector=injector,
-                         clock=clock)
-        self.ladders = [
-            self._build_ladder(t, emb)
-            for t, emb in enumerate(predictor.embeddings)
-        ]
-        self._ready = all(np.isfinite(lad.default_row).all()
-                          for lad in self.ladders)
-
-    # ------------------------------------------------------------------ #
-    # Ladder construction
-    # ------------------------------------------------------------------ #
-
-    def _build_ladder(self, table: int, emb) -> TableLadder:
-        # Rungs read through ``lookup_bags``: ``forward``'s output with
-        # nothing recorded, refreshed or kept for a backward — the server
-        # serves what ``populate()`` last built and never changes it.
-        rungs = [Rung("primary", emb.lookup_bags,
-                      self.config.breaker(f"t{table}.primary"))]
-        tt = getattr(emb, "tt", None)
-        if tt is not None:
-            # The cached operator's escape hatch: contract the TT cores
-            # directly, bypassing a poisoned uncompressed cache.
-            rungs.append(Rung("tt_direct", tt.lookup_bags,
-                              self.config.breaker(f"t{table}.tt_direct")))
-        default_row = frequency_prior_row(emb, self.predictor.config.emb_dim)
-        return TableLadder(table, rungs, default_row, emb.mode,
-                           scrub=emb.scrub, injector=self.injector)
-
-    def _pool(self, batch: list, tables: list, now: float) -> tuple:
-        """Every table's local ladder; service time is measured."""
-        pooled = []
-        served_by: dict[int, str] = {}
-        # Every table's CSR offsets from one cumulative sum.
-        offsets = np.zeros((len(tables), len(batch) + 1), dtype=np.int64)
-        np.cumsum([counts for _, counts in tables], axis=1, out=offsets[:, 1:])
-        for (indices, _), table_offsets, ladder in zip(tables, offsets,
-                                                       self.ladders):
-            vecs, rung = ladder.serve(indices, table_offsets)
-            pooled.append(vecs)
-            if rung != "primary":
-                served_by[ladder.table] = rung
-        return pooled, served_by, None
 
     # ------------------------------------------------------------------ #
     # Probes & stats
@@ -504,8 +481,8 @@ class InferenceServer(ServingFrontEnd):
 
         Degradation is attributed per table, not just in aggregate: the
         ``fallbacks``/``backend_failures_by_table``/``scrubs_by_table``
-        breakdowns let a shard roll-up (docs/SERVING.md, sharding) point
-        at the table whose ladder is degrading rather than a lump sum.
+        breakdowns point at the table whose ladder is degrading rather
+        than a lump sum.
         """
         lat = self._latency
         return {

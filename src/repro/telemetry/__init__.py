@@ -21,8 +21,7 @@ Process-wide singletons, so every component reports into one place
 - :mod:`repro.telemetry.slo` — declarative objectives evaluated as
   multi-window burn rates with exemplar trace ids;
 - :mod:`repro.telemetry.flightrec` — bounded rings of recent events and
-  traces, auto-dumped on breaker-open / shard mark-down / failover /
-  sanitizer trips.
+  traces, auto-dumped on breaker-open and sanitizer trips.
 """
 
 from repro.telemetry.events import (

@@ -1,18 +1,20 @@
 """Flight recorder: bounded rings of recent telemetry, dumped on trouble.
 
 Always-on full tracing is too expensive for chaos runs, but by the time
-a breaker opens or a shard is marked down the interesting history has
-already happened. The flight recorder keeps small bounded rings of the
-most recent events and sampled traces plus a baseline counter snapshot,
-and on a *trigger* event — breaker-open, shard mark-down, failover,
-sanitizer trip — dumps everything to ``flightrec-<label>.json``
+a breaker opens the interesting history has already happened. The
+flight recorder keeps small bounded rings of the most recent events and
+sampled traces plus a baseline counter snapshot, and on a *trigger*
+event — breaker-open, sanitizer trip — dumps everything to
+``flightrec-<label>.json``
 (schema ``repro.flightrec/v1``), so post-hoc debugging starts from the
 moments *before* the incident, not after it.
 
-Determinism: dumps contain no wall-clock timestamps — event records
-carry a monotonically-increasing ``seq`` and the dump's ``at_ms`` comes
-from the run's ManualClock, so two same-seed chaos runs produce
-byte-identical dump files. Only the first occurrence of each trigger
+Timestamps: event records carry a monotonically-increasing ``seq``, and
+the dump's ``at_ms`` and trace timestamps come from the clock the
+recorder was given (``serve-bench`` passes its ManualClock). That clock
+advances by each batch's *measured* service time, so two same-seed runs
+dump at the same triggers but not with byte-identical times. Only the
+first occurrence of each trigger
 label is dumped (later ones are counted as ``suppressed``), keeping the
 artifact set bounded no matter how long the incident lasts.
 
@@ -48,8 +50,6 @@ FLIGHT_SCHEMA = "repro.flightrec/v1"
 _TRIGGERS: tuple[tuple[str, str, object], ...] = (
     ("serving.breaker", "breaker-open",
      lambda data: data.get("to_state") == "open"),
-    ("shard.marked_down", "shard-down", None),
-    ("shard.failover", "failover", None),
     ("sanitizer.trip", "sanitizer-trip", None),
 )
 

@@ -26,11 +26,8 @@ Supported metrics:
     served under ``threshold_ms`` = good, over = bad (shed ignored —
     availability owns those).
 ``degraded``
-    served at full fidelity = good, served degraded (replica or prior
-    row after failover) = bad.
-``staleness``
-    replica consistency: each clean replica check = good, each
-    stale/violating row = bad.
+    served at full fidelity = good, served degraded (some table answered
+    by a fallback rung) = bad.
 
 Objectives carry ``gate: true|false`` — the serve-bench exit code only
 considers gated objectives, so a policy can include tight informational
@@ -60,7 +57,7 @@ __all__ = [
 SLO_SCHEMA = "repro.slo/v1"
 REPORT_SCHEMA = "repro.slo-report/v1"
 
-_METRICS = ("availability", "latency", "degraded", "staleness")
+_METRICS = ("availability", "latency", "degraded")
 _MAX_EXEMPLARS = 5
 
 
@@ -126,11 +123,6 @@ class Objective:
         elif self.metric == "degraded":
             if kind == "served":
                 return "bad" if degraded else "good"
-        elif self.metric == "staleness":
-            if kind == "replica_check":
-                return "good"
-            if kind == "staleness":
-                return "bad"
         return None
 
     def as_dict(self) -> dict:
@@ -298,8 +290,8 @@ class SLOEngine:
                 request_id=None, count: int = 1) -> None:
         """Feed one observation to every objective it classifies under.
 
-        ``kind``: ``served`` / ``shed`` / ``rejected`` / ``staleness`` /
-        ``replica_check``. The exemplar is the trace id when tracing
+        ``kind``: ``served`` / ``shed`` / ``rejected``. The exemplar is
+        the trace id when tracing
         sampled the request, else a ``req:<id>`` fallback.
         """
         if count <= 0:

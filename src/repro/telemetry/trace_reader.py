@@ -3,8 +3,8 @@
 :class:`~repro.telemetry.tracer.RequestTracer` writes one span per line::
 
     {"schema": "repro.trace/v1", "trace_id": "9f…", "span_id": 2,
-     "parent_id": 1, "name": "shard.dispatch", "start_ms": 12.5,
-     "end_ms": 13.5, "attrs": {"shard": 1, "breaker": "closed"}}
+     "parent_id": 1, "name": "serving.batch", "start_ms": 12.5,
+     "end_ms": 13.5, "attrs": {"batch_size": 4}}
 
 ``parent_id`` is ``null`` for the root (``request``) span. This module
 only reads: :func:`read_trace` groups and validates the lines;

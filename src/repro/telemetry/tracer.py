@@ -30,12 +30,12 @@ truth tests and a shared no-op context manager, which the overhead-guard
 test bounds at <5% of a small training run; with only the aggregate tree
 listening the request clock is never read.
 
-Request traces are **deterministic by construction** (same seed, same
-bytes, pinned by ``test_same_seed_runs_are_byte_identical``): trace ids
-are splitmix64 hashes of ``(seed, request_id)`` — no ambient entropy —
-span ids are per-trace open-order counters, and timestamps are the run's
+Request traces add no nondeterminism of their own: trace ids are
+splitmix64 hashes of ``(seed, request_id)`` — no ambient entropy — span
+ids are per-trace open-order counters, and timestamps are the run's
 :class:`~repro.serving.queue.ManualClock` (simulated ms), never
-``perf_counter``. Aggregate-tree nodes are named by dotted path plus
+``perf_counter``. A trace file repeats byte for byte only as far as that
+clock does; ``serve-bench`` advances it by measured service time. Aggregate-tree nodes are named by dotted path plus
 bracketed attributes (``tt.forward.segment_gemm[core=1]``); request
 traces keep ``attrs`` apart (docs/OBSERVABILITY.md).
 """
@@ -304,8 +304,8 @@ class RequestTracer:
 
         ``clock`` is the run's ManualClock (or any ms callable); with
         none, every timestamp is 0.0 — still deterministic, just flat.
-        The output file is truncated, so same-seed runs are
-        byte-identical end to end.
+        The output file is truncated, so a rerun never appends to an
+        old one.
         """
         if sample_every < 1:
             raise ValueError(

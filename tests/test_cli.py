@@ -29,25 +29,6 @@ class TestParser:
         assert listed.split(",") == list(subparsers.choices)
 
 
-class TestModeOptions:
-    """An option only one mode reads is refused without that mode — it
-    used to be accepted and ignored (only ``--kill-shard`` and
-    ``--shard-fault-rate`` were checked)."""
-
-    @pytest.mark.parametrize("option,value", [
-        ("--kill-shard", "1@2s"), ("--shard-fault-rate", "0.01"),
-        ("--failover-p99-ms", "200"), ("--per-shard-json", "shards.json"),
-    ])
-    def test_sharded_options_require_shards(self, option, value, capsys):
-        assert main(["serve-bench", "--requests", "5", option, value]) == 2
-        assert capsys.readouterr().out == \
-            f"error: {option} requires --shards N\n"
-
-    def test_an_option_left_at_its_default_is_not_given(self, capsys):
-        assert main(["serve-bench", "--requests", "5", "--scale", "0.0003",
-                     "--shard-fault-rate", "0"]) == 0
-
-
 class TestCommands:
     def test_table2(self, capsys):
         assert main(["table2", "--ranks", "16"]) == 0

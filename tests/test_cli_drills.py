@@ -2,25 +2,23 @@
 
 ROADMAP item 7's tier-1 layer, first slice. Three things are pinned here:
 
-- **Goldens.** ``chaos`` and ``serve-bench --shards 3`` (one kill with
-  ``--shard-fault-rate`` on top) run on a ``ManualClock`` and seeded
-  streams alone, so their stdout is a function of the code.
-  ``tests/golden/drill_*.txt`` were captured from the commit *before* the
-  drills moved onto one scaffold; a refactor that moves a byte fails a
-  named test. What :func:`normalise` masks: the temporary directory,
-  runs of spaces (the ledger's column width is not part of the
-  contract), and the loss fields, which depend on the BLAS build in
-  their last digits. Regenerate with ``python tests/test_cli_drills.py``
+- **Goldens.** ``chaos`` runs on seeded streams alone, so its stdout is
+  a function of the code. ``tests/golden/drill_chaos.txt`` was captured
+  from the commit *before* the drills moved onto one scaffold; a
+  refactor that moves a byte fails a named test. What :func:`normalise`
+  masks: the temporary directory, runs of spaces (the ledger's column
+  width is not part of the contract), and the loss fields, which depend
+  on the BLAS build in their last digits. Regenerate with ``python tests/test_cli_drills.py``
   (writes the files from the tree on ``PYTHONPATH``) — only for a
   *declared* stdout change.
-- Single-node ``serve-bench`` is the one drill that cannot have a golden:
-  its latency line adds wall-clock service time to simulated time
-  (ROADMAP item 5). It joins when that is fixed.
+- ``serve-bench`` cannot have a golden: its latency line adds wall-clock
+  service time to simulated time (ROADMAP item 5). It joins when that is
+  fixed.
 - **The gate reads the ledger in every mode.** With one accepted request
-  forced out of ``no_lost_requests`` every ``serve-bench`` mode must exit
-  1 and print the ``MISMATCH`` row; before the one rule in
-  ``reconcile_ledger`` the sharded mode passed such a run whenever it had
-  no injector or carried malformed traffic.
+  forced out of ``no_lost_requests`` every ``serve-bench`` mode — no
+  injector, an injector over clean traffic, an injector under malformed
+  traffic — must exit 1 and print the ``MISMATCH`` row, and a passing
+  run prints exactly the rows that gate it.
 """
 
 import re
@@ -33,23 +31,16 @@ from repro.telemetry import get_registry
 
 GOLDEN = Path(__file__).parent / "golden"
 
-SHARDED = ["serve-bench", "--shards", "3", "--requests", "300",
-           "--scale", "0.0003"]
 DRILLS = {
     "chaos": ["chaos", "--iters", "40", "--scale", "0.0002",
               "--tolerance", "1.0"],
-    "sharded_injector": SHARDED + ["--kill-shard", "1@60ms",
-                                   "--shard-fault-rate", "0.02",
-                                   "--flight-dir", "TMP/flight",
-                                   "--per-shard-json", "TMP/shards.json"],
 }
 
 
 def fresh_metrics():
     """The ledgers' counters live in the process-wide registry and a drill
     expects a process of its own."""
-    for prefix in ("serving.", "shard."):
-        get_registry().reset(prefix=prefix)
+    get_registry().reset(prefix="serving.")
 
 
 @pytest.fixture(autouse=True)
@@ -82,11 +73,10 @@ class TestGoldens:
 
 def _lose_one_request(monkeypatch):
     """Force one accepted request out of ``no_lost_requests`` — a wrapper
-    around the fold, as a tier that dropped a request would report."""
-    from repro.runtime import supervisor
+    around the fold, as a server that dropped a request would report."""
     from repro.serving import loadgen
 
-    fold = supervisor.reconcile_ledger
+    fold = loadgen.reconcile_ledger
 
     def lossy(injector, fault_rows, invariants, **kwargs):
         expected, counted = invariants["no_lost_requests"]
@@ -94,17 +84,18 @@ def _lose_one_request(monkeypatch):
                       "no_lost_requests": (expected, counted - 1)}
         return fold(injector, fault_rows, invariants, **kwargs)
 
-    monkeypatch.setattr(supervisor, "reconcile_ledger", lossy)
     monkeypatch.setattr(loadgen, "reconcile_ledger", lossy)
 
 
+SINGLE_NODE = ["serve-bench", "--requests", "120", "--scale", "0.0003"]
+INJECTOR = ["--fault-rate", "0.05", "--fault-seed", "123"]
 SERVE_MODES = {
-    "single_node": ["serve-bench", "--requests", "120", "--scale", "0.0003"],
-    "sharded_injector": SHARDED + ["--shard-fault-rate", "0.02"],
-    "sharded_kill_only": SHARDED + ["--kill-shard", "1@60ms"],
-    "sharded_malformed": SHARDED + ["--shard-fault-rate", "0.02",
-                                    "--malformed", "0.3"],
+    "single_node": SINGLE_NODE,
+    "single_node_injector": SINGLE_NODE + INJECTOR,
+    "single_node_malformed": SINGLE_NODE + INJECTOR + ["--malformed", "0.3"],
 }
+FAULT_ROWS = ["request_faults_rejected", "queue_faults_shed",
+              "backend_faults_failed_over"]
 
 
 class TestTheGateReadsTheLedger:
@@ -127,12 +118,10 @@ class TestTheGateReadsTheLedger:
         assert code == 0, out
         rows = [ln.split()[0] for ln in out.splitlines()
                 if " fired=" in ln]
-        invariants = ["no_lost_requests"]
-        if mode != "single_node":
-            invariants += ["replica_mirrors_clean", "fleet_readmitted"]
-        assert rows[-len(invariants):] == invariants
-        assert ("shard.crash" in rows) == (mode == "sharded_injector")
-        assert ("fault rows skipped" in out) == (mode == "sharded_malformed")
+        faults = FAULT_ROWS if mode == "single_node_injector" else []
+        assert rows == faults + ["no_lost_requests"]
+        assert ("fault rows skipped" in out) == (
+            mode == "single_node_malformed")
         assert "PASS: zero non-finite outputs, ledgers reconcile" in out
 
 

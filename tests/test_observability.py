@@ -1,13 +1,10 @@
 """Tests for the ISSUE-7 observability plane.
 
 The acceptance spec: sampled requests produce span trees crossing
-router -> shard dispatch -> slice ladder -> TT kernels with correct
-parentage; two same-seed chaos runs (including ``--kill-shard``) emit
-byte-identical ``repro.trace/v1`` files, identical SLO verdicts, and
-byte-identical flight-recorder dumps; the SLO engine fires multi-window
-burn-rate episodes with exemplar trace ids; and the interpolated
-histogram quantile stays within one bucket width of the exact
-percentile.
+batch -> table ladder -> TT kernels with correct parentage; the SLO
+engine fires multi-window burn-rate episodes with exemplar trace ids;
+and the interpolated histogram quantile stays within one bucket width of
+the exact percentile.
 """
 
 import ast
@@ -27,12 +24,6 @@ from repro.serving import (
     ManualClock,
     ServerConfig,
     run_load,
-)
-from repro.sharding import (
-    ShardConfig,
-    ShardRouter,
-    parse_kill_spec,
-    run_sharded_load,
 )
 from repro.telemetry import (
     REPORT_SCHEMA,
@@ -78,7 +69,6 @@ CFG = DLRMConfig(table_sizes=SPEC.table_sizes, emb_dim=8,
 def _fresh_telemetry():
     reg = get_registry()
     reg.reset(prefix="serving.")
-    reg.reset(prefix="shard.")
     yield
     get_request_tracer().shutdown()
     uninstall_flight_recorder()
@@ -86,7 +76,6 @@ def _fresh_telemetry():
     disable_tracing()
     get_tracer().reset()
     reg.reset(prefix="serving.")
-    reg.reset(prefix="shard.")
 
 
 @pytest.fixture(scope="module")
@@ -113,9 +102,8 @@ def drill_policy() -> dict:
     }
 
 
-def run_drill(predictor, tmp_path, tag, *, kill="1@60ms",
-              trace_sample=5, requests=150):
-    """One sharded chaos run with tracing + SLO + flight recorder armed."""
+def run_drill(predictor, tmp_path, tag, *, trace_sample=5, requests=150):
+    """One served run with tracing + SLO + flight recorder armed."""
     clock = ManualClock()
     trace_path = tmp_path / f"trace-{tag}.jsonl"
     flight_dir = tmp_path / f"flight-{tag}"
@@ -124,17 +112,13 @@ def run_drill(predictor, tmp_path, tag, *, kill="1@60ms",
                  clock=clock.now, seed=0)
     install_flight_recorder(FlightRecorder(flight_dir, clock=clock.now))
     slo = SLOEngine(load_policy(drill_policy()), min_count=10)
-    router = ShardRouter(
+    server = InferenceServer(
         predictor,
         config=ServerConfig(default_deadline_ms=100.0, cooldown=10),
-        shard_config=ShardConfig(num_shards=3),
         clock=clock,
     )
-    report = run_sharded_load(
-        router, num_requests=requests, deadline_ms=100.0, seed=0,
-        clock=clock, slo=slo,
-        kill_specs=[parse_kill_spec(kill)] if kill else None,
-    )
+    report = run_load(server, num_requests=requests, deadline_ms=100.0,
+                      seed=0, clock=clock, slo=slo)
     rt.shutdown()
     uninstall_flight_recorder()
     return report, trace_path, flight_dir
@@ -422,40 +406,22 @@ def emitted_names(tree) -> dict[str, set[str]]:
     """Every span, event and metric name ``src/repro`` can emit, read off
     the session parse by the metric check's own resolver
     (``tree_checks.static_names``): f-strings over class-level literals
-    (``site_prefix``) or a literal comprehension become exact names, the
-    rest ``*`` patterns. A wrapper that forwards its own parameter
-    (``SupervisedWorker._event``) contributes its callers' arguments."""
+    or a literal comprehension become exact names, the rest ``*``
+    patterns."""
     src = [m for m in tree if m.path.startswith("src/repro/")]
-    literals, self_calls = class_literals(src), {}  # self.<method>(…)
-    for m in src:
-        for node in m.nodes:
-            if (isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and getattr(node.func.value, "id", None) == "self"):
-                self_calls.setdefault(node.func.attr, []).append((m, node))
+    literals = class_literals(src)
     out = {"Spans": set(), "Events": set(), "Metrics": set()}
     entry = {"trace": out["Spans"], "emit_event": out["Events"]}
     for m in src:
-        for fn in m.nodes:
-            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        for node in m.nodes:
+            if not (isinstance(node, ast.Call) and node.args):
                 continue
-            params = [a.arg for a in fn.args.args if a.arg != "self"]
-            for node in ast.walk(fn):
-                if not (isinstance(node, ast.Call) and node.args):
-                    continue
-                head, _, leaf = (m.resolve(node.func) or "").rpartition(".")
-                if not head.startswith("repro.telemetry") or leaf not in entry:
-                    continue
-                arg = node.args[0]
-                args = [(m, arg)]
-                if isinstance(arg, ast.Name) and arg.id in params:
-                    pos = params.index(arg.id)
-                    args = [(caller, call.args[pos])
-                            for caller, call in self_calls[fn.name]]
-                for where, arg in args:
-                    found = static_names(where, arg, literals)
-                    assert found, f"{where.path}:{arg.lineno}: not static"
-                    entry[leaf].update(found)
+            head, _, leaf = (m.resolve(node.func) or "").rpartition(".")
+            if not head.startswith("repro.telemetry") or leaf not in entry:
+                continue
+            found = static_names(m, node.args[0], literals)
+            assert found, f"{m.path}:{node.lineno}: not static"
+            entry[leaf].update(found)
         for reg in registrations(m, literals):
             out["Metrics"].update(reg.keys)
     return out
@@ -484,7 +450,7 @@ class TestCatalogue:
                                                    emitted_names):
         emitted = emitted_names[section]
         listed = documented_names(section)
-        assert len(emitted) > 20 and len(listed) > 20
+        assert len(emitted) > 10 and len(listed) > 10
 
         def covered(name, by):
             return any(pattern_to_regex(other).match(name)
@@ -498,10 +464,10 @@ class TestCatalogue:
 
 
 # ---------------------------------------------------------------------- #
-# End-to-end: the sharded chaos drill
+# End-to-end: a served run with every listener armed
 # ---------------------------------------------------------------------- #
 
-class TestShardedDrill:
+class TestServingDrill:
     def test_spans_cross_every_layer_with_correct_parentage(
             self, predictor, tmp_path):
         report, trace_path, _ = run_drill(predictor, tmp_path, "layers")
@@ -510,10 +476,11 @@ class TestShardedDrill:
         deep = None
         for spans in traces.values():
             names = {s["name"] for s in spans}
-            if {"shard.dispatch", "shard.slice", "serving.pooled"} <= names:
+            if {"serving.pooled", "queue.wait"} <= names and any(
+                    n.startswith("tt.") for n in names):
                 deep = spans
                 break
-        assert deep is not None, "no trace crossed into the slice ladder"
+        assert deep is not None, "no trace crossed into the table ladder"
         by_id = {s["span_id"]: s for s in deep}
 
         def chain(rec):
@@ -525,70 +492,23 @@ class TestShardedDrill:
             return names
 
         pooled = next(s for s in deep if s["name"] == "serving.pooled")
-        assert chain(pooled) == ["serving.pooled", "shard.slice",
-                                 "shard.dispatch", "serving.batch",
+        assert chain(pooled) == ["serving.pooled", "serving.batch",
                                  "request"]
-        kernel = next((s for s in deep if s["name"].startswith("tt.")),
-                      None)
-        assert kernel is not None, "kernel spans missing from the trace"
+        kernel = next(s for s in deep if s["name"].startswith("tt."))
         assert "serving.pooled" in chain(kernel)
         waits = [s for s in deep if s["name"] == "queue.wait"]
-        assert waits and all(
-            by_id[w["parent_id"]]["name"] == "request" for w in waits
-        )
+        assert all(by_id[w["parent_id"]]["name"] == "request"
+                   for w in waits)
 
     def test_served_responses_carry_trace_ids(self, predictor, tmp_path):
-        report, trace_path, _ = run_drill(predictor, tmp_path, "ids",
-                                          kill=None)
+        report, trace_path, _ = run_drill(predictor, tmp_path, "ids")
         traces = read_trace(trace_path)
         assert report["served"] == 150
         assert len(traces) == 30  # 150 requests, every 5th sampled
 
-    def test_same_seed_runs_are_byte_identical(self, predictor, tmp_path):
-        r1, t1, f1 = run_drill(predictor, tmp_path, "a")
-        r2, t2, f2 = run_drill(predictor, tmp_path, "b")
-        assert t1.read_bytes() == t2.read_bytes()
-        assert r1["slo"] == r2["slo"]
-        d1 = sorted(p.name for p in f1.iterdir())
-        d2 = sorted(p.name for p in f2.iterdir())
-        assert d1 == d2 and d1, "flight dumps missing or mismatched"
-        for name in d1:
-            assert (f1 / name).read_bytes() == (f2 / name).read_bytes()
-
-    def test_kill_produces_slo_violation_with_resolvable_exemplars(
-            self, predictor, tmp_path):
-        report, trace_path, flight_dir = run_drill(
-            predictor, tmp_path, "slo")
-        slo = report["slo"]
-        assert slo["schema"] == REPORT_SCHEMA
-        assert slo["gate_passed"] is True  # gated objectives have slack
-        fidelity = next(o for o in slo["objectives"]
-                        if o["objective"]["name"] == "full-fidelity")
-        assert not fidelity["compliant"] and fidelity["episodes"]
-        exemplars = [e for ep in fidelity["episodes"]
-                     for e in ep["exemplar_trace_ids"]]
-        assert exemplars
-        traces = read_trace(trace_path)
-        resolvable = [e for e in exemplars if e in traces]
-        assert resolvable, f"no exemplar resolves in the trace file: " \
-                           f"{exemplars}"
-
-    def test_flight_recorder_dumps_on_shard_down(self, predictor,
-                                                 tmp_path):
-        report, _, flight_dir = run_drill(predictor, tmp_path, "fr")
-        dumps = sorted(p.name for p in flight_dir.iterdir())
-        assert "flightrec-shard-down.json" in dumps
-        doc = json.loads(
-            (flight_dir / "flightrec-shard-down.json").read_text())
-        assert doc["schema"] == "repro.flightrec/v1"
-        assert any(e["type"] == "shard.marked_down" for e in doc["events"])
-        seqs = [e["seq"] for e in doc["events"]]
-        assert seqs == sorted(seqs)
-        assert doc["counters_delta"], "counter deltas missing"
-
     def test_reconciliation_survives_observability(self, predictor,
                                                    tmp_path):
-        report, _, _ = run_drill(predictor, tmp_path, "recon", kill=None)
+        report, _, _ = run_drill(predictor, tmp_path, "recon")
         recon = report["reconciliation"]
         lost = recon["checks"]["no_lost_requests"]
         assert lost["passed"], "exact-ledger semantics regressed"
@@ -686,22 +606,22 @@ class TestSLOEngine:
                 {"name": "lat", "metric": "latency", "target": 0.5,
                  "threshold_ms": 10.0,
                  "windows": [{"ms": 100, "max_burn": 100.0}]},
-                {"name": "fresh", "metric": "staleness", "target": 0.5,
-                 "windows": [{"ms": 100, "max_burn": 100.0}]},
             ],
         }), min_count=1)
         eng.observe("served", now=1.0, latency_ms=5.0)
         eng.observe("served", now=2.0, latency_ms=50.0)
         eng.observe("shed", now=3.0)  # latency objective ignores sheds
-        eng.observe("replica_check", now=4.0)
-        eng.observe("staleness", now=5.0, count=3)
-        rep = eng.report(6.0)
-        lat = next(o for o in rep["objectives"]
-                   if o["objective"]["name"] == "lat")
-        fresh = next(o for o in rep["objectives"]
-                     if o["objective"]["name"] == "fresh")
+        (lat,) = eng.report(6.0)["objectives"]
         assert (lat["good"], lat["bad"]) == (1, 1)
-        assert (fresh["good"], fresh["bad"]) == (1, 3)
+        # No tier reports replica staleness: the metric is not accepted.
+        with pytest.raises(ValueError, match="staleness"):
+            load_policy({
+                "schema": "repro.slo/v1",
+                "objectives": [
+                    {"name": "fresh", "metric": "staleness", "target": 0.5,
+                     "windows": [{"ms": 100, "max_burn": 100.0}]},
+                ],
+            })
 
     @pytest.mark.parametrize("mutate", [
         lambda d: d.update(schema="nope"),

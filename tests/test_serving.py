@@ -524,6 +524,17 @@ class TestInferenceServer:
         assert kept["fired"] == report["outcomes"]["queued"]
         assert kept["counted"] == report["served"] + report["shed"]["deadline"]
 
+    def test_run_load_rejects_bad_arguments(self, predictor):
+        """A run that would serve nothing, divide by zero or draw a
+        negative gap is refused before it starts, naming the argument."""
+        server, clock = build_server(predictor)
+        for name, value in [("num_requests", 0), ("num_requests", -5),
+                            ("mean_interarrival_ms", -1.0),
+                            ("malformed", 2.0)]:
+            with pytest.raises(ValueError, match=name):
+                run_load(server, clock=clock, **{name: value})
+        assert server.stats()["requests"] == 0
+
     def test_breaker_recovery_closes_after_faults_stop(self, predictor):
         inj = FaultInjector(seed=5).register("serving.backend", 1.0,
                                              kind="nan")

@@ -184,7 +184,8 @@ def predictor():
 
 
 def reference_tables(batch, num_tables):
-    """The per-table loop ``ServingFrontEnd.step`` ran before PR 19."""
+    """The per-table loop the server's step used to run: one
+    concatenation per table over the batch."""
     tables = []
     for t in range(num_tables):
         counts = np.array([r.values[t].size for r in batch], dtype=np.int64)
@@ -213,8 +214,8 @@ class TestBatchingOnePass:
         assert size <= server.config.max_batch
         seen = {}
         pool = server._pool
-        monkeypatch.setattr(server, "_pool", lambda batch, tables, now: (
-            seen.update(batch=batch, tables=tables), pool(batch, tables, now))[1])
+        monkeypatch.setattr(server, "_pool", lambda batch, tables: (
+            seen.update(batch=batch, tables=tables), pool(batch, tables))[1])
         served = []
         for ladder in server.ladders:
             serve = ladder.serve

@@ -4,7 +4,7 @@
 fixture in ``conftest.py``) and must be clean, with no suppressions. Fixture
 files under ``tests/fixtures/lint/`` each plant the violations one check
 should catch; the directory mirrors the scopes (``repro/tt``,
-``repro/cache``, ``repro/runtime``), so the real scopes apply to them.
+``repro/cache``, ``repro/serving``), so the real scopes apply to them.
 
 Replay over another checkout (docs/STATIC_ANALYSIS.md, "The audit")::
 
@@ -129,7 +129,7 @@ class TestContractPasses:
         ]
 
     def test_xmod004_state_machine_drift(self):
-        found = xmod004(fixture("repro/runtime"))
+        found = xmod004(fixture("repro/serving"))
         assert located(found) == [
             ("dispatch.py", 5),    # comparison against a typo'd state
             ("dispatch.py", 15),   # non-exhaustive chain, no else
@@ -143,12 +143,12 @@ class TestContractPasses:
         # (`self.state = to` after `if to == "limbo"`): the comparison in
         # dispatch.py must not be reported as dead.
         assert not any("'limbo'" in f.message and "never assigned" in f.message
-                       for f in xmod004(fixture("repro/runtime")))
+                       for f in xmod004(fixture("repro/serving")))
 
     def test_xmod004_single_guard_if_is_not_a_chain(self):
         # dispatch.py has two single-branch guards (lines 5 and 11); only
         # the real if/elif chain at line 15 may report missing states.
-        found = xmod004(fixture("repro/runtime"))
+        found = xmod004(fixture("repro/serving"))
         assert [f.line for f in found if "if/elif" in f.message] == [15]
 
 

@@ -36,7 +36,7 @@ SKIP = {"__pycache__", "build", "dist"}
 HOT_PATH = ("repro/tt", "repro/ops", "repro/cache", "repro/baselines",
             "repro/compress")
 MUTATION_SCOPE = ("repro/tt/kernels.py", "repro/cache")
-STATE_SCOPE = ("repro/runtime", "repro/sharding", "repro/distributed")
+STATE_SCOPE = ("repro/serving",)
 STATE_ATTRS = {"state", "verdict"}
 
 Finding = namedtuple("Finding", "rule path line message")
