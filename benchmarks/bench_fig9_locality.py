@@ -4,13 +4,13 @@ For the three largest tables, count cumulative access frequencies every 3%
 of the training stream and report the fraction of the top-10k (scaled:
 top-k) set that changed between consecutive checkpoints. The paper finds
 the hot set stabilises early — the property the semi-dynamic cache relies
-on.
+on. Each block is :func:`repro.analysis.locality.stability_series`, which
+``repro report`` also writes to REPORT.md.
 """
 
 from conftest import banner
 
-from repro.analysis.locality import top_set_stability
-from repro.bench import format_series
+from repro.analysis.locality import stability_series, top_set_stability
 from repro.data import SyntheticCTRDataset
 
 
@@ -31,14 +31,7 @@ def test_fig9_locality(benchmark, kaggle_small):
     traces = benchmark.pedantic(compute, rounds=1, iterations=1)
     banner(f"Fig. 9: change in the top-{k} accessed rows every 3% of training")
     for name, trace in traces.items():
-        print(format_series(
-            name,
-            [f"{c:.0%}" for c in trace.checkpoints[1:]],
-            [f"{f:.4f}" for f in trace.change_fraction],
-            x_label="progress", y_label="set change fraction",
-        ))
-        print(f"  stabilises (<=2% change) at {trace.stabilization_point(0.02):.0%} "
-              "of training\n")
+        print(stability_series(trace, name) + "\n")
     print("paper: the hot set stabilises well before training ends "
           "(~5% for Terabyte, ~50% for Kaggle)")
     for trace in traces.values():

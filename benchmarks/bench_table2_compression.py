@@ -1,65 +1,24 @@
-"""Paper Table 2 + §6 headline compression numbers (exact arithmetic).
+"""Paper Table 2 (exact arithmetic).
 
-Regenerates, from the real Criteo cardinalities:
-
-- Table 2: TT-core shapes, parameter counts and per-table memory
-  reductions of Kaggle's 7 largest tables at ranks 16/32/64 — these match
-  the paper bit-exactly (verified in tests/test_analysis.py);
-- the §6 headline: whole-model compression for Kaggle (117x) and
-  Terabyte at rank 32 with 7 tables compressed.
+Regenerates, from the real Criteo cardinalities, the TT-core shapes,
+parameter counts and per-table memory reductions of Kaggle's 7 largest
+tables at ranks 16/32/64. They match the paper bit-exactly (verified in
+tests/test_analysis.py). The rows are :func:`repro.analysis.memory.table2_table`,
+the same rows ``repro report`` writes to REPORT.md.
 """
 
 from conftest import banner
 
-from repro.analysis.memory import model_size_summary, table2_rows
+from repro.analysis.memory import table2_table
 from repro.bench import format_table
-from repro.data import KAGGLE, TERABYTE
-
-
-def _table2_report() -> list:
-    rows = []
-    for r in sorted(table2_rows(KAGGLE), key=lambda r: (-r.num_rows, r.rank)):
-        rows.append([
-            r.num_rows, r.emb_dim,
-            " x ".join(str(s) for s in r.core_shapes),
-            r.rank, r.tt_params, round(r.memory_reduction),
-        ])
-    return rows
+from repro.data import KAGGLE
 
 
 def test_table2(benchmark):
-    rows = benchmark(_table2_report)
+    headers, rows = benchmark(table2_table, KAGGLE)
     banner("Table 2: TT decomposition of Kaggle's 7 largest embedding tables")
-    print(format_table(
-        ["# Rows", "Emb. Dim", "TT-Core Shapes", "R", "# TT Params", "Mem. Reduction"],
-        rows,
-    ))
+    print(format_table(headers, rows))
     assert len(rows) == 21
     # Spot-check the first paper row: 10131227 @ R=16 -> 135040 params, 1200x.
-    top16 = next(r for r in rows if r[0] == 10131227 and r[3] == 16)
-    assert top16[4] == 135040 and top16[5] == 1200
-
-
-def test_headline_compression(benchmark):
-    def compute():
-        return {
-            spec.name: {
-                n: model_size_summary(spec, num_tt_tables=n, rank=32)
-                for n in (3, 5, 7)
-            }
-            for spec in (KAGGLE, TERABYTE)
-        }
-
-    summaries = benchmark(compute)
-    banner("Headline model-size reduction (rank 32)")
-    rows = []
-    for name, by_n in summaries.items():
-        for n, s in by_n.items():
-            rows.append([
-                name, n, f"{s.baseline_gb:.2f} GB",
-                f"{s.compressed_mb:.2f} MB", f"{s.reduction:.1f}x",
-            ])
-    print(format_table(["dataset", "TT-Emb.", "baseline", "compressed", "reduction"], rows))
-    print("\npaper: Kaggle 2.16 GB -> ~18 MB (117x); 4x / 48x / 117x for 3/5/7 tables")
-    kaggle7 = summaries["kaggle"][7]
-    assert 115 < kaggle7.reduction < 120
+    top16 = next(r for r in rows if r[0] == 10131227 and r[2] == 16)
+    assert top16[3] == 135040 and top16[4] == "1200x"

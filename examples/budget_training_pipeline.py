@@ -2,12 +2,14 @@
 
 Chains the library's ops the way a deployment would:
 
-1. **Plan**: pick TT ranks for a memory budget with the auto-tuner
-   (`repro.analysis.autotune`) — no hand sweeping.
-2. **Train**: build the planned model and train it at a constant
-   learning rate.
-3. **Checkpoint**: save to .npz, reload into a fresh process-like model,
-   verify bit-identical predictions.
+1. **Plan**: pick a compressor and its knobs per table for a byte budget
+   with the budget planner (`repro.compress.BudgetPlanner`, the one behind
+   `repro plan-budget`) — no hand sweeping.
+2. **Train**: build the planned model (`repro.models.ttrec.build_from_plan`)
+   and train it at a constant learning rate.
+3. **Checkpoint**: save with `CheckpointManager` (parameters plus each
+   table's extra state, such as ALPT's integer codes), restore into a
+   fresh build of the plan, verify bit-identical predictions.
 4. **Serve**: quantize the small dense tables for inference and report
    the final serving footprint.
 
@@ -15,29 +17,17 @@ Run:  python examples/budget_training_pipeline.py [--budget-mb 0.25]
 """
 
 import argparse
+import tempfile
 
 import numpy as np
 
 from repro import DLRMConfig, Trainer
-from repro.analysis.autotune import plan_compression
 from repro.baselines import QuantizedEmbeddingBag
+from repro.compress import BudgetPlanner, TableStats
 from repro.data import KAGGLE, SyntheticCTRDataset
-from repro.models import TTConfig, load_model, save_model
-from repro.models.dlrm import DLRM
+from repro.models.ttrec import build_from_plan
 from repro.ops import EmbeddingBag
-from repro.tt import TTEmbeddingBag
-
-
-def build_from_plan(plan, cfg, rng_seed=0):
-    rng = np.random.default_rng(rng_seed)
-    embeddings = []
-    for t in plan.tables:
-        if t.compress:
-            embeddings.append(TTEmbeddingBag(t.num_rows, cfg.emb_dim,
-                                             rank=t.rank, rng=rng))
-        else:
-            embeddings.append(EmbeddingBag(t.num_rows, cfg.emb_dim, rng=rng))
-    return DLRM(cfg, embeddings, rng=rng)
+from repro.reliability import CheckpointManager
 
 
 def main():
@@ -46,24 +36,25 @@ def main():
                         help="embedding budget for the scaled model")
     parser.add_argument("--scale", type=float, default=0.0005)
     parser.add_argument("--iters", type=int, default=300)
-    parser.add_argument("--checkpoint", default="/tmp/ttrec_demo.npz")
+    parser.add_argument("--checkpoint", default=None,
+                        help="checkpoint directory (default: a new temporary one)")
     args = parser.parse_args()
+    checkpoint_dir = args.checkpoint or tempfile.mkdtemp(prefix="ttrec_demo_")
 
     # 1. Plan ------------------------------------------------------------ #
     spec = KAGGLE.scaled(args.scale)
     cfg = DLRMConfig(table_sizes=spec.table_sizes, emb_dim=8,
                      bottom_mlp=(32, 16), top_mlp=(32,))
-    budget_params = int(args.budget_mb * 1e6 / 4)
-    plan = plan_compression(spec.table_sizes, cfg.emb_dim,
-                            budget_params=budget_params, min_rows=60,
-                            candidate_ranks=(2, 4, 8, 16, 32))
-    print(f"plan: {len(plan.compressed_indices())} tables compressed, "
-          f"{plan.total_params():,} params "
-          f"({plan.total_params() * 4 / 1e6:.2f} MB), "
-          f"{plan.compression_ratio():.1f}x vs dense")
+    tables = [TableStats(num_rows=n, dim=cfg.emb_dim, name=f"emb{i}")
+              for i, n in enumerate(spec.table_sizes)]
+    plan = BudgetPlanner(tables, min_compress_rows=60).plan(
+        int(args.budget_mb * 1e6))
+    print(f"plan: {plan.total_bytes():,} B of {plan.budget_bytes:,} B, "
+          f"{plan.compression_ratio():.1f}x vs dense, "
+          f"kinds {sorted(set(plan.kinds()))}")
 
     # 2. Train ----------------------------------------------------------- #
-    model = build_from_plan(plan, cfg)
+    model = build_from_plan(plan, config=cfg, rng=0)
     ds = SyntheticCTRDataset(spec, seed=0, noise=0.7)
     trainer = Trainer(model, lr=0.15)
 
@@ -76,14 +67,15 @@ def main():
     print(f"trained: {ev}")
 
     # 3. Checkpoint round-trip ------------------------------------------- #
-    save_model(model, args.checkpoint)
-    fresh = build_from_plan(plan, cfg, rng_seed=123)
-    load_model(fresh, args.checkpoint)
+    manager = CheckpointManager(checkpoint_dir)
+    manager.save(args.iters, model)
+    fresh = build_from_plan(plan, config=cfg, rng=123)
+    manager.restore(fresh, step=args.iters)
     probe = ds.batch(64)
     drift = np.abs(model.forward(probe.dense, probe.sparse)
                    - fresh.forward(probe.dense, probe.sparse)).max()
     print(f"checkpoint round-trip: max logit drift {drift:.2e} "
-          f"({args.checkpoint})")
+          f"({checkpoint_dir})")
 
     # 4. Quantize the remaining dense tables for serving ------------------ #
     served_params = 0

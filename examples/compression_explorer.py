@@ -11,7 +11,7 @@ Run:  python examples/compression_explorer.py [--rows 10131227] [--dim 16]
 import argparse
 
 from repro import TTShape
-from repro.analysis.memory import model_size_summary, table2_rows
+from repro.analysis.memory import model_size_table, table2_table
 from repro.bench import format_table
 from repro.data import KAGGLE, TERABYTE
 
@@ -35,17 +35,9 @@ def explore_table(rows: int, dim: int):
 
 def criteo_summary():
     print("\nPaper Table 2 (Kaggle's 7 largest tables):\n")
-    rows = [[r.num_rows, r.rank, r.tt_params, f"{r.memory_reduction:.0f}x"]
-            for r in table2_rows(KAGGLE)]
-    print(format_table(["# rows", "rank", "TT params", "reduction"], rows))
+    print(format_table(*table2_table(KAGGLE)))
     print("\nWhole-model compression (rank 32):\n")
-    out = []
-    for spec in (KAGGLE, TERABYTE):
-        for n in (3, 5, 7):
-            s = model_size_summary(spec, num_tt_tables=n, rank=32)
-            out.append([spec.name, n, f"{s.baseline_gb:.2f} GB",
-                        f"{s.compressed_mb:.1f} MB", f"{s.reduction:.1f}x"])
-    print(format_table(["dataset", "tables", "baseline", "compressed", "reduction"], out))
+    print(format_table(*model_size_table((KAGGLE, TERABYTE))))
 
 
 def main():

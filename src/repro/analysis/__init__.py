@@ -1,7 +1,8 @@
 """Analyses behind the paper's tables and figures.
 
 - :mod:`~repro.analysis.memory` — compression arithmetic (Table 2, Fig. 5,
-  the 117x/112x headline numbers). Exact, no training needed.
+  the §6 headline: 117x for Kaggle, 237x for this repo's Terabyte spec;
+  see EXPERIMENTS.md's Terabyte note). Exact, no training needed.
 - :mod:`~repro.analysis.distributions` — product-of-RV PDFs and KL
   divergences (Fig. 3, Table 1 analytics).
 - :mod:`~repro.analysis.locality` — frequently-accessed-row stability
@@ -10,7 +11,6 @@
   accuracy-vs-memory sweeps and Pareto frontiers (Fig. 1).
 """
 
-from repro.analysis.autotune import CompressionPlan, plan_compression
 from repro.analysis.memory import (
     model_size_summary,
     table2_rows,
@@ -23,6 +23,4 @@ __all__ = [
     "table2_rows",
     "model_size_summary",
     "pareto_frontier",
-    "plan_compression",
-    "CompressionPlan",
 ]

@@ -5,6 +5,9 @@ progress, takes the top-10k set at each checkpoint, and plots the fraction
 of the set that changed between consecutive checkpoints. A rapidly
 shrinking difference means the hot set stabilises early — the property
 that lets the semi-dynamic cache skip periodic re-warming.
+
+:func:`stability_series` is Fig. 9 as printed, series and stabilisation
+point; ``repro report`` and the Fig. 9 bench both print it.
 """
 
 from __future__ import annotations
@@ -13,7 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["StabilityTrace", "top_set_stability"]
+from repro.bench.reporting import format_series
+
+__all__ = ["StabilityTrace", "top_set_stability", "stability_series"]
 
 
 @dataclass(frozen=True)
@@ -81,3 +86,16 @@ def top_set_stability(stream: np.ndarray, *, k: int = 10_000,
         change_fraction=np.asarray(changes),
         k=k,
     )
+
+
+def stability_series(trace: StabilityTrace, title: str) -> str:
+    """Fig. 9 as printed: the change fraction at each checkpoint after the
+    first, then where the set change first drops to 2%."""
+    series = format_series(
+        title,
+        [f"{c:.0%}" for c in trace.checkpoints[1:]],
+        [f"{f:.4f}" for f in trace.change_fraction],
+        x_label="progress", y_label="change",
+    )
+    return (f"{series}\n\nstabilises (<=2% change) at "
+            f"{trace.stabilization_point(0.02):.0%} of the stream")

@@ -1,12 +1,19 @@
 """Model-size accounting: Table 2, Fig. 5 and the headline compression.
 
 All quantities here are exact arithmetic over the real Criteo
-cardinalities — no training involved — so this module reproduces the
-paper's memory numbers precisely:
+cardinalities — no training involved:
 
-- Table 2's TT parameter counts and per-table memory reductions,
-- Fig. 5's model sizes for TT-Emb of 3/5/7 at rank 32,
-- the 117x (Kaggle) / 112x (Terabyte) overall reductions of §6.
+- Table 2's TT parameter counts and per-table memory reductions, which
+  match the paper exactly;
+- Fig. 5's model sizes for TT-Emb of 3/5/7 at rank 32;
+- §6's overall reductions: 117x for Kaggle, as in the paper, and 237x for
+  Terabyte, embedding only, against the paper's 112x (this spec's
+  Terabyte cardinalities differ from the paper's; see EXPERIMENTS.md's
+  Terabyte note).
+
+:func:`table2_table` and :func:`model_size_table` are the printed rows
+of Table 2 and of Fig. 5 / the §6 headline; ``repro report``, the paper
+benches and ``examples/compression_explorer.py`` all print them.
 """
 
 from __future__ import annotations
@@ -20,8 +27,10 @@ __all__ = [
     "tt_shape_for_table",
     "Table2Row",
     "table2_rows",
+    "table2_table",
     "ModelSizeSummary",
     "model_size_summary",
+    "model_size_table",
 ]
 
 
@@ -67,6 +76,16 @@ def table2_rows(spec: DatasetSpec, *, num_tables: int = 7,
                 memory_reduction=shape.compression_ratio(),
             ))
     return rows
+
+
+def table2_table(spec: DatasetSpec) -> tuple[list[str], list[list]]:
+    """Table 2 as printed: ``(headers, rows)``, one row per (table, rank)."""
+    rows = [
+        [r.num_rows, " x ".join(map(str, r.core_shapes)), r.rank, r.tt_params,
+         f"{r.memory_reduction:.0f}x"]
+        for r in table2_rows(spec)
+    ]
+    return ["# rows", "TT cores", "rank", "params", "reduction"], rows
 
 
 @dataclass(frozen=True)
@@ -115,3 +134,16 @@ def model_size_summary(spec: DatasetSpec, *, num_tt_tables: int, rank: int,
         baseline_bytes=baseline * dtype_bytes,
         compressed_bytes=after * dtype_bytes,
     )
+
+
+def model_size_table(specs: tuple[DatasetSpec, ...]
+                     ) -> tuple[list[str], list[list]]:
+    """Fig. 5 and the §6 headline as printed: ``(headers, rows)``, one row
+    per (dataset, 3/5/7 TT tables at rank 32)."""
+    rows = []
+    for spec in specs:
+        for n in (3, 5, 7):
+            s = model_size_summary(spec, num_tt_tables=n, rank=32)
+            rows.append([spec.name, n, f"{s.baseline_gb:.2f} GB",
+                         f"{s.compressed_mb:.1f} MB", f"{s.reduction:.1f}x"])
+    return ["dataset", "TT tables", "baseline", "compressed", "reduction"], rows

@@ -3,16 +3,18 @@
 ``repro --help`` lists the subcommands and ``repro <cmd> --help`` each
 one's options; docs/ walks through them.
 
-Analyses that need no training (``table2``, ``sizes``, ``plan``, ...) are
-exact and instantaneous. The drills — ``train``, ``chaos``, ``profile``,
-``serve-bench`` — run the scaled synthetic dataset
-for a few seconds and stand on one scaffold ("The drill scaffold" below):
-one model recipe, one seeded-injector table, one context manager for the
-``--events-jsonl`` / ``--slo`` / ``--trace-sample`` / ``--flight-dir``
-listeners, one ledger table whose verdict is
-:func:`repro.serving.loadgen.reconcile_ledger`'s, one PASS/FAIL line
-and one ``--emit-json`` snapshot (schema ``repro.telemetry/v1``; see
-docs/OBSERVABILITY.md).
+``report`` writes the paper claims that need no training (Table 2,
+Fig. 5 and Fig. 9) from their row functions in :mod:`repro.analysis`;
+``plan`` reports the TT chain's contraction splits and ``plan-budget``
+picks a compressor per table under a byte budget. The drills —
+``train``, ``chaos``, ``profile``, ``serve-bench`` — run the scaled
+synthetic dataset for a few seconds and stand on one scaffold ("The
+drill scaffold" below): one model recipe, one seeded-injector table, one
+context manager for the ``--events-jsonl`` / ``--slo`` /
+``--trace-sample`` / ``--flight-dir`` listeners, one ledger table whose
+verdict is :func:`repro.serving.loadgen.reconcile_ledger`'s, one
+PASS/FAIL line and one ``--emit-json`` snapshot (schema
+``repro.telemetry/v1``; see docs/OBSERVABILITY.md).
 """
 
 from __future__ import annotations
@@ -26,39 +28,7 @@ import numpy as np
 __all__ = ["main", "build_parser"]
 
 
-def _cmd_table2(args) -> int:
-    from repro.analysis.memory import table2_rows
-    from repro.bench.reporting import format_table
-    from repro.data import KAGGLE
-
-    rows = [
-        [r.num_rows, " x ".join(map(str, r.core_shapes)), r.rank, r.tt_params,
-         f"{r.memory_reduction:.0f}x"]
-        for r in table2_rows(KAGGLE, ranks=tuple(args.ranks))
-    ]
-    print(format_table(["# rows", "TT cores", "rank", "params", "reduction"],
-                       rows, title="Paper Table 2 (exact)"))
-    return 0
-
-
-def _cmd_sizes(args) -> int:
-    from repro.analysis.memory import model_size_summary
-    from repro.bench.reporting import format_table
-    from repro.data import KAGGLE, TERABYTE
-
-    rows = []
-    for spec in (KAGGLE, TERABYTE):
-        for n in args.tables:
-            s = model_size_summary(spec, num_tt_tables=n, rank=args.rank)
-            rows.append([spec.name, n, f"{s.baseline_gb:.2f} GB",
-                         f"{s.compressed_mb:.1f} MB", f"{s.reduction:.1f}x"])
-    print(format_table(["dataset", "TT tables", "baseline", "compressed",
-                        "reduction"], rows,
-                       title=f"Model size at rank {args.rank} (Fig. 5 / §6)"))
-    return 0
-
-
-def _cmd_plan_kernel(args) -> int:
+def _cmd_plan(args) -> int:
     """Kernel-planner report: the chain's splits, predicted vs measured FLOPs."""
     from time import perf_counter_ns
 
@@ -124,34 +94,6 @@ def _cmd_plan_kernel(args) -> int:
     return 0
 
 
-def _cmd_plan(args) -> int:
-    if args.kernel:
-        return _cmd_plan_kernel(args)
-    from repro.analysis.autotune import plan_compression
-    from repro.bench.reporting import format_table
-    from repro.data import KAGGLE, TERABYTE
-
-    spec = {"kaggle": KAGGLE, "terabyte": TERABYTE}[args.dataset]
-    budget_params = int(args.budget_mb * 1e6 / 4)
-    plan = plan_compression(spec.table_sizes, spec.emb_dim,
-                            budget_params=budget_params)
-    rows = [
-        [t.table_index, f"{t.num_rows:,}",
-         "TT" if t.compress else "dense",
-         t.rank if t.compress else "-", f"{t.params:,}"]
-        for t in sorted(plan.tables, key=lambda t: -t.num_rows)[:args.top]
-    ]
-    print(format_table(
-        ["table", "rows", "format", "rank", "params"], rows,
-        title=(f"Plan for {args.dataset} under {args.budget_mb} MB "
-               f"({budget_params:,} params)"),
-    ))
-    print(f"\ntotal: {plan.total_params():,} params "
-          f"({plan.total_params() * 4 / 1e6:.1f} MB), "
-          f"compression {plan.compression_ratio():.1f}x")
-    return 0
-
-
 def _cmd_plan_budget(args) -> int:
     """Pick a compressor per table under a global byte budget."""
     import json
@@ -159,11 +101,18 @@ def _cmd_plan_budget(args) -> int:
     from repro.bench.reporting import format_table
     from repro.compress import BudgetPlanner, TableStats
 
+    if args.top < 1:
+        print(f"error: --top must be >= 1, got {args.top}")
+        return 1
     if args.tables_file:
         with open(args.tables_file, encoding="utf-8") as fh:
             doc = json.load(fh)
         docs = doc["tables"] if isinstance(doc, dict) else doc
-        tables = [TableStats.from_doc(d) for d in docs]
+        try:
+            tables = [TableStats.from_doc(d) for d in docs]
+        except KeyError as exc:
+            print(f"error: a table in {args.tables_file} has no {exc} field")
+            return 1
         source = args.tables_file
     else:
         from repro.data import KAGGLE, TERABYTE
@@ -176,14 +125,12 @@ def _cmd_plan_budget(args) -> int:
                   for i, size in enumerate(spec.table_sizes)]
         source = args.dataset
 
-    planner = BudgetPlanner(
-        tables, mode=args.mode, seed=args.seed,
-        include_inference_only=args.include_inference_only,
-        min_compress_rows=args.min_compress_rows,
-    )
-    budget_bytes = int(args.budget_mb * 1e6)
     try:
-        plan = planner.plan(budget_bytes)
+        plan = BudgetPlanner(
+            tables, mode=args.mode, seed=args.seed,
+            include_inference_only=args.include_inference_only,
+            min_compress_rows=args.min_compress_rows,
+        ).plan(int(args.budget_mb * 1e6))
     except ValueError as exc:
         print(f"error: {exc}")
         return 1
@@ -209,44 +156,29 @@ def _cmd_plan_budget(args) -> int:
     return 0
 
 
-def _cmd_locality(args) -> int:
-    from repro.analysis.locality import top_set_stability
-    from repro.bench.reporting import format_series
+def _cmd_report(args) -> int:
+    """Write the paper claims that need no training to one markdown report."""
+    from repro.analysis.locality import stability_series, top_set_stability
+    from repro.analysis.memory import model_size_table, table2_table
+    from repro.bench.reporting import format_table
+    from repro.data import KAGGLE, TERABYTE
     from repro.data.zipf import ZipfSampler
 
-    sampler = ZipfSampler(args.rows, args.zipf, rng=args.seed)
-    stream = sampler.sample(args.accesses)
-    trace = top_set_stability(stream, k=args.k, checkpoint_fraction=0.03)
-    print(format_series(
-        f"top-{args.k} set churn (Zipf s={args.zipf}, {args.rows:,} rows)",
-        [f"{c:.0%}" for c in trace.checkpoints[1:]],
-        [f"{f:.4f}" for f in trace.change_fraction],
-        x_label="progress", y_label="change",
-    ))
-    print(f"\nstabilises (<=2% change) at "
-          f"{trace.stabilization_point(0.02):.0%} of the stream")
-    return 0
-
-
-def _cmd_report(args) -> int:
-    """Write every no-training analysis to one markdown report."""
-    import io
-
-    sections = []
-    for title, argv in (
-        ("Paper Table 2 (exact)", ["table2"]),
-        ("Model sizes (Fig. 5 / §6)", ["sizes"]),
-        ("Auto-tuned plan, 19 MB Kaggle budget",
-         ["plan", "--budget-mb", "19"]),
-        ("Hot-set stability (Fig. 9 style)",
-         ["locality", "--rows", "50000", "--accesses", "150000",
-          "--k", "500"]),
-    ):
-        buf = io.StringIO()
-        with contextlib.redirect_stdout(buf):
-            main(argv)
-        sections.append(f"## {title}\n\n```\n{buf.getvalue().strip()}\n```\n")
-    body = "# TT-Rec analysis report\n\n" + "\n".join(sections)
+    rows, zipf_s, k = 50_000, 1.05, 500
+    trace = top_set_stability(ZipfSampler(rows, zipf_s, rng=0).sample(150_000),
+                              k=k, checkpoint_fraction=0.03)
+    sections = {
+        "Paper Table 2 (exact)": format_table(
+            *table2_table(KAGGLE), title="Paper Table 2 (exact)"),
+        "Model sizes (Fig. 5 / §6)": format_table(
+            *model_size_table((KAGGLE, TERABYTE)),
+            title="Model size at rank 32 (Fig. 5 / §6)"),
+        "Hot-set stability (Fig. 9 style)": stability_series(
+            trace, f"top-{k} set churn (Zipf s={zipf_s}, {rows:,} rows)"),
+    }
+    body = "# TT-Rec analysis report\n\n" + "\n".join(
+        f"## {title}\n\n```\n{text.strip()}\n```\n"
+        for title, text in sections.items())
     with open(args.out, "w") as fh:
         fh.write(body)
     print(f"wrote {args.out} ({len(body)} bytes, {len(sections)} sections)")
@@ -714,47 +646,41 @@ def _cmd_slo_report(args) -> int:
     return 0 if rep["gate_passed"] else 1
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for a count that must be at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro", description="TT-Rec reproduction toolkit"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("table2", help="regenerate paper Table 2 (exact)")
-    p.add_argument("--ranks", type=int, nargs="+", default=[16, 32, 64])
-    p.set_defaults(fn=_cmd_table2)
-
-    p = sub.add_parser("sizes", help="whole-model compression (Fig. 5 / §6)")
-    p.add_argument("--rank", type=int, default=32)
-    p.add_argument("--tables", type=int, nargs="+", default=[3, 5, 7])
-    p.set_defaults(fn=_cmd_sizes)
-
     p = sub.add_parser(
         "plan",
-        help="auto-tune ranks for a memory budget, or (--kernel) report "
-             "the TT chain's contraction splits",
+        help="report the TT chain's contraction splits and predicted vs "
+             "measured FLOPs (docs/KERNELS.md)",
     )
-    p.add_argument("--dataset", choices=["kaggle", "terabyte"], default="kaggle")
-    p.add_argument("--budget-mb", type=float, default=20.0)
-    p.add_argument("--top", type=int, default=10, help="tables to display")
-    p.add_argument("--kernel", action="store_true",
-                   help="kernel-planner mode: the chain's contraction splits "
-                        "and predicted vs measured FLOPs (docs/KERNELS.md)")
-    p.add_argument("--rows", type=int, default=100_000,
-                   help="[--kernel] logical table rows")
-    p.add_argument("--dim", type=int, default=16, help="[--kernel] embedding dim")
-    p.add_argument("--rank", type=int, default=16, help="[--kernel] TT rank")
-    p.add_argument("--d", type=int, default=3, help="[--kernel] TT cores")
-    p.add_argument("--batch", type=int, default=4096, help="[--kernel] batch size")
-    p.add_argument("--pooling", type=int, default=1,
-                   help="[--kernel] lookups per bag")
+    p.add_argument("--rows", type=_positive_int, default=100_000,
+                   help="logical table rows")
+    p.add_argument("--dim", type=int, default=16, help="embedding dim")
+    p.add_argument("--rank", type=int, default=16, help="TT rank")
+    p.add_argument("--d", type=int, default=3, help="TT cores")
+    p.add_argument("--batch", type=_positive_int, default=4096,
+                   help="batch size")
+    p.add_argument("--pooling", type=_positive_int, default=1,
+                   help="lookups per bag")
     p.add_argument("--zipf", type=float, default=None,
-                   help="[--kernel] Zipf exponent (default: uniform traffic)")
+                   help="Zipf exponent (default: uniform traffic)")
     p.add_argument("--no-dedup", action="store_true",
-                   help="[--kernel] disable batch deduplication")
-    p.add_argument("--iters", type=int, default=20,
-                   help="[--kernel] timed iterations")
-    p.add_argument("--seed", type=int, default=0, help="[--kernel] workload seed")
+                   help="disable batch deduplication")
+    p.add_argument("--iters", type=_positive_int, default=20,
+                   help="timed iterations")
+    p.add_argument("--seed", type=int, default=0, help="workload seed")
     p.set_defaults(fn=_cmd_plan)
 
     p = sub.add_parser(
@@ -785,15 +711,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write the repro.budget_plan/v1 JSON here")
     p.set_defaults(fn=_cmd_plan_budget)
 
-    p = sub.add_parser("locality", help="hot-set stability trace (Fig. 9 style)")
-    p.add_argument("--rows", type=int, default=100_000)
-    p.add_argument("--zipf", type=float, default=1.05)
-    p.add_argument("--accesses", type=int, default=200_000)
-    p.add_argument("--k", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(fn=_cmd_locality)
-
-    p = sub.add_parser("report", help="write all no-training analyses to markdown")
+    p = sub.add_parser("report",
+                       help="write the no-training paper claims (Table 2, "
+                            "Fig. 5, Fig. 9) to markdown")
     p.add_argument("--out", default="REPORT.md")
     p.set_defaults(fn=_cmd_report)
 

@@ -3,9 +3,12 @@
 Cardinalities are those produced by the MLPerf-DLRM reference preprocessing
 (no ``max-ind-range`` hashing). The seven largest Kaggle tables match paper
 Table 2 exactly: 10131227, 8351593, 7046547, 5461306, 2202608, 286181,
-142572. Memory-accounting experiments (Table 2, Fig. 5, the 117x/112x
-headline numbers) run on these exact specs; training experiments run on
-:meth:`DatasetSpec.scaled` copies sized for CPU.
+142572. Memory-accounting experiments (Table 2, Fig. 5 and the §6
+headline) run on these exact specs; training experiments run on
+:meth:`DatasetSpec.scaled` copies sized for CPU. The headline on these
+specs is 117x for Kaggle, as in the paper, and 237x for Terabyte,
+embedding only, against the paper's 112x: the Terabyte cardinalities here
+differ from the paper's (EXPERIMENTS.md's Terabyte note).
 """
 
 from __future__ import annotations

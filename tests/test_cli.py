@@ -30,30 +30,8 @@ class TestParser:
 
 
 class TestCommands:
-    def test_table2(self, capsys):
-        assert main(["table2", "--ranks", "16"]) == 0
-        out = capsys.readouterr().out
-        assert "10131227" in out
-        assert "135040" in out  # exact paper value
-
-    def test_sizes(self, capsys):
-        assert main(["sizes", "--tables", "7"]) == 0
-        out = capsys.readouterr().out
-        assert "kaggle" in out and "terabyte" in out
-        assert "117" in out  # the headline reduction
-
-    def test_plan(self, capsys):
-        assert main(["plan", "--budget-mb", "20", "--top", "8"]) == 0
-        out = capsys.readouterr().out
-        assert "compression" in out
-        assert "TT" in out
-
-    def test_plan_impossible_budget_raises(self):
-        with pytest.raises(ValueError):
-            main(["plan", "--budget-mb", "0.001"])
-
     def test_plan_kernel(self, capsys):
-        assert main(["plan", "--kernel", "--rows", "5000", "--batch", "512",
+        assert main(["plan", "--rows", "5000", "--batch", "512",
                      "--zipf", "1.2", "--iters", "3", "--d", "4",
                      "--rank", "4"]) == 0
         out = capsys.readouterr().out
@@ -63,19 +41,42 @@ class TestCommands:
         assert "dedup removed" in out
 
     def test_plan_kernel_no_dedup(self, capsys):
-        assert main(["plan", "--kernel", "--rows", "2000", "--batch", "64",
+        assert main(["plan", "--rows", "2000", "--batch", "64",
                      "--iters", "2", "--no-dedup"]) == 0
         out = capsys.readouterr().out
         assert "dedup: off" in out
         assert "dedup removed:    0 of 64" in out
         with pytest.raises(SystemExit):  # the order is not an option
-            main(["plan", "--kernel", "--policy", "l2r"])
+            main(["plan", "--policy", "l2r"])
 
-    def test_locality(self, capsys):
-        assert main(["locality", "--rows", "2000", "--accesses", "20000",
-                     "--k", "50"]) == 0
-        out = capsys.readouterr().out
-        assert "stabilises" in out
+    @pytest.mark.parametrize("option", ["--iters", "--batch", "--pooling",
+                                        "--rows"])
+    def test_plan_rejects_counts_below_one(self, option, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["plan", "--rows", "2000", "--batch", "64", "--iters", "1",
+                  option, "0"])
+        assert exc.value.code == 2
+        assert f"argument {option}: must be >= 1, got 0" in capsys.readouterr().err
+
+    def test_plan_budget_empty_tables_file_is_an_error(self, tmp_path, capsys):
+        path = tmp_path / "tables.json"
+        path.write_text('{"tables": []}')
+        assert main(["plan-budget", "--budget-mb", "1",
+                     "--tables-file", str(path)]) == 1
+        assert capsys.readouterr().out == ("error: planner needs at least "
+                                           "one table\n")
+
+    def test_plan_budget_table_without_rows_is_an_error(self, tmp_path, capsys):
+        path = tmp_path / "tables.json"
+        path.write_text('{"tables": [{"dim": 8}]}')
+        assert main(["plan-budget", "--budget-mb", "1",
+                     "--tables-file", str(path)]) == 1
+        assert capsys.readouterr().out == (f"error: a table in {path} has no "
+                                           "'num_rows' field\n")
+
+    def test_plan_budget_rejects_top_below_one(self, capsys):
+        assert main(["plan-budget", "--budget-mb", "1", "--top", "-2"]) == 1
+        assert capsys.readouterr().out == "error: --top must be >= 1, got -2\n"
 
     def test_report_writes_markdown(self, tmp_path, capsys):
         out = tmp_path / "REPORT.md"
@@ -84,7 +85,7 @@ class TestCommands:
         assert body.startswith("# TT-Rec analysis report")
         assert "Paper Table 2" in body
         assert "135040" in body  # the exact Table 2 value
-        assert body.count("## ") == 4
+        assert body.count("## ") == 3
         # The committed report is a view of the code: regenerate, don't edit.
         assert body == (ROOT / "REPORT.md").read_text()
 

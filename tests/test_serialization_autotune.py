@@ -1,10 +1,8 @@
-"""Tests for model checkpointing and the rank auto-tuner."""
+"""Tests for model checkpointing."""
 
 import numpy as np
 import pytest
 
-from repro.analysis.autotune import plan_compression
-from repro.data import KAGGLE
 from repro.models import DLRMConfig, TTConfig, build_dlrm, build_ttrec
 from repro.models.serialization import (
     load_model,
@@ -115,57 +113,3 @@ class TestNpzRoundtrip:
         load_model(fresh, path)
         np.testing.assert_array_equal(model.parameters()[0].data,
                                       fresh.parameters()[0].data)
-
-
-class TestPlanCompression:
-    def test_fits_budget(self):
-        plan = plan_compression(KAGGLE.table_sizes, 16,
-                                budget_params=10_000_000)
-        assert plan.total_params() <= 10_000_000
-        assert plan.compression_ratio() > 1
-
-    def test_tighter_budget_lower_rank_or_more_tables(self):
-        loose = plan_compression(KAGGLE.table_sizes, 16, budget_params=20_000_000)
-        tight = plan_compression(KAGGLE.table_sizes, 16, budget_params=2_000_000)
-        assert tight.total_params() <= 2_000_000
-        assert tight.compression_ratio() > loose.compression_ratio()
-
-    def test_compresses_largest_first(self):
-        plan = plan_compression(KAGGLE.table_sizes, 16, budget_params=300_000_000)
-        compressed = plan.compressed_indices()
-        if compressed:
-            largest = max(range(26), key=lambda i: KAGGLE.table_sizes[i])
-            assert largest in compressed
-
-    def test_small_tables_stay_dense(self):
-        plan = plan_compression(KAGGLE.table_sizes, 16, budget_params=5_000_000,
-                                min_rows=100_000)
-        for t in plan.tables:
-            if t.num_rows < 100_000:
-                assert not t.compress
-
-    def test_impossible_budget_raises(self):
-        with pytest.raises(ValueError, match="unreachable"):
-            plan_compression(KAGGLE.table_sizes, 16, budget_params=1_000)
-
-    def test_headline_budget_matches_paper_rank(self):
-        """~4.6M params (18.4 MB) should pick rank 32 over 7 tables —
-        the paper's headline configuration."""
-        plan = plan_compression(KAGGLE.table_sizes, 16, budget_params=4_600_000)
-        assert len(plan.compressed_indices()) >= 7
-        ranks = {t.rank for t in plan.tables if t.compress}
-        assert 16 <= max(ranks) <= 64
-
-    def test_rank_query(self):
-        plan = plan_compression(KAGGLE.table_sizes, 16, budget_params=10_000_000)
-        idx = plan.compressed_indices()[0]
-        assert plan.rank_for(idx) is not None
-        with pytest.raises(KeyError):
-            plan.rank_for(999)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            plan_compression((100,), 16, budget_params=0)
-        with pytest.raises(ValueError):
-            plan_compression((100,), 16, budget_params=100,
-                             candidate_ranks=(8, 4))
