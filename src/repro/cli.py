@@ -252,17 +252,18 @@ def _injector(seed: int, sites: dict):
 
 
 @contextlib.contextmanager
-def _observed(args, clock=None):
+def _observed(args):
     """Arm the listeners the command has and was given, for one run.
 
     ``--events-jsonl`` (event sink), ``--slo`` (burn-rate engine),
     ``--trace-sample`` (request tracer) and ``--flight-dir`` (flight
-    recorder; the last two read ``clock``) are armed in that order and
+    recorder; both stamp ``monotonic_ms``) are armed in that order and
     detached — tracer, recorder, sink — on the way out, run or raise.
     Yields a namespace holding ``slo`` and ``recorder`` (``None`` when
     not armed).
     """
     from repro import telemetry
+    from repro.serving.queue import monotonic_ms
 
     armed = argparse.Namespace(slo=None, recorder=None)
     try:
@@ -273,11 +274,11 @@ def _observed(args, clock=None):
         if getattr(args, "trace_sample", 0) > 0:
             telemetry.get_request_tracer().configure(
                 sample_every=args.trace_sample, path=args.trace_jsonl,
-                clock=clock.now, seed=args.seed,
+                clock=monotonic_ms, seed=args.seed,
             )
         if getattr(args, "flight_dir", None):
             armed.recorder = telemetry.install_flight_recorder(
-                telemetry.FlightRecorder(args.flight_dir, clock=clock.now))
+                telemetry.FlightRecorder(args.flight_dir, clock=monotonic_ms))
         yield armed
     finally:
         telemetry.get_request_tracer().shutdown()
@@ -491,7 +492,7 @@ def _cmd_chaos(args) -> int:
 
 
 def _cmd_serve_bench(args) -> int:
-    """Closed-loop load test of the hardened serving runtime.
+    """Wall-clock load test of the hardened serving runtime.
 
     Exit is non-zero on any non-finite output, a ledger out of balance
     (``reconcile_ledger``: invariants on every run, fault rows when an
@@ -500,7 +501,7 @@ def _cmd_serve_bench(args) -> int:
     """
     from repro import telemetry
     from repro.inference import Predictor
-    from repro.serving import InferenceServer, ManualClock, ServerConfig, run_load
+    from repro.serving import InferenceServer, ServerConfig, run_load
 
     if args.budget_plan:
         from repro.compress import load_budget_plan
@@ -520,20 +521,19 @@ def _cmd_serve_bench(args) -> int:
         "serving.backend": (args.fault_rate,
                             {"kind": "nan", "max_elements": 4}),
     })
-    clock = ManualClock()
     config = ServerConfig(
         oov_policy=args.policy, max_depth=args.max_depth,
         max_batch=args.max_batch,
         default_deadline_ms=args.deadline_ms, cooldown=10,
     )
-    with _observed(args, clock) as obs:
+    with _observed(args) as obs:
         report = run_load(
             InferenceServer(Predictor(model), config=config,
-                            injector=injector, clock=clock),
+                            injector=injector),
             num_requests=args.requests,
             mean_interarrival_ms=args.interarrival_ms,
             deadline_ms=args.deadline_ms, malformed=args.malformed,
-            seed=args.seed, clock=clock, slo=obs.slo,
+            seed=args.seed, slo=obs.slo,
         )
 
     lat = report["latency_ms"]
@@ -768,9 +768,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_chaos)
 
     p = sub.add_parser("serve-bench",
-                       help="closed-loop load test of the hardened serving "
+                       help="wall-clock load test of the hardened serving "
                             "runtime (docs/SERVING.md)")
-    p.add_argument("--requests", type=int, default=1000)
+    p.add_argument("--requests", type=_positive_int, default=1000)
     p.add_argument("--rank", type=int, default=4)
     p.add_argument("--scale", type=float, default=0.0005)
     p.add_argument("--budget-plan", default=None, metavar="PATH",
@@ -780,12 +780,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--policy", choices=["clamp", "hash", "reject"],
                    default="clamp", help="out-of-vocabulary id policy")
-    p.add_argument("--max-depth", type=int, default=64,
+    p.add_argument("--max-depth", type=_positive_int, default=64,
                    help="queue depth bound (arrivals beyond it are shed)")
-    p.add_argument("--max-batch", type=int, default=32)
+    p.add_argument("--max-batch", type=_positive_int, default=32)
     p.add_argument("--deadline-ms", type=float, default=100.0)
     p.add_argument("--interarrival-ms", type=float, default=1.0,
-                   help="mean simulated gap between arrivals")
+                   help="mean gap between arrivals (ms)")
     p.add_argument("--malformed", type=float, default=0.0,
                    help="fraction of deliberately malformed requests")
     p.add_argument("--fault-rate", type=float, default=0.0,

@@ -12,7 +12,7 @@ The production tier in front of :class:`repro.inference.Predictor`:
 - :mod:`repro.serving.server` — the degradation ladder (cached hybrid →
   direct TT contraction → frequency-prior default row), health/readiness
   probes and the ``serving.*`` fault-injection sites;
-- :mod:`repro.serving.loadgen` — the closed-loop generator behind
+- :mod:`repro.serving.loadgen` — the wall-clock load generator behind
   ``repro serve-bench``, including fault-ledger reconciliation.
 """
 

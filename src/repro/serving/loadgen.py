@@ -1,11 +1,11 @@
-"""Closed-loop load generator for the serving runtime (``serve-bench``).
+"""Load generator for the serving runtime (``serve-bench``).
 
-Drives an :class:`~repro.serving.server.InferenceServer` on a
-:class:`~repro.serving.queue.ManualClock`: arrivals advance simulated
-time (exponential inter-arrival), while the service time is *measured*
-from the real forward pass and fed back into both the clock and the
-queue's deadline-feasibility EWMA. Its latency numbers therefore combine
-real compute cost with deterministic, reproducible queueing behaviour.
+Drives an :class:`~repro.serving.server.InferenceServer` on its own wall
+clock: arrivals fall due at exponential inter-arrival gaps, are submitted
+once due, and the server steps while its queue holds work. Every latency
+it reports is real time from arrival to answer, so the figures vary from
+run to run; the verdict does not, because the ledgers below balance
+under any timing.
 
 The generator can emit deliberately malformed traffic (NaN dense
 features, out-of-vocabulary ids, garbage offsets-style scalar abuse) at a
@@ -124,17 +124,12 @@ def reconcile(server, outcomes: dict, served: int, *,
 def run_load(server, *, num_requests: int = 1000,
              mean_interarrival_ms: float = 1.0,
              deadline_ms: float | None = None,
-             malformed: float = 0.0, seed: int = 0,
-             clock: ManualClock | None = None, slo=None) -> dict:
-    """Drive an :class:`InferenceServer` with a closed-loop synthetic
-    workload.
-
-    The loop alternates arrival bursts and serving steps: simulated time
-    advances by the exponential inter-arrival gaps and by each batch's
-    measured service time as the queue's EWMA reports it, so overload
-    genuinely backs the queue up and exercises shedding. When the queue
-    signals backpressure the generator halves its offered rate until the
-    backlog clears — the closed loop.
+             malformed: float = 0.0, seed: int = 0, slo=None) -> dict:
+    """Drive an :class:`InferenceServer` on ``server.clock`` with Poisson
+    arrivals: the first is due at once, each next one an exponential gap
+    after the last (doubled while the queue signals backpressure). The
+    loop submits every request that is due, steps the server while its
+    queue holds work, and otherwise busy-waits until the next due time.
 
     Latency bookkeeping lives in the shared ``serving.latency_ms``
     histogram (reset at run start so the report is run-local) — the
@@ -142,16 +137,19 @@ def run_load(server, *, num_requests: int = 1000,
     Pass an :class:`~repro.telemetry.slo.SLOEngine` as ``slo`` to stream
     every outcome into objective evaluation (``report["slo"]``).
     """
-    if clock is None:
-        clock = server.clock if isinstance(server.clock, ManualClock) \
-            else ManualClock()
     if num_requests < 1:
         raise ValueError(f"num_requests must be >= 1, got {num_requests}")
-    if not mean_interarrival_ms >= 0:
-        raise ValueError("mean_interarrival_ms must be >= 0, "
+    if not 0 <= mean_interarrival_ms < float("inf"):
+        raise ValueError("mean_interarrival_ms must be finite and >= 0, "
                          f"got {mean_interarrival_ms}")
+    if deadline_ms is not None and not deadline_ms > 0:
+        raise ValueError(f"deadline_ms must be > 0, got {deadline_ms}")
     if not (0.0 <= malformed <= 1.0):
         raise ValueError(f"malformed must be in [0, 1], got {malformed}")
+    if isinstance(server.clock, ManualClock):
+        raise ValueError("run_load needs a server on the wall clock: on a "
+                         "ManualClock its arrivals never fall due")
+    clock = server.clock
     rng = as_rng(seed)
     cfg = server.predictor.config
     reg = get_registry()
@@ -170,7 +168,7 @@ def run_load(server, *, num_requests: int = 1000,
             served += 1
             degraded_responses += resp["degraded"]
             if slo is not None:
-                slo.observe("served", now=clock.now(),
+                slo.observe("served", now=clock(),
                             latency_ms=resp["latency_ms"],
                             degraded=bool(resp["degraded"]),
                             trace_id=resp.get("trace_id"),
@@ -179,35 +177,34 @@ def run_load(server, *, num_requests: int = 1000,
         # to the SLO engine (count-only — the requests are gone).
         cur = server.queue.shed_counts()["deadline"]
         if slo is not None and cur > last_deadline_shed:
-            slo.observe("shed", now=clock.now(),
+            slo.observe("shed", now=clock(),
                         count=cur - last_deadline_shed)
         last_deadline_shed = cur
 
-    while sent < num_requests:
-        # Burst of arrivals between two serving steps.
-        burst = int(rng.integers(1, max(2, server.config.max_batch)))
-        for _ in range(min(burst, num_requests - sent)):
-            gap = float(rng.exponential(mean_interarrival_ms))
-            if server.queue.should_backpressure():
-                backpressured += 1
-                gap *= 2.0  # the closed-loop client slows down
-            clock.advance(gap)
-            absolute = (clock.now() + deadline_ms
-                        if deadline_ms is not None else None)
+    due = clock()
+    while sent < num_requests or server.queue.depth:
+        now = clock()
+        while sent < num_requests and due <= now:
+            absolute = now + deadline_ms if deadline_ms is not None else None
             req = _make_request(rng, cfg, sent, absolute,
                                 malformed=bool(rng.random() < malformed))
             status = server.submit(req)
             outcomes[status["status"]] += 1
             if slo is not None and status["status"] in ("shed", "rejected"):
-                slo.observe(status["status"], now=clock.now(),
+                slo.observe(status["status"], now=clock(),
                             trace_id=status.get("trace_id"),
                             request_id=status["request_id"])
             sent += 1
-        serve_step()
-        # Catch up on simulated time: the batch's service time.
-        clock.advance(server.queue.expected_service_ms)
-    while server.queue.depth:
-        serve_step()
+            gap = float(rng.exponential(mean_interarrival_ms))
+            if server.queue.should_backpressure():
+                backpressured += 1
+                gap *= 2.0  # the client slows down
+            due += gap
+        if server.queue.depth:
+            serve_step()
+        elif sent < num_requests:
+            while clock() < due:  # spin: a sleeping process wakes late
+                pass
 
     stats = server.stats()
     report = {
@@ -232,7 +229,7 @@ def run_load(server, *, num_requests: int = 1000,
                                     clean=malformed == 0),
     }
     if slo is not None:
-        report["slo"] = slo.report(clock.now())
+        report["slo"] = slo.report(clock())
     if server.injector is not None:
         report["injector"] = server.injector.counters()
     return report

@@ -2,8 +2,8 @@
 
 Overload handling for the serving path: the queue has a hard depth bound
 (arrivals beyond it are *shed*, not buffered — latency must not grow
-unboundedly), a high-watermark backpressure signal for closed-loop
-clients, and deadline awareness on both ends:
+unboundedly), a high-watermark backpressure signal for clients that
+slow down, and deadline awareness on both ends:
 
 - at **submit** time each request is stamped with its absolute deadline
   (caller-supplied or ``default_deadline_ms`` from arrival);
@@ -12,9 +12,9 @@ clients, and deadline awareness on both ends:
   the server feeds back) are shed instead of wasting a slot, and the
   remaining requests are taken earliest-deadline-first.
 
-Time comes from an injectable ``clock`` (milliseconds, monotonic), so
-chaos tests and the ``serve-bench`` load generator run on a
-:class:`ManualClock` and are fully deterministic.
+Time comes from an injectable ``clock`` (milliseconds, monotonic). It
+is :func:`monotonic_ms`, the wall clock, unless a unit test substitutes
+a :class:`ManualClock` to step time by hand.
 
 A :class:`~repro.reliability.fault_injection.FaultInjector` probed at
 ``serving.queue`` models a lost queue entry: a firing fault sheds the
@@ -43,7 +43,7 @@ def monotonic_ms() -> float:
 
 
 class ManualClock:
-    """Deterministic clock for tests and simulated load generation."""
+    """Hand-stepped clock for unit tests of the queue and server."""
 
     def __init__(self, start_ms: float = 0.0):
         self._now = float(start_ms)
@@ -86,7 +86,7 @@ class MicroBatchQueue:
             raise ValueError(f"max_depth must be >= 1, got {max_depth}")
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
-        if default_deadline_ms <= 0:
+        if not default_deadline_ms > 0:
             raise ValueError(
                 f"default_deadline_ms must be > 0, got {default_deadline_ms}"
             )
@@ -120,7 +120,7 @@ class MicroBatchQueue:
         return len(self._queue)
 
     def should_backpressure(self) -> bool:
-        """Closed-loop clients should slow down above the high watermark."""
+        """Clients should slow down above the high watermark."""
         return len(self._queue) >= self.high_watermark * self.max_depth
 
     def shed_counts(self) -> dict[str, int]:

@@ -258,8 +258,8 @@ class InferenceServer:
         Optional fault injector; register any of ``serving.request``,
         ``serving.queue``, ``serving.backend`` to chaos-test the ladder.
     clock:
-        Monotonic-millisecond callable (defaults to wall time; tests and
-        ``serve-bench`` pass a :class:`~repro.serving.queue.ManualClock`).
+        Monotonic-millisecond callable (defaults to wall time; unit tests
+        pass a :class:`~repro.serving.queue.ManualClock`).
     """
 
     def __init__(self, predictor: Predictor, *,
@@ -324,7 +324,7 @@ class InferenceServer:
         ``{"status": "queued" | "rejected" | "shed", ...}`` — a rejected
         request names its (counted) reason; a shed one names the shed
         class. Backpressure is surfaced as ``"backpressure": True`` so
-        closed-loop clients can slow down.
+        clients can slow down.
         """
         self._requests.inc()
         if self.injector is not None:
@@ -384,8 +384,8 @@ class InferenceServer:
     def step(self) -> list[dict]:
         """Serve one micro-batch from the queue; returns the responses.
 
-        A response's latency is its simulated queue wait plus the step's
-        measured service time, which also feeds the queue's pacing EWMA.
+        A response's latency is one clock read after the towers minus its
+        arrival; the measured service time feeds the queue's pacing EWMA.
         """
         batch = self.queue.next_batch()
         if not batch:
@@ -414,12 +414,13 @@ class InferenceServer:
                 emit_event("serving.final_guard", count=int(bad.sum()))
                 probs = np.where(bad, 0.5, probs)
         service_ms = (perf_counter_ns() - start_ns) / 1e6
+        done = self.clock()
         self.queue.observe_service(service_ms)
         self._batches.inc()
         self._served.inc(len(batch))
         responses = []
         for req, prob in zip(batch, probs):
-            latency = (formed_at - req.arrival_ms) + service_ms
+            latency = done - req.arrival_ms
             self._latency.observe(latency)
             resp = {
                 "request_id": req.request_id,
@@ -432,7 +433,7 @@ class InferenceServer:
             ctx = getattr(req, "trace_ctx", None)
             if ctx is not None:
                 resp["trace_id"] = ctx.trace_id
-            finish_request(req, "served", now=self.clock(),
+            finish_request(req, "served", now=done,
                            latency_ms=latency, degraded=bool(served_by))
             responses.append(resp)
         return responses

@@ -11,12 +11,11 @@ moments *before* the incident, not after it.
 
 Timestamps: event records carry a monotonically-increasing ``seq``, and
 the dump's ``at_ms`` and trace timestamps come from the clock the
-recorder was given (``serve-bench`` passes its ManualClock). That clock
-advances by each batch's *measured* service time, so two same-seed runs
-dump at the same triggers but not with byte-identical times. Only the
-first occurrence of each trigger
-label is dumped (later ones are counted as ``suppressed``), keeping the
-artifact set bounded no matter how long the incident lasts.
+recorder was given: ``serve-bench`` passes ``monotonic_ms``, so they are
+``perf_counter`` milliseconds and differ from run to run. Only the first
+occurrence of each trigger label is dumped (later ones are counted as
+``suppressed``), keeping the artifact set bounded however long the
+incident lasts.
 
 Wiring: :func:`install_flight_recorder` registers the recorder with
 :mod:`repro.telemetry.events` so every ``emit_event`` feeds the ring

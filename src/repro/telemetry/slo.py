@@ -272,9 +272,9 @@ class _ObjectiveState:
 class SLOEngine:
     """Streaming evaluator: feed observations, read verdicts.
 
-    Timestamps come from the run's ManualClock (simulated ms), so two
-    same-seed runs produce identical reports. ``min_count`` guards the
-    short windows against firing on the first handful of requests.
+    Timestamps are the caller's ``now=`` (``serve-bench``: the server's
+    wall clock, so reports vary from run to run). ``min_count`` guards
+    the short windows against firing on the first handful of requests.
     """
 
     def __init__(self, objectives: list[Objective], *, min_count: int = 20):

@@ -30,13 +30,13 @@ truth tests and a shared no-op context manager, which the overhead-guard
 test bounds at <5% of a small training run; with only the aggregate tree
 listening the request clock is never read.
 
-Request traces add no nondeterminism of their own: trace ids are
-splitmix64 hashes of ``(seed, request_id)`` — no ambient entropy — span
-ids are per-trace open-order counters, and timestamps are the run's
-:class:`~repro.serving.queue.ManualClock` (simulated ms), never
-``perf_counter``. A trace file repeats byte for byte only as far as that
-clock does; ``serve-bench`` advances it by measured service time. Aggregate-tree nodes are named by dotted path plus
-bracketed attributes (``tt.forward.segment_gemm[core=1]``); request
+Request-trace ids carry no entropy of their own: trace ids are
+splitmix64 hashes of ``(seed, request_id)`` and span ids are per-trace
+open-order counters. Timestamps come from the clock given to
+:meth:`RequestTracer.configure`; ``serve-bench`` passes
+``monotonic_ms``, so spans carry real ``perf_counter`` milliseconds and
+differ from run to run. Aggregate-tree nodes are named by dotted path
+plus bracketed attributes (``tt.forward.segment_gemm[core=1]``); request
 traces keep ``attrs`` apart (docs/OBSERVABILITY.md).
 """
 
@@ -302,8 +302,8 @@ class RequestTracer:
                   clock=None, seed: int = 0) -> None:
         """Enable tracing: sample every Nth request id, write JSONL.
 
-        ``clock`` is the run's ManualClock (or any ms callable); with
-        none, every timestamp is 0.0 — still deterministic, just flat.
+        ``clock`` is any millisecond callable, normally the server's
+        ``monotonic_ms``; with none, every timestamp is 0.0.
         The output file is truncated, so a rerun never appends to an
         old one.
         """

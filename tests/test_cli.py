@@ -58,6 +58,14 @@ class TestCommands:
         assert exc.value.code == 2
         assert f"argument {option}: must be >= 1, got 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("option", ["--requests", "--max-batch",
+                                        "--max-depth"])
+    def test_serve_bench_rejects_counts_below_one(self, option, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["serve-bench", option, "0"])
+        assert exc.value.code == 2
+        assert f"argument {option}: must be >= 1, got 0" in capsys.readouterr().err
+
     def test_plan_budget_empty_tables_file_is_an_error(self, tmp_path, capsys):
         path = tmp_path / "tables.json"
         path.write_text('{"tables": []}')

@@ -11,9 +11,9 @@ ROADMAP item 7's tier-1 layer, first slice. Three things are pinned here:
   on the BLAS build in their last digits. Regenerate with ``python tests/test_cli_drills.py``
   (writes the files from the tree on ``PYTHONPATH``) — only for a
   *declared* stdout change.
-- ``serve-bench`` cannot have a golden: its latency line adds wall-clock
-  service time to simulated time (ROADMAP item 5). It joins when that is
-  fixed.
+- ``serve-bench`` cannot have a golden: it runs on the wall clock, so
+  its latency, outcome and shed figures vary from run to run. Its
+  verdict does not, and the class below pins it.
 - **The gate reads the ledger in every mode.** With one accepted request
   forced out of ``no_lost_requests`` every ``serve-bench`` mode — no
   injector, an injector over clean traffic, an injector under malformed

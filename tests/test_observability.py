@@ -25,6 +25,7 @@ from repro.serving import (
     ServerConfig,
     run_load,
 )
+from repro.serving.queue import monotonic_ms
 from repro.telemetry import (
     REPORT_SCHEMA,
     TRACE_SCHEMA,
@@ -103,22 +104,21 @@ def drill_policy() -> dict:
 
 
 def run_drill(predictor, tmp_path, tag, *, trace_sample=5, requests=150):
-    """One served run with tracing + SLO + flight recorder armed."""
-    clock = ManualClock()
+    """One served run on the wall clock with tracing + SLO + flight
+    recorder armed."""
     trace_path = tmp_path / f"trace-{tag}.jsonl"
     flight_dir = tmp_path / f"flight-{tag}"
     rt = get_request_tracer()
     rt.configure(sample_every=trace_sample, path=trace_path,
-                 clock=clock.now, seed=0)
-    install_flight_recorder(FlightRecorder(flight_dir, clock=clock.now))
+                 clock=monotonic_ms, seed=0)
+    install_flight_recorder(FlightRecorder(flight_dir, clock=monotonic_ms))
     slo = SLOEngine(load_policy(drill_policy()), min_count=10)
     server = InferenceServer(
         predictor,
         config=ServerConfig(default_deadline_ms=100.0, cooldown=10),
-        clock=clock,
     )
     report = run_load(server, num_requests=requests, deadline_ms=100.0,
-                      seed=0, clock=clock, slo=slo)
+                      seed=0, slo=slo)
     rt.shutdown()
     uninstall_flight_recorder()
     return report, trace_path, flight_dir
@@ -496,6 +496,11 @@ class TestServingDrill:
                                  "request"]
         kernel = next(s for s in deep if s["name"].startswith("tt."))
         assert "serving.pooled" in chain(kernel)
+        # Spans are stamped on the wall clock: real work has real length.
+        timed = [s for spans in traces.values() for s in spans
+                 if s["name"].startswith("tt.")
+                 or s["name"] == "serving.pooled"]
+        assert timed and all(s["end_ms"] > s["start_ms"] for s in timed)
         waits = [s for s in deep if s["name"] == "queue.wait"]
         assert all(by_id[w["parent_id"]]["name"] == "request"
                    for w in waits)
@@ -503,7 +508,11 @@ class TestServingDrill:
     def test_served_responses_carry_trace_ids(self, predictor, tmp_path):
         report, trace_path, _ = run_drill(predictor, tmp_path, "ids")
         traces = read_trace(trace_path)
-        assert report["served"] == 150
+        outcomes = report["outcomes"]
+        assert sum(outcomes.values()) == 150
+        assert report["served"] + report["shed"]["deadline"] \
+            == outcomes["queued"]
+        # Every sampled request ends as one trace, whatever its outcome.
         assert len(traces) == 30  # 150 requests, every 5th sampled
 
     def test_reconciliation_survives_observability(self, predictor,
@@ -523,10 +532,8 @@ class TestLoadgenHistograms:
         tt = TTConfig(rank=4, use_cache=False)
         model = build_ttrec(CFG, num_tt_tables=3, tt=tt, min_rows=50,
                             rng=0)
-        clock = ManualClock()
-        server = InferenceServer(Predictor(model),
-                                 config=ServerConfig(), clock=clock)
-        report = run_load(server, num_requests=60, seed=0, clock=clock)
+        server = InferenceServer(Predictor(model), config=ServerConfig())
+        report = run_load(server, num_requests=60, seed=0)
         hist = get_registry().histogram("serving.latency_ms")
         assert hist.count == report["served"]
         assert report["latency_ms"]["p50"] == hist.quantile(0.50)

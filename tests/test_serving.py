@@ -230,6 +230,18 @@ def queued(rid, deadline_ms=None):
 
 
 class TestMicroBatchQueue:
+    @pytest.mark.parametrize("name, value", [
+        ("max_depth", 0), ("max_batch", 0),
+        ("default_deadline_ms", 0.0), ("default_deadline_ms", -1.0),
+        ("default_deadline_ms", float("nan")),
+        ("high_watermark", 0.0), ("high_watermark", 1.5),
+    ])
+    def test_rejects_bad_arguments(self, name, value):
+        """A queue that could hold nothing, serve nothing or never shed at
+        its deadline is refused, naming the argument."""
+        with pytest.raises(ValueError, match=name):
+            MicroBatchQueue(clock=ManualClock(), **{name: value})
+
     def test_depth_bound_sheds(self):
         clock = ManualClock()
         q = MicroBatchQueue(max_depth=3, max_batch=8, clock=clock)
@@ -389,13 +401,25 @@ class TestCircuitBreaker:
 # Server + degradation ladder under chaos
 # ---------------------------------------------------------------------- #
 
-def build_server(predictor, injector=None, **cfg_kw):
-    clock = ManualClock()
+def small_config(**cfg_kw) -> ServerConfig:
     defaults = dict(failure_threshold=2, breaker_window=10, cooldown=3,
                     default_deadline_ms=1000.0)
     defaults.update(cfg_kw)
-    return InferenceServer(predictor, config=ServerConfig(**defaults),
+    return ServerConfig(**defaults)
+
+
+def build_server(predictor, injector=None, **cfg_kw):
+    """A server on a :class:`ManualClock` the test steps by hand."""
+    clock = ManualClock()
+    return InferenceServer(predictor, config=small_config(**cfg_kw),
                            injector=injector, clock=clock), clock
+
+
+def wall_server(predictor, injector=None, **cfg_kw):
+    """The same server on the default wall clock, as ``run_load``
+    requires."""
+    return InferenceServer(predictor, config=small_config(**cfg_kw),
+                           injector=injector)
 
 
 class TestInferenceServer:
@@ -497,9 +521,9 @@ class TestInferenceServer:
         inj = FaultInjector(seed=123)
         for site in ("serving.request", "serving.queue", "serving.backend"):
             inj.register(site, 0.08, kind="nan", max_elements=4)
-        server, clock = build_server(predictor, injector=inj)
+        server = wall_server(predictor, injector=inj)
         report = run_load(server, num_requests=300, mean_interarrival_ms=0.5,
-                          deadline_ms=500.0, seed=3, clock=clock)
+                          deadline_ms=500.0, seed=3)
         assert report["non_finite_outputs"] == 0
         assert report["reconciliation"]["passed"], report["reconciliation"]
         kept = report["reconciliation"]["checks"]["no_lost_requests"]
@@ -513,10 +537,10 @@ class TestInferenceServer:
     def test_clean_run_load_balances_requests(self, predictor):
         """Without an injector nothing else is checked, but accepted work
         is still conserved: queued == served + deadline sheds."""
-        server, clock = build_server(predictor, max_depth=8, max_batch=4,
-                                     default_deadline_ms=5.0)
+        server = wall_server(predictor, max_depth=8, max_batch=4,
+                             default_deadline_ms=5.0)
         report = run_load(server, num_requests=200, mean_interarrival_ms=0.05,
-                          seed=1, clock=clock)
+                          seed=1)
         recon = report["reconciliation"]
         assert not recon["checked"] and recon["passed"]
         assert list(recon["checks"]) == ["no_lost_requests"]
@@ -525,15 +549,24 @@ class TestInferenceServer:
         assert kept["counted"] == report["served"] + report["shed"]["deadline"]
 
     def test_run_load_rejects_bad_arguments(self, predictor):
-        """A run that would serve nothing, divide by zero or draw a
-        negative gap is refused before it starts, naming the argument."""
-        server, clock = build_server(predictor)
+        """A run that would serve nothing, draw a negative gap, wait
+        forever or never shed is refused before it starts, naming the
+        argument."""
+        server = wall_server(predictor)
         for name, value in [("num_requests", 0), ("num_requests", -5),
                             ("mean_interarrival_ms", -1.0),
+                            ("mean_interarrival_ms", float("inf")),
+                            ("mean_interarrival_ms", float("nan")),
+                            ("deadline_ms", 0.0), ("deadline_ms", -1.0),
+                            ("deadline_ms", float("nan")),
                             ("malformed", 2.0)]:
             with pytest.raises(ValueError, match=name):
-                run_load(server, clock=clock, **{name: value})
+                run_load(server, **{name: value})
         assert server.stats()["requests"] == 0
+        manual, _ = build_server(predictor)
+        with pytest.raises(ValueError, match="ManualClock"):
+            run_load(manual)
+        assert manual.stats()["requests"] == 0
 
     def test_breaker_recovery_closes_after_faults_stop(self, predictor):
         inj = FaultInjector(seed=5).register("serving.backend", 1.0,
@@ -580,8 +613,8 @@ class TestInferenceServer:
         inj = FaultInjector(seed=9)
         for site in ("serving.request", "serving.queue", "serving.backend"):
             inj.register(site, 0.1, kind="nan", max_elements=2)
-        server, clock = build_server(predictor, injector=inj)
+        server = wall_server(predictor, injector=inj)
         report = run_load(server, num_requests=200, malformed=0.3,
-                          deadline_ms=500.0, seed=10, clock=clock)
+                          deadline_ms=500.0, seed=10)
         assert report["non_finite_outputs"] == 0
         assert report["outcomes"]["rejected"] > 0
