@@ -10,7 +10,7 @@ picks a compressor per table under a byte budget. The drills —
 ``train``, ``chaos``, ``profile``, ``serve-bench`` — run the scaled
 synthetic dataset for a few seconds and stand on one scaffold ("The
 drill scaffold" below): one model recipe, one seeded-injector table, one
-context manager for the ``--events-jsonl`` / ``--slo`` /
+context manager for the ``--trace-jsonl`` / ``--slo`` /
 ``--trace-sample`` / ``--flight-dir`` listeners, one ledger table whose
 verdict is :func:`repro.serving.loadgen.reconcile_ledger`'s, one
 PASS/FAIL line and one ``--emit-json`` snapshot (schema
@@ -255,27 +255,24 @@ def _injector(seed: int, sites: dict):
 def _observed(args):
     """Arm the listeners the command has and was given, for one run.
 
-    ``--events-jsonl`` (event sink), ``--slo`` (burn-rate engine),
-    ``--trace-sample`` (request tracer) and ``--flight-dir`` (flight
-    recorder; both stamp ``monotonic_ms``) are armed in that order and
-    detached — tracer, recorder, sink — on the way out, run or raise.
-    Yields a namespace holding ``slo`` and ``recorder`` (``None`` when
-    not armed).
+    The telemetry stream always runs on ``monotonic_ms``: it writes to
+    ``--trace-jsonl`` (when given) and traces every ``--trace-sample``-th
+    request id (when > 0). ``--slo`` arms the burn-rate engine and
+    ``--flight-dir`` the flight recorder (a ring of the stream). All are
+    detached on the way out, run or raise. Yields a namespace holding
+    ``slo`` and ``recorder`` (``None`` when not armed).
     """
     from repro import telemetry
     from repro.serving.queue import monotonic_ms
 
     armed = argparse.Namespace(slo=None, recorder=None)
     try:
-        if getattr(args, "events_jsonl", None):
-            telemetry.install_sink(args.events_jsonl)
         if getattr(args, "slo", None):
             armed.slo = telemetry.SLOEngine(telemetry.load_policy(args.slo))
-        if getattr(args, "trace_sample", 0) > 0:
-            telemetry.get_request_tracer().configure(
-                sample_every=args.trace_sample, path=args.trace_jsonl,
-                clock=monotonic_ms, seed=args.seed,
-            )
+        telemetry.get_request_tracer().configure(
+            sample_every=getattr(args, "trace_sample", 0),
+            path=args.trace_jsonl, clock=monotonic_ms, seed=args.seed,
+        )
         if getattr(args, "flight_dir", None):
             armed.recorder = telemetry.install_flight_recorder(
                 telemetry.FlightRecorder(args.flight_dir, clock=monotonic_ms))
@@ -283,7 +280,6 @@ def _observed(args):
     finally:
         telemetry.get_request_tracer().shutdown()
         telemetry.uninstall_flight_recorder()
-        telemetry.uninstall_sink()
 
 
 def _print_ledger(recon: dict) -> bool:
@@ -564,8 +560,8 @@ def _cmd_serve_bench(args) -> int:
     ok = _print_ledger(report["reconciliation"]) and ok
     if args.trace_sample > 0:
         print(f"traces    : {telemetry.get_request_tracer().finished} sampled "
-              f"(every {args.trace_sample}th request id) -> "
-              f"{args.trace_jsonl}")
+              f"(every {args.trace_sample}th request id)"
+              + (f" -> {args.trace_jsonl}" if args.trace_jsonl else ""))
     _print_flightrec(obs.recorder, args.flight_dir)
     if "slo" in report:
         print(telemetry.format_report(report["slo"]))
@@ -744,8 +740,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--emit-json", default=None, metavar="PATH",
                    help="write a repro.telemetry/v1 snapshot JSON")
-    p.add_argument("--events-jsonl", default=None, metavar="PATH",
-                   help="stream telemetry events to a JSONL file")
+    p.add_argument("--trace-jsonl", default=None, metavar="PATH",
+                   help="write the run's events as a telemetry stream "
+                        "(repro.trace/v1 JSONL)")
     p.set_defaults(fn=_cmd_profile)
 
     p = sub.add_parser("chaos",
@@ -763,8 +760,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="allowed relative smoothed-loss gap vs fault-free")
     p.add_argument("--emit-json", default=None, metavar="PATH",
                    help="write a repro.telemetry/v1 snapshot JSON")
-    p.add_argument("--events-jsonl", default=None, metavar="PATH",
-                   help="stream telemetry events to a JSONL file")
+    p.add_argument("--trace-jsonl", default=None, metavar="PATH",
+                   help="write the run's events as a telemetry stream "
+                        "(repro.trace/v1 JSONL)")
     p.set_defaults(fn=_cmd_chaos)
 
     p = sub.add_parser("serve-bench",
@@ -797,25 +795,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace-sample", type=int, default=0, metavar="N",
                    help="trace every Nth request id as repro.trace/v1 "
                         "JSONL (0 = tracing off)")
-    p.add_argument("--trace-jsonl", default="serve_trace.jsonl",
-                   metavar="PATH",
-                   help="where --trace-sample writes span records")
+    p.add_argument("--trace-jsonl", default=None, metavar="PATH",
+                   help="write the telemetry stream (repro.trace/v1 "
+                        "JSONL: events, and the spans of sampled requests)")
     p.add_argument("--flight-dir", default=None, metavar="DIR",
                    help="arm the flight recorder; trigger dumps land "
                         "here as flightrec-<event>.json")
     p.add_argument("--emit-json", default=None, metavar="PATH",
                    help="write a repro.telemetry/v1 snapshot JSON")
-    p.add_argument("--events-jsonl", default=None, metavar="PATH",
-                   help="stream telemetry events to a JSONL file")
     p.set_defaults(fn=_cmd_serve_bench)
 
     p = sub.add_parser("trace",
-                       help="inspect a repro.trace/v1 JSONL written by "
-                            "serve-bench --trace-sample")
-    p.add_argument("jsonl", help="trace JSONL file")
+                       help="inspect the sampled request traces in a "
+                            "telemetry stream (repro.trace/v1 JSONL "
+                            "written by --trace-jsonl)")
+    p.add_argument("jsonl", help="telemetry stream JSONL file")
     p.add_argument("--trace-id", default=None,
                    help="show one trace by id (default: the slowest N)")
-    p.add_argument("--slowest", type=int, default=3, metavar="N",
+    p.add_argument("--slowest", type=_positive_int, default=3, metavar="N",
                    help="how many slowest traces to show")
     p.add_argument("--critical-path", action="store_true",
                    help="append the longest root-to-leaf chain per trace")

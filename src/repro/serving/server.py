@@ -150,11 +150,11 @@ class TableLadder:
                                   bags=int(offsets.size - 1))
                     pooled = np.asarray(rung.compute(indices, offsets),
                                         dtype=np.float64)
+                    if self.injector is not None:
+                        self.injector.corrupt("serving.backend", pooled)
             except Exception as exc:  # noqa: BLE001 - the ladder IS the handler
                 self._record_failure(rung, repr(exc))
                 continue
-            if self.injector is not None:
-                self.injector.corrupt("serving.backend", pooled)
             if not self._valid(pooled):
                 self._record_failure(rung, "non-finite or implausible output")
                 continue

@@ -1,4 +1,4 @@
-"""Unified telemetry layer: metrics registry, span tracer, JSONL events.
+"""Unified telemetry layer: metrics registry, span tracer, one stream.
 
 Process-wide singletons, so every component reports into one place
 (docs/OBSERVABILITY.md has the conventions and the name catalogue):
@@ -8,33 +8,27 @@ Process-wide singletons, so every component reports into one place
   byte/hit/fault counters across the cache, collectives and reliability
   runtime;
 - :mod:`repro.telemetry.tracer` — ``trace()``, the one way to open a
-  span (``with trace("tt.forward.segment_gemm", core=k):``): a shared
-  no-op unless something listens — the aggregate span tree that
-  ``repro profile`` prints and/or the deterministic per-request traces
-  (``repro.trace/v1`` JSONL) of the sampled requests being served;
-- :mod:`repro.telemetry.trace_reader` — reads those traces back
-  (``read_trace``, ``critical_path``, ``format_trace_tree``);
-- :mod:`repro.telemetry.events` — ``emit_event()``, the one way to emit
-  a discrete event (fault firings, guard actions, cache refreshes), to
-  the JSONL sink, the flight recorder and the traces of the requests in
-  flight; plus the ``--emit-json`` snapshot of registry + span tree;
+  span (``with trace("tt.forward.segment_gemm", core=k):``), and
+  ``emit_event()``, the one way to emit a discrete event (fault
+  firings, guard actions, cache refreshes): both shared no-ops unless
+  something listens — the aggregate span tree that ``repro profile``
+  prints and/or the telemetry stream, one ``repro.trace/v1`` JSONL
+  record per closed span of the sampled requests being served, in
+  which an event is a zero-duration ``event:<type>`` span;
+- :mod:`repro.telemetry.trace_reader` — reads the stream back
+  (``read_trace``, ``read_events``, ``critical_path``,
+  ``format_trace_tree``);
+- :mod:`repro.telemetry.events` — the ``--emit-json`` snapshot of
+  registry + span tree;
 - :mod:`repro.telemetry.slo` — declarative objectives evaluated as
   multi-window burn rates with exemplar trace ids;
-- :mod:`repro.telemetry.flightrec` — bounded rings of recent events and
-  traces, auto-dumped on breaker-open and sanitizer trips.
+- :mod:`repro.telemetry.flightrec` — a bounded ring of the stream's
+  recent records, auto-dumped on breaker-open and sanitizer trips.
 """
 
 from repro.telemetry.events import (
-    EVENT_SCHEMA,
     SNAPSHOT_SCHEMA,
-    JsonlSink,
-    emit_event,
-    get_sink,
-    install_sink,
-    read_events,
     snapshot,
-    uninstall_sink,
-    validate_event,
     validate_snapshot,
     write_snapshot,
 )
@@ -65,6 +59,7 @@ from repro.telemetry.trace_reader import (
     TRACE_SCHEMA,
     critical_path,
     format_trace_tree,
+    read_events,
     read_trace,
     slowest_traces,
     trace_duration_ms,
@@ -77,6 +72,7 @@ from repro.telemetry.tracer import (
     Tracer,
     annotate_span,
     disable_tracing,
+    emit_event,
     enable_tracing,
     finish_request,
     get_request_tracer,
@@ -99,15 +95,9 @@ __all__ = [
     "enable_tracing",
     "disable_tracing",
     "tracing_enabled",
-    "EVENT_SCHEMA",
     "SNAPSHOT_SCHEMA",
-    "JsonlSink",
-    "install_sink",
-    "uninstall_sink",
-    "get_sink",
     "emit_event",
     "read_events",
-    "validate_event",
     "snapshot",
     "write_snapshot",
     "validate_snapshot",

@@ -1,27 +1,25 @@
-"""Flight recorder: bounded rings of recent telemetry, dumped on trouble.
+"""Flight recorder: a bounded ring of the telemetry stream, dumped on trouble.
 
 Always-on full tracing is too expensive for chaos runs, but by the time
 a breaker opens the interesting history has already happened. The
-flight recorder keeps small bounded rings of the most recent events and
-sampled traces plus a baseline counter snapshot, and on a *trigger*
-event — breaker-open, sanitizer trip — dumps everything to
-``flightrec-<label>.json``
-(schema ``repro.flightrec/v1``), so post-hoc debugging starts from the
+flight recorder keeps the most recent records of the telemetry stream
+(``repro.trace/v1`` span records, events among them, in write order)
+plus a baseline counter snapshot, and on a *trigger* event —
+breaker-open, sanitizer trip — dumps them to ``flightrec-<label>.json``
+(schema ``repro.flightrec/v2``), so post-hoc debugging starts from the
 moments *before* the incident, not after it.
 
-Timestamps: event records carry a monotonically-increasing ``seq``, and
-the dump's ``at_ms`` and trace timestamps come from the clock the
-recorder was given: ``serve-bench`` passes ``monotonic_ms``, so they are
-``perf_counter`` milliseconds and differ from run to run. Only the first
-occurrence of each trigger label is dumped (later ones are counted as
-``suppressed``), keeping the artifact set bounded however long the
-incident lasts.
+Timestamps: records carry the stream's clock and the dump's ``at_ms``
+comes from the clock the recorder was given; ``serve-bench`` passes
+``monotonic_ms`` to both, so they are ``perf_counter`` milliseconds and
+differ from run to run. Only the first occurrence of each trigger label
+is dumped (later ones are counted as ``suppressed``), keeping the
+artifact set bounded however long the incident lasts.
 
-Wiring: :func:`install_flight_recorder` registers the recorder with
-:mod:`repro.telemetry.events` so every ``emit_event`` feeds the ring
-automatically — carrying the ids of the sampled requests in flight when
-it is emitted while they are being served; the request tracer hands
-finished sampled traces to :meth:`FlightRecorder.record_trace`.
+Wiring: the request tracer hands every record it writes to
+:meth:`FlightRecorder.record` and checks the triggers once per
+``emit_event`` call (:meth:`FlightRecorder.check_trigger`), whether or
+not a stream file is open.
 """
 
 from __future__ import annotations
@@ -30,7 +28,6 @@ import json
 import os
 from collections import deque
 
-from repro.telemetry.events import _json_safe, set_event_recorder
 from repro.telemetry.registry import get_registry
 
 __all__ = [
@@ -42,10 +39,10 @@ __all__ = [
     "read_dump",
 ]
 
-FLIGHT_SCHEMA = "repro.flightrec/v1"
+FLIGHT_SCHEMA = "repro.flightrec/v2"
 
 # Event type (+ predicate on its data) -> dump label. A trigger firing
-# dumps the rings once per label; see FlightRecorder._maybe_dump.
+# dumps the ring once per label; see FlightRecorder._maybe_dump.
 _TRIGGERS: tuple[tuple[str, str, object], ...] = (
     ("serving.breaker", "breaker-open",
      lambda data: data.get("to_state") == "open"),
@@ -54,16 +51,14 @@ _TRIGGERS: tuple[tuple[str, str, object], ...] = (
 
 
 class FlightRecorder:
-    """Bounded history of events + traces with trigger-driven dumps."""
+    """Bounded history of stream records with trigger-driven dumps."""
 
     def __init__(self, directory: str | os.PathLike, *, clock=None,
-                 event_ring: int = 256, trace_ring: int = 16,
-                 max_dumps: int = 16):
+                 ring: int = 1024, max_dumps: int = 16):
         self.directory = os.fspath(directory)
         self._clock = clock
-        self._events: deque[dict] = deque(maxlen=event_ring)
-        self._traces: deque[dict] = deque(maxlen=trace_ring)
-        self._seq = 0
+        self._ring: deque[dict] = deque(maxlen=ring)
+        self._events_seen = 0
         self._dumped: dict[str, str] = {}      # label -> dump path
         self._suppressed: dict[str, int] = {}  # label -> later triggers
         self._max_dumps = max_dumps
@@ -77,19 +72,16 @@ class FlightRecorder:
         clock = self._clock
         return float(clock()) if clock is not None else 0.0
 
-    def record_event(self, etype: str, data: dict) -> None:
-        """Ring-buffer an event; dump if it matches a trigger."""
-        self._seq += 1
-        self._events.append(
-            {"seq": self._seq, "type": etype, "data": _json_safe(data)}
-        )
+    def record(self, rec: dict) -> None:
+        """Ring-buffer one stream record (most recent N kept)."""
+        self._ring.append(rec)
+
+    def check_trigger(self, etype: str, data: dict) -> None:
+        """Count an emitted event; dump if it matches a trigger."""
+        self._events_seen += 1
         for trig_type, label, pred in _TRIGGERS:
             if etype == trig_type and (pred is None or pred(data)):
                 self._maybe_dump(label)
-
-    def record_trace(self, trace_id: str, spans: list[dict]) -> None:
-        """Ring-buffer a finished sampled trace (most recent N kept)."""
-        self._traces.append({"trace_id": trace_id, "spans": list(spans)})
 
     # ------------------------------------------------------------------ #
 
@@ -115,8 +107,7 @@ class FlightRecorder:
             "schema": FLIGHT_SCHEMA,
             "trigger": label,
             "at_ms": self._now(),
-            "events": list(self._events),
-            "traces": list(self._traces),
+            "records": list(self._ring),
             "counters_delta": self._counter_delta(),
         }
         with open(path, "w") as fh:
@@ -128,7 +119,7 @@ class FlightRecorder:
     def summary(self) -> dict:
         """What the recorder saw and dumped, for the serve-bench report."""
         return {
-            "events_seen": self._seq,
+            "events_seen": self._events_seen,
             "dumps": dict(sorted(self._dumped.items())),
             "suppressed": dict(sorted(self._suppressed.items())),
         }
@@ -149,7 +140,7 @@ def read_dump(path: str | os.PathLike) -> dict:
             f"{os.fspath(path)}: expected schema {FLIGHT_SCHEMA}, "
             f"got {schema!r}"
         )
-    for field in ("trigger", "at_ms", "events", "traces", "counters_delta"):
+    for field in ("trigger", "at_ms", "records", "counters_delta"):
         if field not in doc:
             raise ValueError(f"{os.fspath(path)}: missing field {field!r}")
     return doc
@@ -159,17 +150,15 @@ _RECORDER: FlightRecorder | None = None
 
 
 def install_flight_recorder(recorder: FlightRecorder) -> FlightRecorder:
-    """Make ``recorder`` the process-wide sink for events and traces."""
+    """Make ``recorder`` the process-wide ring of the telemetry stream."""
     global _RECORDER
     _RECORDER = recorder
-    set_event_recorder(recorder)
     return recorder
 
 
 def uninstall_flight_recorder() -> None:
     global _RECORDER
     _RECORDER = None
-    set_event_recorder(None)
 
 
 def get_flight_recorder() -> FlightRecorder | None:

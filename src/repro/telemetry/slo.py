@@ -42,6 +42,7 @@ docs/OBSERVABILITY.md.
 from __future__ import annotations
 
 import json
+import math
 import os
 from collections import deque
 
@@ -83,13 +84,24 @@ class Objective:
             raise ValueError(
                 f"objective {name!r}: latency objectives need threshold_ms"
             )
+        if threshold_ms is not None and not math.isfinite(threshold_ms):
+            raise ValueError(
+                f"objective {name!r}: threshold_ms must be finite, "
+                f"got {threshold_ms}"
+            )
+        if not isinstance(gate, bool):
+            raise ValueError(
+                f"objective {name!r}: gate must be true or false, "
+                f"got {gate!r}"
+            )
         if not windows:
             raise ValueError(f"objective {name!r}: needs at least one window")
         for w in windows:
-            if w.get("ms", 0) <= 0 or w.get("max_burn", 0) <= 0:
+            if not all(0 < v < math.inf
+                       for v in (w.get("ms", 0), w.get("max_burn", 0))):
                 raise ValueError(
-                    f"objective {name!r}: windows need positive ms and "
-                    f"max_burn, got {w}"
+                    f"objective {name!r}: windows need finite positive ms "
+                    f"and max_burn, got {w}"
                 )
         self.name = name
         self.metric = metric
@@ -97,7 +109,7 @@ class Objective:
         self.threshold_ms = (
             float(threshold_ms) if threshold_ms is not None else None
         )
-        self.gate = bool(gate)
+        self.gate = gate
         self.windows = [
             {"ms": float(w["ms"]), "max_burn": float(w["max_burn"])}
             for w in windows

@@ -1,11 +1,12 @@
-"""Recording spans: one ``trace()``, two consumers.
+"""Recording spans and events: ``trace()``, ``emit_event()``, two consumers.
 
 Usage in instrumented code, from any module::
 
-    from repro.telemetry import trace
+    from repro.telemetry import emit_event, trace
 
     with trace("tt.forward.segment_gemm", core=k):
         res = np.matmul(...)
+    emit_event("cache.repair", module=name, rows=3)
 
 A span records into whichever consumers are listening when it is opened:
 
@@ -14,30 +15,37 @@ A span records into whichever consumers are listening when it is opened:
   ``perf_counter_ns`` and folds the duration into count/total/min/max
   statistics keyed by the span's position under its parent — "where does
   time go on average", with no unbounded span list;
-- the **request traces** (:class:`RequestTracer`) explain one slow
+- the **telemetry stream** (:class:`RequestTracer`) explains one slow
   request: a :class:`TraceContext` started at admission follows a sampled
-  request through queue, router fan-out and ladder down into the ``tt.*``
-  kernel spans, and is written one span per JSONL line
-  (``repro.trace/v1``; :mod:`repro.telemetry.trace_reader` reads it
-  back). The serving path is single-threaded, so no context is threaded
-  through the layers: ``RequestTracer.scope(ctxs)`` activates the sampled
-  requests of the batch being served, and every span opened — and every
-  :func:`~repro.telemetry.events.emit_event` made — inside it lands in
-  each of them.
+  request through queue and ladder down into the ``tt.*`` kernel spans.
+  Every span is written once, when it closes, as one ``repro.trace/v1``
+  JSONL record (:mod:`repro.telemetry.trace_reader` reads it back), and
+  handed to the flight recorder's ring. The serving path is
+  single-threaded, so no context is threaded through the layers:
+  ``RequestTracer.scope(ctxs)`` activates the sampled requests of the
+  batch being served, and every span opened inside it lands in each of
+  them.
+
+An event is a span that closes the moment it opens: :func:`emit_event`
+writes a zero-duration ``event:<type>`` record under the innermost open
+span of each active trace, or — outside every sampled request — one
+record with ``trace_id`` and ``parent_id`` null.
 
 With neither listening (the default) ``trace()`` costs one call, two
 truth tests and a shared no-op context manager, which the overhead-guard
 test bounds at <5% of a small training run; with only the aggregate tree
-listening the request clock is never read.
+listening the request clock is never read. ``emit_event`` is as free
+while no stream file, flight recorder or sampled request listens.
 
 Request-trace ids carry no entropy of their own: trace ids are
 splitmix64 hashes of ``(seed, request_id)`` and span ids are per-trace
-open-order counters. Timestamps come from the clock given to
-:meth:`RequestTracer.configure`; ``serve-bench`` passes
-``monotonic_ms``, so spans carry real ``perf_counter`` milliseconds and
-differ from run to run. Aggregate-tree nodes are named by dotted path
-plus bracketed attributes (``tt.forward.segment_gemm[core=1]``); request
-traces keep ``attrs`` apart (docs/OBSERVABILITY.md).
+open-order counters (a stream-wide counter for trace-less events).
+Timestamps come from the clock given to :meth:`RequestTracer.configure`;
+the CLI passes ``monotonic_ms``, so records carry real ``perf_counter``
+milliseconds and differ from run to run. Aggregate-tree nodes are named
+by dotted path plus bracketed attributes
+(``tt.forward.segment_gemm[core=1]``); stream records keep ``attrs``
+apart (docs/OBSERVABILITY.md).
 """
 
 from __future__ import annotations
@@ -46,7 +54,7 @@ import json
 import os
 from time import perf_counter_ns
 
-from repro.telemetry.events import _json_safe, set_event_scope
+from repro.telemetry.events import _json_safe
 from repro.telemetry.flightrec import get_flight_recorder
 from repro.telemetry.trace_reader import TRACE_SCHEMA
 
@@ -62,6 +70,7 @@ __all__ = [
     "tracing_enabled",
     "get_request_tracer",
     "annotate_span",
+    "emit_event",
     "finish_request",
 ]
 
@@ -209,20 +218,26 @@ class Tracer:
 
 
 # ---------------------------------------------------------------------- #
-# Consumer 2: per-request traces
+# Consumer 2: the telemetry stream (per-request traces and events)
 # ---------------------------------------------------------------------- #
 
 class TraceContext:
-    """One live request trace: its id, spans, and the open-span stack."""
+    """One live request trace: its id, root span and open-span stack.
 
-    __slots__ = ("trace_id", "request_id", "spans", "_stack", "_next_id")
+    Each span is handed to ``write`` (the stream) once, when it closes.
+    """
 
-    def __init__(self, trace_id: str, request_id: int):
+    __slots__ = ("trace_id", "request_id", "root", "_stack", "_next_id",
+                 "_write")
+
+    def __init__(self, trace_id: str, request_id: int, write, now: float):
         self.trace_id = trace_id
         self.request_id = request_id
-        self.spans: list[dict] = []
         self._stack: list[dict] = []
         self._next_id = 1
+        self._write = write
+        self.root = self.open_span("request", {"request_id": request_id},
+                                   now)
 
     # ------------------------------------------------------------------ #
 
@@ -237,7 +252,6 @@ class TraceContext:
             "attrs": _json_safe(attrs) if attrs else {},
         }
         self._next_id += 1
-        self.spans.append(rec)
         return rec
 
     def open_span(self, name: str, attrs: dict | None, now: float) -> dict:
@@ -246,20 +260,20 @@ class TraceContext:
         return rec
 
     def close_span(self, rec: dict, now: float) -> None:
+        stack = self._stack
+        if stack and stack[-1] is rec:
+            stack.pop()
+        elif rec in stack:  # unbalanced exit; keep the tree sane
+            stack.remove(rec)
+        else:  # already closed (and written) by close_all
+            return
         rec["end_ms"] = float(now)
-        if self._stack and self._stack[-1] is rec:
-            self._stack.pop()
-        elif rec in self._stack:  # unbalanced exit; keep the tree sane
-            self._stack.remove(rec)
+        self._write(self.trace_id, rec)
 
     def record_span(self, name: str, start_ms: float, end_ms: float,
-                    **attrs) -> dict:
-        """A retroactive, already-closed span (e.g. ``queue.wait``)."""
-        return self._make(name, attrs, start_ms, end_ms)
-
-    def record_event(self, etype: str, data: dict, now: float) -> dict:
-        """An instantaneous event as a zero-duration span."""
-        return self._make(f"event:{etype}", data, now, now)
+                    attrs: dict | None = None) -> None:
+        """A span that is already closed: ``queue.wait``, an event."""
+        self._write(self.trace_id, self._make(name, attrs, start_ms, end_ms))
 
     def annotate(self, attrs: dict) -> None:
         """Merge attributes into the innermost open span."""
@@ -272,11 +286,12 @@ class TraceContext:
 
 
 class RequestTracer:
-    """Process-wide owner of request-trace sampling, scopes, and output.
+    """Process-wide owner of the telemetry stream: request-trace
+    sampling, scopes, and the JSONL file.
 
     Off until :meth:`configure` is called (``enabled`` False, every
     entry point an early-out); :meth:`shutdown` returns it to that
-    state and closes the JSONL file.
+    state and closes the file.
     """
 
     def __init__(self):
@@ -286,6 +301,7 @@ class RequestTracer:
         self._fh = None
         self.path: str | None = None
         self._active: list[TraceContext] = []
+        self._event_id = 0  # span ids of trace-less event records
         self.started = 0
         self.finished = 0
 
@@ -300,16 +316,17 @@ class RequestTracer:
     def configure(self, *, sample_every: int = 1,
                   path: str | os.PathLike | None = None,
                   clock=None, seed: int = 0) -> None:
-        """Enable tracing: sample every Nth request id, write JSONL.
+        """Open the stream: trace every Nth request id, write JSONL.
 
-        ``clock`` is any millisecond callable, normally the server's
-        ``monotonic_ms``; with none, every timestamp is 0.0.
+        ``sample_every=0`` traces no request, so the stream holds events
+        only. ``clock`` is any millisecond callable, normally the
+        server's ``monotonic_ms``; with none, every timestamp is 0.0.
         The output file is truncated, so a rerun never appends to an
         old one.
         """
-        if sample_every < 1:
+        if sample_every < 0:
             raise ValueError(
-                f"sample_every must be >= 1, got {sample_every}"
+                f"sample_every must be >= 0, got {sample_every}"
             )
         self.shutdown()
         self._sample = sample_every
@@ -317,21 +334,32 @@ class RequestTracer:
         self._clock = clock
         if path is not None:
             self.path = os.fspath(path)
-            self._fh = open(self.path, "w")
+            self._fh = open(self.path, "w", buffering=1)  # line-buffered
 
     def shutdown(self) -> None:
-        """Disable tracing, close the sink, drop any dangling scopes."""
+        """Disable tracing, close the file, drop any dangling scopes."""
         if self._fh is not None:
             self._fh.close()
         self._fh = None
         self.path = None
         self._sample = 0
         self._clock = None
-        self._activate([])
+        self._event_id = 0
+        self._active = []
 
     def _now(self) -> float:
         clock = self._clock
         return float(clock()) if clock is not None else 0.0
+
+    def _write(self, trace_id: str | None, rec: dict) -> None:
+        """Append one closed span to the stream: the file and the
+        flight recorder's ring, whichever are there."""
+        line = {"schema": TRACE_SCHEMA, "trace_id": trace_id, **rec}
+        if self._fh is not None:
+            self._fh.write(json.dumps(line, sort_keys=True) + "\n")
+        recorder = get_flight_recorder()
+        if recorder is not None:
+            recorder.record(line)
 
     # ------------------------------------------------------------------ #
     # Trace lifecycle
@@ -346,31 +374,19 @@ class RequestTracer:
         trace_id = format(
             _splitmix64(self._seed_mix ^ (request_id & _MASK64)), "016x"
         )
-        ctx = TraceContext(trace_id, request_id)
-        ctx.open_span("request", {"request_id": request_id},
-                      self._now() if now is None else now)
         self.started += 1
-        return ctx
+        return TraceContext(trace_id, request_id, self._write,
+                            self._now() if now is None else now)
 
     def finish(self, ctx: TraceContext | None, status: str, *,
                now: float | None = None, **attrs) -> None:
-        """Close a trace (root span gets ``status`` + attrs), write it."""
+        """Close a trace: the root span gets ``status`` + attrs and
+        closes last."""
         if ctx is None:
             return
-        now = self._now() if now is None else float(now)
-        root = ctx.spans[0]
-        root["attrs"].update(_json_safe({"status": status, **attrs}))
-        ctx.close_all(now)
+        ctx.root["attrs"].update(_json_safe({"status": status, **attrs}))
+        ctx.close_all(self._now() if now is None else float(now))
         self.finished += 1
-        if self._fh is not None:
-            for rec in ctx.spans:
-                line = {"schema": TRACE_SCHEMA, "trace_id": ctx.trace_id,
-                        **rec}
-                self._fh.write(json.dumps(line, sort_keys=True) + "\n")
-            self._fh.flush()
-        recorder = get_flight_recorder()
-        if recorder is not None:
-            recorder.record_trace(ctx.trace_id, ctx.spans)
 
     # ------------------------------------------------------------------ #
     # Scopes (the propagation mechanism)
@@ -381,30 +397,9 @@ class RequestTracer:
         live = [c for c in ctxs if c is not None]
         return _Scope(self, live) if live else _NOOP
 
-    def _activate(self, ctxs: list[TraceContext]) -> None:
-        self._active = ctxs
-        set_event_scope(self if ctxs else None)
-
-    def join_event(self, etype: str, data: dict) -> dict:
-        """Mirror an event into every active trace; return it with their ids.
-
-        Each active trace gains a zero-duration ``event:<type>`` span
-        under its innermost open span, and the payload gains ``trace_id``
-        (one active trace) or ``trace_ids`` (a batch of them) — which is
-        how a flight-recorder dump links a breaker transition, a fault
-        firing or a cache repair back to the requests in flight.
-        """
-        now = self._now()
-        for ctx in self._active:
-            ctx.record_event(etype, data, now)
-        ids = sorted({ctx.trace_id for ctx in self._active})
-        if len(ids) == 1:
-            return {"trace_id": ids[0], **data}
-        return {"trace_ids": ids, **data}
-
 
 # ---------------------------------------------------------------------- #
-# The one entry point
+# The entry points: trace() and emit_event()
 # ---------------------------------------------------------------------- #
 
 class _NoopSpan:
@@ -433,12 +428,12 @@ class _Scope:
 
     def __enter__(self):
         self._outer = self.rt._active
-        self.rt._activate(self.ctxs)
+        self.rt._active = self.ctxs
         return self
 
     def __exit__(self, *exc):
         # A shutdown() inside the block already dropped every scope.
-        self.rt._activate(self._outer if self.rt.enabled else [])
+        self.rt._active = self._outer if self.rt.enabled else []
         return False
 
 
@@ -509,6 +504,32 @@ def annotate_span(**attrs) -> None:
     """Add attributes to the innermost open span of every active trace."""
     for ctx in _REQUEST_TRACER._active:
         ctx.annotate(attrs)
+
+
+def emit_event(etype: str, /, **data) -> None:
+    """Write a discrete event to the stream; free while nothing listens.
+
+    Inside a sampled request each active trace gets one zero-duration
+    ``event:<type>`` record under its innermost open span; outside one,
+    the event is a single record with ``trace_id`` and ``parent_id``
+    null. The flight recorder then checks its triggers once. ``etype``
+    is positional-only, so no payload key can collide with it.
+    """
+    rt = _REQUEST_TRACER
+    recorder = get_flight_recorder()
+    if not rt._active and rt._fh is None and recorder is None:
+        return
+    name, now = f"event:{etype}", rt._now()
+    if rt._active:
+        for ctx in rt._active:
+            ctx.record_span(name, now, now, data)
+    else:
+        rt._event_id += 1
+        rt._write(None, {"span_id": rt._event_id, "parent_id": None,
+                         "name": name, "start_ms": now, "end_ms": now,
+                         "attrs": _json_safe(data)})
+    if recorder is not None:
+        recorder.check_trigger(etype, data)
 
 
 def finish_request(req, status: str, *, now: float | None = None,

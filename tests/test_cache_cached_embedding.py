@@ -228,13 +228,14 @@ class TestForwardBackward:
         ``cache.repair`` events for read validation, a direct ``scrub()``
         (what the serving ladder calls) and the divergence guard alike."""
         from repro.reliability.guard import scrub_non_finite
-        from repro.telemetry import install_sink, read_events, uninstall_sink
+        from repro.telemetry import get_request_tracer, read_events
 
         emb = make(warmup_steps=1, cache_size=2)
         emb.forward(np.array([5, 5, 6]))
         emb.forward(np.array([5, 6]))
         emb.validate_reads = True
-        install_sink(tmp_path / "events.jsonl")
+        get_request_tracer().configure(sample_every=0,
+                                       path=tmp_path / "stream.jsonl")
         try:
             emb.cache_rows.data[0] = np.nan
             emb.forward(np.array([5, 6]))          # read validation
@@ -244,10 +245,10 @@ class TestForwardBackward:
             emb.cache_rows.data[:2] = np.nan
             assert scrub_non_finite(emb) == 2      # the guard's walk
         finally:
-            uninstall_sink()
-        rows = [e["data"]["rows"]
-                for e in read_events(tmp_path / "events.jsonl", "cache.repair")
-                if e["data"]["module"] == emb.metrics_label]
+            get_request_tracer().shutdown()
+        rows = [e["attrs"]["rows"]
+                for e in read_events(tmp_path / "stream.jsonl", "cache.repair")
+                if e["attrs"]["module"] == emb.metrics_label]
         assert rows == [1, 1, 2]
         assert emb.repaired_rows == emb.stats()["repairs"] == sum(rows)
 

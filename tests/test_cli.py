@@ -66,6 +66,15 @@ class TestCommands:
         assert exc.value.code == 2
         assert f"argument {option}: must be >= 1, got 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_trace_rejects_counts_below_one(self, count, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["trace", str(tmp_path / "stream.jsonl"), "--slowest",
+                  count])
+        assert exc.value.code == 2
+        assert (f"argument --slowest: must be >= 1, got {count}"
+                in capsys.readouterr().err)
+
     def test_plan_budget_empty_tables_file_is_an_error(self, tmp_path, capsys):
         path = tmp_path / "tables.json"
         path.write_text('{"tables": []}')
@@ -139,10 +148,10 @@ class TestCommands:
         from repro.telemetry import read_events, validate_snapshot
 
         snap = tmp_path / "profile.json"
-        events = tmp_path / "events.jsonl"
+        events = tmp_path / "stream.jsonl"
         assert main(["profile", "--iters", "12", "--scale", "0.0002",
                      "--emit-json", str(snap),
-                     "--events-jsonl", str(events)]) == 0
+                     "--trace-jsonl", str(events)]) == 0
         doc = json.loads(snap.read_text())
         validate_snapshot(doc)
         assert doc["command"] == "profile"
@@ -199,11 +208,11 @@ class TestCommands:
         from repro.telemetry import read_events, validate_snapshot
 
         snap = tmp_path / "serve.json"
-        events = tmp_path / "serve_events.jsonl"
+        events = tmp_path / "stream.jsonl"
         assert main(["serve-bench", "--requests", "250",
                      "--scale", "0.0003", "--fault-rate", "0.05",
                      "--emit-json", str(snap),
-                     "--events-jsonl", str(events)]) == 0
+                     "--trace-jsonl", str(events)]) == 0
         doc = json.loads(snap.read_text())
         validate_snapshot(doc)
         assert doc["command"] == "serve-bench"

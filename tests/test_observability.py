@@ -41,7 +41,6 @@ from repro.telemetry import (
     get_request_tracer,
     get_tracer,
     install_flight_recorder,
-    install_sink,
     load_policy,
     read_events,
     read_trace,
@@ -49,9 +48,9 @@ from repro.telemetry import (
     trace,
     trace_duration_ms,
     uninstall_flight_recorder,
-    uninstall_sink,
     validate_trace_record,
 )
+from repro.telemetry.flightrec import read_dump
 from repro.telemetry.registry import Histogram
 from tests.tree_checks import (
     REPO,
@@ -73,7 +72,6 @@ def _fresh_telemetry():
     yield
     get_request_tracer().shutdown()
     uninstall_flight_recorder()
-    uninstall_sink()
     disable_tracing()
     get_tracer().reset()
     reg.reset(prefix="serving.")
@@ -103,7 +101,8 @@ def drill_policy() -> dict:
     }
 
 
-def run_drill(predictor, tmp_path, tag, *, trace_sample=5, requests=150):
+def run_drill(predictor, tmp_path, tag, *, trace_sample=5, requests=150,
+              injector=None):
     """One served run on the wall clock with tracing + SLO + flight
     recorder armed."""
     trace_path = tmp_path / f"trace-{tag}.jsonl"
@@ -116,6 +115,7 @@ def run_drill(predictor, tmp_path, tag, *, trace_sample=5, requests=150):
     server = InferenceServer(
         predictor,
         config=ServerConfig(default_deadline_ms=100.0, cooldown=10),
+        injector=injector,
     )
     report = run_load(server, num_requests=requests, deadline_ms=100.0,
                       seed=0, slo=slo)
@@ -199,7 +199,7 @@ class TestRequestTracer:
         assert {n for n in public if n.startswith("trace")} == {
             "trace", "trace_duration_ms"}
         assert {n for n in public if n.endswith(("_span", "_event"))} == {
-            "annotate_span", "emit_event", "validate_event"}
+            "annotate_span", "emit_event"}
         assert not hasattr(Tracer, "span")
 
     def test_nothing_listening_is_one_shared_noop(self):
@@ -224,7 +224,6 @@ class TestRequestTracer:
         clock = ManualClock()
         rt = get_request_tracer()
         rt.configure(sample_every=1, path=path, clock=clock.now, seed=0)
-        install_sink(tmp_path / "events.jsonl")
         if aggregate:
             enable_tracing()
         ctx = rt.maybe_start(0, now=clock.now())
@@ -256,12 +255,14 @@ class TestRequestTracer:
         assert root["parent_id"] is None
         assert root["attrs"]["status"] == "served"
         assert trace_duration_ms(spans) == pytest.approx(3.0)
-        (event,) = read_events(tmp_path / "events.jsonl")
+        (event,) = read_events(path)
+        assert event["attrs"] == {"shard": 1}
+        assert event["start_ms"] == event["end_ms"] == 3.0
         if not scoped:
             assert list(by_name) == ["request"]
-            assert event["data"] == {"shard": 1}
+            assert (event["trace_id"], event["parent_id"]) == (None, None)
             return
-        assert event["data"] == {"trace_id": ctx.trace_id, "shard": 1}
+        assert event["trace_id"] == ctx.trace_id
         batch, dispatch = by_name["serving.batch"], by_name["shard.dispatch"]
         assert batch["parent_id"] == root["span_id"]
         assert (batch["start_ms"], batch["end_ms"]) == (1.0, 3.0)
@@ -270,10 +271,12 @@ class TestRequestTracer:
         assert (by_name["event:shard.failover"]["parent_id"]
                 == batch["span_id"])
 
-    def test_nested_scopes_restore_and_exceptions_close_spans(self):
+    def test_nested_scopes_restore_and_exceptions_close_spans(self,
+                                                              tmp_path):
         clock = ManualClock()
         rt = get_request_tracer()
-        rt.configure(sample_every=1, clock=clock.now, seed=0)
+        rt.configure(sample_every=1, path=tmp_path / "t.jsonl",
+                     clock=clock.now, seed=0)
         enable_tracing()
         a, b = rt.maybe_start(0), rt.maybe_start(1)
         with rt.scope([a]):
@@ -289,15 +292,20 @@ class TestRequestTracer:
                     pass
         disable_tracing()
         assert trace("outside") is rt.scope([None])  # nothing left active
+        rt.finish(a, "served")
+        rt.finish(b, "served")
+        rt.shutdown()
+        traces = read_trace(tmp_path / "t.jsonl")
 
         def names(ctx):
-            by_id = {s["span_id"]: s["name"] for s in ctx.spans}
-            return [(s["name"], by_id.get(s["parent_id"])) for s in ctx.spans]
+            spans = traces[ctx.trace_id]
+            by_id = {s["span_id"]: s["name"] for s in spans}
+            return [(s["name"], by_id.get(s["parent_id"])) for s in spans]
 
         assert names(a) == [("request", None), ("outer", "request"),
                             ("boom", "outer"), ("after", "outer")]
         assert names(b) == [("request", None), ("inner", "request")]
-        boom = a.spans[2]
+        boom = traces[a.trace_id][2]
         assert (boom["start_ms"], boom["end_ms"]) == (0.0, 1.0)
         outer = get_tracer().tree_dict()["outer"]
         assert {k: v["count"] for k, v in outer["children"].items()} == {
@@ -333,51 +341,52 @@ class TestRequestTracer:
                     lin.forward(np.ones((1, 2)))
 
         types = ["fault.fired", "cache.repair", "sanitizer.trip"]
-        install_sink(tmp_path / "outside.jsonl")
-        provoke()
-        uninstall_sink()
-        outside = read_events(tmp_path / "outside.jsonl")
-        assert [e["type"] for e in outside] == types
-        assert list(outside[0]["data"]) == ["site", "kind", "count"]
-        assert list(outside[1]["data"]) == ["module", "rows", "step"]
-
         rt = get_request_tracer()
-        rt.configure(sample_every=1, seed=0)
+        rt.configure(sample_every=0, path=tmp_path / "outside.jsonl")
+        provoke()
+        outside = read_events(tmp_path / "outside.jsonl")
+        assert [e["name"] for e in outside] == [f"event:{t}" for t in types]
+        assert {e["trace_id"] for e in outside} == {None}
+        assert set(outside[0]["attrs"]) == {"site", "kind", "count"}
+        assert set(outside[1]["attrs"]) == {"module", "rows", "step"}
+
+        rt.configure(sample_every=1, path=tmp_path / "inside.jsonl", seed=0)
         ctx = rt.maybe_start(0)
-        install_sink(tmp_path / "inside.jsonl")
         with rt.scope([ctx]):
             with trace("serving.batch"):
                 with trace("serving.pooled"):
                     provoke()
+        rt.finish(ctx, "served")
+        rt.shutdown()
         inside = read_events(tmp_path / "inside.jsonl")
-        assert [e["type"] for e in inside] == types
-        pooled = next(s for s in ctx.spans if s["name"] == "serving.pooled")
+        assert [e["name"] for e in inside] == [f"event:{t}" for t in types]
+        (spans,) = read_trace(tmp_path / "inside.jsonl").values()
+        pooled = next(s for s in spans if s["name"] == "serving.pooled")
         for before, event in zip(outside, inside):
-            assert event["data"] == {"trace_id": ctx.trace_id,
-                                     **before["data"]}
-            assert list(event["data"]) == ["trace_id", *before["data"]]
-            (span,) = [s for s in ctx.spans
-                       if s["name"] == f"event:{event['type']}"]
-            assert span["parent_id"] == pooled["span_id"]
-            assert span["attrs"] == before["data"]
+            assert event["trace_id"] == ctx.trace_id
+            assert event["parent_id"] == pooled["span_id"]
+            assert event["attrs"] == before["attrs"]
 
     def test_event_payload_cannot_collide_with_emit_parameters(
             self, tmp_path):
         payload = {"etype": "e", "type": "t", "data": 1, "name": "n",
-                   "now": 2, "start_ms": 3, "end_ms": 4, "self": 5}
+                   "now": 2, "start_ms": 3, "end_ms": 4, "self": 5,
+                   "attrs": 6, "trace_id": 7}
+        path = tmp_path / "stream.jsonl"
         rt = get_request_tracer()
-        rt.configure(sample_every=1, seed=0)
+        rt.configure(sample_every=1, path=path, seed=0)
         ctx = rt.maybe_start(0)
         rec = install_flight_recorder(FlightRecorder(tmp_path))
-        install_sink(tmp_path / "events.jsonl")
         emit_event("x.outside", **payload)
         with rt.scope([ctx]):
             emit_event("x.inside", **payload)
-        outside, inside = read_events(tmp_path / "events.jsonl")
-        assert outside["data"] == payload
-        assert inside["data"] == {"trace_id": ctx.trace_id, **payload}
-        assert ctx.spans[-1]["name"] == "event:x.inside"
-        assert ctx.spans[-1]["attrs"] == payload
+        rt.shutdown()
+        outside, inside = read_events(path)
+        assert (outside["name"], outside["trace_id"]) == ("event:x.outside",
+                                                          None)
+        assert (inside["name"], inside["trace_id"]) == ("event:x.inside",
+                                                        ctx.trace_id)
+        assert outside["attrs"] == inside["attrs"] == payload
         assert rec.summary()["events_seen"] == 2
 
     def test_trace_views(self, tmp_path):
@@ -395,6 +404,10 @@ class TestRequestTracer:
         assert [trace_duration_ms(spans) for _, spans in ranked] == [9.0, 5.0]
         text = format_trace_tree(*ranked[0])
         assert "request" in text and "9.00 ms" in text
+        # Offsets start at the root: the slowest trace began at 5.0 ms.
+        root_line = text.splitlines()[1]
+        assert root_line.lstrip().startswith("request")
+        assert "+0.00 ms (9.00 ms)" in root_line
 
 
 # ---------------------------------------------------------------------- #
@@ -514,6 +527,27 @@ class TestServingDrill:
             == outcomes["queued"]
         # Every sampled request ends as one trace, whatever its outcome.
         assert len(traces) == 30  # 150 requests, every 5th sampled
+
+    def test_fault_firing_joins_a_sampled_request(self, predictor,
+                                                  tmp_path):
+        """A backend fault fired while a sampled request was served is a
+        record of that request's trace, under the pooled call it
+        poisoned."""
+        from repro.reliability import FaultInjector
+
+        injector = FaultInjector(seed=123)
+        injector.register("serving.backend", 0.05, kind="nan",
+                          max_elements=4)
+        _, trace_path, _ = run_drill(predictor, tmp_path, "faults",
+                                     injector=injector)
+        spans = {(s["trace_id"], s["span_id"]): s
+                 for trace in read_trace(trace_path).values()
+                 for s in trace}
+        joined = [e for e in read_events(trace_path, "fault.fired")
+                  if e["trace_id"] is not None]
+        assert joined, "no fault.fired event joined a sampled request"
+        assert all(spans[e["trace_id"], e["parent_id"]]["name"]
+                   == "serving.pooled" for e in joined)
 
     def test_reconciliation_survives_observability(self, predictor,
                                                    tmp_path):
@@ -637,6 +671,12 @@ class TestSLOEngine:
         lambda d: d["objectives"][0].pop("windows"),
         lambda d: d["objectives"][0].update(metric="latency"),
         lambda d: d["objectives"][0].update(target=1.5),
+        lambda d: d["objectives"][0]["windows"][0].update(ms=float("nan")),
+        lambda d: d["objectives"][0]["windows"][0].update(
+            max_burn=float("inf")),
+        lambda d: d["objectives"][0].update(metric="latency",
+                                            threshold_ms=float("nan")),
+        lambda d: d["objectives"][0].update(gate="false"),
     ])
     def test_load_policy_rejects_bad_documents(self, mutate):
         doc = {
@@ -665,9 +705,10 @@ class TestSLOEngine:
 
 class TestFlightRecorder:
     def test_breaker_open_triggers_single_dump(self, tmp_path):
-        clock = ManualClock()
+        clock = ManualClock(start_ms=7.0)
+        get_request_tracer().configure(sample_every=0, clock=clock.now)
         rec = install_flight_recorder(
-            FlightRecorder(tmp_path, clock=clock.now, event_ring=4))
+            FlightRecorder(tmp_path, clock=clock.now, ring=4))
         for i in range(6):
             emit_event("serving.other", i=i)
         emit_event("serving.breaker", breaker="t0", from_state="closed",
@@ -676,12 +717,22 @@ class TestFlightRecorder:
                      to_state="open")
         dump = tmp_path / "flightrec-breaker-open.json"
         assert dump.is_file()
-        doc = json.loads(dump.read_text())
-        assert len(doc["events"]) <= 4  # bounded ring
+        doc = read_dump(dump)
+        assert len(doc["records"]) == 4  # bounded ring
         assert doc["trigger"] == "breaker-open"
+        for record in doc["records"]:
+            validate_trace_record(record)
+        last = doc["records"][-1]
+        assert last["name"] == "event:serving.breaker"
+        assert last["attrs"]["breaker"] == "t0"
+        assert last["start_ms"] == last["end_ms"] == 7.0
         summ = rec.summary()
         assert summ["suppressed"] == {"breaker-open": 1}
         uninstall_flight_recorder()
+        # A dump of another contract generation is refused, not misread.
+        dump.write_text(json.dumps({**doc, "schema": "repro.flightrec/v1"}))
+        with pytest.raises(ValueError, match="repro.flightrec/v2"):
+            read_dump(dump)
 
     def test_half_open_transition_does_not_trigger(self, tmp_path):
         install_flight_recorder(FlightRecorder(tmp_path))

@@ -9,25 +9,24 @@ import pytest
 from repro.data import KAGGLE, SyntheticCTRDataset
 from repro.models import DLRMConfig, build_dlrm
 from repro.telemetry import (
-    EVENT_SCHEMA,
     SNAPSHOT_SCHEMA,
+    TRACE_SCHEMA,
     Histogram,
-    JsonlSink,
     MetricsRegistry,
     disable_tracing,
     emit_event,
     enable_tracing,
     get_registry,
+    get_request_tracer,
     get_tracer,
-    install_sink,
     metric_key,
     read_events,
+    read_trace,
     snapshot,
     trace,
     tracing_enabled,
-    uninstall_sink,
-    validate_event,
     validate_snapshot,
+    validate_trace_record,
     write_snapshot,
 )
 from repro.training import Trainer
@@ -35,12 +34,12 @@ from repro.training import Trainer
 
 @pytest.fixture(autouse=True)
 def _clean_tracer():
-    """Keep the process-wide tracer/sink state from leaking across tests."""
+    """Keep the process-wide tracer/stream state from leaking across tests."""
     tracer = get_tracer()
     was_enabled = tracer.enabled
     tracer.reset()
     yield
-    uninstall_sink()
+    get_request_tracer().shutdown()
     tracer.reset()
     tracer.enabled = was_enabled
 
@@ -222,43 +221,69 @@ class TestTracer:
 
 
 # ---------------------------------------------------------------------- #
-# JSONL events & snapshots
+# Events on the telemetry stream & snapshots
 # ---------------------------------------------------------------------- #
 
 class TestEvents:
     def test_jsonl_round_trip(self, tmp_path):
-        path = tmp_path / "events.jsonl"
-        install_sink(path)
+        path = tmp_path / "stream.jsonl"
+        ticks = iter([4.0, 6.5])
+        get_request_tracer().configure(sample_every=0, path=path,
+                                       clock=lambda: next(ticks))
         emit_event("guard.skip", loss=float("nan"), failure_streak=1)
         emit_event("cache.repair", rows=3)
-        uninstall_sink()
+        get_request_tracer().shutdown()
         events = read_events(path)
-        assert [e["type"] for e in events] == ["guard.skip", "cache.repair"]
-        assert [e["seq"] for e in events] == [0, 1]
-        assert events[0]["schema"] == EVENT_SCHEMA
+        assert [e["name"] for e in events] == ["event:guard.skip",
+                                               "event:cache.repair"]
+        assert [e["span_id"] for e in events] == [1, 2]
+        assert [(e["start_ms"], e["end_ms"]) for e in events] == [
+            (4.0, 4.0), (6.5, 6.5)]
+        assert events[0]["schema"] == TRACE_SCHEMA
         # NaN ships as a string so the line stays strict JSON.
-        assert events[0]["data"]["loss"] == "nan"
-        assert events[1]["data"]["rows"] == 3
+        assert events[0]["attrs"]["loss"] == "nan"
+        assert events[1]["attrs"]["rows"] == 3
         only = read_events(path, event_type="cache.repair")
         assert len(only) == 1
+        assert read_trace(path) == {}  # no request was traced
 
-    def test_emit_without_sink_is_noop(self):
-        uninstall_sink()
+    def test_emit_without_sink_is_noop(self, tmp_path):
+        get_request_tracer().shutdown()
         emit_event("anything", x=1)  # must not raise
+        # A rerun truncates the stream: only its own events are read.
+        path = tmp_path / "stream.jsonl"
+        for run in range(2):
+            get_request_tracer().configure(sample_every=0, path=path)
+            emit_event("anything", run=run)
+            get_request_tracer().shutdown()
+        assert [e["attrs"] for e in read_events(path)] == [{"run": 1}]
 
     def test_numpy_payloads_coerced(self, tmp_path):
         path = tmp_path / "np.jsonl"
-        with JsonlSink(path) as sink:
-            rec = sink.emit("t", a=np.int64(7), b=np.array([1.0, 2.0]))
-        assert rec["data"] == {"a": 7, "b": [1.0, 2.0]}
+        get_request_tracer().configure(sample_every=0, path=path)
+        emit_event("t", a=np.int64(7), b=np.array([1.0, 2.0]))
+        get_request_tracer().shutdown()
+        (rec,) = read_events(path)
+        assert rec["attrs"] == {"a": 7, "b": [1.0, 2.0]}
         json.dumps(rec)  # strictly serializable
 
-    def test_validate_event_rejects_malformed(self):
-        with pytest.raises(ValueError):
-            validate_event({"schema": "bogus/v9"})
-        with pytest.raises(ValueError):
-            validate_event({"schema": EVENT_SCHEMA, "seq": "0",
-                            "ts_ns": 1, "type": "t", "data": {}})
+    def test_validate_trace_record_rejects_malformed(self):
+        good = {"schema": TRACE_SCHEMA, "trace_id": "ab", "span_id": 2,
+                "parent_id": 1, "name": "serving.batch", "start_ms": 1.0,
+                "end_ms": 2.0, "attrs": {}}
+        validate_trace_record(good)
+        validate_trace_record({**good, "trace_id": None, "parent_id": None,
+                               "name": "event:guard.skip"})
+        for bad in ({"schema": "bogus/v9"},
+                    {"span_id": "0"},
+                    {"trace_id": None},  # only an event may be trace-less
+                    {"start_ms": float("nan")},
+                    {"end_ms": float("inf")},
+                    {"span_id": True},
+                    {"parent_id": False},
+                    {"end_ms": 0.5}):    # ends before it starts
+            with pytest.raises(ValueError):
+                validate_trace_record({**good, **bad})
 
     def test_snapshot_schema_round_trip(self, tmp_path):
         get_registry().counter("test.snapshot.counter").inc(2)
