@@ -22,6 +22,7 @@ arithmetic and compares bytes-on-the-wire per iteration.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.analysis.memory import tt_shape_for_table
@@ -41,10 +42,15 @@ class ClusterSpec:
     link_latency_us: float = 5.0
 
     def __post_init__(self):
-        if self.num_devices < 1:
-            raise ValueError(f"num_devices must be >= 1, got {self.num_devices}")
-        if self.device_memory_gb <= 0 or self.link_bandwidth_gbps <= 0:
-            raise ValueError("memory and bandwidth must be positive")
+        if isinstance(self.num_devices, bool) or self.num_devices < 1:
+            raise ValueError(f"num_devices must be >= 1, got {self.num_devices!r}")
+        for name in ("device_memory_gb", "link_bandwidth_gbps"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+        if not (math.isfinite(self.link_latency_us) and self.link_latency_us >= 0):
+            raise ValueError("link_latency_us must be finite and >= 0, "
+                             f"got {self.link_latency_us!r}")
 
     def transfer_us(self, num_bytes: float) -> float:
         """alpha-beta time for one point-to-point message."""
@@ -83,6 +89,12 @@ def _mlp_params(emb_dim: int, num_tables: int, num_dense: int = 13,
     return total
 
 
+def _check_counts(**counts: int) -> None:
+    for name, value in counts.items():
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
+
+
 def model_parallel_cost(spec: DatasetSpec, cluster: ClusterSpec, *,
                         batch_size: int, dtype_bytes: int = 4) -> IterationCost:
     """Dense DLRM with tables sharded round-robin across devices.
@@ -92,6 +104,7 @@ def model_parallel_cost(spec: DatasetSpec, cluster: ClusterSpec, *,
     ``(1 - 1/N)`` of ``B * T * D`` vectors; doubled for forward + backward.
     The MLP allreduce moves ``2 * (N-1)/N * mlp_params`` per device (ring).
     """
+    _check_counts(batch_size=batch_size, dtype_bytes=dtype_bytes)
     n = cluster.num_devices
     emb_bytes = spec.total_rows() * spec.emb_dim * dtype_bytes
     mlp_bytes = _mlp_params(spec.emb_dim, spec.num_tables) * dtype_bytes
@@ -123,7 +136,17 @@ def data_parallel_cost(spec: DatasetSpec, cluster: ClusterSpec, *,
     Only *touched* dense-table rows produce gradients, but the worst case
     (allreduce of all replicated parameters) is charged — TT-Rec's story
     survives even the pessimistic accounting.
+
+    The ``num_tt_tables`` largest tables are compressed whatever their
+    size. :func:`~repro.models.ttrec.build_ttrec` leaves tables below its
+    ``min_rows`` dense, so the two agree on a scaled spec only at
+    ``min_rows=1``; at full Kaggle and Terabyte sizes the 7 largest
+    tables all have 142 572 rows or more, so its default changes nothing.
     """
+    _check_counts(dtype_bytes=dtype_bytes)
+    if not 0 <= num_tt_tables <= spec.num_tables:
+        raise ValueError(f"num_tt_tables must be in [0, {spec.num_tables}], "
+                         f"got {num_tt_tables}")
     n = cluster.num_devices
     compressed = set(spec.largest(num_tt_tables))
     params = _mlp_params(spec.emb_dim, spec.num_tables)

@@ -368,7 +368,6 @@ def _cmd_profile(args) -> int:
     """Telemetry drill-down over one short instrumented workload."""
     from repro import telemetry
     from repro.bench.reporting import format_table
-    from repro.distributed.collectives import Communicator
     from repro.training import Trainer
 
     kaggle = _scaled_kaggle(args, mlp=_WIDE_MLP, **_TRAINING_CACHE)
@@ -382,18 +381,11 @@ def _cmd_profile(args) -> int:
             with telemetry.trace("profile.train"):
                 res = trainer.train(
                     kaggle.stream().batches(args.batch_size, args.iters))
-            # Collective leg: allreduce every dense gradient across a
-            # simulated ring so the same registry carries byte counters, too.
-            comm = Communicator(args.world_size)
-            with telemetry.trace("profile.collectives"):
-                for p in model.parameters():
-                    if p.size:
-                        comm.allreduce_mean([p.dense_grad()] * args.world_size)
         finally:
             telemetry.disable_tracing()
 
     print(f"profile workload: {args.iters} iters, batch {args.batch_size}, "
-          f"TT rank {args.rank}, world size {args.world_size}")
+          f"TT rank {args.rank}")
     print("\n== span tree " + "=" * 50)
     print(tracer.format_tree())
 
@@ -429,7 +421,6 @@ def _cmd_profile(args) -> int:
         "ms_per_iter_steady": res.ms_per_iter_steady,
         "stage_ms_per_iter": breakdown,
         "cache": {emb.metrics_label: emb.stats() for emb in cached},
-        "collective_bytes": comm.total_bytes,
     }, lead="\n")
     return 0
 
@@ -714,7 +705,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_report)
 
     p = sub.add_parser("train", help="demo training: baseline vs TT-Rec")
-    p.add_argument("--iters", type=int, default=200)
+    p.add_argument("--iters", type=_positive_int, default=200)
     p.add_argument("--rank", type=int, default=16)
     p.add_argument("--scale", type=float, default=0.0005)
     p.add_argument("--seed", type=int, default=0)
@@ -731,12 +722,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("profile",
                        help="span tree + metrics registry for a short "
                             "instrumented workload")
-    p.add_argument("--iters", type=int, default=60)
+    p.add_argument("--iters", type=_positive_int, default=60)
     p.add_argument("--rank", type=int, default=16)
     p.add_argument("--scale", type=float, default=0.0005)
-    p.add_argument("--batch-size", type=int, default=96)
-    p.add_argument("--world-size", type=int, default=4,
-                   help="simulated workers for the collective leg")
+    p.add_argument("--batch-size", type=_positive_int, default=96)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--emit-json", default=None, metavar="PATH",
                    help="write a repro.telemetry/v1 snapshot JSON")
@@ -747,7 +736,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("chaos",
                        help="fault-injection drill: guarded run vs fault-free")
-    p.add_argument("--iters", type=int, default=300)
+    p.add_argument("--iters", type=_positive_int, default=300)
     p.add_argument("--rank", type=int, default=8)
     p.add_argument("--scale", type=float, default=0.0003)
     p.add_argument("--seed", type=int, default=0)

@@ -5,8 +5,8 @@ many hosts, where worker loss and numeric blow-ups are routine. This
 package makes every training and benchmark run in the repo survivable:
 
 - :class:`FaultInjector` — seeded, deterministic fault source with named
-  injection sites wired into the trainer, the distributed collectives and
-  the embedding cache (see :mod:`repro.reliability.fault_injection`);
+  injection sites wired into the trainer, the embedding cache and the
+  serving tier (see :mod:`repro.reliability.fault_injection`);
 - :class:`CheckpointManager` — atomic, checksummed, retained checkpoints
   carrying model + optimizer + RNG + module-extra state, so a killed run
   resumes bit-exactly (:mod:`repro.reliability.checkpoint`);
@@ -14,11 +14,8 @@ package makes every training and benchmark run in the repo survivable:
   LR-backoff / rollback recovery ladder replacing the trainer's old
   fail-fast :class:`FloatingPointError` (:mod:`repro.reliability.guard`).
 
-Degraded-mode collectives (checksum verify, bounded retry, survivor
-renormalisation) live on
-:class:`~repro.distributed.collectives.Communicator` itself and light up
-when it is given an injector. See ``docs/RELIABILITY.md`` for the full
-story and ``tests/test_reliability.py`` for the chaos suite.
+See ``docs/RELIABILITY.md`` for the full story and
+``tests/test_reliability.py`` for the chaos suite.
 """
 
 from repro.reliability.checkpoint import (

@@ -2,20 +2,16 @@
 
 A single seeded :class:`FaultInjector` is shared by every instrumented
 component (:class:`~repro.training.trainer.Trainer`,
-:class:`~repro.distributed.collectives.Communicator`,
-:class:`~repro.cache.cached_embedding.CachedTTEmbeddingBag`). Each
-component asks the injector whether a fault fires at a named *site*; all
-draws come from one private PCG64 stream, so a fixed seed plus a fixed
-call sequence reproduces the exact same fault schedule run after run —
-chaos tests are as repeatable as clean ones.
+:class:`~repro.cache.cached_embedding.CachedTTEmbeddingBag`, the serving
+tier). Each component asks the injector whether a fault fires at a named
+*site*; all draws come from one private PCG64 stream, so a fixed seed
+plus a fixed call sequence reproduces the exact same fault schedule run
+after run — chaos tests are as repeatable as clean ones.
 
 Instrumented sites
 ------------------
 ==========================  ====================================================
 ``trainer.grad``            non-finite entries injected into the loss gradient
-``collective.payload``      bit/value corruption of a transmitted buffer
-``collective.drop``         a worker silently drops out of one collective
-``collective.straggler``    a worker is slow (counted, never actually slept)
 ``cache.row``               one uncompressed cached embedding row is poisoned
 ``serving.request``         an inbound request's dense payload is corrupted
 ``serving.queue``           a queued request is lost (shed as a queue fault)
@@ -40,16 +36,13 @@ __all__ = ["FaultSpec", "FaultInjector", "KNOWN_SITES"]
 
 KNOWN_SITES = (
     "trainer.grad",
-    "collective.payload",
-    "collective.drop",
-    "collective.straggler",
     "cache.row",
     "serving.request",
     "serving.queue",
     "serving.backend",
 )
 
-_KINDS = ("nan", "inf", "zero", "scale", "bitflip")
+_KINDS = ("nan", "inf", "zero", "scale")
 
 
 @dataclass(frozen=True)
@@ -65,9 +58,7 @@ class FaultSpec:
     kind:
         Corruption applied to the target array when the fault carries a
         payload: ``"nan"``/``"inf"`` overwrite entries, ``"zero"`` clears
-        them, ``"scale"`` multiplies by ``magnitude``, and ``"bitflip"``
-        flips one random mantissa/exponent bit of a float64 entry (the
-        model of an undetected link error a checksum must catch).
+        them, and ``"scale"`` multiplies by ``magnitude``.
     magnitude:
         Factor for ``kind="scale"``.
     max_elements:
@@ -100,7 +91,7 @@ class FaultInjector:
 
         inj = FaultInjector(seed=0)
         inj.register("trainer.grad", 0.02)                # NaN gradients
-        inj.register("collective.payload", 0.05, kind="bitflip")
+        inj.register("cache.row", 0.05, kind="zero")
         trainer = Trainer(model, guard=DivergenceGuard(), injector=inj)
 
     ``attempts`` counts probes per site, ``fired`` counts actual faults;
@@ -191,15 +182,8 @@ class FaultInjector:
             flat[picks] = np.inf
         elif spec.kind == "zero":
             flat[picks] = 0.0
-        elif spec.kind == "scale":
+        else:  # "scale"
             flat[picks] *= spec.magnitude
-        elif spec.kind == "bitflip":
-            bits = self._rng.integers(0, 64, size=k)
-            if flat.dtype == np.float64 and flat.flags.c_contiguous:
-                raw = flat.view(np.uint64)
-                raw[picks] ^= np.uint64(1) << bits.astype(np.uint64)
-            else:  # non-float64 payloads: degrade to a NaN overwrite
-                flat[picks] = np.nan
 
     def corrupt(self, site: str, array: np.ndarray) -> bool:
         """Probe ``site`` and, on firing, corrupt ``array`` in place.

@@ -5,8 +5,8 @@ Process-wide singletons, so every component reports into one place
 
 - :mod:`repro.telemetry.registry` — labelled counters/gauges/histograms
   (``get_registry()``), always on, backing ``stats()`` methods and the
-  byte/hit/fault counters across the cache, collectives and reliability
-  runtime;
+  byte/hit/fault counters across the TT planner, the cache, the
+  reliability runtime and the serving tier;
 - :mod:`repro.telemetry.tracer` — ``trace()``, the one way to open a
   span (``with trace("tt.forward.segment_gemm", core=k):``), and
   ``emit_event()``, the one way to emit a discrete event (fault

@@ -1,7 +1,7 @@
 """Process-wide metrics registry: counters, gauges and histograms.
 
-Every instrumented component (TT kernels, the LFU cache, the collective
-simulator, the trainer) registers its instruments here instead of keeping
+Every instrumented component (TT kernels, the LFU cache, the trainer,
+the serving tier) registers its instruments here instead of keeping
 private counter attributes, so one ``repro profile`` run — or one
 ``--emit-json`` snapshot — sees the whole system through a single
 registry. Instruments are identified by a metric *name* plus a set of

@@ -147,7 +147,7 @@ def _span_name(name: str, attrs: dict) -> str:
 class Tracer:
     """Owner of the aggregate span tree and its enabled flag.
 
-    A tracer is single-threaded by design (the whole simulator is); the
+    A tracer is single-threaded by design (the whole package is); the
     active-span stack is a plain list rooted at a synthetic node whose
     children are the top-level spans.
     """

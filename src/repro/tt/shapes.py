@@ -103,6 +103,8 @@ class TTShape:
         boundary adds parameters without expressive power, so it is clipped
         (standard TT practice; also keeps TT-SVD exact-rank checks sane).
         """
+        if rank < 1:
+            raise ValueError(f"rank must be >= 1, got {rank}")
         d = len(row_factors)
         ranks = [1]
         left = 1
@@ -110,7 +112,7 @@ class TTShape:
         for k in range(d - 1):
             left *= row_factors[k] * col_factors[k]
             right = total // left
-            ranks.append(max(1, min(rank, left, right)))
+            ranks.append(min(rank, left, right))
         ranks.append(1)
         return cls(num_rows, dim, tuple(row_factors), tuple(col_factors), tuple(ranks))
 

@@ -11,7 +11,8 @@ from repro.analysis.parallelism import (
     data_parallel_cost,
     model_parallel_cost,
 )
-from repro.data import KAGGLE, TERABYTE, ZipfSampler
+from repro.data import KAGGLE, TERABYTE, SyntheticCTRDataset, ZipfSampler
+from repro.models import DLRMConfig, TTConfig, build_dlrm, build_ttrec
 
 
 class TestClusterSpec:
@@ -21,13 +22,67 @@ class TestClusterSpec:
         assert c.transfer_us(1e6) == pytest.approx(85.0)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            ClusterSpec(num_devices=0)
-        with pytest.raises(ValueError):
-            ClusterSpec(num_devices=2, link_bandwidth_gbps=0)
+        nan = float("nan")
+        for kwargs in (dict(num_devices=0), dict(num_devices=True),
+                       dict(num_devices=2, link_bandwidth_gbps=0),
+                       dict(num_devices=2, link_bandwidth_gbps=float("inf")),
+                       dict(num_devices=8, device_memory_gb=nan),
+                       dict(num_devices=8, device_memory_gb=-5.0),
+                       dict(num_devices=2, link_latency_us=nan),
+                       dict(num_devices=2, link_latency_us=-5.0)):
+            with pytest.raises(ValueError):
+                ClusterSpec(**kwargs)
 
 
 class TestParallelismModel:
+    @staticmethod
+    def _nbytes(*modules):
+        return sum(p.data.nbytes for m in modules for p in m.parameters())
+
+    def test_costs_equal_the_built_models(self):
+        """§5's inputs read off models this package builds, not re-derived."""
+        n, batch_size = 4, 64
+        spec = KAGGLE.scaled(0.001)
+        config = DLRMConfig(table_sizes=spec.table_sizes, emb_dim=spec.emb_dim)
+        cluster = ClusterSpec(num_devices=n)
+
+        ttrec = build_ttrec(config, num_tt_tables=7, tt=TTConfig(rank=32),
+                            min_rows=1, rng=0)
+        assert ttrec.parameters()[0].data.dtype.itemsize == 8
+        tt_bytes = self._nbytes(ttrec)
+        dp = data_parallel_cost(spec, cluster, num_tt_tables=7, rank=32,
+                                dtype_bytes=8)
+        assert dp.per_device_model_bytes == tt_bytes
+        assert dp.comm_bytes == int(2 * (n - 1) / n * tt_bytes)
+
+        dense = build_dlrm(config, rng=0)
+        emb_bytes = self._nbytes(*dense.embeddings)
+        mlp_bytes = self._nbytes(dense.bottom_mlp, dense.top_mlp)
+        assert emb_bytes + mlp_bytes == self._nbytes(dense)
+        mp = model_parallel_cost(spec, cluster, batch_size=batch_size,
+                                 dtype_bytes=8)
+        assert mp.per_device_model_bytes == emb_bytes // n + mlp_bytes
+        batch = SyntheticCTRDataset(spec, seed=0).batch(batch_size)
+        pooled_bytes = sum(emb.forward(idx, off).nbytes for emb, (idx, off)
+                           in zip(dense.embeddings, batch.sparse))
+        all_to_all = mp.comm_bytes - 2 * (n - 1) * mlp_bytes // n
+        assert all_to_all == 2 * (n - 1) * pooled_bytes // n
+
+    def test_cost_arguments_are_validated(self):
+        cluster = ClusterSpec(num_devices=2)
+        for kwargs in (dict(batch_size=0), dict(batch_size=-64),
+                       dict(batch_size=64, dtype_bytes=0)):
+            with pytest.raises(ValueError):
+                model_parallel_cost(KAGGLE, cluster, **kwargs)
+        for kwargs in (dict(num_tt_tables=-1), dict(num_tt_tables=KAGGLE.num_tables + 1),
+                       dict(rank=0), dict(dtype_bytes=0)):
+            args = dict(num_tt_tables=7, rank=32) | kwargs
+            with pytest.raises(ValueError):
+                data_parallel_cost(KAGGLE, cluster, **args)
+        # The bounds themselves are legal: no table, or every table, in TT.
+        for k in (0, KAGGLE.num_tables):
+            data_parallel_cost(KAGGLE, cluster, num_tt_tables=k, rank=32)
+
     def test_dense_terabyte_does_not_fit_one_gpu(self):
         """The paper's §5 premise: large-dim DLRMs exceed device memory."""
         cluster = ClusterSpec(num_devices=1, device_memory_gb=8.0)

@@ -31,6 +31,9 @@ class TestConstruction:
     def test_rejects_bad_rank_length(self):
         with pytest.raises(ValueError):
             TTShape(60, 8, (3, 4, 5), (2, 2, 2), (1, 4, 1))
+        for rank in (0, -2):
+            with pytest.raises(ValueError, match="rank must be >= 1"):
+                small_shape(rank=rank)
 
     def test_rejects_nonunit_boundary_ranks(self):
         with pytest.raises(ValueError):
