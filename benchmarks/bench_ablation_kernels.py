@@ -56,8 +56,10 @@ def _planner_arms() -> dict[str, float]:
     varies (dedup off/on is ``raw``/``dedup``); nothing else differs:
 
     - ``uniform_b256``: uniform batch-256 lookup — the reference arm;
-    - ``zipf_b4096_{raw,dedup}``: Zipf(1.2) batch-4096 lookup — dedup
-      collapses the hot rows, the paper's Fig. 11 reuse gap;
+    - ``zipf_b4096_{raw,dedup}``: Zipf(1.2) batch-4096 read — dedup
+      collapses the hot rows, the paper's Fig. 11 reuse gap. ``lookup``
+      always dedups, so both arms plan and execute the chain themselves
+      (plus the dedup arm's expansion through ``plan.inverse``);
     - ``zipf_p100_step_{raw,dedup}``: Zipf(1.2) pooling-100
       forward+backward training step — dedup shared between forward and
       Algorithm 2;
@@ -86,11 +88,15 @@ def _planner_arms() -> dict[str, float]:
     arms["uniform_b256"] = _time_min(lambda: emb.lookup(idx_u),
                                      iters=iters, repeats=repeats)
 
+    def read(emb, idx, dedup):
+        plan = emb.planner.plan_batch(idx, dedup=dedup, need_lefts=False)
+        rows, _ = emb.planner.execute(emb.cores, plan)
+        return rows if plan.inverse is None else rows[plan.inverse]
+
     idx_z, _ = pooling_workload(ROWS, 4096, 1, zipf_s=1.2, rng=0)
     for name, dedup in (("raw", False), ("dedup", True)):
-        emb = make(dedup)
         arms[f"zipf_b4096_{name}"] = _time_min(
-            lambda: emb.lookup(idx_z), iters=iters, repeats=repeats)
+            lambda: read(emb, idx_z, dedup), iters=iters, repeats=repeats)
 
     idx_p, off_p = pooling_workload(ROWS, 32, 100, zipf_s=1.2, rng=0)
     grad = np.ones((32, DIM))

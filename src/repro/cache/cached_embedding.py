@@ -70,12 +70,15 @@ class CachedTTEmbeddingBag(CompressedEmbedding):
         corrupts one resident cache row (chaos testing; :meth:`scrub`
         repairs such rows from the TT cores).
     dedup:
-        Deduplicate the *miss* indices before contracting the TT chain
-        (one shared :class:`~repro.tt.planner.BatchPlan` for forward and
-        backward). On by default: under Zipf traffic the misses that slip
-        past the cache are still duplicate-heavy, and duplicate gradients
-        are combined before Algorithm 2 either way, so results match the
-        raw path to float round-off.
+        Deduplicate the *miss* indices of a training forward before
+        contracting the TT chain (one shared
+        :class:`~repro.tt.planner.BatchPlan` for forward and backward). On
+        by default: under Zipf traffic the misses that slip past the cache
+        are still duplicate-heavy, and duplicate gradients are combined
+        before Algorithm 2 either way, so results match the raw path to
+        float round-off. Reads (``lookup``, ``lookup_bags``, cache fills)
+        always dedup their misses, whatever this flag says; their output
+        bytes are the same either way.
     """
 
     kind = "cached_tt"

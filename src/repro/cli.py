@@ -37,14 +37,11 @@ def _cmd_plan(args) -> int:
     from repro.telemetry import get_registry
     from repro.tt.embedding_bag import TTEmbeddingBag
 
-    dedup = not args.no_dedup
-    emb = TTEmbeddingBag(args.rows, args.dim, rank=args.rank, d=args.d,
-                         dedup=dedup, rng=0)
+    emb = TTEmbeddingBag(args.rows, args.dim, rank=args.rank, d=args.d, rng=0)
     flops = emb.planner.flops
     n_lookups = args.batch * args.pooling
     print(f"shape: {emb.shape.describe()}")
-    print(f"dedup: {'on' if dedup else 'off'}  "
-          f"batch: {args.batch} x pooling {args.pooling}")
+    print(f"batch: {args.batch} x pooling {args.pooling}")
     rows = [
         [split, f"{per_row:,}", f"{n_lookups * per_row:,}",
          "chosen" if split == emb.planner.read_split else ""]
@@ -641,6 +638,22 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _positive_float(text: str) -> float:
+    """argparse type for a finite quantity that must be above 0."""
+    value = float(text)
+    if not (np.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
+    return value
+
+
+def _probability(text: str) -> float:
+    """argparse type for a probability: finite, in [0, 1]."""
+    value = float(text)
+    if not 0.0 <= value <= 1.0:  # NaN fails both comparisons
+        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro", description="TT-Rec reproduction toolkit"
@@ -655,7 +668,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rows", type=_positive_int, default=100_000,
                    help="logical table rows")
     p.add_argument("--dim", type=int, default=16, help="embedding dim")
-    p.add_argument("--rank", type=int, default=16, help="TT rank")
+    p.add_argument("--rank", type=_positive_int, default=16, help="TT rank")
     p.add_argument("--d", type=int, default=3, help="TT cores")
     p.add_argument("--batch", type=_positive_int, default=4096,
                    help="batch size")
@@ -663,8 +676,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="lookups per bag")
     p.add_argument("--zipf", type=float, default=None,
                    help="Zipf exponent (default: uniform traffic)")
-    p.add_argument("--no-dedup", action="store_true",
-                   help="disable batch deduplication")
     p.add_argument("--iters", type=_positive_int, default=20,
                    help="timed iterations")
     p.add_argument("--seed", type=int, default=0, help="workload seed")
@@ -682,7 +693,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "zipf_s, traffic, name}, ...]} (overrides --dataset)")
     p.add_argument("--dataset", choices=["kaggle", "terabyte"],
                    default="kaggle")
-    p.add_argument("--scale", type=float, default=None,
+    p.add_argument("--scale", type=_positive_float, default=None,
                    help="scale the dataset spec's table sizes first")
     p.add_argument("--zipf", type=float, default=1.05,
                    help="access skew assumed for --dataset tables")
@@ -706,12 +717,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="demo training: baseline vs TT-Rec")
     p.add_argument("--iters", type=_positive_int, default=200)
-    p.add_argument("--rank", type=int, default=16)
-    p.add_argument("--scale", type=float, default=0.0005)
+    p.add_argument("--rank", type=_positive_int, default=16)
+    p.add_argument("--scale", type=_positive_float, default=0.0005)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--checkpoint-dir", default=None,
                    help="directory for periodic checkpoints (per model)")
-    p.add_argument("--checkpoint-every", type=int, default=50,
+    p.add_argument("--checkpoint-every", type=_positive_int, default=50,
                    help="iterations between checkpoints")
     p.add_argument("--resume", action="store_true",
                    help="resume each model from its latest checkpoint")
@@ -723,8 +734,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="span tree + metrics registry for a short "
                             "instrumented workload")
     p.add_argument("--iters", type=_positive_int, default=60)
-    p.add_argument("--rank", type=int, default=16)
-    p.add_argument("--scale", type=float, default=0.0005)
+    p.add_argument("--rank", type=_positive_int, default=16)
+    p.add_argument("--scale", type=_positive_float, default=0.0005)
     p.add_argument("--batch-size", type=_positive_int, default=96)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--emit-json", default=None, metavar="PATH",
@@ -737,13 +748,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("chaos",
                        help="fault-injection drill: guarded run vs fault-free")
     p.add_argument("--iters", type=_positive_int, default=300)
-    p.add_argument("--rank", type=int, default=8)
-    p.add_argument("--scale", type=float, default=0.0003)
+    p.add_argument("--rank", type=_positive_int, default=8)
+    p.add_argument("--scale", type=_positive_float, default=0.0003)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--fault-seed", type=int, default=123)
     p.add_argument("--sites", nargs="+", choices=["grad", "cache"],
                    default=["grad", "cache"])
-    p.add_argument("--prob", type=float, default=0.02,
+    p.add_argument("--prob", type=_probability, default=0.02,
                    help="per-site fault probability")
     p.add_argument("--tolerance", type=float, default=0.01,
                    help="allowed relative smoothed-loss gap vs fault-free")
@@ -758,8 +769,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="wall-clock load test of the hardened serving "
                             "runtime (docs/SERVING.md)")
     p.add_argument("--requests", type=_positive_int, default=1000)
-    p.add_argument("--rank", type=int, default=4)
-    p.add_argument("--scale", type=float, default=0.0005)
+    p.add_argument("--rank", type=_positive_int, default=4)
+    p.add_argument("--scale", type=_positive_float, default=0.0005)
     p.add_argument("--budget-plan", default=None, metavar="PATH",
                    help="serve the embedding stack from a "
                         "repro.budget_plan/v1 JSON (plan-budget --emit-json) "
@@ -770,12 +781,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-depth", type=_positive_int, default=64,
                    help="queue depth bound (arrivals beyond it are shed)")
     p.add_argument("--max-batch", type=_positive_int, default=32)
-    p.add_argument("--deadline-ms", type=float, default=100.0)
+    p.add_argument("--deadline-ms", type=_positive_float, default=100.0)
     p.add_argument("--interarrival-ms", type=float, default=1.0,
                    help="mean gap between arrivals (ms)")
-    p.add_argument("--malformed", type=float, default=0.0,
+    p.add_argument("--malformed", type=_probability, default=0.0,
                    help="fraction of deliberately malformed requests")
-    p.add_argument("--fault-rate", type=float, default=0.0,
+    p.add_argument("--fault-rate", type=_probability, default=0.0,
                    help="per-probe probability at every serving.* site")
     p.add_argument("--fault-seed", type=int, default=123)
     p.add_argument("--slo", default=None, metavar="POLICY",

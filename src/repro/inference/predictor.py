@@ -2,8 +2,9 @@
 
 ``Predictor`` freezes a model for inference:
 
-- forward passes never populate backward caches beyond one batch and
-  gradients are never touched;
+- it reads through ``lookup_bags``: no bag is remembered for a
+  backward, no gradient is touched, and a cached table's tracker and
+  refresh schedule stay as training left them;
 - optionally the remaining *dense* tables are post-training quantized
   (Guan et al. 2019 style) to shrink the serving footprint further;
 - ``predict_batch`` applies a stable sigmoid; ``rank_candidates`` scores
@@ -92,7 +93,7 @@ class Predictor:
                        sparse: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
         dense = np.asarray(dense, dtype=default_dtype())
         pooled = [
-            emb.forward(indices, offsets)
+            emb.lookup_bags(indices, offsets)
             for emb, (indices, offsets) in zip(self._embeddings, sparse)
         ]
         return self.logits_from_pooled(dense, pooled)

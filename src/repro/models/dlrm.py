@@ -114,5 +114,8 @@ class DLRM(Module):
 
     def predict_proba(self, dense: np.ndarray,
                       sparse: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
-        """Click probabilities (sigmoid of logits), no backward cache kept."""
+        """Click probabilities (sigmoid of logits) through the training
+        ``forward``, which leaves each table's bag pending and steps a
+        cached table's schedule; :class:`~repro.inference.Predictor` reads
+        the same bytes without either."""
         return sigmoid(self.forward(dense, sparse))

@@ -175,14 +175,15 @@ class CompressedEmbedding(Module):
     def lookup_bags(self, indices: np.ndarray, offsets: np.ndarray | None = None,
                     per_sample_weights: np.ndarray | None = None) -> np.ndarray:
         """``forward``'s pooled output for a caller that will never call
-        ``backward`` (serving): same validation, same pooling, nothing
-        remembered.
+        ``backward`` (``Predictor``, the serving ladders): same validation,
+        same pooling, nothing remembered.
 
         Leaves a pending forward's backward, the LFU tracker and the cache
         refresh schedule exactly as they were; a cached operator still
-        counts the hits and misses it serves. Equal to ``forward`` bit for
-        bit with one exception: a TT-family read (TT, cached TT, tensor
-        ring) keeps no left partials, so it contracts at the shape's
+        counts the hits and misses it serves. A TT-family read (TT, cached
+        TT, tensor ring) contracts each distinct row once. Equal to
+        ``forward`` bit for bit with one exception: such a read keeps no
+        left partials, so it contracts at the shape's
         fewest-FLOPs split while a training forward contracts at
         ``d - 1``. The two are the same split — and the outputs the same
         bits — on every ``d = 3`` Table-2 shape at rank 8-64, i.e. every

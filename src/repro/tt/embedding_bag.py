@@ -121,10 +121,15 @@ class TTEmbeddingBag(CompressedEmbedding):
         recomputes them (paper §4.2: lower memory, more FLOPs) — the
         recompute-vs-store ablation bench flips this flag.
     dedup:
-        Collapse duplicate indices within a batch before the TT chain and
-        expand afterwards. The paper's GPU kernel does not dedup (Fig. 11
-        discusses exactly this reuse gap vs EmbeddingBag); dedup is off by
-        default for faithfulness but available as an optimization.
+        Collapse duplicate indices within a *training forward* before the
+        TT chain and expand afterwards; duplicate gradients are then summed
+        before Algorithm 2 rather than inside it. The paper's GPU kernel
+        does not dedup (Fig. 11 discusses exactly this reuse gap vs
+        EmbeddingBag); dedup is off by default for faithfulness but
+        available as an optimization. Reads (``lookup``, ``lookup_bags``)
+        always dedup, whatever this flag says: a row's bytes depend on its
+        id and the shape alone, so collapsing duplicates changes no output
+        byte there.
 
     The contraction order is not an option: the table's
     :class:`~repro.tt.planner.ExecutionPlanner` computes one split from
@@ -185,7 +190,8 @@ class TTEmbeddingBag(CompressedEmbedding):
                                     keep_lefts=True)
 
     def _rows(self, indices: np.ndarray) -> np.ndarray:
-        """Materialise the requested rows through *unpooled* buffers.
+        """Materialise the requested rows through *unpooled* buffers,
+        contracting each distinct row once.
 
         ``lookup`` is called between forward and backward (cache
         population, scrubbing, row write-back), so it must not clobber
@@ -193,8 +199,7 @@ class TTEmbeddingBag(CompressedEmbedding):
         """
         if indices.size == 0:
             return np.zeros((0, self.dim), dtype=self.dtype)
-        plan = self.planner.plan_batch(indices, dedup=self.dedup,
-                                       need_lefts=False)
+        plan = self.planner.plan_batch(indices, dedup=True, need_lefts=False)
         rows, _ = self.planner.execute(self.cores, plan)
         return rows[plan.inverse] if plan.inverse is not None else rows
 

@@ -41,11 +41,13 @@ class TestCommands:
         assert "dedup removed" in out
 
     def test_plan_kernel_no_dedup(self, capsys):
+        # A read always dedups, so dedup is not an option of the report.
         assert main(["plan", "--rows", "2000", "--batch", "64",
-                     "--iters", "2", "--no-dedup"]) == 0
-        out = capsys.readouterr().out
-        assert "dedup: off" in out
-        assert "dedup removed:    0 of 64" in out
+                     "--iters", "2"]) == 0
+        assert "dedup removed:" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            main(["plan", "--rows", "2000", "--no-dedup"])
+        assert exc.value.code == 2
         with pytest.raises(SystemExit):  # the order is not an option
             main(["plan", "--policy", "l2r"])
 
@@ -65,6 +67,28 @@ class TestCommands:
             main(["serve-bench", option, "0"])
         assert exc.value.code == 2
         assert f"argument {option}: must be >= 1, got 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["plan", "--rank", "0"], "must be >= 1, got 0"),
+        (["train", "--rank", "0"], "must be >= 1, got 0"),
+        (["profile", "--rank", "-2"], "must be >= 1, got -2"),
+        (["serve-bench", "--rank", "0"], "must be >= 1, got 0"),
+        (["train", "--scale", "0"], "must be finite and > 0, got 0"),
+        (["chaos", "--scale", "nan"], "must be finite and > 0, got nan"),
+        (["plan-budget", "--scale", "-1"], "must be finite and > 0, got -1"),
+        (["serve-bench", "--deadline-ms", "inf"],
+         "must be finite and > 0, got inf"),
+        (["chaos", "--prob", "1.5"], "must be in [0, 1], got 1.5"),
+        (["chaos", "--prob", "nan"], "must be in [0, 1], got nan"),
+        (["serve-bench", "--fault-rate", "-0.1"], "must be in [0, 1], got -0.1"),
+        (["serve-bench", "--malformed", "2"], "must be in [0, 1], got 2"),
+        (["train", "--checkpoint-every", "0"], "must be >= 1, got 0")])
+    def test_model_inputs_are_checked_by_the_parser(self, argv, message,
+                                                    capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"argument {argv[1]}: {message}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ["train", "--iters", "0"], ["profile", "--iters", "0"],

@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 
 from repro.baselines import QuantizedEmbeddingBag
+from repro.cache import CachedTTEmbeddingBag
 from repro.data import KAGGLE, SyntheticCTRDataset
 from repro.inference import Predictor, rank_candidates
 from repro.models import DLRMConfig, TTConfig, build_dlrm, build_ttrec
+from repro.ops.activations import sigmoid
 from repro.ops.module import Parameter
 from repro.ops.optim import Adagrad, RowWiseAdagrad
 from repro.training import Trainer
+from repro.utils.dtypes import dtype_policy
 
 SPEC = KAGGLE.scaled(0.0002)
 CFG = DLRMConfig(table_sizes=SPEC.table_sizes, emb_dim=8,
@@ -64,6 +67,60 @@ class TestPredictor:
         kinds = [type(e) for e in q._embeddings]
         assert TTEmbeddingBag in kinds
         assert QuantizedEmbeddingBag in kinds
+
+
+class TestPredictorReads:
+    """A prediction reads through ``lookup_bags``: it trains nothing."""
+
+    @staticmethod
+    def _cached_model():
+        model = build_ttrec(
+            CFG, num_tt_tables=3, min_rows=60, rng=0,
+            tt=TTConfig(rank=4, use_cache=True, cache_size=8,
+                        warmup_steps=2, refresh_interval=3, dedup=True))
+        ds = SyntheticCTRDataset(SPEC, seed=0, noise=0.7)
+        Trainer(model, lr=0.1).train(ds.batches(32, 5))
+        cached = [e for e in model.embeddings
+                  if isinstance(e, CachedTTEmbeddingBag)]
+        assert len(cached) == 3 and all(e.is_warm for e in cached)
+        return model, ds, cached
+
+    @staticmethod
+    def _schedule(emb) -> dict:
+        """Everything a training forward moves, less the read counters."""
+        state = emb.extra_state()
+        for key in ("lookups", "hits", "misses"):
+            del state[key]
+        state["cache_rows"] = emb.cache_rows.data
+        return {key: np.array(value, copy=True) for key, value in state.items()}
+
+    def test_a_read_never_trains(self):
+        model, ds, cached = self._cached_model()
+        before = [self._schedule(e) for e in cached]
+        pred = Predictor(model)
+        for _ in range(7):  # more than two refresh intervals
+            pred.predict_batch(ds.batch(32))
+        for emb, was in zip(cached, before):
+            now = self._schedule(emb)
+            assert now.keys() == was.keys()
+            for key in was:
+                assert np.array_equal(now[key], was[key]), key
+            assert emb.stats()["lookups"] > 0  # reads are still counted
+        for emb in model.embeddings:  # no bag left pending
+            with pytest.raises(RuntimeError, match="backward"):
+                emb.backward(np.zeros((32, CFG.emb_dim)))
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_predict_batch_is_the_training_forward_bytes(self, dtype):
+        with dtype_policy(dtype):
+            model = build_ttrec(CFG, num_tt_tables=3, tt=TTConfig(rank=4),
+                                min_rows=60, rng=0)
+            ds = SyntheticCTRDataset(SPEC, seed=0, noise=0.7)
+            batch = ds.batch(64)
+            probs = Predictor(model).predict_batch(batch)
+            expected = sigmoid(model.forward(batch.dense, batch.sparse))
+        assert probs.dtype == np.dtype(dtype)
+        assert probs.tobytes() == expected.tobytes()
 
 
 class TestRankCandidates:

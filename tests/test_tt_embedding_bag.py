@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bench import pooling_workload
+from repro.cache import CachedTTEmbeddingBag
 from repro.tt import TTEmbeddingBag, TTShape
 from repro.tt.kernels import tt_lookup_reference
+from repro.utils.dtypes import dtype_policy
 from tests.helpers import numeric_grad_check, random_csr
 
 
@@ -87,6 +90,52 @@ class TestForward:
     def test_shape_table_mismatch_rejected(self, shape):
         with pytest.raises(ValueError):
             TTEmbeddingBag(61, 8, shape=shape)
+
+
+class TestReadsAreTheForwardBytes:
+    """A read (``lookup_bags``) contracts each distinct row once, at the
+    read split, through fresh buffers; a ``dedup=False`` training forward
+    contracts every lookup at ``d - 1`` through pooled ones. A row's bytes
+    depend on its id and the shape alone, so the two agree byte for byte.
+    Shapes are the benchmark's: ``d = 3``, col ``(2, 2, 4)``, rank 32."""
+
+    @staticmethod
+    def _shape(num_rows):
+        shape = TTShape.suggested(num_rows, 16, d=3, rank=32)
+        assert shape.col_factors == (2, 2, 4)
+        return shape
+
+    @staticmethod
+    def _zipf_bags(num_rows):
+        idx, off = pooling_workload(num_rows, 64, 10, rng=1)  # P = 10
+        assert np.unique(idx).size < idx.size  # duplicates to collapse
+        return idx, off
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("num_rows", [30_000, 1_000_000])
+    def test_tt(self, num_rows, dtype):
+        with dtype_policy(dtype):
+            emb = TTEmbeddingBag(num_rows, 16, shape=self._shape(num_rows),
+                                 dedup=False, rng=0)
+        idx, off = self._zipf_bags(num_rows)
+        read = emb.lookup_bags(idx, off)
+        assert read.dtype == np.dtype(dtype)
+        assert read.tobytes() == emb.forward(idx, off).tobytes()
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_populated_cached_tt(self, dtype):
+        num_rows = 30_000
+        with dtype_policy(dtype):
+            emb = CachedTTEmbeddingBag(
+                num_rows, 16, shape=self._shape(num_rows), cache_size=16,
+                warmup_steps=0, refresh_interval=None, dedup=False, rng=0)
+        idx, off = self._zipf_bags(num_rows)
+        emb.tracker.record(idx)
+        emb.populate()
+        mask, _ = emb._membership(idx)
+        assert 0 < mask.sum() < idx.size  # both hits and misses are read
+        read = emb.lookup_bags(idx, off)
+        assert read.tobytes() == emb.forward(idx, off).tobytes()
 
 
 class TestBackward:

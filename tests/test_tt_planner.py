@@ -302,6 +302,27 @@ def test_plan_batch_dedup_bookkeeping():
     assert plan.inverse is None and plan.n_unique == 3
 
 
+@pytest.mark.parametrize("ids", [
+    [7], [3, 3], [3, 9], [9, 3], [4, 4, 4, 4], [8, 1, 8, 2, 1, 8],
+    np.random.default_rng(0).zipf(1.3, 2000) % SHAPE_D3.num_rows,
+    np.random.default_rng(1).permutation(SHAPE_D3.num_rows)])
+def test_plan_dedup_is_np_unique(ids):
+    """The planner's sort-based dedup returns ``np.unique``'s rows and
+    inverse map; a duplicate-free batch (a single id included) keeps its
+    order and drops the inverse."""
+    idx = np.asarray(ids, dtype=np.int64)
+    plan = ExecutionPlanner(SHAPE_D3).plan_batch(idx, dedup=True,
+                                                 need_lefts=False)
+    uniq, inverse = np.unique(idx, return_inverse=True)
+    if uniq.size == idx.size:
+        assert plan.inverse is None
+        assert np.array_equal(plan.decoded, SHAPE_D3.decode_indices(idx))
+    else:
+        assert plan.inverse.dtype == np.int64
+        assert np.array_equal(plan.inverse, inverse.reshape(-1))
+        assert np.array_equal(plan.decoded, SHAPE_D3.decode_indices(uniq))
+
+
 def test_buffer_pool_reuse_and_growth():
     pool = BufferPool()
     a = pool.take(("x",), (4, 8), np.float64)
