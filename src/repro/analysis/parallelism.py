@@ -134,8 +134,11 @@ def data_parallel_cost(spec: DatasetSpec, cluster: ClusterSpec, *,
     """TT-Rec replicated on every device; one ring allreduce per iteration.
 
     Only *touched* dense-table rows produce gradients, but the worst case
-    (allreduce of all replicated parameters) is charged — TT-Rec's story
-    survives even the pessimistic accounting.
+    (allreduce of all replicated parameters) is charged, every row of the
+    uncompressed tables included. Under this accounting TT-Rec wins on
+    memory but not on comm time: the uncompressed tables carry most of the
+    allreduce, which then costs more than dense model-parallel's
+    all-to-all (EXPERIMENTS.md, the §5 row).
 
     The ``num_tt_tables`` largest tables are compressed whatever their
     size. :func:`~repro.models.ttrec.build_ttrec` leaves tables below its

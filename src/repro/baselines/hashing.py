@@ -36,13 +36,6 @@ class HashedEmbeddingBag(CompressedEmbedding):
     """
 
     kind = "hash"
-    # The physical bucket table is a plain EmbeddingBag, but the hash +
-    # sign transform lives here: quantizing the inner table in place would
-    # mutate the (shared) model, so the operator is kept and reported.
-    quantize_skip_note = (
-        "{kind} left unquantized (its bucket table is shared with the "
-        "training model); serving footprint includes the full-precision "
-        "buckets")
 
     def __init__(self, num_rows: int, dim: int, num_buckets: int, *,
                  mode: str = "sum", signed: bool = False, salt: int = 0,

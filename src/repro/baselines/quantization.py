@@ -107,9 +107,6 @@ class QuantizedEmbeddingBag(CompressedEmbedding):
             self.codes[indices], self.scales[indices], self.zero_points[indices]
         )
 
-    def quantized(self, bits: int):
-        return self, "already-quantized"
-
     def _extra_arrays(self) -> list[np.ndarray]:
         return list(self.extra_state().values())
 

@@ -440,7 +440,3 @@ class CachedTTEmbeddingBag(CompressedEmbedding):
         cache = cls.resolve_cache_size(spec.num_rows, spec.get("cache_size"))
         return ((TTEmbeddingBag._spec_shape(spec).num_params()
                  + cache * spec.dim) * default_dtype().itemsize)
-
-    def quantized(self, bits: int):
-        """Kept, like the TT table it wraps (see ``TTEmbeddingBag``)."""
-        return self, "tt-kept"

@@ -638,6 +638,22 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _core_count(text: str) -> int:
+    """argparse type for a TT core count: a chain needs at least 2."""
+    value = int(text)
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"must be >= 2, got {value}")
+    return value
+
+
+def _nonnegative_float(text: str) -> float:
+    """argparse type for a finite quantity that may be 0."""
+    value = float(text)
+    if not (np.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text}")
+    return value
+
+
 def _positive_float(text: str) -> float:
     """argparse type for a finite quantity that must be above 0."""
     value = float(text)
@@ -667,14 +683,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--rows", type=_positive_int, default=100_000,
                    help="logical table rows")
-    p.add_argument("--dim", type=int, default=16, help="embedding dim")
+    p.add_argument("--dim", type=_positive_int, default=16,
+                   help="embedding dim")
     p.add_argument("--rank", type=_positive_int, default=16, help="TT rank")
-    p.add_argument("--d", type=int, default=3, help="TT cores")
+    p.add_argument("--d", type=_core_count, default=3, help="TT cores")
     p.add_argument("--batch", type=_positive_int, default=4096,
                    help="batch size")
     p.add_argument("--pooling", type=_positive_int, default=1,
                    help="lookups per bag")
-    p.add_argument("--zipf", type=float, default=None,
+    p.add_argument("--zipf", type=_nonnegative_float, default=None,
                    help="Zipf exponent (default: uniform traffic)")
     p.add_argument("--iters", type=_positive_int, default=20,
                    help="timed iterations")
@@ -695,7 +712,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default="kaggle")
     p.add_argument("--scale", type=_positive_float, default=None,
                    help="scale the dataset spec's table sizes first")
-    p.add_argument("--zipf", type=float, default=1.05,
+    p.add_argument("--zipf", type=_nonnegative_float, default=1.05,
                    help="access skew assumed for --dataset tables")
     p.add_argument("--mode", choices=["sum", "mean"], default="sum")
     p.add_argument("--seed", type=int, default=0)
@@ -756,7 +773,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default=["grad", "cache"])
     p.add_argument("--prob", type=_probability, default=0.02,
                    help="per-site fault probability")
-    p.add_argument("--tolerance", type=float, default=0.01,
+    p.add_argument("--tolerance", type=_nonnegative_float, default=0.01,
                    help="allowed relative smoothed-loss gap vs fault-free")
     p.add_argument("--emit-json", default=None, metavar="PATH",
                    help="write a repro.telemetry/v1 snapshot JSON")
@@ -782,7 +799,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="queue depth bound (arrivals beyond it are shed)")
     p.add_argument("--max-batch", type=_positive_int, default=32)
     p.add_argument("--deadline-ms", type=_positive_float, default=100.0)
-    p.add_argument("--interarrival-ms", type=float, default=1.0,
+    p.add_argument("--interarrival-ms", type=_nonnegative_float, default=1.0,
                    help="mean gap between arrivals (ms)")
     p.add_argument("--malformed", type=_probability, default=0.0,
                    help="fraction of deliberately malformed requests")

@@ -7,7 +7,6 @@ categorical traffic, a planted logistic ground truth) in their place.
 """
 
 from repro.data.batching import Batch, make_offsets
-from repro.data.datasets import FixedDataset, materialize
 from repro.data.specs import (
     KAGGLE,
     PAPER_KAGGLE_TT_SHAPES,
@@ -26,6 +25,4 @@ __all__ = [
     "SyntheticCTRDataset",
     "Batch",
     "make_offsets",
-    "FixedDataset",
-    "materialize",
 ]

@@ -1,13 +1,11 @@
-"""Frozen-model inference: batch prediction and candidate ranking.
+"""Frozen-model inference: batch prediction.
 
 The paper's motivation (§1): recommendation models consume "80% of the
 total AI inference cycles" at Facebook. This package provides the serving
 side of the reproduction — a :class:`Predictor` that freezes a trained
-DLRM (optionally quantizing its remaining dense tables) and serves click
-probabilities, plus candidate-ranking utilities for the
-retrieve-then-rank pattern recommendation systems use.
+DLRM and serves click probabilities.
 """
 
-from repro.inference.predictor import Predictor, rank_candidates
+from repro.inference.predictor import Predictor
 
-__all__ = ["Predictor", "rank_candidates"]
+__all__ = ["Predictor"]

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
+from repro.ops.interaction import DotInteraction
+
 __all__ = ["DLRMConfig", "TTConfig"]
 
 
@@ -63,7 +65,6 @@ class DLRMConfig:
     emb_dim: int = 16
     bottom_mlp: tuple[int, ...] = (512, 256, 64)
     top_mlp: tuple[int, ...] = (512, 256)
-    interaction: str = "dot"
     tt_tables: dict[int, TTConfig] = field(default_factory=dict)
     # Training hyperparameters (MLPerf-DLRM Kaggle defaults).
     learning_rate: float = 0.1
@@ -77,8 +78,6 @@ class DLRMConfig:
             raise ValueError(f"table sizes must be >= 1, got {self.table_sizes}")
         if self.emb_dim < 1:
             raise ValueError(f"emb_dim must be >= 1, got {self.emb_dim}")
-        if self.interaction not in ("dot", "cat"):
-            raise ValueError(f"interaction must be 'dot' or 'cat', got {self.interaction}")
         for idx in self.tt_tables:
             if not (0 <= idx < len(self.table_sizes)):
                 raise ValueError(
@@ -95,10 +94,8 @@ class DLRMConfig:
         return [self.num_dense, *self.bottom_mlp, self.emb_dim]
 
     def interaction_dim(self) -> int:
-        f = self.num_tables + 1
-        if self.interaction == "dot":
-            return self.emb_dim + f * (f - 1) // 2
-        return self.emb_dim * f
+        """Width of the dot interaction's output, the top tower's input."""
+        return DotInteraction.output_dim(self.emb_dim, self.num_tables)
 
     def top_sizes(self) -> list[int]:
         """Top-tower layer sizes: interaction output down to one logit."""

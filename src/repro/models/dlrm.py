@@ -13,7 +13,7 @@ import numpy as np
 
 from repro.models.config import DLRMConfig
 from repro.ops.activations import sigmoid
-from repro.ops.interaction import CatInteraction, DotInteraction
+from repro.ops.interaction import DotInteraction
 from repro.ops.mlp import MLP
 from repro.ops.module import Module
 from repro.utils.dtypes import default_dtype
@@ -28,7 +28,7 @@ class DLRM(Module):
     Parameters
     ----------
     config:
-        Architecture description (table sizes, tower widths, interaction).
+        Architecture description (table sizes, tower widths).
     embeddings:
         One embedding operator per categorical feature; each must expose
         ``forward(indices, offsets, per_sample_weights) -> (B, emb_dim)``,
@@ -45,10 +45,7 @@ class DLRM(Module):
         self.config = config
         self.bottom_mlp = MLP(config.bottom_sizes(), rng=rng, name="bottom")
         self.embeddings = list(embeddings)
-        if config.interaction == "dot":
-            self.interaction = DotInteraction()
-        else:
-            self.interaction = CatInteraction()
+        self.interaction = DotInteraction()
         self.top_mlp = MLP(config.top_sizes(), rng=rng, name="top")
 
     # ------------------------------------------------------------------ #

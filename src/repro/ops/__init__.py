@@ -10,7 +10,7 @@ rows, TT cores). Everything is vectorized NumPy.
 
 from repro.ops.activations import ReLU, Sigmoid
 from repro.ops.embedding import EmbeddingBag
-from repro.ops.interaction import CatInteraction, DotInteraction
+from repro.ops.interaction import DotInteraction
 from repro.ops.linear import Linear
 from repro.ops.loss import BCEWithLogitsLoss, bce_with_logits
 from repro.ops.mlp import MLP
@@ -27,7 +27,6 @@ __all__ = [
     "BCEWithLogitsLoss",
     "bce_with_logits",
     "DotInteraction",
-    "CatInteraction",
     "EmbeddingBag",
     "SGD",
     "SparseSGD",

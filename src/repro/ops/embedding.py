@@ -130,7 +130,7 @@ class CompressedEmbedding(Module):
     - ``from_spec`` / ``predict_memory_bytes`` — the registry's builder
       and its exact, build-free size prediction;
     - ``extra_state`` / ``load_extra_state``, ``_extra_arrays``,
-      ``quantized``, ``scrub`` — where the defaults below do not fit.
+      ``scrub`` — where the defaults below do not fit.
 
     ``indices`` reaching a hook are already validated ``int64``.
     """
@@ -139,10 +139,6 @@ class CompressedEmbedding(Module):
     kind: str = ""
     #: False for inference-only members (post-training quantization).
     supports_gradient: bool = True
-    #: Why :meth:`quantized` keeps the operator at full precision.
-    quantize_skip_note: str = (
-        "no quantization rule for {kind}; operator kept at full precision "
-        "(serving footprint may be overstated)")
 
     def __init__(self, num_rows: int, dim: int, mode: str = "sum"):
         if num_rows <= 0 or dim <= 0:
@@ -311,16 +307,6 @@ class CompressedEmbedding(Module):
     # Serving hooks
     # ------------------------------------------------------------------ #
 
-    def quantized(self, bits: int) -> tuple["CompressedEmbedding", str]:
-        """Serving stand-in at ``bits`` per weight: ``(operator, status)``.
-
-        The default keeps the operator and reports ``"skipped"``, for
-        which :class:`~repro.inference.Predictor` warns with
-        :attr:`quantize_skip_note` so a mixed model cannot silently
-        overstate its footprint reduction.
-        """
-        return self, "skipped"
-
     def scrub(self) -> int:
         """Repair non-finite derived state in place; returns rows repaired."""
         return 0
@@ -410,12 +396,3 @@ class EmbeddingBag(CompressedEmbedding):
     @classmethod
     def predict_memory_bytes(cls, spec) -> int:
         return spec.num_rows * spec.dim * default_dtype().itemsize
-
-    def quantized(self, bits: int):
-        """Post-training row-wise quantised copy of the table."""
-        # Deferred: repro.baselines.quantization subclasses this module's base.
-        from repro.baselines.quantization import QuantizedEmbeddingBag
-
-        return (QuantizedEmbeddingBag.from_dense(self.weight.data, bits=bits,
-                                                 mode=self.mode),
-                f"quantized@{bits}b")

@@ -3,9 +3,7 @@
 DLRM combines the bottom-MLP output with the pooled embedding vectors via
 an explicit second-order interaction: all pairwise dot products between the
 feature vectors, concatenated with the dense vector (``DotInteraction``,
-the MLPerf-DLRM default, ``arch-interaction-op=dot``). ``CatInteraction``
-(plain concatenation) is provided as the simpler alternative DLRM also
-supports.
+the MLPerf-DLRM configuration TT-Rec trains, ``arch-interaction-op=dot``).
 """
 
 from __future__ import annotations
@@ -15,7 +13,7 @@ import numpy as np
 from repro.ops.module import Module
 from repro.utils.dtypes import default_dtype
 
-__all__ = ["DotInteraction", "CatInteraction"]
+__all__ = ["DotInteraction"]
 
 
 class DotInteraction(Module):
@@ -81,35 +79,5 @@ class DotInteraction(Module):
         grad_x = grad_stacked[:, 0, :] + grad_x_direct
         grad_sparse = [grad_stacked[:, i, :] for i in range(1, f)]
         return grad_x, grad_sparse
-
-    __call__ = forward
-
-
-class CatInteraction(Module):
-    """Concatenation interaction, ``arch-interaction-op=cat`` in DLRM."""
-
-    def __init__(self):
-        self._splits: list[int] | None = None
-
-    @staticmethod
-    def output_dim(dense_dim: int, num_sparse: int) -> int:
-        return dense_dim * (num_sparse + 1)
-
-    def forward(self, x: np.ndarray, sparse: list[np.ndarray]) -> np.ndarray:
-        feats = [np.asarray(x, dtype=default_dtype())] + [
-            np.asarray(v, dtype=default_dtype()) for v in sparse
-        ]
-        self._splits = [v.shape[1] for v in feats]
-        return np.concatenate(feats, axis=1)
-
-    def backward(self, grad_out: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-        if self._splits is None:
-            raise RuntimeError("backward called before forward")
-        pieces = np.split(
-            np.asarray(grad_out, dtype=default_dtype()),
-            np.cumsum(self._splits)[:-1],
-            axis=1,
-        )
-        return pieces[0], list(pieces[1:])
 
     __call__ = forward

@@ -273,12 +273,6 @@ class TTEmbeddingBag(CompressedEmbedding):
     def predict_memory_bytes(cls, spec) -> int:
         return cls._spec_shape(spec).num_params() * default_dtype().itemsize
 
-    def quantized(self, bits: int):
-        """TT tables are already 100x+ smaller than dense; quantizing the
-        cores would compound approximation error for a negligible
-        footprint win (paper §6.2), so the operator is kept."""
-        return self, "tt-kept"
-
     # ------------------------------------------------------------------ #
     # Interop
     # ------------------------------------------------------------------ #

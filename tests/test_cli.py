@@ -82,7 +82,14 @@ class TestCommands:
         (["chaos", "--prob", "nan"], "must be in [0, 1], got nan"),
         (["serve-bench", "--fault-rate", "-0.1"], "must be in [0, 1], got -0.1"),
         (["serve-bench", "--malformed", "2"], "must be in [0, 1], got 2"),
-        (["train", "--checkpoint-every", "0"], "must be >= 1, got 0")])
+        (["train", "--checkpoint-every", "0"], "must be >= 1, got 0"),
+        (["plan", "--d", "1"], "must be >= 2, got 1"),
+        (["plan", "--dim", "0"], "must be >= 1, got 0"),
+        (["plan", "--zipf", "-1"], "must be finite and >= 0, got -1"),
+        (["serve-bench", "--interarrival-ms", "-1"],
+         "must be finite and >= 0, got -1"),
+        (["chaos", "--tolerance", "nan"], "must be finite and >= 0, got nan"),
+        (["plan-budget", "--zipf", "inf"], "must be finite and >= 0, got inf")])
     def test_model_inputs_are_checked_by_the_parser(self, argv, message,
                                                     capsys):
         with pytest.raises(SystemExit) as exc:

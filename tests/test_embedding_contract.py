@@ -7,20 +7,16 @@ Every operator class — the nine registered kinds plus the T3nsor baseline
 is written once in the base class and nowhere else.
 """
 
-import warnings
-
 import numpy as np
 import pytest
 
 from repro.baselines import (HashedEmbeddingBag, LowRankEmbeddingBag,
                              QuantizedEmbeddingBag, TREmbeddingBag)
 from repro.cache import CachedTTEmbeddingBag
-from repro.compress import (ALPTEmbeddingBag, BudgetPlan, CompressedEmbedding,
-                            DPQEmbeddingBag, EmbeddingSpec, PlannedTable,
-                            compressor_class, make_embedding,
-                            predict_memory_bytes, registered_kinds)
-from repro.inference import Predictor
-from repro.models.ttrec import build_from_plan
+from repro.compress import (ALPTEmbeddingBag, CompressedEmbedding,
+                            DPQEmbeddingBag, EmbeddingSpec, compressor_class,
+                            make_embedding, predict_memory_bytes,
+                            registered_kinds)
 from repro.ops import EmbeddingBag, Module
 from repro.reliability.checkpoint import CheckpointManager
 from repro.tt import T3nsorEmbeddingBag, TTEmbeddingBag
@@ -418,44 +414,8 @@ def test_alpt_resume_then_continue_equals_uninterrupted(roundtrip, tmp_path):
 
 
 # ---------------------------------------------------------------------- #
-# Serving rules read the contract, not the class
+# The serving hook is part of the contract
 # ---------------------------------------------------------------------- #
-
-
-def plan_of_every_kind():
-    tables = [PlannedTable(index=i, spec=(spec := spec_for(kind, seed=i)),
-                           predicted_bytes=predict_memory_bytes(spec),
-                           quality=1.0, weight=1.0)
-              for i, kind in enumerate(KINDS)]
-    return BudgetPlan(budget_bytes=sum(t.predicted_bytes for t in tables),
-                      tables=tables)
-
-
-def test_predictor_quantizes_a_plan_built_model():
-    model = build_from_plan(plan_of_every_kind(), rng=0)
-    for emb, kind in zip(model.embeddings, KINDS):
-        assert type(emb) is OPERATORS[kind][0]
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        pred = Predictor(model, quantize_dense_bits=4)
-    status = {KINDS[table]: action
-              for table, _, action in pred.quantization_report}
-    assert status == {
-        "dense": "quantized@4b", "tt": "tt-kept", "cached_tt": "tt-kept",
-        "quant": "already-quantized", "hash": "skipped", "lowrank": "skipped",
-        "tr": "skipped", "dpq": "skipped", "alpt": "skipped",
-    }
-    assert isinstance(pred.embeddings[KINDS.index("dense")],
-                      QuantizedEmbeddingBag)
-    # One warning per skipped table, each naming its table and its reason.
-    messages = sorted(str(w.message) for w in caught
-                      if issubclass(w.category, RuntimeWarning))
-    assert len(messages) == 5
-    assert sum("bucket table" in m for m in messages) == 1
-    assert sum("no quantization rule" in m for m in messages) == 4
-    hashed = KINDS.index("hash")
-    assert any(m.startswith(f"table {hashed}: HashedEmbeddingBag")
-               for m in messages)
 
 
 @pytest.mark.parametrize("name,how", BUILDS)

@@ -1,12 +1,11 @@
-"""Tests for the inference Predictor, candidate ranking and RowWiseAdagrad."""
+"""Tests for the inference Predictor and RowWiseAdagrad."""
 
 import numpy as np
 import pytest
 
-from repro.baselines import QuantizedEmbeddingBag
 from repro.cache import CachedTTEmbeddingBag
 from repro.data import KAGGLE, SyntheticCTRDataset
-from repro.inference import Predictor, rank_candidates
+from repro.inference import Predictor
 from repro.models import DLRMConfig, TTConfig, build_dlrm, build_ttrec
 from repro.ops.activations import sigmoid
 from repro.ops.module import Parameter
@@ -43,30 +42,6 @@ class TestPredictor:
         model, ds = trained
         probs = Predictor(model).predict_batch(ds.batch(64))
         assert np.all((probs > 0) & (probs < 1))
-
-    def test_quantized_serving_smaller_and_close(self, trained):
-        model, ds = trained
-        fp = Predictor(model)
-        q = Predictor(model, quantize_dense_bits=8)
-        assert q.serving_parameters() < fp.serving_parameters()
-        batch = ds.batch(128)
-        drift = np.abs(fp.predict_batch(batch) - q.predict_batch(batch)).max()
-        assert drift < 0.05  # int8 dequantization error is tiny
-
-    def test_quantization_leaves_original_model_intact(self, trained):
-        model, _ = trained
-        Predictor(model, quantize_dense_bits=4)
-        assert not any(isinstance(e, QuantizedEmbeddingBag)
-                       for e in model.embeddings)
-
-    def test_tt_tables_not_quantized(self, trained):
-        model, _ = trained
-        q = Predictor(model, quantize_dense_bits=4)
-        from repro.tt import TTEmbeddingBag
-
-        kinds = [type(e) for e in q._embeddings]
-        assert TTEmbeddingBag in kinds
-        assert QuantizedEmbeddingBag in kinds
 
 
 class TestPredictorReads:
@@ -121,172 +96,6 @@ class TestPredictorReads:
             expected = sigmoid(model.forward(batch.dense, batch.sparse))
         assert probs.dtype == np.dtype(dtype)
         assert probs.tobytes() == expected.tobytes()
-
-
-class TestRankCandidates:
-    def test_topk_sorted_and_within_candidates(self, trained):
-        model, _ = trained
-        pred = Predictor(model)
-        rng = np.random.default_rng(0)
-        user_sparse = [int(rng.integers(0, s)) for s in CFG.table_sizes]
-        table = SPEC.largest(1)[0]
-        cands = rng.choice(CFG.table_sizes[table], size=50, replace=False)
-        ids, probs = rank_candidates(
-            pred, user_dense=rng.normal(size=13), user_sparse=user_sparse,
-            candidate_table=table, candidate_ids=cands, top_k=5,
-        )
-        assert ids.shape == (5,)
-        assert set(ids) <= set(cands)
-        assert list(probs) == sorted(probs, reverse=True)
-
-    def test_topk_matches_full_scoring(self, trained):
-        model, _ = trained
-        pred = Predictor(model)
-        rng = np.random.default_rng(1)
-        user_sparse = [int(rng.integers(0, s)) for s in CFG.table_sizes]
-        table = SPEC.largest(1)[0]
-        cands = np.arange(30)
-        ids, probs = rank_candidates(
-            pred, user_dense=np.zeros(13), user_sparse=user_sparse,
-            candidate_table=table, candidate_ids=cands, top_k=30,
-        )
-        assert ids.shape == (30,)
-        assert probs[0] == probs.max()
-
-    def test_none_means_empty_bag(self, trained):
-        model, _ = trained
-        pred = Predictor(model)
-        user_sparse = [None] * CFG.num_tables
-        ids, probs = rank_candidates(
-            pred, user_dense=np.zeros(13), user_sparse=user_sparse,
-            candidate_table=0, candidate_ids=np.arange(3), top_k=2,
-        )
-        assert ids.shape == (2,)
-
-    def test_validation(self, trained):
-        model, _ = trained
-        pred = Predictor(model)
-        with pytest.raises(ValueError):
-            rank_candidates(pred, user_dense=np.zeros(13),
-                            user_sparse=[0] * CFG.num_tables,
-                            candidate_table=0,
-                            candidate_ids=np.array([], dtype=np.int64))
-        with pytest.raises(ValueError):
-            rank_candidates(pred, user_dense=np.zeros(13),
-                            user_sparse=[0] * 3, candidate_table=0,
-                            candidate_ids=np.arange(3))
-        with pytest.raises(ValueError):
-            rank_candidates(pred, user_dense=np.zeros(13),
-                            user_sparse=[0] * CFG.num_tables,
-                            candidate_table=99, candidate_ids=np.arange(3))
-
-    def test_out_of_range_candidate_ids_raise(self, trained):
-        model, _ = trained
-        pred = Predictor(model)
-        with pytest.raises(IndexError):
-            rank_candidates(pred, user_dense=np.zeros(13),
-                            user_sparse=[0] * CFG.num_tables,
-                            candidate_table=0,
-                            candidate_ids=np.array([0, CFG.table_sizes[0]]))
-        with pytest.raises(IndexError):
-            rank_candidates(pred, user_dense=np.zeros(13),
-                            user_sparse=[0] * CFG.num_tables,
-                            candidate_table=0,
-                            candidate_ids=np.array([-1]))
-
-    def test_float_candidate_ids_rejected_not_truncated(self, trained):
-        """Float ids used to be silently truncated to int; now they error."""
-        model, _ = trained
-        pred = Predictor(model)
-        with pytest.raises(TypeError):
-            rank_candidates(pred, user_dense=np.zeros(13),
-                            user_sparse=[0] * CFG.num_tables,
-                            candidate_table=0,
-                            candidate_ids=np.array([0.5, 1.7]))
-
-    def test_out_of_range_user_sparse_raises(self, trained):
-        model, _ = trained
-        pred = Predictor(model)
-        user_sparse = [0] * CFG.num_tables
-        t = 1 if 1 != SPEC.largest(1)[0] else 2
-        user_sparse[t] = CFG.table_sizes[t]  # one past the end
-        with pytest.raises(IndexError):
-            rank_candidates(pred, user_dense=np.zeros(13),
-                            user_sparse=user_sparse,
-                            candidate_table=SPEC.largest(1)[0],
-                            candidate_ids=np.arange(3))
-
-    def test_wrong_dense_width_raises(self, trained):
-        model, _ = trained
-        pred = Predictor(model)
-        with pytest.raises(ValueError):
-            rank_candidates(pred, user_dense=np.zeros(5),
-                            user_sparse=[0] * CFG.num_tables,
-                            candidate_table=0, candidate_ids=np.arange(3))
-
-
-class TestQuantizationReport:
-    def test_every_table_reported(self, trained):
-        model, _ = trained
-        pred = Predictor(model, quantize_dense_bits=8)
-        assert len(pred.quantization_report) == CFG.num_tables
-        actions = {a for _, _, a in pred.quantization_report}
-        assert "quantized@8b" in actions
-        assert "tt-kept" in actions
-
-    def test_hashed_table_warns_and_is_kept(self, trained):
-        from repro.baselines import HashedEmbeddingBag
-
-        model, _ = trained
-        t = SPEC.largest(1)[0]
-        original = model.embeddings[t]
-        model.embeddings[t] = HashedEmbeddingBag(
-            CFG.table_sizes[t], CFG.emb_dim, max(2, CFG.table_sizes[t] // 4),
-            rng=0,
-        )
-        try:
-            with pytest.warns(RuntimeWarning, match="bucket table"):
-                pred = Predictor(model, quantize_dense_bits=8)
-        finally:
-            model.embeddings[t] = original
-        report = dict((tab, action)
-                      for tab, _, action in pred.quantization_report)
-        assert report[t] == "skipped"
-        assert isinstance(pred.embeddings[t], HashedEmbeddingBag)
-
-    def test_unknown_operator_warns_and_is_kept(self, trained):
-        from repro.baselines import LowRankEmbeddingBag
-
-        model, _ = trained
-        t = SPEC.largest(1)[0]
-        original = model.embeddings[t]
-        model.embeddings[t] = LowRankEmbeddingBag(
-            CFG.table_sizes[t], CFG.emb_dim, rank=2, rng=0
-        )
-        try:
-            with pytest.warns(RuntimeWarning, match="no quantization rule"):
-                pred = Predictor(model, quantize_dense_bits=8)
-        finally:
-            model.embeddings[t] = original
-        report = dict((tab, action)
-                      for tab, _, action in pred.quantization_report)
-        assert report[t] == "skipped"
-
-    def test_double_quantization_reported(self, trained):
-        model, _ = trained
-        pred8 = Predictor(model, quantize_dense_bits=8)
-
-        class _Frozen:  # minimal DLRM-shaped shell around quantized tables
-            config = model.config
-            embeddings = pred8.embeddings
-            bottom_mlp = model.bottom_mlp
-            top_mlp = model.top_mlp
-            interaction = model.interaction
-
-        pred = Predictor(_Frozen(), quantize_dense_bits=4)
-        actions = {a for _, _, a in pred.quantization_report}
-        assert "already-quantized" in actions
-        assert "quantized@4b" not in actions
 
 
 class TestRowWiseAdagrad:

@@ -32,10 +32,6 @@ class TestConfig:
         assert config.interaction_dim() == 4 + f * (f - 1) // 2
         assert config.top_sizes() == [config.interaction_dim(), 8, 1]
 
-    def test_cat_interaction_dim(self, config):
-        cat = config.with_(interaction="cat")
-        assert cat.interaction_dim() == 4 * 6
-
     def test_validation(self):
         with pytest.raises(ValueError):
             DLRMConfig(table_sizes=())
@@ -43,8 +39,6 @@ class TestConfig:
             DLRMConfig(table_sizes=(0,))
         with pytest.raises(ValueError):
             DLRMConfig(table_sizes=(5,), emb_dim=0)
-        with pytest.raises(ValueError):
-            DLRMConfig(table_sizes=(5,), interaction="sum")
         with pytest.raises(ValueError):
             DLRMConfig(table_sizes=(5,), tt_tables={3: TTConfig()})
 
@@ -141,11 +135,9 @@ class TestDLRMForwardBackward:
         with pytest.raises(ValueError):
             DLRM(config, embeddings=[EmbeddingBag(10, 4, rng=0)], rng=0)
 
-    @pytest.mark.parametrize("interaction", ["dot", "cat"])
-    def test_full_model_gradients(self, config, interaction):
+    def test_full_model_gradients(self, config):
         """End-to-end gradient check: every parameter of every component."""
-        cfg = config.with_(interaction=interaction,
-                           tt_tables={0: TTConfig(rank=2)})
+        cfg = config.with_(tt_tables={0: TTConfig(rank=2)})
         rng = np.random.default_rng(30)
         model = build_dlrm(cfg, rng=0)
         dense, sparse, _ = make_batch(rng, cfg, batch=4)

@@ -1,9 +1,9 @@
-"""Tests for the DLRM feature-interaction operators."""
+"""Tests for the DLRM dot-interaction operator."""
 
 import numpy as np
 import pytest
 
-from repro.ops import CatInteraction, DotInteraction
+from repro.ops import DotInteraction
 from tests.helpers import numeric_grad_check
 
 
@@ -95,27 +95,3 @@ class TestDotInteraction:
         for v, g in zip(sparse[::5], grad_sparse[::5]):
             numeric_grad_check(v, g, loss, samples=3)
 
-
-class TestCatInteraction:
-    def test_forward_concatenates(self):
-        x = np.ones((2, 2))
-        a = 2 * np.ones((2, 2))
-        out = CatInteraction().forward(x, [a])
-        np.testing.assert_array_equal(out, [[1, 1, 2, 2], [1, 1, 2, 2]])
-
-    def test_output_dim(self):
-        assert CatInteraction.output_dim(16, 26) == 16 * 27
-
-    def test_backward_splits(self):
-        inter = CatInteraction()
-        x = np.zeros((2, 2))
-        a = np.zeros((2, 3))
-        inter.forward(x, [a])
-        g = np.arange(10.0).reshape(2, 5)
-        gx, gs = inter.backward(g)
-        np.testing.assert_array_equal(gx, g[:, :2])
-        np.testing.assert_array_equal(gs[0], g[:, 2:])
-
-    def test_backward_before_forward(self):
-        with pytest.raises(RuntimeError):
-            CatInteraction().backward(np.ones((1, 2)))
