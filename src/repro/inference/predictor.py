@@ -65,7 +65,3 @@ class Predictor:
     def predict_batch(self, batch: Batch) -> np.ndarray:
         """Click probabilities for a batch."""
         return sigmoid(self.predict_logits(batch.dense, batch.sparse))
-
-    def predict_proba(self, dense: np.ndarray,
-                      sparse: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
-        return sigmoid(self.predict_logits(dense, sparse))

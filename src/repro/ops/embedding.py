@@ -27,7 +27,7 @@ from repro.utils.seeding import as_rng
 from repro.utils.validation import check_1d_int_array, check_csr
 
 __all__ = ["CompressedEmbedding", "EmbeddingBag", "segment_sum", "check_bag",
-           "pool_bags", "unpool_grads"]
+           "pool_bags", "unpool_grads", "lookup_tables"]
 
 
 def segment_sum(rows: np.ndarray, offsets: np.ndarray) -> np.ndarray:
@@ -35,14 +35,21 @@ def segment_sum(rows: np.ndarray, offsets: np.ndarray) -> np.ndarray:
 
     ``rows`` has shape ``(n, d)``; ``offsets`` has shape ``(m+1,)`` with
     ``offsets[0] == 0`` and ``offsets[-1] == n``. Returns ``(m, d)``.
-    Empty segments produce zero rows. Implemented via an exclusive prefix
-    sum so the whole reduction is a single vectorized subtraction.
+    Empty segments produce zero rows. Each non-empty segment is reduced
+    over its own rows alone (``np.add.reduceat``), so a segment's bytes do
+    not depend on the segments around it: a bag pools to the same bytes
+    alone as inside any batch, and a one-row bag to its row exactly.
     """
-    n, d = rows.shape
-    cs = np.empty((n + 1, d), dtype=rows.dtype)
-    cs[0] = 0.0
-    np.cumsum(rows, axis=0, out=cs[1:])
-    return cs[offsets[1:]] - cs[offsets[:-1]]
+    starts = offsets[:-1]
+    filled = starts < offsets[1:]
+    if starts.size and filled.all():
+        return np.add.reduceat(rows, starts, axis=0)
+    # reduceat reads an empty segment as the one row at its start: reduce
+    # the non-empty ones only and leave the rest at zero.
+    out = np.zeros((starts.size, rows.shape[1]), dtype=rows.dtype)
+    if filled.any():
+        out[filled] = np.add.reduceat(rows, starts[filled], axis=0)
+    return out
 
 
 def check_bag(indices, offsets, per_sample_weights, num_rows: int,
@@ -78,8 +85,10 @@ def pool_bags(rows: np.ndarray, offsets: np.ndarray,
               alpha: np.ndarray | None, mode: str):
     """Eq. 6-7 pooling: ``(n, d)`` rows -> ``((bags, d) pooled, bag sizes)``.
 
-    Weights first, then the segment sum, then the mean divide — the order
-    is part of the contract (outputs are compared bit for bit).
+    Weights first, then each bag's sum over its own rows
+    (:func:`segment_sum`), then the mean divide — the order is part of the
+    contract (outputs are compared bit for bit). A bag's bytes depend on
+    its rows alone, never on the bags pooled beside it.
     """
     out = segment_sum(rows if alpha is None else rows * alpha[:, None], offsets)
     counts = np.diff(offsets)
@@ -96,6 +105,86 @@ def unpool_grads(grad_out: np.ndarray, counts: np.ndarray,
         grad_out = grad_out / _mean_scale(counts, grad_out.dtype)
     grad_rows = grad_out[np.repeat(np.arange(len(counts)), counts)]
     return grad_rows if alpha is None else grad_rows * alpha[:, None]
+
+
+def lookup_tables(embs: list, tables: list) -> tuple[np.ndarray, dict]:
+    """Every table's ``lookup_bags`` in one pass: ``(block, failed)``.
+
+    ``tables[t]`` is ``(indices, offsets)`` for ``embs[t]``; every table
+    holds the same ``B`` bags and every operator has the same ``dim``.
+    The ids of all tables are validated in one vector pass, each operator
+    materialises its rows (``_read_rows``) and all ``T x B`` bags pool in
+    one :func:`pool_bags` call into ``block``, ``(T, B, dim)``. Since a
+    bag pools from its own rows alone, ``block[t]`` is
+    ``embs[t].lookup_bags(*tables[t])`` byte for byte. An operator that
+    pools in its own space (low-rank) or stores another dtype is read
+    through its own ``lookup_bags`` into its slice (at the block's dtype).
+
+    A table whose ids fail validation, or whose read raises, is left at
+    zero in ``block``; ``failed`` maps it to the exception its
+    ``lookup_bags`` would have raised.
+    """
+    failed: dict[int, Exception] = {}
+    if not tables:
+        return np.zeros((0, 0, 0), dtype=default_dtype()), failed
+    offsets = np.asarray([off for _, off in tables])
+    if (offsets.ndim != 2 or offsets.shape[1] < 1
+            or not np.issubdtype(offsets.dtype, np.integer)):
+        raise ValueError("every table needs integer offsets over the same bags")
+    dims = {emb.dim for emb in embs}
+    if len(dims) > 1:
+        raise ValueError(f"tables of different widths {sorted(dims)} cannot share a block")
+    dtype = np.result_type(*(emb.dtype for emb in embs))
+    num_bags = offsets.shape[1] - 1
+    block = np.zeros((len(tables), num_bags, dims.pop()), dtype=dtype)
+
+    ids = [np.asarray(indices) for indices, _ in tables]
+    sizes = np.array([i.size for i in ids])
+    # One vector pass accepts the common case: int64 ids inside every
+    # table's range and well-formed offsets. Only a table it flags is
+    # walked again, through check_csr, for the exception to report.
+    suspect = ~((offsets[:, 0] == 0) & (offsets[:, -1] == sizes)
+                & (offsets[:, 1:] >= offsets[:, :-1]).all(axis=1))
+    for t, i in enumerate(ids):
+        suspect[t] |= i.ndim != 1 or i.dtype != np.int64
+    clean = np.flatnonzero(~suspect)
+    if clean.size:
+        flat = np.concatenate([ids[t] for t in clean])
+        limit = np.repeat([embs[t].num_rows for t in clean], sizes[clean])
+        bad = (flat < 0) | (flat >= limit)
+        if bad.any():
+            suspect[np.unique(np.repeat(clean, sizes[clean])[bad])] = True
+    offsets = offsets.astype(np.int64, copy=False)
+    for t in np.flatnonzero(suspect):
+        try:
+            ids[t], _ = check_csr(ids[t], offsets[t], embs[t].num_rows)
+        except Exception as exc:  # noqa: BLE001 - reported per table
+            failed[int(t)] = exc
+
+    joined, rows = [], []
+    for t, emb in enumerate(embs):
+        if t in failed:
+            continue
+        try:
+            if type(emb)._pool is not CompressedEmbedding._pool or emb.dtype != dtype:
+                block[t] = emb.lookup_bags(ids[t], offsets[t])
+                continue
+            rows.append(emb._read_rows(ids[t]))
+        except Exception as exc:  # noqa: BLE001 - reported per table
+            failed[t] = exc
+            continue
+        joined.append(t)
+    if joined:
+        counts = np.diff(offsets[joined], axis=1)
+        flat_offsets = np.zeros(counts.size + 1, dtype=np.int64)
+        np.cumsum(counts, out=flat_offsets[1:])
+        pooled = pool_bags(np.concatenate(rows), flat_offsets, None, "sum")[0]
+        pooled = pooled.reshape(len(joined), num_bags, -1)
+        for j, t in enumerate(joined):
+            if embs[t].mode == "mean":
+                pooled[j] /= _mean_scale(counts[j], dtype)
+        block[joined] = pooled
+    return block, failed
 
 
 class CompressedEmbedding(Module):

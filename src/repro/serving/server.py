@@ -17,6 +17,9 @@ with the three defensive layers docs/SERVING.md describes:
    trigger the backend's ``scrub()`` repair (a no-op for operators with
    no derived state) so the rung can recover. The server therefore keeps
    answering — at reduced fidelity — no matter which backend is poisoned.
+   Every table's primary rung is read in one pass per micro-batch
+   (:func:`~repro.ops.embedding.lookup_tables`); only a table that pass
+   did not serve walks the rest of its ladder.
 
 Chaos-testable by construction: a
 :class:`~repro.reliability.fault_injection.FaultInjector` is probed at
@@ -37,6 +40,7 @@ import numpy as np
 
 from repro.inference.predictor import Predictor
 from repro.ops.activations import sigmoid
+from repro.ops.embedding import lookup_tables
 from repro.serving.admission import Rejection, Request, RequestSanitizer
 from repro.serving.breaker import CircuitBreaker
 from repro.serving.queue import MicroBatchQueue, monotonic_ms
@@ -56,6 +60,13 @@ __all__ = ["ServerConfig", "InferenceServer", "Rung", "TableLadder",
 # though it is finite (catches "scale"-kind faults before the towers
 # launder them into a confident wrong answer).
 MAGNITUDE_LIMIT = 1e15
+
+
+def _plausible(pooled: np.ndarray, axis=None) -> np.ndarray:
+    """Finite and below :data:`MAGNITUDE_LIMIT`, reduced over ``axis``
+    (NaN compares false, so one comparison covers both)."""
+    return (np.abs(pooled) < MAGNITUDE_LIMIT).all(axis=axis)
+
 
 # Rows sampled for a default-row prior when no frequency tracker exists.
 _PRIOR_SAMPLE_ROWS = 256
@@ -134,13 +145,13 @@ class TableLadder:
 
     @staticmethod
     def _valid(pooled: np.ndarray) -> bool:
-        return bool(np.isfinite(pooled).all()
-                    and np.abs(pooled).max(initial=0.0) < MAGNITUDE_LIMIT)
+        return bool(_plausible(pooled))
 
-    def serve(self, indices: np.ndarray,
-              offsets: np.ndarray) -> tuple[np.ndarray, str]:
-        """Pool one table's bags; returns ``(pooled, rung_name)``."""
-        for level, rung in enumerate(self.rungs):
+    def serve(self, indices: np.ndarray, offsets: np.ndarray,
+              first: int = 0) -> tuple[np.ndarray, str]:
+        """Pool one table's bags from rung ``first`` down; returns
+        ``(pooled, rung_name)``."""
+        for level, rung in enumerate(self.rungs[first:], start=first):
             if not rung.breaker.allow():
                 continue
             try:
@@ -287,9 +298,10 @@ class InferenceServer:
             bounds=(0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0,
                     500.0, 1000.0),
         )
+        self._embeddings = predictor.embeddings
         self.ladders = [
             self._build_ladder(t, emb)
-            for t, emb in enumerate(predictor.embeddings)
+            for t, emb in enumerate(self._embeddings)
         ]
         self._ready = all(np.isfinite(lad.default_row).all()
                           for lad in self.ladders)
@@ -361,24 +373,59 @@ class InferenceServer:
                 "backpressure": self.queue.should_backpressure()}
 
     def _pool(self, batch: list, tables: list) -> tuple:
-        """Pool one micro-batch through every table's ladder.
+        """Pool one micro-batch: every primary rung in one read pass, then
+        each table that pass did not serve down the rest of its ladder.
 
         ``tables[t]`` is ``(indices, counts)``: table ``t``'s ids in
         request order and the per-request bag sizes. Returns a ``(bags,
         dim)`` array per table and the ``{table: rung}`` map of every
         table not served by its primary rung.
+
+        Each primary breaker is asked once; the tables it lets through are
+        read and pooled by one :func:`~repro.ops.embedding.lookup_tables`
+        call under one ``serving.pooled`` span, and their slices checked in
+        one vector pass. The tables are then walked in order — probe
+        ``serving.backend`` on the table's slice, re-check a slice a fault
+        touched, record the rung's outcome, and on failure scrub and go on
+        from rung 1 — so fault draws, breaker outcomes and scrubs happen in
+        the order a per-table ladder would make them.
         """
         pooled = []
         served_by: dict[int, str] = {}
         # Every table's CSR offsets from one cumulative sum.
         offsets = np.zeros((len(tables), len(batch) + 1), dtype=np.int64)
         np.cumsum([counts for _, counts in tables], axis=1, out=offsets[:, 1:])
-        for (indices, _), table_offsets, ladder in zip(tables, offsets,
-                                                       self.ladders):
-            vecs, rung = ladder.serve(indices, table_offsets)
-            pooled.append(vecs)
-            if rung != "primary":
-                served_by[ladder.table] = rung
+        allowed = [lad.rungs[0].breaker.allow() for lad in self.ladders]
+        read = [t for t, ok in enumerate(allowed) if ok]
+        with trace("serving.pooled", rung="primary"):
+            annotate_span(tables=len(read), bags=len(batch))
+            block, failed = lookup_tables(
+                [self._embeddings[t] for t in read],
+                [(tables[t][0], offsets[t]) for t in read])
+            block = np.asarray(block, dtype=np.float64)
+            valid = _plausible(block, axis=(1, 2))
+            slot = dict(zip(read, range(len(read))))
+            for t, ladder in enumerate(self.ladders):
+                j = slot.get(t)
+                if j is not None:
+                    primary = ladder.rungs[0]
+                    if j in failed:
+                        ladder._record_failure(primary, repr(failed[j]))
+                    else:
+                        vecs = block[j]
+                        ok = valid[j]
+                        if (self.injector is not None and self.injector.corrupt(
+                                "serving.backend", vecs)):
+                            ok = ladder._valid(vecs)
+                        if ok:
+                            primary.breaker.record_success()
+                            pooled.append(vecs)
+                            continue
+                        ladder._record_failure(
+                            primary, "non-finite or implausible output")
+                vecs, rung = ladder.serve(tables[t][0], offsets[t], first=1)
+                pooled.append(vecs)
+                served_by[t] = rung
         return pooled, served_by
 
     def step(self) -> list[dict]:

@@ -225,12 +225,6 @@ class TTEmbeddingBag(CompressedEmbedding):
             return np.zeros((0, self.dim), dtype=self.dtype), None
         return self._planned_rows(indices, self.dedup)
 
-    def _pool(self, rows, offsets, alpha):
-        if not rows.shape[0]:  # all bags empty: nothing pooled, no span
-            return super()._pool(rows, offsets, alpha)
-        with trace("tt.forward.pool"):
-            return super()._pool(rows, offsets, alpha)
-
     # ------------------------------------------------------------------ #
     # Backward
     # ------------------------------------------------------------------ #

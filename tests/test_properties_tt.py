@@ -12,7 +12,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ops.embedding import pool_bags
 from repro.tt import TTEmbeddingBag, TTShape, tt_reconstruct, tt_svd
 from repro.tt.kernels import tt_lookup_reference
 from tests.helpers import tt_rows_at
@@ -422,18 +421,22 @@ class TestLookupIsBatchIndependent:
         idx = rng.integers(0, emb.num_rows, size=4096)
         idx[:64] = idx[0]
         full = emb.lookup(idx)
+        # A training forward contracts at d - 1, which is this shape's read
+        # split for d <= 3 only (``lookup_bags``' docstring).
+        fwd = tt_rows_at(emb, idx, split=d - 1)
+        assert (fwd.tobytes() == full.tobytes()) == (d <= 3)
         perm = rng.permutation(idx.size)
         assert emb.lookup(idx[perm]).tobytes() == full[perm].tobytes()
         # batch sizes on both sides of every power-of-two buffer bucket
         for n in (1, 2, 7, 127, 129, 4096):
             part = idx[:n]
             assert emb.lookup(part).tobytes() == full[:n].tobytes()
-            # the read chain through pooled buffers (``forward``'s own output
-            # is not comparable: ``segment_sum`` re-associates one-row bags)
+            # the read chain through pooled buffers
             assert tt_rows_at(emb, part, pooled=True).tobytes() == full[:n].tobytes()
-            # what a ladder serves: the same pooling over the same bytes
-            bags, _ = pool_bags(full[:n], np.arange(n + 1), None, emb.mode)
-            assert emb.lookup_bags(part).tobytes() == bags.tobytes()
+            # a one-row bag pools to its row exactly, in what a ladder
+            # serves and in a training forward
+            assert emb.lookup_bags(part).tobytes() == full[:n].tobytes()
+            assert emb.forward(part).tobytes() == fwd[:n].tobytes()
         for s in rng.choice(idx.size, size=24, replace=False).tolist():
             one = idx[s:s + 1]
             assert emb.lookup(one).tobytes() == full[s].tobytes()

@@ -12,6 +12,7 @@ import pytest
 from repro.data import KAGGLE, SyntheticCTRDataset
 from repro.inference import Predictor
 from repro.models import DLRMConfig, TTConfig, build_ttrec
+from repro.ops.activations import sigmoid
 from repro.reliability import FaultInjector
 from repro.serving import (
     CircuitBreaker,
@@ -434,8 +435,9 @@ class TestInferenceServer:
 
         sparse = [(np.asarray(v), make_offsets(np.array([len(v)])))
                   for v in req.sparse]
-        expected = predictor.predict_proba(req.dense.reshape(1, -1), sparse)
-        assert resp["prob"] == pytest.approx(float(expected[0]), abs=1e-12)
+        expected = sigmoid(predictor.predict_logits(req.dense.reshape(1, -1),
+                                                    sparse))
+        assert resp["prob"] == float(expected[0])
 
     def test_health_and_ready_probes(self, predictor):
         server, _ = build_server(predictor)

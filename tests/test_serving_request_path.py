@@ -1,12 +1,14 @@
 """The served request handled as one array, checked against the per-table
 code it replaced.
 
-Three places treat a request's ids as one flat ``int64`` array plus a count
-per table — admission, batching and the read path under the ladders. Each
-test here runs the one-pass code beside the per-table reference: the
-sanitizer's own repair loop, the parent commit's batching loop kept here as
-``reference_tables``, and a byte-level snapshot of every operator around 50
-served requests.
+Four places treat a request's ids as one flat ``int64`` array plus a count
+per table — admission, batching, the one read pass over every table and
+the read path under the ladders. Each test here runs the one-pass code
+beside the per-table reference: the sanitizer's own repair loop, the
+batching loop the server used to run (kept here as ``reference_tables``),
+each table's ``lookup_bags`` alone, the fault counts a per-table ladder
+walk made, and a byte-level snapshot of every operator around 50 served
+requests.
 """
 
 import copy
@@ -20,6 +22,8 @@ from repro.data import KAGGLE
 from repro.data.batching import make_offsets
 from repro.inference import Predictor
 from repro.models import DLRMConfig, TTConfig, build_ttrec
+from repro.ops.embedding import lookup_tables
+from repro.reliability import FaultInjector
 from repro.serving import (
     InferenceServer,
     ManualClock,
@@ -29,6 +33,7 @@ from repro.serving import (
     SanitizedRequest,
     ServerConfig,
 )
+from repro.serving import server as server_module
 from repro.serving.server import table_batches
 
 # Small enough that uint8 ids overflow table 0 and table 3, large enough
@@ -217,10 +222,8 @@ class TestBatchingOnePass:
         monkeypatch.setattr(server, "_pool", lambda batch, tables: (
             seen.update(batch=batch, tables=tables), pool(batch, tables))[1])
         served = []
-        for ladder in server.ladders:
-            serve = ladder.serve
-            monkeypatch.setattr(ladder, "serve", lambda i, o, _serve=serve: (
-                served.append((i, o)), _serve(i, o))[1])
+        monkeypatch.setattr(server_module, "lookup_tables", lambda embs, tables: (
+            served.extend(tables), lookup_tables(embs, tables))[1])
         rng = np.random.default_rng(size)
         for rid in range(size):
             # Table 3 is empty in every request; other bags are 0-3 ids.
@@ -250,6 +253,105 @@ class TestBatchingOnePass:
                 table_batches(batch), reference_tables(batch, 4)):
             np.testing.assert_array_equal(indices, w_indices)
             np.testing.assert_array_equal(counts, w_counts)
+
+
+# ---------------------------------------------------------------------- #
+# The read pass: one lookup_tables call, per-table outcomes in table order
+# ---------------------------------------------------------------------- #
+
+
+def fault_drill(predictor, requests=160, batch=8):
+    """A fixed request list served on a ManualClock under a seeded
+    ``serving.backend`` injector, with breakers that open after two
+    failures; returns what the fault walk decided."""
+    injector = FaultInjector(seed=11).register("serving.backend", 0.03,
+                                               kind="nan", max_elements=2)
+    server = InferenceServer(
+        predictor, clock=ManualClock(), injector=injector,
+        config=ServerConfig(max_batch=batch, default_deadline_ms=1e6,
+                            failure_threshold=2, breaker_window=10,
+                            cooldown=3, half_open_successes=2))
+    rng = np.random.default_rng(5)
+    responses = []
+    for rid in range(requests):
+        request = ragged_request(rng, rid, empty_table=-1)
+        assert server.submit(request)["status"] == "queued"
+        if rid % batch == batch - 1:
+            responses.extend(server.step())
+    responses.extend(server.drain())
+    assert len(responses) == requests
+    assert all(np.isfinite(r["prob"]) for r in responses)
+    return {
+        "injector": injector.counters(),
+        "fallbacks": {t: {rung: n for rung, n in counts.items() if n}
+                      for t, counts in server.stats()["fallbacks"].items()
+                      if any(counts.values())},
+        "backend_failures": server.stats()["backend_failures_by_table"],
+        "transitions": [(tr["breaker"], tr["from"], tr["to"])
+                        for tr in server.breaker_transitions()],
+        "degraded": sum(r["degraded"] for r in responses),
+    }
+
+
+# What a per-table walk of the ladders (each table's primary read, fault
+# probe and outcome before the next table's) made of fault_drill, pinned
+# from that implementation: the one read pass must draw, fail over and
+# trip breakers exactly as it did.
+PINNED_DRILL = {
+    "injector": {"serving.backend": {"attempts": 521, "fired": 18}},
+    "fallbacks": {
+        "0": {"default_row": 1}, "3": {"tt_direct": 2}, "4": {"default_row": 1},
+        "5": {"default_row": 4}, "7": {"default_row": 1},
+        "11": {"tt_direct": 1}, "12": {"default_row": 4},
+        "13": {"default_row": 1}, "15": {"tt_direct": 4},
+        "17": {"default_row": 1}, "18": {"default_row": 1},
+        "22": {"default_row": 1}, "23": {"default_row": 1},
+        "24": {"default_row": 1},
+    },
+    "backend_failures": {
+        "0": 1, "3": 2, "4": 1, "5": 2, "7": 1, "11": 1, "12": 2, "13": 1,
+        "15": 2, "17": 1, "18": 1, "22": 1, "23": 1, "24": 1,
+    },
+    "transitions": [
+        ("t5.primary", "closed", "open"), ("t5.primary", "open", "half_open"),
+        ("t5.primary", "half_open", "closed"),
+        ("t12.primary", "closed", "open"), ("t12.primary", "open", "half_open"),
+        ("t15.primary", "closed", "open"), ("t15.primary", "open", "half_open"),
+        ("t15.primary", "half_open", "closed"),
+    ],
+    "degraded": 112,
+}
+
+
+class TestOneReadPass:
+    def test_each_requests_slice_is_its_lookup_bags_alone(self, predictor,
+                                                          monkeypatch):
+        server = InferenceServer(
+            predictor, clock=ManualClock(),
+            config=ServerConfig(max_batch=32, default_deadline_ms=1e6))
+        seen = []
+        pool = server._pool
+        monkeypatch.setattr(server, "_pool", lambda batch, tables: (
+            seen.append((batch, pool(batch, tables))), seen[-1][1])[1])
+        rng = np.random.default_rng(9)
+        for rid in range(32):
+            assert server.submit(ragged_request(rng, rid, empty_table=-1)
+                                 )["status"] == "queued"
+        assert len(server.step()) == 32
+        ((batch, (pooled, served_by)),) = seen
+        assert served_by == {} and len(pooled) == CFG.num_tables
+        for emb, vecs, t in zip(predictor.embeddings, pooled,
+                                range(CFG.num_tables)):
+            assert vecs.shape == (32, CFG.emb_dim) and vecs.dtype == np.float64
+            for req, got in zip(batch, vecs):
+                ids = req.values[t]
+                alone = emb.lookup_bags(ids, np.array([0, ids.size]))
+                assert got.tobytes() == alone[0].astype(np.float64).tobytes()
+
+    def test_fault_draws_and_breakers_keep_the_per_table_order(self,
+                                                              predictor):
+        drill = fault_drill(predictor)
+        assert drill == PINNED_DRILL
 
 
 # ---------------------------------------------------------------------- #

@@ -81,5 +81,5 @@ class TestDtypePolicy:
                 assert g.dtype == np.float32, p.name
             assert model.predict_proba(batch.dense, batch.sparse).dtype == np.float32
             predictor = Predictor(model)
-            assert predictor.predict_proba(batch.dense, batch.sparse).dtype == np.float32
+            assert predictor.predict_batch(batch).dtype == np.float32
         assert seen and all(dt == np.float32 for dt in seen), seen
