@@ -112,29 +112,47 @@ def _per_core_scale(shape: TTShape, target_variance: float, *,
     return math.sqrt(entry_var)
 
 
+# A rejection round is drawn in chunks of at most this many normals, so its
+# working set stays ~1 MB whatever the core's size. Chunks of one stream
+# concatenate to the single draw of the whole round, so every entry and
+# the generator's final state are those of a one-array round.
+_CHUNK = 1 << 16
+
+
+def _normal_sf(cutoff: float) -> float:
+    """``P(x >= cutoff)`` for ``x ~ N(0,1)``, the value ``scipy.stats.norm.sf``
+    returns without importing ``scipy.stats`` (about 1 s)."""
+    from scipy.special import ndtr
+
+    return ndtr(-cutoff)
+
+
 def _rejection_normal(rng: np.random.Generator, size: int, cutoff: float) -> np.ndarray:
     """Standard normal samples conditioned on ``|x| >= cutoff`` (Algorithm 3).
 
     Vectorized rejection: resample the still-rejected tail until all
-    entries pass. With the paper's cutoff of 2.0 acceptance is ~4.6%, so we
-    oversample by the reciprocal acceptance each round.
+    entries pass. With the paper's cutoff of 2.0 acceptance is ~4.6%, so
+    each round draws the reciprocal acceptance (plus 20%) times what is
+    still needed, streamed in chunks of ``_CHUNK``; a round that fills the
+    output is still drawn to its end, which keeps the stream's state.
     """
     if cutoff < 0:
         raise ValueError(f"cutoff must be >= 0, got {cutoff}")
     if cutoff == 0.0:
         return rng.normal(0.0, 1.0, size=size)
-    from scipy.stats import norm
-
-    accept = 2.0 * norm.sf(cutoff)
+    accept = 2.0 * _normal_sf(cutoff)
     out = np.empty(size, dtype=default_dtype())
     filled = 0
     while filled < size:
-        need = size - filled
-        batch = rng.normal(0.0, 1.0, size=max(64, int(need / max(accept, 1e-6) * 1.2)))
-        ok = batch[np.abs(batch) >= cutoff]
-        take = min(ok.size, need)
-        out[filled:filled + take] = ok[:take]
-        filled += take
+        left = max(64, int((size - filled) / max(accept, 1e-6) * 1.2))
+        while left:
+            chunk = rng.normal(0.0, 1.0, size=min(left, _CHUNK))
+            left -= chunk.size
+            if filled < size:
+                ok = chunk[np.abs(chunk) >= cutoff]
+                take = min(ok.size, size - filled)
+                out[filled:filled + take] = ok[:take]
+                filled += take
     return out
 
 
@@ -142,10 +160,10 @@ def _truncated_normal_std(cutoff: float) -> float:
     """Std of ``N(0,1)`` conditioned on ``|x| >= cutoff`` (two-sided tail)."""
     if cutoff == 0.0:
         return 1.0
-    from scipy.stats import norm
-
-    # E[x^2 | |x|>=c] = 1 + c*phi(c)/sf(c) for the symmetric two-sided tail.
-    return math.sqrt(1.0 + cutoff * norm.pdf(cutoff) / norm.sf(cutoff))
+    # E[x^2 | |x|>=c] = 1 + c*phi(c)/sf(c) for the symmetric two-sided tail,
+    # phi(c) computed as scipy.stats.norm.pdf computes it.
+    pdf = np.exp(-cutoff**2 / 2.0) / np.sqrt(2 * np.pi)
+    return math.sqrt(1.0 + cutoff * pdf / _normal_sf(cutoff))
 
 
 def sampled_gaussian_cores(shape: TTShape, *, cutoff: float = 2.0,
@@ -172,7 +190,8 @@ def sampled_gaussian_cores(shape: TTShape, *, cutoff: float = 2.0,
     for k in range(shape.d):
         cshape = shape.core_shape(k)
         n_entries = int(np.prod(cshape))
-        vals = _rejection_normal(rng, n_entries, cutoff) * scale
+        vals = _rejection_normal(rng, n_entries, cutoff)
+        vals *= scale
         cores.append(vals.reshape(cshape))
     return cores
 

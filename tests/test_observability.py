@@ -8,6 +8,7 @@ the exact percentile.
 """
 
 import ast
+import gc
 import json
 import re
 from itertools import product
@@ -795,11 +796,19 @@ class TestObservabilityCLI:
         trace_path = tmp_path / "serve.jsonl"
         policy = tmp_path / "policy.json"
         policy.write_text(json.dumps(drill_policy()))
-        rc = main([
-            "serve-bench", "--requests", "40", "--rank", "4",
-            "--trace-sample", "4", "--trace-jsonl", str(trace_path),
-            "--slo", str(policy), "--flight-dir", str(tmp_path / "fr"),
-        ])
+        # The drill runs on the wall clock with a 100 ms deadline. A gen-2
+        # collection over pytest's heap (100-230 ms late in a run) landing
+        # in the first served step sheds every queued request; frozen, the
+        # heap is left out of collections, as in a fresh serve-bench process.
+        gc.freeze()
+        try:
+            rc = main([
+                "serve-bench", "--requests", "40", "--rank", "4",
+                "--trace-sample", "4", "--trace-jsonl", str(trace_path),
+                "--slo", str(policy), "--flight-dir", str(tmp_path / "fr"),
+            ])
+        finally:
+            gc.unfreeze()
         out = capsys.readouterr().out
         assert rc == 0, out
         assert "SLO report" in out and "traces    :" in out

@@ -1,9 +1,17 @@
 """Tests for weight initialization (paper §3.2, Algorithm 3, Table 1 math)."""
 
+import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.tt import TTShape
+from repro.tt import initialization
 from repro.tt.initialization import (
     CORE_INIT_STRATEGIES,
     dlrm_default_initializer,
@@ -149,6 +157,138 @@ class TestSampledGaussian:
         b = sampled_gaussian_cores(shape, rng=42)
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x, y)
+
+
+def one_array_rejection_normal(rng, size, cutoff):
+    """Algorithm 3's rejection sampler drawn one array per round, with
+    ``scipy.stats.norm``: the reference the streamed sampler must equal."""
+    from scipy.stats import norm
+
+    accept = 2.0 * norm.sf(cutoff)
+    out = np.empty(size)
+    filled = 0
+    while filled < size:
+        need = size - filled
+        batch = rng.normal(0.0, 1.0, size=max(64, int(need / max(accept, 1e-6) * 1.2)))
+        ok = batch[np.abs(batch) >= cutoff]
+        take = min(ok.size, need)
+        out[filled:filled + take] = ok[:take]
+        filled += take
+    return out
+
+
+def first_round(size, cutoff):
+    """Normals the first rejection round draws for ``size`` entries."""
+    from scipy.stats import norm
+
+    return max(64, int(size / (2.0 * norm.sf(cutoff)) * 1.2))
+
+
+def one_array_std(cutoff):
+    """The truncated-tail std as ``scipy.stats.norm`` gives it."""
+    from scipy.stats import norm
+
+    return math.sqrt(1.0 + cutoff * norm.pdf(cutoff) / norm.sf(cutoff))
+
+
+def assert_same_stream(size, cutoff, seed=7):
+    ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = initialization._rejection_normal(ours, size, cutoff)
+    want = one_array_rejection_normal(ref, size, cutoff)
+    np.testing.assert_array_equal(got, want)
+    assert ours.bit_generator.state == ref.bit_generator.state
+
+
+class TestStreamedRejection:
+    """Each rejection round streams in chunks of ``_CHUNK`` normals; the
+    entries and the generator's final state are the one-array round's."""
+
+    @pytest.mark.parametrize("cutoff", [0.5, 2.0, 3.0])
+    @pytest.mark.parametrize("size", [1, 63, 1_000, 5_003])
+    def test_equals_one_array_rounds(self, size, cutoff):
+        assert_same_stream(size, cutoff)
+
+    def test_equals_one_array_rounds_at_an_e2e_core(self):
+        """The e2e model's largest core: a 2.8 M-normal first round."""
+        assert_same_stream(108_000, 2.0)
+
+    @pytest.mark.parametrize("cutoff", [0.5, 2.0, 3.0])
+    @pytest.mark.parametrize("over", [-1, 0, 1])
+    def test_round_totals_on_and_beside_a_chunk_multiple(self, monkeypatch,
+                                                         cutoff, over):
+        """Chunks that make the first round ``m * _CHUNK + over`` normals
+        for each ``m`` in 1..4 that divides evenly."""
+        size = 1_000
+        total = first_round(size, cutoff)
+        for m in (1, 2, 3, 4):
+            if (total - over) % m == 0:
+                monkeypatch.setattr(initialization, "_CHUNK", (total - over) // m)
+                assert_same_stream(size, cutoff)
+
+    @pytest.mark.parametrize("cutoff", [0.5, 2.0])
+    def test_sizes_beside_the_real_chunk(self, cutoff):
+        """Sizes whose first round ends just below and at or above
+        ``2 * _CHUNK`` normals, with the module's own chunk."""
+        from scipy.stats import norm
+
+        step = 2 * initialization._CHUNK
+        guess = int(step * 2.0 * norm.sf(cutoff) / 1.2) - 3
+        size = next(n for n in range(guess, step) if first_round(n, cutoff) >= step)
+        assert first_round(size - 1, cutoff) < step <= first_round(size, cutoff)
+        for n in (size - 1, size):
+            assert_same_stream(n, cutoff)
+
+    @pytest.mark.parametrize("rows, factors, rank", [
+        (60, (3, 4, 5), 4), (15_625, (25, 25, 25), 16)])
+    def test_cores_equal_one_array_cores(self, rows, factors, rank):
+        shape = TTShape.with_uniform_rank(rows, 8, factors, (2, 2, 2), rank=rank)
+        ours, ref = np.random.default_rng(3), np.random.default_rng(3)
+        cores = sampled_gaussian_cores(shape, rng=ours)
+        scale = (initialization._per_core_scale(shape, 1.0 / (3.0 * rows),
+                                                account_for_rank=True)
+                 / one_array_std(2.0))
+        for k, core in enumerate(cores):
+            n = int(np.prod(shape.core_shape(k)))
+            want = one_array_rejection_normal(ref, n, 2.0) * scale
+            np.testing.assert_array_equal(core, want.reshape(shape.core_shape(k)))
+        assert ours.bit_generator.state == ref.bit_generator.state
+
+    def test_truncated_std_is_the_norm_formula(self):
+        for cutoff in np.linspace(0.01, 5.0, 500):
+            cutoff = float(cutoff)
+            assert initialization._truncated_normal_std(cutoff) == one_array_std(cutoff)
+
+    def test_transient_memory_is_a_chunk_not_a_round(self):
+        """A 102 400-entry core (800 KB) would take a 26x round array and
+        its ``|x|`` drawn in one piece; streamed, the build's peak stays
+        within 2 MB of the cores it returns."""
+        shape = TTShape.with_uniform_rank(15_625, 64, (25, 25, 25), (4, 4, 4), rank=32)
+        assert max(int(np.prod(shape.core_shape(k))) for k in range(shape.d)) >= 100_000
+        sampled_gaussian_cores(TTShape.with_uniform_rank(60, 8, (3, 4, 5), (2, 2, 2), rank=2),
+                               rng=0)  # lazy imports land outside the trace
+        tracemalloc.start()
+        try:
+            cores = sampled_gaussian_cores(shape, rng=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - sum(c.nbytes for c in cores) <= 2 * 2**20
+
+    def test_build_does_not_import_scipy_stats(self):
+        """scipy.stats costs about a second to import; the default
+        initializer needs two scalars that scipy.special gives."""
+        code = ("import sys\n"
+                "from repro.models import DLRMConfig, build_ttrec\n"
+                "build_ttrec(DLRMConfig(table_sizes=(400, 300), num_dense=4, emb_dim=8,\n"
+                "                       bottom_mlp=(8,), top_mlp=(8,)),\n"
+                "            num_tt_tables=2, min_rows=1, rng=0)\n"
+                "print('scipy.stats' in sys.modules)\n")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "False"
 
 
 class TestStrategyRegistry:
