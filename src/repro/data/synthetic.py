@@ -13,7 +13,7 @@ Design goals (what of Criteo must survive the substitution — DESIGN.md):
    and approximation error shows up as accuracy loss. Latents are pure
    functions of ``(table, row)`` via splitmix64, so they take no
    per-row storage. The per-table :class:`~repro.data.zipf.ZipfSampler`
-   does: it keeps 24 bytes per row (``_pmf_by_rank``, ``_cdf`` and
+   does: it keeps 12 bytes per row (the float64 CDF ``_cdf`` and the int32
    ``_rank_to_id``), so the generator's memory grows with the tables.
 
 The Bayes accuracy of the generator is controlled by ``noise``: the logit
@@ -162,29 +162,6 @@ class SyntheticCTRDataset:
         """Yield ``num_batches`` consecutive batches."""
         for _ in range(num_batches):
             yield self.batch(batch_size)
-
-    def clone_stream(self, seed: int) -> "SyntheticCTRDataset":
-        """Independent sample stream over the *same* planted model.
-
-        Use for held-out evaluation sets that stay fixed regardless of how
-        many training batches were consumed: the clone shares the planted
-        weights and per-table traffic distributions (bitwise) but draws
-        samples from its own RNG.
-        """
-        clone = object.__new__(SyntheticCTRDataset)
-        clone.__dict__.update(self.__dict__)
-        clone._batch_rng = as_rng(seed)
-        # Samplers carry their own RNG; rebuild them with cloned state so
-        # the two streams do not interleave draws.
-        clone.samplers = []
-        child_rngs = spawn_rngs(seed + 1, self.spec.num_tables)
-        for sampler, rng in zip(self.samplers, child_rngs):
-            twin = object.__new__(type(sampler))
-            twin.__dict__.update(sampler.__dict__)
-            twin._rng = rng
-            twin._rank_to_id = sampler._rank_to_id.copy()
-            clone.samplers.append(twin)
-        return clone
 
     def access_stream(self, table: int, num_accesses: int) -> np.ndarray:
         """Raw row-access trace of one table (locality experiments, Fig. 9)."""

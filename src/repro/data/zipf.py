@@ -10,6 +10,10 @@ The class also exposes the analytics the cache experiments rely on:
 ``top_k_mass(k)`` — the fraction of traffic captured by the ``k`` hottest
 rows — which is the *expected cache hit rate* of a perfectly-warmed
 k-row LFU cache.
+
+A sampler keeps 12 bytes per row: the float64 CDF that ``sample`` inverts
+and the rank-to-id map (int32 while ``n`` fits, else int64). The pmf is
+recomputed from ``s`` and the stored normaliser when asked for.
 """
 
 from __future__ import annotations
@@ -46,14 +50,31 @@ class ZipfSampler:
         self.n = n
         self.s = s
         self._rng = as_rng(rng)
-        weights = 1.0 / np.power(np.arange(1, n + 1, dtype=np.float64), s)
-        self._pmf_by_rank = weights / weights.sum()
-        self._cdf = np.cumsum(self._pmf_by_rank)
-        self._cdf[-1] = 1.0  # guard against float drift at the boundary
+        # The CDF is built in the weights' buffer: the pmf, then its
+        # running sum. The total stays to recompute the pmf when asked.
+        cdf = self._weights(n)
+        self._total = cdf.sum()
+        cdf /= self._total
+        np.cumsum(cdf, out=cdf)
+        cdf[-1] = 1.0  # guard against float drift at the boundary
+        self._cdf = cdf
+        # Shuffling an arange draws what ``rng.permutation(n)`` draws.
+        ids = np.arange(n, dtype=np.int32 if n <= np.iinfo(np.int32).max else np.int64)
         if permute:
-            self._rank_to_id = self._rng.permutation(n).astype(np.int64)
-        else:
-            self._rank_to_id = np.arange(n, dtype=np.int64)
+            self._rng.shuffle(ids)
+        self._rank_to_id = ids
+
+    def _weights(self, k: int) -> np.ndarray:
+        """Unnormalised weights ``1/(r+1)^s`` of the ``k`` hottest ranks."""
+        w = np.arange(1, k + 1, dtype=np.float64)
+        np.power(w, self.s, out=w)
+        return np.divide(1.0, w, out=w)
+
+    def _pmf_head(self, k: int) -> np.ndarray:
+        """Probability of each of the ``k`` hottest ranks."""
+        w = self._weights(k)
+        w /= self._total
+        return w
 
     def sample(self, size: int) -> np.ndarray:
         """Draw ``size`` ids (inverse-CDF; O(size log n))."""
@@ -61,18 +82,18 @@ class ZipfSampler:
             raise ValueError(f"size must be >= 0, got {size}")
         u = self._rng.random(size)
         ranks = np.searchsorted(self._cdf, u, side="right")
-        return self._rank_to_id[ranks]
+        return self._rank_to_id[ranks].astype(np.int64)
 
     def pmf(self) -> np.ndarray:
         """Probability of each *id* (permutation applied)."""
         out = np.empty(self.n)
-        out[self._rank_to_id] = self._pmf_by_rank
+        out[self._rank_to_id] = self._pmf_head(self.n)
         return out
 
     def hottest(self, k: int) -> np.ndarray:
         """The ``k`` most probable ids, hottest first."""
         k = min(max(k, 0), self.n)
-        return self._rank_to_id[:k]
+        return self._rank_to_id[:k].astype(np.int64)
 
     def top_k_mass(self, k: int) -> float:
         """Traffic fraction captured by the ``k`` hottest rows.
@@ -81,7 +102,7 @@ class ZipfSampler:
         the hottest rows — the analytic backbone of Fig. 10(b)/Fig. 12.
         """
         k = min(max(k, 0), self.n)
-        return float(self._pmf_by_rank[:k].sum())
+        return float(self._pmf_head(k).sum())
 
     def rank_for_mass(self, mass: float) -> int:
         """Smallest ``k`` with ``top_k_mass(k) >= mass`` (inverse of above)."""
@@ -105,7 +126,7 @@ class ZipfSampler:
             return
         # Head-biased choice of ranks to demote: sample by current pmf.
         demoted = self._rng.choice(self.n, size=n_swaps, replace=False,
-                                   p=self._pmf_by_rank)
+                                   p=self._pmf_head(self.n))
         # Partners come from the complement so the two sets are disjoint
         # and the vectorized pairwise swap stays a permutation.
         mask = np.ones(self.n, dtype=bool)

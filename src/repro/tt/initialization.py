@@ -119,12 +119,67 @@ def _per_core_scale(shape: TTShape, target_variance: float, *,
 _CHUNK = 1 << 16
 
 
-def _normal_sf(cutoff: float) -> float:
-    """``P(x >= cutoff)`` for ``x ~ N(0,1)``, the value ``scipy.stats.norm.sf``
-    returns without importing ``scipy.stats`` (about 1 s)."""
-    from scipy.special import ndtr
+# Cephes' ``ndtr`` (``ndtr.c``, the routine ``scipy.special.ndtr`` runs),
+# copied term for term (its ``erfc`` only for the non-negative arguments
+# ``ndtr`` passes): Algorithm 3's two constants, and so every core byte,
+# are the ones scipy gives, without importing scipy. ``math.erfc`` is no
+# substitute: at c = 2 it moves the truncated std by one ulp.
+_ERFC_P = (2.46196981473530512524E-10, 5.64189564831068821977E-1, 7.46321056442269912687E0,
+           4.86371970985681366614E1, 1.96520832956077098242E2, 5.26445194995477358631E2,
+           9.34528527171957607540E2, 1.02755188689515710272E3, 5.57535335369399327526E2)
+_ERFC_Q = (1.32281951154744992508E1, 8.67072140885989742329E1, 3.54937778887819891062E2,
+           9.75708501743205489753E2, 1.82390916687909736289E3, 2.24633760818710981792E3,
+           1.65666309194161350182E3, 5.57535340817727675546E2)
+_ERFC_R = (5.64189583547755073984E-1, 1.27536670759978104416E0, 5.01905042251180477414E0,
+           6.16021097993053585195E0, 7.40974269950448939160E0, 2.97886665372100240670E0)
+_ERFC_S = (2.26052863220117276590E0, 9.39603524938001434673E0, 1.20489539808096656605E1,
+           1.70814450747565897222E1, 9.60896809063285878198E0, 3.36907645100081516050E0)
+_ERF_T = (9.60497373987051638749E0, 9.00260197203842689217E1, 2.23200534594684319226E3,
+          7.00332514112805075473E3, 5.55923013010394962768E4)
+_ERF_U = (3.35617141647503099647E1, 5.21357949780152679795E2, 4.59432382970980127987E3,
+          2.26290000613890934246E4, 4.92673942608635921086E4)
+_SQRT1_2 = 7.07106781186547524401E-1
+_MAXLOG = 7.09782712893383996843E2
 
-    return ndtr(-cutoff)
+
+def _polevl(x: float, coef: tuple[float, ...], monic: bool = False) -> float:
+    """Horner's rule, Cephes' ``polevl`` (``p1evl`` with an implied leading 1)."""
+    acc = x + coef[0] if monic else coef[0]
+    for c in coef[1:]:
+        acc = acc * x + c
+    return acc
+
+
+def _erf(x: float) -> float:
+    if x < 0.0:
+        return -_erf(-x)
+    if abs(x) > 1.0:
+        return 1.0 - _erfc(x)
+    z = x * x
+    return x * _polevl(z, _ERF_T) / _polevl(z, _ERF_U, monic=True)
+
+
+def _erfc(x: float) -> float:
+    """Cephes' ``erfc`` for ``x >= 0``, the only arguments it gets here."""
+    if x < 1.0:
+        return 1.0 - _erf(x)
+    z = -x * x
+    if z < -_MAXLOG:
+        return 0.0
+    z = math.exp(z)
+    if x < 8.0:
+        return (z * _polevl(x, _ERFC_P)) / _polevl(x, _ERFC_Q, monic=True)
+    return (z * _polevl(x, _ERFC_R)) / _polevl(x, _ERFC_S, monic=True)
+
+
+def _normal_sf(cutoff: float) -> float:
+    """``P(x >= cutoff)`` for ``x ~ N(0,1)``: Cephes' ``ndtr(-cutoff)``."""
+    x = -cutoff * _SQRT1_2
+    z = abs(x)
+    if z < _SQRT1_2:
+        return 0.5 + 0.5 * _erf(x)
+    y = 0.5 * _erfc(z)
+    return 1.0 - y if x > 0 else y
 
 
 def _rejection_normal(rng: np.random.Generator, size: int, cutoff: float) -> np.ndarray:

@@ -1,11 +1,17 @@
 """Tests for dataset specs and the Zipf sampler."""
 
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.data import KAGGLE, PAPER_KAGGLE_TT_SHAPES, TERABYTE, DatasetSpec, ZipfSampler
+import repro.data.synthetic as synthetic
+from repro.data import (KAGGLE, PAPER_KAGGLE_TT_SHAPES, TERABYTE, DatasetSpec,
+                        SyntheticCTRDataset, ZipfSampler)
+from repro.utils.seeding import as_rng
 
 
 class TestSpecs:
@@ -127,3 +133,114 @@ class TestZipfSampler:
         z = ZipfSampler(n, s, rng=0)
         assert z.pmf().sum() == pytest.approx(1.0)
         assert z.pmf().min() >= 0
+
+
+class StoredPmfZipfSampler:
+    """The sampler as it was when it stored the pmf beside the CDF and an
+    int64 id map (24 bytes a row): the reference the 12-byte one equals."""
+
+    def __init__(self, n, s=1.05, *, permute=True, rng=None):
+        self.n = n
+        self.s = s
+        self._rng = as_rng(rng)
+        weights = 1.0 / np.power(np.arange(1, n + 1, dtype=np.float64), s)
+        self._pmf_by_rank = weights / weights.sum()
+        self._cdf = np.cumsum(self._pmf_by_rank)
+        self._cdf[-1] = 1.0
+        if permute:
+            self._rank_to_id = self._rng.permutation(n).astype(np.int64)
+        else:
+            self._rank_to_id = np.arange(n, dtype=np.int64)
+
+    def sample(self, size):
+        u = self._rng.random(size)
+        return self._rank_to_id[np.searchsorted(self._cdf, u, side="right")]
+
+    def pmf(self):
+        out = np.empty(self.n)
+        out[self._rank_to_id] = self._pmf_by_rank
+        return out
+
+    def hottest(self, k):
+        return self._rank_to_id[:min(max(k, 0), self.n)]
+
+    def top_k_mass(self, k):
+        return float(self._pmf_by_rank[:min(max(k, 0), self.n)].sum())
+
+    def rank_for_mass(self, mass):
+        return int(np.searchsorted(self._cdf, mass, side="left")) + 1
+
+    def drift(self, fraction):
+        n_swaps = min(int(round(fraction * self.n)), self.n // 2)
+        if n_swaps == 0:
+            return
+        demoted = self._rng.choice(self.n, size=n_swaps, replace=False,
+                                   p=self._pmf_by_rank)
+        mask = np.ones(self.n, dtype=bool)
+        mask[demoted] = False
+        promoted = self._rng.choice(np.flatnonzero(mask), size=n_swaps, replace=False)
+        tmp = self._rank_to_id[demoted].copy()
+        self._rank_to_id[demoted] = self._rank_to_id[promoted]
+        self._rank_to_id[promoted] = tmp
+
+
+def assert_same_draws(ours, ref, size):
+    got, want = ours.sample(size), ref.sample(size)
+    assert got.dtype == np.int64
+    np.testing.assert_array_equal(got, want)
+    assert ours._rng.bit_generator.state == ref._rng.bit_generator.state
+
+
+class TestTwelveByteSampler:
+    """The sampler keeps only the CDF and the id map, and every stream and
+    analytic is the 24-byte sampler's, bit for bit."""
+
+    @pytest.mark.parametrize("permute", [True, False])
+    @pytest.mark.parametrize("s", [0.0, 0.5, 1.05, 1.2])
+    @pytest.mark.parametrize("n", [1, 7, 1_000, 100_003])
+    def test_equals_the_stored_pmf_sampler(self, n, s, permute):
+        ours = ZipfSampler(n, s, permute=permute, rng=11)
+        ref = StoredPmfZipfSampler(n, s, permute=permute, rng=11)
+        assert ours._rng.bit_generator.state == ref._rng.bit_generator.state
+        assert_same_draws(ours, ref, 5_000)
+        np.testing.assert_array_equal(ours.pmf(), ref.pmf())
+        for k in sorted({0, 1, 2, n // 3, n - 1, n, n + 5}):
+            assert ours.top_k_mass(k) == ref.top_k_mass(k)
+            hot = ours.hottest(k)
+            assert hot.dtype == np.int64
+            np.testing.assert_array_equal(hot, ref.hottest(k))
+        for mass in (0.0, 0.1, 0.5, 0.9, 0.999, 1.0):
+            assert ours.rank_for_mass(mass) == ref.rank_for_mass(mass)
+        ours.drift(0.01)
+        ref.drift(0.01)
+        assert_same_draws(ours, ref, 5_000)
+        np.testing.assert_array_equal(ours.pmf(), ref.pmf())
+
+    @pytest.mark.parametrize("pooling", [1.0, 10.0])
+    def test_dataset_batches_are_the_stored_pmf_samplers(self, monkeypatch, pooling):
+        """Five batches of a dataset digest the same with either sampler."""
+        def digest():
+            ds = SyntheticCTRDataset(KAGGLE.scaled(0.001), pooling_factor=pooling, seed=5)
+            h = hashlib.sha256()
+            for batch in ds.batches(64, 5):
+                for a in (batch.dense, batch.labels, *(x for bag in batch.sparse for x in bag)):
+                    h.update(str(a.dtype).encode())
+                    h.update(np.ascontiguousarray(a).tobytes())
+            return h.hexdigest()
+
+        ours = digest()
+        monkeypatch.setattr(synthetic, "ZipfSampler", StoredPmfZipfSampler)
+        assert ours == digest()
+
+    def test_holds_and_peaks_at_twelve_bytes_a_row(self):
+        n = 1_000_000
+        ZipfSampler(10, rng=0)  # lazy imports land outside the trace
+        tracemalloc.start()
+        try:
+            z = ZipfSampler(n, 1.05, rng=0)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert z._cdf.nbytes + z._rank_to_id.nbytes == 12 * n
+        assert held <= 12 * n + 4 * 2**10
+        assert peak <= 12 * n + 64 * 2**10

@@ -40,8 +40,8 @@ GOLDEN = Path(__file__).parent / "golden" / "state_digests.json"
 
 CFG = DLRMConfig(table_sizes=(400, 60, 300, 200), num_dense=5, emb_dim=8,
                  bottom_mlp=(8,), top_mlp=(16,))
-# Plain Gaussian cores: Algorithm 3's tail rescale goes through
-# scipy.special.ndtr, whose last bit is the scipy build's, not NumPy's.
+# Plain Gaussian cores: Algorithm 3's tail rescale goes through a port of
+# Cephes' ndtr, whose exp() is the C library's, not NumPy's.
 TT = TTConfig(rank=4, initializer="gaussian")
 CACHED = TT.with_(use_cache=True, warmup_steps=5, refresh_interval=25,
                   cache_fraction=0.1)
