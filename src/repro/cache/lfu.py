@@ -26,14 +26,10 @@ _POLICIES = ("lfu", "lru", "static")
 class LFUTracker:
     """Access-frequency tracker with pluggable victim-selection policy."""
 
-    def __init__(self, *, policy: str = "lfu", initial_capacity: int = 4096,
-                 decay: float = 1.0):
+    def __init__(self, *, policy: str = "lfu", initial_capacity: int = 4096):
         if policy not in _POLICIES:
             raise ValueError(f"policy must be one of {_POLICIES}, got {policy!r}")
-        if not (0.0 < decay <= 1.0):
-            raise ValueError(f"decay must be in (0, 1], got {decay}")
         self.policy = policy
-        self.decay = decay
         self._table = OpenAddressingHashTable(initial_capacity)
         self._clock = 0
         self._frozen = False
@@ -70,19 +66,6 @@ class LFUTracker:
     def freeze(self) -> None:
         """Stop updating scores (used by the ``static`` policy after warm-up)."""
         self._frozen = True
-
-    def apply_decay(self) -> None:
-        """Multiplicatively decay all scores (optional aging for LFU).
-
-        Classic LFU never forgets; a decay < 1 lets the tracker adapt when
-        the hot set drifts. The paper observes the hot set is stable
-        (Fig. 9) so decay defaults to 1.0 (off) in TT-Rec.
-        """
-        if self.decay < 1.0:
-            keys, values = self._table.items()
-            self._table.clear()
-            if keys.size:
-                self._table.add(keys, values * self.decay)
 
     def state_dict(self) -> dict:
         """Checkpointable snapshot of the tracker (see ``repro.reliability``).

@@ -5,8 +5,7 @@ one's options; docs/ walks through them.
 
 ``report`` writes the paper claims that need no training (Table 2,
 Fig. 5 and Fig. 9) from their row functions in :mod:`repro.analysis`;
-``plan`` reports the TT chain's contraction splits and ``plan-budget``
-picks a compressor per table under a byte budget. The drills —
+``plan`` reports the TT chain's contraction splits. The drills —
 ``train``, ``chaos``, ``profile``, ``serve-bench`` — run the scaled
 synthetic dataset for a few seconds and stand on one scaffold ("The
 drill scaffold" below): one model recipe, one seeded-injector table, one
@@ -88,68 +87,6 @@ def _cmd_plan(args) -> int:
     print(f"  baseline FLOPs:   {baseline:,.0f} / iter, every lookup at split "
           f"{emb.shape.d - 1} (saved {saved:,.0f}, {100.0 * saved / baseline:.1f}%)")
     print(f"  dedup removed:    {removed:,.0f} of {n_lookups} lookups / iter")
-    return 0
-
-
-def _cmd_plan_budget(args) -> int:
-    """Pick a compressor per table under a global byte budget."""
-    import json
-
-    from repro.bench.reporting import format_table
-    from repro.compress import BudgetPlanner, TableStats
-
-    if args.top < 1:
-        print(f"error: --top must be >= 1, got {args.top}")
-        return 1
-    if args.tables_file:
-        with open(args.tables_file, encoding="utf-8") as fh:
-            doc = json.load(fh)
-        docs = doc["tables"] if isinstance(doc, dict) else doc
-        try:
-            tables = [TableStats.from_doc(d) for d in docs]
-        except KeyError as exc:
-            print(f"error: a table in {args.tables_file} has no {exc} field")
-            return 1
-        source = args.tables_file
-    else:
-        from repro.data import KAGGLE, TERABYTE
-
-        spec = {"kaggle": KAGGLE, "terabyte": TERABYTE}[args.dataset]
-        if args.scale is not None:
-            spec = spec.scaled(args.scale)
-        tables = [TableStats(num_rows=size, dim=spec.emb_dim, zipf_s=args.zipf,
-                             name=f"emb{i}")
-                  for i, size in enumerate(spec.table_sizes)]
-        source = args.dataset
-
-    try:
-        plan = BudgetPlanner(
-            tables, mode=args.mode, seed=args.seed,
-            include_inference_only=args.include_inference_only,
-            min_compress_rows=args.min_compress_rows,
-        ).plan(int(args.budget_mb * 1e6))
-    except ValueError as exc:
-        print(f"error: {exc}")
-        return 1
-
-    shown = sorted(plan.tables, key=lambda t: -t.predicted_bytes)[:args.top]
-    rows = [
-        [t.index, t.spec.name or "-", f"{t.spec.num_rows:,}", t.spec.label(),
-         f"{t.predicted_bytes:,}", f"{t.quality:.3f}", f"{t.weight:.3f}"]
-        for t in shown
-    ]
-    print(format_table(
-        ["table", "name", "rows", "compressor", "bytes", "quality", "weight"],
-        rows,
-        title=(f"Budget plan for {source} under {args.budget_mb:g} MB "
-               f"({len(plan.tables)} tables)"),
-    ))
-    print(f"\ntotal: {plan.total_bytes():,} B of {plan.budget_bytes:,} B "
-          f"budget ({plan.total_bytes() / plan.budget_bytes:.0%} used), "
-          f"compression {plan.compression_ratio():.1f}x vs dense")
-    if args.emit_json:
-        plan.to_json(args.emit_json)
-        print(f"wrote repro.budget_plan/v1 plan to {args.emit_json}")
     return 0
 
 
@@ -487,18 +424,9 @@ def _cmd_serve_bench(args) -> int:
     from repro.inference import Predictor
     from repro.serving import InferenceServer, ServerConfig, run_load
 
-    if args.budget_plan:
-        from repro.compress import load_budget_plan
-        from repro.models.ttrec import build_from_plan
-
-        plan = load_budget_plan(args.budget_plan)
-        model = build_from_plan(plan, rng=args.seed)
-        print(f"serving a budget plan: {args.budget_plan} "
-              f"({plan.total_bytes():,} B, kinds {sorted(set(plan.kinds()))})")
-    else:
-        model = _scaled_kaggle(args, use_cache=True, warmup_steps=0,
-                               refresh_interval=None,
-                               cache_fraction=0.05).build()
+    model = _scaled_kaggle(args, use_cache=True, warmup_steps=0,
+                           refresh_interval=None,
+                           cache_fraction=0.05).build()
     injector = _injector(args.fault_seed, {
         "serving.request": (args.fault_rate, {"kind": "nan"}),
         "serving.queue": (args.fault_rate, {}),
@@ -698,34 +626,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="workload seed")
     p.set_defaults(fn=_cmd_plan)
 
-    p = sub.add_parser(
-        "plan-budget",
-        help="pick a compressor per table (full zoo) under one global "
-             "byte budget (docs/COMPRESSION.md)",
-    )
-    p.add_argument("--budget-mb", type=float, required=True,
-                   help="global embedding byte budget, in MB")
-    p.add_argument("--tables-file", default=None, metavar="PATH",
-                   help="JSON table stats: {\"tables\": [{num_rows, dim, "
-                        "zipf_s, traffic, name}, ...]} (overrides --dataset)")
-    p.add_argument("--dataset", choices=["kaggle", "terabyte"],
-                   default="kaggle")
-    p.add_argument("--scale", type=_positive_float, default=None,
-                   help="scale the dataset spec's table sizes first")
-    p.add_argument("--zipf", type=_nonnegative_float, default=1.05,
-                   help="access skew assumed for --dataset tables")
-    p.add_argument("--mode", choices=["sum", "mean"], default="sum")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--min-compress-rows", type=int, default=0,
-                   help="tables below this stay dense")
-    p.add_argument("--include-inference-only", action="store_true",
-                   help="let the planner pick inference-only compressors "
-                        "(post-training quantization)")
-    p.add_argument("--top", type=int, default=10, help="tables to display")
-    p.add_argument("--emit-json", default=None, metavar="PATH",
-                   help="write the repro.budget_plan/v1 JSON here")
-    p.set_defaults(fn=_cmd_plan_budget)
-
     p = sub.add_parser("report",
                        help="write the no-training paper claims (Table 2, "
                             "Fig. 5, Fig. 9) to markdown")
@@ -788,10 +688,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--requests", type=_positive_int, default=1000)
     p.add_argument("--rank", type=_positive_int, default=4)
     p.add_argument("--scale", type=_positive_float, default=0.0005)
-    p.add_argument("--budget-plan", default=None, metavar="PATH",
-                   help="serve the embedding stack from a "
-                        "repro.budget_plan/v1 JSON (plan-budget --emit-json) "
-                        "instead of the default TT model")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--policy", choices=["clamp", "hash", "reject"],
                    default="clamp", help="out-of-vocabulary id policy")

@@ -18,9 +18,7 @@ kind           operator
 ``alpt``       :class:`~repro.compress.alpt.ALPTEmbeddingBag`
 =============  ==========================================================
 
-See ``docs/COMPRESSION.md`` for the full zoo table and
-:class:`~repro.compress.planner.BudgetPlanner` for picking a compressor
-per table under a global byte budget.
+See ``docs/COMPRESSION.md`` for the full zoo table.
 """
 
 from repro.baselines import (HashedEmbeddingBag, LowRankEmbeddingBag,
@@ -30,7 +28,6 @@ from repro.compress.alpt import ALPTEmbeddingBag
 from repro.compress.base import (
     CompressedEmbedding,
     EmbeddingSpec,
-    as_spec,
     compressor_class,
     make_embedding,
     predict_memory_bytes,
@@ -38,14 +35,6 @@ from repro.compress.base import (
     registered_kinds,
 )
 from repro.compress.dpq import DPQEmbeddingBag
-from repro.compress.planner import (
-    BUDGET_PLAN_SCHEMA,
-    BudgetPlan,
-    BudgetPlanner,
-    PlannedTable,
-    TableStats,
-    load_budget_plan,
-)
 from repro.ops.embedding import EmbeddingBag
 from repro.tt.embedding_bag import TTEmbeddingBag
 
@@ -60,7 +49,6 @@ for _cls in (EmbeddingBag, TTEmbeddingBag, CachedTTEmbeddingBag, TREmbeddingBag,
 __all__ = [
     "CompressedEmbedding",
     "EmbeddingSpec",
-    "as_spec",
     "compressor_class",
     "make_embedding",
     "predict_memory_bytes",
@@ -68,10 +56,4 @@ __all__ = [
     "registered_kinds",
     "DPQEmbeddingBag",
     "ALPTEmbeddingBag",
-    "BUDGET_PLAN_SCHEMA",
-    "BudgetPlan",
-    "BudgetPlanner",
-    "PlannedTable",
-    "TableStats",
-    "load_budget_plan",
 ]

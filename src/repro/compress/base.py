@@ -10,21 +10,17 @@ members *are* the operators: there is no wrapper between a registered
 ``kind`` and the class that computes.
 
 This module adds what turns those classes into a zoo: the
-:class:`EmbeddingSpec` value (kind + shape + per-kind knobs, JSON-safe)
+:class:`EmbeddingSpec` value (kind + shape + per-kind knobs)
 and the ``kind -> class`` registry. ``make_embedding(spec)`` is the one
 factory — ``compressor_class(spec.kind).from_spec(spec)``, returning the
 native operator — and ``predict_memory_bytes(spec)`` answers the same
 question *without* building: each class predicts exactly what its
-instance will report, which is what lets the
-:class:`~repro.compress.planner.BudgetPlanner` search candidate specs
-cheaply.
+instance will report.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from repro.ops.embedding import CompressedEmbedding
 
@@ -65,43 +61,6 @@ class EmbeddingSpec:
     def get(self, key: str, default=None):
         return self.params.get(key, default)
 
-    def label(self) -> str:
-        """Short human-readable identifier, e.g. ``tt(rank=8)``."""
-        knobs = ", ".join(f"{k}={v}" for k, v in sorted(self.params.items())
-                          if not isinstance(v, np.ndarray))
-        return f"{self.kind}({knobs})" if knobs else self.kind
-
-    def to_doc(self) -> dict:
-        """JSON-safe dict (ndarray knobs are refused — pass those in code)."""
-        for k, v in self.params.items():
-            if isinstance(v, np.ndarray):
-                raise ValueError(
-                    f"spec param {k!r} is an ndarray and cannot be serialized"
-                )
-        return {
-            "kind": self.kind, "num_rows": int(self.num_rows),
-            "dim": int(self.dim), "mode": self.mode, "seed": int(self.seed),
-            "name": self.name, "params": dict(self.params),
-        }
-
-    @classmethod
-    def from_doc(cls, doc: dict) -> "EmbeddingSpec":
-        return cls(
-            kind=doc["kind"], num_rows=int(doc["num_rows"]),
-            dim=int(doc["dim"]), mode=doc.get("mode", "sum"),
-            seed=int(doc.get("seed", 0)), name=doc.get("name"),
-            params=dict(doc.get("params", {})),
-        )
-
-
-def as_spec(spec) -> EmbeddingSpec:
-    """Coerce a dict (``from_doc`` layout) to an :class:`EmbeddingSpec`."""
-    if isinstance(spec, EmbeddingSpec):
-        return spec
-    if isinstance(spec, dict):
-        return EmbeddingSpec.from_doc(spec)
-    raise TypeError(f"expected EmbeddingSpec or dict, got {type(spec).__name__}")
-
 
 # ---------------------------------------------------------------------- #
 # Registry + factory
@@ -133,13 +92,11 @@ def compressor_class(kind: str) -> type[CompressedEmbedding]:
         ) from None
 
 
-def make_embedding(spec: EmbeddingSpec | dict) -> CompressedEmbedding:
+def make_embedding(spec: EmbeddingSpec) -> CompressedEmbedding:
     """Build the registered compressor for ``spec`` — the zoo's one door."""
-    spec = as_spec(spec)
     return compressor_class(spec.kind).from_spec(spec)
 
 
-def predict_memory_bytes(spec: EmbeddingSpec | dict) -> int:
+def predict_memory_bytes(spec: EmbeddingSpec) -> int:
     """``memory_bytes()`` the built compressor would report, without building."""
-    spec = as_spec(spec)
     return compressor_class(spec.kind).predict_memory_bytes(spec)

@@ -10,14 +10,13 @@ from __future__ import annotations
 import numpy as np
 
 from repro.cache.cached_embedding import CachedTTEmbeddingBag
-from repro.compress import make_embedding
 from repro.models.config import DLRMConfig, TTConfig
 from repro.models.dlrm import DLRM
 from repro.ops.embedding import EmbeddingBag
 from repro.tt.embedding_bag import TTEmbeddingBag
 from repro.utils.seeding import as_rng
 
-__all__ = ["largest_tables", "build_dlrm", "build_ttrec", "build_from_plan"]
+__all__ = ["largest_tables", "build_dlrm", "build_ttrec"]
 
 # Tables smaller than this are never worth compressing: the TT cores would
 # outweigh the dense rows. Matches the paper's practice of compressing only
@@ -81,33 +80,3 @@ def build_ttrec(config: DLRMConfig, *, num_tt_tables: int,
     cfg = config.with_(tt_tables={i: tt for i in chosen})
     return build_dlrm(cfg, rng=rng)
 
-
-def build_from_plan(plan, *, config: DLRMConfig | None = None,
-                    rng: int | None | np.random.Generator = None) -> DLRM:
-    """Build a DLRM whose embedding stack follows a ``BudgetPlan``.
-
-    ``plan`` is a :class:`repro.compress.planner.BudgetPlan` (e.g. from
-    ``repro plan-budget --emit-json`` via
-    :func:`repro.compress.planner.load_budget_plan`). Each table is built
-    through the compression-zoo factory, so any registered compressor —
-    not just dense/TT — can appear per table. When ``config`` is given,
-    its table sizes and embedding dim must match the plan; otherwise a
-    default config is derived from the plan.
-    """
-    if not plan.tables:
-        raise ValueError("plan has no tables")
-    dims = {t.spec.dim for t in plan.tables}
-    if len(dims) != 1:
-        raise ValueError(f"plan mixes embedding dims {sorted(dims)}; "
-                         "DLRM needs one emb_dim across tables")
-    sizes = tuple(t.spec.num_rows for t in plan.tables)
-    if config is None:
-        config = DLRMConfig(table_sizes=sizes, emb_dim=dims.pop(),
-                            seed=plan.seed)
-    else:
-        if tuple(config.table_sizes) != sizes or config.emb_dim != dims.pop():
-            raise ValueError("config table_sizes/emb_dim do not match the plan")
-    rng = as_rng(rng if rng is not None else config.seed)
-    embeddings = [make_embedding(t.spec)
-                  for t in sorted(plan.tables, key=lambda t: t.index)]
-    return DLRM(config, embeddings, rng=rng)

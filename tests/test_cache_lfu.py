@@ -60,34 +60,7 @@ class TestStaticPolicy:
         assert t.total_accesses == 6
 
 
-class TestDecay:
-    def test_decay_halves_scores(self):
-        t = LFUTracker(decay=0.5)
-        t.record(np.array([1, 1, 1, 1]))
-        t.apply_decay()
-        np.testing.assert_allclose(t.count(np.array([1])), [2.0])
-
-    def test_no_decay_by_default(self):
-        t = LFUTracker()
-        t.record(np.array([1, 1]))
-        t.apply_decay()
-        np.testing.assert_allclose(t.count(np.array([1])), [2.0])
-
-    def test_decay_changes_ranking(self):
-        t = LFUTracker(decay=0.25)
-        t.record(np.repeat(np.array([1]), 10))
-        t.apply_decay()  # 1 -> 2.5
-        t.record(np.repeat(np.array([2]), 4))  # 2 -> 4
-        np.testing.assert_array_equal(t.top_k(1), [2])
-
-
 class TestValidation:
     def test_bad_policy(self):
         with pytest.raises(ValueError):
             LFUTracker(policy="fifo")
-
-    def test_bad_decay(self):
-        with pytest.raises(ValueError):
-            LFUTracker(decay=0.0)
-        with pytest.raises(ValueError):
-            LFUTracker(decay=1.5)

@@ -11,6 +11,12 @@ from repro.cli import build_parser, main
 ROOT = Path(__file__).parent.parent
 
 
+def _subcommands() -> dict[str, argparse.ArgumentParser]:
+    """``repro --help``'s subcommands, in order, with their parsers."""
+    return next(a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
 class TestParser:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
@@ -22,11 +28,30 @@ class TestParser:
 
     def test_readme_lists_every_subcommand(self):
         """README's ``python -m repro {…}`` is ``repro --help``'s list."""
-        subparsers = next(a for a in build_parser()._actions
-                          if isinstance(a, argparse._SubParsersAction))
         listed = re.search(r"python -m repro \{([^}]*)\}",
                            (ROOT / "README.md").read_text()).group(1)
-        assert listed.split(",") == list(subparsers.choices)
+        assert listed.split(",") == list(_subcommands())
+
+    def test_documented_invocations_parse(self):
+        """Every ``python -m repro <sub> …`` line in the docs and CI names a
+        subcommand, and each ``--option`` on it belongs to that subcommand."""
+        options = {name: {s for a in p._actions for s in a.option_strings}
+                   for name, p in _subcommands().items()}
+        paths = [ROOT / "README.md", ROOT / "DESIGN.md", ROOT / "EXPERIMENTS.md",
+                 *sorted((ROOT / "docs").glob("*.md")),
+                 ROOT / ".github" / "workflows" / "ci.yml"]
+        checked = 0
+        for path in paths:
+            text = re.sub(r"\\\n\s*", " ", path.read_text())
+            for m in re.finditer(r"python -m repro[ \t]+([a-z][\w-]*)([^\n`#]*)",
+                                 text):
+                sub, rest = m.groups()
+                where = f"{path.relative_to(ROOT)}: {m.group(0).strip()}"
+                assert sub in options, where
+                for opt in re.findall(r"(?<![\w-])--[\w-]+", rest):
+                    assert opt in options[sub], f"{opt} in {where}"
+                checked += 1
+        assert checked >= 20
 
 
 class TestCommands:
@@ -75,7 +100,7 @@ class TestCommands:
         (["serve-bench", "--rank", "0"], "must be >= 1, got 0"),
         (["train", "--scale", "0"], "must be finite and > 0, got 0"),
         (["chaos", "--scale", "nan"], "must be finite and > 0, got nan"),
-        (["plan-budget", "--scale", "-1"], "must be finite and > 0, got -1"),
+        (["profile", "--scale", "-1"], "must be finite and > 0, got -1"),
         (["serve-bench", "--deadline-ms", "inf"],
          "must be finite and > 0, got inf"),
         (["chaos", "--prob", "1.5"], "must be in [0, 1], got 1.5"),
@@ -89,7 +114,7 @@ class TestCommands:
         (["serve-bench", "--interarrival-ms", "-1"],
          "must be finite and >= 0, got -1"),
         (["chaos", "--tolerance", "nan"], "must be finite and >= 0, got nan"),
-        (["plan-budget", "--zipf", "inf"], "must be finite and >= 0, got inf")])
+        (["plan", "--zipf", "inf"], "must be finite and >= 0, got inf")])
     def test_model_inputs_are_checked_by_the_parser(self, argv, message,
                                                     capsys):
         with pytest.raises(SystemExit) as exc:
@@ -115,26 +140,6 @@ class TestCommands:
         assert exc.value.code == 2
         assert (f"argument --slowest: must be >= 1, got {count}"
                 in capsys.readouterr().err)
-
-    def test_plan_budget_empty_tables_file_is_an_error(self, tmp_path, capsys):
-        path = tmp_path / "tables.json"
-        path.write_text('{"tables": []}')
-        assert main(["plan-budget", "--budget-mb", "1",
-                     "--tables-file", str(path)]) == 1
-        assert capsys.readouterr().out == ("error: planner needs at least "
-                                           "one table\n")
-
-    def test_plan_budget_table_without_rows_is_an_error(self, tmp_path, capsys):
-        path = tmp_path / "tables.json"
-        path.write_text('{"tables": [{"dim": 8}]}')
-        assert main(["plan-budget", "--budget-mb", "1",
-                     "--tables-file", str(path)]) == 1
-        assert capsys.readouterr().out == (f"error: a table in {path} has no "
-                                           "'num_rows' field\n")
-
-    def test_plan_budget_rejects_top_below_one(self, capsys):
-        assert main(["plan-budget", "--budget-mb", "1", "--top", "-2"]) == 1
-        assert capsys.readouterr().out == "error: --top must be >= 1, got -2\n"
 
     def test_report_writes_markdown(self, tmp_path, capsys):
         out = tmp_path / "REPORT.md"

@@ -1,6 +1,4 @@
-"""Property suite for the compression zoo and the byte-budget planner."""
-
-import json
+"""Property suite for the compression zoo."""
 
 import numpy as np
 import pytest
@@ -8,18 +6,12 @@ import pytest
 from repro.reliability.sanitizer import NumericSanitizer
 from repro.baselines.lowrank import LowRankEmbeddingBag
 from repro.compress import (
-    ALPTEmbeddingBag,
-    BudgetPlan,
-    BudgetPlanner,
     DPQEmbeddingBag,
     EmbeddingSpec,
-    TableStats,
-    load_budget_plan,
     make_embedding,
     predict_memory_bytes,
     registered_kinds,
 )
-from repro.models.ttrec import build_from_plan
 from repro.utils.dtypes import dtype_policy
 
 ROWS, DIM = 300, 8
@@ -282,121 +274,3 @@ def test_lowrank_backward_matches_add_at_random_floats():
     rng = np.random.default_rng(13)
     actual, expected = _lowrank_grad_pair(rng.normal(size=(4, DIM)))
     np.testing.assert_allclose(actual, expected, rtol=1e-14, atol=1e-14)
-
-
-# ---------------------------------------------------------------------- #
-# Budget planner
-# ---------------------------------------------------------------------- #
-
-
-def random_tables(seed, n=6):
-    rng = np.random.default_rng(seed)
-    return [
-        TableStats(num_rows=int(rng.integers(100, 50_000)),
-                   dim=int(rng.choice([8, 16])),
-                   zipf_s=float(rng.uniform(0.6, 1.3)),
-                   traffic=float(rng.uniform(0.1, 4.0)),
-                   name=f"t{i}")
-        for i in range(n)
-    ]
-
-
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_planner_never_exceeds_budget(seed):
-    tables = random_tables(seed)
-    planner = BudgetPlanner(tables, seed=seed)
-    dense_total = sum(t.dense_bytes() for t in tables)
-    floor = sum(min(c.bytes for c in planner._candidates(i, t))
-                for i, t in enumerate(tables))
-    for frac in (0.05, 0.2, 0.6, 1.0):
-        budget = max(int(dense_total * frac), floor)
-        plan = planner.plan(budget)
-        assert plan.total_bytes() <= budget
-        assert len(plan.tables) == len(tables)
-        assert [t.index for t in plan.tables] == list(range(len(tables)))
-
-
-def test_planner_picks_dense_when_budget_allows():
-    tables = random_tables(3)
-    planner = BudgetPlanner(tables, seed=3)
-    dense_total = sum(t.dense_bytes() for t in tables)
-    plan = planner.plan(dense_total)
-    assert plan.kinds() == ["dense"] * len(tables)
-    assert plan.total_bytes() == dense_total
-
-
-def test_planner_infeasible_budget_raises():
-    planner = BudgetPlanner([TableStats(num_rows=10_000, dim=16)])
-    with pytest.raises(ValueError, match="below the cheapest"):
-        planner.plan(16)
-
-
-def test_planner_respects_min_compress_rows():
-    tables = [TableStats(num_rows=500, dim=8), TableStats(num_rows=50_000, dim=8)]
-    planner = BudgetPlanner(tables, min_compress_rows=1_000)
-    dense_total = sum(t.dense_bytes() for t in tables)
-    plan = planner.plan(int(dense_total * 0.2))
-    assert plan.tables[0].spec.kind == "dense"
-    assert plan.tables[1].spec.kind != "dense"
-
-
-def test_planner_measured_tiebreak_prefers_better_rank():
-    class Point:  # duck-typed DesignPoint
-        def __init__(self, rank, accuracy):
-            self.rank, self.accuracy = rank, accuracy
-
-    tables = [TableStats(num_rows=30_000, dim=16)]
-    measured = [Point(2, 0.20), Point(32, 0.79)]
-    planner = BudgetPlanner(tables, measured=measured)
-    ladder = planner._candidates(0, tables[0])
-    by_rank = {c.spec.get("rank"): c.quality
-               for c in ladder if c.spec.kind == "tt"}
-    # rank 2 quality is crushed by its measured accuracy; rank 32 is not.
-    assert by_rank[2] < by_rank[32]
-
-
-def test_plan_json_roundtrip_and_schema(tmp_path):
-    tables = random_tables(4)
-    plan = BudgetPlanner(tables, seed=4).plan(
-        int(sum(t.dense_bytes() for t in tables) * 0.3))
-    path = tmp_path / "plan.json"
-    plan.to_json(path)
-    doc = json.loads(path.read_text())
-    assert doc["schema"] == "repro.budget_plan/v1"
-    loaded = load_budget_plan(path)
-    assert loaded.to_doc() == plan.to_doc()
-
-    doc["schema"] = "repro.bench/v1"
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(doc))
-    with pytest.raises(ValueError, match="expected schema"):
-        load_budget_plan(bad)
-
-    doc = plan.to_doc()
-    doc["budget_bytes"] = 1
-    with pytest.raises(ValueError, match="over budget"):
-        BudgetPlan.from_doc(doc)
-
-
-def test_build_from_plan_serves_forward():
-    tables = [TableStats(num_rows=n, dim=16) for n in (5_000, 800, 60)]
-    plan = BudgetPlanner(tables, seed=0).plan(
-        int(sum(t.dense_bytes() for t in tables) * 0.3))
-    model = build_from_plan(plan, rng=0)
-    rng = np.random.default_rng(0)
-    dense = rng.normal(size=(4, model.config.num_dense))
-    sparse = []
-    for t in tables:
-        idx = rng.integers(0, t.num_rows, size=8).astype(np.int64)
-        sparse.append((idx, np.array([0, 2, 4, 6, 8], dtype=np.int64)))
-    logits = model.forward(dense, sparse)
-    assert logits.shape == (4,)
-    assert np.isfinite(logits).all()
-
-
-def test_build_from_plan_rejects_mixed_dims():
-    tables = [TableStats(num_rows=1_000, dim=8),
-              TableStats(num_rows=1_000, dim=16)]
-    plan = BudgetPlanner(tables).plan(10**9)
-    with pytest.raises(ValueError, match="mixes embedding dims"):
-        build_from_plan(plan)
