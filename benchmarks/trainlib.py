@@ -11,6 +11,7 @@ their ``BENCH_<name>.json`` for free (tracing is enabled session-wide by
 
 from __future__ import annotations
 
+from repro.cache import CachedTTEmbeddingBag
 from repro.data import SyntheticCTRDataset
 from repro.data.specs import DatasetSpec
 from repro.models import DLRMConfig, TTConfig, build_dlrm, build_ttrec
@@ -35,10 +36,13 @@ def train_and_eval(spec: DatasetSpec, *, num_tt: int = 0, tt: TTConfig | None = 
                    iters: int = 200, batch_size: int = 96, seed: int = 0,
                    emb_dim: int = 8, noise: float = 0.7, lr: float = 0.1,
                    init_override=None):
-    """Train one model; returns ``(TrainResult, EvalResult, model)``.
+    """Train one model; returns ``(TrainResult, EvalResult, hit_rate)``.
 
-    ``init_override`` replaces the dense-table initializer of the
-    *uncompressed* baseline (Table 1 experiment).
+    ``hit_rate`` is the best cache hit rate over the model's cached TT
+    tables when training ends (0.0 without any), taken before evaluation:
+    an evaluation read leaves the cache schedule alone but still counts
+    the lookups it serves. ``init_override`` replaces the dense-table
+    initializer of the *uncompressed* baseline (Table 1 experiment).
     """
     ds = SyntheticCTRDataset(spec, seed=seed, noise=noise)
     cfg = small_config(spec, emb_dim)
@@ -62,6 +66,8 @@ def train_and_eval(spec: DatasetSpec, *, num_tt: int = 0, tt: TTConfig | None = 
     trainer = Trainer(model, lr=lr)
     with trace("bench.train", num_tt=num_tt):
         res = trainer.train(ds.batches(batch_size, iters))
+    hit_rate = max((e.hit_rate() for e in model.embeddings
+                    if isinstance(e, CachedTTEmbeddingBag)), default=0.0)
     with trace("bench.eval", num_tt=num_tt):
         ev = trainer.evaluate(ds.batches(512, 6))
-    return res, ev, model
+    return res, ev, hit_rate

@@ -163,8 +163,3 @@ class OpenAddressingHashTable:
         # lexsort: primary descending value, secondary ascending key
         order = np.lexsort((keys, -values))[:k]
         return keys[order], values[order]
-
-    def clear(self) -> None:
-        self._keys.fill(_EMPTY)
-        self._values.fill(0.0)
-        self._size = 0

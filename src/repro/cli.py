@@ -421,7 +421,6 @@ def _cmd_serve_bench(args) -> int:
     the contract the ``serving-chaos`` CI job relies on.
     """
     from repro import telemetry
-    from repro.inference import Predictor
     from repro.serving import InferenceServer, ServerConfig, run_load
 
     model = _scaled_kaggle(args, use_cache=True, warmup_steps=0,
@@ -440,8 +439,7 @@ def _cmd_serve_bench(args) -> int:
     )
     with _observed(args) as obs:
         report = run_load(
-            InferenceServer(Predictor(model), config=config,
-                            injector=injector),
+            InferenceServer(model, config=config, injector=injector),
             num_requests=args.requests,
             mean_interarrival_ms=args.interarrival_ms,
             deadline_ms=args.deadline_ms, malformed=args.malformed,

@@ -21,6 +21,9 @@ from repro.utils.seeding import as_rng
 
 __all__ = ["DLRM"]
 
+Sparse = list[tuple[np.ndarray, np.ndarray]]  # one CSR pair per table
+Weights = list[np.ndarray] | None  # per-table per-index pooling weights
+
 
 class DLRM(Module):
     """Deep Learning Recommendation Model with pluggable embedding operators.
@@ -32,6 +35,7 @@ class DLRM(Module):
     embeddings:
         One embedding operator per categorical feature; each must expose
         ``forward(indices, offsets, per_sample_weights) -> (B, emb_dim)``,
+        its reader twin ``lookup_bags`` with the same signature,
         ``backward(grad)`` and behave as a :class:`~repro.ops.module.Module`.
     """
 
@@ -50,43 +54,55 @@ class DLRM(Module):
 
     # ------------------------------------------------------------------ #
 
-    def forward(self, dense: np.ndarray, sparse: list[tuple[np.ndarray, np.ndarray]],
-                per_sample_weights: list[np.ndarray] | None = None) -> np.ndarray:
-        """Compute logits for a batch.
+    def forward(self, dense: np.ndarray, sparse: Sparse,
+                per_sample_weights: Weights = None) -> np.ndarray:
+        """``(B,)`` raw logits for ``(B, num_dense)`` dense features and one
+        ``(indices, offsets)`` CSR pair of ``B`` bags per table, optionally
+        weighted per index: each table's ``forward``, which keeps its bag
+        for :meth:`backward` and steps a cached table's schedule, then
+        :meth:`logits_from_pooled`."""
+        return self.logits_from_pooled(
+            dense, self.pool("forward", dense, sparse, per_sample_weights))
 
-        Parameters
-        ----------
-        dense:
-            ``(B, num_dense)`` continuous features.
-        sparse:
-            One ``(indices, offsets)`` CSR pair per table, each describing
-            ``B`` bags.
-        per_sample_weights:
-            Optional per-table weight arrays aligned with each ``indices``.
+    def predict_logits(self, dense: np.ndarray, sparse: Sparse,
+                       per_sample_weights: Weights = None) -> np.ndarray:
+        """:meth:`forward`'s logits read through each table's
+        ``lookup_bags``: no bag is kept, and a cached table's tracker,
+        schedule and cache rows stay as training left them (its hit and
+        miss counters still count what it serves). The same bytes as
+        :meth:`forward` on every table the paper builds."""
+        return self.logits_from_pooled(
+            dense, self.pool("lookup_bags", dense, sparse, per_sample_weights))
 
-        Returns
-        -------
-        ``(B,)`` raw logits (apply sigmoid or feed to BCE-with-logits).
-        """
-        dense = np.asarray(dense, dtype=default_dtype())
+    def pool(self, read: str, dense: np.ndarray, sparse: Sparse,
+             per_sample_weights: Weights = None) -> list[np.ndarray]:
+        """One ``(B, emb_dim)`` block per table from its ``read`` method
+        (``"forward"`` or ``"lookup_bags"``), checking one CSR pair per
+        table and one bag per dense row."""
         if len(sparse) != len(self.embeddings):
             raise ValueError(
                 f"expected {len(self.embeddings)} sparse inputs, got {len(sparse)}"
             )
-        x = self.bottom_mlp.forward(dense)
+        expected = (len(dense), self.config.emb_dim)
         pooled = []
-        for t, (indices, offsets) in enumerate(sparse):
+        for t, (emb, (indices, offsets)) in enumerate(zip(self.embeddings, sparse)):
             w = per_sample_weights[t] if per_sample_weights is not None else None
-            v = self.embeddings[t].forward(indices, offsets, w)
-            if v.shape != x.shape:
+            v = getattr(emb, read)(indices, offsets, w)
+            if v.shape != expected:
                 raise ValueError(
-                    f"table {t} produced shape {v.shape}, expected {x.shape}; "
+                    f"table {t} produced shape {v.shape}, expected {expected}; "
                     "bag count must equal the dense batch size"
                 )
             pooled.append(v)
+        return pooled
+
+    def logits_from_pooled(self, dense: np.ndarray,
+                           pooled: list[np.ndarray]) -> np.ndarray:
+        """The towers and interaction over one pooled block per table, the
+        model's only tower arithmetic (the server calls it directly)."""
+        x = self.bottom_mlp.forward(np.asarray(dense, dtype=default_dtype()))
         z = self.interaction.forward(x, pooled)
-        logits = self.top_mlp.forward(z)
-        return logits.reshape(-1)
+        return self.top_mlp.forward(z).reshape(-1)
 
     def backward(self, grad_logits: np.ndarray) -> None:
         """Backprop a ``(B,)`` logit gradient through the whole model."""
@@ -109,10 +125,10 @@ class DLRM(Module):
         """Scalar parameters held by the two towers."""
         return self.bottom_mlp.num_parameters() + self.top_mlp.num_parameters()
 
-    def predict_proba(self, dense: np.ndarray,
-                      sparse: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    def predict_proba(self, dense: np.ndarray, sparse: Sparse) -> np.ndarray:
         """Click probabilities (sigmoid of logits) through the training
-        ``forward``, which leaves each table's bag pending and steps a
-        cached table's schedule; :class:`~repro.inference.Predictor` reads
-        the same bytes without either."""
+        :meth:`forward`, which leaves each table's bag pending and steps a
+        cached table's schedule; :meth:`predict_logits` reads the same
+        bytes without either. Kept on ``forward`` as the training-path
+        reference a read is checked against."""
         return sigmoid(self.forward(dense, sparse))

@@ -1,6 +1,6 @@
 """Hardened serving runtime for the inference path (docs/SERVING.md).
 
-The production tier in front of :class:`repro.inference.Predictor`:
+The production tier in front of a trained :class:`repro.models.dlrm.DLRM`:
 
 - :mod:`repro.serving.admission` — request validation/repair with
   per-reason rejection counters (clamp/hash/reject OOV policies, CSR

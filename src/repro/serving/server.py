@@ -1,7 +1,9 @@
 """The hardened inference runtime: admission → queue → degradation ladder.
 
-:class:`InferenceServer` wraps a frozen :class:`repro.inference.Predictor`
-with the three defensive layers docs/SERVING.md describes:
+:class:`InferenceServer` serves a frozen model — a
+:class:`~repro.models.dlrm.DLRM`, read through its ``embeddings`` and
+``logits_from_pooled`` (the towers) — behind the three defensive layers
+docs/SERVING.md describes:
 
 1. **Admission** (:class:`~repro.serving.admission.RequestSanitizer`) —
    malformed requests are repaired or rejected before touching the model.
@@ -38,7 +40,6 @@ from time import perf_counter_ns
 
 import numpy as np
 
-from repro.inference.predictor import Predictor
 from repro.ops.activations import sigmoid
 from repro.ops.embedding import lookup_tables
 from repro.serving.admission import Rejection, Request, RequestSanitizer
@@ -256,13 +257,15 @@ def table_batches(batch: list) -> list[tuple[np.ndarray, np.ndarray]]:
 
 
 class InferenceServer:
-    """Robust serving runtime in front of a :class:`Predictor`: admission
+    """Robust serving runtime in front of a frozen model: admission
     → queue → every table's ladder → towers → responses.
 
     Parameters
     ----------
     predictor:
-        The frozen model to serve.
+        The frozen model to serve, only read: a
+        :class:`~repro.models.dlrm.DLRM` or anything with its ``config``,
+        ``embeddings`` and ``logits_from_pooled``.
     config:
         :class:`ServerConfig` tuning knobs.
     injector:
@@ -273,7 +276,7 @@ class InferenceServer:
         pass a :class:`~repro.serving.queue.ManualClock`).
     """
 
-    def __init__(self, predictor: Predictor, *,
+    def __init__(self, predictor, *,
                  config: ServerConfig = ServerConfig(),
                  injector=None, clock=None):
         self.predictor = predictor
@@ -298,7 +301,7 @@ class InferenceServer:
             bounds=(0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0,
                     500.0, 1000.0),
         )
-        self._embeddings = predictor.embeddings
+        self._embeddings = list(predictor.embeddings)
         self.ladders = [
             self._build_ladder(t, emb)
             for t, emb in enumerate(self._embeddings)

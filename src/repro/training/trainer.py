@@ -308,18 +308,17 @@ class Trainer:
         return result
 
     def evaluate(self, batches, *, max_iters: int | None = None) -> EvalResult:
-        """Forward-only evaluation accumulating accuracy/BCE/AUC.
-
-        Uses the same forward as training — in particular, weighted-pooling
-        models are evaluated with their ``per_sample_weights`` applied.
-        """
+        """Accuracy/BCE/AUC read through ``model.predict_logits``, with
+        each batch's ``per_sample_weights`` applied: a cached table's step
+        count, tracker, resident set and cache rows stay as training left
+        them (its hit and miss counters still count what it serves)."""
         all_logits: list[np.ndarray] = []
         all_labels: list[np.ndarray] = []
         for i, batch in enumerate(batches):
             if max_iters is not None and i >= max_iters:
                 break
-            logits = self.model.forward(batch.dense, batch.sparse,
-                                        batch.per_sample_weights)
+            logits = self.model.predict_logits(batch.dense, batch.sparse,
+                                               batch.per_sample_weights)
             all_logits.append(np.asarray(logits))
             all_labels.append(np.asarray(batch.labels))
         if not all_logits:

@@ -88,13 +88,6 @@ class TestHashTable:
         np.testing.assert_array_equal(keys, [1])
         assert t.top_k(0)[0].size == 0
 
-    def test_clear(self):
-        t = OpenAddressingHashTable(16)
-        t.add(np.array([1, 2]))
-        t.clear()
-        assert len(t) == 0
-        np.testing.assert_allclose(t.get(np.array([1, 2])), 0.0)
-
     def test_get_empty_input(self):
         t = OpenAddressingHashTable(16)
         assert t.get(np.array([], dtype=np.int64)).size == 0

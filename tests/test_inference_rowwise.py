@@ -45,7 +45,8 @@ class TestPredictor:
 
 
 class TestPredictorReads:
-    """A prediction reads through ``lookup_bags``: it trains nothing."""
+    """A prediction or an evaluation reads through ``lookup_bags``: it
+    trains nothing."""
 
     @staticmethod
     def _cached_model():
@@ -69,12 +70,17 @@ class TestPredictorReads:
         state["cache_rows"] = emb.cache_rows.data
         return {key: np.array(value, copy=True) for key, value in state.items()}
 
-    def test_a_read_never_trains(self):
+    @pytest.mark.parametrize("reader", ["predictor", "evaluate"])
+    def test_a_read_never_trains(self, reader):
         model, ds, cached = self._cached_model()
         before = [self._schedule(e) for e in cached]
-        pred = Predictor(model)
-        for _ in range(7):  # more than two refresh intervals
-            pred.predict_batch(ds.batch(32))
+        batches = [ds.batch(32) for _ in range(7)]  # > two refresh intervals
+        if reader == "predictor":
+            pred = Predictor(model)
+            for batch in batches:
+                pred.predict_batch(batch)
+        else:
+            Trainer(model, lr=0.1).evaluate(batches)
         for emb, was in zip(cached, before):
             now = self._schedule(emb)
             assert now.keys() == was.keys()

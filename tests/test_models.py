@@ -164,3 +164,42 @@ class TestDLRMForwardBackward:
         assert model.embedding_parameters() == sum(SIZES) * 4
         total = sum(p.size for p in model.parameters())
         assert total == model.embedding_parameters() + model.mlp_parameters()
+
+
+def _warm_cached(config):
+    """Two cached d = 3 TT tables, populated after one step and never
+    refreshed, so a training forward serves what a read serves."""
+    model = build_ttrec(config, num_tt_tables=2, min_rows=100, rng=0,
+                        tt=TTConfig(rank=4, use_cache=True, cache_size=150,
+                                    warmup_steps=1, refresh_interval=None))
+    dense, sparse, _ = make_batch(np.random.default_rng(7), config, batch=32)
+    model.forward(dense, sparse)
+    assert all(e.is_warm for e in model.embeddings
+               if isinstance(e, CachedTTEmbeddingBag))
+    return model
+
+
+READ_MODELS = {
+    "dense": lambda config: build_dlrm(config, rng=0),
+    "tt": lambda config: build_ttrec(config, num_tt_tables=2, min_rows=100,
+                                     tt=TTConfig(rank=4), rng=0),
+    "cached": _warm_cached,
+}
+
+
+class TestReadPath:
+    @pytest.mark.parametrize("weighted", [False, True], ids=["plain", "weighted"])
+    @pytest.mark.parametrize("kind", sorted(READ_MODELS))
+    def test_predict_logits_is_the_forward_bytes(self, config, kind, weighted):
+        model = READ_MODELS[kind](config)
+        rng = np.random.default_rng(3)
+        dense, sparse, _ = make_batch(rng, config, batch=16)
+        weights = ([rng.uniform(0.5, 2.0, size=idx.shape) for idx, _ in sparse]
+                   if weighted else None)
+        read = model.predict_logits(dense, sparse, weights)
+        assert read.tobytes() == model.forward(dense, sparse, weights).tobytes()
+        if weighted:
+            assert read.tobytes() != model.predict_logits(dense, sparse).tobytes()
+        cached = [e for e in model.embeddings if isinstance(e, CachedTTEmbeddingBag)]
+        assert len(cached) == (2 if kind == "cached" else 0)
+        assert all(e.hits > 0 for e in cached)  # the read served cache rows

@@ -426,6 +426,21 @@ class TestServingDoesNotMutateTheModel:
             assert now["lookups"] == now["hits"] + now["misses"]
             assert now["hits"] > was["hits"] and now["misses"] > was["misses"]
 
+    def test_a_model_serves_like_its_predictor(self):
+        from repro.telemetry import get_registry
+
+        model, _ = warmed_model("absorb")
+        runs = []
+        for frontend in (model, Predictor(model)):
+            get_registry().reset(prefix="serving.")
+            server = InferenceServer(
+                frontend, clock=ManualClock(),
+                config=ServerConfig(default_deadline_ms=1e6))
+            responses = serve(server, 50, seed=2)
+            probs = np.array([r["prob"] for r in responses])
+            runs.append((probs.tobytes(), responses, server.stats()))
+        assert runs[0] == runs[1]
+
     def test_tt_direct_fall_through_reads_without_writing(self):
         model, cached = warmed_model("absorb")
         server = InferenceServer(
