@@ -2,8 +2,8 @@
 
 ``Predictor`` holds the model and reads it through
 :meth:`~repro.models.dlrm.DLRM.predict_logits`'s path: each table's
-``lookup_bags``, then the model's ``logits_from_pooled``. No bag is
-remembered for a backward, no gradient is touched, and a cached table's
+``lookup_bags``, then the model's ``logits_from_pooled``. No bag or tape
+is kept for a backward, no gradient is touched, and a cached table's
 tracker and refresh schedule stay as training left them.
 :class:`~repro.serving.InferenceServer` serves a model directly; this view
 remains for callers that import it.

@@ -51,6 +51,9 @@ class DLRM(Module):
         self.embeddings = list(embeddings)
         self.interaction = DotInteraction()
         self.top_mlp = MLP(config.top_sizes(), rng=rng, name="top")
+        # The towers' tape of the last forward, and whether backward spent it.
+        self._tape: tuple | None = None
+        self._spent = False
 
     # ------------------------------------------------------------------ #
 
@@ -59,15 +62,18 @@ class DLRM(Module):
         """``(B,)`` raw logits for ``(B, num_dense)`` dense features and one
         ``(indices, offsets)`` CSR pair of ``B`` bags per table, optionally
         weighted per index: each table's ``forward``, which keeps its bag
-        for :meth:`backward` and steps a cached table's schedule, then
-        :meth:`logits_from_pooled`."""
-        return self.logits_from_pooled(
+        for :meth:`backward` and steps a cached table's schedule, then the
+        towers, whose tape the model keeps for :meth:`backward`."""
+        logits, self._tape = self._towers(
             dense, self.pool("forward", dense, sparse, per_sample_weights))
+        self._spent = False
+        return logits
 
     def predict_logits(self, dense: np.ndarray, sparse: Sparse,
                        per_sample_weights: Weights = None) -> np.ndarray:
         """:meth:`forward`'s logits read through each table's
-        ``lookup_bags``: no bag is kept, and a cached table's tracker,
+        ``lookup_bags``: no bag or tape is kept, so a pending
+        :meth:`backward` is untouched, and a cached table's tracker,
         schedule and cache rows stay as training left them (its hit and
         miss counters still count what it serves). The same bytes as
         :meth:`forward` on every table the paper builds."""
@@ -98,32 +104,44 @@ class DLRM(Module):
 
     def logits_from_pooled(self, dense: np.ndarray,
                            pooled: list[np.ndarray]) -> np.ndarray:
-        """The towers and interaction over one pooled block per table, the
-        model's only tower arithmetic (the server calls it directly)."""
-        x = self.bottom_mlp.forward(np.asarray(dense, dtype=default_dtype()))
-        z = self.interaction.forward(x, pooled)
-        return self.top_mlp.forward(z).reshape(-1)
+        """The towers and interaction over one pooled block per table, a
+        pure read that keeps nothing (the server calls it directly)."""
+        return self._towers(dense, pooled)[0]
+
+    def _towers(self, dense: np.ndarray,
+                pooled: list[np.ndarray]) -> tuple[np.ndarray, tuple]:
+        """``(logits, tape)``: the model's only tower arithmetic, and what
+        each tower's ``backward`` reads."""
+        x, bottom = self.bottom_mlp.forward(np.asarray(dense, dtype=default_dtype()))
+        z, stacked = self.interaction.forward(x, pooled)
+        y, top = self.top_mlp.forward(z)
+        return y.reshape(-1), (bottom, stacked, top)
 
     def backward(self, grad_logits: np.ndarray) -> None:
-        """Backprop a ``(B,)`` logit gradient through the whole model."""
+        """Backprop a ``(B,)`` logit gradient through the whole model,
+        consuming the last :meth:`forward`. Before any forward (a read keeps
+        no tape) and on a second call it raises, touching no gradient."""
+        if self._tape is None:
+            raise RuntimeError("backward called before forward")
+        if self._spent:
+            raise RuntimeError("backward called twice for one forward; gradients "
+                               "would double-accumulate — run forward again first")
+        bottom, stacked, top = self._tape
         grad = np.asarray(grad_logits, dtype=default_dtype()).reshape(-1, 1)
-        grad_z = self.top_mlp.backward(grad)
-        grad_x, grad_sparse = self.interaction.backward(grad_z)
-        self.bottom_mlp.backward(grad_x)
+        grad_z = self.top_mlp.backward(grad, top)
+        grad_x, grad_sparse = self.interaction.backward(grad_z, stacked)
+        self.bottom_mlp.backward(grad_x, bottom)
         for emb, g in zip(self.embeddings, grad_sparse):
             emb.backward(g)
-
-    __call__ = forward
+        # Kept until the next forward replaces it: freeing the activations
+        # here lets glibc trim the heap, and the next step faults it back in.
+        self._spent = True
 
     # ------------------------------------------------------------------ #
 
     def embedding_parameters(self) -> int:
         """Scalar parameters held by the embedding operators."""
         return sum(e.num_parameters() for e in self.embeddings)
-
-    def mlp_parameters(self) -> int:
-        """Scalar parameters held by the two towers."""
-        return self.bottom_mlp.num_parameters() + self.top_mlp.num_parameters()
 
     def predict_proba(self, dense: np.ndarray, sparse: Sparse) -> np.ndarray:
         """Click probabilities (sigmoid of logits) through the training

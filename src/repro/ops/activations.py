@@ -24,44 +24,30 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 class ReLU(Module):
-    """Rectified linear unit; caches the activation mask.
+    """Rectified linear unit; ``forward`` hands back its output ``y``.
 
-    Forward is ``fmax(x, 0)``, so NaN maps to 0 as ``x > 0`` does. Backward
-    multiplies by the mask instead of selecting with it: for finite
-    ``grad_out`` that equals ``where(x > 0, grad_out, 0)`` up to the sign
-    of zero, while a non-finite ``grad_out`` at a masked position
+    Forward is ``fmax(x, 0)``, so NaN maps to 0 as ``x > 0`` does, and
+    ``y > 0`` exactly where ``x > 0`` (NaN and both zeros included).
+    Backward multiplies by that mask instead of selecting with it: for
+    finite ``grad_out`` that equals ``where(x > 0, grad_out, 0)`` up to the
+    sign of zero, while a non-finite ``grad_out`` at a masked position
     propagates (``inf * 0`` is NaN) rather than being hidden.
     """
 
-    def __init__(self):
-        self._mask: np.ndarray | None = None
+    def forward(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        y = np.fmax(np.asarray(x, dtype=default_dtype()), 0.0)
+        return y, y
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=default_dtype())
-        self._mask = x > 0
-        return np.fmax(x, 0.0)
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._mask is None:
-            raise RuntimeError("backward called before forward")
-        return grad_out * self._mask
-
-    __call__ = forward
+    def backward(self, grad_out: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return grad_out * (y > 0)
 
 
 class Sigmoid(Module):
-    """Logistic sigmoid; caches the output for the backward product rule."""
+    """Logistic sigmoid; ``forward`` hands back its output for ``backward``."""
 
-    def __init__(self):
-        self._out: np.ndarray | None = None
+    def forward(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        out = sigmoid(np.asarray(x, dtype=default_dtype()))
+        return out, out
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._out = sigmoid(np.asarray(x, dtype=default_dtype()))
-        return self._out
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._out is None:
-            raise RuntimeError("backward called before forward")
-        return grad_out * self._out * (1.0 - self._out)
-
-    __call__ = forward
+    def backward(self, grad_out: np.ndarray, out: np.ndarray) -> np.ndarray:
+        return grad_out * out * (1.0 - out)

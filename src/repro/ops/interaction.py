@@ -24,19 +24,17 @@ class DotInteraction(Module):
     ``(B, F, D)`` with ``F = S + 1``; the layer emits
     ``concat([x, lower_triangle(T @ T^T)])`` of width
     ``D + F*(F-1)//2`` (strictly-lower triangle, no self-interactions,
-    matching ``arch-interaction-itself=False``).
+    matching ``arch-interaction-itself=False``). ``forward`` hands back
+    ``T`` as what ``backward`` reads.
     """
-
-    def __init__(self):
-        self._stacked: np.ndarray | None = None
-        self._tri: tuple[np.ndarray, np.ndarray] | None = None
 
     @staticmethod
     def output_dim(dense_dim: int, num_sparse: int) -> int:
         f = num_sparse + 1
         return dense_dim + f * (f - 1) // 2
 
-    def forward(self, x: np.ndarray, sparse: list[np.ndarray]) -> np.ndarray:
+    def forward(self, x: np.ndarray,
+                sparse: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
         x = np.asarray(x, dtype=default_dtype())
         if x.ndim != 2:
             raise ValueError(f"dense input must be 2-D, got shape {x.shape}")
@@ -47,20 +45,16 @@ class DotInteraction(Module):
                     f"feature {i} has shape {v.shape}, expected {x.shape}"
                 )
         stacked = np.stack(feats, axis=1)  # (B, F, D)
-        self._stacked = stacked
         z = stacked @ stacked.transpose(0, 2, 1)  # (B, F, F)
-        f = stacked.shape[1]
-        li, lj = np.tril_indices(f, k=-1)
-        self._tri = (li, lj)
-        return np.concatenate([x, z[:, li, lj]], axis=1)
+        li, lj = np.tril_indices(stacked.shape[1], k=-1)
+        return np.concatenate([x, z[:, li, lj]], axis=1), stacked
 
-    def backward(self, grad_out: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-        """Return ``(grad_x, [grad_sparse_0, ...])``."""
-        if self._stacked is None or self._tri is None:
-            raise RuntimeError("backward called before forward")
-        stacked = self._stacked
+    def backward(self, grad_out: np.ndarray,
+                 stacked: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+        """Return ``(grad_x, [grad_sparse_0, ...])`` for the ``stacked``
+        that :meth:`forward` handed back."""
         b, f, d = stacked.shape
-        li, lj = self._tri
+        li, lj = np.tril_indices(f, k=-1)
         grad_out = np.asarray(grad_out, dtype=stacked.dtype)
         grad_x_direct = grad_out[:, :d]
         # z = T T^T  =>  dT = (gz + gz^T) T. The two triangles are disjoint
@@ -79,5 +73,3 @@ class DotInteraction(Module):
         grad_x = grad_stacked[:, 0, :] + grad_x_direct
         grad_sparse = [grad_stacked[:, i, :] for i in range(1, f)]
         return grad_x, grad_sparse
-
-    __call__ = forward

@@ -12,7 +12,8 @@ __all__ = ["Linear"]
 
 
 class Linear(Module):
-    """Affine map ``y = x @ W + b`` with cached input for backprop.
+    """Affine map ``y = x @ W + b``; ``forward`` hands back its input for
+    ``backward``.
 
     Initialization follows the MLPerf-DLRM reference: weights from a
     Xavier-style ``N(0, sqrt(2/(fan_in+fan_out)))`` and biases from
@@ -35,23 +36,18 @@ class Linear(Module):
             rng.normal(0.0, w_std, size=(in_features, out_features)), name=f"{name}.weight"
         )
         self.bias = Parameter(rng.normal(0.0, b_std, size=(out_features,)), name=f"{name}.bias")
-        self._input: np.ndarray | None = None
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(y, x)``: the output and the input :meth:`backward` reads."""
         x = np.asarray(x, dtype=default_dtype())
         if x.ndim != 2 or x.shape[1] != self.in_features:
             raise ValueError(
                 f"expected input of shape (batch, {self.in_features}), got {x.shape}"
             )
-        self._input = x
-        return x @ self.weight.data + self.bias.data
+        return x @ self.weight.data + self.bias.data, x
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._input is None:
-            raise RuntimeError("backward called before forward")
+    def backward(self, grad_out: np.ndarray, x: np.ndarray) -> np.ndarray:
         grad_out = np.asarray(grad_out, dtype=self.weight.data.dtype)
-        self.weight.grad += self._input.T @ grad_out
+        self.weight.grad += x.T @ grad_out
         self.bias.grad += grad_out.sum(axis=0)
         return grad_out @ self.weight.data.T
-
-    __call__ = forward

@@ -51,14 +51,16 @@ class MLP(Module):
     def out_features(self) -> int:
         return self.sizes[-1]
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+        """``(y, tape)``: the output and, per layer, what its ``backward``
+        reads (a ``Linear``'s input, an activation's output)."""
+        tape = []
         for layer in self.layers:
-            x = layer.forward(x)
-        return x
+            x, saved = layer.forward(x)
+            tape.append(saved)
+        return x, tape
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        for layer in reversed(self.layers):
-            grad_out = layer.backward(grad_out)
+    def backward(self, grad_out: np.ndarray, tape: list[np.ndarray]) -> np.ndarray:
+        for layer, saved in zip(reversed(self.layers), reversed(tape)):
+            grad_out = layer.backward(grad_out, saved)
         return grad_out
-
-    __call__ = forward

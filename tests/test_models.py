@@ -5,7 +5,8 @@ import pytest
 
 from repro.cache import CachedTTEmbeddingBag
 from repro.models import DLRM, DLRMConfig, TTConfig, build_dlrm, build_ttrec, largest_tables
-from repro.ops import EmbeddingBag
+from repro.ops import EmbeddingBag, Module
+from repro.ops.module import walk
 from repro.tt import TTEmbeddingBag
 from tests.helpers import numeric_grad_check, random_csr
 
@@ -163,7 +164,8 @@ class TestDLRMForwardBackward:
         model = build_dlrm(config, rng=0)
         assert model.embedding_parameters() == sum(SIZES) * 4
         total = sum(p.size for p in model.parameters())
-        assert total == model.embedding_parameters() + model.mlp_parameters()
+        towers = model.bottom_mlp.num_parameters() + model.top_mlp.num_parameters()
+        assert total == model.embedding_parameters() + towers
 
 
 def _warm_cached(config):
@@ -203,3 +205,66 @@ class TestReadPath:
         cached = [e for e in model.embeddings if isinstance(e, CachedTTEmbeddingBag)]
         assert len(cached) == (2 if kind == "cached" else 0)
         assert all(e.hits > 0 for e in cached)  # the read served cache rows
+
+    @pytest.mark.parametrize("kind", sorted(READ_MODELS))
+    def test_a_read_between_forward_and_backward_keeps_every_gradient(
+            self, config, kind):
+        """A read between a forward and its backward leaves every gradient
+        byte-equal: a read keeps no tape, so it cannot overwrite one."""
+        rng = np.random.default_rng(3)
+        (dense, sparse, _), (dense2, sparse2, _) = (
+            make_batch(rng, config, batch=16) for _ in range(2))
+        g = rng.normal(size=16)
+        grads = []
+        for read in (False, True):
+            model = READ_MODELS[kind](config)
+            model.forward(dense, sparse)
+            if read:
+                model.predict_logits(dense2, sparse2)
+            model.backward(g)
+            grads.append(gradient_bytes(model))
+        assert grads[1] == grads[0]
+
+    @pytest.mark.parametrize("case", ["read-alone", "second-backward"])
+    @pytest.mark.parametrize("kind", sorted(READ_MODELS))
+    def test_backward_without_a_pending_forward_raises_untouched(
+            self, config, kind, case):
+        """After a read alone, or a second time for one forward, backward
+        raises before it touches any gradient. (The cached model is warmed
+        by a forward, so its read-alone arm first spends that forward.)"""
+        model = READ_MODELS[kind](config)
+        rng = np.random.default_rng(3)
+        dense, sparse, _ = make_batch(rng, config, batch=16)
+        g = rng.normal(size=16)
+        if case == "second-backward" or kind == "cached":
+            model.forward(dense, sparse)
+            model.backward(g)
+        if case == "read-alone":
+            model.predict_logits(dense, sparse)
+        before = gradient_bytes(model)
+        with pytest.raises(RuntimeError, match="before forward|twice"):
+            model.backward(g)
+        assert gradient_bytes(model) == before
+
+    @pytest.mark.parametrize("kind", sorted(READ_MODELS))
+    def test_tower_layers_hold_only_what_construction_gave_them(self, config, kind):
+        """Every module under the model but the tables holds the same
+        objects after a forward, a read and a backward: the one tape is
+        the model's."""
+        model = READ_MODELS[kind](config)
+        towers = [m for path, m in walk(model) if isinstance(m, Module)
+                  and path and not path.startswith("embeddings")]
+        built = [dict(vars(m)) for m in towers]
+        rng = np.random.default_rng(3)
+        dense, sparse, _ = make_batch(rng, config, batch=16)
+        for call in (lambda: model.forward(dense, sparse),
+                     lambda: model.predict_logits(dense, sparse),
+                     lambda: model.backward(rng.normal(size=16))):
+            call()
+            for m, held in zip(towers, built):
+                assert vars(m).keys() == held.keys(), type(m).__name__
+                assert all(vars(m)[k] is v for k, v in held.items()), type(m).__name__
+
+
+def gradient_bytes(model) -> list[bytes]:
+    return [p.dense_grad().tobytes() for p in model.parameters()]

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.data import KAGGLE, SyntheticCTRDataset
 from repro.ops import DotInteraction
 from tests.helpers import numeric_grad_check
+from tests.test_ops_layers import tiny_model
 
 
 class TestDotInteraction:
@@ -16,8 +18,9 @@ class TestDotInteraction:
         x = rng.normal(size=(2, 3))
         a = rng.normal(size=(2, 3))
         b = rng.normal(size=(2, 3))
-        out = DotInteraction().forward(x, [a, b])
+        out, stacked = DotInteraction().forward(x, [a, b])
         assert out.shape == (2, 3 + 3)
+        np.testing.assert_array_equal(stacked, np.stack([x, a, b], axis=1))
         for s in range(2):
             np.testing.assert_allclose(out[s, :3], x[s])
             # strictly-lower-triangle order over features [x, a, b]:
@@ -28,7 +31,7 @@ class TestDotInteraction:
 
     def test_no_self_interaction_terms(self):
         x = np.ones((1, 4))
-        out = DotInteraction().forward(x, [])
+        out, _ = DotInteraction().forward(x, [])
         # With no sparse features there are no pairs at all.
         assert out.shape == (1, 4)
 
@@ -38,8 +41,14 @@ class TestDotInteraction:
             inter.forward(np.ones((2, 3)), [np.ones((2, 4))])
 
     def test_backward_before_forward(self):
-        with pytest.raises(RuntimeError):
-            DotInteraction().backward(np.ones((1, 3)))
+        """The interaction holds no stack; the model's one guard refuses a
+        second backward for one forward."""
+        model = tiny_model()
+        batch = SyntheticCTRDataset(KAGGLE.scaled(0.0002), seed=0).batch(4)
+        model.forward(batch.dense, batch.sparse)
+        model.backward(np.ones(4))
+        with pytest.raises(RuntimeError, match="twice"):
+            model.backward(np.ones(4))
 
     def test_gradients(self):
         rng = np.random.default_rng(1)
@@ -49,10 +58,9 @@ class TestDotInteraction:
         r = rng.normal(size=(3, DotInteraction.output_dim(4, 3)))
 
         def loss():
-            return float((inter.forward(x, sparse) * r).sum())
+            return float((inter.forward(x, sparse)[0] * r).sum())
 
-        inter.forward(x, sparse)
-        grad_x, grad_sparse = inter.backward(r)
+        grad_x, grad_sparse = inter.backward(r, inter.forward(x, sparse)[1])
         numeric_grad_check(x, grad_x, loss, samples=12)
         for v, g in zip(sparse, grad_sparse):
             numeric_grad_check(v, g, loss, samples=8)
@@ -67,8 +75,7 @@ class TestDotInteraction:
         sparse = [rng.normal(size=(batch, d)) for _ in range(f - 1)]
         grad_out = rng.normal(size=(batch, DotInteraction.output_dim(d, f - 1)))
         inter = DotInteraction()
-        inter.forward(x, sparse)
-        grad_x, grad_sparse = inter.backward(grad_out)
+        grad_x, grad_sparse = inter.backward(grad_out, inter.forward(x, sparse)[1])
 
         stacked = np.stack([x] + sparse, axis=1)
         li, lj = np.tril_indices(f, k=-1)
@@ -87,10 +94,9 @@ class TestDotInteraction:
         r = rng.normal(size=(2, DotInteraction.output_dim(3, 26)))
 
         def loss():
-            return float((inter.forward(x, sparse) * r).sum())
+            return float((inter.forward(x, sparse)[0] * r).sum())
 
-        inter.forward(x, sparse)
-        grad_x, grad_sparse = inter.backward(r)
+        grad_x, grad_sparse = inter.backward(r, inter.forward(x, sparse)[1])
         numeric_grad_check(x, grad_x, loss, samples=6)
         for v, g in zip(sparse[::5], grad_sparse[::5]):
             numeric_grad_check(v, g, loss, samples=3)

@@ -10,14 +10,21 @@ from repro.training import Trainer
 from tests.helpers import numeric_grad_check
 
 
+def tiny_model():
+    spec = KAGGLE.scaled(0.0002)
+    return build_dlrm(DLRMConfig(table_sizes=spec.table_sizes, emb_dim=8,
+                                 bottom_mlp=(16,), top_mlp=(16,)), rng=0)
+
+
 class TestLinear:
     def test_forward_shape_and_value(self):
         layer = Linear(3, 2, rng=0)
         x = np.ones((4, 3))
-        out = layer.forward(x)
+        out, saved = layer.forward(x)
         assert out.shape == (4, 2)
         expected = x @ layer.weight.data + layer.bias.data
         np.testing.assert_allclose(out, expected)
+        np.testing.assert_array_equal(saved, x)
 
     def test_rejects_bad_input_shape(self):
         layer = Linear(3, 2, rng=0)
@@ -25,8 +32,11 @@ class TestLinear:
             layer.forward(np.ones((4, 5)))
 
     def test_backward_before_forward_raises(self):
-        with pytest.raises(RuntimeError):
-            Linear(2, 2, rng=0).backward(np.ones((1, 2)))
+        """No layer holds a forward; the model's one guard refuses a
+        backward before any forward."""
+        model = tiny_model()
+        with pytest.raises(RuntimeError, match="before forward"):
+            model.backward(np.ones(4))
 
     def test_weight_gradient(self):
         rng = np.random.default_rng(1)
@@ -35,10 +45,9 @@ class TestLinear:
         r = rng.normal(size=(5, 3))
 
         def loss():
-            return float((layer.forward(x) * r).sum())
+            return float((layer.forward(x)[0] * r).sum())
 
-        layer.forward(x)
-        layer.backward(r)
+        layer.backward(r, layer.forward(x)[1])
         numeric_grad_check(layer.weight.data, layer.weight.grad, loss)
         numeric_grad_check(layer.bias.data, layer.bias.grad, loss)
 
@@ -47,22 +56,19 @@ class TestLinear:
         layer = Linear(4, 3, rng=0)
         x = rng.normal(size=(5, 4))
         r = rng.normal(size=(5, 3))
-        layer.forward(x)
-        grad_in = layer.backward(r)
+        grad_in = layer.backward(r, layer.forward(x)[1])
 
         def loss():
-            return float((layer.forward(x) * r).sum())
+            return float((layer.forward(x)[0] * r).sum())
 
         numeric_grad_check(x, grad_in, loss)
 
     def test_gradient_accumulates(self):
         layer = Linear(2, 2, rng=0)
         x = np.ones((1, 2))
-        layer.forward(x)
-        layer.backward(np.ones((1, 2)))
+        layer.backward(np.ones((1, 2)), layer.forward(x)[1])
         g1 = layer.weight.grad.copy()
-        layer.forward(x)
-        layer.backward(np.ones((1, 2)))
+        layer.backward(np.ones((1, 2)), layer.forward(x)[1])
         np.testing.assert_allclose(layer.weight.grad, 2 * g1)
 
     def test_rejects_nonpositive_dims(self):
@@ -72,14 +78,14 @@ class TestLinear:
 
 class TestActivations:
     def test_relu_forward(self):
-        relu = ReLU()
-        out = relu.forward(np.array([[-1.0, 0.0, 2.0]]))
+        out, saved = ReLU().forward(np.array([[-1.0, 0.0, 2.0]]))
         np.testing.assert_array_equal(out, [[0.0, 0.0, 2.0]])
+        assert saved is out
 
     def test_relu_backward_mask(self):
         relu = ReLU()
-        relu.forward(np.array([[-1.0, 3.0]]))
-        grad = relu.backward(np.array([[5.0, 5.0]]))
+        _, y = relu.forward(np.array([[-1.0, 3.0]]))
+        grad = relu.backward(np.array([[5.0, 5.0]]), y)
         np.testing.assert_array_equal(grad, [[0.0, 5.0]])
 
     SPECIALS = [np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 1.5, -2.0, 1e-300]
@@ -91,7 +97,7 @@ class TestActivations:
         x = np.concatenate([self.SPECIALS * 8, rng.normal(size=200)])
         rng.shuffle(x)
         x = x.reshape(-1, 8)
-        out = ReLU().forward(x)
+        out, _ = ReLU().forward(x)
         assert out.tobytes() == np.where(x > 0, x, 0.0).tobytes()
 
     def test_relu_backward_equals_select_for_finite_grad(self):
@@ -100,21 +106,20 @@ class TestActivations:
         g = rng.normal(size=x.shape)
         g[0, :2] = [0.0, -0.0]
         relu = ReLU()
-        relu.forward(x)
-        np.testing.assert_array_equal(relu.backward(g), np.where(x > 0, g, 0.0))
+        _, y = relu.forward(x)
+        np.testing.assert_array_equal(relu.backward(g, y), np.where(x > 0, g, 0.0))
 
     def test_relu_backward_propagates_nonfinite_grad(self):
         """A non-finite gradient at a masked position is not hidden."""
         relu = ReLU()
-        relu.forward(np.array([[-1.0, -1.0, 2.0]]))
+        _, y = relu.forward(np.array([[-1.0, -1.0, 2.0]]))
         with np.errstate(invalid="ignore"):  # inf * 0
-            grad = relu.backward(np.array([[np.inf, np.nan, 3.0]]))
+            grad = relu.backward(np.array([[np.inf, np.nan, 3.0]]), y)
         assert np.isnan(grad[0, :2]).all()
         assert grad[0, 2] == 3.0
 
     def test_sigmoid_extreme_stability(self):
-        sig = Sigmoid()
-        out = sig.forward(np.array([[-1000.0, 0.0, 1000.0]]))
+        out, _ = Sigmoid().forward(np.array([[-1000.0, 0.0, 1000.0]]))
         assert np.all(np.isfinite(out))
         np.testing.assert_allclose(out, [[0.0, 0.5, 1.0]], atol=1e-12)
 
@@ -124,40 +129,37 @@ class TestActivations:
         r = np.ones_like(x)
 
         def loss():
-            return float((sig.forward(x) * r).sum())
+            return float((sig.forward(x)[0] * r).sum())
 
-        sig.forward(x)
-        grad = sig.backward(r)
+        grad = sig.backward(r, sig.forward(x)[1])
         numeric_grad_check(x, grad, loss, samples=7)
 
     def test_backward_before_forward_raises(self):
-        with pytest.raises(RuntimeError):
-            ReLU().backward(np.ones((1, 1)))
-        with pytest.raises(RuntimeError):
-            Sigmoid().backward(np.ones((1, 1)))
+        """No activation holds a mask or an output; a read leaves the
+        model no tape, so a backward after a read alone raises."""
+        model = tiny_model()
+        ds = SyntheticCTRDataset(KAGGLE.scaled(0.0002), seed=0)
+        batch = ds.batch(4)
+        model.predict_logits(batch.dense, batch.sparse)
+        with pytest.raises(RuntimeError, match="before forward"):
+            model.backward(np.ones(4))
 
 
 class TestNaNGuard:
     def test_divergence_raises_immediately(self):
-        spec = KAGGLE.scaled(0.0002)
-        cfg = DLRMConfig(table_sizes=spec.table_sizes, emb_dim=8,
-                         bottom_mlp=(16,), top_mlp=(16,))
-        model = build_dlrm(cfg, rng=0)
+        model = tiny_model()
         # Poison the output layer's bias so logits are NaN. (Poisoning an
         # earlier layer would be masked: ReLU clips NaN to 0 since
         # ``nan > 0`` is False.)
         model.top_mlp.layers[-1].bias.data[:] = np.nan
         trainer = Trainer(model, lr=0.1)
-        ds = SyntheticCTRDataset(spec, seed=0)
+        ds = SyntheticCTRDataset(KAGGLE.scaled(0.0002), seed=0)
         with pytest.raises(FloatingPointError, match="diverged"):
             trainer.train_step(ds.batch(8))
 
     def test_healthy_training_unaffected(self):
-        spec = KAGGLE.scaled(0.0002)
-        cfg = DLRMConfig(table_sizes=spec.table_sizes, emb_dim=8,
-                         bottom_mlp=(16,), top_mlp=(16,))
-        trainer = Trainer(build_dlrm(cfg, rng=0), lr=0.1)
-        ds = SyntheticCTRDataset(spec, seed=0)
+        trainer = Trainer(tiny_model(), lr=0.1)
+        ds = SyntheticCTRDataset(KAGGLE.scaled(0.0002), seed=0)
         loss = trainer.train_step(ds.batch(8))
         assert np.isfinite(loss)
 
@@ -166,8 +168,9 @@ class TestMLP:
     def test_stack_shapes(self):
         mlp = MLP([5, 8, 3], rng=0)
         assert mlp.in_features == 5 and mlp.out_features == 3
-        out = mlp.forward(np.zeros((2, 5)))
+        out, tape = mlp.forward(np.zeros((2, 5)))
         assert out.shape == (2, 3)
+        assert len(tape) == len(mlp.layers)
 
     def test_rejects_short_sizes(self):
         with pytest.raises(ValueError):
@@ -184,17 +187,16 @@ class TestMLP:
         r = rng.normal(size=(3, 2))
 
         def loss():
-            return float((mlp.forward(x) * r).sum())
+            return float((mlp.forward(x)[0] * r).sum())
 
-        mlp.forward(x)
-        grad_in = mlp.backward(r)
+        grad_in = mlp.backward(r, mlp.forward(x)[1])
         for p in mlp.parameters():
             numeric_grad_check(p.data, p.grad, loss, samples=10)
         numeric_grad_check(x, grad_in, loss, samples=10)
 
     def test_sigmoid_last_layer(self):
         mlp = MLP([3, 2], last="sigmoid", rng=0)
-        out = mlp.forward(np.zeros((2, 3)))
+        out, _ = mlp.forward(np.zeros((2, 3)))
         assert np.all((out > 0) & (out < 1))
 
     def test_parameter_count(self):

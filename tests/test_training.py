@@ -1,11 +1,15 @@
 """Tests for metrics and the Trainer loop."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.data import KAGGLE, SyntheticCTRDataset
-from repro.models import DLRMConfig, build_dlrm
+from repro.models import DLRMConfig, TTConfig, build_dlrm, build_ttrec
+from repro.reliability import DivergenceGuard
 from repro.training import Trainer
+from repro.tt import TTEmbeddingBag
 from repro.training.metrics import accuracy, bce_loss, roc_auc
 
 
@@ -139,6 +143,31 @@ class TestTrainer:
         assert not np.allclose(logits, unweighted)
         from repro.training.metrics import bce_loss
         assert ev.bce == pytest.approx(bce_loss(logits, weighted.labels))
+
+    @pytest.mark.parametrize("tt", [False, True], ids=["dense", "tt"])
+    def test_a_guard_skipped_step_leaves_no_trace(self, setup, tt):
+        """A skipped step returns after forward, so the model's tape and
+        each table's bag stay pending; the next clean step's gradients are
+        a fresh model's, byte for byte. (A cached table's schedule steps
+        on every forward by design, so it is not under test here.)"""
+        spec, _, cfg = setup
+        ds = SyntheticCTRDataset(spec, seed=1)
+        b1, b2 = ds.batch(32), ds.batch(32)
+        poisoned = dataclasses.replace(b1, labels=np.full_like(b1.labels, np.nan))
+        grads = []
+        for skip in (False, True):
+            model = (build_ttrec(cfg, num_tt_tables=3, min_rows=1000,
+                                 tt=TTConfig(rank=4), rng=0)
+                     if tt else build_dlrm(cfg, rng=0))
+            trainer = Trainer(model, lr=0.1, guard=DivergenceGuard())
+            if skip:
+                trainer.train_step(poisoned)
+                assert trainer.last_step_skipped
+            trainer.train_step(b2)
+            assert not trainer.last_step_skipped
+            grads.append([p.dense_grad().tobytes() for p in model.parameters()])
+        assert tt == any(isinstance(e, TTEmbeddingBag) for e in model.embeddings)
+        assert grads[1] == grads[0]
 
     def test_log_callback(self, setup):
         _, ds, cfg = setup

@@ -61,9 +61,9 @@ class TestDtypePolicy:
         seen = []
 
         def spy(fn):
-            def wrapped(x):
-                seen.append(x.dtype)
-                return fn(x)
+            def wrapped(*args):
+                seen.append(args[0].dtype)
+                return fn(*args)
             return wrapped
 
         with dtype_policy(np.float32):
