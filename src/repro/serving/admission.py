@@ -46,6 +46,7 @@ __all__ = [
 OOV_POLICIES = ("clamp", "hash", "reject")
 
 _NO_IDS = np.empty(0, dtype=np.int64)
+_INT64 = np.dtype(np.int64)
 
 REJECT_REASONS = (
     "dense_shape",
@@ -80,30 +81,37 @@ class Request:
     request_id: int = 0
 
 
-@dataclass
 class SanitizedRequest:
     """An admitted request: canonical arrays, all invariants guaranteed.
 
-    The ids are held twice over the same numbers: ``values`` per table,
-    and ``ids``/``counts`` — every table's ids as one array in table
-    order plus the ``(num_tables,)`` bag sizes — which is what batching
-    concatenates. Built from ``values`` when not given.
+    The ids are held once: ``ids``, every table's ids as one int64 array
+    in table order, and ``counts``, the ``(num_tables,)`` bag sizes —
+    what batching concatenates. ``values=`` (one id array per table)
+    builds both; the ``values`` property hands them back per table, as
+    views of ``ids``.
     """
 
-    dense: np.ndarray                 # (num_dense,) float64, finite
-    values: list[np.ndarray]          # per-table int64 ids, all in range
-    request_id: int = 0
-    deadline_ms: float | None = None
-    repairs: tuple[str, ...] = ()     # sanitizer actions applied, if any
-    arrival_ms: float = 0.0           # stamped by the queue
-    ids: np.ndarray | None = None
-    counts: np.ndarray | None = None
+    def __init__(self, dense: np.ndarray, values: list | None = None,
+                 request_id: int = 0, deadline_ms: float | None = None,
+                 repairs: tuple[str, ...] = (), arrival_ms: float = 0.0,
+                 ids: np.ndarray | None = None,
+                 counts: np.ndarray | None = None):
+        if values is not None:
+            counts = np.array([v.size for v in values], dtype=np.int64)
+            ids = np.concatenate([_NO_IDS, *values])
+        self.dense = dense                # (num_dense,) float64, finite
+        self.ids = ids                    # int64, all in range
+        self.counts = counts              # (num_tables,) int64
+        self.request_id = request_id
+        self.deadline_ms = deadline_ms
+        self.repairs = repairs            # sanitizer actions applied, if any
+        self.arrival_ms = arrival_ms      # stamped by the queue
 
-    def __post_init__(self):
-        if self.ids is None:
-            self.counts = np.array([v.size for v in self.values],
-                                   dtype=np.int64)
-            self.ids = np.concatenate([_NO_IDS, *self.values])
+    @property
+    def values(self) -> list[np.ndarray]:
+        """Per-table int64 ids, views of ``ids``."""
+        ends = np.cumsum(self.counts).tolist()
+        return [self.ids[lo:hi] for lo, hi in zip([0, *ends], ends)]
 
 
 @dataclass
@@ -185,7 +193,7 @@ class RequestSanitizer:
             )
         self.config = config
         self.oov_policy = oov_policy
-        self._table_sizes = np.asarray(config.table_sizes, dtype=np.int64)
+        self._bounds = np.asarray(config.table_sizes, dtype=np.uint64)
         reg = get_registry()
         self._rejected = {
             reason: reg.counter("serving.rejected", reason=reason)
@@ -262,11 +270,10 @@ class RequestSanitizer:
         clean = self._clean_ids(request.sparse)
         repairs: list[str] = []
         if clean is not None:
-            flat, counts = clean
-            ends = np.cumsum(counts).tolist()
-            values = [flat[lo:hi] for lo, hi in zip([0, *ends], ends)]
+            ids, counts = clean
+            values = None
         else:
-            flat = counts = None  # SanitizedRequest joins the repaired values
+            ids = counts = None  # SanitizedRequest joins the repaired values
             values = []
             for t, entry in enumerate(request.sparse):
                 out = self._sanitize_ids(entry, cfg.table_sizes[t])
@@ -275,21 +282,45 @@ class RequestSanitizer:
                     return self._reject(
                         reason, f"table {t}: unusable categorical ids", rid
                     )
-                ids, actions = out
-                values.append(ids)
+                table_ids, actions = out
+                values.append(table_ids)
                 repairs.extend(actions)
         self._admitted.inc()
         return SanitizedRequest(
             dense=dense, values=values, request_id=rid,
             deadline_ms=request.deadline_ms, repairs=tuple(dict.fromkeys(repairs)),
-            ids=flat, counts=counts,
+            ids=ids, counts=counts,
         )
 
     def _clean_ids(self, sparse: list):
         """A whole request's ids in one pass: ``(ids, counts)`` in table
         order when every entry is ``None``, an integer or an integer array
         and every id is in range — nothing to repair, reject or count.
-        ``None`` otherwise, and the per-table loop decides."""
+        ``None`` otherwise, and the per-table loop decides.
+
+        A request of 1-D native ``int64`` arrays (what the data pipeline
+        and the load generator send) is concatenated as it stands, with
+        no NumPy call per table; any other goes through ``_as_int64``.
+        """
+        if all(type(entry) is np.ndarray and entry.ndim == 1
+               and entry.dtype == _INT64 for entry in sparse):
+            parts = sparse
+        else:
+            parts = self._as_int64(sparse)
+            if parts is None:
+                return None
+        counts = np.fromiter(map(len, parts), dtype=np.int64, count=len(parts))
+        ids = np.concatenate(parts)
+        # As unsigned, a negative id reads as >= 2**63: one compare
+        # catches both ends of the range.
+        if not (ids.view(np.uint64) < np.repeat(self._bounds, counts)).all():
+            return None
+        return ids, counts
+
+    @staticmethod
+    def _as_int64(sparse: list) -> list[np.ndarray] | None:
+        """Each entry as a 1-D int64 array, or ``None`` when one is not
+        ``None``, an integer or an integer array."""
         parts = []
         for entry in sparse:
             if entry is None:
@@ -301,11 +332,7 @@ class RequestSanitizer:
             # Cast per entry: concatenating int64 with uint64 promotes
             # the lot to float64.
             parts.append(arr.reshape(-1).astype(np.int64, copy=False))
-        counts = np.array([part.size for part in parts], dtype=np.int64)
-        ids = np.concatenate(parts)
-        if (ids < 0).any() or (ids >= np.repeat(self._table_sizes, counts)).any():
-            return None
-        return ids, counts
+        return parts
 
     # ------------------------------------------------------------------ #
 

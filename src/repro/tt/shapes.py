@@ -23,7 +23,7 @@ and Algorithm 2 writes each touched slice's gradient as one contiguous
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,7 +41,6 @@ class TTShape:
     row_factors: tuple[int, ...]
     col_factors: tuple[int, ...]
     ranks: tuple[int, ...]  # length d+1, ranks[0] == ranks[-1] == 1
-    _radix: tuple[int, ...] = field(init=False, repr=False, compare=False, default=())
 
     def __post_init__(self):
         d = len(self.row_factors)
@@ -69,14 +68,6 @@ class TTShape:
             raise ValueError(
                 f"prod(col_factors)={math.prod(self.col_factors)} must equal dim={self.dim}"
             )
-        # Mixed-radix weights for decoding a row index into per-core indices
-        # (i_1 most significant, matching paper §3.1).
-        radix = []
-        rest = math.prod(self.row_factors)
-        for m in self.row_factors:
-            rest //= m
-            radix.append(rest)
-        object.__setattr__(self, "_radix", tuple(radix))
 
     # ------------------------------------------------------------------ #
     # Constructors
@@ -158,28 +149,17 @@ class TTShape:
         """Decode flat row indices into per-core indices.
 
         Returns an ``(d, n)`` int64 array where row ``k`` holds ``i_k`` for
-        every input index: ``i = sum_k i_k * prod_{j>k} m_j`` (paper §3.1).
+        every input index: ``i = sum_k i_k * prod_{j>k} m_j`` (paper §3.1,
+        ``i_1`` most significant; ``np.ravel_multi_index`` is the inverse).
         """
-        indices = np.asarray(indices, dtype=np.int64)
-        if indices.size and (indices.min() < 0 or indices.max() >= self.padded_rows):
+        indices = np.asarray(indices, dtype=np.int64).reshape(-1)
+        try:
+            return np.array(np.unravel_index(indices, self.row_factors))
+        except ValueError:
             raise IndexError(
                 f"row index out of range [0, {self.padded_rows}): "
                 f"min={indices.min()}, max={indices.max()}"
-            )
-        out = np.empty((self.d, indices.size), dtype=np.int64)
-        rem = indices
-        for k, w in enumerate(self._radix):
-            out[k] = rem // w
-            rem = rem % w
-        return out
-
-    def encode_indices(self, per_core: np.ndarray) -> np.ndarray:
-        """Inverse of :meth:`decode_indices` (for tests and tooling)."""
-        per_core = np.asarray(per_core, dtype=np.int64)
-        if per_core.shape[0] != self.d:
-            raise ValueError(f"expected {self.d} index rows, got {per_core.shape[0]}")
-        weights = np.asarray(self._radix, dtype=np.int64)
-        return (per_core * weights[:, None]).sum(axis=0)
+            ) from None
 
     def describe(self) -> str:
         """One-line human-readable summary (used by the bench harness)."""

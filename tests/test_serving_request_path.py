@@ -76,6 +76,12 @@ def entry_strategy(size: int):
         in_range,
         st.lists(in_range, min_size=1, max_size=4),
         st.builds(wrapped, st.lists(in_range, max_size=4), int_dtype),
+        # Integer entries the int64 route hands to the per-entry cast.
+        st.builds(wrapped, st.lists(in_range, max_size=4), st.just(">i8")),
+        in_range.map(lambda i: np.array(i)),                        # 0-d
+        st.lists(in_range, min_size=1, max_size=4).map(
+            lambda ids: np.array([ids])),                          # 2-D
+        st.just(np.empty(0, dtype=np.int64)),
     )
     repairable = st.one_of(
         st.just([]),                                     # float64, no ids
@@ -87,15 +93,27 @@ def entry_strategy(size: int):
             lambda ids: np.array(ids, dtype=np.float64)),  # integral floats
     )
     garbage = st.sampled_from([np.array([0.5]), np.array([0.0, np.nan]),
-                               "seven", True])
+                               "seven", True, np.array([True, False])])
     # Weighted so that the four-table requests split roughly evenly
     # between clean end to end, repaired and rejected.
     return st.sampled_from([clean] * 13 + [repairable] * 6 + [garbage]).flatmap(
         lambda kind: kind)
 
 
+def int64_entry_strategy(size: int):
+    """A 1-D native int64 array, what the data pipeline and the load
+    generator send; out of range one time in four."""
+    in_range = st.lists(st.integers(0, size - 1), max_size=4)
+    any_id = st.lists(st.integers(-3, size + 3), min_size=1, max_size=4)
+    return st.sampled_from([in_range] * 3 + [any_id]).flatmap(
+        lambda ids: ids).map(lambda ids: np.array(ids, dtype=np.int64))
+
+
 request_strategy = st.tuples(
-    st.tuples(*(entry_strategy(size) for size in TABLE_SIZES)),
+    st.one_of(
+        st.tuples(*(entry_strategy(size) for size in TABLE_SIZES)),
+        st.tuples(*(int64_entry_strategy(size) for size in TABLE_SIZES)),
+    ),
     st.sampled_from([0] * 10 + [-1, 1]),   # wrong table count
 )
 
@@ -165,6 +183,25 @@ class TestAdmissionOnePass:
         assert out.counts.tolist() == [0, 1, 2, 1] and out.repairs == ()
         # Views of one array, not of the caller's buffers.
         assert all(v.base is out.ids for v in out.values)
+
+    def test_an_int64_request_never_reaches_the_per_entry_cast(
+            self, monkeypatch):
+        san = RequestSanitizer(SMALL, oov_policy="clamp")
+        monkeypatch.setattr(san, "_as_int64", None)  # calling it raises
+        sparse = [np.array([4], dtype=np.int64), np.empty(0, dtype=np.int64),
+                  np.array([69_999, 0, 5], dtype=np.int64),
+                  np.array([1], dtype=np.int64)]
+        out = san.sanitize(Request(dense=np.zeros(SMALL.num_dense),
+                                   sparse=sparse))
+        assert [v.tolist() for v in out.values] == [[4], [], [69_999, 0, 5], [1]]
+        assert out.counts.tolist() == [1, 0, 3, 1] and out.repairs == ()
+        assert not any(np.shares_memory(out.ids, entry) for entry in sparse)
+        # Out of range: straight to the per-table loop, which repairs it.
+        sparse[2] = np.array([70_000, -1], dtype=np.int64)
+        out = san.sanitize(Request(dense=np.zeros(SMALL.num_dense),
+                                   sparse=sparse))
+        assert out.ids.tolist() == [4, 69_999, 0, 1]
+        assert out.repairs == ("oov_clamped",)
 
     def test_one_dirty_table_sends_the_whole_request_to_the_loop(self):
         san = RequestSanitizer(SMALL, oov_policy="clamp")

@@ -8,6 +8,7 @@ from repro.inference import Predictor
 from repro.models import DLRMConfig, TTConfig, build_ttrec
 from repro.ops.loss import bce_with_logits
 from repro.training import Trainer
+from repro.tt import TTEmbeddingBag
 from repro.utils.dtypes import default_dtype, dtype_policy, result_dtype
 
 SPEC = KAGGLE.scaled(0.0002)
@@ -16,7 +17,12 @@ CFG = DLRMConfig(table_sizes=SPEC.table_sizes, emb_dim=8,
 
 
 def make_model(seed=0):
-    return build_ttrec(CFG, num_tt_tables=3, tt=TTConfig(rank=4), rng=seed)
+    """Three TT tables: every table of SPEC is under the default
+    ``min_rows``, which would leave the model all dense."""
+    model = build_ttrec(CFG, num_tt_tables=3, tt=TTConfig(rank=4),
+                        min_rows=100, rng=seed)
+    assert sum(type(emb) is TTEmbeddingBag for emb in model.embeddings) == 3
+    return model
 
 
 def make_batch(seed=1, size=16):
