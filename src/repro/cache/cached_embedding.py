@@ -8,9 +8,10 @@ The hybrid operator behind TT-Rec's training-time story (Fig. 4):
    ``refresh_interval`` batches: the "semi-dynamic" cache), the top
    ``cache_size`` rows are copied *uncompressed* into the cache, their
    values materialised from the current TT cores. Rows evicted on refresh
-   simply drop their dense updates (the paper argues decomposing them back
-   into the cores online is an open streaming-TT problem and empirically
-   unnecessary).
+   drop their dense updates and the cores stay as they are: the paper
+   argues decomposing them back into the cores online is an open
+   streaming-TT problem and empirically unnecessary, and a least-squares
+   write-back tried here recovered no accuracy (EXPERIMENTS.md).
 3. **Hybrid stage** — each batch's indices are partitioned into
    ``cached_indices`` (served and updated densely: ``W' = W + dL/dW``) and
    ``tt_indices`` (TT chain + Algorithm 2 gradients). The two weight sets
@@ -58,12 +59,6 @@ class CachedTTEmbeddingBag(CompressedEmbedding):
         (populate once).
     policy:
         Victim-selection policy for the tracker (``lfu``/``lru``/``static``).
-    eviction:
-        What happens to an evicted row's dense updates: ``"discard"`` (the
-        paper's choice — §4.2 argues absorbing them is a hard streaming-TT
-        problem) or ``"absorb"`` (write the learned values back into the
-        TT cores with a few damped least-squares steps;
-        :func:`repro.tt.writeback.absorb_rows`).
     injector:
         Optional :class:`~repro.reliability.fault_injection.FaultInjector`
         probed at the ``cache.row`` site each forward: a firing fault
@@ -89,8 +84,7 @@ class CachedTTEmbeddingBag(CompressedEmbedding):
                  rng: int | None | np.random.Generator = None,
                  cache_size: int | None = None, cache_fraction: float | None = None,
                  warmup_steps: int = 100, refresh_interval: int | None = 1000,
-                 policy: str = "lfu", eviction: str = "discard",
-                 injector=None, dedup: bool = True,
+                 policy: str = "lfu", injector=None, dedup: bool = True,
                  name: str = "cached_tt_emb"):
         super().__init__(num_rows, dim, mode)
         self.tt = TTEmbeddingBag(
@@ -104,9 +98,6 @@ class CachedTTEmbeddingBag(CompressedEmbedding):
             raise ValueError(f"warmup_steps must be >= 0, got {warmup_steps}")
         if refresh_interval is not None and refresh_interval < 1:
             raise ValueError(f"refresh_interval must be >= 1, got {refresh_interval}")
-        if eviction not in ("discard", "absorb"):
-            raise ValueError(f"eviction must be 'discard' or 'absorb', got {eviction!r}")
-        self.eviction = eviction
         self.warmup_steps = warmup_steps
         self.refresh_interval = refresh_interval
         self.tracker = LFUTracker(policy=policy)
@@ -201,11 +192,6 @@ class CachedTTEmbeddingBag(CompressedEmbedding):
             "populated": bool(self._populated),
         }
 
-    def reset_stats(self) -> None:
-        """Zero the cumulative counters (resident rows are untouched)."""
-        for counter in self._metrics.values():
-            counter.reset()
-
     def _membership(self, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Return ``(is_cached_mask, cache_slots)`` for each index."""
         if self._cached_ids.size == 0:
@@ -220,8 +206,8 @@ class CachedTTEmbeddingBag(CompressedEmbedding):
 
         New rows are materialised from the TT cores; rows surviving a
         refresh keep their dense weights; evicted rows' dense updates are
-        discarded (paper §4.2) or absorbed into the cores, per the
-        ``eviction`` setting. Returns population stats.
+        discarded (paper §4.2) and the cores are left as they are. Returns
+        population stats.
         """
         hot = np.sort(self.tracker.top_k(self.cache_size))
         if hot.size == 0:
@@ -230,15 +216,7 @@ class CachedTTEmbeddingBag(CompressedEmbedding):
         kept_mask = np.isin(hot, old_ids, assume_unique=True)
         kept = hot[kept_mask]
         new = hot[~kept_mask]
-        evicted_ids = np.setdiff1d(old_ids, kept, assume_unique=True)
-        evicted = int(evicted_ids.size)
-        if self.eviction == "absorb" and evicted_ids.size:
-            from repro.tt.writeback import absorb_rows
-
-            _, old_slots = self._membership(evicted_ids)
-            absorb_rows(self.tt, evicted_ids,
-                        self.cache_rows.data[old_slots], steps=10, lr=0.5)
-
+        evicted = int(old_ids.size - kept.size)  # kept is a subset of old_ids
         values = np.zeros((hot.size, self.dim), dtype=self.cache_rows.data.dtype)
         if kept.size:
             old_mask, old_slots = self._membership(kept)
@@ -420,17 +398,16 @@ class CachedTTEmbeddingBag(CompressedEmbedding):
     @classmethod
     def from_spec(cls, spec) -> "CachedTTEmbeddingBag":
         """Knobs: the TT ones plus ``cache_size``, ``warmup_steps``,
-        ``refresh_interval``, ``policy``, ``eviction``."""
+        ``refresh_interval``, ``policy``, ``dedup``."""
         cls._check_knobs(spec, {"rank", "d", "initializer", "cache_size",
                                 "warmup_steps", "refresh_interval", "policy",
-                                "eviction", "dedup"})
+                                "dedup"})
         return cls(spec.num_rows, spec.dim, shape=TTEmbeddingBag._spec_shape(spec),
                    initializer=spec.get("initializer", "sampled_gaussian"),
                    cache_size=spec.get("cache_size"),
                    warmup_steps=int(spec.get("warmup_steps", 100)),
                    refresh_interval=spec.get("refresh_interval", 1000),
                    policy=spec.get("policy", "lfu"),
-                   eviction=spec.get("eviction", "discard"),
                    dedup=bool(spec.get("dedup", True)),
                    mode=spec.mode, rng=as_rng(spec.seed),
                    name=spec.name or "cached_tt_emb")

@@ -61,7 +61,3 @@ class Batch:
     @property
     def size(self) -> int:
         return int(self.dense.shape[0])
-
-    def num_lookups(self) -> int:
-        """Total embedding lookups across tables (pooling-factor metric)."""
-        return int(sum(idx.shape[0] for idx, _ in self.sparse))

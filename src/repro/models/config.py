@@ -29,7 +29,6 @@ class TTConfig:
     warmup_steps: int = 100
     refresh_interval: int | None = 1000
     policy: str = "lfu"
-    eviction: str = "discard"
     store_intermediates: bool = True
     dedup: bool = False
 

@@ -41,7 +41,7 @@ def _make_embedding(num_rows: int, dim: int, tt: TTConfig | None,
             num_rows, dim, rank=tt.rank, d=tt.d, initializer=tt.initializer,
             cache_size=tt.cache_size, cache_fraction=tt.cache_fraction,
             warmup_steps=tt.warmup_steps, refresh_interval=tt.refresh_interval,
-            policy=tt.policy, eviction=tt.eviction, dedup=tt.dedup,
+            policy=tt.policy, dedup=tt.dedup,
             rng=rng, name=name,
         )
     return TTEmbeddingBag(

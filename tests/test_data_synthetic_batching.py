@@ -41,18 +41,6 @@ class TestBatch:
         with pytest.raises(ValueError):
             Batch(dense=np.zeros((2, 3)), sparse=[], labels=np.zeros(3))
 
-    def test_num_lookups(self):
-        b = Batch(
-            dense=np.zeros((2, 3)),
-            sparse=[
-                (np.array([0, 1]), np.array([0, 1, 2])),
-                (np.array([0, 1, 2]), np.array([0, 2, 3])),
-            ],
-            labels=np.zeros(2),
-        )
-        assert b.num_lookups() == 5
-        assert b.size == 2
-
 
 class TestHashGaussian:
     def test_deterministic(self):

@@ -413,11 +413,11 @@ def changed(before, after):
             for key in was.keys() | now.keys() if was.get(key) != now.get(key)]
 
 
-def warmed_model(eviction: str):
+def warmed_model():
     """A cached model left exactly as training leaves it: past warm-up,
     populated, and due a refresh every third step."""
     tt = TTConfig(rank=4, use_cache=True, cache_fraction=0.05,
-                  warmup_steps=2, refresh_interval=3, eviction=eviction)
+                  warmup_steps=2, refresh_interval=3)
     model = build_ttrec(CFG, num_tt_tables=5, tt=tt, min_rows=50, rng=0)
     rng = np.random.default_rng(1)
     for _ in range(4):
@@ -446,9 +446,8 @@ def serve(server, count, seed):
 
 
 class TestServingDoesNotMutateTheModel:
-    @pytest.mark.parametrize("eviction", ["discard", "absorb"])
-    def test_fifty_requests_leave_every_operator_byte_identical(self, eviction):
-        model, cached = warmed_model(eviction)
+    def test_fifty_requests_leave_every_operator_byte_identical(self):
+        model, cached = warmed_model()
         server = InferenceServer(
             Predictor(model), clock=ManualClock(),
             config=ServerConfig(default_deadline_ms=1e6))
@@ -466,7 +465,7 @@ class TestServingDoesNotMutateTheModel:
     def test_a_model_serves_like_its_predictor(self):
         from repro.telemetry import get_registry
 
-        model, _ = warmed_model("absorb")
+        model, _ = warmed_model()
         runs = []
         for frontend in (model, Predictor(model)):
             get_registry().reset(prefix="serving.")
@@ -479,7 +478,7 @@ class TestServingDoesNotMutateTheModel:
         assert runs[0] == runs[1]
 
     def test_tt_direct_fall_through_reads_without_writing(self):
-        model, cached = warmed_model("absorb")
+        model, cached = warmed_model()
         server = InferenceServer(
             Predictor(model), clock=ManualClock(),
             config=ServerConfig(default_deadline_ms=1e6, failure_threshold=1,
