@@ -62,8 +62,10 @@ class CachedTTEmbeddingBag(CompressedEmbedding):
     injector:
         Optional :class:`~repro.reliability.fault_injection.FaultInjector`
         probed at the ``cache.row`` site each forward: a firing fault
-        corrupts one resident cache row (chaos testing; :meth:`scrub`
-        repairs such rows from the TT cores).
+        corrupts one resident cache row (chaos testing). While one is
+        attached, reads are validated (an ECC / row-checksum stand-in):
+        served cache rows are checked finite, and a poisoned one makes
+        :meth:`scrub` refill it from the TT cores.
     dedup:
         Deduplicate the *miss* indices of a training forward before
         contracting the TT chain (one shared
@@ -112,10 +114,6 @@ class CachedTTEmbeddingBag(CompressedEmbedding):
         self._steps = 0
         self._populated = False
         self.injector = injector
-        # Read validation (ECC / row-checksum stand-in): verify served
-        # cache rows are finite and refill poisoned ones from the TT
-        # cores. On by default whenever faults can occur (injector set).
-        self.validate_reads = injector is not None
         # Cumulative hit/miss/evict/repair statistics (Fig. 10 / Fig. 12
         # instrumentation), held in the shared metrics registry under a
         # per-instance ``module`` label; ``lookups``/``hits``/
@@ -292,8 +290,7 @@ class CachedTTEmbeddingBag(CompressedEmbedding):
             # crashing it, so corruption must be caught at the read, not
             # at the loss.
             served = self.cache_rows.data[slots]
-            if ((self.validate_reads or self.injector is not None)
-                    and not np.isfinite(served).all()):
+            if self.injector is not None and not np.isfinite(served).all():
                 self.scrub()
                 served = self.cache_rows.data[slots]  # re-gather repaired rows
             rows[mask] = served

@@ -371,9 +371,8 @@ def _cmd_chaos(args) -> int:
         model = kaggle.build()
         if injector is not None:
             for emb in model.embeddings:
-                if hasattr(emb, "validate_reads"):
+                if hasattr(emb, "cache_rows"):
                     emb.injector = injector
-                    emb.validate_reads = True
         guard = DivergenceGuard(GuardPolicy())
         trainer = Trainer(model, optimizer=Adagrad(model.parameters(), lr=0.05),
                           guard=guard, injector=injector)

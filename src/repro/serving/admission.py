@@ -1,9 +1,9 @@
 """Admission control: validate, repair or reject inbound requests.
 
 Nothing downstream of this layer ever sees a malformed input. The
-sanitizer enforces the same invariants :func:`repro.utils.validation.check_csr`
-and :class:`repro.data.batching.Batch` demand, but — unlike the model
-operators, which *raise* — it repairs what can be repaired and rejects the
+sanitizer admits only what the model operators accept — int64 ids in
+range, finite dense features of the right width — but, unlike the
+operators, which *raise*, it repairs what can be repaired and rejects the
 rest, because a production front door must answer every request with
 something better than a stack trace:
 
@@ -11,9 +11,6 @@ something better than a stack trace:
   **hashed** onto a valid row (splitmix64, the same mixing hash
   :class:`repro.baselines.hashing.HashedEmbeddingBag` uses) or the request
   is **rejected**, per policy;
-- malformed CSR ``offsets`` are repaired to satisfy the batching
-  invariants (start at 0, end at ``len(indices)``, non-decreasing, one
-  slot per bag);
 - non-finite dense features are always rejected — a NaN admitted here
   survives ReLU masking and would silently poison the score.
 
@@ -31,7 +28,6 @@ import numpy as np
 
 from repro.cache.hashtable import splitmix64
 from repro.telemetry import get_registry
-from repro.utils.validation import check_csr
 
 __all__ = [
     "OOV_POLICIES",
@@ -40,7 +36,6 @@ __all__ = [
     "SanitizedRequest",
     "Rejection",
     "RequestSanitizer",
-    "repair_offsets",
 ]
 
 OOV_POLICIES = ("clamp", "hash", "reject")
@@ -123,55 +118,6 @@ class Rejection:
     request_id: int = 0
 
 
-def repair_offsets(indices: np.ndarray, offsets: np.ndarray,
-                   num_bags: int) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Coerce an ``(indices, offsets)`` pair into a valid CSR description.
-
-    Enforces the invariants :func:`repro.utils.validation.check_csr`
-    checks — ``offsets[0] == 0``, ``offsets[-1] == len(indices)``,
-    non-decreasing, exactly ``num_bags + 1`` slots — by rebuilding the
-    parts that are broken instead of raising. Bag *boundaries* inside a
-    malformed region are necessarily a guess (clipped into range and made
-    monotone); bag membership of every index is preserved in total.
-
-    Returns ``(indices, offsets, repaired)`` with both arrays int64.
-    """
-    indices = np.atleast_1d(np.asarray(indices)).reshape(-1)
-    indices = indices.astype(np.int64, copy=False)
-    offsets = np.atleast_1d(np.asarray(offsets)).reshape(-1)
-    if not np.issubdtype(offsets.dtype, np.integer):
-        with np.errstate(invalid="ignore"):
-            offsets = np.nan_to_num(
-                np.asarray(offsets, dtype=np.float64), nan=0.0,
-                posinf=indices.size, neginf=0.0,
-            ).astype(np.int64)
-    else:
-        offsets = offsets.astype(np.int64, copy=False)
-
-    repaired = False
-    if offsets.size != num_bags + 1:
-        # Wrong bag count: keep whatever prefix lines up, pad the tail so
-        # missing bags are empty and surplus bags are dropped.
-        fixed = np.full(num_bags + 1, indices.size, dtype=np.int64)
-        keep = min(offsets.size, num_bags)  # never overwrite the endpoint
-        fixed[:keep] = offsets[:keep]
-        offsets = fixed
-        repaired = True
-    clipped = np.clip(offsets, 0, indices.size)
-    monotone = np.maximum.accumulate(clipped)
-    if monotone[0] != 0 or monotone[-1] != indices.size \
-            or not np.array_equal(monotone, offsets):
-        repaired = True
-    offsets = monotone
-    offsets[0] = 0
-    offsets[-1] = indices.size
-    # One more pass: forcing the endpoints can re-break monotonicity at
-    # the very edges (e.g. offsets[1] > offsets[-1] was clipped above).
-    offsets = np.maximum.accumulate(offsets)
-    offsets = np.minimum(offsets, indices.size)
-    return indices, offsets, repaired
-
-
 class RequestSanitizer:
     """Validate and repair requests against a model's input contract.
 
@@ -201,7 +147,7 @@ class RequestSanitizer:
         }
         self._sanitized = {
             action: reg.counter("serving.sanitized", action=action)
-            for action in ("oov_clamped", "oov_hashed", "offsets_repaired")
+            for action in ("oov_clamped", "oov_hashed")
         }
         self._admitted = reg.counter("serving.admitted")
 
@@ -333,25 +279,3 @@ class RequestSanitizer:
             # the lot to float64.
             parts.append(arr.reshape(-1).astype(np.int64, copy=False))
         return parts
-
-    # ------------------------------------------------------------------ #
-
-    def sanitize_table_csr(self, table: int, indices: np.ndarray,
-                           offsets: np.ndarray, num_bags: int
-                           ) -> tuple[np.ndarray, np.ndarray] | None:
-        """Repair one table's pre-batched CSR pair (batch submission path).
-
-        Offsets are repaired via :func:`repair_offsets`; ids go through
-        the per-policy OOV treatment. Returns ``None`` when the ids are
-        unusable under the policy, else a pair that passes ``check_csr``.
-        """
-        out = self._sanitize_ids(indices, self.config.table_sizes[table])
-        if out is None:
-            return None
-        ids, _ = out
-        ids, offsets, repaired = repair_offsets(ids, offsets, num_bags)
-        if repaired:
-            self._sanitized["offsets_repaired"].inc()
-        # The repaired pair must satisfy the operator contract by
-        # construction; check_csr is the executable proof.
-        return check_csr(ids, offsets, self.config.table_sizes[table])

@@ -114,13 +114,5 @@ class CircuitBreaker:
 
     # ------------------------------------------------------------------ #
 
-    def snapshot(self) -> dict:
-        return {
-            "name": self.name,
-            "state": self.state,
-            "recent_failures": int(sum(self._outcomes)),
-            "transitions": [f"{a}->{b}" for a, b in self.transitions],
-        }
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"CircuitBreaker({self.name!r}, state={self.state!r})"

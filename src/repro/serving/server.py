@@ -306,8 +306,6 @@ class InferenceServer:
             self._build_ladder(t, emb)
             for t, emb in enumerate(self._embeddings)
         ]
-        self._ready = all(np.isfinite(lad.default_row).all()
-                          for lad in self.ladders)
 
     # ------------------------------------------------------------------ #
     # Ladder construction
@@ -499,9 +497,6 @@ class InferenceServer:
     # Probes & stats
     # ------------------------------------------------------------------ #
 
-    def breaker_snapshots(self) -> list[dict]:
-        return [b.snapshot() for lad in self.ladders for b in lad.breakers()]
-
     def breaker_transitions(self) -> list[dict]:
         return [
             {"breaker": b.name, "from": a, "to": c}
@@ -522,10 +517,6 @@ class InferenceServer:
             "expected_service_ms": self.queue.expected_service_ms,
             "shed": self.queue.shed_counts(),
         }
-
-    def readyz(self) -> dict:
-        """Readiness probe: safe to route traffic here?"""
-        return {"ready": bool(self._ready and self.ladders)}
 
     def stats(self) -> dict:
         """Every serving counter, reconciliation-ready (serve-bench).

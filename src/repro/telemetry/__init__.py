@@ -23,7 +23,7 @@ Process-wide singletons, so every component reports into one place
 - :mod:`repro.telemetry.slo` — declarative objectives evaluated as
   multi-window burn rates with exemplar trace ids;
 - :mod:`repro.telemetry.flightrec` — a bounded ring of the stream's
-  recent records, auto-dumped on breaker-open and sanitizer trips.
+  recent records, auto-dumped when a breaker opens.
 """
 
 from repro.telemetry.events import (

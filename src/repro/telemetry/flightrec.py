@@ -4,20 +4,20 @@ Always-on full tracing is too expensive for chaos runs, but by the time
 a breaker opens the interesting history has already happened. The
 flight recorder keeps the most recent records of the telemetry stream
 (``repro.trace/v1`` span records, events among them, in write order)
-plus a baseline counter snapshot, and on a *trigger* event —
-breaker-open, sanitizer trip — dumps them to ``flightrec-<label>.json``
-(schema ``repro.flightrec/v2``), so post-hoc debugging starts from the
-moments *before* the incident, not after it.
+plus a baseline counter snapshot, and when a breaker opens dumps them
+to ``flightrec-breaker-open.json`` (schema ``repro.flightrec/v2``), so
+post-hoc debugging starts from the moments *before* the incident, not
+after it.
 
 Timestamps: records carry the stream's clock and the dump's ``at_ms``
 comes from the clock the recorder was given; ``serve-bench`` passes
 ``monotonic_ms`` to both, so they are ``perf_counter`` milliseconds and
-differ from run to run. Only the first occurrence of each trigger label
-is dumped (later ones are counted as ``suppressed``), keeping the
-artifact set bounded however long the incident lasts.
+differ from run to run. Only the first breaker to open is dumped (later
+ones are counted as ``suppressed``), keeping the artifact set at one
+file however long the incident lasts.
 
 Wiring: the request tracer hands every record it writes to
-:meth:`FlightRecorder.record` and checks the triggers once per
+:meth:`FlightRecorder.record` and checks for the trigger once per
 ``emit_event`` call (:meth:`FlightRecorder.check_trigger`), whether or
 not a stream file is open.
 """
@@ -41,27 +41,21 @@ __all__ = [
 
 FLIGHT_SCHEMA = "repro.flightrec/v2"
 
-# Event type (+ predicate on its data) -> dump label. A trigger firing
-# dumps the ring once per label; see FlightRecorder._maybe_dump.
-_TRIGGERS: tuple[tuple[str, str, object], ...] = (
-    ("serving.breaker", "breaker-open",
-     lambda data: data.get("to_state") == "open"),
-    ("sanitizer.trip", "sanitizer-trip", None),
-)
+# The dump's label: its ``trigger`` field and its file name.
+_LABEL = "breaker-open"
 
 
 class FlightRecorder:
-    """Bounded history of stream records with trigger-driven dumps."""
+    """Bounded history of stream records, dumped when a breaker opens."""
 
     def __init__(self, directory: str | os.PathLike, *, clock=None,
-                 ring: int = 1024, max_dumps: int = 16):
+                 ring: int = 1024):
         self.directory = os.fspath(directory)
         self._clock = clock
         self._ring: deque[dict] = deque(maxlen=ring)
         self._events_seen = 0
-        self._dumped: dict[str, str] = {}      # label -> dump path
-        self._suppressed: dict[str, int] = {}  # label -> later triggers
-        self._max_dumps = max_dumps
+        self._dump_path: str | None = None
+        self._suppressed = 0  # breaker-opens after the dumped one
         # Counter baseline: dumps report deltas since recorder install,
         # which is what "what changed during the incident window" needs.
         self._baseline = dict(get_registry().snapshot()["counters"])
@@ -77,11 +71,10 @@ class FlightRecorder:
         self._ring.append(rec)
 
     def check_trigger(self, etype: str, data: dict) -> None:
-        """Count an emitted event; dump if it matches a trigger."""
+        """Count an emitted event; dump if it opens a breaker."""
         self._events_seen += 1
-        for trig_type, label, pred in _TRIGGERS:
-            if etype == trig_type and (pred is None or pred(data)):
-                self._maybe_dump(label)
+        if etype == "serving.breaker" and data.get("to_state") == "open":
+            self._dump()
 
     # ------------------------------------------------------------------ #
 
@@ -94,18 +87,15 @@ class FlightRecorder:
                 delta[key] = diff
         return delta
 
-    def _maybe_dump(self, label: str) -> str | None:
-        if label in self._dumped:
-            self._suppressed[label] = self._suppressed.get(label, 0) + 1
-            return None
-        if len(self._dumped) >= self._max_dumps:
-            self._suppressed[label] = self._suppressed.get(label, 0) + 1
-            return None
+    def _dump(self) -> None:
+        if self._dump_path is not None:
+            self._suppressed += 1
+            return
         os.makedirs(self.directory, exist_ok=True)
-        path = os.path.join(self.directory, f"flightrec-{label}.json")
+        path = os.path.join(self.directory, f"flightrec-{_LABEL}.json")
         doc = {
             "schema": FLIGHT_SCHEMA,
-            "trigger": label,
+            "trigger": _LABEL,
             "at_ms": self._now(),
             "records": list(self._ring),
             "counters_delta": self._counter_delta(),
@@ -113,15 +103,15 @@ class FlightRecorder:
         with open(path, "w") as fh:
             json.dump(doc, fh, sort_keys=True, indent=2)
             fh.write("\n")
-        self._dumped[label] = path
-        return path
+        self._dump_path = path
 
     def summary(self) -> dict:
         """What the recorder saw and dumped, for the serve-bench report."""
+        dumped, later = self._dump_path, self._suppressed
         return {
             "events_seen": self._events_seen,
-            "dumps": dict(sorted(self._dumped.items())),
-            "suppressed": dict(sorted(self._suppressed.items())),
+            "dumps": {_LABEL: dumped} if dumped else {},
+            "suppressed": {_LABEL: later} if later else {},
         }
 
 

@@ -512,7 +512,7 @@ def emit_event(etype: str, /, **data) -> None:
     Inside a sampled request each active trace gets one zero-duration
     ``event:<type>`` record under its innermost open span; outside one,
     the event is a single record with ``trace_id`` and ``parent_id``
-    null. The flight recorder then checks its triggers once. ``etype``
+    null. The flight recorder then checks its trigger once. ``etype``
     is positional-only, so no payload key can collide with it.
     """
     rt = _REQUEST_TRACER

@@ -194,7 +194,7 @@ class TTEmbeddingBag(CompressedEmbedding):
         contracting each distinct row once.
 
         ``lookup`` is called between forward and backward (cache
-        population, scrubbing, row write-back), so it must not clobber
+        population, scrubbing), so it must not clobber
         pooled left partials a pending backward still needs.
         """
         if indices.size == 0:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cache import CachedTTEmbeddingBag
+from repro.reliability import FaultInjector
 from repro.tt import TTShape
 from tests.helpers import numeric_grad_check, random_csr
 
@@ -193,7 +194,7 @@ class TestForwardBackward:
         emb.forward(np.array([5, 5, 6]))
         emb.forward(np.array([5, 6]))
         assert emb.is_warm
-        emb.validate_reads = True
+        emb.injector = FaultInjector(seed=0)  # no sites: validates reads only
         mask, slots = emb._membership(np.array([5]))
         assert mask[0]
         emb.cache_rows.data[slots[0]] = np.nan
@@ -213,7 +214,7 @@ class TestForwardBackward:
         emb = make(warmup_steps=1, cache_size=2)
         emb.forward(np.array([5, 5, 6]))
         emb.forward(np.array([5, 6]))
-        emb.validate_reads = True
+        emb.injector = FaultInjector(seed=0)  # no sites: validates reads only
         get_request_tracer().configure(sample_every=0,
                                        path=tmp_path / "stream.jsonl")
         try:

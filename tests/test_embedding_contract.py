@@ -18,6 +18,7 @@ from repro.compress import (ALPTEmbeddingBag, CompressedEmbedding,
                             make_embedding, predict_memory_bytes,
                             registered_kinds)
 from repro.ops import EmbeddingBag, Module
+from repro.reliability import FaultInjector
 from repro.reliability.checkpoint import CheckpointManager
 from repro.tt import T3nsorEmbeddingBag, TTEmbeddingBag
 from repro.utils.validation import IndexOutOfRangeError
@@ -268,7 +269,7 @@ def test_cached_lookup_bags_counts_what_it_serves():
     emb = build("cached_tt", "native")
     emb.forward(*bags(1))  # warmup_steps=1: populates from this batch
     assert emb.is_warm
-    emb.validate_reads = True
+    emb.injector = FaultInjector(seed=0)  # no sites: validates reads only
     before, steps = emb.stats(), emb._steps
     tracked = emb.tracker.state_dict()
     resident = emb._cached_ids.copy()

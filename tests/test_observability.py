@@ -315,33 +315,23 @@ class TestRequestTracer:
 
     def test_events_join_the_requests_in_flight_from_any_module(
             self, tmp_path):
-        """A fault firing, a cache repair and a sanitizer trip — emitted
-        by modules that know nothing about serving — carry the trace id
-        and appear under the innermost open span."""
+        """A fault firing and a cache repair — emitted by modules that
+        know nothing about serving — carry the trace id and appear under
+        the innermost open span."""
         from repro.cache import CachedTTEmbeddingBag
-        from repro.ops import Linear
         from repro.reliability import FaultInjector
-        from repro.reliability.sanitizer import (
-            NumericFaultError,
-            NumericSanitizer,
-        )
 
         emb = CachedTTEmbeddingBag(600, 8, rank=4, cache_size=4,
                                    warmup_steps=0, rng=0)
         emb.forward(np.arange(4))
-        lin = Linear(2, 2, rng=0)
-        lin.weight.data[0, 0] = np.nan
 
         def provoke():
             assert FaultInjector(seed=0).register(
                 "cache.row", probability=1.0).fires("cache.row")
             emb.cache_rows.data[0, 0] = np.nan
             assert emb.scrub() == 1
-            with pytest.raises(NumericFaultError):
-                with NumericSanitizer(lin, name="lin"):
-                    lin.forward(np.ones((1, 2)))
 
-        types = ["fault.fired", "cache.repair", "sanitizer.trip"]
+        types = ["fault.fired", "cache.repair"]
         rt = get_request_tracer()
         rt.configure(sample_every=0, path=tmp_path / "outside.jsonl")
         provoke()
