@@ -10,48 +10,48 @@ the comparison quantitative on one workload, matching parameter budgets:
 - post-training quantization: accuracy of a trained dense model after
   4/8-bit table quantization (inference-time compression only).
 
-Every trainable arm is built through the compression-zoo factory
-(``repro.compress.make_embedding``), so per-arm ``memory_bytes`` come
-from one accounting contract; the results land in
+Every trainable arm is built with its operator's own constructor, and
+every operator reports ``memory_bytes`` under the one bag contract
+(:class:`repro.ops.embedding.CompressedEmbedding`); the results land in
 ``BENCH_compression.json``.
 """
 
 import numpy as np
 from conftest import banner, scaled_iters
 
-from repro.baselines import QuantizedEmbeddingBag
+from repro.baselines import (HashedEmbeddingBag, LowRankEmbeddingBag,
+                             QuantizedEmbeddingBag, TREmbeddingBag)
 from repro.bench import format_table, write_bench_json
-from repro.compress import EmbeddingSpec, make_embedding, predict_memory_bytes
+from repro.compress import ALPTEmbeddingBag, DPQEmbeddingBag
 from repro.data import SyntheticCTRDataset
 from repro.models.dlrm import DLRM
+from repro.ops import EmbeddingBag
 from repro.training import Trainer
-from repro.utils.dtypes import default_dtype
+from repro.tt import TTEmbeddingBag, TTShape
 from trainlib import MIN_ROWS, small_config
 
-#: kind -> zoo spec params for one compressed table (dim is emb_dim)
 ARMS = ("dense", "tt", "tr", "lowrank", "hashing", "dpq", "alpt")
 
 
-def _arm_spec(kind, size, dim):
+def _arm_table(kind, size, dim, seed):
+    """One table of the given arm, built with its operator's constructor."""
     if kind == "dense":
-        return "dense", {}
+        return EmbeddingBag(size, dim, rng=seed, name="dense_emb")
     if kind == "tt":
-        return "tt", {"rank": 8}
+        return TTEmbeddingBag(size, dim, rank=8, rng=seed)
     if kind == "tr":
-        return "tr", {"rank": 4}
+        return TREmbeddingBag(size, dim, rank=4, rng=seed)
     if kind == "lowrank":
-        return "lowrank", {"rank": 2}
+        return LowRankEmbeddingBag(size, dim, rank=2, rng=seed)
     if kind == "hashing":
-        # bucket count chosen to land near the TT parameter budget
-        tt_bytes = predict_memory_bytes(
-            EmbeddingSpec(kind="tt", num_rows=size, dim=dim,
-                          params={"rank": 8}))
-        buckets = max(4, tt_bytes // default_dtype().itemsize // dim)
-        return "hash", {"num_buckets": int(buckets)}
+        # bucket count chosen to land on the TT arm's parameter budget
+        tt_params = TTShape.suggested(size, dim, d=3, rank=8).num_params()
+        return HashedEmbeddingBag(size, dim, max(4, tt_params // dim), rng=seed)
     if kind == "dpq":
-        return "dpq", {"num_subspaces": 4, "codebook_size": 64}
+        return DPQEmbeddingBag(size, dim, num_subspaces=4, codebook_size=64,
+                               rng=seed)
     if kind == "alpt":
-        return "alpt", {"bits": 8}
+        return ALPTEmbeddingBag(size, dim, bits=8, seed=seed)
     raise ValueError(kind)
 
 
@@ -59,13 +59,10 @@ def _build(spec, cfg, kind, rng_seed=0):
     """DLRM with the largest tables replaced by the given compressor."""
     rng = np.random.default_rng(rng_seed)
     big = {i for i in spec.largest(5) if spec.table_sizes[i] >= MIN_ROWS}
-    embeddings = []
-    for i, size in enumerate(cfg.table_sizes):
-        arm = kind if i in big else "dense"
-        zoo_kind, params = _arm_spec(arm, size, cfg.emb_dim)
-        embeddings.append(make_embedding(EmbeddingSpec(
-            kind=zoo_kind, num_rows=size, dim=cfg.emb_dim,
-            seed=rng_seed + i, params=params)))
+    embeddings = [
+        _arm_table(kind if i in big else "dense", size, cfg.emb_dim, rng_seed + i)
+        for i, size in enumerate(cfg.table_sizes)
+    ]
     return DLRM(cfg, embeddings, rng=rng)
 
 

@@ -33,8 +33,6 @@ from repro.models import (
     TTConfig,
     build_dlrm,
     build_ttrec,
-    load_model,
-    save_model,
 )
 from repro.ops import SGD, Adagrad, EmbeddingBag, SparseSGD
 from repro.reliability import (
@@ -90,9 +88,6 @@ __all__ = [
     "Trainer",
     "TrainResult",
     "EvalResult",
-    # checkpointing
-    "save_model",
-    "load_model",
     # telemetry (metrics registry, tracing spans, JSONL events)
     "MetricsRegistry",
     "get_registry",

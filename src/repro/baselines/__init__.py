@@ -4,7 +4,7 @@ The paper positions TT-Rec against three families of embedding-table
 compression, each implemented here as a direct subclass of the one bag
 contract (:class:`repro.ops.embedding.CompressedEmbedding`) — the class
 supplies its rows and their gradients, the base class the bag — so they
-slot into the DLRM, the compression registry and the serving tier
+slot into the DLRM, the compression zoo and the serving tier
 unchanged:
 
 - :class:`~repro.baselines.hashing.HashedEmbeddingBag` — the feature

@@ -14,7 +14,6 @@ import numpy as np
 
 from repro.cache.hashtable import splitmix64
 from repro.ops.embedding import CompressedEmbedding, EmbeddingBag
-from repro.utils.dtypes import default_dtype
 from repro.utils.seeding import as_rng
 
 __all__ = ["HashedEmbeddingBag"]
@@ -34,8 +33,6 @@ class HashedEmbeddingBag(CompressedEmbedding):
         Apply a ±1 sign hash per logical row (feature-hashing style) so
         collisions cancel in expectation.
     """
-
-    kind = "hash"
 
     def __init__(self, num_rows: int, dim: int, num_buckets: int, *,
                  mode: str = "sum", signed: bool = False, salt: int = 0,
@@ -76,36 +73,3 @@ class HashedEmbeddingBag(CompressedEmbedding):
         if signs is not None:
             grad_rows = grad_rows * signs[:, None]
         self.table._backward_rows(buckets, grad_rows, None)
-
-    @staticmethod
-    def _spec_buckets(spec) -> int:
-        return int(spec.get("num_buckets", max(1, spec.num_rows // 16)))
-
-    @classmethod
-    def from_spec(cls, spec) -> "HashedEmbeddingBag":
-        """Knobs: ``num_buckets``, ``signed``, ``salt``."""
-        cls._check_knobs(spec, {"num_buckets", "signed", "salt"})
-        return cls(spec.num_rows, spec.dim, cls._spec_buckets(spec),
-                   signed=bool(spec.get("signed", False)),
-                   salt=int(spec.get("salt", 0)), mode=spec.mode,
-                   rng=as_rng(spec.seed), name=spec.name or "hashed_emb")
-
-    @classmethod
-    def predict_memory_bytes(cls, spec) -> int:
-        return cls._spec_buckets(spec) * spec.dim * default_dtype().itemsize
-
-    def collision_rate(self, sample: int = 100_000,
-                       rng: int | None | np.random.Generator = None) -> float:
-        """Fraction of a uniform row sample whose bucket is shared.
-
-        Monte-Carlo estimate of ``P(two random rows collide | same bucket
-        occupancy)``; for a well-mixed hash this approaches the birthday
-        bound ``1 - num_buckets/num_rows``-ish occupancy collision rate.
-        """
-        rng = as_rng(rng)
-        n = min(sample, self.num_rows)
-        rows = rng.choice(self.num_rows, size=n, replace=False)
-        buckets, _ = self._hash(rows)
-        _, counts = np.unique(buckets, return_counts=True)
-        colliding = counts[counts > 1].sum()
-        return float(colliding / n)

@@ -13,7 +13,6 @@ import numpy as np
 
 from repro.ops.embedding import CompressedEmbedding
 from repro.ops.module import Parameter, coalesce_rows
-from repro.utils.dtypes import default_dtype
 from repro.utils.seeding import as_rng
 
 __all__ = ["LowRankEmbeddingBag"]
@@ -26,8 +25,6 @@ class LowRankEmbeddingBag(CompressedEmbedding):
     GEMM per batch, so the forward's rows are rows of ``A`` and the pool
     step (and its adjoint) carries the ``B`` projection.
     """
-
-    kind = "lowrank"
 
     def __init__(self, num_rows: int, dim: int, rank: int, *, mode: str = "sum",
                  rng: int | None | np.random.Generator = None,
@@ -70,20 +67,6 @@ class LowRankEmbeddingBag(CompressedEmbedding):
 
     def _backward_rows(self, indices, grad_rows, saved) -> None:
         self.factor_a.accumulate(*coalesce_rows(indices, grad_rows))
-
-    @classmethod
-    def from_spec(cls, spec) -> "LowRankEmbeddingBag":
-        """Knob: ``rank``."""
-        cls._check_knobs(spec, {"rank"})
-        return cls(spec.num_rows, spec.dim, rank=int(spec.get("rank", 2)),
-                   mode=spec.mode, rng=as_rng(spec.seed),
-                   name=spec.name or "lowrank_emb")
-
-    @classmethod
-    def predict_memory_bytes(cls, spec) -> int:
-        rank = int(spec.get("rank", 2))
-        return ((spec.num_rows * rank + rank * spec.dim)
-                * default_dtype().itemsize)
 
     def materialize(self) -> np.ndarray:
         """Dense ``num_rows x dim`` table (analysis only)."""

@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.ops.embedding import CompressedEmbedding, EmbeddingBag
-from repro.utils.dtypes import default_dtype, result_dtype
-from repro.utils.seeding import as_rng
+from repro.ops.embedding import CompressedEmbedding
+from repro.utils.dtypes import result_dtype
 
 __all__ = ["quantize_rows", "dequantize_rows", "QuantizedEmbeddingBag"]
 
@@ -57,12 +56,9 @@ class QuantizedEmbeddingBag(CompressedEmbedding):
     """Inference-only EmbeddingBag over a quantized table.
 
     Construct from a trained dense table (``from_dense``) — matching the
-    post-training workflow of the cited scheme. (``from_spec`` quantizes a
-    freshly initialised dense table, which is only meaningful for
-    memory/latency benchmarking, never for accuracy.)
+    post-training workflow of the cited scheme.
     """
 
-    kind = "quant"
     supports_gradient = False
 
     def __init__(self, codes: np.ndarray, scales: np.ndarray,
@@ -83,20 +79,6 @@ class QuantizedEmbeddingBag(CompressedEmbedding):
                    mode: str = "sum") -> "QuantizedEmbeddingBag":
         codes, scales, zero_points = quantize_rows(table, bits)
         return cls(codes, scales, zero_points, bits, mode=mode)
-
-    @classmethod
-    def from_spec(cls, spec) -> "QuantizedEmbeddingBag":
-        """Knob: ``bits``."""
-        cls._check_knobs(spec, {"bits"})
-        table = EmbeddingBag(spec.num_rows, spec.dim, rng=as_rng(spec.seed))
-        return cls.from_dense(table.weight.data, bits=int(spec.get("bits", 4)),
-                              mode=spec.mode)
-
-    @classmethod
-    def predict_memory_bytes(cls, spec) -> int:
-        code_itemsize = 1 if int(spec.get("bits", 4)) <= 8 else 2
-        return (spec.num_rows * spec.dim * code_itemsize
-                + 2 * spec.num_rows * default_dtype().itemsize)
 
     @property
     def dtype(self) -> np.dtype:

@@ -30,7 +30,6 @@ import numpy as np
 from repro.ops.embedding import CompressedEmbedding
 from repro.tt.embedding_bag import TTEmbeddingBag
 from repro.tt.shapes import TTShape
-from repro.utils.dtypes import default_dtype
 
 __all__ = ["TRShape", "TREmbeddingBag"]
 
@@ -76,8 +75,6 @@ class TRShape:
 class TREmbeddingBag(CompressedEmbedding):
     """Bag-pooled embedding lookup backed by Tensor-Ring cores."""
 
-    kind = "tr"
-
     def __init__(self, num_rows: int, dim: int, *, shape: TRShape | None = None,
                  rank: int = 8, d: int = 3, mode: str = "sum",
                  rng: int | None | np.random.Generator = None,
@@ -120,22 +117,3 @@ class TREmbeddingBag(CompressedEmbedding):
     def materialize(self) -> np.ndarray:
         """Dense table from the ring cores (analysis/tests only)."""
         return self._rows(np.arange(self.num_rows, dtype=np.int64))
-
-    # ------------------------------------------------------------------ #
-
-    @staticmethod
-    def _spec_shape(spec) -> TRShape:
-        return TRShape.suggested(spec.num_rows, spec.dim,
-                                 d=int(spec.get("d", 3)),
-                                 rank=int(spec.get("rank", 4)))
-
-    @classmethod
-    def from_spec(cls, spec) -> "TREmbeddingBag":
-        """Knobs: ``rank``, ``d``."""
-        cls._check_knobs(spec, {"rank", "d"})
-        return cls(spec.num_rows, spec.dim, shape=cls._spec_shape(spec),
-                   mode=spec.mode, rng=spec.seed, name=spec.name or "tr_emb")
-
-    @classmethod
-    def predict_memory_bytes(cls, spec) -> int:
-        return cls._spec_shape(spec).folded.num_params() * default_dtype().itemsize

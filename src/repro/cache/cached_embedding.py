@@ -28,7 +28,6 @@ from repro.ops.module import Parameter, coalesce_rows
 from repro.telemetry import emit_event, get_registry, trace
 from repro.tt.embedding_bag import TTEmbeddingBag
 from repro.tt.shapes import TTShape
-from repro.utils.dtypes import default_dtype
 from repro.utils.seeding import as_rng
 
 __all__ = ["CachedTTEmbeddingBag"]
@@ -77,8 +76,6 @@ class CachedTTEmbeddingBag(CompressedEmbedding):
         always dedup their misses, whatever this flag says; their output
         bytes are the same either way.
     """
-
-    kind = "cached_tt"
 
     def __init__(self, num_rows: int, dim: int, *, shape: TTShape | None = None,
                  rank: int = 32, d: int = 3, mode: str = "sum",
@@ -387,30 +384,3 @@ class CachedTTEmbeddingBag(CompressedEmbedding):
             for key, value in state.items() if key.startswith("tracker.")
         })
         self._bag = None  # a forward made before the restore is void
-
-    # ------------------------------------------------------------------ #
-    # Registry hooks
-    # ------------------------------------------------------------------ #
-
-    @classmethod
-    def from_spec(cls, spec) -> "CachedTTEmbeddingBag":
-        """Knobs: the TT ones plus ``cache_size``, ``warmup_steps``,
-        ``refresh_interval``, ``policy``, ``dedup``."""
-        cls._check_knobs(spec, {"rank", "d", "initializer", "cache_size",
-                                "warmup_steps", "refresh_interval", "policy",
-                                "dedup"})
-        return cls(spec.num_rows, spec.dim, shape=TTEmbeddingBag._spec_shape(spec),
-                   initializer=spec.get("initializer", "sampled_gaussian"),
-                   cache_size=spec.get("cache_size"),
-                   warmup_steps=int(spec.get("warmup_steps", 100)),
-                   refresh_interval=spec.get("refresh_interval", 1000),
-                   policy=spec.get("policy", "lfu"),
-                   dedup=bool(spec.get("dedup", True)),
-                   mode=spec.mode, rng=as_rng(spec.seed),
-                   name=spec.name or "cached_tt_emb")
-
-    @classmethod
-    def predict_memory_bytes(cls, spec) -> int:
-        cache = cls.resolve_cache_size(spec.num_rows, spec.get("cache_size"))
-        return ((TTEmbeddingBag._spec_shape(spec).num_params()
-                 + cache * spec.dim) * default_dtype().itemsize)

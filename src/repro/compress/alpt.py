@@ -23,9 +23,9 @@ import json
 
 import numpy as np
 
-from repro.compress.base import CompressedEmbedding, EmbeddingSpec
+from repro.ops.embedding import CompressedEmbedding
 from repro.ops.module import Parameter, sum_rows
-from repro.utils.dtypes import default_dtype, result_dtype
+from repro.utils.dtypes import result_dtype
 from repro.utils.seeding import as_rng
 
 __all__ = ["ALPTEmbeddingBag"]
@@ -36,21 +36,20 @@ class ALPTEmbeddingBag(CompressedEmbedding):
 
     Knobs: ``bits`` (2..16, default 8) and ``weight_lr`` — the step size
     of the internal stochastic-rounding update that moves the codes
-    (0 freezes codes, training only the scales).
+    (0 freezes codes, training only the scales). ``seed`` seeds the init
+    and, as ``seed + 1``, the stochastic-rounding stream.
     """
 
-    kind = "alpt"
-
-    def __init__(self, spec: EmbeddingSpec):
-        self._check_knobs(spec, {"bits", "weight_lr"})
-        super().__init__(spec.num_rows, spec.dim, spec.mode)
-        self.bits = int(spec.get("bits", 8))
+    def __init__(self, num_rows: int, dim: int, *, bits: int = 8,
+                 weight_lr: float = 0.05, mode: str = "sum", seed: int = 0,
+                 name: str = "alpt_emb"):
+        super().__init__(num_rows, dim, mode)
+        self.bits = int(bits)
         if not (2 <= self.bits <= 16):
             raise ValueError(f"bits must be in [2, 16], got {self.bits}")
-        self.weight_lr = float(spec.get("weight_lr", 0.05))
+        self.weight_lr = float(weight_lr)
         self.qmax = (1 << (self.bits - 1)) - 1
-        rng = as_rng(spec.seed)
-        name = spec.name or "alpt_emb"
+        rng = as_rng(seed)
         # Start from the DLRM dense default Uniform(±1/sqrt(M)), then
         # snap onto the per-row grid.
         bound = 1.0 / np.sqrt(self.num_rows)
@@ -63,11 +62,7 @@ class ALPTEmbeddingBag(CompressedEmbedding):
         self.scales = Parameter(scales, name=f"{name}.scales", sparse=True)
         # Deterministic stream for the stochastic rounding of code updates,
         # separate from the init stream so replays line up.
-        self._round_rng = as_rng(spec.seed + 1)
-
-    @classmethod
-    def from_spec(cls, spec: EmbeddingSpec) -> "ALPTEmbeddingBag":
-        return cls(spec)
+        self._round_rng = as_rng(seed + 1)
 
     # ------------------------------------------------------------------ #
 
@@ -121,11 +116,3 @@ class ALPTEmbeddingBag(CompressedEmbedding):
         """Dense ``num_rows x dim`` table (analysis only)."""
         dt = result_dtype(self.scales.data)
         return self.codes.astype(dt) * (1.0 / self.qmax) * self.scales.data
-
-    @classmethod
-    def predict_memory_bytes(cls, spec: EmbeddingSpec) -> int:
-        bits = int(spec.get("bits", 8))
-        code_itemsize = 1 if bits <= 8 else 2
-        codes = spec.num_rows * spec.dim * code_itemsize
-        scales = spec.num_rows * default_dtype().itemsize
-        return codes + scales

@@ -19,9 +19,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.compress.base import CompressedEmbedding, EmbeddingSpec
+from repro.ops.embedding import CompressedEmbedding
 from repro.ops.module import Parameter, coalesce_rows
-from repro.utils.dtypes import default_dtype
 from repro.utils.seeding import as_rng
 
 __all__ = ["DPQEmbeddingBag"]
@@ -37,13 +36,13 @@ class DPQEmbeddingBag(CompressedEmbedding):
     Knobs: ``num_subspaces`` (must divide ``dim``), ``codebook_size``.
     """
 
-    kind = "dpq"
-
-    def __init__(self, spec: EmbeddingSpec):
-        self._check_knobs(spec, {"num_subspaces", "codebook_size"})
-        super().__init__(spec.num_rows, spec.dim, spec.mode)
-        self.num_subspaces = int(spec.get("num_subspaces", 4))
-        self.codebook_size = int(spec.get("codebook_size", 256))
+    def __init__(self, num_rows: int, dim: int, *, num_subspaces: int = 4,
+                 codebook_size: int = 256, mode: str = "sum",
+                 rng: int | None | np.random.Generator = None,
+                 name: str = "dpq_emb"):
+        super().__init__(num_rows, dim, mode)
+        self.num_subspaces = int(num_subspaces)
+        self.codebook_size = int(codebook_size)
         if self.num_subspaces < 1 or self.dim % self.num_subspaces != 0:
             raise ValueError(
                 f"num_subspaces ({self.num_subspaces}) must divide dim ({self.dim})"
@@ -53,8 +52,7 @@ class DPQEmbeddingBag(CompressedEmbedding):
                 f"codebook_size must be in [2, 65536], got {self.codebook_size}"
             )
         self.sub_dim = self.dim // self.num_subspaces
-        rng = as_rng(spec.seed)
-        name = spec.name or "dpq_emb"
+        rng = as_rng(rng)
         # One flat codebook of S*K centroids; subspace s owns the slice
         # [s*K, (s+1)*K), so a (row, s) pair addresses entry
         # codes[row, s] + s*K. Variance matches the DLRM dense default
@@ -73,10 +71,6 @@ class DPQEmbeddingBag(CompressedEmbedding):
         # Per-subspace base offsets into the flat codebook.
         self._base = (np.arange(self.num_subspaces, dtype=np.int64)
                       * self.codebook_size)
-
-    @classmethod
-    def from_spec(cls, spec: EmbeddingSpec) -> "DPQEmbeddingBag":
-        return cls(spec)
 
     # ------------------------------------------------------------------ #
 
@@ -142,16 +136,11 @@ class DPQEmbeddingBag(CompressedEmbedding):
     def from_dense(cls, table: np.ndarray, *, num_subspaces: int = 4,
                    codebook_size: int = 256, iters: int = 5,
                    mode: str = "sum", seed: int = 0,
-                   name: str | None = None) -> "DPQEmbeddingBag":
+                   name: str = "dpq_emb") -> "DPQEmbeddingBag":
         """Fit codes + codebooks to a trained dense table (PQ workflow)."""
         table = np.asarray(table)
-        spec = EmbeddingSpec(
-            kind=cls.kind, num_rows=table.shape[0], dim=table.shape[1],
-            mode=mode, seed=seed, name=name,
-            params={"num_subspaces": int(num_subspaces),
-                    "codebook_size": int(codebook_size)},
-        )
-        emb = cls(spec)
+        emb = cls(*table.shape, num_subspaces=num_subspaces,
+                  codebook_size=codebook_size, mode=mode, rng=seed, name=name)
         emb.assign_codes(table, iters=iters, rng=seed)
         return emb
 
@@ -166,13 +155,3 @@ class DPQEmbeddingBag(CompressedEmbedding):
     def load_extra_state(self, state: dict) -> None:
         self.codes = np.asarray(state["codes"], dtype=self.codes.dtype
                                 ).reshape(self.num_rows, self.num_subspaces)
-
-    @classmethod
-    def predict_memory_bytes(cls, spec: EmbeddingSpec) -> int:
-        S = int(spec.get("num_subspaces", 4))
-        K = int(spec.get("codebook_size", 256))
-        if S < 1 or spec.dim % S != 0:
-            raise ValueError(f"num_subspaces ({S}) must divide dim ({spec.dim})")
-        book = S * K * (spec.dim // S) * default_dtype().itemsize
-        codes = spec.num_rows * S * _code_dtype(K).itemsize
-        return book + codes

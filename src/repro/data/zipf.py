@@ -3,8 +3,8 @@
 Industry recommendation traffic follows a Power/Zipf law (paper §3.1,
 citing Wu et al. 2020): a small set of rows receives most accesses. The
 sampler here draws from ``P(rank r) ∝ 1/(r+1)^s`` over a bounded support
-``[0, n)``, with an optional permutation so the hot rows are not simply the
-lowest ids (matching real hashed categorical ids).
+``[0, n)``, through a seeded permutation so the hot rows are not simply
+the lowest ids (matching real hashed categorical ids).
 
 The class also exposes the analytics the cache experiments rely on:
 ``top_k_mass(k)`` — the fraction of traffic captured by the ``k`` hottest
@@ -35,13 +35,12 @@ class ZipfSampler:
     s:
         Zipf exponent; 0 = uniform, ~1.05 is typical of the large Criteo
         tables.
-    permute:
-        Shuffle the rank-to-id mapping so hot ids are scattered.
     rng:
-        Seed or generator for both the permutation and the draws.
+        Seed or generator for both the permutation (the rank-to-id
+        shuffle that scatters the hot ids) and the draws.
     """
 
-    def __init__(self, n: int, s: float = 1.05, *, permute: bool = True,
+    def __init__(self, n: int, s: float = 1.05, *,
                  rng: int | None | np.random.Generator = None):
         if n < 1:
             raise ValueError(f"n must be >= 1, got {n}")
@@ -60,8 +59,7 @@ class ZipfSampler:
         self._cdf = cdf
         # Shuffling an arange draws what ``rng.permutation(n)`` draws.
         ids = np.arange(n, dtype=np.int32 if n <= np.iinfo(np.int32).max else np.int64)
-        if permute:
-            self._rng.shuffle(ids)
+        self._rng.shuffle(ids)
         self._rank_to_id = ids
 
     def _weights(self, k: int) -> np.ndarray:

@@ -3,10 +3,8 @@
 from repro.models.config import DLRMConfig, TTConfig
 from repro.models.dlrm import DLRM
 from repro.models.serialization import (
-    load_model,
     load_state_dict,
     parameter_keys,
-    save_model,
     state_dict,
 )
 from repro.models.ttrec import build_dlrm, build_ttrec, largest_tables
@@ -18,8 +16,6 @@ __all__ = [
     "build_dlrm",
     "build_ttrec",
     "largest_tables",
-    "save_model",
-    "load_model",
     "state_dict",
     "load_state_dict",
     "parameter_keys",

@@ -32,7 +32,7 @@ def largest_tables(table_sizes: tuple[int, ...], n: int) -> list[int]:
     return sorted(order[:n])
 
 
-def _make_embedding(num_rows: int, dim: int, tt: TTConfig | None,
+def _build_table(num_rows: int, dim: int, tt: TTConfig | None,
                     rng: np.random.Generator, name: str):
     if tt is None:
         return EmbeddingBag(num_rows, dim, rng=rng, name=name)
@@ -56,7 +56,7 @@ def build_dlrm(config: DLRMConfig,
     """Build a DLRM honouring ``config.tt_tables`` (empty map = baseline)."""
     rng = as_rng(rng if rng is not None else config.seed)
     embeddings = [
-        _make_embedding(size, config.emb_dim, config.tt_tables.get(i), rng, f"emb{i}")
+        _build_table(size, config.emb_dim, config.tt_tables.get(i), rng, f"emb{i}")
         for i, size in enumerate(config.table_sizes)
     ]
     return DLRM(config, embeddings, rng=rng)

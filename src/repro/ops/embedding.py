@@ -216,16 +216,12 @@ class CompressedEmbedding(Module):
       adjoint, for an operator that pools in another space (low-rank) or
       times it (TT); ``kept`` is what the adjoint wants back (the bag
       sizes, by default) and ``_pool`` itself stores nothing;
-    - ``from_spec`` / ``predict_memory_bytes`` — the registry's builder
-      and its exact, build-free size prediction;
     - ``extra_state`` / ``load_extra_state``, ``_extra_arrays``,
       ``scrub`` — where the defaults below do not fit.
 
     ``indices`` reaching a hook are already validated ``int64``.
     """
 
-    #: registry key under :func:`repro.compress.make_embedding`.
-    kind: str = ""
     #: False for inference-only members (post-training quantization).
     supports_gradient: bool = True
 
@@ -289,7 +285,7 @@ class CompressedEmbedding(Module):
         """
         if not self.supports_gradient:
             raise NotImplementedError(
-                f"{type(self).__name__} ({self.kind!r}) is inference-only; "
+                f"{type(self).__name__} is inference-only; "
                 "train an uncompressed table and convert it post-training"
             )
         if self._bag is None:
@@ -369,30 +365,6 @@ class CompressedEmbedding(Module):
         return self.dense_bytes() / self.memory_bytes()
 
     # ------------------------------------------------------------------ #
-    # Registry hooks (see repro.compress)
-    # ------------------------------------------------------------------ #
-
-    @classmethod
-    def from_spec(cls, spec) -> "CompressedEmbedding":
-        """Build from an :class:`~repro.compress.EmbeddingSpec`."""
-        raise NotImplementedError
-
-    @classmethod
-    def predict_memory_bytes(cls, spec) -> int:
-        """Exact ``memory_bytes()`` of ``from_spec(spec)``, unbuilt."""
-        raise NotImplementedError
-
-    @staticmethod
-    def _check_knobs(spec, allowed: set[str]) -> None:
-        """Reject unknown spec knobs so typos fail at build time."""
-        unknown = sorted(set(spec.params) - allowed)
-        if unknown:
-            raise ValueError(
-                f"unknown params {unknown} for kind {spec.kind!r}; "
-                f"allowed: {sorted(allowed)}"
-            )
-
-    # ------------------------------------------------------------------ #
     # Serving hooks
     # ------------------------------------------------------------------ #
 
@@ -456,8 +428,6 @@ class EmbeddingBag(CompressedEmbedding):
     alternatives parameterized by the same ``n``.
     """
 
-    kind = "dense"
-
     def __init__(self, num_rows: int, dim: int, *, mode: str = "sum",
                  initializer=None, rng: int | None | np.random.Generator = None,
                  name: str = "emb"):
@@ -475,13 +445,3 @@ class EmbeddingBag(CompressedEmbedding):
 
     def _backward_rows(self, indices, grad_rows, saved):
         self.weight.accumulate(*coalesce_rows(indices, grad_rows))
-
-    @classmethod
-    def from_spec(cls, spec) -> "EmbeddingBag":
-        cls._check_knobs(spec, set())
-        return cls(spec.num_rows, spec.dim, mode=spec.mode,
-                   rng=as_rng(spec.seed), name=spec.name or "dense_emb")
-
-    @classmethod
-    def predict_memory_bytes(cls, spec) -> int:
-        return spec.num_rows * spec.dim * default_dtype().itemsize

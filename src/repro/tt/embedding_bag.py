@@ -36,7 +36,6 @@ from repro.tt.initialization import tt_core_initializer
 from repro.tt.kernels import segmented_matmul, segmented_outer_add
 from repro.tt.planner import BatchPlan, ExecutionPlanner
 from repro.tt.shapes import TTShape
-from repro.utils.dtypes import default_dtype
 from repro.utils.seeding import as_rng
 
 __all__ = ["TTEmbeddingBag", "accumulate_core_grads", "combine_duplicates"]
@@ -137,8 +136,6 @@ class TTEmbeddingBag(CompressedEmbedding):
     else the fewest FLOPs), so a row's bytes depend on its id and the
     shape alone.
     """
-
-    kind = "tt"
 
     def __init__(self, num_rows: int, dim: int, *, shape: TTShape | None = None,
                  rank: int = 32, d: int = 3, mode: str = "sum",
@@ -242,30 +239,6 @@ class TTEmbeddingBag(CompressedEmbedding):
                 _, lefts = self._row_chain(plan)
         accumulate_core_grads(self.shape, self.cores, plan,
                               combine_duplicates(grad_rows, plan), lefts)
-
-    # ------------------------------------------------------------------ #
-    # Registry hooks
-    # ------------------------------------------------------------------ #
-
-    @staticmethod
-    def _spec_shape(spec) -> TTShape:
-        return TTShape.suggested(spec.num_rows, spec.dim,
-                                 d=int(spec.get("d", 3)),
-                                 rank=int(spec.get("rank", 8)))
-
-    @classmethod
-    def from_spec(cls, spec) -> "TTEmbeddingBag":
-        """Knobs: ``rank``, ``d``, ``initializer``, ``dedup``."""
-        cls._check_knobs(spec, {"rank", "d", "initializer", "dedup"})
-        return cls(spec.num_rows, spec.dim, shape=cls._spec_shape(spec),
-                   initializer=spec.get("initializer", "sampled_gaussian"),
-                   dedup=bool(spec.get("dedup", False)),
-                   mode=spec.mode, rng=as_rng(spec.seed),
-                   name=spec.name or "tt_emb")
-
-    @classmethod
-    def predict_memory_bytes(cls, spec) -> int:
-        return cls._spec_shape(spec).num_params() * default_dtype().itemsize
 
     # ------------------------------------------------------------------ #
     # Interop

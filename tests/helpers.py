@@ -4,7 +4,41 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.baselines import (HashedEmbeddingBag, LowRankEmbeddingBag,
+                             QuantizedEmbeddingBag, TREmbeddingBag)
+from repro.cache import CachedTTEmbeddingBag
+from repro.compress import ALPTEmbeddingBag, DPQEmbeddingBag
+from repro.ops import EmbeddingBag
+from repro.tt import TTEmbeddingBag
 from repro.utils.seeding import as_rng
+
+# One small table per embedding operator, built with the operator's own
+# constructor: kind -> build(num_rows, dim, mode, seed). The contract and
+# zoo suites parametrise over it, and the ``zoo/<kind>`` state digests are
+# taken of ``build(300, 8, "sum", 0)``, so a knob or a name changed here
+# moves a committed digest. TT cores are plain Gaussian: the default
+# sampled-Gaussian init goes through the C library's exp().
+OPERATORS = {
+    "dense": lambda rows, dim, mode, seed: EmbeddingBag(
+        rows, dim, mode=mode, rng=seed, name="dense_emb"),
+    "tt": lambda rows, dim, mode, seed: TTEmbeddingBag(
+        rows, dim, rank=4, initializer="gaussian", mode=mode, rng=seed),
+    "cached_tt": lambda rows, dim, mode, seed: CachedTTEmbeddingBag(
+        rows, dim, rank=4, initializer="gaussian", cache_size=8,
+        warmup_steps=1, mode=mode, rng=seed),
+    "tr": lambda rows, dim, mode, seed: TREmbeddingBag(
+        rows, dim, rank=2, mode=mode, rng=seed),
+    "hash": lambda rows, dim, mode, seed: HashedEmbeddingBag(
+        rows, dim, 32, signed=True, mode=mode, rng=seed),
+    "lowrank": lambda rows, dim, mode, seed: LowRankEmbeddingBag(
+        rows, dim, 2, mode=mode, rng=seed),
+    "quant": lambda rows, dim, mode, seed: QuantizedEmbeddingBag.from_dense(
+        EmbeddingBag(rows, dim, rng=seed).weight.data, bits=4, mode=mode),
+    "dpq": lambda rows, dim, mode, seed: DPQEmbeddingBag(
+        rows, dim, num_subspaces=4, codebook_size=16, mode=mode, rng=seed),
+    "alpt": lambda rows, dim, mode, seed: ALPTEmbeddingBag(
+        rows, dim, bits=8, mode=mode, seed=seed),
+}
 
 
 def numeric_grad_check(param_array: np.ndarray, analytic_grad: np.ndarray,

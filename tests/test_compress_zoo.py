@@ -4,34 +4,16 @@ import numpy as np
 import pytest
 
 from repro.baselines.lowrank import LowRankEmbeddingBag
-from repro.compress import (
-    DPQEmbeddingBag,
-    EmbeddingSpec,
-    make_embedding,
-    predict_memory_bytes,
-    registered_kinds,
-)
+from repro.compress import ALPTEmbeddingBag, DPQEmbeddingBag
 from repro.utils.dtypes import dtype_policy
+from tests.helpers import OPERATORS
 
 ROWS, DIM = 300, 8
-
-# One representative spec per registered kind, small enough to be fast.
-SPECS = {
-    "dense": {},
-    "tt": {"rank": 4},
-    "cached_tt": {"rank": 4, "cache_size": 8},
-    "tr": {"rank": 2},
-    "hash": {"num_buckets": 32},
-    "lowrank": {"rank": 2},
-    "quant": {"bits": 4},
-    "dpq": {"num_subspaces": 4, "codebook_size": 16},
-    "alpt": {"bits": 8},
-}
+KINDS = sorted(OPERATORS)
 
 
-def spec_for(kind, mode="sum", seed=0):
-    return EmbeddingSpec(kind=kind, num_rows=ROWS, dim=DIM, mode=mode,
-                         seed=seed, params=dict(SPECS[kind]))
+def build(kind, mode="sum", seed=0):
+    return OPERATORS[kind](ROWS, DIM, mode, seed)
 
 
 def batch(rng, n=40, bags=5):
@@ -41,15 +23,10 @@ def batch(rng, n=40, bags=5):
     return indices, offsets
 
 
-def test_every_kind_registered():
-    assert set(SPECS) == set(registered_kinds())
-    assert len(registered_kinds()) >= 7
-
-
-@pytest.mark.parametrize("kind", sorted(SPECS))
+@pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("mode", ["sum", "mean"])
 def test_forward_matches_lookup(kind, mode):
-    emb = make_embedding(spec_for(kind, mode=mode))
+    emb = build(kind, mode=mode)
     rng = np.random.default_rng(1)
     indices, offsets = batch(rng)
     out = emb.forward(indices, offsets)
@@ -64,9 +41,9 @@ def test_forward_matches_lookup(kind, mode):
     np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-12)
 
 
-@pytest.mark.parametrize("kind", sorted(SPECS))
+@pytest.mark.parametrize("kind", KINDS)
 def test_weighted_forward_matches_lookup(kind):
-    emb = make_embedding(spec_for(kind))
+    emb = build(kind)
     rng = np.random.default_rng(2)
     indices, offsets = batch(rng)
     w = rng.uniform(0.5, 2.0, size=indices.size)
@@ -80,21 +57,19 @@ def test_weighted_forward_matches_lookup(kind):
     np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-12)
 
 
-@pytest.mark.parametrize("kind", sorted(SPECS))
+@pytest.mark.parametrize("kind", KINDS)
 def test_memory_bytes_matches_actual_nbytes(kind):
-    spec = spec_for(kind)
-    emb = make_embedding(spec)
+    emb = build(kind)
     actual = sum(p.data.nbytes for p in emb.parameters())
     actual += sum(a.nbytes for a in emb._extra_arrays())
     assert emb.memory_bytes() == actual
-    assert predict_memory_bytes(spec) == emb.memory_bytes()
     assert emb.compression_ratio() == pytest.approx(
         emb.dense_bytes() / emb.memory_bytes())
 
 
-@pytest.mark.parametrize("kind", sorted(SPECS))
+@pytest.mark.parametrize("kind", KINDS)
 def test_forward_and_backward_stay_finite(kind):
-    emb = make_embedding(spec_for(kind))
+    emb = build(kind)
     rng = np.random.default_rng(3)
     indices, offsets = batch(rng)
     out = emb.forward(indices, offsets)
@@ -108,11 +83,11 @@ def test_forward_and_backward_stay_finite(kind):
             assert np.isfinite(grad).all(), param.name
 
 
-@pytest.mark.parametrize("kind", sorted(SPECS))
+@pytest.mark.parametrize("kind", KINDS)
 def test_state_dict_roundtrip_bit_exact(kind):
-    emb = make_embedding(spec_for(kind, seed=0))
+    emb = build(kind, seed=0)
     state = emb.state_dict()
-    other = make_embedding(spec_for(kind, seed=7))  # different init
+    other = build(kind, seed=7)  # different init
     other.load_state_dict(state)
     for key, val in other.state_dict().items():
         assert np.array_equal(val, state[key]), key
@@ -123,7 +98,7 @@ def test_state_dict_roundtrip_bit_exact(kind):
 
 
 def test_load_state_dict_rejects_bad_keys():
-    emb = make_embedding(spec_for("lowrank"))
+    emb = build("lowrank")
     state = emb.state_dict()
     key = next(iter(state))
     with pytest.raises(KeyError, match="missing"):
@@ -134,9 +109,9 @@ def test_load_state_dict_rejects_bad_keys():
         emb.load_state_dict({**state, key: state[key][:-1]})
 
 
-@pytest.mark.parametrize("kind", sorted(SPECS))
+@pytest.mark.parametrize("kind", KINDS)
 def test_double_backward_contract(kind):
-    emb = make_embedding(spec_for(kind))
+    emb = build(kind)
     rng = np.random.default_rng(5)
     indices, offsets = batch(rng)
     grad = np.ones((len(offsets) - 1, DIM))
@@ -156,10 +131,10 @@ def test_double_backward_contract(kind):
     emb.backward(grad)
 
 
-@pytest.mark.parametrize("kind", sorted(SPECS))
+@pytest.mark.parametrize("kind", KINDS)
 def test_float32_policy_end_to_end(kind):
     with dtype_policy(np.float32):
-        emb = make_embedding(spec_for(kind))
+        emb = build(kind)
         rng = np.random.default_rng(6)
         indices, offsets = batch(rng)
         out = emb.forward(indices, offsets)
@@ -173,14 +148,6 @@ def test_float32_policy_end_to_end(kind):
                     assert g.dtype == np.float32, p.name
 
 
-def test_factory_rejects_unknown_kind_and_params():
-    with pytest.raises(ValueError, match="unknown compressor kind"):
-        make_embedding(EmbeddingSpec(kind="nope", num_rows=10, dim=4))
-    with pytest.raises(ValueError, match="unknown params"):
-        make_embedding(EmbeddingSpec(kind="tt", num_rows=10, dim=4,
-                                     params={"rnak": 4}))
-
-
 # ---------------------------------------------------------------------- #
 # New zoo members
 # ---------------------------------------------------------------------- #
@@ -189,7 +156,7 @@ def test_factory_rejects_unknown_kind_and_params():
 def test_dpq_from_dense_beats_random_codes():
     rng = np.random.default_rng(0)
     table = rng.normal(size=(ROWS, DIM))
-    random = make_embedding(spec_for("dpq"))
+    random = build("dpq")
     mse_random = float(((random.lookup(np.arange(ROWS)) - table) ** 2).mean())
     fitted = DPQEmbeddingBag.from_dense(table, num_subspaces=4,
                                         codebook_size=16, iters=5)
@@ -198,7 +165,7 @@ def test_dpq_from_dense_beats_random_codes():
 
 
 def test_dpq_gradient_reaches_selected_entries():
-    emb = make_embedding(spec_for("dpq"))
+    emb = build("dpq")
     indices = np.array([3, 3, 7], dtype=np.int64)
     out = emb.forward(indices, np.array([0, 3], dtype=np.int64))
     emb.backward(np.ones_like(out))
@@ -210,7 +177,7 @@ def test_dpq_gradient_reaches_selected_entries():
 
 
 def test_alpt_trains_scales_and_codes():
-    emb = make_embedding(spec_for("alpt"))
+    emb = build("alpt")
     before = emb.codes.copy()
     indices = np.arange(0, 50, dtype=np.int64)
     out = emb.forward(indices, np.arange(51, dtype=np.int64))
@@ -223,9 +190,7 @@ def test_alpt_trains_scales_and_codes():
 
 
 def test_alpt_frozen_codes_when_lr_zero():
-    spec = EmbeddingSpec(kind="alpt", num_rows=ROWS, dim=DIM,
-                         params={"bits": 8, "weight_lr": 0.0})
-    emb = make_embedding(spec)
+    emb = ALPTEmbeddingBag(ROWS, DIM, bits=8, weight_lr=0.0)
     before = emb.codes.copy()
     out = emb.forward(np.arange(20, dtype=np.int64))
     emb.backward(np.ones_like(out))

@@ -108,10 +108,6 @@ class TestZipfSampler:
         assert z.top_k_mass(k) >= 0.5
         assert z.top_k_mass(k - 1) < 0.5
 
-    def test_permute_false_orders_by_id(self):
-        z = ZipfSampler(10, 1.0, permute=False, rng=0)
-        np.testing.assert_array_equal(z.hottest(3), [0, 1, 2])
-
     def test_sample_zero(self):
         assert ZipfSampler(10, rng=0).sample(0).size == 0
 
@@ -139,7 +135,7 @@ class StoredPmfZipfSampler:
     """The sampler as it was when it stored the pmf beside the CDF and an
     int64 id map (24 bytes a row): the reference the 12-byte one equals."""
 
-    def __init__(self, n, s=1.05, *, permute=True, rng=None):
+    def __init__(self, n, s=1.05, *, rng=None):
         self.n = n
         self.s = s
         self._rng = as_rng(rng)
@@ -147,10 +143,7 @@ class StoredPmfZipfSampler:
         self._pmf_by_rank = weights / weights.sum()
         self._cdf = np.cumsum(self._pmf_by_rank)
         self._cdf[-1] = 1.0
-        if permute:
-            self._rank_to_id = self._rng.permutation(n).astype(np.int64)
-        else:
-            self._rank_to_id = np.arange(n, dtype=np.int64)
+        self._rank_to_id = self._rng.permutation(n).astype(np.int64)
 
     def sample(self, size):
         u = self._rng.random(size)
@@ -195,12 +188,11 @@ class TestTwelveByteSampler:
     """The sampler keeps only the CDF and the id map, and every stream and
     analytic is the 24-byte sampler's, bit for bit."""
 
-    @pytest.mark.parametrize("permute", [True, False])
     @pytest.mark.parametrize("s", [0.0, 0.5, 1.05, 1.2])
     @pytest.mark.parametrize("n", [1, 7, 1_000, 100_003])
-    def test_equals_the_stored_pmf_sampler(self, n, s, permute):
-        ours = ZipfSampler(n, s, permute=permute, rng=11)
-        ref = StoredPmfZipfSampler(n, s, permute=permute, rng=11)
+    def test_equals_the_stored_pmf_sampler(self, n, s):
+        ours = ZipfSampler(n, s, rng=11)
+        ref = StoredPmfZipfSampler(n, s, rng=11)
         assert ours._rng.bit_generator.state == ref._rng.bit_generator.state
         assert_same_draws(ours, ref, 5_000)
         np.testing.assert_array_equal(ours.pmf(), ref.pmf())

@@ -1,8 +1,8 @@
 """Conformance suite for the one embedding-bag contract.
 
-Every operator class — the nine registered kinds plus the T3nsor baseline
-— is run through the same checks, built both ways (native constructor and
-``make_embedding(spec)``) and in both pooling modes: what
+Every operator class — the nine of ``tests.helpers.OPERATORS`` plus the
+T3nsor baseline — is run through the same checks, built with its own
+constructor, in two configurations and in both pooling modes: what
 ``CompressedEmbedding`` promises must hold for each of them, because it
 is written once in the base class and nowhere else.
 """
@@ -14,65 +14,62 @@ from repro.baselines import (HashedEmbeddingBag, LowRankEmbeddingBag,
                              QuantizedEmbeddingBag, TREmbeddingBag)
 from repro.cache import CachedTTEmbeddingBag
 from repro.compress import (ALPTEmbeddingBag, CompressedEmbedding,
-                            DPQEmbeddingBag, EmbeddingSpec, compressor_class,
-                            make_embedding, predict_memory_bytes,
-                            registered_kinds)
-from repro.ops import EmbeddingBag, Module
+                            DPQEmbeddingBag)
+from repro.ops import Module
 from repro.reliability import FaultInjector
 from repro.reliability.checkpoint import CheckpointManager
 from repro.tt import T3nsorEmbeddingBag, TTEmbeddingBag
 from repro.utils.validation import IndexOutOfRangeError
+from tests.helpers import OPERATORS
 
 ROWS, DIM = 60, 8
 
-# kind -> (native class, spec knobs, native constructor(mode, seed)). The
-# native constructor and the spec describe the same table.
-OPERATORS = {
-    "dense": (EmbeddingBag, {}, lambda mode, seed: EmbeddingBag(
-        ROWS, DIM, mode=mode, rng=seed)),
-    "tt": (TTEmbeddingBag, {"rank": 4}, lambda mode, seed: TTEmbeddingBag(
-        ROWS, DIM, rank=4, mode=mode, rng=seed)),
-    "cached_tt": (CachedTTEmbeddingBag,
-                  {"rank": 4, "cache_size": 6, "warmup_steps": 1},
-                  lambda mode, seed: CachedTTEmbeddingBag(
-                      ROWS, DIM, rank=4, cache_size=6, warmup_steps=1,
-                      mode=mode, rng=seed)),
-    "tr": (TREmbeddingBag, {"rank": 2}, lambda mode, seed: TREmbeddingBag(
-        ROWS, DIM, rank=2, mode=mode, rng=seed)),
-    "hash": (HashedEmbeddingBag, {"num_buckets": 16, "signed": True},
-             lambda mode, seed: HashedEmbeddingBag(
-                 ROWS, DIM, 16, signed=True, mode=mode, rng=seed)),
-    "lowrank": (LowRankEmbeddingBag, {"rank": 2},
-                lambda mode, seed: LowRankEmbeddingBag(
-                    ROWS, DIM, 2, mode=mode, rng=seed)),
-    "quant": (QuantizedEmbeddingBag, {"bits": 4},
-              lambda mode, seed: QuantizedEmbeddingBag.from_dense(
-                  np.random.default_rng(seed).normal(size=(ROWS, DIM)),
-                  bits=4, mode=mode)),
-    "dpq": (DPQEmbeddingBag, {"num_subspaces": 4, "codebook_size": 16},
-            lambda mode, seed: DPQEmbeddingBag(spec_for("dpq", mode, seed))),
-    "alpt": (ALPTEmbeddingBag, {"bits": 8},
-             lambda mode, seed: ALPTEmbeddingBag(spec_for("alpt", mode, seed))),
-    "t3nsor": (T3nsorEmbeddingBag, None, lambda mode, seed: T3nsorEmbeddingBag(
-        ROWS, DIM, rank=4, mode=mode, rng=seed)),
+# The suite's own spec of each kind: a second configuration beside the
+# zoo's (``native``, ``tests.helpers.OPERATORS``), with the constructors'
+# defaults where the zoo pins a knob (TT's sampled-Gaussian init, an
+# unsigned hash) and other sizes elsewhere. The dense table has no knob,
+# so it has no second configuration.
+SPEC = {
+    "tt": lambda mode, seed: TTEmbeddingBag(
+        ROWS, DIM, rank=4, mode=mode, rng=seed),
+    "cached_tt": lambda mode, seed: CachedTTEmbeddingBag(
+        ROWS, DIM, rank=4, cache_size=6, warmup_steps=1, mode=mode, rng=seed),
+    "tr": lambda mode, seed: TREmbeddingBag(
+        ROWS, DIM, rank=3, d=2, mode=mode, rng=seed),
+    "hash": lambda mode, seed: HashedEmbeddingBag(
+        ROWS, DIM, 16, mode=mode, rng=seed),
+    "lowrank": lambda mode, seed: LowRankEmbeddingBag(
+        ROWS, DIM, 3, mode=mode, rng=seed),
+    "quant": lambda mode, seed: QuantizedEmbeddingBag.from_dense(
+        np.random.default_rng(seed).normal(size=(ROWS, DIM)), bits=8,
+        mode=mode),
+    "dpq": lambda mode, seed: DPQEmbeddingBag(
+        ROWS, DIM, num_subspaces=2, codebook_size=8, mode=mode, rng=seed),
+    "alpt": lambda mode, seed: ALPTEmbeddingBag(
+        ROWS, DIM, bits=4, mode=mode, seed=seed),
 }
-KINDS = sorted(k for k, (_, knobs, _) in OPERATORS.items() if knobs is not None)
-# (operator, how it is built): T3nsor has no registered kind.
-BUILDS = [(name, how) for name in sorted(OPERATORS)
-          for how in ("native", "spec") if how == "native" or name in KINDS]
-TRAINABLE = [(name, how) for name, how in BUILDS
-             if OPERATORS[name][0].supports_gradient]
 
 
-def spec_for(kind, mode="sum", seed=0):
-    return EmbeddingSpec(kind=kind, num_rows=ROWS, dim=DIM, mode=mode,
-                         seed=seed, params=dict(OPERATORS[kind][1]))
-
-
-def build(name, how, mode="sum", seed=0):
+def build(name, how="native", mode="sum", seed=0):
+    """A ``ROWS x DIM`` table of operator ``name`` (a helpers kind, or the
+    T3nsor baseline, which holds no committed digest), in the zoo's
+    configuration (``how="native"``) or the suite's (``how="spec"``)."""
+    if name == "t3nsor":
+        return T3nsorEmbeddingBag(ROWS, DIM, rank=4, mode=mode, rng=seed)
     if how == "spec":
-        return make_embedding(spec_for(name, mode, seed))
-    return OPERATORS[name][2](mode, seed)
+        return SPEC[name](mode, seed)
+    return OPERATORS[name](ROWS, DIM, mode, seed)
+
+
+NAMES = sorted([*OPERATORS, "t3nsor"])
+CLASSES = {name: type(build(name)) for name in NAMES}
+TRAINABLE = [name for name in NAMES if CLASSES[name].supports_gradient]
+# (operator, configuration): the ids read ``tt-native``, ``tt-spec``, ...
+BUILDS = [(name, how) for name in NAMES
+          for how in ("native", "spec") if how == "native" or name in SPEC]
+each_build = pytest.mark.parametrize("name,how", BUILDS)
+each_trainable_build = pytest.mark.parametrize(
+    "name,how", [(name, how) for name, how in BUILDS if name in TRAINABLE])
 
 
 def bags(seed, n=40, num_bags=6):
@@ -127,44 +124,34 @@ def state_dict_roundtrip(tmp_path, src, dst):
 
 
 # ---------------------------------------------------------------------- #
-# The class hierarchy and the factory
+# The class hierarchy
 # ---------------------------------------------------------------------- #
 
 
-def test_suite_covers_every_registered_kind():
-    assert KINDS == registered_kinds()
+def test_suite_covers_every_operator():
+    """A new operator class cannot skip this suite."""
+    seen, todo = set(), [CompressedEmbedding]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            if sub not in seen:
+                seen.add(sub)
+                todo.append(sub)
+    assert seen == set(CLASSES.values())
+    assert len(seen) == len(NAMES)  # one name per class
 
 
-@pytest.mark.parametrize("name", sorted(OPERATORS))
+@pytest.mark.parametrize("name", NAMES)
 def test_operator_subclasses_the_contract_directly(name):
-    cls = OPERATORS[name][0]
+    cls = CLASSES[name]
     assert CompressedEmbedding in cls.__bases__
     for method in ("forward", "backward", "lookup", "lookup_bags", "__call__"):
         assert method not in vars(cls), f"{cls.__name__} re-spells {method}"
 
 
-@pytest.mark.parametrize("kind", KINDS)
-def test_factory_builds_the_native_class(kind):
-    spec = spec_for(kind)
-    emb = make_embedding(spec)
-    assert type(emb) is OPERATORS[kind][0] is compressor_class(kind)
-    assert emb.kind == kind
-    assert predict_memory_bytes(spec) == emb.memory_bytes()
-    # Both construction paths describe the same table, byte for byte.
-    native = build(kind, "native")
-    assert native.memory_bytes() == emb.memory_bytes()
-    if kind != "quant":  # its native arm quantizes a different dense table
-        for a, b in zip(native.parameters(), emb.parameters()):
-            assert a.data.shape == b.data.shape
-
-
 def test_cached_default_size_is_resolved_once():
-    """The 0.01 % default is one helper under constructor and prediction."""
-    spec = EmbeddingSpec(kind="cached_tt", num_rows=50_000, dim=DIM,
-                         params={"rank": 2})
-    emb = make_embedding(spec)
+    """The 0.01 % default is one helper under the constructor and callers."""
+    emb = CachedTTEmbeddingBag(50_000, DIM, rank=2)
     assert emb.cache_size == CachedTTEmbeddingBag.resolve_cache_size(50_000) == 5
-    assert predict_memory_bytes(spec) == emb.memory_bytes()
 
 
 # ---------------------------------------------------------------------- #
@@ -174,7 +161,7 @@ def test_cached_default_size_is_resolved_once():
 
 @pytest.mark.parametrize("mode", ["sum", "mean"])
 @pytest.mark.parametrize("weighted", [False, True], ids=["plain", "weighted"])
-@pytest.mark.parametrize("name,how", BUILDS)
+@each_build
 def test_forward_is_pooled_lookup(name, how, weighted, mode):
     emb = build(name, how, mode)
     emb.forward(*bags(1))  # past any warm-up: the cache serves rows too
@@ -190,7 +177,7 @@ def test_forward_is_pooled_lookup(name, how, weighted, mode):
     assert not out[-1].any()  # the trailing bag is empty
 
 
-@pytest.mark.parametrize("name,how", BUILDS)
+@each_build
 def test_offsets_default_and_all_empty_bags(name, how):
     emb = build(name, how)
     indices = np.array([5, 0, 5], dtype=np.int64)
@@ -212,7 +199,7 @@ def test_offsets_default_and_all_empty_bags(name, how):
 
 @pytest.mark.parametrize("mode", ["sum", "mean"])
 @pytest.mark.parametrize("weighted", [False, True], ids=["plain", "weighted"])
-@pytest.mark.parametrize("name,how", BUILDS)
+@each_build
 def test_lookup_bags_is_forward_bit_for_bit(name, how, weighted, mode):
     emb = build(name, how, mode)
     emb.forward(*bags(1))  # past any warm-up: the cache serves rows too
@@ -226,7 +213,7 @@ def test_lookup_bags_is_forward_bit_for_bit(name, how, weighted, mode):
     assert emb.lookup_bags(indices, offsets, weights).tobytes() == out.tobytes()
 
 
-@pytest.mark.parametrize("name,how", BUILDS)
+@each_build
 def test_lookup_bags_offsets_default_and_all_empty_bags(name, how):
     emb = build(name, how)
     indices = np.array([5, 0, 5], dtype=np.int64)
@@ -236,7 +223,7 @@ def test_lookup_bags_offsets_default_and_all_empty_bags(name, how):
     assert empty.shape == (3, DIM) and not empty.any()
 
 
-@pytest.mark.parametrize("name,how", TRAINABLE)
+@each_trainable_build
 def test_lookup_bags_between_forward_and_backward_is_pure(name, how):
     """A served read between a training forward and its backward changes
     neither the gradients nor what the next step sees."""
@@ -266,7 +253,7 @@ def test_cached_lookup_bags_counts_what_it_serves():
     """Hits, misses and read validation are the forward's, one body: a read
     advances ``lookups == hits + misses`` and repairs a poisoned row, and
     leaves the step count, the tracker and the resident set alone."""
-    emb = build("cached_tt", "native")
+    emb = build("cached_tt")
     emb.forward(*bags(1))  # warmup_steps=1: populates from this batch
     assert emb.is_warm
     emb.injector = FaultInjector(seed=0)  # no sites: validates reads only
@@ -294,7 +281,7 @@ def test_cached_lookup_bags_counts_what_it_serves():
 # ---------------------------------------------------------------------- #
 
 
-@pytest.mark.parametrize("name,how", BUILDS)
+@each_build
 def test_bad_ids_raise_in_forward_and_lookup(name, how):
     emb = build(name, how)
     for call in (emb.forward, emb.lookup, emb.lookup_bags):
@@ -318,7 +305,7 @@ def test_bad_ids_raise_in_forward_and_lookup(name, how):
 # ---------------------------------------------------------------------- #
 
 
-@pytest.mark.parametrize("name,how", BUILDS)
+@each_build
 def test_backward_guard(name, how):
     emb = build(name, how)
     indices, offsets = bags(4)
@@ -341,7 +328,7 @@ def test_backward_guard(name, how):
     emb.backward(grad)
 
 
-@pytest.mark.parametrize("name,how", TRAINABLE)
+@each_trainable_build
 def test_lookup_between_forward_and_backward_is_pure(name, how):
     """``lookup`` runs between a forward and its backward (cache populate,
     scrub, replicas): it must not change the gradients that backward makes."""
@@ -367,7 +354,7 @@ def test_lookup_between_forward_and_backward_is_pure(name, how):
 @pytest.mark.parametrize("roundtrip", [state_dict_roundtrip,
                                        checkpoint_roundtrip],
                          ids=["state_dict", "checkpoint_manager"])
-@pytest.mark.parametrize("name,how", BUILDS)
+@each_build
 def test_state_roundtrip_into_differently_seeded_twin(name, how, roundtrip,
                                                        tmp_path):
     src = build(name, how, seed=0)
@@ -388,7 +375,7 @@ def test_state_roundtrip_into_differently_seeded_twin(name, how, roundtrip,
 
 def test_checkpoint_has_one_entry_per_stateful_module(tmp_path):
     """A cached table's bookkeeping is saved at its own path only."""
-    emb = build("cached_tt", "spec")
+    emb = build("cached_tt")
     train_steps(emb, 2)
     manager = CheckpointManager(tmp_path)
     manager.save(1, Holder(emb))
@@ -403,11 +390,11 @@ def test_checkpoint_has_one_entry_per_stateful_module(tmp_path):
 def test_alpt_resume_then_continue_equals_uninterrupted(roundtrip, tmp_path):
     """The stochastic-rounding stream is state: 5 steps, save, restore
     into a fresh table, 3 more steps == 8 uninterrupted steps, bit for bit."""
-    straight = build("alpt", "spec", seed=0)
+    straight = build("alpt", seed=0)
     train_steps(straight, 8)
-    first = build("alpt", "spec", seed=0)
+    first = build("alpt", seed=0)
     train_steps(first, 5)
-    resumed = build("alpt", "spec", seed=3)
+    resumed = build("alpt", seed=3)
     roundtrip(tmp_path, first, resumed)
     train_steps(resumed, 3, first=5)
     np.testing.assert_array_equal(resumed.codes, straight.codes)
@@ -419,6 +406,6 @@ def test_alpt_resume_then_continue_equals_uninterrupted(roundtrip, tmp_path):
 # ---------------------------------------------------------------------- #
 
 
-@pytest.mark.parametrize("name,how", BUILDS)
+@each_build
 def test_scrub_is_part_of_the_contract(name, how):
     assert build(name, how).scrub() == 0  # nothing poisoned, nothing repaired

@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from repro.models import DLRMConfig, TTConfig, build_dlrm, build_ttrec
-from repro.models.serialization import (
-    load_model,
-    load_state_dict,
-    save_model,
-    state_dict,
-)
+from repro.models.serialization import load_state_dict, state_dict
 from repro.ops.module import Module, Parameter
 
 SIZES = (500, 40, 300, 8, 200)
@@ -71,45 +66,3 @@ class TestStateDict:
         state[name] = np.zeros((1, 1))
         with pytest.raises(ValueError, match="shape mismatch"):
             load_state_dict(build_dlrm(CFG, rng=1), state, strict=False)
-
-
-class TestNpzRoundtrip:
-    def test_save_load_file(self, tmp_path):
-        model = build_ttrec(CFG, num_tt_tables=1, tt=TTConfig(rank=2),
-                            min_rows=100, rng=0)
-        path = tmp_path / "ckpt.npz"
-        save_model(model, path)
-        fresh = build_ttrec(CFG, num_tt_tables=1, tt=TTConfig(rank=2),
-                            min_rows=100, rng=7)
-        load_model(fresh, path)
-        rng = np.random.default_rng(0)
-        dense = rng.normal(size=(3, 5))
-        sparse = [(rng.integers(0, s, size=3), np.arange(4)) for s in SIZES]
-        np.testing.assert_allclose(
-            model.forward(dense, sparse), fresh.forward(dense, sparse)
-        )
-
-    def test_suffix_symmetry(self, tmp_path):
-        """save_model('ckpt') and load_model('ckpt') hit the same file.
-
-        np.savez appends ``.npz`` when the name lacks it; loading with the
-        bare name used to fail with FileNotFoundError.
-        """
-        model = build_dlrm(CFG, rng=0)
-        bare = tmp_path / "ckpt"  # no .npz suffix
-        save_model(model, bare)
-        assert (tmp_path / "ckpt.npz").exists()
-        fresh = build_dlrm(CFG, rng=3)
-        load_model(fresh, bare)  # must resolve to ckpt.npz
-        for a, b in zip(model.parameters(), fresh.parameters()):
-            np.testing.assert_array_equal(a.data, b.data)
-
-    def test_exact_name_wins_on_load(self, tmp_path):
-        """A file saved *with* an explicit odd name still loads verbatim."""
-        model = build_dlrm(CFG, rng=0)
-        path = tmp_path / "weights.npz"
-        save_model(model, path)
-        fresh = build_dlrm(CFG, rng=1)
-        load_model(fresh, path)
-        np.testing.assert_array_equal(model.parameters()[0].data,
-                                      fresh.parameters()[0].data)

@@ -11,7 +11,8 @@ than ``sha256`` (which would tie it to the zlib build).
 What is pinned, one ``tests/golden/state_digests.json`` entry each:
 
 - ``model``: :func:`repro.models.serialization.state_dict` of a tiny DLRM;
-- ``zoo/<kind>``: every registered operator's ``state_dict()``;
+- ``zoo/<kind>``: the ``state_dict()`` of every operator in
+  ``tests.helpers.OPERATORS``, built by its own constructor;
 - ``optim/<name>`` and ``optim/<name>/params``: each optimizer's
   ``state_dict()`` after two steps on dense and sparse lattice gradients,
   and the parameters those steps left;
@@ -24,17 +25,20 @@ from the tree on ``PYTHONPATH``) — only for a *declared* state change.
 import functools
 import hashlib
 import json
+import sys
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.compress import EmbeddingSpec, make_embedding, registered_kinds
 from repro.models import DLRMConfig, TTConfig, build_ttrec
 from repro.models.serialization import state_dict
 from repro.ops.optim import SGD, Adagrad, RowWiseAdagrad, SparseSGD
 from repro.reliability import CheckpointManager
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))  # regenerate
+from tests.helpers import OPERATORS  # noqa: E402
 
 GOLDEN = Path(__file__).parent / "golden" / "state_digests.json"
 
@@ -45,17 +49,6 @@ CFG = DLRMConfig(table_sizes=(400, 60, 300, 200), num_dense=5, emb_dim=8,
 TT = TTConfig(rank=4, initializer="gaussian")
 CACHED = TT.with_(use_cache=True, warmup_steps=5, refresh_interval=25,
                   cache_fraction=0.1)
-ZOO = {
-    "dense": {},
-    "tt": {"rank": 4, "initializer": "gaussian"},
-    "cached_tt": {"rank": 4, "cache_size": 8, "initializer": "gaussian"},
-    "tr": {"rank": 2},
-    "hash": {"num_buckets": 32},
-    "lowrank": {"rank": 2},
-    "quant": {"bits": 4},
-    "dpq": {"num_subspaces": 4, "codebook_size": 16},
-    "alpt": {"bits": 8},
-}
 OPTIMIZERS = {
     "sgd": lambda ps: SGD(ps, lr=0.25, momentum=0.5, weight_decay=0.125),
     "sparse_sgd": lambda ps: SparseSGD(ps, lr=0.25),
@@ -122,10 +115,8 @@ def checkpoint_files(manager: CheckpointManager, step: int) -> dict:
 @functools.cache
 def digests() -> dict[str, str]:
     out = {"model": digest(state_dict(tiny_model()))}
-    for kind in registered_kinds():
-        spec = EmbeddingSpec(kind=kind, num_rows=300, dim=8, seed=0,
-                             params=dict(ZOO[kind]))
-        out[f"zoo/{kind}"] = digest(make_embedding(spec).state_dict())
+    for kind in sorted(OPERATORS):
+        out[f"zoo/{kind}"] = digest(OPERATORS[kind](300, 8, "sum", 0).state_dict())
     for name, make in OPTIMIZERS.items():
         model, opt = stepped(make)
         out[f"optim/{name}"] = digest(opt.state_dict())
