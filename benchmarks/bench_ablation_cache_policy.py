@@ -6,7 +6,6 @@ rates — under a *stationary* hot set (the Fig. 9 finding), LFU should
 match or beat recency-based and frozen policies.
 """
 
-import numpy as np
 from conftest import banner
 
 from repro.bench import format_table

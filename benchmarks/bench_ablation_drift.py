@@ -8,7 +8,6 @@ refresh interval trades hit rate against refresh overhead — the scenario
 the semi-dynamic design exists for.
 """
 
-import numpy as np
 from conftest import banner
 
 from repro.bench import format_table

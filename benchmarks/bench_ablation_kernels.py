@@ -89,7 +89,7 @@ def _planner_arms() -> dict[str, float]:
                                      iters=iters, repeats=repeats)
 
     def read(emb, idx, dedup):
-        plan = emb.planner.plan_batch(idx, dedup=dedup, need_lefts=False)
+        plan = emb.planner.plan_batch(idx, dedup=dedup)
         rows, _ = emb.planner.execute(emb.cores, plan)
         return rows if plan.inverse is None else rows[plan.inverse]
 

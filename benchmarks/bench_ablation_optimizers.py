@@ -6,12 +6,11 @@ This bench trains the same TT-Rec model under each optimizer and compares
 convergence and optimizer-state overhead.
 """
 
-import numpy as np
 from conftest import banner, scaled_iters
 
 from repro.bench import format_table
 from repro.data import SyntheticCTRDataset
-from repro.models import DLRMConfig, TTConfig, build_ttrec
+from repro.models import TTConfig, build_ttrec
 from repro.ops.optim import Adagrad, RowWiseAdagrad, SparseSGD
 from repro.training import Trainer
 from trainlib import MIN_ROWS, small_config

@@ -12,7 +12,6 @@ Warm-starting is how one would migrate a production dense model to TT-Rec
 without retraining from scratch.
 """
 
-import numpy as np
 from conftest import banner, scaled_iters
 
 from repro.bench import format_table

@@ -13,7 +13,6 @@ from conftest import banner
 
 from repro.analysis.distributions import (
     materialized_entry_samples,
-    pdf_histogram,
     product_of_iid_samples,
 )
 from repro.bench import format_table

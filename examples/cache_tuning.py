@@ -11,8 +11,6 @@ Run:  python examples/cache_tuning.py [--rows 200000] [--zipf 1.05]
 
 import argparse
 
-import numpy as np
-
 from repro import CachedTTEmbeddingBag
 from repro.bench import format_table
 from repro.data import ZipfSampler

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.analysis.pareto import pareto_frontier
 from repro.data.specs import DatasetSpec
 from repro.data.synthetic import SyntheticCTRDataset

@@ -4,12 +4,11 @@
 one's options; docs/ walks through them.
 
 ``report`` writes the paper claims that need no training (Table 2,
-Fig. 5 and Fig. 9) from their row functions in :mod:`repro.analysis`;
-``plan`` reports the TT chain's contraction splits. The drills —
-``train``, ``chaos``, ``profile``, ``serve-bench`` — run the scaled
-synthetic dataset for a few seconds and stand on one scaffold ("The
-drill scaffold" below): one model recipe, one seeded-injector table, one
-context manager for the ``--trace-jsonl`` / ``--slo`` /
+Fig. 5 and Fig. 9) from their row functions in :mod:`repro.analysis`.
+The drills — ``train``, ``chaos``, ``profile``, ``serve-bench`` — run
+the scaled synthetic dataset for a few seconds and stand on one scaffold
+("The drill scaffold" below): one model recipe, one seeded-injector
+table, one context manager for the ``--trace-jsonl`` / ``--slo`` /
 ``--trace-sample`` / ``--flight-dir`` listeners, one ledger table whose
 verdict is :func:`repro.serving.loadgen.reconcile_ledger`'s, one
 PASS/FAIL line and one ``--emit-json`` snapshot (schema
@@ -25,69 +24,6 @@ import sys
 import numpy as np
 
 __all__ = ["main", "build_parser"]
-
-
-def _cmd_plan(args) -> int:
-    """Kernel-planner report: the chain's splits, predicted vs measured FLOPs."""
-    from time import perf_counter_ns
-
-    from repro.bench.reporting import format_table
-    from repro.bench.workloads import pooling_workload, uniform_workload
-    from repro.telemetry import get_registry
-    from repro.tt.embedding_bag import TTEmbeddingBag
-
-    emb = TTEmbeddingBag(args.rows, args.dim, rank=args.rank, d=args.d, rng=0)
-    flops = emb.planner.flops
-    n_lookups = args.batch * args.pooling
-    print(f"shape: {emb.shape.describe()}")
-    print(f"batch: {args.batch} x pooling {args.pooling}")
-    rows = [
-        [split, f"{per_row:,}", f"{n_lookups * per_row:,}",
-         "chosen" if split == emb.planner.read_split else ""]
-        for split, per_row in flops.items()
-    ]
-    print(format_table(
-        ["split", "FLOPs/row", f"FLOPs @ n={n_lookups}", ""],
-        rows, title="Contraction splits (lookup path; training keeps "
-                    f"left partials and runs split {emb.shape.d - 1})",
-    ))
-
-    if args.zipf is not None:
-        indices, _ = pooling_workload(args.rows, args.batch, args.pooling,
-                                      zipf_s=args.zipf, rng=args.seed)
-    else:
-        indices, _ = uniform_workload(args.rows, args.batch,
-                                      pooling_factor=args.pooling,
-                                      rng=args.seed)
-    indices = np.minimum(indices, args.rows - 1)
-
-    reg = get_registry()
-    planned_c = reg.counter("tt.plan.flops_planned")
-    executed_c = reg.counter("tt.plan.flops_executed")
-    saved_c = reg.counter("tt.plan.flops_saved")
-    removed_c = reg.counter("tt.plan.dedup_removed")
-    for _ in range(3):  # warm BLAS and the allocator
-        emb.lookup(indices)
-    base = (planned_c.value, executed_c.value, saved_c.value, removed_c.value)
-    t0 = perf_counter_ns()
-    for _ in range(args.iters):
-        emb.lookup(indices)
-    elapsed_ms = (perf_counter_ns() - t0) / 1e6
-    planned = (planned_c.value - base[0]) / args.iters
-    executed = (executed_c.value - base[1]) / args.iters
-    saved = (saved_c.value - base[2]) / args.iters
-    removed = (removed_c.value - base[3]) / args.iters
-    ms = elapsed_ms / args.iters
-    baseline = n_lookups * flops[emb.shape.d - 1]
-    print(f"\nmeasured over {args.iters} iters:")
-    print(f"  ms/iter:          {ms:.3f}")
-    print(f"  predicted FLOPs:  {planned:,.0f} / iter")
-    print(f"  measured FLOPs:   {executed:,.0f} / iter "
-          f"({executed / (ms * 1e6):.2f} GFLOP/s)")
-    print(f"  baseline FLOPs:   {baseline:,.0f} / iter, every lookup at split "
-          f"{emb.shape.d - 1} (saved {saved:,.0f}, {100.0 * saved / baseline:.1f}%)")
-    print(f"  dedup removed:    {removed:,.0f} of {n_lookups} lookups / iter")
-    return 0
 
 
 def _cmd_report(args) -> int:
@@ -563,14 +499,6 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _core_count(text: str) -> int:
-    """argparse type for a TT core count: a chain needs at least 2."""
-    value = int(text)
-    if value < 2:
-        raise argparse.ArgumentTypeError(f"must be >= 2, got {value}")
-    return value
-
-
 def _nonnegative_float(text: str) -> float:
     """argparse type for a finite quantity that may be 0."""
     value = float(text)
@@ -600,28 +528,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro", description="TT-Rec reproduction toolkit"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser(
-        "plan",
-        help="report the TT chain's contraction splits and predicted vs "
-             "measured FLOPs (docs/KERNELS.md)",
-    )
-    p.add_argument("--rows", type=_positive_int, default=100_000,
-                   help="logical table rows")
-    p.add_argument("--dim", type=_positive_int, default=16,
-                   help="embedding dim")
-    p.add_argument("--rank", type=_positive_int, default=16, help="TT rank")
-    p.add_argument("--d", type=_core_count, default=3, help="TT cores")
-    p.add_argument("--batch", type=_positive_int, default=4096,
-                   help="batch size")
-    p.add_argument("--pooling", type=_positive_int, default=1,
-                   help="lookups per bag")
-    p.add_argument("--zipf", type=_nonnegative_float, default=None,
-                   help="Zipf exponent (default: uniform traffic)")
-    p.add_argument("--iters", type=_positive_int, default=20,
-                   help="timed iterations")
-    p.add_argument("--seed", type=int, default=0, help="workload seed")
-    p.set_defaults(fn=_cmd_plan)
 
     p = sub.add_parser("report",
                        help="write the no-training paper claims (Table 2, "

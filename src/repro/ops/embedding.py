@@ -262,15 +262,8 @@ class CompressedEmbedding(Module):
         Leaves a pending forward's backward, the LFU tracker and the cache
         refresh schedule exactly as they were; a cached operator still
         counts the hits and misses it serves. A TT-family read (TT, cached
-        TT, tensor ring) contracts each distinct row once. Equal to
-        ``forward`` bit for bit with one exception: such a read keeps no
-        left partials, so it contracts at the shape's
-        fewest-FLOPs split while a training forward contracts at
-        ``d - 1``. The two are the same split — and the outputs the same
-        bits — on every ``d = 3`` Table-2 shape at rank 8-64, i.e. every
-        table the paper builds; on a shape where they differ (some
-        ``d >= 4`` shapes, some folded ring shapes) the outputs agree to
-        round-off.
+        TT, tensor ring) contracts each distinct row once, through the
+        training forward's chain. Equal to ``forward`` bit for bit.
         """
         indices, offsets, alpha = check_bag(indices, offsets, per_sample_weights,
                                             self.num_rows, self.dtype)

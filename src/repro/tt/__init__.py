@@ -14,7 +14,7 @@ Public surface:
 - :class:`~repro.tt.t3nsor.T3nsorEmbeddingBag` — the decompress-on-the-fly
   SOTA baseline the paper compares against (Fig. 8).
 - :mod:`~repro.tt.planner` — the one chain executor: per-batch dedup,
-  the shape's contraction split, pooled buffers (docs/KERNELS.md).
+  Algorithm 1's chain, pooled buffers (docs/KERNELS.md).
 """
 
 from repro.tt.decomposition import tt_reconstruct, tt_svd

@@ -130,11 +130,10 @@ class TTEmbeddingBag(CompressedEmbedding):
         id and the shape alone, so collapsing duplicates changes no output
         byte there.
 
-    The contraction order is not an option: the table's
-    :class:`~repro.tt.planner.ExecutionPlanner` computes one split from
-    the shape at construction (``d - 1`` when left partials are kept,
-    else the fewest FLOPs), so a row's bytes depend on its id and the
-    shape alone.
+    The contraction order is not an option: every call runs Algorithm
+    1's one chain through the table's
+    :class:`~repro.tt.planner.ExecutionPlanner`, so a row's bytes depend
+    on its id and the shape alone.
     """
 
     def __init__(self, num_rows: int, dim: int, *, shape: TTShape | None = None,
@@ -179,12 +178,10 @@ class TTEmbeddingBag(CompressedEmbedding):
 
         ``rows`` is ``(n, dim)``; ``left_partials[k]`` is the product of
         cores ``0..k`` with shape ``(n, prod_{j<=k} n_j, R_{k+1})`` (the
-        ``tr_k`` buffers of Algorithm 1). Always split ``d - 1`` (the one
-        sweep that makes every left partial) and always unpooled, so
-        callers may hold the returned buffers indefinitely.
+        ``tr_k`` buffers of Algorithm 1). Always unpooled, so callers may
+        hold the returned buffers indefinitely.
         """
-        return self.planner.execute(self.cores, plan, split=self.shape.d - 1,
-                                    keep_lefts=True)
+        return self.planner.execute(self.cores, plan, keep_lefts=True)
 
     def _rows(self, indices: np.ndarray) -> np.ndarray:
         """Materialise the requested rows through *unpooled* buffers,
@@ -196,7 +193,7 @@ class TTEmbeddingBag(CompressedEmbedding):
         """
         if indices.size == 0:
             return np.zeros((0, self.dim), dtype=self.dtype)
-        plan = self.planner.plan_batch(indices, dedup=True, need_lefts=False)
+        plan = self.planner.plan_batch(indices, dedup=True)
         rows, _ = self.planner.execute(self.cores, plan)
         return rows[plan.inverse] if plan.inverse is not None else rows
 
@@ -208,8 +205,7 @@ class TTEmbeddingBag(CompressedEmbedding):
         views, valid until the next pooled call — i.e. exactly until this
         forward's backward has consumed them.
         """
-        plan = self.planner.plan_batch(indices, dedup=dedup,
-                                       need_lefts=self.store_intermediates)
+        plan = self.planner.plan_batch(indices, dedup=dedup)
         rows, lefts = self.planner.execute(
             self.cores, plan, keep_lefts=self.store_intermediates, pooled=True)
         if plan.inverse is not None:

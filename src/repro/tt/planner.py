@@ -15,17 +15,13 @@ cached, T3nsor's adjoint, the tensor-ring baseline):
   are summed. Since a row's bytes depend on its id and the shape alone
   (next point), dedup leaves every read's output bytes unchanged.
 
-- **One chain, one number.** The chain is contracted as a left sweep
-  over cores ``0..split-1``, a right sweep over cores ``d-1..split`` and
-  one combine GEMM. Boundary ranks are 1, so ``split = d - 1`` *is*
-  Algorithm 1's left-to-right chain and ``split = 1`` the right-to-left
-  one. The split is an integer the shape decides once, at construction:
-  ``d - 1`` whenever the left partials are kept for Algorithm 2 (only
-  that sweep makes them all), otherwise the split with the fewest exact
-  FLOPs (:func:`chain_flops`), ``d - 1`` winning ties. It depends on
-  nothing a batch carries, so a row's bytes depend on its id and the
-  table's shape alone. There is no option: only tests pass another
-  ``split`` to :meth:`ExecutionPlanner.execute`.
+- **One chain.** Every call contracts Algorithm 1's left-to-right chain:
+  a left sweep over cores ``0..d-2``, one gather of core ``d - 1`` and
+  one combine GEMM. Reads, training forwards and the recompute arm run
+  the same GEMMs on the same operands, so a row's bytes depend on its id
+  and the table's shape alone, and a read equals the training forward
+  bit for bit. The sweep's left partials are the ``tr_k`` buffers
+  Algorithm 2 consumes. :func:`chain_flops` counts the chain exactly.
 
 - **No per-sample core gather.** Algorithm 1 hands ``GemmBatchedEx``
   *pointers* to the core slices; here every chain step groups the batch by
@@ -40,13 +36,11 @@ cached, T3nsor's adjoint, the tensor-ring baseline):
   planner, so side paths (``lookup`` during cache population/scrub) run
   unpooled — see ``TTEmbeddingBag.lookup``.
 
-Reads that keep nothing (inference, cache fills, the forward of a
-``store_intermediates=False`` table, whose backward recomputes the left
-partials at ``d - 1``) run the fewest-FLOPs split; that is ``d - 1`` on
-every ``d = 3`` shape the paper builds. See docs/KERNELS.md. Planning
-effort is observable through the ``tt.plan.*`` counters:
-``flops_planned``/``flops_executed``/``flops_saved`` and
-``dedup_removed``.
+See docs/KERNELS.md. Planning effort is observable through the
+counters ``tt.plan.flops_planned`` (``n_unique`` rows' chain FLOPs, what
+a batch will execute), ``tt.plan.flops_executed``,
+``tt.plan.flops_saved`` and ``tt.plan.dedup_removed``; ``repro
+profile`` prints them.
 """
 
 from __future__ import annotations
@@ -63,37 +57,28 @@ from repro.tt.shapes import TTShape
 __all__ = ["BatchPlan", "BufferPool", "ExecutionPlanner", "chain_flops"]
 
 
-def chain_flops(shape: TTShape, split: int) -> int:
-    """Exact multiply-add FLOPs (2 per MAC) of one row contracted at
-    ``split``: the left sweep's GEMMs over cores ``1..split-1``, the right
-    sweep's over ``d-2..split`` and the combine, from the GEMM dimensions.
+def chain_flops(shape: TTShape) -> int:
+    """Exact multiply-add FLOPs (2 per MAC) of one row through Algorithm
+    1's chain: for ``k = 1..d-1`` the GEMM ``(P_k, R_k) @ (R_k, n_k
+    R_{k+1})`` with ``P_k = n_0 ... n_{k-1}``, the last being the combine.
     """
-    d, col, ranks = shape.d, shape.col_factors, shape.ranks
-    if not 1 <= split <= d - 1:
-        raise ValueError(f"split must be in [1, {d - 1}], got {split}")
-    flops, p, q = 0, col[0], col[-1]
-    for k in range(1, split):
-        # (P, R_k) @ (R_k, n_k R_{k+1})
+    col, ranks = shape.col_factors, shape.ranks
+    flops, p = 0, col[0]
+    for k in range(1, shape.d):
         flops += 2 * p * ranks[k] * col[k] * ranks[k + 1]
         p *= col[k]
-    for k in range(d - 2, split - 1, -1):
-        # (R_k n_k, R_{k+1}) @ (R_{k+1}, Q)
-        flops += 2 * ranks[k] * col[k] * ranks[k + 1] * q
-        q *= col[k]
-    # Combine: (P, R_split) @ (R_split, Q) -> the row.
-    return flops + 2 * p * ranks[split] * q
+    return flops
 
 
 @dataclass
 class BatchPlan:
-    """A planned batch: split + dedup bookkeeping shared by fwd/bwd.
+    """A planned batch: the dedup bookkeeping shared by fwd/bwd.
 
     ``decoded`` is ``(d, n_unique)``; ``inverse`` maps each of the ``n``
     raw positions to its unique row (``None`` when dedup is off or the
     batch had no duplicates removed).
     """
 
-    split: int
     n: int
     n_unique: int
     decoded: np.ndarray
@@ -164,19 +149,14 @@ class BufferPool:
 
 
 class ExecutionPlanner:
-    """Per-module planner: the shape's split, dedup, pooled execution.
+    """Per-module planner: dedup and pooled execution of the one chain.
 
-    ``flops[s]`` is :func:`chain_flops` at split ``s`` and ``read_split``
-    the split a lookup that keeps no left partials runs: the fewest
-    FLOPs, trying ``d - 1`` first, then ``1, 2, ...`` — the first minimum
-    wins, so Algorithm 1's own order wins every tie.
+    ``flops`` is :func:`chain_flops` of the shape: what one row costs.
     """
 
     def __init__(self, shape: TTShape):
         self.shape = shape
-        d = shape.d
-        self.flops = {s: chain_flops(shape, s) for s in range(1, d)}
-        self.read_split = min([d - 1, *range(1, d - 1)], key=self.flops.get)
+        self.flops = chain_flops(shape)
         self.pool = BufferPool()
         reg = get_registry()
         self._counters = {
@@ -189,19 +169,14 @@ class ExecutionPlanner:
     # Planning
     # ------------------------------------------------------------------ #
 
-    def plan_batch(self, indices: np.ndarray, *, dedup: bool,
-                   need_lefts: bool) -> BatchPlan:
-        """Build the shared per-batch plan: the split + one dedup pass.
+    def plan_batch(self, indices: np.ndarray, *, dedup: bool) -> BatchPlan:
+        """Build the shared per-batch plan: one dedup pass and the decode.
 
-        Algorithm 2 consumes every left partial product and only the
-        ``d - 1`` sweep makes them, so ``need_lefts`` plans that split.
         A single id has nothing to collapse, so it skips the dedup pass.
         """
         indices = np.asarray(indices, dtype=np.int64)
         n = int(indices.size)
-        last = self.shape.d - 1
-        split = last if need_lefts else self.read_split
-        with trace("tt.plan", split=split, dedup="on" if dedup else "off"):
+        with trace("tt.plan", dedup="on" if dedup else "off"):
             if dedup and n > 1:
                 uniq, inverse = _unique_inverse(indices)
             else:
@@ -211,58 +186,47 @@ class ExecutionPlanner:
             # aggregate tracer only folds counts, so this is trace-only.
             annotate_span(rows=n, unique=int(decoded.shape[1]))
         n_unique = int(decoded.shape[1])
-        baseline = n * self.flops[last]
-        planned = n_unique * self.flops[split]
+        baseline = n * self.flops
+        planned = n_unique * self.flops
         if n:
             self._counters["flops_planned"].inc(planned)
-            self._counters["flops_saved"].inc(max(0, baseline - planned))
+            self._counters["flops_saved"].inc(baseline - planned)
             self._counters["dedup_removed"].inc(n - n_unique)
-        return BatchPlan(split, n, n_unique, decoded, inverse,
-                         planned, baseline)
+        return BatchPlan(n, n_unique, decoded, inverse, planned, baseline)
 
     # ------------------------------------------------------------------ #
     # Execution
     # ------------------------------------------------------------------ #
 
-    def execute(self, cores: list, plan: BatchPlan, *, split: int | None = None,
-                keep_lefts: bool = False, pooled: bool = False
+    def execute(self, cores: list, plan: BatchPlan, *, keep_lefts: bool = False,
+                pooled: bool = False
                 ) -> tuple[np.ndarray, list[np.ndarray] | None]:
         """Contract the chain for the planned rows of one table.
 
         ``cores`` is the table's list of core parameters (mode-first
-        layout) and ``plan`` its :class:`BatchPlan`; the chain meets at
-        ``plan.split`` unless ``split`` names another (tests, and the
-        recompute arm's ``d - 1``). Every interior chain step is
-        :func:`~repro.tt.kernels.segmented_matmul` against a view of each
-        touched core slice; only the boundary core that *is* a sweep's
-        first partial is gathered. Returns ``(rows, lefts)`` where
-        ``lefts`` is ``None`` unless ``keep_lefts``. Pooled outputs are
-        views into :attr:`pool` and are clobbered by the next pooled call.
+        layout) and ``plan`` its :class:`BatchPlan`. The left sweep
+        gathers core 0 and takes one
+        :func:`~repro.tt.kernels.segmented_matmul` step against a view of
+        each touched slice of cores ``1..d-2``; core ``d - 1`` is
+        gathered and one GEMM combines the two. Returns ``(rows, lefts)``
+        where ``lefts`` (the ``d`` left partials, the rows last) is
+        ``None`` unless ``keep_lefts``. Pooled outputs are views into
+        :attr:`pool` and are clobbered by the next pooled call.
         """
-        d = self.shape.d
-        if split is None:
-            split = plan.split
-        elif split not in self.flops:
-            raise ValueError(f"split must be in [1, {d - 1}], got {split}")
-        if keep_lefts and split != d - 1:
-            raise ValueError(
-                f"left partials require split {d - 1}, got {split}")
         n = plan.n_unique
         dtype = cores[0].data.dtype
         if n == 0:
             rows = np.zeros((0, self.shape.dim), dtype=dtype)
             return rows, ([] if keep_lefts else None)
-        # One left sweep, one right sweep, one combine: both boundary
-        # cores are gathered and only interior cores take a segmented step.
-        lefts = self._sweep(cores, plan, range(split), pooled)
-        right_t = self._sweep(cores, plan, range(d - 1, split - 1, -1),
-                              pooled)[-1]
-        with trace("tt.forward.combine", split=split):
-            # (n, P_left, R_split) @ (n, Q_right, R_split)^T
-            rows = np.matmul(lefts[-1], right_t.transpose(0, 2, 1), out=self._buf(
-                pooled, "combine", (n, lefts[-1].shape[1], right_t.shape[1]),
-                dtype))
-        self._counters["flops_executed"].inc(n * self.flops[split])
+        last = self.shape.d - 1
+        r, q = self.shape.ranks[last], self.shape.col_factors[last]
+        lefts = self._sweep(cores, plan, pooled)
+        right = self._gather(cores, plan, last, pooled).reshape(n, r, q)
+        with trace("tt.forward.combine"):
+            # (n, P, R_{d-1}) @ (n, R_{d-1}, n_{d-1})
+            rows = np.matmul(lefts[-1], right, out=self._buf(
+                pooled, "combine", (n, lefts[-1].shape[1], q), dtype))
+        self._counters["flops_executed"].inc(n * self.flops)
         if keep_lefts:
             lefts.append(rows.reshape(n, -1, 1))
         return rows.reshape(n, self.shape.dim), (lefts if keep_lefts else None)
@@ -270,48 +234,37 @@ class ExecutionPlanner:
     def _buf(self, pooled: bool, key, shape: tuple[int, ...], dtype) -> np.ndarray:
         return self.pool.take(key, shape, dtype) if pooled else np.empty(shape, dtype)
 
-    def _sweep(self, cores: list, plan: BatchPlan, ks: range, pooled: bool
-               ) -> list[np.ndarray]:
-        """Partial products of one sweep over cores ``ks``, one per core.
+    def _gather(self, cores: list, plan: BatchPlan, k: int, pooled: bool
+                ) -> np.ndarray:
+        """Boundary core ``k``'s slices, one ``(n, n_k R)`` row each:
+        ``<= n_k * R`` elements per lookup ("clip" only spares take's
+        defensive copy of ``out``; decode_indices bounds-checked them)."""
+        core = cores[k].data
+        width = core[0].size
+        with trace("tt.forward.gather", core=k):
+            res = self._buf(pooled, k, (plan.n_unique, width), core.dtype)
+            core.reshape(-1, width).take(plan.decoded[k], axis=0, out=res,
+                                         mode="clip")
+        return res
 
-        Ascending ``ks`` gives the left partials ``(n, P_k, R_{k+1})`` of
-        Algorithm 1. Descending ``ks`` gives the right partials kept
-        K-major transposed, ``(n, Q_k, R_k)``: the same kernel on
-        ``G_k(i_k)^T`` per column of ``n_k``, as in Algorithm 2's sweep.
-        """
+    def _sweep(self, cores: list, plan: BatchPlan, pooled: bool
+               ) -> list[np.ndarray]:
+        """Algorithm 1's left partials over cores ``0..d-2``: the product
+        of cores ``0..k`` is ``(n, P_k, R_{k+1})``."""
         col, ranks = self.shape.col_factors, self.shape.ranks
-        n, dtype = plan.n_unique, cores[0].data.dtype
-        left = ks.step > 0
-        side = "left" if left else "right"
-        res, partials = None, []
-        for k in ks:
+        n = plan.n_unique
+        res = self._gather(cores, plan, 0, pooled).reshape(n, col[0], ranks[1])
+        partials = [res]
+        for k in range(1, self.shape.d - 1):
             r_prev, nk, r_next = ranks[k], col[k], ranks[k + 1]
-            r_out = r_next if left else r_prev
-            if res is None:
-                # The boundary core is the sweep's first partial: one row
-                # gather of <= n_k * R elements per lookup ("clip" only
-                # spares take's defensive copy of ``out``; decode_indices
-                # bounds-checked the indices).
-                with trace("tt.forward.gather", core=k):
-                    res = self._buf(pooled, (side, k), (n, nk * r_out), dtype)
-                    cores[k].data.reshape(-1, nk * r_out).take(
-                        plan.decoded[k], axis=0, out=res, mode="clip")
-                    res = (res.reshape(n, nk, r_out) if left
-                           else res.reshape(n, r_out, nk).transpose(0, 2, 1))
-            else:
-                with trace("tt.forward.segment_gemm", core=k):
-                    # x (n, P, R_{k-1}) @ G_k (R_{k-1}, n_k R_k), or on the
-                    # right x^T (n, Q, R_k) @ G_k^T (R_k, R_{k-1}) per n_k
-                    out = self._buf(
-                        pooled, (side, k),
-                        (n, 1, res.shape[1], nk * r_out) if left
-                        else (n, nk, res.shape[1], r_out), dtype)
-                    g = cores[k].data
-                    segmented_matmul(
-                        res, plan.decoded[k],
-                        g.reshape(-1, 1, r_prev, nk * r_next) if left
-                        else g.transpose(0, 2, 3, 1),
-                        plan.runs(k), out=out)
-                    res = out.reshape(n, -1, r_out)
+            with trace("tt.forward.segment_gemm", core=k):
+                # x (n, P, R_{k-1}) @ G_k (R_{k-1}, n_k R_k)
+                out = self._buf(pooled, k, (n, 1, res.shape[1], nk * r_next),
+                                res.dtype)
+                segmented_matmul(
+                    res, plan.decoded[k],
+                    cores[k].data.reshape(-1, 1, r_prev, nk * r_next),
+                    plan.runs(k), out=out)
+                res = out.reshape(n, -1, r_next)
             partials.append(res)
         return partials

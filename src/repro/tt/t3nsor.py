@@ -85,7 +85,6 @@ class T3nsorEmbeddingBag(CompressedEmbedding):
         """
         planner = ExecutionPlanner(self.shape)
         plan = planner.plan_batch(
-            np.arange(self.shape.padded_rows, dtype=np.int64), dedup=False,
-            need_lefts=True)
+            np.arange(self.shape.padded_rows, dtype=np.int64), dedup=False)
         _, lefts = planner.execute(self.cores, plan, keep_lefts=True)
         accumulate_core_grads(self.shape, self.cores, plan, d_full, lefts)

@@ -88,11 +88,10 @@ def random_csr(rng, num_rows: int, num_bags: int, *, max_bag: int = 5,
     return indices.astype(np.int64), offsets
 
 
-def tt_rows_at(emb, idx: np.ndarray, split: int | None = None, *,
-               pooled: bool = False) -> np.ndarray:
-    """The rows of ``idx`` straight through a TT table's chain executor:
-    at ``split`` (the only way to run a split the shape did not pick), or
-    at the read split the plan carries; through pooled or fresh buffers."""
-    plan = emb.planner.plan_batch(idx, dedup=emb.dedup, need_lefts=False)
-    rows, _ = emb.planner.execute(emb.cores, plan, split=split, pooled=pooled)
+def tt_rows_at(emb, idx: np.ndarray, *, pooled: bool = False) -> np.ndarray:
+    """The rows of ``idx`` straight through a TT table's chain executor,
+    planned with the table's ``dedup`` flag, through pooled or fresh
+    buffers."""
+    plan = emb.planner.plan_batch(idx, dedup=emb.dedup)
+    rows, _ = emb.planner.execute(emb.cores, plan, pooled=pooled)
     return rows[plan.inverse] if plan.inverse is not None else rows

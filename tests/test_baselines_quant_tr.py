@@ -288,7 +288,7 @@ class TestTREmbeddingBag:
         emb.forward(np.arange(10))
         advanced = executed.value - before
         assert advanced > 0
-        assert advanced == 10 * emb.folded.planner.flops[2]
+        assert advanced == 10 * emb.folded.planner.flops
 
     @given(st.integers(min_value=0, max_value=2 ** 31))
     @settings(max_examples=15, deadline=None)

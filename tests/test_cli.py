@@ -55,36 +55,6 @@ class TestParser:
 
 
 class TestCommands:
-    def test_plan_kernel(self, capsys):
-        assert main(["plan", "--rows", "5000", "--batch", "512",
-                     "--zipf", "1.2", "--iters", "3", "--d", "4",
-                     "--rank", "4"]) == 0
-        out = capsys.readouterr().out
-        assert "split" in out and "FLOPs/row" in out
-        assert "chosen" in out
-        assert "predicted" in out and "measured" in out
-        assert "dedup removed" in out
-
-    def test_plan_kernel_no_dedup(self, capsys):
-        # A read always dedups, so dedup is not an option of the report.
-        assert main(["plan", "--rows", "2000", "--batch", "64",
-                     "--iters", "2"]) == 0
-        assert "dedup removed:" in capsys.readouterr().out
-        with pytest.raises(SystemExit) as exc:
-            main(["plan", "--rows", "2000", "--no-dedup"])
-        assert exc.value.code == 2
-        with pytest.raises(SystemExit):  # the order is not an option
-            main(["plan", "--policy", "l2r"])
-
-    @pytest.mark.parametrize("option", ["--iters", "--batch", "--pooling",
-                                        "--rows"])
-    def test_plan_rejects_counts_below_one(self, option, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["plan", "--rows", "2000", "--batch", "64", "--iters", "1",
-                  option, "0"])
-        assert exc.value.code == 2
-        assert f"argument {option}: must be >= 1, got 0" in capsys.readouterr().err
-
     @pytest.mark.parametrize("option", ["--requests", "--max-batch",
                                         "--max-depth"])
     def test_serve_bench_rejects_counts_below_one(self, option, capsys):
@@ -94,7 +64,7 @@ class TestCommands:
         assert f"argument {option}: must be >= 1, got 0" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv, message", [
-        (["plan", "--rank", "0"], "must be >= 1, got 0"),
+        (["chaos", "--rank", "0"], "must be >= 1, got 0"),
         (["train", "--rank", "0"], "must be >= 1, got 0"),
         (["profile", "--rank", "-2"], "must be >= 1, got -2"),
         (["serve-bench", "--rank", "0"], "must be >= 1, got 0"),
@@ -108,13 +78,13 @@ class TestCommands:
         (["serve-bench", "--fault-rate", "-0.1"], "must be in [0, 1], got -0.1"),
         (["serve-bench", "--malformed", "2"], "must be in [0, 1], got 2"),
         (["train", "--checkpoint-every", "0"], "must be >= 1, got 0"),
-        (["plan", "--d", "1"], "must be >= 2, got 1"),
-        (["plan", "--dim", "0"], "must be >= 1, got 0"),
-        (["plan", "--zipf", "-1"], "must be finite and >= 0, got -1"),
+        (["serve-bench", "--interarrival-ms", "inf"],
+         "must be finite and >= 0, got inf"),
+        (["profile", "--batch-size", "0"], "must be >= 1, got 0"),
+        (["chaos", "--tolerance", "-1"], "must be finite and >= 0, got -1"),
         (["serve-bench", "--interarrival-ms", "-1"],
          "must be finite and >= 0, got -1"),
-        (["chaos", "--tolerance", "nan"], "must be finite and >= 0, got nan"),
-        (["plan", "--zipf", "inf"], "must be finite and >= 0, got inf")])
+        (["chaos", "--tolerance", "nan"], "must be finite and >= 0, got nan")])
     def test_model_inputs_are_checked_by_the_parser(self, argv, message,
                                                     capsys):
         with pytest.raises(SystemExit) as exc:

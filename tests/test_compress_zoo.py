@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from repro.baselines.lowrank import LowRankEmbeddingBag
+from repro.baselines.tensor_ring import TRShape
 from repro.compress import ALPTEmbeddingBag, DPQEmbeddingBag
+from repro.tt import TTShape
 from repro.utils.dtypes import dtype_policy
 from tests.helpers import OPERATORS
 
@@ -65,6 +67,48 @@ def test_memory_bytes_matches_actual_nbytes(kind):
     assert emb.memory_bytes() == actual
     assert emb.compression_ratio() == pytest.approx(
         emb.dense_bytes() / emb.memory_bytes())
+
+
+def _code_bytes(levels: int) -> int:
+    """The zoo table's ``c``: 1 byte up to 256 levels, 2 above."""
+    return 1 if levels <= 256 else 2
+
+
+def _tt_bytes(e, f):
+    return TTShape.suggested(e.num_rows, e.dim, d=e.shape.d,
+                             rank=max(e.shape.ranks)).num_params() * f
+
+
+# docs/COMPRESSION.md's zoo table, one memory formula per kind, over the
+# operator's knobs and the float itemsize ``f``.
+ZOO_FORMULA = {
+    "dense": lambda e, f: e.num_rows * e.dim * f,
+    "tt": _tt_bytes,
+    "cached_tt": lambda e, f: _tt_bytes(e.tt, f) + e.cache_size * e.dim * f,
+    "tr": lambda e, f: TRShape.suggested(
+        e.num_rows, e.dim, d=len(e.shape.row_factors),
+        rank=e.shape.ring_rank).folded.num_params() * f,
+    "hash": lambda e, f: e.num_buckets * e.dim * f,
+    "lowrank": lambda e, f: (e.num_rows * e.rank + e.rank * e.dim) * f,
+    "quant": lambda e, f: (e.num_rows * e.dim * _code_bytes(2 ** e.bits)
+                           + 2 * e.num_rows * f),
+    "dpq": lambda e, f: (
+        e.num_subspaces * e.codebook_size * (e.dim // e.num_subspaces) * f
+        + e.num_rows * e.num_subspaces * _code_bytes(e.codebook_size)),
+    "alpt": lambda e, f: (e.num_rows * e.dim * _code_bytes(2 ** e.bits)
+                          + e.num_rows * f),
+}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_memory_bytes_is_the_zoo_table_formula(kind):
+    """``memory_bytes()`` is the documented size, under either dtype."""
+    assert sorted(ZOO_FORMULA) == KINDS
+    for dtype in (np.float64, np.float32):
+        with dtype_policy(dtype):
+            emb = build(kind)
+        f = np.dtype(dtype).itemsize
+        assert emb.memory_bytes() == ZOO_FORMULA[kind](emb, f), dtype
 
 
 @pytest.mark.parametrize("kind", KINDS)

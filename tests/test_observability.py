@@ -28,7 +28,6 @@ from repro.serving import (
 )
 from repro.serving.queue import monotonic_ms
 from repro.telemetry import (
-    REPORT_SCHEMA,
     TRACE_SCHEMA,
     FlightRecorder,
     SLOEngine,

@@ -7,7 +7,6 @@ the deliberate divergence after dense updates to cached rows.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

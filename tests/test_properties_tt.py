@@ -320,11 +320,11 @@ class TestCoreGradsAgainstNaive:
 
 
 # --------------------------------------------------------------------- #
-# Algorithm 1 at every split vs. the per-row reference
+# Algorithm 1's chain vs. the per-row reference
 # --------------------------------------------------------------------- #
 
-# Every distinct execution of the chain: d - 1 splits per d.
-SPLIT_CASES = [(d, split) for d in (2, 3, 4) for split in range(1, d)]
+# One chain per core count.
+CORE_COUNTS = [2, 3, 4]
 
 
 def naive_left_partials(cores, shape, indices):
@@ -351,12 +351,12 @@ def _edge_batch(shape, seed):
 
 
 class TestEveryScheduleAgainstReference:
-    @pytest.mark.parametrize("d,split", SPLIT_CASES)
+    @pytest.mark.parametrize("d", CORE_COUNTS)
     @pytest.mark.parametrize("pooled", [False, True], ids=["unpooled", "pooled"])
     @pytest.mark.parametrize("dedup", [False, True], ids=["nodedup", "dedup"])
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_integer_lattice_is_bit_exact(self, d, split, pooled, dedup, dtype):
-        """Rows at every split, the operator's rows (unpooled and pooled),
+    def test_integer_lattice_is_bit_exact(self, d, pooled, dedup, dtype):
+        """The chain's rows, the operator's rows (unpooled and pooled),
         left partials and planned grads carry the exact integers of the
         per-row / per-sample references."""
         from repro.utils.dtypes import dtype_policy
@@ -372,24 +372,24 @@ class TestEveryScheduleAgainstReference:
         cores = [p.data for p in emb.cores]
         want = tt_lookup_reference(cores, shape, idx)
         assert want.dtype == dtype
-        assert tt_rows_at(emb, idx, split, pooled=pooled).tobytes() == want.tobytes()
+        assert tt_rows_at(emb, idx, pooled=pooled).tobytes() == want.tobytes()
         assert emb.lookup(idx).tobytes() == want.tobytes()          # unpooled
         assert np.array_equal(emb.forward(idx), want)               # pooled
         emb.backward(grad)
         for p, w in zip(emb.cores, naive_core_grads(cores, shape, idx, grad)):
             assert p.dense_grad().dtype == dtype and np.array_equal(p.dense_grad(), w)
-        plan = emb.planner.plan_batch(idx, dedup=dedup, need_lefts=True)
+        plan = emb.planner.plan_batch(idx, dedup=dedup)
         rows, lefts = emb._row_chain(plan)
         uniq = np.unique(idx) if plan.inverse is not None else idx
         assert rows.tobytes() == tt_lookup_reference(cores, shape, uniq).tobytes()
         for got, w in zip(lefts, naive_left_partials(cores, shape, uniq)):
             assert got.tobytes() == w.tobytes()
 
-    @pytest.mark.parametrize("d,split", SPLIT_CASES)
+    @pytest.mark.parametrize("d", CORE_COUNTS)
     @pytest.mark.parametrize("pooled", [False, True], ids=["unpooled", "pooled"])
     @pytest.mark.parametrize("dedup", [False, True], ids=["nodedup", "dedup"])
     @pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
-    def test_float_cores_within_tolerance(self, d, split, pooled, dedup, dtype, tol):
+    def test_float_cores_within_tolerance(self, d, pooled, dedup, dtype, tol):
         from repro.utils.dtypes import dtype_policy
 
         shape = GRAD_SHAPES[d]
@@ -399,7 +399,7 @@ class TestEveryScheduleAgainstReference:
                                  dedup=dedup)
         want = tt_lookup_reference([p.data for p in emb.cores], shape, idx)
         scale = np.abs(want).max()
-        for got in (tt_rows_at(emb, idx, split, pooled=pooled),
+        for got in (tt_rows_at(emb, idx, pooled=pooled),
                     emb.lookup(idx), emb.forward(idx)):
             assert got.dtype == dtype
             np.testing.assert_allclose(got, want, rtol=0, atol=tol * scale)
@@ -409,7 +409,7 @@ class TestLookupIsBatchIndependent:
     """A row's bytes depend on its index and the table's shape alone — not
     on its batch-mates, its position, the batch size, or which entry point
     (``lookup``, ``lookup_bags``, the pooled forward chain) read it: one
-    split per shape, each lookup its own GEMM on a C-contiguous operand.
+    chain, each lookup its own GEMM on a C-contiguous operand.
     Sharded failover is bit-identical only because a replica serving a
     request in another batch returns the same bytes."""
 
@@ -421,10 +421,7 @@ class TestLookupIsBatchIndependent:
         idx = rng.integers(0, emb.num_rows, size=4096)
         idx[:64] = idx[0]
         full = emb.lookup(idx)
-        # A training forward contracts at d - 1, which is this shape's read
-        # split for d <= 3 only (``lookup_bags``' docstring).
-        fwd = tt_rows_at(emb, idx, split=d - 1)
-        assert (fwd.tobytes() == full.tobytes()) == (d <= 3)
+        assert emb.forward(idx).tobytes() == full.tobytes()
         perm = rng.permutation(idx.size)
         assert emb.lookup(idx[perm]).tobytes() == full[perm].tobytes()
         # batch sizes on both sides of every power-of-two buffer bucket
@@ -436,7 +433,7 @@ class TestLookupIsBatchIndependent:
             # a one-row bag pools to its row exactly, in what a ladder
             # serves and in a training forward
             assert emb.lookup_bags(part).tobytes() == full[:n].tobytes()
-            assert emb.forward(part).tobytes() == fwd[:n].tobytes()
+            assert emb.forward(part).tobytes() == full[:n].tobytes()
         for s in rng.choice(idx.size, size=24, replace=False).tolist():
             one = idx[s:s + 1]
             assert emb.lookup(one).tobytes() == full[s].tobytes()

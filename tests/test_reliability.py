@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.data import DatasetSpec, SyntheticCTRDataset
-from repro.models import DLRMConfig, TTConfig, build_dlrm, build_ttrec
+from repro.models import DLRMConfig, TTConfig, build_ttrec
 from repro.models.serialization import named_modules, state_dict
 from repro.ops.optim import SGD, Adagrad, RowWiseAdagrad, SparseSGD
 from repro.reliability import (

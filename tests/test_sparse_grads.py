@@ -183,7 +183,7 @@ def test_dedup_combine_within_fsum_bound():
     emb = TTEmbeddingBag(ROWS, DIM, rank=4, rng=0, dedup=True)
     rng = np.random.default_rng(11)
     indices = rng.zipf(1.3, size=400) % ROWS
-    plan = emb.planner.plan_batch(indices, dedup=True, need_lefts=False)
+    plan = emb.planner.plan_batch(indices, dedup=True)
     grad_rows = skewed_rows(rng, indices.size)
     got = combine_duplicates(grad_rows, plan)
     assert_within_fsum_bound(got, [grad_rows[plan.inverse == j]

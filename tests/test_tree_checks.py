@@ -28,6 +28,7 @@ from tests.tree_checks import (  # noqa: E402
     dt001,
     dt002,
     dt003,
+    imp001,
     in_scope,
     mut001,
     parse,
@@ -90,6 +91,14 @@ class TestRuleFixtures:
         # Alias write (line 6) and direct write (line 7) both fire; the
         # trailing-underscore function does not.
         assert lines(mut001(fixture("repro/cache/viol_mut001.py"))) == [6, 7]
+
+    def test_imp001_unread_imports(self):
+        # ``os`` (bound by ``import os.path``), ``json`` and the aliased
+        # ``Ordered`` are never read; ``re`` and ``np`` are, ``Any`` in an
+        # annotation, and ``deque`` is listed in ``__all__``.
+        found = imp001(fixture("viol_imp001.py"))
+        assert [(f.line, f.message.split("'")[1]) for f in found] == [
+            (5, "os"), (6, "json"), (7, "Ordered")]
 
     def test_clean_file_passes_every_rule(self):
         assert run(fixture("repro/tt/clean.py")) == ([], [])

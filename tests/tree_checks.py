@@ -1,4 +1,4 @@
-"""The tree checks: seven AST checks over ``src/`` and ``benchmarks/``.
+"""The tree checks: eight AST checks over ``src/`` and ``benchmarks/``.
 
 TT-Rec is a memory trade, and one float64 buffer on the hot path spends
 the memory the cores saved; the dtype checks keep that out of the tree.
@@ -7,7 +7,8 @@ the memory the cores saved; the dtype checks keep that out of the tree.
 :class:`Finding` tuples (docs/STATIC_ANALYSIS.md has the rule tables):
 
 - per file: ``DT001``-``DT003`` (dtype discipline on :data:`HOT_PATH`),
-  ``MUT001`` (in-place writes to argument arrays in :data:`MUTATION_SCOPE`);
+  ``MUT001`` (in-place writes to argument arrays in :data:`MUTATION_SCOPE`),
+  ``IMP001`` (an import the module never reads);
 - whole program: ``XMOD002`` (metric names written vs. read), ``XMOD003``
   (schema tags written vs. read), ``XMOD004`` (state literals assigned vs.
   dispatched on, reported inside :data:`STATE_SCOPE`).
@@ -391,6 +392,43 @@ def _comprehension_literals(m: Module, node: ast.AST) -> dict[str, list[str]]:
                     for e in gen.iter.elts)):
         return {}
     return {gen.target.id: [e.value for e in gen.iter.elts]}
+
+
+# --------------------------------------------------------------------- #
+# IMP001: every import is read
+# --------------------------------------------------------------------- #
+
+def _exported(m: Module) -> set[str]:
+    """The string entries of module-level ``__all__`` lists or tuples."""
+    return {elt.value for node in m.tree.body if isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__"
+                    for t in node.targets)
+            and isinstance(node.value, (ast.List, ast.Tuple))
+            for elt in node.value.elts
+            if isinstance(elt, ast.Constant) and isinstance(elt.value, str)}
+
+
+def imp001(modules: list[Module]) -> list[Finding]:
+    """An imported name the module never reads and ``__all__`` does not
+    list: dead weight that hides what a module really depends on."""
+    out = []
+    for m in modules:
+        used = _exported(m) | {node.id for node in m.nodes
+                               if isinstance(node, ast.Name)
+                               and isinstance(node.ctx, ast.Load)}
+        for node in m.nodes:
+            if isinstance(node, ast.Import):
+                names = [a.asname or a.name.split(".")[0] for a in node.names]
+            elif (isinstance(node, ast.ImportFrom)
+                  and node.module != "__future__"):
+                names = [a.asname or a.name for a in node.names
+                         if a.name != "*"]
+            else:
+                continue
+            out.extend(_finding("IMP001", m, node,
+                                f"'{name}' is imported but never read")
+                       for name in names if name not in used)
+    return out
 
 
 # --------------------------------------------------------------------- #
@@ -808,4 +846,4 @@ def xmod004(modules: list[Module]) -> list[Finding]:
     return out
 
 
-CHECKS = (dt001, dt002, dt003, mut001, xmod002, xmod003, xmod004)
+CHECKS = (dt001, dt002, dt003, mut001, imp001, xmod002, xmod003, xmod004)
