@@ -34,13 +34,12 @@ from repro.models import (
     build_dlrm,
     build_ttrec,
 )
-from repro.ops import SGD, Adagrad, EmbeddingBag, SparseSGD
+from repro.ops import Adagrad, EmbeddingBag, SparseSGD
 from repro.reliability import (
     CheckpointManager,
     DivergenceGuard,
     FaultInjector,
     FaultSpec,
-    GuardPolicy,
 )
 from repro.telemetry import (
     MetricsRegistry,
@@ -71,7 +70,6 @@ __all__ = [
     "tt_reconstruct",
     # baseline ops
     "EmbeddingBag",
-    "SGD",
     "SparseSGD",
     "Adagrad",
     # cache
@@ -100,7 +98,6 @@ __all__ = [
     "FaultSpec",
     "CheckpointManager",
     "DivergenceGuard",
-    "GuardPolicy",
     # compression baselines (related work)
     "HashedEmbeddingBag",
     "LowRankEmbeddingBag",

@@ -27,7 +27,6 @@ from repro.utils.seeding import as_rng
 
 __all__ = [
     "product_of_iid_samples",
-    "pdf_histogram",
     "materialized_entry_samples",
     "Table1Row",
     "table1_kl_rows",
@@ -53,18 +52,6 @@ def product_of_iid_samples(dist: str, d: int, n_samples: int, *,
     else:
         raise ValueError(f"unknown dist {dist!r}")
     return np.prod(draws, axis=0)
-
-
-def pdf_histogram(samples: np.ndarray, *, bins: int = 101,
-                  value_range: tuple[float, float] | None = None
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """Normalised density histogram ``(bin_centers, density)``."""
-    samples = np.asarray(samples, dtype=np.float64).reshape(-1)
-    if samples.size == 0:
-        raise ValueError("no samples")
-    hist, edges = np.histogram(samples, bins=bins, range=value_range, density=True)
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    return centers, hist
 
 
 def materialized_entry_samples(shape: TTShape, strategy: str, *,

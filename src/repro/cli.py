@@ -298,7 +298,7 @@ def _cmd_profile(args) -> int:
 def _cmd_chaos(args) -> int:
     """Fault-injection drill: guarded faulty run vs the fault-free run."""
     from repro.ops.optim import Adagrad
-    from repro.reliability import DivergenceGuard, FaultInjector, GuardPolicy
+    from repro.reliability import DivergenceGuard, FaultInjector
     from repro.training import Trainer
 
     kaggle = _scaled_kaggle(args, min_rows=50, **_TRAINING_CACHE)
@@ -309,7 +309,7 @@ def _cmd_chaos(args) -> int:
             for emb in model.embeddings:
                 if hasattr(emb, "cache_rows"):
                     emb.injector = injector
-        guard = DivergenceGuard(GuardPolicy())
+        guard = DivergenceGuard()
         trainer = Trainer(model, optimizer=Adagrad(model.parameters(), lr=0.05),
                           guard=guard, injector=injector)
         res = trainer.train(kaggle.stream(noise=0.6).batches(64, args.iters))

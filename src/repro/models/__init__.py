@@ -2,12 +2,8 @@
 
 from repro.models.config import DLRMConfig, TTConfig
 from repro.models.dlrm import DLRM
-from repro.models.serialization import (
-    load_state_dict,
-    parameter_keys,
-    state_dict,
-)
 from repro.models.ttrec import build_dlrm, build_ttrec, largest_tables
+from repro.ops.module import load_state_dict, parameter_keys, state_dict
 
 __all__ = [
     "DLRMConfig",

@@ -12,10 +12,10 @@ from repro.ops.activations import ReLU, Sigmoid
 from repro.ops.embedding import EmbeddingBag
 from repro.ops.interaction import DotInteraction
 from repro.ops.linear import Linear
-from repro.ops.loss import BCEWithLogitsLoss, bce_with_logits
+from repro.ops.loss import bce_with_logits
 from repro.ops.mlp import MLP
 from repro.ops.module import Module, Parameter
-from repro.ops.optim import SGD, Adagrad, SparseSGD
+from repro.ops.optim import Adagrad, SparseSGD
 
 __all__ = [
     "Parameter",
@@ -24,11 +24,9 @@ __all__ = [
     "ReLU",
     "Sigmoid",
     "MLP",
-    "BCEWithLogitsLoss",
     "bce_with_logits",
     "DotInteraction",
     "EmbeddingBag",
-    "SGD",
     "SparseSGD",
     "Adagrad",
 ]

@@ -7,7 +7,7 @@ import numpy as np
 from repro.ops.activations import sigmoid
 from repro.utils.dtypes import default_dtype
 
-__all__ = ["bce_with_logits", "BCEWithLogitsLoss"]
+__all__ = ["bce_with_logits"]
 
 
 def _log1p_exp(x: np.ndarray) -> np.ndarray:
@@ -43,27 +43,3 @@ def bce_with_logits(logits: np.ndarray, targets: np.ndarray) -> tuple[float, np.
     grad = (sigmoid(logits) - targets) / logits.size
     return loss, grad
 
-
-class BCEWithLogitsLoss:
-    """Object wrapper around :func:`bce_with_logits` with a cached gradient.
-
-    Usage::
-
-        loss = criterion.forward(logits, y)
-        grad_logits = criterion.backward()
-    """
-
-    def __init__(self):
-        self._grad: np.ndarray | None = None
-
-    def forward(self, logits: np.ndarray, targets: np.ndarray) -> float:
-        loss, grad = bce_with_logits(logits, targets)
-        self._grad = grad
-        return loss
-
-    def backward(self) -> np.ndarray:
-        if self._grad is None:
-            raise RuntimeError("backward called before forward")
-        return self._grad
-
-    __call__ = forward

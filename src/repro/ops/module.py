@@ -17,7 +17,7 @@ from repro.telemetry import trace
 from repro.utils.dtypes import default_dtype
 
 __all__ = ["Parameter", "Module", "SparseGrad", "coalesce_rows", "sum_rows", "walk",
-           "parameter_keys", "state_dict", "load_state_dict"]
+           "named_modules", "parameter_keys", "state_dict", "load_state_dict"]
 
 
 class SparseGrad(NamedTuple):
@@ -182,6 +182,15 @@ def walk(module: Module) -> list[tuple[str, Module | Parameter]]:
 
     visit(module, "")
     return out
+
+
+def named_modules(model: Module) -> list[tuple[str, Module]]:
+    """The :class:`Module` entries of :func:`walk`: depth-first ``(path,
+    module)`` pairs, the root at path ``""``. Paths (``"embeddings.3"``,
+    ``"bottom_mlp"``) give stateful modules a stable address for
+    checkpointing non-parameter state (see
+    :class:`repro.reliability.checkpoint.CheckpointManager`)."""
+    return [(path, node) for path, node in walk(model) if isinstance(node, Module)]
 
 
 def parameter_keys(model: Module) -> list[str]:

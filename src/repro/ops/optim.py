@@ -1,19 +1,17 @@
 """Optimizers for the manual-backprop substrate.
 
-``SGD`` matches the MLPerf-DLRM reference (plain SGD, no momentum by
-default, optional momentum for completeness); momentum and weight decay
-read the whole table, so it densifies a sparse parameter's gradient.
-``SparseSGD``, ``Adagrad`` and ``RowWiseAdagrad`` step over a sparse
-parameter's coalesced ``(rows, values)`` pair, so an update costs O(rows
-touched) instead of O(table size) — the same optimization PyTorch's sparse
+``SparseSGD`` is the MLPerf-DLRM reference's plain SGD (no momentum).
+It, ``Adagrad`` and ``RowWiseAdagrad`` step over a sparse parameter's
+coalesced ``(rows, values)`` pair, so an update costs O(rows touched)
+instead of O(table size) — the same optimization PyTorch's sparse
 embedding gradients provide — and a sparse parameter without a pair costs
 nothing. ``Adagrad`` is included because industrial DLRM training commonly
 uses it for embeddings.
 
 Every optimizer is an :class:`Optimizer`: the base owns the parameter
 list, learning-rate validation, ``zero_grad``, the per-parameter slots
-``slots[i][name]`` (momentum ``velocity``, Adagrad ``accum``), indexed by
-position in the construction-time parameter order, and the one
+``slots[i][name]`` (Adagrad's ``accum``), indexed by position in the
+construction-time parameter order, and the one
 ``state_dict()``/``load_state_dict()``: hyperparameters first (including a
 learning rate adjusted by the divergence guard), then each slot keyed
 ``<slot>.<param index>``. The subclasses keep only their update rules.
@@ -27,7 +25,7 @@ import numpy as np
 
 from repro.ops.module import Parameter
 
-__all__ = ["Optimizer", "SGD", "SparseSGD", "Adagrad", "RowWiseAdagrad"]
+__all__ = ["Optimizer", "SparseSGD", "Adagrad", "RowWiseAdagrad"]
 
 
 class Optimizer:
@@ -72,40 +70,6 @@ class Optimizer:
             if name in self.slot_names:
                 i = int(index)
                 self.slots[i][name] = np.array(value, dtype=self.params[i].data.dtype)
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent over an explicit parameter list."""
-
-    hyper = ("lr", "momentum", "weight_decay")
-    slot_names = ("velocity",)
-
-    def __init__(self, params: list[Parameter], lr: float, *, momentum: float = 0.0,
-                 weight_decay: float = 0.0):
-        super().__init__(params, lr)
-        if not (0.0 <= momentum < 1.0):
-            raise ValueError(f"momentum must be in [0, 1), got {momentum}")
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-
-    def step(self) -> None:
-        for p, slots in zip(self.params, self.slots):
-            grad = p.dense_grad()
-            if self.weight_decay:
-                grad = grad + self.weight_decay * p.data
-            if self.momentum:
-                v = slots.get("velocity")
-                if v is None:
-                    v = slots["velocity"] = np.zeros_like(p.data)
-                v *= self.momentum
-                v += grad
-                grad = v
-            p.data -= self.lr * grad
-
-    def load_state_dict(self, state: dict) -> None:
-        """A velocity the state lacks is dropped: it restarts from zero."""
-        self.slots = [{} for _ in self.params]
-        super().load_state_dict(state)
 
 
 class SparseSGD(Optimizer):

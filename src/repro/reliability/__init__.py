@@ -10,9 +10,9 @@ package makes every training and benchmark run in the repo survivable:
 - :class:`CheckpointManager` — atomic, checksummed, retained checkpoints
   carrying model + optimizer + RNG + module-extra state, so a killed run
   resumes bit-exactly (:mod:`repro.reliability.checkpoint`);
-- :class:`DivergenceGuard` / :class:`GuardPolicy` — skip / scrub /
-  LR-backoff / rollback recovery ladder replacing the trainer's old
-  fail-fast :class:`FloatingPointError` (:mod:`repro.reliability.guard`).
+- :class:`DivergenceGuard` — the fixed skip / scrub / LR-backoff recovery
+  ladder replacing the trainer's old fail-fast
+  :class:`FloatingPointError` (:mod:`repro.reliability.guard`).
 
 See ``docs/RELIABILITY.md`` for the full story and
 ``tests/test_reliability.py`` for the chaos suite.
@@ -24,7 +24,7 @@ from repro.reliability.checkpoint import (
     LoadedCheckpoint,
 )
 from repro.reliability.fault_injection import KNOWN_SITES, FaultInjector, FaultSpec
-from repro.reliability.guard import DivergenceGuard, GuardPolicy, scrub_non_finite
+from repro.reliability.guard import DivergenceGuard, scrub_non_finite
 
 __all__ = [
     "FaultInjector",
@@ -34,6 +34,5 @@ __all__ = [
     "CheckpointError",
     "LoadedCheckpoint",
     "DivergenceGuard",
-    "GuardPolicy",
     "scrub_non_finite",
 ]

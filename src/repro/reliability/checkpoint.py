@@ -17,11 +17,11 @@ resume — the manager falls back to the newest checkpoint that verifies.
 Payload key namespaces (``/``-separated, chosen because parameter keys
 already contain ``:``):
 
-- ``model/<key>``        — :func:`repro.models.serialization.state_dict` keys;
+- ``model/<key>``        — :func:`repro.ops.module.state_dict` keys;
 - ``opt/<key>``          — optimizer ``state_dict()`` arrays;
 - ``extra/<path>/<key>`` — per-module non-parameter arrays from
   ``extra_state()`` hooks (e.g. the LFU tracker of a cached embedding),
-  addressed by :func:`repro.models.serialization.named_modules` paths.
+  addressed by :func:`repro.ops.module.named_modules` paths.
 
 Scalars from the same sources live in the JSON manifest, which also
 records the full loss history (so a resumed
@@ -40,9 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.models.serialization import (load_state_dict, named_modules,
-                                        state_dict)
-from repro.ops.module import Module
+from repro.ops.module import Module, load_state_dict, named_modules, state_dict
 
 __all__ = ["CheckpointManager", "CheckpointError", "LoadedCheckpoint"]
 

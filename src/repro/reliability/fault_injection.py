@@ -200,10 +200,6 @@ class FaultInjector:
     # Reporting
     # ------------------------------------------------------------------ #
 
-    @property
-    def total_fired(self) -> int:
-        return sum(self.fired.values())
-
     def counters(self) -> dict[str, dict[str, int]]:
         """Per-site ``{"attempts": ..., "fired": ...}`` (report-ready copy)."""
         return {
@@ -213,4 +209,4 @@ class FaultInjector:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"FaultInjector(sites={list(self._specs)}, "
-                f"fired={self.total_fired})")
+                f"fired={sum(self.fired.values())})")

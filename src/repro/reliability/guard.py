@@ -1,9 +1,9 @@
-"""Divergence guard: skip, back off, scrub, roll back — don't crash.
+"""Divergence guard: skip, scrub, back off — don't crash.
 
 The seed trainer raised a bare :class:`FloatingPointError` on the first
 non-finite loss, turning every transient numeric blow-up into a dead
-multi-hour run. :class:`DivergenceGuard` replaces that with a bounded
-recovery ladder, configured by :class:`GuardPolicy`:
+multi-hour run. :class:`DivergenceGuard` replaces that with one bounded
+recovery ladder with fixed values:
 
 1. **Skip** — a batch with a non-finite loss or loss-gradient is dropped
    before it can touch the parameters (no backward, no optimizer step).
@@ -11,32 +11,31 @@ recovery ladder, configured by :class:`GuardPolicy`:
    modules exposing a ``scrub()`` hook fix themselves (a cached embedding
    re-materialises poisoned rows from its TT cores), remaining non-finite
    entries are zeroed.
-3. **LR backoff** — ``backoff_after`` *consecutive* non-finite events
-   halve (``lr_backoff``) the optimizer's learning rate, at most
-   ``max_backoffs`` times; after ``recovery_steps`` consecutive healthy
+3. **LR backoff** — ``BACKOFF_AFTER`` *consecutive* non-finite events
+   multiply the optimizer's learning rate by ``LR_BACKOFF``, at most
+   ``MAX_BACKOFFS`` times; after ``RECOVERY_STEPS`` consecutive healthy
    steps the original rate is restored. Isolated transient faults (one
    bad batch between healthy ones) never touch the learning rate.
-4. **Rollback** — when the smoothed loss spikes to ``spike_factor`` times
-   its best value for ``spike_patience`` consecutive steps, the trainer
-   restores the newest checkpoint (parameters + optimizer + RNG) and
-   continues forward through the stream.
 
-The ladder is bounded: more than ``max_skips`` skipped batches raises
+The ladder is bounded: more than ``MAX_SKIPS`` skipped batches raises
 :class:`FloatingPointError` just like the unguarded trainer, so a truly
 broken run still fails loudly instead of spinning.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from repro.models.serialization import named_modules
-from repro.ops.module import Module
+from repro.ops.module import Module, named_modules
 from repro.telemetry import emit_event
 
-__all__ = ["GuardPolicy", "DivergenceGuard", "scrub_non_finite"]
+__all__ = ["DivergenceGuard", "scrub_non_finite"]
+
+MAX_SKIPS = 50
+LR_BACKOFF = 0.5
+BACKOFF_AFTER = 2  # consecutive failures before the first backoff
+MAX_BACKOFFS = 3
+RECOVERY_STEPS = 25
 
 
 def scrub_non_finite(model: Module) -> int:
@@ -60,134 +59,63 @@ def scrub_non_finite(model: Module) -> int:
     return repaired
 
 
-@dataclass
-class GuardPolicy:
-    """Knobs for :class:`DivergenceGuard` (defaults suit the chaos suite).
-
-    ``on_nonfinite="raise"`` reproduces the legacy fail-fast behaviour
-    while keeping the spike/rollback machinery available.
-    """
-
-    on_nonfinite: str = "skip"  # "skip" | "raise"
-    max_skips: int = 50
-    scrub: bool = True
-    lr_backoff: float = 0.5
-    backoff_after: int = 2  # consecutive failures before the first backoff
-    max_backoffs: int = 3
-    recovery_steps: int = 25
-    spike_window: int = 25
-    spike_factor: float = 2.5
-    spike_patience: int = 10
-
-    def __post_init__(self):
-        if self.on_nonfinite not in ("skip", "raise"):
-            raise ValueError(
-                f"on_nonfinite must be 'skip' or 'raise', got {self.on_nonfinite!r}"
-            )
-        if not (0.0 < self.lr_backoff < 1.0):
-            raise ValueError(
-                f"lr_backoff must be in (0, 1), got {self.lr_backoff}"
-            )
-        if self.spike_factor <= 1.0:
-            raise ValueError(
-                f"spike_factor must be > 1, got {self.spike_factor}"
-            )
-
-
 class DivergenceGuard:
-    """Stateful recovery policy driven by the trainer.
+    """Stateful recovery ladder driven by the trainer.
 
     The trainer calls :meth:`admit` with each batch's loss and loss
-    gradient before backward, and :meth:`wants_rollback` with the loss
-    history after each step. ``events`` accumulates per-event counters
-    (skipped batches, backoffs, restores, scrubbed values, rollbacks) for
-    benchmark reports.
+    gradient before backward. ``events`` accumulates per-event counters
+    (skipped batches, backoffs, restores, scrubbed values) for benchmark
+    reports.
     """
 
-    def __init__(self, policy: GuardPolicy | None = None):
-        self.policy = policy if policy is not None else GuardPolicy()
+    def __init__(self):
         self.events = {
             "skipped_batches": 0,
             "lr_backoffs": 0,
             "lr_restores": 0,
             "scrubbed_values": 0,
-            "rollbacks": 0,
         }
         self._healthy_streak = 0
         self._failure_streak = 0
         self._active_backoffs = 0
         self._base_lr: float | None = None
-        self._best_smoothed = np.inf
-        self._spike_run = 0
-
-    # ------------------------------------------------------------------ #
 
     def admit(self, loss: float, grad: np.ndarray, *, model: Module | None = None,
               optimizer=None) -> bool:
         """Gate one step: True -> apply the update, False -> skip the batch."""
-        pol = self.policy
         if np.isfinite(loss) and bool(np.all(np.isfinite(grad))):
             self._healthy_streak += 1
             self._failure_streak = 0
             if (self._active_backoffs and optimizer is not None
-                    and self._healthy_streak >= pol.recovery_steps):
+                    and self._healthy_streak >= RECOVERY_STEPS):
                 optimizer.lr = self._base_lr
                 self._active_backoffs = 0
                 self.events["lr_restores"] += 1
                 emit_event("guard.lr_restore", lr=float(optimizer.lr))
             return True
-        if pol.on_nonfinite == "raise":
-            raise FloatingPointError(
-                f"training diverged: loss={loss!r}; lower the learning rate "
-                "or check the input data for non-finite values"
-            )
         self._healthy_streak = 0
         self._failure_streak += 1
         self.events["skipped_batches"] += 1
         emit_event("guard.skip", loss=float(loss),
                    failure_streak=self._failure_streak)
-        if self.events["skipped_batches"] > pol.max_skips:
+        if self.events["skipped_batches"] > MAX_SKIPS:
             raise FloatingPointError(
-                f"training diverged: more than {pol.max_skips} batches "
-                "produced non-finite losses/gradients under the guard policy"
+                f"training diverged: more than {MAX_SKIPS} batches "
+                "produced non-finite losses/gradients under the guard"
             )
-        if pol.scrub and model is not None:
+        if model is not None:
             scrubbed = scrub_non_finite(model)
             self.events["scrubbed_values"] += scrubbed
             if scrubbed:
                 emit_event("guard.scrub", values=scrubbed)
         if (optimizer is not None
-                and self._failure_streak >= pol.backoff_after
-                and self._active_backoffs < pol.max_backoffs):
+                and self._failure_streak >= BACKOFF_AFTER
+                and self._active_backoffs < MAX_BACKOFFS):
             if self._base_lr is None:
                 self._base_lr = optimizer.lr
-            optimizer.lr *= pol.lr_backoff
+            optimizer.lr *= LR_BACKOFF
             self._active_backoffs += 1
             self.events["lr_backoffs"] += 1
             emit_event("guard.lr_backoff", lr=float(optimizer.lr),
                        active_backoffs=self._active_backoffs)
         return False
-
-    def wants_rollback(self, losses: list[float]) -> bool:
-        """Sustained-spike detector over the smoothed loss trace."""
-        w = self.policy.spike_window
-        if len(losses) < 2 * w:
-            return False
-        smoothed = float(np.mean(losses[-w:]))
-        self._best_smoothed = min(self._best_smoothed, smoothed)
-        if smoothed > self.policy.spike_factor * self._best_smoothed:
-            self._spike_run += 1
-            if self._spike_run >= self.policy.spike_patience:
-                self._spike_run = 0
-                self.events["rollbacks"] += 1
-                emit_event("guard.rollback", smoothed_loss=smoothed,
-                           best_smoothed=float(self._best_smoothed))
-                return True
-        else:
-            self._spike_run = 0
-        return False
-
-    def notify_rollback(self) -> None:
-        """Reset spike tracking after the trainer restored a checkpoint."""
-        self._spike_run = 0
-        self._best_smoothed = np.inf

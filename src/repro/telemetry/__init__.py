@@ -78,7 +78,6 @@ from repro.telemetry.tracer import (
     get_request_tracer,
     get_tracer,
     trace,
-    tracing_enabled,
 )
 
 __all__ = [
@@ -94,7 +93,6 @@ __all__ = [
     "get_tracer",
     "enable_tracing",
     "disable_tracing",
-    "tracing_enabled",
     "SNAPSHOT_SCHEMA",
     "emit_event",
     "read_events",

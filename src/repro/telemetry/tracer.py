@@ -67,7 +67,6 @@ __all__ = [
     "get_tracer",
     "enable_tracing",
     "disable_tracing",
-    "tracing_enabled",
     "get_request_tracer",
     "annotate_span",
     "emit_event",
@@ -489,10 +488,6 @@ def enable_tracing() -> None:
 
 def disable_tracing() -> None:
     _TRACER.disable()
-
-
-def tracing_enabled() -> bool:
-    return _TRACER.enabled
 
 
 def get_request_tracer() -> RequestTracer:

@@ -13,7 +13,7 @@ goes. The overall ``ms_per_iter`` mirrors the paper's numbers.
 The loop is fault-tolerant when asked to be (see
 :mod:`repro.reliability`): a :class:`~repro.reliability.guard.DivergenceGuard`
 replaces the fail-fast :class:`FloatingPointError` with a bounded
-skip/backoff/rollback policy, a
+skip/scrub/backoff ladder, a
 :class:`~repro.reliability.fault_injection.FaultInjector` can corrupt the
 loss gradient at the ``trainer.grad`` site for chaos testing, and
 ``train(..., checkpoint_every=, checkpoint_dir=, resume_from=)`` makes a
@@ -53,7 +53,6 @@ class TrainResult:
     total_time_s: float = 0.0
     losses: list[float] = field(default_factory=list)
     skipped: int = 0       # batches the divergence guard refused to apply
-    rollbacks: int = 0     # checkpoint restores triggered by loss spikes
     start_iteration: int = 0  # > 0 when the run resumed from a checkpoint
     # Wall-clock of each applied iteration (data fetch + forward + backward
     # + optimizer), and cumulative per-stage seconds over the whole run.
@@ -131,7 +130,7 @@ class Trainer:
         :class:`~repro.ops.optim.SparseSGD` over the model's parameters.
     guard:
         Optional :class:`~repro.reliability.guard.DivergenceGuard`. With a
-        guard, non-finite losses/gradients follow its recovery policy
+        guard, non-finite losses/gradients follow its recovery ladder
         instead of raising :class:`FloatingPointError`.
     injector:
         Optional :class:`~repro.reliability.fault_injection.FaultInjector`
@@ -164,7 +163,7 @@ class Trainer:
         NaN/inf — catching divergence at the step it happens instead of
         corrupting every parameter and failing silently later. With a
         guard, a non-finite loss or loss-gradient makes this a no-op step
-        (``last_step_skipped`` is set) and the guard's recovery policy
+        (``last_step_skipped`` is set) and the guard's recovery ladder
         runs instead.
         """
         self.last_step_skipped = False
@@ -285,15 +284,6 @@ class Trainer:
                 log_fn(
                     f"iter {i + 1}: loss={np.mean(result.losses[-log_every:]):.4f}"
                 )
-            if (self.guard is not None and manager is not None
-                    and self.guard.wants_rollback(result.losses)):
-                ck = manager.restore(self.model, optimizer=self.optimizer,
-                                     rng=self.rng)
-                result.losses = ck.losses
-                result.rollbacks += 1
-                self.guard.notify_rollback()
-                emit_event("trainer.rollback", step=i + 1,
-                           restored_step=ck.step)
             if (checkpoint_every is not None
                     and (i + 1) % checkpoint_every == 0):
                 t_ck = perf_counter_ns()

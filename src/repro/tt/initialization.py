@@ -24,7 +24,6 @@ __all__ = [
     "optimal_gaussian_for_uniform",
     "uniform_initializer",
     "gaussian_initializer",
-    "dlrm_default_initializer",
     "sampled_gaussian_cores",
     "gaussian_cores",
     "uniform_cores",
@@ -81,11 +80,6 @@ def gaussian_initializer(std: float):
     def init(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
         return rng.normal(0.0, std, size=shape)
     return init
-
-
-def dlrm_default_initializer(num_rows: int):
-    """The DLRM reference default, ``Uniform(±1/sqrt(num_rows))``."""
-    return uniform_initializer(1.0 / math.sqrt(num_rows))
 
 
 # --------------------------------------------------------------------- #

@@ -6,12 +6,7 @@ from repro.utils.factorization import (
     suggested_tt_shapes,
 )
 from repro.utils.seeding import as_rng, spawn_rngs
-from repro.utils.validation import (
-    check_1d_int_array,
-    check_csr,
-    check_positive,
-    check_probability,
-)
+from repro.utils.validation import check_1d_int_array, check_csr
 
 __all__ = [
     "as_rng",
@@ -21,6 +16,4 @@ __all__ = [
     "suggested_tt_shapes",
     "check_1d_int_array",
     "check_csr",
-    "check_positive",
-    "check_probability",
 ]

@@ -10,8 +10,6 @@ import numpy as np
 
 __all__ = [
     "IndexOutOfRangeError",
-    "check_positive",
-    "check_probability",
     "check_1d_int_array",
     "check_csr",
 ]
@@ -27,20 +25,6 @@ class IndexOutOfRangeError(IndexError, ValueError):
     lookup address) and ``ValueError`` (what these helpers historically
     raised), so existing ``except ValueError`` callers keep working.
     """
-
-
-def check_positive(name: str, value: float, *, strict: bool = True) -> None:
-    """Raise ``ValueError`` unless ``value`` is positive (or non-negative)."""
-    if strict and value <= 0:
-        raise ValueError(f"{name} must be > 0, got {value!r}")
-    if not strict and value < 0:
-        raise ValueError(f"{name} must be >= 0, got {value!r}")
-
-
-def check_probability(name: str, value: float) -> None:
-    """Raise ``ValueError`` unless ``value`` lies in ``[0, 1]``."""
-    if not (0.0 <= value <= 1.0):
-        raise ValueError(f"{name} must be in [0, 1], got {value!r}")
 
 
 def check_1d_int_array(name: str, arr: np.ndarray, *, min_value: int | None = None,

@@ -6,7 +6,6 @@ import pytest
 
 from repro.analysis.distributions import (
     materialized_entry_samples,
-    pdf_histogram,
     product_of_iid_samples,
     table1_kl_rows,
 )
@@ -98,16 +97,6 @@ class TestDistributions:
     def test_unknown_dist(self):
         with pytest.raises(ValueError):
             product_of_iid_samples("cauchy", 2, 10)
-
-    def test_pdf_histogram_normalised(self):
-        x = np.random.default_rng(0).normal(size=10_000)
-        centers, density = pdf_histogram(x, bins=50)
-        width = centers[1] - centers[0]
-        assert density.sum() * width == pytest.approx(1.0, abs=0.01)
-
-    def test_pdf_histogram_empty(self):
-        with pytest.raises(ValueError):
-            pdf_histogram(np.array([]))
 
     def test_materialized_sampled_gaussian_variance(self):
         shape = TTShape.with_uniform_rank(512, 8, (8, 8, 8), (2, 2, 2), 4)

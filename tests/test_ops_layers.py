@@ -5,7 +5,7 @@ import pytest
 
 from repro.data import KAGGLE, SyntheticCTRDataset
 from repro.models import DLRMConfig, build_dlrm
-from repro.ops import MLP, BCEWithLogitsLoss, Linear, ReLU, Sigmoid, bce_with_logits
+from repro.ops import MLP, Linear, ReLU, Sigmoid, bce_with_logits
 from repro.training import Trainer
 from tests.helpers import numeric_grad_check
 
@@ -239,11 +239,3 @@ class TestBCEWithLogits:
     def test_empty_batch(self):
         with pytest.raises(ValueError):
             bce_with_logits(np.zeros(0), np.zeros(0))
-
-    def test_object_wrapper(self):
-        crit = BCEWithLogitsLoss()
-        with pytest.raises(RuntimeError):
-            crit.backward()
-        loss = crit.forward(np.zeros(2), np.ones(2))
-        assert loss == pytest.approx(np.log(2.0))
-        assert crit.backward().shape == (2,)

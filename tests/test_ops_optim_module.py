@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.ops import SGD, Adagrad, Linear, SparseSGD
+from repro.ops import Adagrad, Linear, SparseSGD
 from repro.ops.module import Module, Parameter, coalesce_rows, walk
 from repro.ops.optim import RowWiseAdagrad
 
@@ -108,42 +108,6 @@ class TestModule:
         assert not layer.weight.grad.any()
 
 
-class TestSGD:
-    def test_plain_step(self):
-        p = Parameter(np.array([1.0, 2.0]))
-        p.grad[:] = [0.5, -0.5]
-        SGD([p], lr=0.1).step()
-        np.testing.assert_allclose(p.data, [0.95, 2.05])
-
-    def test_weight_decay(self):
-        p = Parameter(np.array([1.0]))
-        SGD([p], lr=0.1, weight_decay=0.5).step()
-        np.testing.assert_allclose(p.data, [1.0 - 0.1 * 0.5])
-
-    def test_momentum_accumulates(self):
-        p = Parameter(np.array([0.0]))
-        opt = SGD([p], lr=1.0, momentum=0.9)
-        p.grad[:] = 1.0
-        opt.step()
-        np.testing.assert_allclose(p.data, [-1.0])
-        opt.step()  # velocity = 0.9*1 + 1 = 1.9
-        np.testing.assert_allclose(p.data, [-2.9])
-
-    def test_rejects_bad_hparams(self):
-        p = Parameter(np.zeros(1))
-        with pytest.raises(ValueError):
-            SGD([p], lr=0.0)
-        with pytest.raises(ValueError):
-            SGD([p], lr=0.1, momentum=1.0)
-
-    def test_zero_grad(self):
-        p = Parameter(np.zeros(2))
-        p.grad += 3.0
-        opt = SGD([p], lr=0.1)
-        opt.zero_grad()
-        assert not p.grad.any()
-
-
 def _read_only_sparse(shape):
     """A sparse parameter whose ``data`` raises on any write."""
     p = Parameter(np.ones(shape), sparse=True)
@@ -152,6 +116,20 @@ def _read_only_sparse(shape):
 
 
 class TestSparseSGD:
+    def test_rejects_bad_lr(self):
+        p = Parameter(np.zeros(1))
+        with pytest.raises(ValueError, match="lr"):
+            SparseSGD([p], lr=0.0)
+
+    def test_zero_grad(self):
+        dense = Parameter(np.zeros(2))
+        dense.grad += 3.0
+        sparse = Parameter(np.ones((4, 2)), sparse=True)
+        sparse.accumulate(np.array([1]), np.ones((1, 2)))
+        SparseSGD([dense, sparse], lr=0.1).zero_grad()
+        assert not dense.grad.any()
+        assert sparse.grad is None
+
     def test_updates_only_pair_rows(self):
         p = Parameter(np.ones((4, 2)), sparse=True)
         p.accumulate(np.array([1, 2]), np.ones((2, 2)))
@@ -229,17 +207,10 @@ class TestOptimizerState:
         return opt
 
     def test_slot_keys_by_parameter_index(self):
-        opt = self._stepped(lambda ps: SGD(ps, lr=0.1, momentum=0.5))
-        assert list(opt.state_dict()) == ["lr", "momentum", "weight_decay",
-                                          "velocity.0", "velocity.1", "velocity.2"]
-        assert opt.state_dict()["velocity.1"] is not opt.slots[1]["velocity"]
-
-    def test_sgd_drops_a_velocity_the_state_lacks(self):
-        opt = self._stepped(lambda ps: SGD(ps, lr=0.1, momentum=0.5))
-        state = opt.state_dict()
-        del state["velocity.0"], state["velocity.2"]
-        opt.load_state_dict(state)
-        assert [sorted(slots) for slots in opt.slots] == [[], ["velocity"], []]
+        opt = self._stepped(lambda ps: Adagrad(ps, lr=0.1))
+        assert list(opt.state_dict()) == ["lr", "eps",
+                                          "accum.0", "accum.1", "accum.2"]
+        assert opt.state_dict()["accum.1"] is not opt.slots[1]["accum"]
 
     @pytest.mark.parametrize("cls", [Adagrad, RowWiseAdagrad])
     def test_adagrad_keeps_an_accumulator_the_state_lacks(self, cls):

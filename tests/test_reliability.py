@@ -2,7 +2,7 @@
 
 The convergence-equivalence tests enforce the reliability acceptance
 criterion: a run with injected gradient/cache faults under the
-default guard policy must finish within 1% of the fault-free final
+guard's fixed ladder must finish within 1% of the fault-free final
 smoothed loss. The kill/resume tests enforce bit-exactness: a run killed
 at an arbitrary iteration and resumed from its newest checkpoint must
 reproduce the uninterrupted run's parameters bit-for-bit.
@@ -15,14 +15,13 @@ import pytest
 
 from repro.data import DatasetSpec, SyntheticCTRDataset
 from repro.models import DLRMConfig, TTConfig, build_ttrec
-from repro.models.serialization import named_modules, state_dict
-from repro.ops.optim import SGD, Adagrad, RowWiseAdagrad, SparseSGD
+from repro.ops.module import named_modules, state_dict
+from repro.ops.optim import Adagrad, RowWiseAdagrad, SparseSGD
 from repro.reliability import (
     CheckpointManager,
     DivergenceGuard,
     FaultInjector,
     FaultSpec,
-    GuardPolicy,
 )
 from repro.reliability.checkpoint import CheckpointError
 from repro.reliability.guard import scrub_non_finite
@@ -74,7 +73,7 @@ class TestFaultInjector:
         assert inj.corrupt("cache.row", arr)
         assert inj.attempts["cache.row"] == 1
         assert inj.fired["cache.row"] == 1
-        assert inj.total_fired == 1
+        assert sum(inj.fired.values()) == 1
         assert inj.counters() == {"cache.row": {"attempts": 1, "fired": 1}}
 
     @pytest.mark.parametrize("kind,check", [
@@ -187,7 +186,6 @@ class TestOptimizerState:
                 p.grad[...] = g
 
     @pytest.mark.parametrize("make", [
-        lambda ps: SGD(ps, lr=0.05, momentum=0.9),
         lambda ps: SparseSGD(ps, lr=0.05),
         lambda ps: Adagrad(ps, lr=0.05),
         lambda ps: RowWiseAdagrad(ps, lr=0.05),
@@ -312,23 +310,19 @@ class TestDivergenceGuard:
         assert not guard.admit(0.5, np.array([1.0, np.inf]))
         assert guard.events["skipped_batches"] == 2
 
-    def test_raise_mode(self):
-        guard = DivergenceGuard(GuardPolicy(on_nonfinite="raise"))
-        with pytest.raises(FloatingPointError, match="diverged"):
-            guard.admit(float("inf"), np.zeros(2))
-
     def test_max_skips_bounds_the_ladder(self):
-        guard = DivergenceGuard(GuardPolicy(max_skips=3))
-        for _ in range(3):
-            guard.admit(float("nan"), np.zeros(1))
+        """50 skipped batches are absorbed; the 51st raises."""
+        guard = DivergenceGuard()
+        for _ in range(50):
+            assert not guard.admit(float("nan"), np.zeros(1))
         with pytest.raises(FloatingPointError, match="diverged"):
             guard.admit(float("nan"), np.zeros(1))
 
     def test_isolated_faults_never_back_off_lr(self):
-        """backoff_after=2: a lone bad batch between healthy ones leaves
-        the learning rate untouched."""
-        guard = DivergenceGuard(GuardPolicy(backoff_after=2))
-        opt = SGD([], lr=0.1)
+        """A lone bad batch between healthy ones leaves the learning rate
+        untouched: the backoff needs two consecutive failures."""
+        guard = DivergenceGuard()
+        opt = SparseSGD([], lr=0.1)
         for _ in range(10):
             guard.admit(0.5, np.zeros(1), optimizer=opt)
             guard.admit(float("nan"), np.zeros(1), optimizer=opt)
@@ -336,17 +330,20 @@ class TestDivergenceGuard:
         assert guard.events["lr_backoffs"] == 0
 
     def test_consecutive_failures_back_off_and_recover(self):
-        pol = GuardPolicy(backoff_after=2, lr_backoff=0.5, max_backoffs=3,
-                          recovery_steps=4, max_skips=100)
-        guard = DivergenceGuard(pol)
-        opt = SGD([], lr=0.1)
+        """The 2nd consecutive failure halves the rate, and 25 healthy
+        steps in a row restore it."""
+        guard = DivergenceGuard()
+        opt = SparseSGD([], lr=0.1)
         guard.admit(float("nan"), np.zeros(1), optimizer=opt)
-        assert opt.lr == 0.1  # first failure: streak 1 < backoff_after
+        assert opt.lr == 0.1  # first failure: no backoff yet
         guard.admit(float("nan"), np.zeros(1), optimizer=opt)
-        assert opt.lr == pytest.approx(0.05)  # second consecutive: backoff
-        for _ in range(4):
+        assert opt.lr == 0.05  # second consecutive failure: halved
+        for _ in range(24):
             guard.admit(0.4, np.zeros(1), optimizer=opt)
-        assert opt.lr == pytest.approx(0.1)  # restored after recovery_steps
+        assert opt.lr == 0.05  # 24 healthy steps are not enough
+        guard.admit(0.4, np.zeros(1), optimizer=opt)
+        assert opt.lr == 0.1  # restored at the 25th
+        assert guard.events["lr_backoffs"] == 1
         assert guard.events["lr_restores"] == 1
 
     def test_scrub_repairs_params(self):
@@ -356,27 +353,6 @@ class TestDivergenceGuard:
         fixed = scrub_non_finite(model)
         assert fixed == 3
         assert all(np.isfinite(q.data).all() for q in model.parameters())
-
-    def test_rollback_on_sustained_spike(self):
-        pol = GuardPolicy(spike_window=5, spike_factor=2.0, spike_patience=3)
-        guard = DivergenceGuard(pol)
-        losses = [0.1] * 10
-        assert not guard.wants_rollback(losses)
-        hits = 0
-        for _ in range(5):
-            losses.append(5.0)
-            if guard.wants_rollback(losses):
-                hits += 1
-        assert hits == 1
-        assert guard.events["rollbacks"] == 1
-
-    def test_policy_validation(self):
-        with pytest.raises(ValueError, match="on_nonfinite"):
-            GuardPolicy(on_nonfinite="explode")
-        with pytest.raises(ValueError, match="lr_backoff"):
-            GuardPolicy(lr_backoff=1.5)
-        with pytest.raises(ValueError, match="spike_factor"):
-            GuardPolicy(spike_factor=0.9)
 
     def test_unguarded_trainer_still_fails_fast(self):
         """Legacy contract: no guard -> FloatingPointError on the spot."""
@@ -418,7 +394,7 @@ class TestChaosConvergence:
                .register("trainer.grad", 0.02, kind="nan", max_elements=4)
                .register("cache.row", 0.02, kind="nan", max_elements=2))
         faulted = self._run(inj)
-        assert inj.total_fired > 0, "chaos run injected nothing"
+        assert sum(inj.fired.values()) > 0, "chaos run injected nothing"
         rel = abs(faulted - clean_loss) / clean_loss
         assert rel <= 0.01, f"faulted run {rel:.2%} off fault-free"
 

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from repro.models import DLRMConfig, TTConfig, build_dlrm, build_ttrec
-from repro.models.serialization import load_state_dict, state_dict
-from repro.ops.module import Module, Parameter
+from repro.ops.module import Module, Parameter, load_state_dict, state_dict
 
 SIZES = (500, 40, 300, 8, 200)
 CFG = DLRMConfig(table_sizes=SIZES, num_dense=5, emb_dim=4,

@@ -10,7 +10,7 @@ than ``sha256`` (which would tie it to the zlib build).
 
 What is pinned, one ``tests/golden/state_digests.json`` entry each:
 
-- ``model``: :func:`repro.models.serialization.state_dict` of a tiny DLRM;
+- ``model``: :func:`repro.ops.module.state_dict` of a tiny DLRM;
 - ``zoo/<kind>``: the ``state_dict()`` of every operator in
   ``tests.helpers.OPERATORS``, built by its own constructor;
 - ``optim/<name>`` and ``optim/<name>/params``: each optimizer's
@@ -33,8 +33,8 @@ import numpy as np
 import pytest
 
 from repro.models import DLRMConfig, TTConfig, build_ttrec
-from repro.models.serialization import state_dict
-from repro.ops.optim import SGD, Adagrad, RowWiseAdagrad, SparseSGD
+from repro.ops.module import state_dict
+from repro.ops.optim import Adagrad, RowWiseAdagrad, SparseSGD
 from repro.reliability import CheckpointManager
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))  # regenerate
@@ -50,7 +50,6 @@ TT = TTConfig(rank=4, initializer="gaussian")
 CACHED = TT.with_(use_cache=True, warmup_steps=5, refresh_interval=25,
                   cache_fraction=0.1)
 OPTIMIZERS = {
-    "sgd": lambda ps: SGD(ps, lr=0.25, momentum=0.5, weight_decay=0.125),
     "sparse_sgd": lambda ps: SparseSGD(ps, lr=0.25),
     "adagrad": lambda ps: Adagrad(ps, lr=0.25),
     "rowwise_adagrad": lambda ps: RowWiseAdagrad(ps, lr=0.25),

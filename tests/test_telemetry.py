@@ -24,7 +24,6 @@ from repro.telemetry import (
     read_trace,
     snapshot,
     trace,
-    tracing_enabled,
     validate_snapshot,
     validate_trace_record,
     write_snapshot,
@@ -132,7 +131,7 @@ class TestMetricsRegistry:
 class TestTracer:
     def test_disabled_returns_shared_noop(self):
         disable_tracing()
-        assert not tracing_enabled()
+        assert not get_tracer().enabled
         s1 = trace("a")
         s2 = trace("b", core=1)
         assert s1 is s2  # one shared no-op object, no allocation

@@ -10,11 +10,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.ops import EmbeddingBag
 from repro.tt import TTShape
 from repro.tt import initialization
 from repro.tt.initialization import (
     CORE_INIT_STRATEGIES,
-    dlrm_default_initializer,
     gaussian_cores,
     gaussian_initializer,
     kl_uniform_gaussian,
@@ -90,9 +90,10 @@ class TestDenseInitializers:
         assert x.std() == pytest.approx(0.1, rel=0.02)
 
     def test_dlrm_default(self):
-        init = dlrm_default_initializer(400)
-        x = init(np.random.default_rng(0), (1000,))
-        assert np.all(np.abs(x) <= 1 / 20)
+        """A dense table's default init is DLRM's Uniform(±1/sqrt(rows))."""
+        weight = EmbeddingBag(400, 8, rng=0).weight.data
+        want = uniform_initializer(1 / 20)(np.random.default_rng(0), (400, 8))
+        np.testing.assert_array_equal(weight, want)
 
 
 class TestSampledGaussian:

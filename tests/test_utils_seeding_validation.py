@@ -8,8 +8,6 @@ from repro.utils.validation import (
     IndexOutOfRangeError,
     check_1d_int_array,
     check_csr,
-    check_positive,
-    check_probability,
 )
 
 
@@ -38,29 +36,6 @@ class TestSeeding:
     def test_spawn_rejects_negative(self):
         with pytest.raises(ValueError):
             spawn_rngs(0, -1)
-
-
-class TestCheckPositive:
-    def test_strict(self):
-        check_positive("x", 1.0)
-        with pytest.raises(ValueError, match="x"):
-            check_positive("x", 0.0)
-
-    def test_non_strict(self):
-        check_positive("x", 0.0, strict=False)
-        with pytest.raises(ValueError):
-            check_positive("x", -1.0, strict=False)
-
-
-class TestCheckProbability:
-    @pytest.mark.parametrize("v", [0.0, 0.5, 1.0])
-    def test_accepts(self, v):
-        check_probability("p", v)
-
-    @pytest.mark.parametrize("v", [-0.01, 1.01, 2.0])
-    def test_rejects(self, v):
-        with pytest.raises(ValueError):
-            check_probability("p", v)
 
 
 class TestCheck1DIntArray:
